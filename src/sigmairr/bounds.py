@@ -239,6 +239,8 @@ def resolve_parameters(params: BoundParams, view: DegreeSequenceView) -> tuple[d
         )
     if params.eta is not None:
         eta = params.eta
+    elif m == 0:
+        raise DomainError("m = 0: the default eta = ceil(2*n*max_degree/m) is undefined; give eta")
     else:
         eta = math.ceil(Fraction(2 * n * delta) / m)
     if params.eta1 is not None:
@@ -275,7 +277,6 @@ def resolve_parameters(params: BoundParams, view: DegreeSequenceView) -> tuple[d
         "p": params.p,
         "eta": eta,
         "eta1": eta1,
-        "t": params.t,
         "strict_max_degree_window": params.strict_max_degree_window,
     }
     return values, notes
@@ -301,6 +302,27 @@ class BoundInput:
     params: BoundParams = field(default_factory=BoundParams)
     graph: Optional[Graph] = None
     label: str = ""
+    # Resolved once here and shared by every catalog entry evaluated on it.
+    _ctx: "_Ctx" = field(init=False, compare=False, repr=False)
+    _param_notes: dict[str, list[str]] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        resolved, notes = resolve_parameters(self.params, self.view)
+        ctx = _Ctx(
+            n=self.view.n,
+            m=self.view.m,
+            max_degree=self.view.max_entry,
+            mean_degree=self.view.mean_entry,
+            entries=self.view.entries,
+            cube_sum=self.cube_sum,
+            derived=self.derived,
+            irr=self.irr_value,
+            sig=self.sigma_value,
+            graph=self.graph,
+            **resolved,
+        )
+        object.__setattr__(self, "_ctx", ctx)
+        object.__setattr__(self, "_param_notes", notes)
 
     @classmethod
     def from_graph(cls, g: Graph, params: BoundParams = BoundParams(), label: str = "") -> "BoundInput":
@@ -401,8 +423,8 @@ class BoundReport:
             "relation": self.relation,
             "lhs": None if self.lhs is None else self.fmt_value(self.lhs, self.lhs_exact),
             "rhs": None if self.rhs is None else self.fmt_value(self.rhs, self.rhs_exact),
-            "lhs_decimal": None if self.lhs is None else float(self.lhs),
-            "rhs_decimal": None if self.rhs is None else float(self.rhs),
+            "lhs_decimal": _decimal(self.lhs),
+            "rhs_decimal": _decimal(self.rhs),
             "lhs_exact": self.lhs_exact,
             "rhs_exact": self.rhs_exact,
             "holds": self.holds,
@@ -411,6 +433,14 @@ class BoundReport:
             "notes": list(self.notes),
             "indeterminate": self.indeterminate,
         }
+
+
+def _decimal(value: Optional[Fraction]) -> Optional[float]:
+    """Nearest float, or None when there is no value or it is beyond float range."""
+    try:
+        return None if value is None else float(value)
+    except OverflowError:
+        return None
 
 
 CSV_HEADER = ["bound_id", "hypotheses_met", "lhs", "rhs", "relation", "holds", "margin", "params"]
@@ -431,6 +461,8 @@ class BoundSpec:
     lhs: Callable[["_Ctx", int], RVal]
     rhs: Callable[["_Ctx", int], RVal]
     extra_notes: tuple[str, ...] = ()
+    # parameters the entry reads; reported as params_used with their notes
+    params: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -440,7 +472,6 @@ class _Ctx:
     n: int
     m: Fraction
     max_degree: int
-    min_degree: int
     mean_degree: Fraction
     entries: tuple[int, ...]
     cube_sum: int
@@ -453,23 +484,11 @@ class _Ctx:
     p: int
     eta: int
     eta1: Fraction
-    strict_window: bool
-
-
-def _floor(x: Fraction) -> int:
-    return math.floor(x)
-
-
-def _ceil(x: Fraction) -> int:
-    return math.ceil(x)
-
-
-def _exact(value) -> RVal:
-    return RVal.of(value)
+    strict_max_degree_window: bool
 
 
 def _sigma_lhs(ctx: _Ctx, bits: int) -> RVal:
-    return _exact(ctx.sig)
+    return RVal.of(ctx.sig)
 
 
 def _irr_over_max_degree_cube(ctx: _Ctx) -> Fraction:
@@ -527,7 +546,7 @@ def _hyp_b10(ctx: _Ctx) -> tuple[list[str], bool]:
     delta = ctx.max_degree
     failed = []
     computable = delta != 3
-    if ctx.strict_window:
+    if ctx.strict_max_degree_window:
         if not 4 <= delta - 3:
             failed.append("max_degree - 3 below 4 (strict window)")
         if not Fraction(delta - 3) <= Fraction(ctx.n, 4):
@@ -578,39 +597,39 @@ def _hyp_sorted_desc(ctx: _Ctx) -> tuple[list[str], bool]:
 
 
 def _b2a_rhs(ctx: _Ctx, bits: int) -> RVal:
-    return _exact(_floor(2 * ctx.m / ctx.n) + _ceil(Fraction(2 * ctx.n) / ctx.m) + 2**ctx.alpha)
+    return RVal.of(math.floor(2 * ctx.m / ctx.n) + math.ceil(Fraction(2 * ctx.n) / ctx.m) + 2**ctx.alpha)
 
 
 def _b2b_rhs(ctx: _Ctx, bits: int) -> RVal:
-    return _exact(_ceil(Fraction(2 * ctx.n) / ctx.m) + 2**ctx.beta)
+    return RVal.of(math.ceil(Fraction(2 * ctx.n) / ctx.m) + 2**ctx.beta)
 
 
 def _b3_tail(ctx: _Ctx) -> Fraction:
     der = ctx.derived
     gap = der.last_half_sum - der.last_half_diff
     spread = (der.max_half_sum - der.max_half_diff) ** 2
-    return Fraction(_floor(Fraction(ctx.n - 2) / gap)) + ctx.max_degree * spread
+    return Fraction(math.floor(Fraction(ctx.n - 2) / gap)) + ctx.max_degree * spread
 
 
 def _b3_rhs(ctx: _Ctx, bits: int) -> RVal:
-    return _exact(ctx.irr + _b3_tail(ctx))
+    return RVal.of(ctx.irr + _b3_tail(ctx))
 
 
 def _b4_rhs(ctx: _Ctx, bits: int) -> RVal:
-    return _exact(ctx.cube_sum + ctx.irr + _b3_tail(ctx))
+    return RVal.of(ctx.cube_sum + ctx.irr + _b3_tail(ctx))
 
 
 def _b5_rhs(ctx: _Ctx, bits: int) -> RVal:
     der = ctx.derived
     span = der.last_half_sum - der.first_half_sum
-    inner = Fraction(_floor(Fraction(2 * ctx.n) / span) + _ceil(2 * ctx.m / ctx.n))
-    return _exact(ctx.irr + inner / ctx.n + 4 * ctx.n * ctx.max_degree)
+    inner = Fraction(math.floor(Fraction(2 * ctx.n) / span) + math.ceil(2 * ctx.m / ctx.n))
+    return RVal.of(ctx.irr + inner / ctx.n + 4 * ctx.n * ctx.max_degree)
 
 
 def _b6_rhs(ctx: _Ctx, bits: int) -> RVal:
     der = ctx.derived
     root = sqrt_rval(ctx.mean_degree * ctx.cube_sum, bits)
-    stair = _floor(Fraction(2 * ctx.n) / der.mean_half_sum) + _ceil(2 * ctx.m / der.mean_half_diff)
+    stair = math.floor(Fraction(2 * ctx.n) / der.mean_half_sum) + math.ceil(2 * ctx.m / der.mean_half_diff)
     shift = Fraction((ctx.n - ctx.max_degree) ** 2 - stair)
     return root + RVal.of(shift)
 
@@ -618,35 +637,35 @@ def _b6_rhs(ctx: _Ctx, bits: int) -> RVal:
 def t1_staircase(n: int, m: Fraction, delta: int) -> int:
     """floor((3n+1)/2) + ceil((3m+1)/2) + floor((3*delta+2n)/4)."""
     return (
-        _floor(Fraction(3 * n + 1, 2))
-        + _ceil((3 * m + 1) / 2)
-        + _floor(Fraction(3 * delta + 2 * n, 4))
+        math.floor(Fraction(3 * n + 1, 2))
+        + math.ceil((3 * m + 1) / 2)
+        + math.floor(Fraction(3 * delta + 2 * n, 4))
     )
 
 
 def _b7_rhs(ctx: _Ctx, bits: int) -> RVal:
     t1 = t1_staircase(ctx.n, ctx.m, ctx.max_degree)
-    return _exact(Fraction(1, 3) * ctx.mean_degree**2 * t1 - ctx.cube_sum + ctx.irr)
+    return RVal.of(Fraction(1, 3) * ctx.mean_degree**2 * t1 - ctx.cube_sum + ctx.irr)
 
 
 def _b8_rhs(ctx: _Ctx, bits: int) -> RVal:
     body = ctx.n**3 + ctx.n + ctx.max_degree * (ctx.max_degree - 1) ** 2
-    return _exact(Fraction(body) / (2 * ctx.mean_degree))
+    return RVal.of(Fraction(body) / (2 * ctx.mean_degree))
 
 
 def _b9_rhs(ctx: _Ctx, bits: int) -> RVal:
-    return _exact(2**ctx.p * (ctx.irr + 2 * ctx.m) + ctx.max_degree * (ctx.max_degree - 1) ** 2)
+    return RVal.of(2**ctx.p * (ctx.irr + 2 * ctx.m) + ctx.max_degree * (ctx.max_degree - 1) ** 2)
 
 
 def _b10_rhs(ctx: _Ctx, bits: int) -> RVal:
-    product = _floor(Fraction(3 * ctx.n**2, 4)) * _ceil(Fraction(ctx.n**2, 4))
-    return _exact(Fraction(product) / (2 * (ctx.max_degree - 3)))
+    product = math.floor(Fraction(3 * ctx.n**2, 4)) * math.ceil(Fraction(ctx.n**2, 4))
+    return RVal.of(Fraction(product) / (2 * (ctx.max_degree - 3)))
 
 
 def _b11_rhs(ctx: _Ctx, bits: int) -> RVal:
-    head = _floor(Fraction(2 * ctx.n**2) / (3 * ctx.mean_degree))
+    head = math.floor(Fraction(2 * ctx.n**2) / (3 * ctx.mean_degree))
     tail = 2**ctx.eta * (ctx.m - ctx.max_degree) ** 2 / (5 * Fraction(ctx.n - 1) ** 3)
-    return _exact(head + tail)
+    return RVal.of(head + tail)
 
 
 def _b12_rhs(ctx: _Ctx, bits: int) -> RVal:
@@ -655,40 +674,40 @@ def _b12_rhs(ctx: _Ctx, bits: int) -> RVal:
     value = (
         4 * n
         - 2 * eta * lam
-        - gap * Fraction(_floor(Fraction(n) / gap)) ** 2
-        + gap * _floor(Fraction(n) / (n - lam))
+        - gap * Fraction(math.floor(Fraction(n) / gap)) ** 2
+        + gap * math.floor(Fraction(n) / (n - lam))
     )
-    return _exact(value)
+    return RVal.of(value)
 
 
 def _b13_rhs(ctx: _Ctx, bits: int) -> RVal:
     n, eta, lam, eta1 = ctx.n, ctx.eta, ctx.mean_degree, ctx.eta1
     value = (
-        eta1 * _floor(Fraction(n) / (n - eta))
-        + eta1 * _ceil(Fraction(n) / (eta - lam))
+        eta1 * math.floor(Fraction(n) / (n - eta))
+        + eta1 * math.ceil(Fraction(n) / (eta - lam))
         + ctx.cube_sum
     )
-    return _exact(value)
+    return RVal.of(value)
 
 
 def _b14_lhs(ctx: _Ctx, bits: int) -> RVal:
     g = ctx.graph
-    return _exact(sigma(g) + sigma(complement(g)))
+    return RVal.of(sigma(g) + sigma(complement(g)))
 
 
 def _b14_rhs(ctx: _Ctx, bits: int) -> RVal:
     g = ctx.graph
-    return _exact(g.vertex_count * zagreb_m1(g) - 4 * g.edge_count**2)
+    return RVal.of(g.vertex_count * zagreb_m1(g) - 4 * g.edge_count**2)
 
 
 def _b15a_lhs(ctx: _Ctx, bits: int) -> RVal:
     s = sum(ctx.entries)
-    return _exact(s * (ctx.entries[0] + ctx.entries[-1]))
+    return RVal.of(s * (ctx.entries[0] + ctx.entries[-1]))
 
 
 def _b15a_rhs(ctx: _Ctx, bits: int) -> RVal:
     sq = sum(d * d for d in ctx.entries)
-    return _exact(sq + len(ctx.entries) * ctx.entries[0] * ctx.entries[-1])
+    return RVal.of(sq + len(ctx.entries) * ctx.entries[0] * ctx.entries[-1])
 
 
 def _b15b_lhs(ctx: _Ctx, bits: int) -> RVal:
@@ -715,8 +734,8 @@ _SEQ = frozenset({"view"})
 _SEQ_D = frozenset({"view", "derived"})
 
 
-def _spec(bound_id, title, relation, requires, hypothesis, lhs, rhs, notes=()):
-    return BoundSpec(bound_id, title, relation, frozenset(requires), hypothesis, lhs, rhs, tuple(notes))
+def _spec(bound_id, title, relation, requires, hypothesis, lhs, rhs, notes=(), params=()):
+    return BoundSpec(bound_id, title, relation, frozenset(requires), hypothesis, lhs, rhs, tuple(notes), tuple(params))
 
 
 CATALOG: dict[str, BoundSpec] = {
@@ -725,28 +744,30 @@ CATALOG: dict[str, BoundSpec] = {
         _spec(
             "B1a", "irregularity ratio is positive: 2*irr/(D(D-1)^2) > 0", ">",
             {"view", "irr"}, _hyp_b1,
-            lambda ctx, bits: _exact(_irr_over_max_degree_cube(ctx)),
-            lambda ctx, bits: _exact(0),
+            lambda ctx, bits: RVal.of(_irr_over_max_degree_cube(ctx)),
+            lambda ctx, bits: RVal.of(0),
             notes=("per-instance reading of the extremal Albertson value",),
         ),
         _spec(
             "B1b", "irregularity ratio below one: 2*irr/(D(D-1)^2) < 1", "<",
             {"view", "irr"}, _hyp_b1,
-            lambda ctx, bits: _exact(_irr_over_max_degree_cube(ctx)),
-            lambda ctx, bits: _exact(1),
+            lambda ctx, bits: RVal.of(_irr_over_max_degree_cube(ctx)),
+            lambda ctx, bits: RVal.of(1),
             notes=("per-instance reading of the extremal Albertson value",),
         ),
         _spec(
             "B2a", "irr > floor(2m/n) + ceil(2n/m) + 2^alpha (max degree <= 20)", ">",
             {"view", "irr"}, _hyp_b2a,
-            lambda ctx, bits: _exact(ctx.irr), _b2a_rhs,
+            lambda ctx, bits: RVal.of(ctx.irr), _b2a_rhs,
             notes=("per-instance reading of the extremal Albertson value",),
+            params=("alpha",),
         ),
         _spec(
             "B2b", "irr < ceil(2n/m) + 2^beta (max degree > 3)", "<",
             {"view", "irr"}, _hyp_b2b,
-            lambda ctx, bits: _exact(ctx.irr), _b2b_rhs,
+            lambda ctx, bits: RVal.of(ctx.irr), _b2b_rhs,
             notes=("per-instance reading of the extremal Albertson value",),
+            params=("beta",),
         ),
         _spec(
             "B3", "sigma >= irr + floor((n-2)/(a_last-t_last)) + D*(maxA-maxR)^2", ">=",
@@ -776,23 +797,28 @@ CATALOG: dict[str, BoundSpec] = {
         _spec(
             "B9", "sigma <= 2^p(irr + 2m) + D(D-1)^2", "<=",
             {"view", "irr", "sigma"}, _hyp_none, _sigma_lhs, _b9_rhs,
+            params=("p",),
         ),
         _spec(
             "B10", "sigma <= floor(3n^2/4)*ceil(n^2/4) / (2(D-3))", "<=",
             {"view", "sigma"}, _hyp_b10, _sigma_lhs, _b10_rhs,
             notes=("per-instance reading of the class maximum",),
+            params=("strict_max_degree_window",),
         ),
         _spec(
             "B11", "sigma <= floor(2n^2/(3*mean_degree)) + 2^eta(m-D)^2/(5(n-1)^3)", "<=",
             {"view", "sigma"}, _hyp_b11, _sigma_lhs, _b11_rhs,
+            params=("eta",),
         ),
         _spec(
             "B12", "sigma > 4n - 2*eta*mean - (n-eta)*floor(n/(n-eta))^2 + (n-eta)*floor(n/(n-mean))", ">",
             {"view", "sigma"}, _hyp_b12, _sigma_lhs, _b12_rhs,
+            params=("eta",),
         ),
         _spec(
             "B13", "sigma <= eta1*floor(n/(n-eta)) + eta1*ceil(n/(eta-mean)) + cube_sum", "<=",
             {"view", "sigma"}, _hyp_b13, _sigma_lhs, _b13_rhs,
+            params=("eta", "eta1"),
         ),
         _spec(
             "B14", "sigma(G) + sigma(complement(G)) == n*M1 - 4m^2", "==",
@@ -819,7 +845,10 @@ BOUND_IDS: tuple[str, ...] = tuple(sorted(CATALOG, key=_catalog_sort_key))
 
 
 def expand_bound_id(bound_id: str) -> tuple[str, ...]:
-    """Resolve an id to catalog entries; base ids expand to their parts."""
+    """Resolve an id to catalog entries; base ids expand to their parts and
+    'all' to the whole catalog."""
+    if bound_id == "all":
+        return BOUND_IDS
     if bound_id in CATALOG:
         return (bound_id,)
     parts = tuple(b for b in BOUND_IDS if b.startswith(bound_id) and b[len(bound_id):].isalpha())
@@ -854,39 +883,11 @@ def evaluate_bound(bound_id: str, binput: BoundInput) -> BoundReport:
     if missing:
         raise InputError(f"{bound_id} needs input field(s): {', '.join(missing)}")
 
-    resolved, param_notes = resolve_parameters(binput.params, binput.view)
-    ctx = _Ctx(
-        n=binput.view.n,
-        m=binput.view.m,
-        max_degree=binput.view.max_entry,
-        min_degree=binput.view.min_entry,
-        mean_degree=binput.view.mean_entry,
-        entries=binput.view.entries,
-        cube_sum=binput.cube_sum,
-        derived=binput.derived,
-        irr=binput.irr_value,
-        sig=binput.sigma_value,
-        graph=binput.graph,
-        alpha=resolved["alpha"],
-        beta=resolved["beta"],
-        p=resolved["p"],
-        eta=resolved["eta"],
-        eta1=resolved["eta1"],
-        strict_window=binput.params.strict_max_degree_window,
-    )
+    ctx = binput._ctx
     failed, computable = spec.hypothesis(ctx)
-    relevant = {
-        "B2a": ("alpha",),
-        "B2b": ("beta",),
-        "B9": ("p",),
-        "B10": ("strict_max_degree_window",),
-        "B11": ("eta",),
-        "B12": ("eta",),
-        "B13": ("eta", "eta1"),
-    }.get(bound_id, ())
     notes = list(spec.extra_notes)
-    for param in relevant:
-        notes.extend(param_notes.get(param, []))
+    for param in spec.params:
+        notes.extend(binput._param_notes.get(param, []))
 
     lhs_val: Optional[Fraction] = None
     rhs_val: Optional[Fraction] = None
@@ -906,7 +907,6 @@ def evaluate_bound(bound_id: str, binput: BoundInput) -> BoundReport:
             if holds is None:
                 indeterminate = True
                 notes.append("indeterminate_at_precision: sides not separated at 128 bits")
-                holds = _compare(RVal.of(lhs.mid), RVal.of(rhs.mid), spec.relation)
         lhs_val, rhs_val = lhs.mid, rhs.mid
         lhs_exact, rhs_exact = lhs.exact, rhs.exact
         if spec.relation in ("<=", "<"):
@@ -918,7 +918,7 @@ def evaluate_bound(bound_id: str, binput: BoundInput) -> BoundReport:
     else:
         notes.append("not computable: " + "; ".join(failed))
 
-    params_used = {k: resolved[k] for k in relevant}
+    params_used = {k: getattr(ctx, k) for k in spec.params}
 
     return BoundReport(
         bound_id=bound_id,

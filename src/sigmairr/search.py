@@ -21,7 +21,6 @@ oracles.  Labeled Pruefer space (n^(n-2)) is never enumerated here.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -261,10 +260,8 @@ class SearchResult:
     witness: Graph
     witness_encoding: tuple[int, ...]
     trees_examined: int
-    duration_seconds: float
 
     def to_json_dict(self) -> dict:
-        # duration omitted: output must be bit-identical across reruns
         return {
             "class": self.class_description,
             "objective": self.objective,
@@ -291,7 +288,6 @@ def extremal(
         raise InputError("direction must be 'max' or 'min'")
     fn = OBJECTIVES[objective]
     better = (lambda a, b: a > b) if direction == "max" else (lambda a, b: a < b)
-    start = time.perf_counter()
     best: Optional[int] = None
     witness: Optional[Graph] = None
     examined = 0
@@ -312,7 +308,6 @@ def extremal(
         witness=witness,
         witness_encoding=canonical_form(witness),
         trees_examined=examined,
-        duration_seconds=time.perf_counter() - start,
     )
 
 
@@ -378,9 +373,10 @@ def falsify(
 ) -> list[Counterexample]:
     """Hunt for trees meeting a claim's hypotheses on which it evaluates false.
 
-    Exhaustive mode covers every isomorphism class with 2 <= n <= n_max;
-    random mode draws seeded labeled trees of a fixed order.  The returned
-    list is deterministic for identical arguments.
+    ``bound_id`` may be a base id or ``"all"``: each tree is evaluated once
+    against every expanded entry.  Exhaustive mode covers every isomorphism
+    class with 2 <= n <= n_max; random mode draws seeded labeled trees of a
+    fixed order.  The returned list is deterministic for identical arguments.
     """
     bound_ids = expand_bound_id(bound_id)
     if isinstance(mode, ExhaustiveMode):

@@ -1,9 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigmairr import bounds
 from sigmairr.bounds import (
     BOUND_IDS,
     CATALOG,
@@ -19,8 +21,10 @@ from sigmairr.bounds import (
     resolve_parameters,
     sqrt_rval,
 )
+from sigmairr.cli import main
 from sigmairr.errors import InputError
 from sigmairr.graphs import cycle, path, star
+from sigmairr.search import ExhaustiveMode, falsify
 from sigmairr.sequences import Convention, DegreeSequenceView, random_tree
 
 fraction_st = st.fractions(min_value=0, max_value=10**6)
@@ -153,8 +157,40 @@ class TestCatalogArithmetic:
         assert expand_bound_id("B1") == ("B1a", "B1b")
         assert expand_bound_id("B15") == ("B15a", "B15b")
         assert expand_bound_id("B7") == ("B7",)
+        assert expand_bound_id("all") == BOUND_IDS
         with pytest.raises(InputError):
             expand_bound_id("B99")
+
+    def test_evaluate_all_resolves_parameters_once_per_input(self, monkeypatch):
+        calls = []
+
+        def counting(params, view):
+            calls.append(view)
+            return resolve_parameters(params, view)
+
+        monkeypatch.setattr(bounds, "resolve_parameters", counting)
+        for make in (lambda: BoundInput.from_graph(path(7)), lambda: BoundInput.from_table_row(1, 0)):
+            calls.clear()
+            binput = make()
+            reports = evaluate_all(binput)
+            assert len(reports) > 1 and calls == [binput.view]
+
+    def test_near_tie_stays_undecided(self, monkeypatch, capsys):
+        # sqrt(2) < sqrt(2): the intervals overlap at every precision
+        tie = replace(
+            CATALOG["B1b"],
+            hypothesis=lambda ctx: ([], True),
+            lhs=lambda ctx, bits: sqrt_rval(Fraction(2), bits),
+            rhs=lambda ctx, bits: sqrt_rval(Fraction(2), bits),
+        )
+        monkeypatch.setitem(CATALOG, "B1b", tie)
+        report = evaluate_bound("B1b", BoundInput.from_graph(path(4)))
+        assert report.indeterminate and report.hypotheses_met and report.holds is None
+        assert report.relation == "<" and report.lhs == report.rhs
+        assert falsify("B1b", ExhaustiveMode(4)) == []
+        code = main(["bounds", "check", "--family", "path:4", "--bound", "B1b", "--expect-hold"])
+        capsys.readouterr()
+        assert code == 0
 
     def test_b15_hypothesis_requires_non_increasing(self):
         asc = evaluate_bound("B15a", BoundInput.from_graph(star(5)))

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -133,6 +134,14 @@ class TestBounds:
         assert "witness" in payload["input"]
         assert {r["bound_id"] for r in payload["reports"]} == {"B1a", "B1b"}
 
+    def test_default_eta_undefined_without_edges(self, capsys):
+        # one paper-table entry is a single vertex: m = 0, so eta has no default
+        argv = ("bounds", "check", "--sequence", "1", "--convention", "paper-table", "--bound", "B15a")
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and "eta" in err and len(err.splitlines()) == 1
+        code, _, _ = run_cli(capsys, *argv, "--eta", "2")
+        assert code == 0
+
     def test_two_sources_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "bounds", "check", "--family", "path:4", "--table", "1", "--row", "1"
@@ -147,6 +156,29 @@ class TestBounds:
         assert code == 0
         payload = json.loads(out)
         assert payload["mode"] == "random" and len(payload["counterexamples"]) == 10
+
+    @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
+    def test_check_beyond_float_range(self, capsys, fmt):
+        # B11's rhs carries 2^eta with eta = 1202 here: far above float range
+        code, out, _ = run_cli(
+            capsys, "bounds", "check", "--family", "double_star:600:2", "--bound", "B11",
+            "--format", fmt,
+        )
+        assert code == 0 and "B11" in out
+        if fmt == "json":
+            report = json.loads(out)["reports"][0]
+            assert report["rhs_decimal"] is None and report["lhs_decimal"] == 215279404.0
+            assert Fraction(report["rhs"]) > 10**308
+
+    def test_falsify_all_matches_per_claim_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "falsify", "--bound", "all", "--nmax", "6", "--format", "json")
+        assert code == 0
+        found = json.loads(out)["counterexamples"]
+        for bound_id in ("B1b", "B8", "B11"):
+            _, single, _ = run_cli(
+                capsys, "bounds", "falsify", "--bound", bound_id, "--nmax", "6", "--format", "json"
+            )
+            assert [c for c in found if c["bound_id"] == bound_id] == json.loads(single)["counterexamples"]
 
     def test_falsify_bad_prime(self, capsys):
         code, _, err = run_cli(

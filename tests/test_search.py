@@ -1,9 +1,15 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sigmairr
 from oracles import free_tree_counts_otter
-from sigmairr.bounds import BoundParams
+from sigmairr.bounds import BOUND_IDS, BoundParams
 from sigmairr.errors import DomainError, InputError, ResourceLimitError
 from sigmairr.graphs import Graph, cycle, is_tree, path, star
 from sigmairr.indices import albertson, sigma
@@ -213,3 +219,14 @@ class TestFalsify:
     def test_params_flow_through(self):
         # a generous prime makes B9 hold everywhere small
         assert falsify("B9", ExhaustiveMode(6), BoundParams(p=13)) == []
+
+    def test_campaign_matches_per_claim_runs(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "falsification_campaign.py"
+        target = tmp_path / "campaign.json"
+        env = {**os.environ, "PYTHONPATH": str(Path(sigmairr.__file__).resolve().parents[1])}
+        subprocess.run(
+            [sys.executable, str(script), "--nmax", "7", "--json", str(target)],
+            check=True, capture_output=True, env=env,
+        )
+        reference = {bid: [c.to_json_dict() for c in falsify(bid, ExhaustiveMode(7))] for bid in BOUND_IDS}
+        assert target.read_text(encoding="utf-8") == json.dumps(reference, sort_keys=True, indent=2)
