@@ -47,9 +47,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.degrees[v]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edges
-
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Neighbor lists, each sorted ascending."""
         adj: list[list[int]] = [[] for _ in range(self.vertex_count)]

@@ -5,13 +5,17 @@ Enumeration walks canonical rooted level sequences with the classic
 successor rule (start from the path sequence 1,2,...,n; repeatedly locate
 the last entry above 2 and re-copy the segment from its parent), then keeps
 exactly the sequences that are the canonical center-rooted representation
-of their underlying free tree:
+of their underlying free tree.  Both tests read the level sequence alone:
 
-* the root must be a center, which holds iff the two deepest principal
-  subtrees differ in depth by at most one (readable off the level sequence
-  in one pass), and
-* for bicentral trees both center rootings appear in the stream, so only
-  the lexicographically larger of the two canonical sequences is kept.
+* Principal subtrees appear in non-increasing lexicographic order, and a
+  deeper canonical block is lexicographically larger, so the first block
+  (up to ``split``, the second entry equal to 2) is a deepest one.  The root
+  is a center iff that block is at most one level deeper than the rest.
+* When it is exactly one level deeper the tree is bicentral and the other
+  center is vertex 1.  Its canonical rooting is the old root's side first,
+  ``(1, 2, *(x + 1 for x in levels[split:]))``, then vertex 1's own
+  subtrees one level up; only the lexicographically larger of the two
+  center rootings is kept.
 
 The stream is deterministic, one representative per isomorphism class, and
 counts are validated in the test suite against independent labeled-tree
@@ -74,37 +78,6 @@ def levels_to_graph(levels: Sequence[int]) -> Graph:
     return Graph(n, edges)
 
 
-def _principal_depth_profile(levels: Sequence[int]) -> tuple[int, int, int]:
-    """(deepest, second deepest, start of deepest segment) over the root's
-    principal subtrees, in level units; second defaults to 1."""
-    best1 = 1
-    best2 = 1
-    best1_start = -1
-    seg_start = -1
-    seg_max = 0
-    for i in range(1, len(levels)):
-        if levels[i] == 2:
-            if seg_start >= 0:
-                if seg_max > best1:
-                    best2 = best1
-                    best1 = seg_max
-                    best1_start = seg_start
-                elif seg_max > best2:
-                    best2 = seg_max
-            seg_start = i
-            seg_max = 2
-        elif levels[i] > seg_max:
-            seg_max = levels[i]
-    if seg_start >= 0:
-        if seg_max > best1:
-            best2 = best1
-            best1 = seg_max
-            best1_start = seg_start
-        elif seg_max > best2:
-            best2 = seg_max
-    return best1, best2, best1_start
-
-
 def _canonical_rooted_levels(adjacency: Sequence[Sequence[int]], root: int) -> tuple[int, ...]:
     """Canonical (lex-max) level sequence of the tree rooted at ``root``:
     subtree blocks sorted in non-increasing lexicographic order."""
@@ -134,18 +107,19 @@ def _canonical_rooted_levels(adjacency: Sequence[Sequence[int]], root: int) -> t
 
 def free_tree_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """Canonical center-rooted level sequences, one per free tree."""
-    if n == 1:
-        yield (1,)
-        return
     for levels in rooted_level_sequences(n):
-        deepest, second, deepest_start = _principal_depth_profile(levels)
-        if deepest - second > 1:
+        try:
+            split = levels.index(2, 2)
+        except ValueError:  # the root is a leaf: a center only for n <= 2
+            if n > 2:
+                continue
+            split = n
+        gap = max(levels[:split]) - max(levels[split:], default=1)
+        if gap > 1:
             continue  # root is not a center
-        if (deepest + second) % 2 == 1:
-            # Bicentral: the other center is the top of the unique deepest
-            # principal subtree; keep only the lex-larger center rooting.
-            graph = levels_to_graph(levels)
-            other = _canonical_rooted_levels(graph.adjacency(), deepest_start)
+        if gap == 1:
+            # Bicentral: keep only the lex-larger center rooting.
+            other = (1, 2, *(x + 1 for x in levels[split:]), *(x - 1 for x in levels[2:split]))
             if levels < other:
                 continue
         yield levels
@@ -237,17 +211,19 @@ class TreeClass:
         return f"trees of order {self.n} with maximum degree {self.max_degree}"
 
     def contains(self, g: Graph) -> bool:
-        if not is_tree(g) or g.vertex_count != self.n:
-            return False
+        return is_tree(g) and g.vertex_count == self.n and self._admits(g.degrees)
+
+    def _admits(self, degrees: Sequence[int]) -> bool:
+        """The class's degree predicate, for a tree of order ``n``."""
         if self.kind == "degree_multiset":
-            return tuple(sorted(g.degrees)) == self.degree_multiset
+            return tuple(sorted(degrees)) == self.degree_multiset
         if self.kind == "max_degree":
-            return max(g.degrees) == self.max_degree
+            return max(degrees) == self.max_degree
         return True
 
     def members(self, max_order: int = DEFAULT_TREE_CAP, allow_over_cap: bool = False) -> Iterator[Graph]:
         for g in enumerate_free_trees(self.n, max_order, allow_over_cap):
-            if self.contains(g):
+            if self._admits(g.degrees):
                 yield g
 
 

@@ -82,12 +82,6 @@ class DegreeSequenceView:
     def sorted_ascending(self) -> "DegreeSequenceView":
         return DegreeSequenceView(tuple(sorted(self.entries)), self.convention)
 
-    def is_sorted_ascending(self) -> bool:
-        return all(a <= b for a, b in zip(self.entries, self.entries[1:]))
-
-    def is_sorted_descending(self) -> bool:
-        return all(a >= b for a, b in zip(self.entries, self.entries[1:]))
-
     @classmethod
     def from_graph(cls, g: Graph, convention: Convention = Convention.STANDARD) -> "DegreeSequenceView":
         """View of a graph's degrees, sorted non-decreasing."""

@@ -506,12 +506,19 @@ def _condition_number(xc: list[list[Fraction]], p: int, deficient: bool) -> Opti
     return math.sqrt(hi / lo)
 
 
+def _prediction_point(point: Sequence[float], dimension: int) -> tuple[float, ...]:
+    """``point`` as a tuple, rejected unless it has ``dimension`` finite coordinates."""
+    pt = tuple(point)
+    if len(pt) != dimension:
+        raise InputError(f"prediction point has {len(pt)} coordinates, model has {dimension}")
+    if not all(math.isfinite(v) for v in pt):
+        raise InputError(f"prediction point {pt} has a non-finite coordinate")
+    return pt
+
+
 def predict(report: OlsReport, point: Sequence[float]) -> float:
-    if len(point) != len(report.coefficients):
-        raise InputError(
-            f"prediction point has {len(point)} coordinates, fit has {len(report.coefficients)}"
-        )
-    exact = sum(c * Fraction(str(v)) for c, v in zip(report.coefficients_exact, point))
+    pt = _prediction_point(point, len(report.coefficients))
+    exact = sum(c * Fraction(str(v)) for c, v in zip(report.coefficients_exact, pt))
     return float(exact + report.intercept_exact)
 
 
@@ -519,7 +526,7 @@ def printed_model_value(table_id: int, point: Optional[Sequence[float]] = None) 
     printed = PRINTED_REGRESSION_1 if table_id == 1 else PRINTED_REGRESSION_2
     if table_id not in (1, 2):
         raise InputError(f"table_id must be 1 or 2, got {table_id}")
-    pt = printed.prediction_point if point is None else tuple(point)
+    pt = printed.prediction_point if point is None else _prediction_point(point, len(printed.coefficients))
     return sum(c * v for c, v in zip(printed.coefficients, pt)) + printed.intercept
 
 

@@ -177,6 +177,7 @@ def test_criterion_07_enumeration_counts():
         # covers every isomorphism class and agrees with Pruefer up to 8.
         from oracles import iso_key
 
+        prufer_keys = {}
         for n in range(1, 11):
             package_trees = list(enumerate_free_trees(n))
             package_keys = {iso_key(t.sorted_edges(), n) for t in package_trees}
@@ -185,10 +186,10 @@ def test_criterion_07_enumeration_counts():
             # exactly one representative per class, none missing, none extra
             assert len(package_keys) == len(package_trees)
             assert package_keys == oracle_keys, n
-        for n in range(1, 9):
-            assert count_free_trees_dedup(n, all_labeled_trees_prufer) == count_free_trees_dedup(
-                n, covering_labeled_trees
-            )
+            if n <= 8:
+                prufer_keys[n] = oracle_keys
+        for n, keys in prufer_keys.items():
+            assert len(keys) == count_free_trees_dedup(n, covering_labeled_trees)
         start = time.perf_counter()
         count16 = sum(1 for _ in enumerate_free_trees(16))
         elapsed = time.perf_counter() - start

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -214,7 +215,10 @@ class TestReportContracts:
         assert ids.index("B2b") < ids.index("B3") < ids.index("B10")
 
     @given(
-        st.lists(st.integers(1, 30), min_size=2, max_size=12),
+        st.one_of(
+            st.lists(st.integers(1, 30), min_size=2, max_size=12),
+            st.lists(st.integers(1, 400), min_size=2, max_size=12),
+        ),
         st.sampled_from([Convention.STANDARD, Convention.PAPER_TABLE]),
         st.one_of(st.none(), st.integers(0, 500)),
     )
@@ -224,6 +228,8 @@ class TestReportContracts:
         binput = BoundInput.from_view(view, irr_value=irr, sigma_value=0 if irr is None else irr)
         for report in evaluate_all(binput):
             assert report.bound_id in CATALOG
+            json.dumps(report.to_json_dict())
+            report.to_csv_row()
             if report.holds is not None and report.lhs_exact and report.rhs_exact and not report.indeterminate:
                 lhs, rhs, rel = report.lhs, report.rhs, report.relation
                 expected = {

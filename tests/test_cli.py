@@ -243,6 +243,22 @@ class TestTablesStats:
         assert abs(float(payload["predictions"]["printed_model"]) - (-32304623.28)) < 0.01
         assert "exact_mean" in payload["fits"]
 
+    @pytest.mark.parametrize(
+        "table,point,message",
+        [
+            ("2", "350", "has 1 coordinates"),
+            ("2", "1,2,3", "has 3 coordinates"),
+            ("1", "1,2,3", "has 3 coordinates"),
+            ("1", "inf,1", "non-finite"),
+            ("1", "nan,1", "non-finite"),
+            ("2", "1,1e400", "non-finite"),
+        ],
+    )
+    def test_regress_rejects_bad_prediction_point(self, capsys, table, point, message):
+        code, out, err = run_cli(capsys, "stats", "regress", "--table", table, "--predict", point)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err and err.count("\n") == 1
+
 
 class TestPlots:
     def test_figure1(self, capsys):

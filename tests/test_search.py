@@ -68,7 +68,7 @@ class TestFreeTreeStream:
                 encodings.add(enc)
 
     def test_stream_elements_are_canonical_forms(self):
-        for n in range(2, 10):
+        for n in range(2, 14):
             for levels in free_tree_level_sequences(n):
                 assert canonical_form(levels_to_graph(levels)) == levels
 

@@ -181,6 +181,10 @@ class TestOls:
         assert fit.r_squared == 1.0  # zero residual on constant target
         with pytest.raises(InputError):
             predict(fit, [1, 2])
+        with pytest.raises(InputError):
+            predict(fit, [float("inf")])
+        with pytest.raises(InputError):
+            printed_model_value(2, [350.0])
 
 
 class TestRegressionReproduction:

@@ -1,0 +1,56 @@
+"""The benchmark's layer tracer must find every name it patches and restore
+each one: a refactor that renames or removes a traced function fails here
+rather than only in a traced benchmark run."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import sigmairr
+from sigmairr import bounds, cli, graphs, indices, search, sequences, stats_tables
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+PATCHED_CLASSES = (
+    search.TreeClass,
+    search.Counterexample,
+    search.SearchResult,
+    graphs.Graph,
+    bounds.BoundInput,
+    bounds.BoundReport,
+)
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _snapshot() -> dict:
+    modules = (sigmairr, bounds, cli, graphs, indices, search, sequences, stats_tables)
+    namespaces = {m.__name__: vars(m) for m in modules}
+    namespaces.update({c.__qualname__: c.__dict__ for c in PATCHED_CLASSES})
+    namespaces["search.OBJECTIVES"] = search.OBJECTIVES
+    namespaces["json"] = {"dump": json.dump}
+    return {(ns, key): value for ns, items in namespaces.items() for key, value in list(items.items())}
+
+
+def test_install_patches_and_uninstall_restores():
+    tracer_module = _load_tracer()
+    before = _snapshot()
+    tracer = tracer_module.Tracer()
+    try:
+        tracer_module.install(tracer)
+        assert search.free_tree_level_sequences is not before[("sigmairr.search", "free_tree_level_sequences")]
+        assert json.dump is not before[("json", "dump")]
+        assert search.OBJECTIVES["sigma"] is not before[("search.OBJECTIVES", "sigma")]
+        assert sum(1 for _ in search.free_tree_level_sequences(6)) == 6
+    finally:
+        tracer.uninstall()
+    after = _snapshot()
+    assert after.keys() == before.keys()
+    changed = sorted(key for key, value in before.items() if after[key] is not value)
+    assert changed == []
+    assert tracer.to_json()["counters"]["search.select.yields"] == 6
