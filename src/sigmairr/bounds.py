@@ -3,10 +3,12 @@
 Every catalog entry pairs formulas with a hypothesis predicate.  Evaluation
 is exact rational arithmetic; the two entries involving square roots are
 decided through directed rational intervals (64 fractional bits, escalated
-once to 128) and only when the interval separates the sides.  A report is
-always produced for well-formed input: hypothesis failures, including
-division-by-zero guards, gate the verdict as non-probative instead of
-crashing.
+once to 128) and only when the interval separates the sides.  B15b's
+(sum sqrt(d))^2 takes D(D-1)/2 interval square roots over the D distinct
+degrees and yields the same interval as the sum over all k(k-1)/2 pairs of
+entries.  A report is always produced for well-formed input: hypothesis
+failures, including division-by-zero guards, gate the verdict as
+non-probative instead of crashing.
 
 Several claims are false on ordinary trees.  That is expected; the contract
 here is faithful evaluation and reporting, not the truth of the claims.
@@ -15,6 +17,7 @@ here is faithful evaluation and reporting, not the truth of the claims.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional
@@ -711,14 +714,18 @@ def _b15a_rhs(ctx: _Ctx, bits: int) -> RVal:
 
 
 def _b15b_lhs(ctx: _Ctx, bits: int) -> RVal:
-    # (sum sqrt(d_i))^2 = sum d_i + 2 * sum_{i<j} sqrt(d_i d_j); the pairwise
-    # form keeps perfect-square products exact (all-equal entries in particular).
+    # (sum sqrt(d_i))^2 = sum d_i + 2 * sum_{i<j} sqrt(d_i d_j), summed over
+    # the D distinct degrees: the c_a(c_a-1)/2 pairs of degree a add exactly a
+    # each, and the c_a*c_b pairs of degrees a < b share one root.  Interval
+    # sums are exact rational sums, so this is the pairwise interval itself
+    # from D(D-1)/2 square roots instead of k(k-1)/2.
     k = len(ctx.entries)
     total = sum(ctx.entries)
-    square = RVal.of(total)
-    for i in range(k):
-        for j in range(i + 1, k):
-            square = square + sqrt_rval(Fraction(ctx.entries[i] * ctx.entries[j]), bits).scale(Fraction(2))
+    groups = list(Counter(ctx.entries).items())
+    square = RVal.of(total + sum(a * c * (c - 1) for a, c in groups))
+    for i, (a, ca) in enumerate(groups):
+        for b, cb in groups[i + 1:]:
+            square = square + sqrt_rval(Fraction(a * b), bits).scale(Fraction(2 * ca * cb))
     return RVal.of(k * total) - square
 
 

@@ -337,24 +337,26 @@ def _cmd_bounds_falsify(args) -> int:
 # Subcommand: enumerate / extremal
 
 def _cmd_enumerate(args) -> int:
-    cap = _tree_cap()
+    search.check_tree_order(args.n, _tree_cap(), args.allow_over_cap)
+    # Each streamed level sequence is already its tree's canonical form.
+    stream = search.free_tree_level_sequences(args.n)
     if args.count_only:
-        count = sum(1 for _ in search.enumerate_free_trees(args.n, cap, args.allow_over_cap))
+        count = sum(1 for _ in stream)
         payload = {"n": args.n, "count": count}
         _render(args.format, ["n", "count"], [[str(args.n), str(count)]], payload, args.out)
         return 0
     rows = []
     items = []
-    for g in search.enumerate_free_trees(args.n, cap, args.allow_over_cap):
-        enc = search.canonical_form(g)
+    for enc in stream:
+        edges = search.levels_to_graph(enc).sorted_edges()
         rows.append(
             [
                 ",".join(map(str, enc)),
-                ";".join(f"{u}-{v}" for u, v in g.sorted_edges()),
+                ";".join(f"{u}-{v}" for u, v in edges),
             ]
         )
         items.append(
-            {"encoding": list(enc), "edges": [list(e) for e in g.sorted_edges()]}
+            {"encoding": list(enc), "edges": [list(e) for e in edges]}
         )
     payload = {"n": args.n, "count": len(items), "trees": items}
     _render(args.format, ["encoding", "edges"], rows, payload, args.out)

@@ -131,14 +131,19 @@ def enumerate_free_trees(
     allow_over_cap: bool = False,
 ) -> Iterator[Graph]:
     """One tree per isomorphism class, in canonical order."""
+    check_tree_order(n, max_order, allow_over_cap)
+    for levels in free_tree_level_sequences(n):
+        yield levels_to_graph(levels)
+
+
+def check_tree_order(n: int, max_order: int, allow_over_cap: bool) -> None:
+    """Reject an order that cannot be enumerated, or exceeds the cap unless allowed."""
     if n < 1:
         raise DomainError("enumerate_free_trees requires n >= 1")
     if n > max_order and not allow_over_cap:
         raise ResourceLimitError(
             f"n={n} exceeds the enumeration cap {max_order}; pass allow_over_cap=True to proceed"
         )
-    for levels in free_tree_level_sequences(n):
-        yield levels_to_graph(levels)
 
 
 def tree_centers(g: Graph) -> tuple[int, ...]:

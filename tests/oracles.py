@@ -4,14 +4,19 @@ Everything here deliberately avoids the package's own algorithms: labeled
 trees are generated from Pruefer words or parent arrays, centers are found
 by eccentricity rather than peeling, and isomorphism keys use an interned
 rooted encoding instead of level sequences.  Agreement with the package is
-then evidence, not tautology.
+then evidence, not tautology.  The one exception is
+``b15b_lhs_pairwise``: it shares the package's interval square root and
+differs only in how the roots are summed.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+from sigmairr.bounds import RVal, sqrt_rval
 
 
 def prufer_decode(word: tuple[int, ...], n: int) -> list[tuple[int, int]]:
@@ -141,3 +146,16 @@ def free_tree_counts_otter(n_max: int) -> list[int]:
         assert (pair_sum - diag) % 2 == 0
         free.append(rooted[n] - (pair_sum - diag) // 2)
     return free
+
+
+def b15b_lhs_pairwise(entries: Sequence[int], bits: int) -> RVal:
+    """B15b's left side k*sum(d) - (sum sqrt(d))^2, with one interval square
+    root per pair of entries: (sum sqrt(d_i))^2 = sum d_i + 2 * sum_{i<j}
+    sqrt(d_i d_j), k(k-1)/2 roots in all."""
+    k = len(entries)
+    total = sum(entries)
+    square = RVal.of(total)
+    for i in range(k):
+        for j in range(i + 1, k):
+            square = square + sqrt_rval(Fraction(entries[i] * entries[j]), bits).scale(Fraction(2))
+    return RVal.of(k * total) - square

@@ -1,10 +1,12 @@
 import json
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import b15b_lhs_pairwise
 
 from sigmairr import bounds
 from sigmairr.bounds import (
@@ -25,7 +27,7 @@ from sigmairr.bounds import (
 from sigmairr.cli import main
 from sigmairr.errors import InputError
 from sigmairr.graphs import cycle, path, star
-from sigmairr.search import ExhaustiveMode, falsify
+from sigmairr.search import ExhaustiveMode, enumerate_free_trees, falsify
 from sigmairr.sequences import Convention, DegreeSequenceView, random_tree
 
 fraction_st = st.fractions(min_value=0, max_value=10**6)
@@ -199,6 +201,44 @@ class TestCatalogArithmetic:
         view = DegreeSequenceView((4, 1, 1, 1, 1))
         desc = evaluate_bound("B15a", BoundInput.from_view(view))
         assert desc.hypotheses_met and desc.holds is True
+
+
+class TestB15bDegreeGrouping:
+    @staticmethod
+    def assert_matches_pairwise(binput):
+        entries = binput.view.entries
+        for bits in (64, 128):
+            assert bounds._b15b_lhs(binput._ctx, bits) == b15b_lhs_pairwise(entries, bits)
+
+    @given(
+        st.one_of(
+            st.lists(st.integers(1, 500), min_size=1, max_size=40),
+            st.lists(st.integers(1, 5), min_size=1, max_size=40),
+            st.tuples(st.integers(1, 500), st.integers(1, 40)).map(lambda t: [t[0]] * t[1]),
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_multisets_match_pairwise_sum(self, entries):
+        self.assert_matches_pairwise(BoundInput.from_view(DegreeSequenceView(tuple(entries))))
+
+    def test_small_trees_match_pairwise_sum(self):
+        for n in range(2, 11):  # n = 1 has no degree sequence
+            for g in enumerate_free_trees(n):
+                self.assert_matches_pairwise(BoundInput.from_graph(g))
+
+    def test_one_root_per_distinct_degree_pair(self, monkeypatch):
+        calls = Counter()
+
+        def counting(x, bits):
+            calls[bits] += 1
+            return sqrt_rval(x, bits)
+
+        monkeypatch.setattr(bounds, "sqrt_rval", counting)
+        g = random_tree(1000, 0)
+        distinct = len(set(g.degrees))
+        evaluate_bound("B15b", BoundInput.from_graph(g))
+        assert calls[64] > 0
+        assert all(count <= distinct * (distinct - 1) // 2 for count in calls.values())
 
 
 class TestReportContracts:

@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -294,6 +296,9 @@ DETERMINISTIC_INVOCATIONS = [
 ]
 
 
+REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
 class TestDeterminismAndRoundTrip:
     @pytest.mark.parametrize("argv", DETERMINISTIC_INVOCATIONS, ids=lambda a: " ".join(a[:3]))
     def test_byte_identical_reruns(self, capsys, argv):
@@ -311,3 +316,17 @@ class TestDeterminismAndRoundTrip:
         _, out, _ = run_cli(capsys, *argv)
         payload = json.loads(out)
         assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == out
+
+    @pytest.mark.parametrize("base_id", [f"B{i}" for i in range(1, 16)])
+    def test_random_falsify_matches_recorded_digest(self, capsys, tmp_path, base_id):
+        # The benchmark's recorded digests of `bounds falsify` at n = 40, five
+        # samples, seed 0: any byte change to this output fails here too.
+        reference = json.loads(REFERENCE_PATH.read_text())["falsify-random"]["smoke"]
+        assert reference["seed"] == 0
+        out = tmp_path / f"{base_id}.json"
+        code, _, _ = run_cli(
+            capsys, "bounds", "falsify", "--bound", base_id, "--n", "40", "--samples", "5",
+            "--seed", "0", "--format", "json", "--out", str(out),
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == reference["sha256"][base_id]
