@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
@@ -298,7 +299,6 @@ class BoundInput:
     """
 
     view: DegreeSequenceView
-    derived: Optional[DerivedSequences]
     irr_value: Optional[int]
     sigma_value: Optional[int]
     cube_sum: int
@@ -316,9 +316,9 @@ class BoundInput:
             m=self.view.m,
             max_degree=self.view.max_entry,
             mean_degree=self.view.mean_entry,
+            view=self.view,
             entries=self.view.entries,
             cube_sum=self.cube_sum,
-            derived=self.derived,
             irr=self.irr_value,
             sig=self.sigma_value,
             graph=self.graph,
@@ -327,12 +327,16 @@ class BoundInput:
         object.__setattr__(self, "_ctx", ctx)
         object.__setattr__(self, "_param_notes", notes)
 
+    @property
+    def derived(self) -> Optional[DerivedSequences]:
+        """Half-difference/half-sum sequences (None for fewer than 2 entries)."""
+        return self._ctx.derived
+
     @classmethod
     def from_graph(cls, g: Graph, params: BoundParams = BoundParams(), label: str = "") -> "BoundInput":
         view = DegreeSequenceView.from_graph(g, Convention.STANDARD)
         return cls(
             view=view,
-            derived=derive(view) if view.k >= 2 else None,
             irr_value=albertson(g),
             sigma_value=sigma(g),
             cube_sum=view.cube_sum,
@@ -355,7 +359,6 @@ class BoundInput:
             sigma_value = sigma_closed_form(view)
         return cls(
             view=view,
-            derived=derive(view) if view.k >= 2 else None,
             irr_value=irr_value,
             sigma_value=sigma_value,
             cube_sum=view.cube_sum,
@@ -476,9 +479,9 @@ class _Ctx:
     m: Fraction
     max_degree: int
     mean_degree: Fraction
+    view: DegreeSequenceView
     entries: tuple[int, ...]
     cube_sum: int
-    derived: Optional[DerivedSequences]
     irr: Optional[int]
     sig: Optional[int]
     graph: Optional[Graph]
@@ -488,6 +491,11 @@ class _Ctx:
     eta: int
     eta1: Fraction
     strict_max_degree_window: bool
+
+    @cached_property
+    def derived(self) -> Optional[DerivedSequences]:
+        # Built on first use: only the entries requiring "derived" read it.
+        return derive(self.view) if self.view.k >= 2 else None
 
 
 def _sigma_lhs(ctx: _Ctx, bits: int) -> RVal:
@@ -871,7 +879,7 @@ def expand_bound_id(bound_id: str) -> tuple[str, ...]:
 _FIELD_MISSING = {
     "irr": lambda b: b.irr_value is None,
     "sigma": lambda b: b.sigma_value is None,
-    "derived": lambda b: b.derived is None,
+    "derived": lambda b: b.view.k < 2,
     "graph": lambda b: b.graph is None,
     "view": lambda b: False,
 }

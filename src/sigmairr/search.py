@@ -1,11 +1,12 @@
 """Isomorphism-free tree enumeration, extremal index search, and
 bound-falsification campaigns.
 
-Enumeration walks canonical rooted level sequences with the classic
-successor rule (start from the path sequence 1,2,...,n; repeatedly locate
-the last entry above 2 and re-copy the segment from its parent), then keeps
-exactly the sequences that are the canonical center-rooted representation
-of their underlying free tree.  Both tests read the level sequence alone:
+Enumeration walks canonical rooted level sequences in reverse-lex order with
+the Beyer-Hedetniemi successor rule (start from the path sequence 1,2,...,n;
+repeatedly locate the last entry above 2 and re-copy the segment from its
+parent), and keeps exactly the sequences that are the canonical
+center-rooted representation of their free tree.  Both tests read the
+level sequence alone:
 
 * Principal subtrees appear in non-increasing lexicographic order, and a
   deeper canonical block is lexicographically larger, so the first block
@@ -17,9 +18,30 @@ of their underlying free tree.  Both tests read the level sequence alone:
   subtrees one level up; only the lexicographically larger of the two
   center rootings is kept.
 
+Most rooted sequences fail the first test, so the walk jumps over runs of
+them, in the spirit of the Wright-Richmond-Odlyzko-McKay free-tree
+generator.  Each jump lands on the lexicographically smallest canonical
+sequence of the run, which the plain walk also visits, and every sequence
+jumped over is one the test would reject; so the stream keeps its order
+and its elements:
+
+* Root is a leaf (no 2 after index 1, n > 2): every sequence down to the
+  same one with its last entry set to 2 has a leaf root, and that one is
+  canonical, so set it and test again.
+* The first block is more than one level deeper than the rest: while the
+  first block stays, a later (lexicographically smaller) rest is never
+  deeper, so set the rest to 2s, its smallest form, and step.
+* After a step rewrites positions p..n-1, the prefix ``levels[:p + 1]``
+  holds no 2 after index 1, and the n - p - 1 later vertices cannot reach
+  level ``max(levels[1:p + 1]) - 1``: no sequence with this prefix has a
+  second subtree deep enough, so set ``levels[p + 1:]`` to 2s and step
+  again without testing.
+
 The stream is deterministic, one representative per isomorphism class, and
 counts are validated in the test suite against independent labeled-tree
 oracles.  Labeled Pruefer space (n^(n-2)) is never enumerated here.
+``extremal`` scores each level sequence from its degrees and builds a
+``Graph`` only for the witness.
 """
 
 from __future__ import annotations
@@ -40,6 +62,11 @@ OBJECTIVES: dict[str, Callable[[Graph], int]] = {
     "sigma": sigma,
     "albertson": albertson,
 }
+# Each objective's term for one edge, from the degrees of its two ends.
+EDGE_TERMS: dict[str, Callable[[int, int], int]] = {
+    "sigma": lambda a, b: (a - b) ** 2,
+    "albertson": lambda a, b: abs(a - b),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -52,17 +79,27 @@ def rooted_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
     levels = list(range(1, n + 1))
     while True:
         yield tuple(levels)
-        p = n - 1
-        while p >= 0 and levels[p] <= 2:
-            p -= 1
-        if p < 0:
+        if _advance(levels) < 0:
             return
-        q = p - 1
-        while levels[q] != levels[p] - 1:
-            q -= 1
-        period = p - q
-        for i in range(p, n):
-            levels[i] = levels[i - period]
+
+
+def _advance(levels: list[int]) -> int:
+    """Step ``levels`` in place to the next canonical rooted sequence in
+    reverse-lex order.  Returns the first position rewritten, or -1 (and
+    leaves ``levels`` as it is) after the last sequence."""
+    n = len(levels)
+    p = n - 1
+    while p >= 0 and levels[p] <= 2:
+        p -= 1
+    if p < 0:
+        return p
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    period = p - q
+    for i in range(p, n):
+        levels[i] = levels[i - period]
+    return p
 
 
 def levels_to_graph(levels: Sequence[int]) -> Graph:
@@ -107,22 +144,35 @@ def _canonical_rooted_levels(adjacency: Sequence[Sequence[int]], root: int) -> t
 
 def free_tree_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """Canonical center-rooted level sequences, one per free tree."""
-    for levels in rooted_level_sequences(n):
+    if n < 1:
+        raise DomainError("need n >= 1")
+    levels = list(range(1, n + 1))
+    while True:
         try:
             split = levels.index(2, 2)
         except ValueError:  # the root is a leaf: a center only for n <= 2
             if n > 2:
+                levels[-1] = 2  # the next sequence whose root is not a leaf
                 continue
             split = n
         gap = max(levels[:split]) - max(levels[split:], default=1)
-        if gap > 1:
-            continue  # root is not a center
-        if gap == 1:
+        if gap > 1:  # root is not a center while this first block stays
+            levels[split:] = [2] * (n - split)
+        elif gap == 0:
+            yield tuple(levels)
+        else:
             # Bicentral: keep only the lex-larger center rooting.
             other = (1, 2, *(x + 1 for x in levels[split:]), *(x - 1 for x in levels[2:split]))
-            if levels < other:
-                continue
-        yield levels
+            current = tuple(levels)
+            if current >= other:
+                yield current
+        while True:
+            p = _advance(levels)
+            if p < 0:
+                return
+            if 2 in levels[2:p + 1] or n - p >= max(levels[1:p + 1]) - 1:
+                break
+            levels[p + 1:] = [2] * (n - p - 1)  # no second subtree can be deep enough
 
 
 def enumerate_free_trees(
@@ -226,11 +276,6 @@ class TreeClass:
             return max(degrees) == self.max_degree
         return True
 
-    def members(self, max_order: int = DEFAULT_TREE_CAP, allow_over_cap: bool = False) -> Iterator[Graph]:
-        for g in enumerate_free_trees(self.n, max_order, allow_over_cap):
-            if self._admits(g.degrees):
-                yield g
-
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -267,19 +312,25 @@ def extremal(
         raise InputError(f"objective must be one of {sorted(OBJECTIVES)}")
     if direction not in ("max", "min"):
         raise InputError("direction must be 'max' or 'min'")
+    check_tree_order(tree_class.n, max_order, allow_over_cap)
     fn = OBJECTIVES[objective]
+    term = EDGE_TERMS[objective]
     better = (lambda a, b: a > b) if direction == "max" else (lambda a, b: a < b)
     best: Optional[int] = None
-    witness: Optional[Graph] = None
+    best_levels: Optional[tuple[int, ...]] = None
     examined = 0
-    for g in tree_class.members(max_order, allow_over_cap):
+    for levels in free_tree_level_sequences(tree_class.n):
+        parents, degrees = _parents_and_degrees(levels)
+        if not tree_class._admits(degrees):
+            continue
         examined += 1
-        value = fn(g)
+        value = sum(map(term, degrees[1:], [degrees[p] for p in parents]))
         if best is None or better(value, best):
             best = value
-            witness = g
-    if witness is None:
+            best_levels = levels
+    if best_levels is None:
         raise DomainError(f"empty class: {tree_class.describe()}")
+    witness = levels_to_graph(best_levels)
     assert fn(witness) == best and tree_class.contains(witness)
     return SearchResult(
         class_description=tree_class.describe(),
@@ -287,9 +338,25 @@ def extremal(
         direction=direction,
         optimum=best,
         witness=witness,
-        witness_encoding=canonical_form(witness),
+        witness_encoding=best_levels,
         trees_examined=examined,
     )
+
+
+def _parents_and_degrees(levels: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Parent of each vertex 1..n-1 and every vertex degree, in one pass:
+    the parent of i is the latest vertex one level up."""
+    parents = []
+    degrees = [1] * len(levels)
+    degrees[0] = 0
+    latest = [0] * (len(levels) + 1)  # latest[l] = last vertex seen at level l
+    for i, lvl in enumerate(levels):
+        latest[lvl] = i
+        if i:
+            p = latest[lvl - 1]
+            parents.append(p)
+            degrees[p] += 1
+    return parents, degrees
 
 
 def class_extremum_input(

@@ -4,9 +4,16 @@ Everything here deliberately avoids the package's own algorithms: labeled
 trees are generated from Pruefer words or parent arrays, centers are found
 by eccentricity rather than peeling, and isomorphism keys use an interned
 rooted encoding instead of level sequences.  Agreement with the package is
-then evidence, not tautology.  The one exception is
-``b15b_lhs_pairwise``: it shares the package's interval square root and
-differs only in how the roots are summed.
+then evidence, not tautology.  Three references are the exception, each
+kept from an earlier, simpler form of a package routine it is compared with:
+
+* ``b15b_lhs_pairwise`` shares the package's interval square root and
+  differs only in how the roots are summed;
+* ``free_tree_level_sequences_by_filter`` shares the package's rooted
+  level-sequence walk and tests every sequence it visits, where the package
+  jumps over runs that cannot be centre-rooted;
+* ``extremal_by_graphs`` shares the package's free-tree stream and indices,
+  and scores a ``Graph`` per tree, where the package scores level sequences.
 """
 
 from __future__ import annotations
@@ -17,6 +24,9 @@ from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from sigmairr.bounds import RVal, sqrt_rval
+from sigmairr.errors import DomainError
+from sigmairr.indices import albertson, sigma
+from sigmairr.search import canonical_form, enumerate_free_trees, rooted_level_sequences
 
 
 def prufer_decode(word: tuple[int, ...], n: int) -> list[tuple[int, int]]:
@@ -159,3 +169,44 @@ def b15b_lhs_pairwise(entries: Sequence[int], bits: int) -> RVal:
         for j in range(i + 1, k):
             square = square + sqrt_rval(Fraction(entries[i] * entries[j]), bits).scale(Fraction(2))
     return RVal.of(k * total) - square
+
+
+def free_tree_level_sequences_by_filter(n: int) -> Iterator[tuple[int, ...]]:
+    """Centre-rooted canonical level sequences, by testing every canonical
+    rooted sequence: the root must be a centre (its first, deepest block at
+    most one level deeper than the rest), and of a bicentral tree's two
+    centre rootings only the lexicographically larger is kept."""
+    for levels in rooted_level_sequences(n):
+        try:
+            split = levels.index(2, 2)
+        except ValueError:  # the root is a leaf: a center only for n <= 2
+            if n > 2:
+                continue
+            split = n
+        gap = max(levels[:split]) - max(levels[split:], default=1)
+        if gap > 1:
+            continue
+        if gap == 1:
+            other = (1, 2, *(x + 1 for x in levels[split:]), *(x - 1 for x in levels[2:split]))
+            if levels < other:
+                continue
+        yield levels
+
+
+def extremal_by_graphs(n: int, degrees_admitted, objective: str, direction: str):
+    """(optimum, witness edges, witness canonical form, trees examined) over
+    the trees of order n whose degree list ``degrees_admitted`` accepts,
+    scoring a ``Graph`` per tree; ties keep the first tree."""
+    score = {"sigma": sigma, "albertson": albertson}[objective]
+    best = witness = None
+    examined = 0
+    for g in enumerate_free_trees(n):
+        if not degrees_admitted(g.degrees):
+            continue
+        examined += 1
+        value = score(g)
+        if best is None or (value > best if direction == "max" else value < best):
+            best, witness = value, g
+    if witness is None:
+        raise DomainError("empty class")
+    return best, witness.sorted_edges(), canonical_form(witness), examined

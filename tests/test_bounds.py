@@ -28,7 +28,7 @@ from sigmairr.cli import main
 from sigmairr.errors import InputError
 from sigmairr.graphs import cycle, path, star
 from sigmairr.search import ExhaustiveMode, enumerate_free_trees, falsify
-from sigmairr.sequences import Convention, DegreeSequenceView, random_tree
+from sigmairr.sequences import Convention, DegreeSequenceView, derive, random_tree
 
 fraction_st = st.fractions(min_value=0, max_value=10**6)
 
@@ -177,6 +177,24 @@ class TestCatalogArithmetic:
             binput = make()
             reports = evaluate_all(binput)
             assert len(reports) > 1 and calls == [binput.view]
+
+    def test_derived_sequences_built_once_and_only_when_read(self, monkeypatch):
+        calls = []
+
+        def counting(view):
+            calls.append(view)
+            return derive(view)
+
+        monkeypatch.setattr(bounds, "derive", counting)
+        binput = BoundInput.from_graph(random_tree(12, 3))
+        needs_derived = [b for b in BOUND_IDS if "derived" in CATALOG[b].requires]
+        assert needs_derived == ["B3", "B4", "B5", "B6"]
+        for i, bound_id in enumerate(BOUND_IDS):
+            evaluate_bound(bound_id, binput)
+            assert len(calls) == (i >= BOUND_IDS.index("B3")), bound_id
+        assert calls == [binput.view] and binput.derived == derive(binput.view)
+        single = BoundInput.from_view(DegreeSequenceView((2,)), irr_value=0, sigma_value=0)
+        assert single.derived is None and missing_fields(CATALOG["B3"], single) == ["derived"]
 
     def test_near_tie_stays_undecided(self, monkeypatch, capsys):
         # sqrt(2) < sqrt(2): the intervals overlap at every precision

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import sigmairr
-from oracles import free_tree_counts_otter
+from oracles import extremal_by_graphs, free_tree_counts_otter, free_tree_level_sequences_by_filter
 from sigmairr.bounds import BOUND_IDS, BoundParams
 from sigmairr.errors import DomainError, InputError, ResourceLimitError
 from sigmairr.graphs import Graph, cycle, is_tree, path, star
@@ -53,10 +53,21 @@ class TestRootedStream:
 
 class TestFreeTreeStream:
     def test_counts_match_arithmetic_oracle(self):
-        expected = free_tree_counts_otter(14)
-        for n in range(1, 15):
+        expected = free_tree_counts_otter(17)
+        for n in range(1, 18):
             got = sum(1 for _ in free_tree_level_sequences(n))
             assert got == expected[n - 1], n
+
+    def test_matches_reference_filter(self):
+        # the skips over runs that cannot be centre-rooted keep every
+        # sequence of the filtered rooted walk, in the same order
+        for n in range(1, 16):
+            assert list(free_tree_level_sequences(n)) == list(free_tree_level_sequences_by_filter(n)), n
+
+    def test_first_sequences_over_the_default_cap(self):
+        deep = tuple(range(1, 11))
+        assert next(free_tree_level_sequences(18)) == (*deep, *range(2, 10))
+        assert next(free_tree_level_sequences(19)) == (*deep, 10, *range(2, 10))
 
     def test_all_trees_and_distinct(self):
         for n in range(1, 11):
@@ -87,6 +98,8 @@ class TestFreeTreeStream:
     def test_rejects_zero(self):
         with pytest.raises(DomainError):
             next(enumerate_free_trees(0))
+        with pytest.raises(DomainError):
+            next(free_tree_level_sequences(0))
 
 
 class TestCanonicalForm:
@@ -163,6 +176,29 @@ class TestExtremal:
             extremal(TreeClass.all_trees(4), "sigma", "upward")
         with pytest.raises(DomainError):
             TreeClass.with_degree_multiset((2, 2, 2))
+
+    @pytest.mark.parametrize("objective", ["sigma", "albertson"])
+    @pytest.mark.parametrize("direction", ["max", "min"])
+    def test_matches_graph_reference(self, objective, direction):
+        for n in range(1, 12):
+            classes = [(TreeClass.all_trees(n), lambda degrees: True)]
+            for delta in range(1, max(n - 1, 1) + 1):
+                classes.append((TreeClass.with_max_degree(n, delta), lambda degrees, d=delta: max(degrees) == d))
+            multisets = {tuple(sorted(g.degrees)) for g in enumerate_free_trees(n)} if n >= 2 else ()
+            for multiset in sorted(multisets):
+                classes.append(
+                    (TreeClass.with_degree_multiset(multiset), lambda degrees, m=multiset: tuple(sorted(degrees)) == m)
+                )
+            for tree_class, admitted in classes:
+                try:
+                    expected = extremal_by_graphs(n, admitted, objective, direction)
+                except DomainError:
+                    with pytest.raises(DomainError, match="empty class"):
+                        extremal(tree_class, objective, direction)
+                    continue
+                result = extremal(tree_class, objective, direction)
+                got = (result.optimum, result.witness.sorted_edges(), result.witness_encoding, result.trees_examined)
+                assert got == expected, tree_class
 
     def test_class_extremum_input(self):
         result, binput = class_extremum_input(TreeClass.all_trees(6), "albertson", "max")
