@@ -1,14 +1,18 @@
 """Catalog of published inequality/identity claims, evaluated exactly.
 
 Every catalog entry pairs formulas with a hypothesis predicate.  Evaluation
-is exact rational arithmetic; the two entries involving square roots are
-decided through directed rational intervals (64 fractional bits, escalated
-once to 128) and only when the interval separates the sides.  B15b's
-(sum sqrt(d))^2 takes D(D-1)/2 interval square roots over the D distinct
-degrees and yields the same interval as the sum over all k(k-1)/2 pairs of
-entries.  A report is always produced for well-formed input: hypothesis
-failures, including division-by-zero guards, gate the verdict as
-non-probative instead of crashing.
+is exact first: sixteen entries are rational formulas whose sides are plain
+``int``/``Fraction`` values compared directly.  Directed rational intervals
+(64 fractional bits, escalated once to 128) appear only where a root does:
+B6's square root and both sides of B15b.  B6 is still decided exactly, since
+sigma >= sqrt(X) + s iff sigma - s >= 0 and (sigma - s)^2 >= X; its interval
+only gives the printed right side, at 64 bits or at 128 where 64 does not
+separate the sides.  B15b is decided only when its intervals separate.  Its
+(sum sqrt(d))^2 takes D(D-1)/2 square roots over the D distinct degrees,
+accumulated as integer numerators over 2^bits, and yields the same interval
+as the sum over all k(k-1)/2 pairs of entries.  A report is always produced
+for well-formed input: hypothesis failures, including division-by-zero
+guards, gate the verdict as non-probative instead of crashing.
 
 Several claims are false on ordinary trees.  That is expected; the contract
 here is faithful evaluation and reporting, not the truth of the claims.
@@ -17,14 +21,16 @@ here is faithful evaluation and reporting, not the truth of the claims.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Union
 
 from .errors import DomainError, InputError
-from .graphs import Graph, complement
+from .graphs import Graph
 from .indices import albertson, sigma, sigma_closed_form, zagreb_m1
 from .sequences import Convention, DegreeSequenceView, DerivedSequences, derive
 
@@ -67,10 +73,10 @@ class RVal:
             return RVal(self.lo * c, self.hi * c)
         return RVal(self.hi * c, self.lo * c)
 
-    def square_nonneg(self) -> "RVal":
-        if self.lo < 0:
-            raise DomainError("square_nonneg requires a non-negative interval")
-        return RVal(self.lo * self.lo, self.hi * self.hi)
+
+# An exact side of a claim, or a side boxed because it contains a root.
+Exact = Union[int, Fraction]
+Side = Union[int, Fraction, RVal]
 
 
 def _integer_nth_root(value: int, degree: int) -> int:
@@ -94,45 +100,46 @@ def _integer_nth_root(value: int, degree: int) -> int:
     return guess
 
 
+def _scaled_root(value: int, degree: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= value ** (1/degree) * 2^bits <= hi for value >= 0: equal
+    when value is a perfect power, else hi = lo + 1."""
+    lo = _integer_nth_root(value << (bits * degree), degree)
+    exact = not lo & ((1 << bits) - 1) and (lo >> bits) ** degree == value
+    return lo, lo if exact else lo + 1
+
+
 def sqrt_rval(x: Fraction, bits: int) -> RVal:
     """sqrt(x) boxed to 2^-bits, exact when x is a perfect rational square."""
     if x < 0:
         raise DomainError("sqrt of negative value")
-    p, q = x.numerator, x.denominator
-    n = p * q
-    root = math.isqrt(n)
-    if root * root == n:
-        return RVal.of(Fraction(root, q))
-    scale = 1 << bits
-    s = math.isqrt(n * scale * scale)
-    return RVal(Fraction(s, q * scale), Fraction(s + 1, q * scale))
+    q = x.denominator
+    lo, hi = _scaled_root(x.numerator * q, 2, bits)  # sqrt(p/q) == sqrt(p*q) / q
+    return RVal(Fraction(lo, q << bits), Fraction(hi, q << bits))
 
 
 def nth_root_rval(x: Fraction, degree: int, bits: int) -> RVal:
     """x ** (1/degree) boxed to 2^-bits, exact on perfect powers."""
     if x < 0:
         raise DomainError("root of negative value")
-    p, q = x.numerator, x.denominator
-    n = p * q ** (degree - 1)  # x^(1/deg) == n^(1/deg) / q
-    root = _integer_nth_root(n, degree)
-    if root**degree == n:
-        return RVal.of(Fraction(root, q))
-    scale = 1 << bits
-    s = _integer_nth_root(n * scale**degree, degree)
-    return RVal(Fraction(s, q * scale), Fraction(s + 1, q * scale))
+    q = x.denominator
+    # x^(1/deg) == (p * q^(deg-1))^(1/deg) / q
+    lo, hi = _scaled_root(x.numerator * q ** (degree - 1), degree, bits)
+    return RVal(Fraction(lo, q << bits), Fraction(hi, q << bits))
+
+
+def _at_least_root_plus(value: Exact, radicand: Exact, shift: Exact) -> bool:
+    """value >= sqrt(radicand) + shift, decided exactly (radicand >= 0)."""
+    gap = value - shift
+    return gap >= 0 and gap * gap >= radicand
+
+
+_HOLDS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt, "==": operator.eq}
 
 
 def _compare(lhs: RVal, rhs: RVal, relation: str) -> Optional[bool]:
     """Decide relation(lhs, rhs); None when the intervals do not separate."""
     if lhs.exact and rhs.exact:
-        a, b = lhs.lo, rhs.lo
-        return {
-            "<=": a <= b,
-            "<": a < b,
-            ">=": a >= b,
-            ">": a > b,
-            "==": a == b,
-        }[relation]
+        return _HOLDS[relation](lhs.lo, rhs.lo)
     if relation in ("<=", "<"):
         if lhs.hi < rhs.lo or (relation == "<=" and lhs.hi <= rhs.lo):
             return True
@@ -390,17 +397,17 @@ class BoundReport:
     hypotheses_met: bool
     failed_hypotheses: tuple[str, ...]
     relation: str
-    lhs: Optional[Fraction]
-    rhs: Optional[Fraction]
+    lhs: Optional[Exact]
+    rhs: Optional[Exact]
     lhs_exact: bool
     rhs_exact: bool
     holds: Optional[bool]
-    margin: Optional[Fraction]
+    margin: Optional[Exact]
     params_used: Mapping[str, object]
     notes: tuple[str, ...] = ()
     indeterminate: bool = False
 
-    def fmt_value(self, value: Optional[Fraction], exact: bool) -> str:
+    def fmt_value(self, value: Optional[Exact], exact: bool) -> str:
         if value is None:
             return ""
         if exact:
@@ -441,7 +448,7 @@ class BoundReport:
         }
 
 
-def _decimal(value: Optional[Fraction]) -> Optional[float]:
+def _decimal(value: Optional[Exact]) -> Optional[float]:
     """Nearest float, or None when there is no value or it is beyond float range."""
     try:
         return None if value is None else float(value)
@@ -461,14 +468,17 @@ class BoundSpec:
     title: str
     relation: str
     requires: frozenset[str]
-    # hypothesis -> (failed descriptions, computable); lhs/rhs evaluated at a
-    # bit precision, returning RVal.
+    # hypothesis -> (failed descriptions, computable); lhs/rhs take a bit
+    # precision and return an exact value, or an RVal where a root appears.
     hypothesis: Callable[["_Ctx"], tuple[list[str], bool]]
-    lhs: Callable[["_Ctx", int], RVal]
-    rhs: Callable[["_Ctx", int], RVal]
+    lhs: Callable[["_Ctx", int], Side]
+    rhs: Callable[["_Ctx", int], Side]
     extra_notes: tuple[str, ...] = ()
     # parameters the entry reads; reported as params_used with their notes
     params: tuple[str, ...] = ()
+    # decides the relation exactly for an entry with an RVal side, whose
+    # intervals then only give the printed values
+    verdict: Optional[Callable[["_Ctx"], bool]] = None
 
 
 @dataclass(frozen=True)
@@ -498,12 +508,21 @@ class _Ctx:
         return derive(self.view) if self.view.k >= 2 else None
 
 
-def _sigma_lhs(ctx: _Ctx, bits: int) -> RVal:
-    return RVal.of(ctx.sig)
+def _sigma_lhs(ctx: _Ctx, bits: int) -> int:
+    return ctx.sig
 
 
-def _irr_over_max_degree_cube(ctx: _Ctx) -> Fraction:
+def _irr_ratio(ctx: _Ctx, bits: int) -> Fraction:
     return Fraction(2 * ctx.irr, ctx.max_degree * (ctx.max_degree - 1) ** 2)
+
+
+def _irr_lhs(ctx: _Ctx, bits: int) -> int:
+    return ctx.irr
+
+
+def _ceil_div(a: Exact, b: Exact) -> int:
+    """ceil(a / b), from one floor division."""
+    return -(-a // b)
 
 
 def _hyp_none(ctx: _Ctx) -> tuple[list[str], bool]:
@@ -607,150 +626,155 @@ def _hyp_sorted_desc(ctx: _Ctx) -> tuple[list[str], bool]:
     return ["entries not sorted non-increasing (stated hypothesis)"], True
 
 
-def _b2a_rhs(ctx: _Ctx, bits: int) -> RVal:
-    return RVal.of(math.floor(2 * ctx.m / ctx.n) + math.ceil(Fraction(2 * ctx.n) / ctx.m) + 2**ctx.alpha)
+def _b2a_rhs(ctx: _Ctx, bits: int) -> int:
+    return 2 * ctx.m // ctx.n + _ceil_div(2 * ctx.n, ctx.m) + 2**ctx.alpha
 
 
-def _b2b_rhs(ctx: _Ctx, bits: int) -> RVal:
-    return RVal.of(math.ceil(Fraction(2 * ctx.n) / ctx.m) + 2**ctx.beta)
+def _b2b_rhs(ctx: _Ctx, bits: int) -> int:
+    return _ceil_div(2 * ctx.n, ctx.m) + 2**ctx.beta
 
 
-def _b3_tail(ctx: _Ctx) -> Fraction:
+def _b3_tail(ctx: _Ctx) -> Exact:
     der = ctx.derived
     gap = der.last_half_sum - der.last_half_diff
     spread = (der.max_half_sum - der.max_half_diff) ** 2
-    return Fraction(math.floor(Fraction(ctx.n - 2) / gap)) + ctx.max_degree * spread
+    return (ctx.n - 2) // gap + ctx.max_degree * spread
 
 
-def _b3_rhs(ctx: _Ctx, bits: int) -> RVal:
-    return RVal.of(ctx.irr + _b3_tail(ctx))
+def _b3_rhs(ctx: _Ctx, bits: int) -> Exact:
+    return ctx.irr + _b3_tail(ctx)
 
 
-def _b4_rhs(ctx: _Ctx, bits: int) -> RVal:
-    return RVal.of(ctx.cube_sum + ctx.irr + _b3_tail(ctx))
+def _b4_rhs(ctx: _Ctx, bits: int) -> Exact:
+    return ctx.cube_sum + ctx.irr + _b3_tail(ctx)
 
 
-def _b5_rhs(ctx: _Ctx, bits: int) -> RVal:
+def _b5_rhs(ctx: _Ctx, bits: int) -> Exact:
     der = ctx.derived
     span = der.last_half_sum - der.first_half_sum
-    inner = Fraction(math.floor(Fraction(2 * ctx.n) / span) + math.ceil(2 * ctx.m / ctx.n))
-    return RVal.of(ctx.irr + inner / ctx.n + 4 * ctx.n * ctx.max_degree)
+    inner = 2 * ctx.n // span + _ceil_div(2 * ctx.m, ctx.n)
+    return ctx.irr + Fraction(inner, ctx.n) + 4 * ctx.n * ctx.max_degree
+
+
+def _b6_terms(ctx: _Ctx) -> tuple[Fraction, int]:
+    """(X, s) such that B6's right side is sqrt(X) + s."""
+    der = ctx.derived
+    stair = 2 * ctx.n // der.mean_half_sum + _ceil_div(2 * ctx.m, der.mean_half_diff)
+    return ctx.mean_degree * ctx.cube_sum, (ctx.n - ctx.max_degree) ** 2 - stair
 
 
 def _b6_rhs(ctx: _Ctx, bits: int) -> RVal:
-    der = ctx.derived
-    root = sqrt_rval(ctx.mean_degree * ctx.cube_sum, bits)
-    stair = math.floor(Fraction(2 * ctx.n) / der.mean_half_sum) + math.ceil(2 * ctx.m / der.mean_half_diff)
-    shift = Fraction((ctx.n - ctx.max_degree) ** 2 - stair)
-    return root + RVal.of(shift)
+    radicand, shift = _b6_terms(ctx)
+    return sqrt_rval(radicand, bits) + RVal.of(shift)
+
+
+def _b6_holds(ctx: _Ctx) -> bool:
+    radicand, shift = _b6_terms(ctx)
+    return _at_least_root_plus(ctx.sig, radicand, shift)
 
 
 def t1_staircase(n: int, m: Fraction, delta: int) -> int:
     """floor((3n+1)/2) + ceil((3m+1)/2) + floor((3*delta+2n)/4)."""
-    return (
-        math.floor(Fraction(3 * n + 1, 2))
-        + math.ceil((3 * m + 1) / 2)
-        + math.floor(Fraction(3 * delta + 2 * n, 4))
-    )
+    return (3 * n + 1) // 2 + _ceil_div(3 * m + 1, 2) + (3 * delta + 2 * n) // 4
 
 
-def _b7_rhs(ctx: _Ctx, bits: int) -> RVal:
+def _b7_rhs(ctx: _Ctx, bits: int) -> Exact:
     t1 = t1_staircase(ctx.n, ctx.m, ctx.max_degree)
-    return RVal.of(Fraction(1, 3) * ctx.mean_degree**2 * t1 - ctx.cube_sum + ctx.irr)
+    return ctx.mean_degree**2 * t1 / 3 - ctx.cube_sum + ctx.irr
 
 
-def _b8_rhs(ctx: _Ctx, bits: int) -> RVal:
+def _b8_rhs(ctx: _Ctx, bits: int) -> Exact:
     body = ctx.n**3 + ctx.n + ctx.max_degree * (ctx.max_degree - 1) ** 2
-    return RVal.of(Fraction(body) / (2 * ctx.mean_degree))
+    return body / (2 * ctx.mean_degree)
 
 
-def _b9_rhs(ctx: _Ctx, bits: int) -> RVal:
-    return RVal.of(2**ctx.p * (ctx.irr + 2 * ctx.m) + ctx.max_degree * (ctx.max_degree - 1) ** 2)
+def _b9_rhs(ctx: _Ctx, bits: int) -> Exact:
+    return 2**ctx.p * (ctx.irr + 2 * ctx.m) + ctx.max_degree * (ctx.max_degree - 1) ** 2
 
 
-def _b10_rhs(ctx: _Ctx, bits: int) -> RVal:
-    product = math.floor(Fraction(3 * ctx.n**2, 4)) * math.ceil(Fraction(ctx.n**2, 4))
-    return RVal.of(Fraction(product) / (2 * (ctx.max_degree - 3)))
+def _b10_rhs(ctx: _Ctx, bits: int) -> Fraction:
+    product = (3 * ctx.n**2 // 4) * _ceil_div(ctx.n**2, 4)
+    return Fraction(product, 2 * (ctx.max_degree - 3))
 
 
-def _b11_rhs(ctx: _Ctx, bits: int) -> RVal:
-    head = math.floor(Fraction(2 * ctx.n**2) / (3 * ctx.mean_degree))
-    tail = 2**ctx.eta * (ctx.m - ctx.max_degree) ** 2 / (5 * Fraction(ctx.n - 1) ** 3)
-    return RVal.of(head + tail)
+def _b11_rhs(ctx: _Ctx, bits: int) -> Exact:
+    head = 2 * ctx.n**2 // (3 * ctx.mean_degree)
+    tail = 2**ctx.eta * (ctx.m - ctx.max_degree) ** 2 / (5 * (ctx.n - 1) ** 3)
+    return head + tail
 
 
-def _b12_rhs(ctx: _Ctx, bits: int) -> RVal:
+def _b12_rhs(ctx: _Ctx, bits: int) -> Exact:
     n, eta, lam = ctx.n, ctx.eta, ctx.mean_degree
     gap = n - eta
-    value = (
-        4 * n
-        - 2 * eta * lam
-        - gap * Fraction(math.floor(Fraction(n) / gap)) ** 2
-        + gap * math.floor(Fraction(n) / (n - lam))
-    )
-    return RVal.of(value)
+    return 4 * n - 2 * eta * lam - gap * (n // gap) ** 2 + gap * (n // (n - lam))
 
 
-def _b13_rhs(ctx: _Ctx, bits: int) -> RVal:
+def _b13_rhs(ctx: _Ctx, bits: int) -> Exact:
     n, eta, lam, eta1 = ctx.n, ctx.eta, ctx.mean_degree, ctx.eta1
-    value = (
-        eta1 * math.floor(Fraction(n) / (n - eta))
-        + eta1 * math.ceil(Fraction(n) / (eta - lam))
-        + ctx.cube_sum
+    return eta1 * (n // (n - eta)) + eta1 * _ceil_div(n, eta - lam) + ctx.cube_sum
+
+
+def _b14_lhs(ctx: _Ctx, bits: int) -> int:
+    # sigma(complement(G)) summed over the non-adjacent pairs of G: the
+    # complement degrees n-1-d differ pairwise as the degrees d do.
+    g = ctx.graph
+    degs, edges, n = g.degrees, g.edges, g.vertex_count
+    complement_sigma = sum(
+        (degs[u] - degs[v]) ** 2 for u in range(n) for v in range(u + 1, n) if (u, v) not in edges
     )
-    return RVal.of(value)
+    return sigma(g) + complement_sigma
 
 
-def _b14_lhs(ctx: _Ctx, bits: int) -> RVal:
+def _b14_rhs(ctx: _Ctx, bits: int) -> int:
     g = ctx.graph
-    return RVal.of(sigma(g) + sigma(complement(g)))
+    return g.vertex_count * zagreb_m1(g) - 4 * g.edge_count**2
 
 
-def _b14_rhs(ctx: _Ctx, bits: int) -> RVal:
-    g = ctx.graph
-    return RVal.of(g.vertex_count * zagreb_m1(g) - 4 * g.edge_count**2)
-
-
-def _b15a_lhs(ctx: _Ctx, bits: int) -> RVal:
+def _b15a_lhs(ctx: _Ctx, bits: int) -> int:
     s = sum(ctx.entries)
-    return RVal.of(s * (ctx.entries[0] + ctx.entries[-1]))
+    return s * (ctx.entries[0] + ctx.entries[-1])
 
 
-def _b15a_rhs(ctx: _Ctx, bits: int) -> RVal:
+def _b15a_rhs(ctx: _Ctx, bits: int) -> int:
     sq = sum(d * d for d in ctx.entries)
-    return RVal.of(sq + len(ctx.entries) * ctx.entries[0] * ctx.entries[-1])
+    return sq + len(ctx.entries) * ctx.entries[0] * ctx.entries[-1]
 
 
 def _b15b_lhs(ctx: _Ctx, bits: int) -> RVal:
     # (sum sqrt(d_i))^2 = sum d_i + 2 * sum_{i<j} sqrt(d_i d_j), summed over
     # the D distinct degrees: the c_a(c_a-1)/2 pairs of degree a add exactly a
-    # each, and the c_a*c_b pairs of degrees a < b share one root.  Interval
-    # sums are exact rational sums, so this is the pairwise interval itself
-    # from D(D-1)/2 square roots instead of k(k-1)/2.
+    # each, and the c_a*c_b pairs of degrees a < b share one root.  Both ends
+    # are integer numerators over 2^bits, so this is the pairwise interval
+    # sum itself from D(D-1)/2 square roots instead of k(k-1)/2.
     k = len(ctx.entries)
     total = sum(ctx.entries)
     groups = list(Counter(ctx.entries).items())
-    square = RVal.of(total + sum(a * c * (c - 1) for a, c in groups))
+    lo = hi = (k * total - total - sum(a * c * (c - 1) for a, c in groups)) << bits
     for i, (a, ca) in enumerate(groups):
         for b, cb in groups[i + 1:]:
-            square = square + sqrt_rval(Fraction(a * b), bits).scale(Fraction(2 * ca * cb))
-    return RVal.of(k * total) - square
+            root_lo, root_hi = _scaled_root(a * b, 2, bits)
+            lo -= 2 * ca * cb * root_hi
+            hi -= 2 * ca * cb * root_lo
+    return RVal(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
 
 
 def _b15b_rhs(ctx: _Ctx, bits: int) -> RVal:
+    # k(k-1)(mean - geometric mean) = (k-1)*sum(d) - k(k-1)*prod(d)^(1/k)
     k = len(ctx.entries)
-    product = math.prod(ctx.entries)
-    geomean = nth_root_rval(Fraction(product), k, bits)
-    mean = Fraction(sum(ctx.entries), k)
-    return (RVal.of(mean) - geomean).scale(Fraction(k * (k - 1)))
+    base = ((k - 1) * sum(ctx.entries)) << bits
+    root_lo, root_hi = _scaled_root(math.prod(ctx.entries), k, bits)
+    weight = k * (k - 1)
+    return RVal(Fraction(base - weight * root_hi, 1 << bits), Fraction(base - weight * root_lo, 1 << bits))
 
 
 _SEQ = frozenset({"view"})
 _SEQ_D = frozenset({"view", "derived"})
 
 
-def _spec(bound_id, title, relation, requires, hypothesis, lhs, rhs, notes=(), params=()):
-    return BoundSpec(bound_id, title, relation, frozenset(requires), hypothesis, lhs, rhs, tuple(notes), tuple(params))
+def _spec(bound_id, title, relation, requires, hypothesis, lhs, rhs, notes=(), params=(), verdict=None):
+    return BoundSpec(
+        bound_id, title, relation, frozenset(requires), hypothesis, lhs, rhs, tuple(notes), tuple(params), verdict
+    )
 
 
 CATALOG: dict[str, BoundSpec] = {
@@ -758,29 +782,25 @@ CATALOG: dict[str, BoundSpec] = {
     for spec in (
         _spec(
             "B1a", "irregularity ratio is positive: 2*irr/(D(D-1)^2) > 0", ">",
-            {"view", "irr"}, _hyp_b1,
-            lambda ctx, bits: RVal.of(_irr_over_max_degree_cube(ctx)),
-            lambda ctx, bits: RVal.of(0),
+            {"view", "irr"}, _hyp_b1, _irr_ratio, lambda ctx, bits: 0,
             notes=("per-instance reading of the extremal Albertson value",),
         ),
         _spec(
             "B1b", "irregularity ratio below one: 2*irr/(D(D-1)^2) < 1", "<",
-            {"view", "irr"}, _hyp_b1,
-            lambda ctx, bits: RVal.of(_irr_over_max_degree_cube(ctx)),
-            lambda ctx, bits: RVal.of(1),
+            {"view", "irr"}, _hyp_b1, _irr_ratio, lambda ctx, bits: 1,
             notes=("per-instance reading of the extremal Albertson value",),
         ),
         _spec(
             "B2a", "irr > floor(2m/n) + ceil(2n/m) + 2^alpha (max degree <= 20)", ">",
             {"view", "irr"}, _hyp_b2a,
-            lambda ctx, bits: RVal.of(ctx.irr), _b2a_rhs,
+            _irr_lhs, _b2a_rhs,
             notes=("per-instance reading of the extremal Albertson value",),
             params=("alpha",),
         ),
         _spec(
             "B2b", "irr < ceil(2n/m) + 2^beta (max degree > 3)", "<",
             {"view", "irr"}, _hyp_b2b,
-            lambda ctx, bits: RVal.of(ctx.irr), _b2b_rhs,
+            _irr_lhs, _b2b_rhs,
             notes=("per-instance reading of the extremal Albertson value",),
             params=("beta",),
         ),
@@ -798,7 +818,7 @@ CATALOG: dict[str, BoundSpec] = {
         ),
         _spec(
             "B6", "sigma >= sqrt(mean_degree*cube_sum) - (floor(2n/meanA) + ceil(2m/meanR)) + (n-D)^2", ">=",
-            {"view", "derived", "sigma"}, _hyp_b6, _sigma_lhs, _b6_rhs,
+            {"view", "derived", "sigma"}, _hyp_b6, _sigma_lhs, _b6_rhs, verdict=_b6_holds,
         ),
         _spec(
             "B7", "sigma >= (1/3)*mean_degree^2*T1 - cube_sum + irr", ">=",
@@ -889,51 +909,65 @@ def missing_fields(spec: BoundSpec, binput: BoundInput) -> list[str]:
     return [f for f in sorted(spec.requires) if _FIELD_MISSING[f](binput)]
 
 
+_NO_PARAMS: Mapping[str, object] = MappingProxyType({})
+
+
+def _boxed(side: Side) -> RVal:
+    return side if isinstance(side, RVal) else RVal.of(side)
+
+
+def _printed(side: Side) -> tuple[Exact, bool]:
+    """The reported value of a side and whether it is exact."""
+    return (side.mid, side.exact) if isinstance(side, RVal) else (side, True)
+
+
 def evaluate_bound(bound_id: str, binput: BoundInput) -> BoundReport:
     """Evaluate one catalog entry; raises InputError on missing fields."""
-    if bound_id not in CATALOG:
+    spec = CATALOG.get(bound_id)
+    if spec is None:
         raise InputError(f"unknown bound id {bound_id!r}")
-    spec = CATALOG[bound_id]
     missing = missing_fields(spec, binput)
     if missing:
         raise InputError(f"{bound_id} needs input field(s): {', '.join(missing)}")
 
     ctx = binput._ctx
     failed, computable = spec.hypothesis(ctx)
-    notes = list(spec.extra_notes)
-    for param in spec.params:
-        notes.extend(binput._param_notes.get(param, []))
+    notes = spec.extra_notes
+    params_used = _NO_PARAMS
+    if spec.params:
+        notes += tuple(note for param in spec.params for note in binput._param_notes.get(param, ()))
+        params_used = {param: getattr(ctx, param) for param in spec.params}
 
-    lhs_val: Optional[Fraction] = None
-    rhs_val: Optional[Fraction] = None
+    lhs = rhs = holds = margin = None
     lhs_exact = rhs_exact = True
-    holds: Optional[bool] = None
-    margin: Optional[Fraction] = None
     indeterminate = False
 
-    if computable:
+    if not computable:
+        notes += ("not computable: " + "; ".join(failed),)
+    else:
         lhs = spec.lhs(ctx, _BITS_FIRST)
         rhs = spec.rhs(ctx, _BITS_FIRST)
-        holds = _compare(lhs, rhs, spec.relation)
-        if holds is None and not (lhs.exact and rhs.exact):
-            lhs = spec.lhs(ctx, _BITS_ESCALATED)
-            rhs = spec.rhs(ctx, _BITS_ESCALATED)
-            holds = _compare(lhs, rhs, spec.relation)
+        if isinstance(lhs, RVal) or isinstance(rhs, RVal):
+            holds = _compare(_boxed(lhs), _boxed(rhs), spec.relation)
             if holds is None:
+                lhs = spec.lhs(ctx, _BITS_ESCALATED)
+                rhs = spec.rhs(ctx, _BITS_ESCALATED)
+                holds = _compare(_boxed(lhs), _boxed(rhs), spec.relation)
+            if spec.verdict is not None:
+                holds = spec.verdict(ctx)
+            elif holds is None:
                 indeterminate = True
-                notes.append("indeterminate_at_precision: sides not separated at 128 bits")
-        lhs_val, rhs_val = lhs.mid, rhs.mid
-        lhs_exact, rhs_exact = lhs.exact, rhs.exact
-        if spec.relation in ("<=", "<"):
-            margin = rhs_val - lhs_val
-        elif spec.relation in (">=", ">"):
-            margin = lhs_val - rhs_val
+                notes += ("indeterminate_at_precision: sides not separated at 128 bits",)
+            lhs, lhs_exact = _printed(lhs)
+            rhs, rhs_exact = _printed(rhs)
         else:
-            margin = -abs(lhs_val - rhs_val)
-    else:
-        notes.append("not computable: " + "; ".join(failed))
-
-    params_used = {k: getattr(ctx, k) for k in spec.params}
+            holds = _HOLDS[spec.relation](lhs, rhs)
+        if spec.relation in ("<=", "<"):
+            margin = rhs - lhs
+        elif spec.relation in (">=", ">"):
+            margin = lhs - rhs
+        else:
+            margin = -abs(lhs - rhs)
 
     return BoundReport(
         bound_id=bound_id,
@@ -941,14 +975,14 @@ def evaluate_bound(bound_id: str, binput: BoundInput) -> BoundReport:
         hypotheses_met=not failed,
         failed_hypotheses=tuple(failed),
         relation=spec.relation,
-        lhs=lhs_val,
-        rhs=rhs_val,
+        lhs=lhs,
+        rhs=rhs,
         lhs_exact=lhs_exact,
         rhs_exact=rhs_exact,
         holds=holds,
         margin=margin,
         params_used=params_used,
-        notes=tuple(notes),
+        notes=notes,
         indeterminate=indeterminate,
     )
 

@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import DomainError, InputError
@@ -99,19 +100,19 @@ class DerivedSequences:
     half_diffs: tuple[Fraction, ...]
     half_sums: tuple[Fraction, ...]
 
-    @property
+    @cached_property
     def max_half_diff(self) -> Fraction:
         return max(self.half_diffs)
 
-    @property
+    @cached_property
     def max_half_sum(self) -> Fraction:
         return max(self.half_sums)
 
-    @property
+    @cached_property
     def mean_half_diff(self) -> Fraction:
         return sum(self.half_diffs, Fraction(0)) / len(self.half_diffs)
 
-    @property
+    @cached_property
     def mean_half_sum(self) -> Fraction:
         return sum(self.half_sums, Fraction(0)) / len(self.half_sums)
 

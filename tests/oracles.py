@@ -2,13 +2,21 @@
 
 Everything here deliberately avoids the package's own algorithms: labeled
 trees are generated from Pruefer words or parent arrays, centers are found
-by eccentricity rather than peeling, and isomorphism keys use an interned
-rooted encoding instead of level sequences.  Agreement with the package is
-then evidence, not tautology.  Three references are the exception, each
-kept from an earlier, simpler form of a package routine it is compared with:
+from the diameter (or, as their reference, by eccentricity) rather than by
+peeling, and isomorphism keys use an interned rooted encoding instead of
+level sequences.  Agreement with the package is then evidence, not
+tautology.  Four references are the exception, each kept from an earlier,
+simpler form of a package routine it is compared with:
 
 * ``b15b_lhs_pairwise`` shares the package's interval square root and
   differs only in how the roots are summed;
+* ``evaluate_bound_by_intervals`` shares the catalog (hypotheses, notes,
+  parameters and the rational formulas), ``RVal``, the interval roots and
+  ``_compare``.  It boxes every side as an interval, compares through
+  ``_compare`` with the 64 -> 128 bit escalation and prints midpoints, and it
+  takes B14's complement from a complement ``Graph`` and B15b's sides from
+  ``RVal`` sums, where the package compares exact values directly, decides B6
+  exactly and sums integer numerators;
 * ``free_tree_level_sequences_by_filter`` shares the package's rooted
   level-sequence walk and tests every sequence it visits, where the package
   jumps over runs that cannot be centre-rooted;
@@ -21,10 +29,22 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Iterable, Iterator, Sequence
 
-from sigmairr.bounds import RVal, sqrt_rval
+from sigmairr.bounds import (
+    _BITS_ESCALATED,
+    _BITS_FIRST,
+    CATALOG,
+    BoundInput,
+    BoundReport,
+    RVal,
+    _compare,
+    nth_root_rval,
+    sqrt_rval,
+)
 from sigmairr.errors import DomainError
+from sigmairr.graphs import complement
 from sigmairr.indices import albertson, sigma
 from sigmairr.search import canonical_form, enumerate_free_trees, rooted_level_sequences
 
@@ -99,6 +119,32 @@ def centers_by_eccentricity(edges: list[tuple[int, int]], n: int) -> list[int]:
     return [v for v in range(n) if eccs[v] == radius]
 
 
+def _bfs_far(adj: list[list[int]], src: int) -> tuple[int, list[int]]:
+    """(a vertex farthest from src, BFS parent array)."""
+    parent = [-1] * len(adj)
+    parent[src] = src
+    order = [src]
+    for u in order:
+        for w in adj[u]:
+            if parent[w] < 0:
+                parent[w] = u
+                order.append(w)
+    return order[-1], parent
+
+
+def centers_by_diameter(adj: list[list[int]]) -> list[int]:
+    """Centers as the middle of a longest path, found by two BFS: the vertex
+    u farthest from any vertex ends a longest path, and so does the vertex v
+    farthest from u."""
+    u, _ = _bfs_far(adj, 0)
+    v, parent = _bfs_far(adj, u)
+    longest = [v]
+    while longest[-1] != u:
+        longest.append(parent[longest[-1]])
+    d = len(longest) - 1
+    return sorted(longest[d // 2: d // 2 + 1 + d % 2])
+
+
 _INTERN: dict[tuple, int] = {}
 
 
@@ -125,7 +171,7 @@ def iso_key(edges: list[tuple[int, int]], n: int) -> tuple[int, ...]:
     if n == 1:
         return (-1,)
     adj = _adjacency(edges, n)
-    return tuple(sorted(_rooted_id(adj, c, n) for c in centers_by_eccentricity(edges, n)))
+    return tuple(sorted(_rooted_id(adj, c, n) for c in centers_by_diameter(adj)))
 
 
 def count_free_trees_dedup(n: int, generator) -> int:
@@ -169,6 +215,79 @@ def b15b_lhs_pairwise(entries: Sequence[int], bits: int) -> RVal:
         for j in range(i + 1, k):
             square = square + sqrt_rval(Fraction(entries[i] * entries[j]), bits).scale(Fraction(2))
     return RVal.of(k * total) - square
+
+
+def _b14_lhs_by_complement(ctx, bits: int) -> RVal:
+    return RVal.of(sigma(ctx.graph) + sigma(complement(ctx.graph)))
+
+
+def _b15b_rhs_by_intervals(ctx, bits: int) -> RVal:
+    k = len(ctx.entries)
+    geomean = nth_root_rval(Fraction(prod(ctx.entries)), k, bits)
+    return (RVal.of(Fraction(sum(ctx.entries), k)) - geomean).scale(Fraction(k * (k - 1)))
+
+
+_REFERENCE_SIDES = {
+    ("B14", "lhs"): _b14_lhs_by_complement,
+    ("B15b", "lhs"): lambda ctx, bits: b15b_lhs_pairwise(ctx.entries, bits),
+    ("B15b", "rhs"): _b15b_rhs_by_intervals,
+}
+
+
+def evaluate_bound_by_intervals(bound_id: str, binput: BoundInput) -> BoundReport:
+    """The report of one catalog entry with every side boxed as an interval,
+    decided by ``_compare`` alone (64 bits, then 128 when undecided)."""
+    spec = CATALOG[bound_id]
+    ctx = binput._ctx
+    lhs_of = _REFERENCE_SIDES.get((bound_id, "lhs"), spec.lhs)
+    rhs_of = _REFERENCE_SIDES.get((bound_id, "rhs"), spec.rhs)
+
+    def sides(bits: int) -> tuple[RVal, RVal]:
+        lhs, rhs = lhs_of(ctx, bits), rhs_of(ctx, bits)
+        return (lhs if isinstance(lhs, RVal) else RVal.of(lhs)), (rhs if isinstance(rhs, RVal) else RVal.of(rhs))
+
+    failed, computable = spec.hypothesis(ctx)
+    notes = list(spec.extra_notes)
+    for param in spec.params:
+        notes.extend(binput._param_notes.get(param, []))
+    lhs_val = rhs_val = holds = margin = None
+    lhs_exact = rhs_exact = True
+    indeterminate = False
+    if computable:
+        lhs, rhs = sides(_BITS_FIRST)
+        holds = _compare(lhs, rhs, spec.relation)
+        if holds is None and not (lhs.exact and rhs.exact):
+            lhs, rhs = sides(_BITS_ESCALATED)
+            holds = _compare(lhs, rhs, spec.relation)
+            if holds is None:
+                indeterminate = True
+                notes.append("indeterminate_at_precision: sides not separated at 128 bits")
+        lhs_val, rhs_val = lhs.mid, rhs.mid
+        lhs_exact, rhs_exact = lhs.exact, rhs.exact
+        if spec.relation in ("<=", "<"):
+            margin = rhs_val - lhs_val
+        elif spec.relation in (">=", ">"):
+            margin = lhs_val - rhs_val
+        else:
+            margin = -abs(lhs_val - rhs_val)
+    else:
+        notes.append("not computable: " + "; ".join(failed))
+    return BoundReport(
+        bound_id=bound_id,
+        label=binput.label,
+        hypotheses_met=not failed,
+        failed_hypotheses=tuple(failed),
+        relation=spec.relation,
+        lhs=lhs_val,
+        rhs=rhs_val,
+        lhs_exact=lhs_exact,
+        rhs_exact=rhs_exact,
+        holds=holds,
+        margin=margin,
+        params_used={k: getattr(ctx, k) for k in spec.params},
+        notes=tuple(notes),
+        indeterminate=indeterminate,
+    )
 
 
 def free_tree_level_sequences_by_filter(n: int) -> Iterator[tuple[int, ...]]:

@@ -4,9 +4,9 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import b15b_lhs_pairwise
+from oracles import b15b_lhs_pairwise, evaluate_bound_by_intervals
 
 from sigmairr import bounds
 from sigmairr.bounds import (
@@ -15,6 +15,7 @@ from sigmairr.bounds import (
     BoundInput,
     BoundParams,
     RVal,
+    _compare,
     ceil_log2,
     evaluate_all,
     evaluate_bound,
@@ -29,6 +30,7 @@ from sigmairr.errors import InputError
 from sigmairr.graphs import cycle, path, star
 from sigmairr.search import ExhaustiveMode, enumerate_free_trees, falsify
 from sigmairr.sequences import Convention, DegreeSequenceView, derive, random_tree
+from sigmairr.stats_tables import TABLE1, TABLE2
 
 fraction_st = st.fractions(min_value=0, max_value=10**6)
 
@@ -246,12 +248,14 @@ class TestB15bDegreeGrouping:
 
     def test_one_root_per_distinct_degree_pair(self, monkeypatch):
         calls = Counter()
+        scaled_root = bounds._scaled_root
 
-        def counting(x, bits):
-            calls[bits] += 1
-            return sqrt_rval(x, bits)
+        def counting(value, degree, bits):
+            if degree == 2:
+                calls[bits] += 1
+            return scaled_root(value, degree, bits)
 
-        monkeypatch.setattr(bounds, "sqrt_rval", counting)
+        monkeypatch.setattr(bounds, "_scaled_root", counting)
         g = random_tree(1000, 0)
         distinct = len(set(g.degrees))
         evaluate_bound("B15b", BoundInput.from_graph(g))
@@ -323,3 +327,96 @@ class TestReportContracts:
         assert missing_fields(CATALOG["B14"], binput) == ["graph"]
         # standard-convention views get no automatic sigma either
         assert missing_fields(CATALOG["B3"], binput) == ["irr", "sigma"]
+
+
+def _reference_inputs_match(binput):
+    for bound_id in BOUND_IDS:
+        if missing_fields(CATALOG[bound_id], binput):
+            continue
+        ours = evaluate_bound(bound_id, binput)
+        reference = evaluate_bound_by_intervals(bound_id, binput)
+        assert ours.to_json_dict() == reference.to_json_dict(), bound_id
+        assert ours.to_csv_row() == reference.to_csv_row(), bound_id
+
+
+class TestExactFirst:
+    def test_only_roots_are_boxed(self):
+        boxed = set()
+        for g in (path(6), star(7), random_tree(40, 1)):
+            ctx = BoundInput.from_graph(g)._ctx
+            for bound_id in BOUND_IDS:
+                spec = CATALOG[bound_id]
+                assert spec.hypothesis(ctx)[1], bound_id
+                for side in ("lhs", "rhs"):
+                    value = getattr(spec, side)(ctx, 64)
+                    if isinstance(value, RVal):
+                        boxed.add((bound_id, side))
+                    else:
+                        assert type(value) in (int, Fraction), (bound_id, side)
+        assert boxed == {("B6", "rhs"), ("B15b", "lhs"), ("B15b", "rhs")}
+
+    def test_reports_match_interval_reference_on_trees(self):
+        for n in range(2, 11):
+            for g in enumerate_free_trees(n):
+                _reference_inputs_match(BoundInput.from_graph(g))
+        for seed in range(50):
+            _reference_inputs_match(BoundInput.from_graph(random_tree(40, seed)))
+
+    def test_reports_match_interval_reference_on_table_rows(self):
+        variants = (BoundParams(), BoundParams(alpha=3, p=5, eta=7, eta1=Fraction(5, 2), strict_max_degree_window=True))
+        for table_id, rows in ((1, TABLE1), (2, TABLE2)):
+            for row_index in range(len(rows)):
+                for params in variants:
+                    _reference_inputs_match(BoundInput.from_table_row(table_id, row_index, params))
+
+    @given(
+        st.one_of(
+            st.lists(st.integers(1, 30), min_size=1, max_size=12),
+            st.lists(st.integers(1, 400), min_size=2, max_size=12),
+            st.tuples(st.integers(1, 50), st.integers(1, 12)).map(lambda t: [t[0]] * t[1]),
+        ),
+        st.sampled_from([Convention.STANDARD, Convention.PAPER_TABLE]),
+        st.one_of(st.none(), st.integers(0, 500)),
+        st.integers(-50, 5000),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_reports_match_interval_reference_on_sequences(self, entries, convention, irr, sig):
+        view = DegreeSequenceView(tuple(entries), convention)
+        if convention is Convention.PAPER_TABLE and sum(entries) == 1:
+            return  # m = 0: the default eta is undefined
+        _reference_inputs_match(BoundInput.from_view(view, irr_value=irr, sigma_value=sig))
+
+    @given(st.integers(-5, 10**6), st.integers(-(10**6), 10**6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_b6_exact_verdict_matches_intervals(self, gap, shift, data):
+        # sigma - s = gap, and X anywhere, or near gap^2: exactly, off by a
+        # small integer or by 2^-e, or a perfect rational square.
+        near = gap * gap
+        radicand = data.draw(
+            st.one_of(
+                st.fractions(min_value=0, max_value=10**12),
+                st.integers(-3, 3).map(lambda d: Fraction(near + d)),
+                st.integers(1, 400).map(lambda e: near + Fraction(1, 2**e)),
+                st.integers(1, 400).map(lambda e: near - Fraction(1, 2**e)),
+                st.fractions(min_value=-1, max_value=1, max_denominator=10**6).map(lambda f: (abs(gap) + f) ** 2),
+            )
+        )
+        assume(radicand >= 0)
+        exact = bounds._at_least_root_plus(shift + gap, radicand, shift)
+        for bits in (64, 128):
+            interval = _compare(RVal.of(shift + gap), sqrt_rval(radicand, bits) + RVal.of(shift), ">=")
+            assert interval is None or interval == exact
+
+    def test_b6_decided_where_intervals_cannot_separate(self, monkeypatch):
+        # X = g^2 + 1 and sigma - s = g: sqrt(X) - g < 1/(2g) = 2^-131
+        g = 2**130
+        binput = BoundInput.from_graph(path(6))
+        monkeypatch.setattr(bounds, "_b6_terms", lambda ctx: (Fraction(g * g + 1), ctx.sig - g))
+        reference = evaluate_bound_by_intervals("B6", binput)
+        assert reference.indeterminate and reference.holds is None
+        report = evaluate_bound("B6", binput)
+        assert report.holds is False and not report.indeterminate
+        assert report.rhs == reference.rhs and report.notes == ()
+        monkeypatch.setattr(bounds, "_b6_terms", lambda ctx: (Fraction(g * g), ctx.sig - g))
+        report = evaluate_bound("B6", binput)
+        assert report.holds is True and report.margin == 0 and report.rhs_exact

@@ -134,6 +134,13 @@ class TestCanonicalForm:
             oracle = centers_by_eccentricity(t.sorted_edges(), n)
             assert ours == sorted(oracle)
 
+    def test_diameter_centers_match_eccentricity_oracle(self):
+        from oracles import _adjacency, all_labeled_trees_prufer, centers_by_diameter, centers_by_eccentricity
+
+        for n in range(1, 8):
+            for edges in all_labeled_trees_prufer(n):
+                assert centers_by_diameter(_adjacency(edges, n)) == centers_by_eccentricity(edges, n)
+
 
 class TestExtremal:
     def test_all_trees_5(self):

@@ -116,6 +116,12 @@ class TestDerived:
         assert all(t >= 0 for t in d.half_diffs)
         assert d.max_half_sum == d.last_half_sum
 
+    def test_summaries_kept_after_first_read(self):
+        d = derive(DegreeSequenceView((1, 2, 2, 5, 9)))
+        names = ("max_half_diff", "max_half_sum", "mean_half_diff", "mean_half_sum")
+        assert [getattr(d, name) for name in names] == [2, 7, 1, Fraction(7, 2)]
+        assert all(name in vars(d) for name in names)
+
 
 class TestRealizability:
     @pytest.mark.parametrize(
