@@ -3,7 +3,11 @@
 
 Emits one CSV row per order with the exact optima and their witnesses'
 degree multisets.  The star/path pattern (max at the star, minimum Sigma 2
-at the path) is visible directly in the output.
+at the path) is visible directly in the output.  The four optima of an
+order come from one walk of its trees (``extremal_goals``).  Orders must
+lie in 1..18, the enumeration cap; anything else, or an --out path that
+cannot be opened, is rejected with a one-line message on stderr and exit
+code 1 before any output is written.
 
 Usage:
     python scripts/extremal_survey.py [--min-n 4] [--max-n 14] [--out PATH]
@@ -14,7 +18,14 @@ import csv
 import sys
 import time
 
-from sigmairr.search import TreeClass, extremal
+from sigmairr.search import DEFAULT_TREE_CAP, TreeClass, extremal_goals
+
+GOALS = (("sigma", "max"), ("sigma", "min"), ("albertson", "max"), ("albertson", "min"))
+
+
+def _fail(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 def main() -> int:
@@ -23,8 +34,15 @@ def main() -> int:
     parser.add_argument("--max-n", type=int, default=14)
     parser.add_argument("--out", metavar="PATH", help="CSV output path (default stdout)")
     args = parser.parse_args()
+    if args.min_n < 1:
+        return _fail(f"--min-n must be at least 1, got {args.min_n}")
+    if args.max_n > DEFAULT_TREE_CAP:
+        return _fail(f"--max-n {args.max_n} exceeds the enumeration cap {DEFAULT_TREE_CAP}")
 
-    sink = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
+    try:
+        sink = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
+    except OSError as exc:
+        return _fail(str(exc))
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(
         ["n", "trees", "sigma_max", "sigma_max_degrees", "sigma_min", "sigma_min_degrees",
@@ -32,10 +50,7 @@ def main() -> int:
     )
     for n in range(args.min_n, args.max_n + 1):
         start = time.perf_counter()
-        smax = extremal(TreeClass.all_trees(n), "sigma", "max")
-        smin = extremal(TreeClass.all_trees(n), "sigma", "min")
-        amax = extremal(TreeClass.all_trees(n), "albertson", "max")
-        amin = extremal(TreeClass.all_trees(n), "albertson", "min")
+        smax, smin, amax, amin = extremal_goals(TreeClass.all_trees(n), GOALS)
         writer.writerow(
             [
                 n,

@@ -5,6 +5,8 @@ Exhaustively evaluates every catalog entry on every isomorphism class of
 trees with 2 <= n <= --nmax, in one pass over the trees, and reports per
 entry how many probative failures exist, plus the smallest witness for
 each failing claim.  Optionally dumps the full counterexample set as JSON.
+An --nmax outside 2..18 (18 is the enumeration cap) is rejected with a
+one-line message on stderr and exit code 1 before any output is written.
 
 Usage:
     python scripts/falsification_campaign.py [--nmax 9] [--json PATH]
@@ -16,7 +18,7 @@ import sys
 import time
 
 from sigmairr.bounds import BOUND_IDS
-from sigmairr.search import ExhaustiveMode, falsify
+from sigmairr.search import DEFAULT_TREE_CAP, ExhaustiveMode, falsify
 
 
 def main() -> int:
@@ -24,6 +26,9 @@ def main() -> int:
     parser.add_argument("--nmax", type=int, default=9)
     parser.add_argument("--json", metavar="PATH", help="write all counterexamples as JSON")
     args = parser.parse_args()
+    if not 2 <= args.nmax <= DEFAULT_TREE_CAP:
+        print(f"error: --nmax must lie in 2..{DEFAULT_TREE_CAP}, got {args.nmax}", file=sys.stderr)
+        return 1
 
     print(f"exhaustive falsification over all trees with 2 <= n <= {args.nmax}")
     start = time.perf_counter()

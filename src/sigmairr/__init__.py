@@ -49,6 +49,7 @@ from .search import (
     canonical_form,
     enumerate_free_trees,
     extremal,
+    extremal_goals,
     falsify,
 )
 from .sequences import (

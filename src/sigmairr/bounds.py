@@ -467,7 +467,7 @@ class BoundSpec:
     bound_id: str
     title: str
     relation: str
-    requires: frozenset[str]
+    requires: tuple[str, ...]  # input fields the entry reads, sorted
     # hypothesis -> (failed descriptions, computable); lhs/rhs take a bit
     # precision and return an exact value, or an RVal where a root appears.
     hypothesis: Callable[["_Ctx"], tuple[list[str], bool]]
@@ -773,7 +773,7 @@ _SEQ_D = frozenset({"view", "derived"})
 
 def _spec(bound_id, title, relation, requires, hypothesis, lhs, rhs, notes=(), params=(), verdict=None):
     return BoundSpec(
-        bound_id, title, relation, frozenset(requires), hypothesis, lhs, rhs, tuple(notes), tuple(params), verdict
+        bound_id, title, relation, tuple(sorted(requires)), hypothesis, lhs, rhs, tuple(notes), tuple(params), verdict
     )
 
 
@@ -906,7 +906,7 @@ _FIELD_MISSING = {
 
 
 def missing_fields(spec: BoundSpec, binput: BoundInput) -> list[str]:
-    return [f for f in sorted(spec.requires) if _FIELD_MISSING[f](binput)]
+    return [f for f in spec.requires if _FIELD_MISSING[f](binput)]
 
 
 _NO_PARAMS: Mapping[str, object] = MappingProxyType({})
@@ -929,7 +929,11 @@ def evaluate_bound(bound_id: str, binput: BoundInput) -> BoundReport:
     missing = missing_fields(spec, binput)
     if missing:
         raise InputError(f"{bound_id} needs input field(s): {', '.join(missing)}")
+    return _evaluate(bound_id, spec, binput)
 
+
+def _evaluate(bound_id: str, spec: BoundSpec, binput: BoundInput) -> BoundReport:
+    """The report of one catalog entry whose required fields are present."""
     ctx = binput._ctx
     failed, computable = spec.hypothesis(ctx)
     notes = spec.extra_notes
@@ -989,9 +993,5 @@ def evaluate_bound(bound_id: str, binput: BoundInput) -> BoundReport:
 
 def evaluate_all(binput: BoundInput) -> list[BoundReport]:
     """One report per catalog entry whose required inputs are present."""
-    reports = []
-    for bound_id in BOUND_IDS:
-        if missing_fields(CATALOG[bound_id], binput):
-            continue
-        reports.append(evaluate_bound(bound_id, binput))
-    return reports
+    specs = ((bound_id, CATALOG[bound_id]) for bound_id in BOUND_IDS)
+    return [_evaluate(bound_id, spec, binput) for bound_id, spec in specs if not missing_fields(spec, binput)]

@@ -40,15 +40,20 @@ and its elements:
 The stream is deterministic, one representative per isomorphism class, and
 counts are validated in the test suite against independent labeled-tree
 oracles.  Labeled Pruefer space (n^(n-2)) is never enumerated here.
-``extremal`` scores each level sequence from its degrees and builds a
-``Graph`` only for the witness.
+
+``extremal_goals`` serves any number of (objective, direction) goals from
+one walk of a class: each admitted level sequence yields its parents and
+degrees once, one pass over its edges scores Sigma and Albertson together,
+and each goal keeps its own optimum and first witness in stream order.  A
+``Graph`` is built only per distinct witness.  ``extremal`` is its
+single-goal form.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .bounds import BoundInput, BoundParams, BoundReport, evaluate_bound, expand_bound_id
 from .errors import DomainError, InputError, ResourceLimitError
@@ -62,11 +67,8 @@ OBJECTIVES: dict[str, Callable[[Graph], int]] = {
     "sigma": sigma,
     "albertson": albertson,
 }
-# Each objective's term for one edge, from the degrees of its two ends.
-EDGE_TERMS: dict[str, Callable[[int, int], int]] = {
-    "sigma": lambda a, b: (a - b) ** 2,
-    "albertson": lambda a, b: abs(a - b),
-}
+# The objectives in the order ``extremal_goals`` scores them per tree.
+_SCORED = ("sigma", "albertson")
 
 
 # ---------------------------------------------------------------------------
@@ -308,39 +310,74 @@ def extremal(
     allow_over_cap: bool = False,
 ) -> SearchResult:
     """Exact optimum over the class; ties keep the first tree in canonical order."""
-    if objective not in OBJECTIVES:
-        raise InputError(f"objective must be one of {sorted(OBJECTIVES)}")
-    if direction not in ("max", "min"):
-        raise InputError("direction must be 'max' or 'min'")
+    return extremal_goals(tree_class, [(objective, direction)], max_order, allow_over_cap)[0]
+
+
+def extremal_goals(
+    tree_class: TreeClass,
+    goals: Iterable[tuple[str, str]],
+    max_order: int = DEFAULT_TREE_CAP,
+    allow_over_cap: bool = False,
+) -> tuple[SearchResult, ...]:
+    """Exact optimum over the class for each (objective, direction) goal, in
+    the order given, from one walk of the class's trees.  Each goal keeps the
+    first tree in canonical order that attains its optimum."""
+    goals = tuple(goals)
+    if not goals:
+        raise InputError("need at least one (objective, direction) goal")
+    for objective, direction in goals:
+        if objective not in OBJECTIVES:
+            raise InputError(f"objective must be one of {sorted(OBJECTIVES)}")
+        if direction not in ("max", "min"):
+            raise InputError("direction must be 'max' or 'min'")
     check_tree_order(tree_class.n, max_order, allow_over_cap)
-    fn = OBJECTIVES[objective]
-    term = EDGE_TERMS[objective]
-    better = (lambda a, b: a > b) if direction == "max" else (lambda a, b: a < b)
-    best: Optional[int] = None
-    best_levels: Optional[tuple[int, ...]] = None
+    # Each goal reads one of the values the edge pass scores, (sigma,
+    # albertson), times a sign that makes "better" always "larger".
+    keys = [(_SCORED.index(objective), 1 if direction == "max" else -1) for objective, direction in goals]
+    best: list[Optional[int]] = [None] * len(goals)
+    best_levels: list[Optional[tuple[int, ...]]] = [None] * len(goals)
     examined = 0
     for levels in free_tree_level_sequences(tree_class.n):
         parents, degrees = _parents_and_degrees(levels)
         if not tree_class._admits(degrees):
             continue
         examined += 1
-        value = sum(map(term, degrees[1:], [degrees[p] for p in parents]))
-        if best is None or better(value, best):
-            best = value
-            best_levels = levels
-    if best_levels is None:
+        # One pass over the edges (child, parent) scores both objectives.
+        sig = irr = 0
+        for child, parent in enumerate(parents, 1):
+            d = degrees[child] - degrees[parent]
+            if d < 0:
+                d = -d
+            sig += d * d
+            irr += d
+        values = (sig, irr)
+        for g, (index, sign) in enumerate(keys):
+            value = sign * values[index]
+            if best[g] is None or value > best[g]:
+                best[g] = value
+                best_levels[g] = levels
+    if examined == 0:
         raise DomainError(f"empty class: {tree_class.describe()}")
-    witness = levels_to_graph(best_levels)
-    assert fn(witness) == best and tree_class.contains(witness)
-    return SearchResult(
-        class_description=tree_class.describe(),
-        objective=objective,
-        direction=direction,
-        optimum=best,
-        witness=witness,
-        witness_encoding=best_levels,
-        trees_examined=examined,
-    )
+    witnesses: dict[tuple[int, ...], Graph] = {}
+    results = []
+    for (objective, direction), (_, sign), value, levels in zip(goals, keys, best, best_levels):
+        if levels not in witnesses:
+            witnesses[levels] = levels_to_graph(levels)
+        witness = witnesses[levels]
+        optimum = sign * value
+        assert OBJECTIVES[objective](witness) == optimum and tree_class.contains(witness)
+        results.append(
+            SearchResult(
+                class_description=tree_class.describe(),
+                objective=objective,
+                direction=direction,
+                optimum=optimum,
+                witness=witness,
+                witness_encoding=levels,
+                trees_examined=examined,
+            )
+        )
+    return tuple(results)
 
 
 def _parents_and_degrees(levels: Sequence[int]) -> tuple[list[int], list[int]]:

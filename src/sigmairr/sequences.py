@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from operator import add, sub
 from typing import Sequence
 
 from .errors import DomainError, InputError
@@ -95,52 +96,68 @@ class DegreeSequenceView:
 
 @dataclass(frozen=True)
 class DerivedSequences:
-    """Half-differences t_i = (d_{i+1}-d_i)/2 and half-sums a_i = (d_{i+1}+d_i)/2."""
+    """Half-differences t_i = (d_{i+1}-d_i)/2 and half-sums a_i = (d_{i+1}+d_i)/2
+    of consecutive entries d_1..d_k (k >= 2).
 
-    half_diffs: tuple[Fraction, ...]
-    half_sums: tuple[Fraction, ...]
+    Every value is built on first read.  The summaries come from integer
+    sums and differences of the entries, halved once: the half-differences
+    telescope to (d_k - d_1)/2, and the half-sums add to (2*sum(d) - d_1 - d_k)/2.
+    """
+
+    entries: tuple[int, ...]
+
+    @cached_property
+    def half_diffs(self) -> tuple[Fraction, ...]:
+        d = self.entries
+        return tuple(Fraction(b - a, 2) for a, b in zip(d, d[1:]))
+
+    @cached_property
+    def half_sums(self) -> tuple[Fraction, ...]:
+        d = self.entries
+        return tuple(Fraction(b + a, 2) for a, b in zip(d, d[1:]))
 
     @cached_property
     def max_half_diff(self) -> Fraction:
-        return max(self.half_diffs)
+        d = self.entries
+        return Fraction(max(map(sub, d[1:], d)), 2)
 
     @cached_property
     def max_half_sum(self) -> Fraction:
-        return max(self.half_sums)
+        d = self.entries
+        return Fraction(max(map(add, d[1:], d)), 2)
 
     @cached_property
     def mean_half_diff(self) -> Fraction:
-        return sum(self.half_diffs, Fraction(0)) / len(self.half_diffs)
+        d = self.entries
+        return Fraction(d[-1] - d[0], 2 * (len(d) - 1))
 
     @cached_property
     def mean_half_sum(self) -> Fraction:
-        return sum(self.half_sums, Fraction(0)) / len(self.half_sums)
+        d = self.entries
+        return Fraction(2 * sum(d) - d[0] - d[-1], 2 * (len(d) - 1))
 
-    @property
+    @cached_property
     def first_half_diff(self) -> Fraction:
-        return self.half_diffs[0]
+        return Fraction(self.entries[1] - self.entries[0], 2)
 
-    @property
+    @cached_property
     def last_half_diff(self) -> Fraction:
-        return self.half_diffs[-1]
+        return Fraction(self.entries[-1] - self.entries[-2], 2)
 
-    @property
+    @cached_property
     def first_half_sum(self) -> Fraction:
-        return self.half_sums[0]
+        return Fraction(self.entries[1] + self.entries[0], 2)
 
-    @property
+    @cached_property
     def last_half_sum(self) -> Fraction:
-        return self.half_sums[-1]
+        return Fraction(self.entries[-1] + self.entries[-2], 2)
 
 
 def derive(view: DegreeSequenceView) -> DerivedSequences:
     """Exact half-difference/half-sum sequences of consecutive entries."""
     if view.k < 2:
         raise DomainError("derived sequences need at least 2 entries")
-    d = view.entries
-    diffs = tuple(Fraction(d[i + 1] - d[i], 2) for i in range(view.k - 1))
-    sums = tuple(Fraction(d[i + 1] + d[i], 2) for i in range(view.k - 1))
-    return DerivedSequences(diffs, sums)
+    return DerivedSequences(view.entries)
 
 
 def reconstruct_degrees(derived: DerivedSequences) -> tuple[Fraction, ...]:

@@ -21,7 +21,13 @@ simpler form of a package routine it is compared with:
   level-sequence walk and tests every sequence it visits, where the package
   jumps over runs that cannot be centre-rooted;
 * ``extremal_by_graphs`` shares the package's free-tree stream and indices,
-  and scores a ``Graph`` per tree, where the package scores level sequences.
+  and scores a ``Graph`` per tree, where the package scores level sequences;
+* ``derived_summaries_by_summation`` adds the half-difference and half-sum
+  ``Fraction`` sequences term by term, where the package reads the same
+  summaries off integer sums of the entries.
+
+``greedy_min_sigma`` shares nothing with the package: it builds one tree
+per degree multiset by construction instead of searching a stream.
 """
 
 from __future__ import annotations
@@ -312,20 +318,93 @@ def free_tree_level_sequences_by_filter(n: int) -> Iterator[tuple[int, ...]]:
         yield levels
 
 
-def extremal_by_graphs(n: int, degrees_admitted, objective: str, direction: str):
-    """(optimum, witness edges, witness canonical form, trees examined) over
-    the trees of order n whose degree list ``degrees_admitted`` accepts,
-    scoring a ``Graph`` per tree; ties keep the first tree."""
-    score = {"sigma": sigma, "albertson": albertson}[objective]
-    best = witness = None
+def extremal_by_graphs(n: int, degrees_admitted, goals: Sequence[tuple[str, str]]) -> list[tuple]:
+    """Per (objective, direction) goal: (optimum, witness edges, witness
+    canonical form, trees examined) over the trees of order n whose degree
+    list ``degrees_admitted`` accepts, scoring a ``Graph`` per tree; ties
+    keep the first tree."""
+    score = {"sigma": sigma, "albertson": albertson}
+    best: list = [None] * len(goals)
+    witness: list = [None] * len(goals)
     examined = 0
     for g in enumerate_free_trees(n):
         if not degrees_admitted(g.degrees):
             continue
         examined += 1
-        value = score(g)
-        if best is None or (value > best if direction == "max" else value < best):
-            best, witness = value, g
-    if witness is None:
+        values = {objective: score[objective](g) for objective in score}
+        for i, (objective, direction) in enumerate(goals):
+            value = values[objective]
+            if best[i] is None or (value > best[i] if direction == "max" else value < best[i]):
+                best[i], witness[i] = value, g
+    if examined == 0:
         raise DomainError("empty class")
-    return best, witness.sorted_edges(), canonical_form(witness), examined
+    return [(value, w.sorted_edges(), canonical_form(w), examined) for value, w in zip(best, witness)]
+
+
+def derived_summaries_by_summation(entries: Sequence[int]) -> dict[str, object]:
+    """Half-differences and half-sums of consecutive entries as ``Fraction``
+    sequences, their maxima, and their means as term-by-term sums over k - 1."""
+    diffs = tuple(Fraction(entries[i + 1] - entries[i], 2) for i in range(len(entries) - 1))
+    sums = tuple(Fraction(entries[i + 1] + entries[i], 2) for i in range(len(entries) - 1))
+    return {
+        "half_diffs": diffs,
+        "half_sums": sums,
+        "max_half_diff": max(diffs),
+        "max_half_sum": max(sums),
+        "mean_half_diff": sum(diffs, Fraction(0)) / len(diffs),
+        "mean_half_sum": sum(sums, Fraction(0)) / len(sums),
+        "first_half_diff": diffs[0],
+        "last_half_diff": diffs[-1],
+        "first_half_sum": sums[0],
+        "last_half_sum": sums[-1],
+    }
+
+
+def _partitions(total: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of ``total`` into parts of at most ``largest``, each in
+    non-increasing order."""
+    if total == 0:
+        yield ()
+        return
+    for part in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - part, part):
+            yield (part, *rest)
+
+
+def tree_degree_multisets(n: int) -> list[tuple[int, ...]]:
+    """Every degree multiset of a tree of order n >= 2, as sorted tuples in
+    lexicographic order: n positive degrees summing to 2(n - 1), that is, a
+    partition of the n - 2 excess degrees padded with leaves."""
+    found = []
+    for excess in _partitions(n - 2, n - 2):
+        degrees = [1 + part for part in excess] + [1] * (n - len(excess))
+        found.append(tuple(sorted(degrees)))
+    return sorted(found)
+
+
+def greedy_min_sigma(multiset: Sequence[int]) -> int:
+    """Minimum Sigma over the trees with this degree multiset, from the
+    greedy tree alone.
+
+    On a tree, sigma = sum_v d_v^3 - 2*M2 with M2 = sum over edges of
+    d_u*d_v, so the minimum sigma for a fixed degree multiset belongs to the
+    tree of largest M2.  The greedy tree attains that maximum (H. Wang,
+    Discrete Math. 308, 2008): lay the vertices out breadth first and hand
+    out the degrees in non-increasing order, the root taking the largest and
+    every later vertex one child fewer than its degree.
+    """
+    degrees = sorted(multiset, reverse=True)
+    n = len(degrees)
+    if n < 2 or sum(degrees) != 2 * (n - 1) or degrees[-1] < 1:
+        raise DomainError(f"{tuple(multiset)} is not the degree multiset of a tree")
+    edges = []
+    queue = deque([0])
+    next_vertex = 1
+    while queue:
+        v = queue.popleft()
+        for _ in range(degrees[v] - (v > 0)):
+            edges.append((v, next_vertex))
+            queue.append(next_vertex)
+            next_vertex += 1
+    assert next_vertex == n and len(edges) == n - 1
+    return sum((degrees[u] - degrees[v]) ** 2 for u, v in edges)

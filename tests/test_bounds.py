@@ -327,6 +327,22 @@ class TestReportContracts:
         assert missing_fields(CATALOG["B14"], binput) == ["graph"]
         # standard-convention views get no automatic sigma either
         assert missing_fields(CATALOG["B3"], binput) == ["irr", "sigma"]
+        with pytest.raises(InputError, match=r"^B3 needs input field\(s\): irr, sigma$"):
+            evaluate_bound("B3", binput)
+
+    def test_evaluate_all_checks_fields_once_per_entry(self, monkeypatch):
+        assert all(list(spec.requires) == sorted(spec.requires) for spec in CATALOG.values())
+        binput = BoundInput.from_graph(star(6))
+        expected = [evaluate_bound(bound_id, binput) for bound_id in BOUND_IDS]
+        calls = []
+
+        def counted(spec, b):
+            calls.append(spec.bound_id)
+            return missing_fields(spec, b)
+
+        monkeypatch.setattr(bounds, "missing_fields", counted)
+        assert evaluate_all(binput) == expected
+        assert calls == list(BOUND_IDS)
 
 
 def _reference_inputs_match(binput):

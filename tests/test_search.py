@@ -8,7 +8,13 @@ from pathlib import Path
 import pytest
 
 import sigmairr
-from oracles import extremal_by_graphs, free_tree_counts_otter, free_tree_level_sequences_by_filter
+from oracles import (
+    extremal_by_graphs,
+    free_tree_counts_otter,
+    free_tree_level_sequences_by_filter,
+    greedy_min_sigma,
+    tree_degree_multisets,
+)
 from sigmairr.bounds import BOUND_IDS, BoundParams
 from sigmairr.errors import DomainError, InputError, ResourceLimitError
 from sigmairr.graphs import Graph, cycle, is_tree, path, star
@@ -21,6 +27,7 @@ from sigmairr.search import (
     class_extremum_input,
     enumerate_free_trees,
     extremal,
+    extremal_goals,
     falsify,
     free_tree_level_sequences,
     levels_to_graph,
@@ -142,6 +149,22 @@ class TestCanonicalForm:
                 assert centers_by_diameter(_adjacency(edges, n)) == centers_by_eccentricity(edges, n)
 
 
+ALL_GOALS = (("sigma", "max"), ("sigma", "min"), ("albertson", "max"), ("albertson", "min"))
+
+
+def _classes_of_order(n: int):
+    """Every all-trees, max-degree and degree-multiset class of order n, with
+    the degree predicate that admits its members."""
+    classes = [(TreeClass.all_trees(n), lambda degrees: True)]
+    for delta in range(1, max(n - 1, 1) + 1):
+        classes.append((TreeClass.with_max_degree(n, delta), lambda degrees, d=delta: max(degrees) == d))
+    for multiset in tree_degree_multisets(n) if n >= 2 else ():
+        classes.append(
+            (TreeClass.with_degree_multiset(multiset), lambda degrees, m=multiset: tuple(sorted(degrees)) == m)
+        )
+    return classes
+
+
 class TestExtremal:
     def test_all_trees_5(self):
         best = extremal(TreeClass.all_trees(5), "sigma", "max")
@@ -187,25 +210,70 @@ class TestExtremal:
     @pytest.mark.parametrize("objective", ["sigma", "albertson"])
     @pytest.mark.parametrize("direction", ["max", "min"])
     def test_matches_graph_reference(self, objective, direction):
+        # All four goals in one walk, starting with the parametrized one, so
+        # the four runs cover four goal orders; the single-goal wrapper must
+        # give the same result as the first goal.
+        first = ALL_GOALS.index((objective, direction))
+        goals = ALL_GOALS[first:] + ALL_GOALS[:first]
         for n in range(1, 12):
-            classes = [(TreeClass.all_trees(n), lambda degrees: True)]
-            for delta in range(1, max(n - 1, 1) + 1):
-                classes.append((TreeClass.with_max_degree(n, delta), lambda degrees, d=delta: max(degrees) == d))
-            multisets = {tuple(sorted(g.degrees)) for g in enumerate_free_trees(n)} if n >= 2 else ()
-            for multiset in sorted(multisets):
-                classes.append(
-                    (TreeClass.with_degree_multiset(multiset), lambda degrees, m=multiset: tuple(sorted(degrees)) == m)
-                )
-            for tree_class, admitted in classes:
+            for tree_class, admitted in _classes_of_order(n):
                 try:
-                    expected = extremal_by_graphs(n, admitted, objective, direction)
+                    expected = extremal_by_graphs(n, admitted, goals)
                 except DomainError:
+                    with pytest.raises(DomainError, match="empty class"):
+                        extremal_goals(tree_class, goals)
                     with pytest.raises(DomainError, match="empty class"):
                         extremal(tree_class, objective, direction)
                     continue
-                result = extremal(tree_class, objective, direction)
-                got = (result.optimum, result.witness.sorted_edges(), result.witness_encoding, result.trees_examined)
+                results = extremal_goals(tree_class, goals)
+                got = [
+                    (r.optimum, r.witness.sorted_edges(), r.witness_encoding, r.trees_examined) for r in results
+                ]
                 assert got == expected, tree_class
+                assert [(r.objective, r.direction) for r in results] == list(goals)
+                assert extremal(tree_class, objective, direction) == results[0]
+
+    def test_goals_keep_their_order_and_repeats(self):
+        tree_class = TreeClass.all_trees(8)
+        goals = [("sigma", "max"), ("albertson", "min"), ("sigma", "max"), ("sigma", "min"), ("albertson", "min")]
+        results = extremal_goals(tree_class, iter(goals))
+        assert isinstance(results, tuple) and len(results) == 5
+        assert results == tuple(extremal(tree_class, *goal) for goal in goals)
+        assert results[0] == results[2] and results[1] == results[4]
+        # one witness Graph per distinct witness sequence
+        witnesses = {r.witness_encoding: r.witness for r in results}
+        assert all(r.witness is witnesses[r.witness_encoding] for r in results)
+        assert results[1].witness is results[3].witness  # the path attains both minima
+
+    def test_single_goal(self):
+        tree_class = TreeClass.with_max_degree(9, 4)
+        (result,) = extremal_goals(tree_class, [("albertson", "max")])
+        assert result == extremal(tree_class, "albertson", "max")
+        assert result.to_json_dict() == extremal(tree_class, "albertson", "max").to_json_dict()
+
+    def test_goal_validation(self):
+        tree_class = TreeClass.all_trees(5)
+        with pytest.raises(InputError, match="at least one"):
+            extremal_goals(tree_class, [])
+        with pytest.raises(InputError, match="objective"):
+            extremal_goals(tree_class, [("sigma", "max"), ("wiener", "max")])
+        with pytest.raises(InputError, match="direction"):
+            extremal_goals(tree_class, [("albertson", "min"), ("sigma", "upward")])
+        with pytest.raises(DomainError, match="empty class"):
+            extremal_goals(TreeClass.with_max_degree(3, 1), ALL_GOALS)
+        with pytest.raises(ResourceLimitError, match="cap"):
+            extremal_goals(TreeClass.all_trees(19), ALL_GOALS)
+
+    def test_min_sigma_matches_greedy_tree(self):
+        # 271 degree multisets with 3 <= n <= 14: the greedy tree's Sigma is
+        # the exhaustive minimum over the class
+        checked = 0
+        for n in range(3, 15):
+            for multiset in tree_degree_multisets(n):
+                (result,) = extremal_goals(TreeClass.with_degree_multiset(multiset), [("sigma", "min")])
+                assert result.optimum == greedy_min_sigma(multiset), multiset
+                checked += 1
+        assert checked == 271
 
     def test_class_extremum_input(self):
         result, binput = class_extremum_input(TreeClass.all_trees(6), "albertson", "max")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import derived_summaries_by_summation
 from sigmairr.errors import DomainError, InputError
 from sigmairr.graphs import Graph, is_tree
 from sigmairr.sequences import (
@@ -115,6 +116,15 @@ class TestDerived:
         d = derive(DegreeSequenceView((1, 2, 2, 5, 9)))
         assert all(t >= 0 for t in d.half_diffs)
         assert d.max_half_sum == d.last_half_sum
+
+    @given(entries_st)
+    def test_summaries_match_term_by_term_sums(self, entries):
+        d = derive(DegreeSequenceView(entries))
+        for name, expected in derived_summaries_by_summation(entries).items():
+            got = getattr(d, name)
+            assert got == expected, name
+            values = got if isinstance(got, tuple) else (got,)
+            assert all(type(v) is Fraction for v in values), name
 
     def test_summaries_kept_after_first_read(self):
         d = derive(DegreeSequenceView((1, 2, 2, 5, 9)))
