@@ -5,14 +5,16 @@ Exhaustively evaluates every catalog entry on every isomorphism class of
 trees with 2 <= n <= --nmax, in one pass over the trees, and reports per
 entry how many probative failures exist, plus the smallest witness for
 each failing claim.  Optionally dumps the full counterexample set as JSON.
-An --nmax outside 2..18 (18 is the enumeration cap) is rejected with a
-one-line message on stderr and exit code 1 before any output is written.
+An --nmax outside 2..18 (18 is the enumeration cap), or a --json path that
+cannot be opened, is rejected with a one-line message on stderr and exit
+code 1 before any output is written.
 
 Usage:
     python scripts/falsification_campaign.py [--nmax 9] [--json PATH]
 """
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -21,19 +23,39 @@ from sigmairr.bounds import BOUND_IDS
 from sigmairr.search import DEFAULT_TREE_CAP, ExhaustiveMode, falsify
 
 
+def _fail(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--nmax", type=int, default=9)
     parser.add_argument("--json", metavar="PATH", help="write all counterexamples as JSON")
     args = parser.parse_args()
     if not 2 <= args.nmax <= DEFAULT_TREE_CAP:
-        print(f"error: --nmax must lie in 2..{DEFAULT_TREE_CAP}, got {args.nmax}", file=sys.stderr)
-        return 1
+        return _fail(f"--nmax must lie in 2..{DEFAULT_TREE_CAP}, got {args.nmax}")
+    try:
+        sink = open(args.json, "w", encoding="utf-8") if args.json else contextlib.nullcontext()
+    except OSError as exc:
+        return _fail(str(exc))
 
-    print(f"exhaustive falsification over all trees with 2 <= n <= {args.nmax}")
+    with sink:
+        everything = _campaign(args.nmax)
+        if args.json:
+            json.dump(everything, sink, sort_keys=True, indent=2)
+    if args.json:
+        print(f"wrote {args.json}")
+    return 0
+
+
+def _campaign(nmax: int) -> dict:
+    """Print the per-entry summary and return every counterexample's JSON
+    form, grouped per entry."""
+    print(f"exhaustive falsification over all trees with 2 <= n <= {nmax}")
     start = time.perf_counter()
     by_bound = {bound_id: [] for bound_id in BOUND_IDS}
-    for c in falsify("all", ExhaustiveMode(args.nmax)):
+    for c in falsify("all", ExhaustiveMode(nmax)):
         by_bound[c.bound_id].append(c)
     elapsed = time.perf_counter() - start
     everything = {}
@@ -51,11 +73,7 @@ def main() -> int:
             f"lhs={smallest.report.lhs} {smallest.report.relation} rhs={smallest.report.rhs}"
         )
     print(f"evaluated in {elapsed:.1f}s")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(everything, fh, sort_keys=True, indent=2)
-        print(f"wrote {args.json}")
-    return 0
+    return everything
 
 
 if __name__ == "__main__":

@@ -14,6 +14,14 @@ as the sum over all k(k-1)/2 pairs of entries.  A report is always produced
 for well-formed input: hypothesis failures, including division-by-zero
 guards, gate the verdict as non-probative instead of crashing.
 
+Reports and falsification share one decision path, ``_sides`` (exact
+comparison, or intervals at 64 bits then 128).  ``evaluate_bound`` and
+``evaluate_all`` build a full ``BoundReport`` from it.  ``search.falsify``
+instead asks ``refutes`` for each (input, entry) pair: it returns False at
+once when a hypothesis fails or the entry is not computable, uses an
+entry's exact ``verdict`` where one is set (B6, no interval), and otherwise
+reads ``_sides``.  Only a refuted pair then gets its report.
+
 Several claims are false on ordinary trees.  That is expected; the contract
 here is faithful evaluation and reporting, not the truth of the claims.
 """
@@ -27,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .errors import DomainError, InputError
 from .graphs import Graph
@@ -921,15 +929,50 @@ def _printed(side: Side) -> tuple[Exact, bool]:
     return (side.mid, side.exact) if isinstance(side, RVal) else (side, True)
 
 
+def require_fields(bound_ids: Iterable[str], binput: BoundInput) -> None:
+    """Raise InputError for the first entry whose required fields are missing."""
+    for bound_id in bound_ids:
+        missing = missing_fields(CATALOG[bound_id], binput)
+        if missing:
+            raise InputError(f"{bound_id} needs input field(s): {', '.join(missing)}")
+
+
 def evaluate_bound(bound_id: str, binput: BoundInput) -> BoundReport:
     """Evaluate one catalog entry; raises InputError on missing fields."""
     spec = CATALOG.get(bound_id)
     if spec is None:
         raise InputError(f"unknown bound id {bound_id!r}")
-    missing = missing_fields(spec, binput)
-    if missing:
-        raise InputError(f"{bound_id} needs input field(s): {', '.join(missing)}")
+    require_fields((bound_id,), binput)
     return _evaluate(bound_id, spec, binput)
+
+
+def _sides(spec: BoundSpec, ctx: _Ctx) -> tuple[Side, Side, Optional[bool]]:
+    """Both sides of a computable entry and whether its relation holds:
+    compared directly when both are exact, else as intervals at 64 bits and
+    again at 128 where 64 does not separate them (None where 128 does not)."""
+    lhs = spec.lhs(ctx, _BITS_FIRST)
+    rhs = spec.rhs(ctx, _BITS_FIRST)
+    if not (isinstance(lhs, RVal) or isinstance(rhs, RVal)):
+        return lhs, rhs, _HOLDS[spec.relation](lhs, rhs)
+    holds = _compare(_boxed(lhs), _boxed(rhs), spec.relation)
+    if holds is None:
+        lhs = spec.lhs(ctx, _BITS_ESCALATED)
+        rhs = spec.rhs(ctx, _BITS_ESCALATED)
+        holds = _compare(_boxed(lhs), _boxed(rhs), spec.relation)
+    return lhs, rhs, holds
+
+
+def refutes(spec: BoundSpec, ctx: _Ctx) -> bool:
+    """Whether the entry's report on ``ctx`` would be a counterexample:
+    hypotheses met and the relation decided false.  Builds no report; an
+    entry that fails a hypothesis is not evaluated, and one with an exact
+    ``verdict`` builds no interval."""
+    failed, computable = spec.hypothesis(ctx)
+    if failed or not computable:
+        return False
+    if spec.verdict is not None:
+        return not spec.verdict(ctx)
+    return _sides(spec, ctx)[2] is False
 
 
 def _evaluate(bound_id: str, spec: BoundSpec, binput: BoundInput) -> BoundReport:
@@ -949,23 +992,14 @@ def _evaluate(bound_id: str, spec: BoundSpec, binput: BoundInput) -> BoundReport
     if not computable:
         notes += ("not computable: " + "; ".join(failed),)
     else:
-        lhs = spec.lhs(ctx, _BITS_FIRST)
-        rhs = spec.rhs(ctx, _BITS_FIRST)
-        if isinstance(lhs, RVal) or isinstance(rhs, RVal):
-            holds = _compare(_boxed(lhs), _boxed(rhs), spec.relation)
-            if holds is None:
-                lhs = spec.lhs(ctx, _BITS_ESCALATED)
-                rhs = spec.rhs(ctx, _BITS_ESCALATED)
-                holds = _compare(_boxed(lhs), _boxed(rhs), spec.relation)
-            if spec.verdict is not None:
-                holds = spec.verdict(ctx)
-            elif holds is None:
-                indeterminate = True
-                notes += ("indeterminate_at_precision: sides not separated at 128 bits",)
-            lhs, lhs_exact = _printed(lhs)
-            rhs, rhs_exact = _printed(rhs)
-        else:
-            holds = _HOLDS[spec.relation](lhs, rhs)
+        lhs, rhs, holds = _sides(spec, ctx)
+        if spec.verdict is not None:
+            holds = spec.verdict(ctx)
+        elif holds is None:
+            indeterminate = True
+            notes += ("indeterminate_at_precision: sides not separated at 128 bits",)
+        lhs, lhs_exact = _printed(lhs)
+        rhs, rhs_exact = _printed(rhs)
         if spec.relation in ("<=", "<"):
             margin = rhs - lhs
         elif spec.relation in (">=", ">"):

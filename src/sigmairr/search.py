@@ -55,7 +55,16 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .bounds import BoundInput, BoundParams, BoundReport, evaluate_bound, expand_bound_id
+from .bounds import (
+    CATALOG,
+    BoundInput,
+    BoundParams,
+    BoundReport,
+    evaluate_bound,
+    expand_bound_id,
+    refutes,
+    require_fields,
+)
 from .errors import DomainError, InputError, ResourceLimitError
 from .graphs import Graph, format_edge_list, is_tree
 from .indices import albertson, sigma
@@ -458,10 +467,13 @@ def falsify(
 ) -> list[Counterexample]:
     """Hunt for trees meeting a claim's hypotheses on which it evaluates false.
 
-    ``bound_id`` may be a base id or ``"all"``: each tree is evaluated once
-    against every expanded entry.  Exhaustive mode covers every isomorphism
-    class with 2 <= n <= n_max; random mode draws seeded labeled trees of a
-    fixed order.  The returned list is deterministic for identical arguments.
+    ``bound_id`` may be a base id or ``"all"``: each tree builds one
+    ``BoundInput``, and every expanded entry is decided on it by
+    ``bounds.refutes``, which skips an entry whose hypotheses fail and
+    builds no report.  Only a counterexample gets its ``BoundReport``, from
+    ``evaluate_bound``.  Exhaustive mode covers every isomorphism class with
+    2 <= n <= n_max; random mode draws seeded labeled trees of a fixed
+    order.  The returned list is deterministic for identical arguments.
     """
     bound_ids = expand_bound_id(bound_id)
     if isinstance(mode, ExhaustiveMode):
@@ -481,11 +493,13 @@ def falsify(
         seeds = [rng.randrange(2**63) for _ in range(mode.samples)]
         trees = (random_tree(mode.n, s) for s in seeds)
 
+    specs = [(bid, CATALOG[bid]) for bid in bound_ids]
     found: list[Counterexample] = []
     for g in trees:
         binput = BoundInput.from_graph(g, params)
-        for bid in bound_ids:
-            report = evaluate_bound(bid, binput)
-            if report.hypotheses_met and report.holds is False:
-                found.append(Counterexample(bid, g, report))
+        require_fields(bound_ids, binput)
+        ctx = binput._ctx
+        for bid, spec in specs:
+            if refutes(spec, ctx):
+                found.append(Counterexample(bid, g, evaluate_bound(bid, binput)))
     return found

@@ -5,7 +5,7 @@ trees are generated from Pruefer words or parent arrays, centers are found
 from the diameter (or, as their reference, by eccentricity) rather than by
 peeling, and isomorphism keys use an interned rooted encoding instead of
 level sequences.  Agreement with the package is then evidence, not
-tautology.  Four references are the exception, each kept from an earlier,
+tautology.  Six references are the exception, each kept from an earlier,
 simpler form of a package routine it is compared with:
 
 * ``b15b_lhs_pairwise`` shares the package's interval square root and
@@ -24,7 +24,11 @@ simpler form of a package routine it is compared with:
   and scores a ``Graph`` per tree, where the package scores level sequences;
 * ``derived_summaries_by_summation`` adds the half-difference and half-sum
   ``Fraction`` sequences term by term, where the package reads the same
-  summaries off integer sums of the entries.
+  summaries off integer sums of the entries;
+* ``falsify_by_reports`` shares the package's tree streams and
+  ``evaluate_bound``, builds a report for every (tree, entry) pair and keeps
+  the probative failures, where the package decides each pair first and
+  builds a report only for a counterexample.
 
 ``greedy_min_sigma`` shares nothing with the package: it builds one tree
 per degree multiset by construction instead of searching a stream.
@@ -32,6 +36,7 @@ per degree multiset by construction instead of searching a stream.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from fractions import Fraction
 from itertools import product
@@ -43,16 +48,27 @@ from sigmairr.bounds import (
     _BITS_FIRST,
     CATALOG,
     BoundInput,
+    BoundParams,
     BoundReport,
     RVal,
     _compare,
+    evaluate_bound,
+    expand_bound_id,
     nth_root_rval,
     sqrt_rval,
 )
 from sigmairr.errors import DomainError
 from sigmairr.graphs import complement
 from sigmairr.indices import albertson, sigma
-from sigmairr.search import canonical_form, enumerate_free_trees, rooted_level_sequences
+from sigmairr.search import (
+    Counterexample,
+    ExhaustiveMode,
+    RandomMode,
+    canonical_form,
+    enumerate_free_trees,
+    rooted_level_sequences,
+)
+from sigmairr.sequences import random_tree
 
 
 def prufer_decode(word: tuple[int, ...], n: int) -> list[tuple[int, int]]:
@@ -294,6 +310,29 @@ def evaluate_bound_by_intervals(bound_id: str, binput: BoundInput) -> BoundRepor
         notes=tuple(notes),
         indeterminate=indeterminate,
     )
+
+
+def falsify_by_reports(
+    bound_id: str, mode: ExhaustiveMode | RandomMode, params: BoundParams = BoundParams()
+) -> list[Counterexample]:
+    """Counterexamples by building every (tree, entry) report and keeping
+    those with hypotheses met that evaluate false, over the same trees in
+    the same order as ``falsify``."""
+    if isinstance(mode, ExhaustiveMode):
+        trees = (g for n in range(2, mode.n_max + 1) for g in enumerate_free_trees(n))
+    else:
+        rng = random.Random(mode.seed)
+        seeds = [rng.randrange(2**63) for _ in range(mode.samples)]
+        trees = (random_tree(mode.n, s) for s in seeds)
+    bound_ids = expand_bound_id(bound_id)
+    found = []
+    for g in trees:
+        binput = BoundInput.from_graph(g, params)
+        for bid in bound_ids:
+            report = evaluate_bound(bid, binput)
+            if report.hypotheses_met and report.holds is False:
+                found.append(Counterexample(bid, g, report))
+    return found
 
 
 def free_tree_level_sequences_by_filter(n: int) -> Iterator[tuple[int, ...]]:

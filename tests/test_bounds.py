@@ -22,6 +22,7 @@ from sigmairr.bounds import (
     expand_bound_id,
     missing_fields,
     nth_root_rval,
+    refutes,
     resolve_parameters,
     sqrt_rval,
 )
@@ -436,3 +437,74 @@ class TestExactFirst:
         monkeypatch.setattr(bounds, "_b6_terms", lambda ctx: (Fraction(g * g), ctx.sig - g))
         report = evaluate_bound("B6", binput)
         assert report.holds is True and report.margin == 0 and report.rhs_exact
+
+
+def _audit_pairs():
+    """(entry, input) for every catalog entry whose fields are present, on
+    every tree with 2 <= n <= 9 and every table row, under default and
+    non-default parameters (B10's window and the eta guards of B12/B13
+    move with them)."""
+    variants = (
+        BoundParams(),
+        BoundParams(strict_max_degree_window=True, eta=6),
+        BoundParams(alpha=0, beta=4, p=3, eta=2, eta1=Fraction(3)),
+    )
+    for params in variants:
+        inputs = [BoundInput.from_graph(g, params) for n in range(2, 10) for g in enumerate_free_trees(n)]
+        for table_id, rows in ((1, TABLE1), (2, TABLE2)):
+            inputs += [BoundInput.from_table_row(table_id, row_index, params) for row_index in range(len(rows))]
+        for binput in inputs:
+            for bound_id in BOUND_IDS:
+                if not missing_fields(CATALOG[bound_id], binput):
+                    yield bound_id, binput
+
+
+class TestRefutes:
+    def test_not_computable_has_a_failed_hypothesis(self):
+        # refutes returns at once on a failed hypothesis or a non-computable
+        # entry; a non-computable result always names a failed hypothesis.
+        not_computable = Counter()
+        for bound_id, binput in _audit_pairs():
+            failed, computable = CATALOG[bound_id].hypothesis(binput._ctx)
+            if not computable:
+                assert failed, (bound_id, binput.label)
+                not_computable[bound_id] += 1
+        assert set(not_computable) == {"B1a", "B1b", "B5", "B6", "B10", "B12", "B13"}
+
+    def test_agrees_with_reports(self):
+        decided = Counter()
+        for bound_id, binput in _audit_pairs():
+            report = evaluate_bound(bound_id, binput)
+            expected = report.hypotheses_met and report.holds is False
+            assert refutes(CATALOG[bound_id], binput._ctx) == expected, (bound_id, binput.label)
+            decided[expected] += 1
+        assert decided[True] > 1000 and decided[False] > 4000
+
+    def test_skips_sides_unless_computable_and_met(self):
+        def unreachable(ctx, bits):
+            raise AssertionError("side evaluated")
+
+        ctx = BoundInput.from_graph(path(5))._ctx
+        for hypothesis in (lambda c: ([], False), lambda c: (["unmet"], True), lambda c: (["unmet"], False)):
+            spec = replace(CATALOG["B8"], hypothesis=hypothesis, lhs=unreachable, rhs=unreachable)
+            assert refutes(spec, ctx) is False
+
+    def test_exact_verdict_builds_no_interval(self, monkeypatch):
+        roots = []
+        monkeypatch.setattr(bounds, "sqrt_rval", lambda *args: roots.append(args))
+        spec = CATALOG["B6"]
+        for n in range(3, 9):
+            for g in enumerate_free_trees(n):
+                ctx = BoundInput.from_graph(g)._ctx
+                assert refutes(spec, ctx) is (not bounds._b6_holds(ctx) and not spec.hypothesis(ctx)[0])
+        assert roots == []
+
+    def test_decides_where_only_the_verdict_separates(self, monkeypatch):
+        # As in test_b6_decided_where_intervals_cannot_separate: B6 fails by
+        # less than 2^-128, so only its exact verdict refutes it.
+        g = 2**130
+        ctx = BoundInput.from_graph(path(6))._ctx
+        monkeypatch.setattr(bounds, "_b6_terms", lambda ctx: (Fraction(g * g + 1), ctx.sig - g))
+        assert refutes(CATALOG["B6"], ctx) is True
+        monkeypatch.setattr(bounds, "_b6_terms", lambda ctx: (Fraction(g * g), ctx.sig - g))
+        assert refutes(CATALOG["B6"], ctx) is False

@@ -1,7 +1,9 @@
 """The experiment scripts, run as a user runs them: in a subprocess."""
 
 import csv
+import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import sigmairr
 from oracles import extremal_by_graphs, free_tree_counts_otter
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 GOALS = (("sigma", "max"), ("sigma", "min"), ("albertson", "max"), ("albertson", "min"))
 
 
@@ -73,3 +76,23 @@ def test_survey_rejects_an_unwritable_out_path(tmp_path):
     done = run_script("extremal_survey.py", "--max-n", "5", "--out", str(target))
     assert done.returncode == 1 and done.stdout == "" and not target.exists()
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+
+
+def test_campaign_rejects_an_unwritable_json_path(tmp_path):
+    target = tmp_path / "missing" / "campaign.json"
+    done = run_script("falsification_campaign.py", "--nmax", "3", "--json", str(target))
+    assert done.returncode == 1 and done.stdout == "" and not target.exists()
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+
+
+def test_campaign_matches_recorded_digest(tmp_path):
+    # The benchmark's recorded campaign at --nmax 6: any byte change to the
+    # counterexample JSON, or to a claim's count, fails here too.
+    reference = json.loads(REFERENCE_PATH.read_text())["falsify-exhaustive"]["smoke"]
+    target = tmp_path / "campaign.json"
+    done = run_script("falsification_campaign.py", "--nmax", "6", "--json", str(target))
+    assert done.returncode == 0 and done.stderr == ""
+    found = json.loads(target.read_text(encoding="utf-8"))
+    counts = {claim: len(items) for claim, items in found.items() if items}
+    assert counts == reference["counts"] and sum(counts.values()) == reference["total"]
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == reference["sha256"]

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import sigmairr
 from oracles import (
     extremal_by_graphs,
+    falsify_by_reports,
     free_tree_counts_otter,
     free_tree_level_sequences_by_filter,
     greedy_min_sigma,
@@ -330,6 +332,53 @@ class TestFalsify:
     def test_params_flow_through(self):
         # a generous prime makes B9 hold everywhere small
         assert falsify("B9", ExhaustiveMode(6), BoundParams(p=13)) == []
+
+    @pytest.mark.parametrize("bound_id", [f"B{i}" for i in range(1, 16)] + ["all"])
+    def test_matches_reports_oracle_exhaustive(self, bound_id):
+        found = falsify(bound_id, ExhaustiveMode(8))
+        assert found == falsify_by_reports(bound_id, ExhaustiveMode(8))
+        if bound_id == "all":
+            assert len(found) > 100 and {c.bound_id for c in found} >= {"B3", "B5", "B8", "B10", "B12"}
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_matches_reports_oracle_random(self, seed):
+        mode = RandomMode(n=40, samples=20, seed=seed)
+        found = falsify("all", mode)
+        assert found and found == falsify_by_reports("all", mode)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            BoundParams(strict_max_degree_window=True),
+            BoundParams(eta=5),
+            BoundParams(eta1=Fraction(3)),
+            BoundParams(alpha=0, beta=5),
+            BoundParams(p=13),
+            BoundParams(alpha=1, beta=1, p=3, eta=9, eta1=Fraction(5, 2), strict_max_degree_window=True),
+        ],
+        ids=["strict-window", "eta", "eta1", "alpha-beta", "p13", "all-set"],
+    )
+    def test_matches_reports_oracle_with_params(self, params):
+        # Parameters move hypotheses (B10's window, B12/B13's eta guards), so
+        # what the short-circuit skips differs per parameter set.
+        for mode in (ExhaustiveMode(8), RandomMode(n=20, samples=15, seed=3)):
+            assert falsify("all", mode, params) == falsify_by_reports("all", mode, params)
+
+    def test_reports_built_only_for_counterexamples(self, monkeypatch):
+        import sigmairr.search as search_module
+
+        built = []
+        evaluate = search_module.evaluate_bound
+
+        def counted(bid, binput):
+            report = evaluate(bid, binput)
+            built.append(report)
+            return report
+
+        monkeypatch.setattr(search_module, "evaluate_bound", counted)
+        found = falsify("all", ExhaustiveMode(7))
+        assert [c.report for c in found] == built
+        assert all(r.hypotheses_met and r.holds is False for r in built)
 
     def test_campaign_matches_per_claim_runs(self, tmp_path):
         script = Path(__file__).resolve().parents[1] / "scripts" / "falsification_campaign.py"
