@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import bounds, graphs, indices, search, stats_tables
+from . import bounds, graphs, indices, search
 from .errors import DomainError, InputError, ResourceLimitError
 from .sequences import (
     Convention,
@@ -401,6 +401,8 @@ def _cmd_extremal(args) -> int:
 # Subcommand: tables
 
 def _cmd_tables_reproduce(args) -> int:
+    from . import stats_tables
+
     report = stats_tables.reproduce_table(args.table)
     header = ["row", "column", "printed", "recomputed", "match", "rule"]
     rows = [
@@ -424,6 +426,8 @@ def _cmd_tables_reproduce(args) -> int:
 
 
 def _cmd_tables_export(args) -> int:
+    from . import stats_tables
+
     if args.table == 1:
         header = ["degree_sequence", "T1", "T2", "irr", "sigma"]
         rows = [
@@ -478,6 +482,8 @@ def _fmt_opt(x: Optional[float]) -> str:
 
 
 def _cmd_stats_correlate(args) -> int:
+    from . import stats_tables
+
     report, comparisons = stats_tables.table_correlation(args.table)
     header = ["var_a", "var_b", "computed", "printed", "abs_diff", "within_5e-3"]
     rows = []
@@ -513,9 +519,11 @@ def _cmd_stats_correlate(args) -> int:
 
 
 def _cmd_stats_regress(args) -> int:
+    from . import stats_tables
+
     repro = stats_tables.regression_reproduction(args.table)
     payload = repro.to_json_dict()
-    if args.predict:
+    if args.predict is not None:
         try:
             point = tuple(float(x) for x in args.predict.split(","))
         except ValueError:
@@ -536,7 +544,7 @@ def _cmd_stats_regress(args) -> int:
         rows.append([f"{name}.condition_number", _fmt_opt(fit.condition_number)])
         rows.append([f"{name}.rank_deficient", str(fit.rank_deficient).lower()])
         rows.append([f"{name}.matches_printed_r2", str(repro.r2_match_flags[name]).lower()])
-    if args.predict:
+    if args.predict is not None:
         for name, value in sorted(payload.get("predictions", {}).items()):
             rows.append([f"predict.{name}", value])
     _render(args.format, header, rows, payload, args.out)
@@ -547,6 +555,8 @@ def _cmd_stats_regress(args) -> int:
 # Subcommand: plots emit (raw CSV series only)
 
 def _cmd_plots_emit(args) -> int:
+    from . import stats_tables
+
     if args.figure == 1:
         header = [
             "n",

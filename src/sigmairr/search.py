@@ -53,22 +53,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
-from .bounds import (
-    CATALOG,
-    BoundInput,
-    BoundParams,
-    BoundReport,
-    evaluate_bound,
-    expand_bound_id,
-    refutes,
-    require_fields,
-)
 from .errors import DomainError, InputError, ResourceLimitError
 from .graphs import Graph, format_edge_list, is_tree
 from .indices import albertson, sigma
 from .sequences import is_tree_sequence, random_tree
+
+if TYPE_CHECKING:  # ``bounds`` is imported where a claim is evaluated, not here
+    from .bounds import BoundInput, BoundParams, BoundReport
 
 DEFAULT_TREE_CAP = 18
 
@@ -409,7 +402,7 @@ def class_extremum_input(
     tree_class: TreeClass,
     objective: str,
     direction: str,
-    params: BoundParams = BoundParams(),
+    params: Optional[BoundParams] = None,
     max_order: int = DEFAULT_TREE_CAP,
     allow_over_cap: bool = False,
 ) -> tuple[SearchResult, BoundInput]:
@@ -417,11 +410,14 @@ def class_extremum_input(
 
     This is the class-mode reading of the extremal-value claims: the claim
     is evaluated on the tree attaining the class extremum of the objective.
+    ``params`` None means ``BoundParams()``.
     """
+    from . import bounds
+
     result = extremal(tree_class, objective, direction, max_order, allow_over_cap)
-    binput = BoundInput.from_graph(
+    binput = bounds.BoundInput.from_graph(
         result.witness,
-        params,
+        bounds.BoundParams() if params is None else params,
         label=f"{direction} {objective} witness over {tree_class.describe()}",
     )
     return result, binput
@@ -461,7 +457,7 @@ class Counterexample:
 def falsify(
     bound_id: str,
     mode: ExhaustiveMode | RandomMode,
-    params: BoundParams = BoundParams(),
+    params: Optional[BoundParams] = None,
     max_order: int = DEFAULT_TREE_CAP,
     allow_over_cap: bool = False,
 ) -> list[Counterexample]:
@@ -472,13 +468,20 @@ def falsify(
     ``bounds.refutes``, which skips an entry whose hypotheses fail and
     builds no report.  Only a counterexample gets its ``BoundReport``, from
     ``evaluate_bound``.  Exhaustive mode covers every isomorphism class with
-    2 <= n <= n_max; random mode draws seeded labeled trees of a fixed
-    order.  The returned list is deterministic for identical arguments.
+    2 <= n <= n_max, and rejects an ``n_max`` over the cap before it
+    generates any tree; random mode draws seeded labeled trees of a fixed
+    order.  ``params`` None means ``BoundParams()``.  The returned list is
+    deterministic for identical arguments.
     """
-    bound_ids = expand_bound_id(bound_id)
+    from . import bounds
+
+    if params is None:
+        params = bounds.BoundParams()
+    bound_ids = bounds.expand_bound_id(bound_id)
     if isinstance(mode, ExhaustiveMode):
         if mode.n_max < 2:
             raise DomainError("exhaustive falsification needs n_max >= 2")
+        check_tree_order(mode.n_max, max_order, allow_over_cap)
         trees: Iterator[Graph] = (
             g
             for n in range(2, mode.n_max + 1)
@@ -493,13 +496,13 @@ def falsify(
         seeds = [rng.randrange(2**63) for _ in range(mode.samples)]
         trees = (random_tree(mode.n, s) for s in seeds)
 
-    specs = [(bid, CATALOG[bid]) for bid in bound_ids]
+    specs = [(bid, bounds.CATALOG[bid]) for bid in bound_ids]
     found: list[Counterexample] = []
     for g in trees:
-        binput = BoundInput.from_graph(g, params)
-        require_fields(bound_ids, binput)
+        binput = bounds.BoundInput.from_graph(g, params)
+        bounds.require_fields(bound_ids, binput)
         ctx = binput._ctx
         for bid, spec in specs:
-            if refutes(spec, ctx):
-                found.append(Counterexample(bid, g, evaluate_bound(bid, binput)))
+            if bounds.refutes(spec, ctx):
+                found.append(Counterexample(bid, g, bounds.evaluate_bound(bid, binput)))
     return found

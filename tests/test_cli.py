@@ -73,6 +73,19 @@ class TestErrors:
         code, out, _ = run_cli(capsys, "enumerate", "--n", "6", "--count-only", "--allow-over-cap", "--format", "json")
         assert code == 0 and json.loads(out)["count"] == 6
 
+    def test_falsify_over_cap_fails_before_work(self, capsys, monkeypatch):
+        import sigmairr.search as search_module
+
+        calls = []
+        monkeypatch.setattr(search_module, "free_tree_level_sequences", lambda n: calls.append(n) or iter(()))
+        code, out, err = run_cli(capsys, "bounds", "falsify", "--bound", "B3", "--nmax", "19")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "cap" in err and err.count("\n") == 1
+        monkeypatch.setenv("SIGMAIRR_TREE_CAP", "11")
+        code, out, err = run_cli(capsys, "bounds", "falsify", "--bound", "B3", "--nmax", "12")
+        assert code == 1 and out == "" and "cap" in err and err.count("\n") == 1
+        assert calls == []
+
     def test_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "indices", "--family", "cycle:2")
         assert code == 1 and "cycle" in err
@@ -254,6 +267,7 @@ class TestTablesStats:
             ("1", "inf,1", "non-finite"),
             ("1", "nan,1", "non-finite"),
             ("2", "1,1e400", "non-finite"),
+            ("1", "", "expects comma-separated numbers"),
         ],
     )
     def test_regress_rejects_bad_prediction_point(self, capsys, table, point, message):

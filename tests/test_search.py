@@ -329,6 +329,17 @@ class TestFalsify:
         with pytest.raises(InputError):
             falsify("B99", ExhaustiveMode(4))
 
+    def test_over_cap_rejected_before_any_tree(self, monkeypatch):
+        import sigmairr.search as search_module
+
+        calls = []
+        monkeypatch.setattr(search_module, "free_tree_level_sequences", lambda n: calls.append(n) or iter(()))
+        with pytest.raises(ResourceLimitError, match="cap"):
+            falsify("B3", ExhaustiveMode(19))
+        with pytest.raises(ResourceLimitError, match="cap"):
+            falsify("B3", ExhaustiveMode(12), max_order=11)
+        assert calls == []
+
     def test_params_flow_through(self):
         # a generous prime makes B9 hold everywhere small
         assert falsify("B9", ExhaustiveMode(6), BoundParams(p=13)) == []
@@ -365,17 +376,17 @@ class TestFalsify:
             assert falsify("all", mode, params) == falsify_by_reports("all", mode, params)
 
     def test_reports_built_only_for_counterexamples(self, monkeypatch):
-        import sigmairr.search as search_module
+        import sigmairr.bounds as bounds_module
 
         built = []
-        evaluate = search_module.evaluate_bound
+        evaluate = bounds_module.evaluate_bound
 
         def counted(bid, binput):
             report = evaluate(bid, binput)
             built.append(report)
             return report
 
-        monkeypatch.setattr(search_module, "evaluate_bound", counted)
+        monkeypatch.setattr(bounds_module, "evaluate_bound", counted)
         found = falsify("all", ExhaustiveMode(7))
         assert [c.report for c in found] == built
         assert all(r.hypotheses_met and r.holds is False for r in built)
