@@ -4,7 +4,10 @@
 Exhaustively evaluates every catalog entry on every isomorphism class of
 trees with 2 <= n <= --nmax, in one pass over the trees, and reports per
 entry how many probative failures exist, plus the smallest witness for
-each failing claim.  Optionally dumps the full counterexample set as JSON.
+each failing claim.  Optionally dumps the full counterexample set as JSON,
+through the package's shared encoder (``sigmairr.jsonout``): it writes one
+counterexample at a time, and its bytes equal
+``json.dumps(everything, sort_keys=True, indent=2)``.
 An --nmax outside 2..18 (18 is the enumeration cap), or a --json path that
 cannot be opened, is rejected with a one-line message on stderr and exit
 code 1 before any output is written.
@@ -20,6 +23,7 @@ import sys
 import time
 
 from sigmairr.bounds import BOUND_IDS
+from sigmairr.jsonout import StreamingEncoder
 from sigmairr.search import DEFAULT_TREE_CAP, ExhaustiveMode, falsify
 
 
@@ -43,7 +47,7 @@ def main() -> int:
     with sink:
         everything = _campaign(args.nmax)
         if args.json:
-            json.dump(everything, sink, sort_keys=True, indent=2)
+            json.dump(everything, sink, sort_keys=True, indent=2, cls=StreamingEncoder)
     if args.json:
         print(f"wrote {args.json}")
     return 0

@@ -4,7 +4,9 @@ Subcommands: indices, sequence analyze, bounds check, bounds falsify,
 enumerate, extremal, tables reproduce, tables export, stats correlate,
 stats regress, plots emit.  Machine formats are canonical (sorted JSON
 keys, fixed CSV column order), so identical invocations produce
-byte-identical output.
+byte-identical output.  JSON is rendered by the shared encoder
+``jsonout.StreamingEncoder``, which streams one record at a time and whose
+bytes equal ``json.dumps(payload, sort_keys=True, indent=2)``.
 
 Exit codes: 0 success; 1 domain/input error; 2 when ``bounds check`` runs
 with ``--expect-hold`` and any probative report fails.
@@ -19,10 +21,11 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import bounds, graphs, indices, search
+from . import graphs, indices, search
 from .errors import DomainError, InputError, ResourceLimitError
+from .jsonout import StreamingEncoder
 from .sequences import (
     Convention,
     DegreeSequenceView,
@@ -33,6 +36,9 @@ from .sequences import (
     realize_graph_hakimi,
     realize_tree,
 )
+
+if TYPE_CHECKING:
+    from . import bounds
 
 ENV_TREE_CAP = "SIGMAIRR_TREE_CAP"
 
@@ -64,7 +70,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, cls=StreamingEncoder) + "\n"
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -118,6 +124,8 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _params_from_args(args) -> bounds.BoundParams:
+    from . import bounds
+
     eta1 = None
     if args.eta1 is not None:
         try:
@@ -231,6 +239,8 @@ def _cmd_sequence_analyze(args) -> int:
 # Subcommand: bounds check / falsify
 
 def _bound_input_from_args(args, params: bounds.BoundParams) -> bounds.BoundInput:
+    from . import bounds
+
     sources = [
         bool(args.sequence),
         bool(args.family or args.graph_file),
@@ -277,6 +287,8 @@ def _report_rows(reports: list[bounds.BoundReport]) -> list[list[str]]:
 
 
 def _cmd_bounds_check(args) -> int:
+    from . import bounds
+
     params = _params_from_args(args)
     binput = _bound_input_from_args(args, params)
     if args.bound == "all":

@@ -66,6 +66,20 @@ class TestImportFootprint:
         assert "sigmairr.search" in loaded
         assert not loaded & {"sigmairr.bounds", "sigmairr.stats_tables"}
 
+    def test_cli_loads_neither_bounds_nor_tables(self):
+        # Only the bounds subcommands import bounds, when they run.
+        loaded = _loaded_after("import sigmairr.cli")
+        assert "sigmairr.cli" in loaded
+        assert not loaded & {"sigmairr.bounds", "sigmairr.stats_tables"}
+
+    def test_bounds_subcommand_loads_bounds_but_not_tables(self):
+        loaded = _loaded_after(
+            "import contextlib, io, sigmairr.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert sigmairr.cli.main(['bounds', 'check', '--family', 'path:4']) == 0\n"
+        )
+        assert "sigmairr.bounds" in loaded and "sigmairr.stats_tables" not in loaded
+
     @pytest.mark.parametrize("module", ["sigmairr.cli", "sigmairr.bounds"])
     def test_cli_and_bounds_load_no_tables(self, module):
         loaded = _loaded_after(f"import {module}")
