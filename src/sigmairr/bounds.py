@@ -422,19 +422,6 @@ class BoundReport:
             return str(value)
         return f"{float(value):.12g}"
 
-    def to_csv_row(self) -> list[str]:
-        params = ";".join(f"{k}={v}" for k, v in sorted(self.params_used.items()))
-        return [
-            self.bound_id,
-            str(self.hypotheses_met).lower(),
-            self.fmt_value(self.lhs, self.lhs_exact),
-            self.fmt_value(self.rhs, self.rhs_exact),
-            self.relation,
-            "" if self.holds is None else str(self.holds).lower(),
-            self.fmt_value(self.margin, self.lhs_exact and self.rhs_exact),
-            params,
-        ]
-
     def to_json_dict(self) -> dict:
         return {
             "bound_id": self.bound_id,

@@ -8,6 +8,14 @@ byte-identical output.  JSON is rendered by the shared encoder
 ``jsonout.StreamingEncoder``, which streams one record at a time and whose
 bytes equal ``json.dumps(payload, sort_keys=True, indent=2)``.
 
+Each command builds one JSON record; its CSV and human tables are views of
+that record, each cell written by one rule (``_cell``): null is empty, a
+bool is ``true``/``false``, a list of lists is ``u-v;...``, any other list
+is ``a,b,...``, an object is ``k=v;...`` in key order, and anything else
+is its ``str``.  Two tables print something other than the JSON value:
+``tables export --table 2`` prints lambda and eta1 as ``%g`` floats, and
+``sequence analyze`` prints its non-string cells as JSON.
+
 Exit codes: 0 success; 1 domain/input error; 2 when ``bounds check`` runs
 with ``--expect-hold`` and any probative report fails.
 """
@@ -21,7 +29,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import graphs, indices, search
 from .errors import DomainError, InputError, ResourceLimitError
@@ -73,7 +81,21 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, cls=StreamingEncoder) + "\n"
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        if value and isinstance(value[0], list):
+            return ";".join("-".join(map(str, pair)) for pair in value)
+        return ",".join(map(str, value))
+    if isinstance(value, dict):
+        return ";".join(f"{k}={v}" for k, v in value.items())
+    return str(value)
+
+
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -94,12 +116,18 @@ def _human_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 
 def _render(fmt: str, header, rows, payload, out: Optional[str]) -> None:
+    """Emit ``payload`` as JSON, or ``rows`` as a CSV or human table.
+
+    ``rows`` holds JSON values taken from ``payload``; it is iterated only
+    for csv and human, and each value is written by ``_cell``."""
     if fmt == "json":
         _emit(_json_text(payload), out)
-    elif fmt == "csv":
-        _emit(_csv_text(header, rows), out)
+        return
+    cells = ([_cell(v) for v in row] for row in rows)
+    if fmt == "csv":
+        _emit(_csv_text(header, cells), out)
     else:
-        _emit(_human_table(header, rows), out)
+        _emit(_human_table(header, list(cells)), out)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +219,7 @@ def _cmd_indices(args) -> int:
         "zagreb_m1": indices.zagreb_m1(g),
     }
     payload = {"input": label, "n": g.vertex_count, "m": g.edge_count, **values}
-    header = ["index", "value"]
-    rows = [[k, str(values[k])] for k in ("albertson", "sigma", "sigma_t", "zagreb_m1")]
-    _render(args.format, header, rows, payload, args.out)
+    _render(args.format, ["index", "value"], values.items(), payload, args.out)
     return 0
 
 
@@ -253,8 +279,13 @@ def _bound_input_from_args(args, params: bounds.BoundParams) -> bounds.BoundInpu
             "--table/--row, or --class-trees/--class-mode"
         )
     if args.table is not None:
+        from .stats_tables import TABLE1, TABLE2
+
         if args.row is None:
             raise InputError("--table needs --row (1-based)")
+        size = len(TABLE1 if args.table == 1 else TABLE2)
+        if not 1 <= args.row <= size:
+            raise InputError(f"--row must be in 1..{size}, got {args.row}")
         return bounds.BoundInput.from_table_row(args.table, args.row - 1, params)
     if args.class_trees is not None:
         if args.class_mode is None:
@@ -282,10 +313,6 @@ def _bound_input_from_args(args, params: bounds.BoundParams) -> bounds.BoundInpu
     return bounds.BoundInput.from_graph(g, params, label=label)
 
 
-def _report_rows(reports: list[bounds.BoundReport]) -> list[list[str]]:
-    return [r.to_csv_row() for r in reports]
-
-
 def _cmd_bounds_check(args) -> int:
     from . import bounds
 
@@ -294,10 +321,10 @@ def _cmd_bounds_check(args) -> int:
     if args.bound == "all":
         reports = bounds.evaluate_all(binput)
     else:
-        reports = [evaluated for bid in bounds.expand_bound_id(args.bound)
-                   for evaluated in (bounds.evaluate_bound(bid, binput),)]
+        reports = [bounds.evaluate_bound(bid, binput) for bid in bounds.expand_bound_id(args.bound)]
     payload = {"input": binput.label, "reports": [r.to_json_dict() for r in reports]}
-    _render(args.format, bounds.CSV_HEADER, _report_rows(reports), payload, args.out)
+    rows = ([r[k] for k in bounds.CSV_HEADER] for r in payload["reports"])
+    _render(args.format, bounds.CSV_HEADER, rows, payload, args.out)
     if args.expect_hold and any(r.hypotheses_met and r.holds is False for r in reports):
         return 2
     return 0
@@ -327,20 +354,10 @@ def _cmd_bounds_falsify(args) -> int:
         "counterexamples": [c.to_json_dict() for c in found],
     }
     header = ["bound_id", "n", "edges", "lhs", "rhs", "relation", "margin"]
-    rows = []
-    for c in found:
-        r = c.report
-        rows.append(
-            [
-                c.bound_id,
-                str(c.graph.vertex_count),
-                ";".join(f"{u}-{v}" for u, v in c.graph.sorted_edges()),
-                r.fmt_value(r.lhs, r.lhs_exact),
-                r.fmt_value(r.rhs, r.rhs_exact),
-                r.relation,
-                r.fmt_value(r.margin, r.lhs_exact and r.rhs_exact),
-            ]
-        )
+    rows = (
+        [c["bound_id"], c["n"], c["edges"], *(c["report"][k] for k in header[3:])]
+        for c in payload["counterexamples"]
+    )
     _render(args.format, header, rows, payload, args.out)
     return 0
 
@@ -353,25 +370,18 @@ def _cmd_enumerate(args) -> int:
     # Each streamed level sequence is already its tree's canonical form.
     stream = search.free_tree_level_sequences(args.n)
     if args.count_only:
-        count = sum(1 for _ in stream)
-        payload = {"n": args.n, "count": count}
-        _render(args.format, ["n", "count"], [[str(args.n), str(count)]], payload, args.out)
+        payload = {"n": args.n, "count": sum(1 for _ in stream)}
+        _render(args.format, ["n", "count"], [payload.values()], payload, args.out)
         return 0
-    rows = []
-    items = []
-    for enc in stream:
-        edges = search.levels_to_graph(enc).sorted_edges()
-        rows.append(
-            [
-                ",".join(map(str, enc)),
-                ";".join(f"{u}-{v}" for u, v in edges),
-            ]
-        )
-        items.append(
-            {"encoding": list(enc), "edges": [list(e) for e in edges]}
-        )
+    items = [
+        {
+            "encoding": list(enc),
+            "edges": sorted([p, c] for c, p in enumerate(search._parents_and_degrees(enc)[0], 1)),
+        }
+        for enc in stream
+    ]
     payload = {"n": args.n, "count": len(items), "trees": items}
-    _render(args.format, ["encoding", "edges"], rows, payload, args.out)
+    _render(args.format, ["encoding", "edges"], (t.values() for t in items), payload, args.out)
     return 0
 
 
@@ -395,17 +405,8 @@ def _cmd_extremal(args) -> int:
         allow_over_cap=args.allow_over_cap,
     )
     payload = result.to_json_dict()
-    header = ["field", "value"]
-    rows = [
-        ["class", result.class_description],
-        ["objective", result.objective],
-        ["direction", result.direction],
-        ["optimum", str(result.optimum)],
-        ["witness_encoding", ",".join(map(str, result.witness_encoding))],
-        ["witness_edges", ";".join(f"{u}-{v}" for u, v in result.witness.sorted_edges())],
-        ["trees_examined", str(result.trees_examined)],
-    ]
-    _render(args.format, header, rows, payload, args.out)
+    rows = (item for item in payload.items() if item[0] != "witness_edge_list")
+    _render(args.format, ["field", "value"], rows, payload, args.out)
     return 0
 
 
@@ -416,23 +417,13 @@ def _cmd_tables_reproduce(args) -> int:
     from . import stats_tables
 
     report = stats_tables.reproduce_table(args.table)
-    header = ["row", "column", "printed", "recomputed", "match", "rule"]
-    rows = [
-        [
-            str(c.row + 1),
-            c.column,
-            c.printed,
-            "" if c.recomputed is None else c.recomputed,
-            "" if c.match is None else str(c.match).lower(),
-            c.rule,
-        ]
-        for c in report.cells
-    ]
     payload = {
         "table": report.table_id,
         "cells": [c.to_json_dict() for c in report.cells],
         "mismatched_cells": [c.to_json_dict() for c in report.mismatches()],
     }
+    header = ["row", "column", "printed", "recomputed", "match", "rule"]
+    rows = ([c["row"] + 1, *list(c.values())[1:]] for c in payload["cells"])
     _render(args.format, header, rows, payload, args.out)
     return 0
 
@@ -442,10 +433,6 @@ def _cmd_tables_export(args) -> int:
 
     if args.table == 1:
         header = ["degree_sequence", "T1", "T2", "irr", "sigma"]
-        rows = [
-            [",".join(map(str, r.entries)), str(r.t1), str(r.t2), str(r.irr), str(r.sigma)]
-            for r in stats_tables.TABLE1
-        ]
         payload = {
             "table": 1,
             "rows": [
@@ -453,32 +440,19 @@ def _cmd_tables_export(args) -> int:
                 for r in stats_tables.TABLE1
             ],
         }
+        rows = (r.values() for r in payload["rows"])
     else:
         header = ["degree_sequence", "n", "irr", "sigma", "lambda", "eta", "eta1"]
-        rows = [
-            [
-                ",".join(map(str, r.entries)),
-                str(r.n),
-                str(r.irr),
-                str(r.sigma),
-                f"{float(r.lam):g}",
-                str(r.eta),
-                f"{float(r.eta1):g}",
-            ]
+        # lambda and eta1 print as %g floats; the JSON holds them exact.
+        rows = (
+            [list(r.entries), r.n, r.irr, r.sigma, f"{float(r.lam):g}", r.eta, f"{float(r.eta1):g}"]
             for r in stats_tables.TABLE2
-        ]
+        )
         payload = {
             "table": 2,
             "rows": [
-                {
-                    "entries": list(r.entries),
-                    "n": r.n,
-                    "irr": r.irr,
-                    "sigma": r.sigma,
-                    "lambda": str(r.lam),
-                    "eta": r.eta,
-                    "eta1": str(r.eta1),
-                }
+                {"entries": list(r.entries), "n": r.n, "irr": r.irr, "sigma": r.sigma,
+                 "lambda": str(r.lam), "eta": r.eta, "eta1": str(r.eta1)}
                 for r in stats_tables.TABLE2
             ],
         }
@@ -489,27 +463,10 @@ def _cmd_tables_export(args) -> int:
 # ---------------------------------------------------------------------------
 # Subcommand: stats
 
-def _fmt_opt(x: Optional[float]) -> str:
-    return "" if x is None else f"{x:.12g}"
-
-
 def _cmd_stats_correlate(args) -> int:
     from . import stats_tables
 
     report, comparisons = stats_tables.table_correlation(args.table)
-    header = ["var_a", "var_b", "computed", "printed", "abs_diff", "within_5e-3"]
-    rows = []
-    for comp in comparisons:
-        rows.append(
-            [
-                report.variables[comp.row],
-                report.variables[comp.col],
-                _fmt_opt(comp.computed),
-                f"{comp.printed:.6f}",
-                _fmt_opt(comp.abs_diff),
-                str(comp.within_tolerance).lower(),
-            ]
-        )
     payload = {
         "table": args.table,
         "variables": list(report.variables),
@@ -526,6 +483,8 @@ def _cmd_stats_correlate(args) -> int:
             for c in comparisons
         ],
     }
+    header = ["var_a", "var_b", "computed", "printed", "abs_diff", "within_5e-3"]
+    rows = (c.values() for c in payload["comparisons"])
     _render(args.format, header, rows, payload, args.out)
     return 0
 
@@ -545,21 +504,18 @@ def _cmd_stats_regress(args) -> int:
             predictions[name] = f"{stats_tables.predict(fit, point):.12g}"
         payload["predictions_at"] = list(point)
         payload["predictions"] = predictions
-    header = ["field", "value"]
-    rows = [
-        ["printed_model_at_point", f"{repro.printed_model_at_point:.12g}"],
-        ["printed_predicted", f"{repro.printed.predicted:.12g}"],
-        ["abs_prediction_gap", f"{repro.abs_prediction_gap:.12g}"],
-    ]
-    for name, fit in sorted(repro.fits.items()):
-        rows.append([f"{name}.r_squared", _fmt_opt(fit.r_squared)])
-        rows.append([f"{name}.condition_number", _fmt_opt(fit.condition_number)])
-        rows.append([f"{name}.rank_deficient", str(fit.rank_deficient).lower()])
-        rows.append([f"{name}.matches_printed_r2", str(repro.r2_match_flags[name]).lower()])
-    if args.predict is not None:
-        for name, value in sorted(payload.get("predictions", {}).items()):
-            rows.append([f"predict.{name}", value])
-    _render(args.format, header, rows, payload, args.out)
+
+    def rows():
+        for k in ("printed_model_at_point", "printed_predicted", "abs_prediction_gap"):
+            yield k, payload[k]
+        for name, fit in payload["fits"].items():
+            for k in ("r_squared", "condition_number", "rank_deficient"):
+                yield f"{name}.{k}", fit[k]
+            yield f"{name}.matches_printed_r2", payload["r2_match_flags"][name]
+        for k, v in sorted(payload.get("predictions", {}).items()):
+            yield f"predict.{k}", v
+
+    _render(args.format, ["field", "value"], rows(), payload, args.out)
     return 0
 
 

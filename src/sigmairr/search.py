@@ -108,15 +108,7 @@ def _advance(levels: list[int]) -> int:
 
 def levels_to_graph(levels: Sequence[int]) -> Graph:
     """Tree from a level sequence: parent of i is the last j < i one level up."""
-    n = len(levels)
-    edges = []
-    stack: list[int] = []  # stack[d] = latest vertex at level d+1
-    for i, lvl in enumerate(levels):
-        del stack[lvl - 1:]
-        if stack:
-            edges.append((stack[-1], i))
-        stack.append(i)
-    return Graph(n, edges)
+    return Graph(len(levels), zip(_parents_and_degrees(levels)[0], range(1, len(levels))))
 
 
 def _canonical_rooted_levels(adjacency: Sequence[Sequence[int]], root: int) -> tuple[int, ...]:

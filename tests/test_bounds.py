@@ -292,7 +292,6 @@ class TestReportContracts:
         for report in evaluate_all(binput):
             assert report.bound_id in CATALOG
             json.dumps(report.to_json_dict())
-            report.to_csv_row()
             if report.holds is not None and report.lhs_exact and report.rhs_exact and not report.indeterminate:
                 lhs, rhs, rel = report.lhs, report.rhs, report.relation
                 expected = {
@@ -316,11 +315,6 @@ class TestReportContracts:
                 assert report.holds == (report.margin >= 0)
             else:
                 assert report.holds == (report.margin > 0)
-
-    def test_csv_row_shape(self):
-        report = evaluate_bound("B8", BoundInput.from_graph(path(6)))
-        row = report.to_csv_row()
-        assert len(row) == 8 and row[0] == "B8" and row[2] == "2" and row[3] == "336/5"
 
     def test_missing_fields_helper(self):
         view = DegreeSequenceView((2, 3, 4))
@@ -353,7 +347,6 @@ def _reference_inputs_match(binput):
         ours = evaluate_bound(bound_id, binput)
         reference = evaluate_bound_by_intervals(bound_id, binput)
         assert ours.to_json_dict() == reference.to_json_dict(), bound_id
-        assert ours.to_csv_row() == reference.to_csv_row(), bound_id
 
 
 class TestExactFirst:

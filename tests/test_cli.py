@@ -101,6 +101,20 @@ class TestBounds:
         assert report["bound_id"] == "B7" and report["holds"] is True
         assert report["rhs"] == "2824/147"
 
+    def test_check_csv_row_shape(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "check", "--family", "path:6", "--bound", "B8", "--format", "csv")
+        assert code == 0
+        header, row = csv.reader(io.StringIO(out))
+        assert len(header) == len(row) == 8
+        assert row[0] == "B8" and row[2] == "2" and row[3] == "336/5"
+
+    @pytest.mark.parametrize("table, size", [(1, 8), (2, 4)])
+    @pytest.mark.parametrize("row", [0, -1, 99])
+    def test_check_row_out_of_range(self, capsys, table, size, row):
+        code, out, err = run_cli(capsys, "bounds", "check", "--table", str(table), "--row", str(row))
+        assert code == 1 and out == ""
+        assert err == f"error: --row must be in 1..{size}, got {row}\n"
+
     def test_check_all_on_family(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "check", "--family", "cycle:4", "--format", "json"
@@ -310,6 +324,139 @@ DETERMINISTIC_INVOCATIONS = [
 ]
 
 
+# Each of these in every format (plots emit has CSV only), pinned by sha256.
+RENDERED_INVOCATIONS = [a[:-2] if "--format" in a else a for a in DETERMINISTIC_INVOCATIONS] + [
+    ("tables", "export", "--table", "1"),
+    ("tables", "export", "--table", "2"),
+    ("extremal", "--degree-multiset", "1,1,1,3"),
+    ("extremal", "--n", "9", "--max-degree", "3", "--direction", "min"),
+    ("enumerate", "--n", "1"),
+    ("bounds", "check", "--family", "path:6", "--bound", "all", "--eta1", "5/2", "--alpha", "3"),
+    ("stats", "regress", "--table", "2", "--predict", "350,50"),
+]
+
+RENDERED_DIGESTS = {
+    "indices --family double_star:3:4 --format human":
+        "f71602a28343c39997703dc7774e8b358b6e0339dbdf15f34043b32c78b940ca",
+    "indices --family double_star:3:4 --format csv":
+        "7d6abe04c24459f4cc1b5cd0f14c3fe2676c8a3e405ca05701a04d3628ab35d1",
+    "indices --family double_star:3:4 --format json":
+        "baf113610c64aab8138a4afcbcf0daae4665e5e2ec4cc1423ec7495e2906d82b",
+    "sequence analyze --sequence 3,5,7,5,6,8,10 --convention paper-table --format human":
+        "18184e7e57d62ecedf85f0b573b71da43476178d915642eb9c43fa5ab574befb",
+    "sequence analyze --sequence 3,5,7,5,6,8,10 --convention paper-table --format csv":
+        "121b2f69f975176651f474fa44e2a9f9ecc8582b874ac11b48701e5ff17d580a",
+    "sequence analyze --sequence 3,5,7,5,6,8,10 --convention paper-table --format json":
+        "9e3efd5e5855075011ba1837588673281dc5b811aca8d78af114f91c4d67642d",
+    "bounds check --table 2 --row 3 --format human":
+        "15839e4b4d2a5a4fc7cf9e17338e7770318494589bc0e3d19c3d077f784b4d62",
+    "bounds check --table 2 --row 3 --format csv":
+        "cb0ec005d54f0897477c44b787e42129d62591f7d4a5b2d7d2737366ff99b111",
+    "bounds check --table 2 --row 3 --format json":
+        "89a40680ff4715362d5cbdd9fe094bfe0a5223f90190ea11fa308a37813239f1",
+    "bounds check --family star:7 --format human":
+        "639cbc343b3bb735af7fc8a6d2613153d8a52d8188b6583d4d2bf3614a43051c",
+    "bounds check --family star:7 --format csv":
+        "b6b0698928bd291f65ad943d1832535a6501c3eb515d07ea1480f796572443d7",
+    "bounds check --family star:7 --format json":
+        "92d914560bff4996bacd23afd5913090f7bf00a310ab317a3bc6a8f9b4efdb05",
+    "bounds falsify --bound B8 --nmax 6 --format human":
+        "48785b69ee3d77fb53eec8a6aa3fbcc64e1ea8368b713e540af2c8a3d22037e4",
+    "bounds falsify --bound B8 --nmax 6 --format csv":
+        "a2f2b2ed44beda07909e662671c4f67906d88eb033d3a7b3efc32663bb56564e",
+    "bounds falsify --bound B8 --nmax 6 --format json":
+        "b90aeccdd47c6e974542eafef1fec5f663aac13413ff01ab4008cc4b53b9d575",
+    "bounds falsify --bound B12 --n 7 --samples 12 --seed 5 --format human":
+        "9e91714701a9196dbb2a805206d1b985b011574fc10d8716d10f03caed0c4ef3",
+    "bounds falsify --bound B12 --n 7 --samples 12 --seed 5 --format csv":
+        "372949686e8bf534b4eaf01d9d388fa35c3e4d20fb5e9be3980d95e0619457f7",
+    "bounds falsify --bound B12 --n 7 --samples 12 --seed 5 --format json":
+        "31d5ea6dcd0a48334b64d76283c0d789e01bc6939188dd9f55eac6bd14dd0300",
+    "enumerate --n 7 --format human":
+        "c3a6cc27ca216e68925f6120cb96cc8015dfd6ae27c660008f0c0064e0a7dbfb",
+    "enumerate --n 7 --format csv":
+        "e6175c144840eb01759d8b4b703e305aae26f179a1d6e45470e446ec386a81bd",
+    "enumerate --n 7 --format json":
+        "1637a492161f1419ec735aed7babd9c9223c9d308971b75005ecb639be34fa9b",
+    "extremal --n 7 --objective albertson --direction max --format human":
+        "c66d7b60f49514cc1737023ea398c31a6264929d7967ef3af7735f58bf0ce3b6",
+    "extremal --n 7 --objective albertson --direction max --format csv":
+        "51ce16430dcb74b70df1ac516baa312d01a69ba2a2efc08d6341e3a8a997ec3c",
+    "extremal --n 7 --objective albertson --direction max --format json":
+        "6c3bdd03b898d3d688965494178764cfba05b257e72ef291569e09f7eab953cc",
+    "tables reproduce --table 2 --format human":
+        "81eb1c93f20f9a59aabf46f3c6aea6a88b6d15babb6d0febe5659da52d55812f",
+    "tables reproduce --table 2 --format csv":
+        "90a230348b841668b310d248f901097cb621a380bc8e8e370b486f9f69ef4fdd",
+    "tables reproduce --table 2 --format json":
+        "5804eb84bde97e71caf8ce247cb58eb1d48692e792cd8feaf44e75f190bae12e",
+    "stats correlate --table 2 --format human":
+        "1d974eb12ab1ac0a6ad063204795d414ddcb202643654ff0be46e0eb27c399c6",
+    "stats correlate --table 2 --format csv":
+        "eb29a539f5a5f3f90dbc365bfcebc6e2b8b00f3a3ef163c8e495db6f15176dd2",
+    "stats correlate --table 2 --format json":
+        "967f16c5739ef41f97a6d1d3aea73976aaed0ed3edf96af00c8a56843e2bed8a",
+    "stats regress --table 1 --format human":
+        "d4e36edb6369c178e4c088f3ab140c29fe483341a90154b5bc9c4dda3c28feca",
+    "stats regress --table 1 --format csv":
+        "f8cb54176add6ae2d297972b11a37eeb3f9682ae04720c9cd4e78709800859ad",
+    "stats regress --table 1 --format json":
+        "b14fb0bf0013d528dc695693aea9d201295e71e9b5889839baf8d9275f0d68e3",
+    "plots emit --figure 1 --max-n 10":
+        "9e47bd45f0abf0648942b674f9c1cc038620c5e6c8bb9a74215d28a3864999f4",
+    "tables export --table 1 --format human":
+        "b0f8ab09650564c337c73ada012bc29245895732e295c609018a6bdadef62b04",
+    "tables export --table 1 --format csv":
+        "3aa221e5cb10941afa5b7ef71cf3595f9ee28bdf56964fbd3574e21070ac3454",
+    "tables export --table 1 --format json":
+        "77a92accfb54a7ed20dc2585c809f0bae5b52970938ecbb26b1be4462b57cf08",
+    "tables export --table 2 --format human":
+        "d77f1db716611b0fc3c0892b7719e2c67fc8eb7f2af5a781b41ce360816b2855",
+    "tables export --table 2 --format csv":
+        "ef6184967e8c09dbef8f31a746de3fc00938cf620ef5c4890e8a7e4e581f0d42",
+    "tables export --table 2 --format json":
+        "277e2eaf0d8e3fa358b9c2711485b4ad0bb6ffee0ff6101552b9d2000756a994",
+    "extremal --degree-multiset 1,1,1,3 --format human":
+        "d6e2776c417979aa9d6673566da99f62f59e30a0da4576cdcf75f0ae6b7cc0c8",
+    "extremal --degree-multiset 1,1,1,3 --format csv":
+        "171de7163de730ef80b86a7176d08c532b424264946d872a5f5b8f73acea9f40",
+    "extremal --degree-multiset 1,1,1,3 --format json":
+        "68bbbc04d5e592c2c8730e6eab5ba19741a5eedba823aec3c8a9baca712c2e16",
+    "extremal --n 9 --max-degree 3 --direction min --format human":
+        "1beaea9d102d8983e2184917da408519f351b325c410ea7e687ff35949b00cf3",
+    "extremal --n 9 --max-degree 3 --direction min --format csv":
+        "8f910d320cead9d4b1376fd46f10392f17043ab621db3f6ef5e35c6160ecc182",
+    "extremal --n 9 --max-degree 3 --direction min --format json":
+        "6ef1b17548e6fcdc9fecc1295bffbea6ab3a92fa7aca834082673d89b263be72",
+    "enumerate --n 1 --format human":
+        "3b764e3cb904da9ca8024d77b287ba64ed2abc0fe70c74d799f342d58d9c42fe",
+    "enumerate --n 1 --format csv":
+        "0927e9ae520e361423f2025dcf73d1966e541332a2916c8a1aba5d869111a5ed",
+    "enumerate --n 1 --format json":
+        "55588aad8612e156f1fe6a1eb9079f710bf1bfdabe13a65d60e1082bd81b7a22",
+    "bounds check --family path:6 --bound all --eta1 5/2 --alpha 3 --format human":
+        "582e3c94b15269483918afe8316d7b2db1a569dd099c283d7c7fb1c1fbd43d56",
+    "bounds check --family path:6 --bound all --eta1 5/2 --alpha 3 --format csv":
+        "278074e21c655c3012317b49f46ad6ed5a0045d94876938c6749bef7566d8047",
+    "bounds check --family path:6 --bound all --eta1 5/2 --alpha 3 --format json":
+        "93de4f7ec5badde8099d446026ed7dc26e92eb5cd2bca0bde84295fceb6f41c4",
+    "stats regress --table 2 --predict 350,50 --format human":
+        "3048f5bd33c004a13175f5ad427826e78daa63b3b52214660d1a5104367e1843",
+    "stats regress --table 2 --predict 350,50 --format csv":
+        "cc8714f6fe9bc19bbc6f7144be7b475d7e85355d7687c2c269325db38a905004",
+    "stats regress --table 2 --predict 350,50 --format json":
+        "36a88c14c36cee4f750078f7ac389672ae99fa7016bef38b75229e7f7083bbb4",
+}
+
+
+def _rendered_cases():
+    for argv in RENDERED_INVOCATIONS:
+        if argv[0] == "plots":
+            yield argv
+        else:
+            yield from (argv + ("--format", fmt) for fmt in ("human", "csv", "json"))
+
+
 REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
@@ -344,3 +491,11 @@ class TestDeterminismAndRoundTrip:
         )
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == reference["sha256"][base_id]
+
+    @pytest.mark.parametrize("argv", list(_rendered_cases()), ids=" ".join)
+    def test_rendered_bytes_are_pinned(self, capsys, argv):
+        # CSV and human tables are views of the JSON record: any byte change
+        # to any format of these outputs fails here.
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RENDERED_DIGESTS[" ".join(argv)]

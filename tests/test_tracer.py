@@ -2,9 +2,13 @@
 each one: a refactor that renames or removes a traced function fails here
 rather than only in a traced benchmark run."""
 
+import contextlib
 import importlib.util
+import io
 import json
 from pathlib import Path
+
+import pytest
 
 import sigmairr
 from sigmairr import bounds, cli, graphs, indices, search, sequences, stats_tables
@@ -54,3 +58,21 @@ def test_install_patches_and_uninstall_restores():
     changed = sorted(key for key, value in before.items() if after[key] is not value)
     assert changed == []
     assert tracer.to_json()["counters"]["search.select.yields"] == 6
+
+
+@pytest.mark.parametrize("fmt", ["human", "csv", "json"])
+def test_render_layer_sees_every_output_byte(fmt):
+    # The benchmark's cli.render.* metrics read 0 if a command stops going
+    # through cli._render and cli._emit; every format must still do so.
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer()
+    out = io.StringIO()
+    try:
+        tracer_module.install(tracer)
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["bounds", "falsify", "--bound", "B8", "--nmax", "6", "--format", fmt]) == 0
+    finally:
+        tracer.uninstall()
+    traced = tracer.to_json()
+    assert traced["layers"]["cli.render.render"]["count"] == 1
+    assert out.getvalue() and traced["counters"]["cli.render.bytes"] == len(out.getvalue().encode("utf-8"))
