@@ -5,9 +5,10 @@ Exhaustively evaluates every catalog entry on every isomorphism class of
 trees with 2 <= n <= --nmax, in one pass over the trees, and reports per
 entry how many probative failures exist, plus the smallest witness for
 each failing claim.  Optionally dumps the full counterexample set as JSON,
-through the package's shared encoder (``sigmairr.jsonout``): it writes one
-counterexample at a time, and its bytes equal
-``json.dumps(everything, sort_keys=True, indent=2)``.
+through the package's shared encoder (``sigmairr.jsonout``), in the
+package's one JSON format: it writes one counterexample at a time, its
+bytes equal ``json.dumps(everything, sort_keys=True, indent=2)``, and any
+other encoder option raises ``ValueError``.
 An --nmax outside 2..18 (18 is the enumeration cap), or a --json path that
 cannot be opened, is rejected with a one-line message on stderr and exit
 code 1 before any output is written.

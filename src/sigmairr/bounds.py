@@ -75,12 +75,6 @@ class RVal:
     def __sub__(self, other: "RVal") -> "RVal":
         return RVal(self.lo - other.hi, self.hi - other.lo)
 
-    def scale(self, c: Fraction) -> "RVal":
-        """Multiply by an exact scalar."""
-        if c >= 0:
-            return RVal(self.lo * c, self.hi * c)
-        return RVal(self.hi * c, self.lo * c)
-
 
 # An exact side of a claim, or a side boxed because it contains a root.
 Exact = Union[int, Fraction]

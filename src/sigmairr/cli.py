@@ -5,8 +5,9 @@ enumerate, extremal, tables reproduce, tables export, stats correlate,
 stats regress, plots emit.  Machine formats are canonical (sorted JSON
 keys, fixed CSV column order), so identical invocations produce
 byte-identical output.  JSON is rendered by the shared encoder
-``jsonout.StreamingEncoder``, which streams one record at a time and whose
-bytes equal ``json.dumps(payload, sort_keys=True, indent=2)``.
+``jsonout.StreamingEncoder`` in the package's one JSON format: its bytes
+equal ``json.dumps(payload, sort_keys=True, indent=2)``, and any other
+encoder option raises ``ValueError``.
 
 Each command builds one JSON record; its CSV and human tables are views of
 that record, each cell written by one rule (``_cell``): null is empty, a
@@ -278,6 +279,16 @@ def _bound_input_from_args(args, params: bounds.BoundParams) -> bounds.BoundInpu
             "exactly one input source: --sequence, --family/--graph-file, "
             "--table/--row, or --class-trees/--class-mode"
         )
+    # A flag that the chosen source does not read is a mistyped input, not a no-op.
+    paper_table = args.convention == Convention.PAPER_TABLE.value
+    if args.row is not None and args.table is None:
+        raise InputError("--row needs --table")
+    if args.class_mode is not None and args.class_trees is None:
+        raise InputError("--class-mode needs --class-trees")
+    if paper_table and not args.sequence:
+        raise InputError("--convention paper-table needs --sequence")
+    if args.irr is not None and not (paper_table and args.sequence):
+        raise InputError("--irr needs --sequence with --convention paper-table")
     if args.table is not None:
         from .stats_tables import TABLE1, TABLE2
 
@@ -332,6 +343,8 @@ def _cmd_bounds_check(args) -> int:
 
 def _cmd_bounds_falsify(args) -> int:
     params = _params_from_args(args)
+    if args.n is not None and args.nmax is not None:
+        raise InputError("--n (random mode) and --nmax (exhaustive mode) exclude each other")
     if args.samples is not None:
         if args.n is None:
             raise InputError("random mode needs --n together with --samples")

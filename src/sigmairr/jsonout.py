@@ -1,217 +1,147 @@
 """The JSON encoder behind every JSON document the package writes.
 
-``StreamingEncoder`` is a ``json.JSONEncoder`` whose output equals the stock
-encoder's for the same options, byte for byte:
-``json.dumps(x, sort_keys=True, indent=2, cls=StreamingEncoder)`` is
-``json.dumps(x, sort_keys=True, indent=2)``, and bad input raises the same
-exceptions.  ``json.dump`` always takes the stock encoder's pure-Python
-path, and so does ``json.dumps`` with an indent before Python 3.13; that
-path yields one chunk per token.  This one renders each container with one
-``join``, and a list of ``[int, int]`` pairs (the edge lists that make up
-most of a counterexample dump) from one ``%d`` template.
+The package writes one JSON format, the bytes of ``json.dumps(x,
+sort_keys=True, indent=2)``: sorted keys, a two-space indent, ASCII-only
+text, ``","`` and ``": "`` as separators, and NaN and the infinities spelled
+``NaN``, ``Infinity`` and ``-Infinity``.  Bad input raises what the stock
+encoder raises.  Any other encoder option raises ``ValueError`` and a key
+that is not a ``str`` raises ``TypeError``, so a misuse fails rather than
+printing other bytes.
 
-``iterencode`` still streams: the containers above ``STREAM_DEPTH`` yield
-their items one at a time, and each item at that depth (one record, such as
-a counterexample) is one chunk, so ``json.dump`` never holds the whole
-document as one string.
+The stock ``json.dump`` yields one chunk per token.  This encoder renders
+each container with one ``join``, and a list of ``[int, int]`` pairs (the
+edge lists of a counterexample dump) from one ``%d`` template.  Only the
+containers above ``STREAM_DEPTH`` stream their items, so each record is one
+chunk and ``json.dump`` never holds the whole document as one string.
 """
 
 from __future__ import annotations
 
 import json
-from json.encoder import INFINITY, encode_basestring, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 
 # Containers at a depth below this stream their items; deeper ones are one chunk.
 STREAM_DEPTH = 2
 
+# The encoder attributes of ``json.dumps(x, sort_keys=True, indent=2)``.
+_FORMAT = {"skipkeys": False, "ensure_ascii": True, "check_circular": True, "allow_nan": True,
+           "sort_keys": True, "indent": 2, "item_separator": ",", "key_separator": ": "}
+
 
 class StreamingEncoder(json.JSONEncoder):
-    """The stock encoder's output, one chunk per record; pass it as ``cls=``."""
+    """The stock encoder's ``sort_keys=True, indent=2`` output, one chunk per
+    record; pass it as ``cls=`` with exactly those two options."""
+
+    def __init__(self, **options) -> None:
+        super().__init__(**options)
+        given = {name: getattr(self, name) for name in _FORMAT}
+        if given != _FORMAT or "default" in vars(self):
+            raise ValueError(f"StreamingEncoder writes only sort_keys=True, indent=2; got {options}")
 
     def iterencode(self, o, _one_shot=False):
-        return _Renderer(self).stream(o, 0)
+        return _Renderer().stream(o, 0)
 
 
-class _Indents(dict):
-    """Level -> the text that starts a line at that level ('' without indent)."""
-
-    def __init__(self, indent) -> None:
-        super().__init__()
-        if indent is not None and not isinstance(indent, str):
-            indent = " " * indent
-        self.indent = indent
-
-    def __missing__(self, level: int) -> str:
-        text = self[level] = "" if self.indent is None else "\n" + self.indent * level
-        return text
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _escape(text: str) -> str:
-    return text.replace("%", "%%")
+def _floatstr(o) -> str:
+    text = float.__repr__(o)
+    return _NON_FINITE.get(text, text)
+
+
+# Exact types only: a subclass takes the isinstance chain in ``_Renderer.value``.
+_SCALAR = {str: encode_basestring_ascii, int: int.__repr__, float: _floatstr,
+           bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
 
 
 class _Renderer:
-    """One encoding pass: the encoder's options, bound once, and the markers
-    of the containers being rendered, for the circular-reference check."""
+    """One encoding pass, and the containers it is inside (circular-reference check)."""
 
-    def __init__(self, enc: json.JSONEncoder) -> None:
-        self.markers = {} if enc.check_circular else None
-        self.default = enc.default
-        self.sort_keys = enc.sort_keys
-        self.skipkeys = enc.skipkeys
-        self.allow_nan = enc.allow_nan
-        self.item_sep = enc.item_separator
-        self.key_sep = enc.key_separator
-        self.nl = _Indents(enc.indent)
-        self.string = encode_basestring_ascii if enc.ensure_ascii else encode_basestring
-        # Exact types only: a subclass takes the isinstance chain in ``value``.
-        self.scalar = {
-            str: self.string,
-            int: int.__repr__,
-            float: self.floatstr,
-            bool: {True: "true", False: "false"}.__getitem__,
-            type(None): lambda _: "null",
-        }
-        self.container = {list: self.array, tuple: self.array, dict: self.obj}
-
-    def floatstr(self, o) -> str:
-        if o != o:
-            text = "NaN"
-        elif o == INFINITY:
-            text = "Infinity"
-        elif o == -INFINITY:
-            text = "-Infinity"
-        else:
-            return float.__repr__(o)
-        if not self.allow_nan:
-            raise ValueError("Out of range float values are not JSON compliant: " + repr(o))
-        return text
+    def __init__(self) -> None:
+        self.markers: dict = {}
 
     def mark(self, o) -> None:
-        if self.markers is not None:
-            if id(o) in self.markers:
-                raise ValueError("Circular reference detected")
-            self.markers[id(o)] = o
-
-    def unmark(self, o) -> None:
-        if self.markers is not None:
-            del self.markers[id(o)]
+        if id(o) in self.markers:
+            raise ValueError("Circular reference detected")
+        self.markers[id(o)] = o
 
     def value(self, o, level: int) -> str:
         """``o`` at ``level`` as one string."""
-        convert = self.scalar.get(type(o))
+        convert = _SCALAR.get(type(o))
         if convert is not None:
             return convert(o)
-        render = self.container.get(type(o))
-        if render is not None:
-            return render(o, level)
-        if isinstance(o, str):
-            return self.string(o)
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, float):
-            return self.floatstr(o)
         if isinstance(o, (list, tuple)):
             return self.array(o, level)
         if isinstance(o, dict):
             return self.obj(o, level)
-        self.mark(o)
-        text = self.value(self.default(o), level)
-        self.unmark(o)
-        return text
+        for base in (str, int, float):  # a subclass encodes as its base
+            if isinstance(o, base):
+                return _SCALAR[base](o)
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
     def array(self, lst, level: int) -> str:
         if not lst:
             return "[]"
         self.mark(lst)
-        inner = self.nl[level + 1]
-        sep = self.item_sep + inner
+        outer = "\n" + "  " * level
+        inner = outer + "  "
+        sep = "," + inner
         kinds = set(map(type, lst))
         kind = kinds.pop() if len(kinds) == 1 else None
-        if kind in self.scalar:
-            body = sep.join(map(self.scalar[kind], lst))
+        if kind in _SCALAR:
+            body = sep.join(map(_SCALAR[kind], lst))
         elif (kind is list or kind is tuple) and _int_pairs(lst):
-            body = self.pairs(lst, level + 1, sep)
+            # The layout strings hold no "%", so they need no escaping.
+            pair = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
+            body = sep.join([pair] * len(lst)) % tuple([x for p in lst for x in p])
         else:
             body = sep.join([self.value(v, level + 1) for v in lst])
-        self.unmark(lst)
-        return "[" + inner + body + self.nl[level] + "]"
-
-    def pairs(self, lst, level: int, sep: str) -> str:
-        """The items, joined by ``sep``, of a list of [int, int] pairs at ``level``."""
-        inner = _escape(self.nl[level + 1])
-        pair = "[" + inner + "%d" + _escape(self.item_sep) + inner + "%d" + _escape(self.nl[level]) + "]"
-        return _escape(sep).join([pair] * len(lst)) % tuple([x for p in lst for x in p])
+        del self.markers[id(lst)]
+        return "[" + inner + body + outer + "]"
 
     def obj(self, dct, level: int) -> str:
         if not dct:
             return "{}"
         self.mark(dct)
-        inner = self.nl[level + 1]
-        string, key_sep, scalar, value = self.string, self.key_sep, self.scalar.get, self.value
+        string, scalar, value = encode_basestring_ascii, _SCALAR.get, self.value
         parts = []
         append = parts.append
-        for key, v in sorted(dct.items()) if self.sort_keys else dct.items():
-            if type(key) is not str:
-                key = self.key(key)
-                if key is None:
-                    continue
+        for key, v in sorted(dct.items()):
             convert = scalar(type(v))
-            append(string(key) + key_sep + (value(v, level + 1) if convert is None else convert(v)))
-        self.unmark(dct)
-        return "{" + inner + (self.item_sep + inner).join(parts) + self.nl[level] + "}"
-
-    def key(self, key):
-        """A dict key as text, or None where ``skipkeys`` drops it."""
-        if isinstance(key, str):
-            return key
-        if isinstance(key, float):
-            return self.floatstr(key)
-        if key is True:
-            return "true"
-        if key is False:
-            return "false"
-        if key is None:
-            return "null"
-        if isinstance(key, int):
-            return int.__repr__(key)
-        if self.skipkeys:
-            return None
-        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+            text = value(v, level + 1) if convert is None else convert(v)
+            append((string(key) + ": " if type(key) is str else _key(key)) + text)
+        del self.markers[id(dct)]
+        outer = "\n" + "  " * level
+        inner = outer + "  "
+        return "{" + inner + ("," + inner).join(parts) + outer + "}"
 
     def stream(self, o, level: int):
-        """Yield ``o`` at ``level``: a container above ``STREAM_DEPTH`` item by
-        item, anything else as one chunk."""
+        """Yield ``o`` at ``level``: a non-empty container above ``STREAM_DEPTH``
+        item by item, anything else as one chunk."""
         if level >= STREAM_DEPTH or not isinstance(o, (list, tuple, dict)) or not o:
             yield self.value(o, level)
             return
         self.mark(o)
-        inner = self.nl[level + 1]
-        sep = self.item_sep + inner
-        head = ""
+        outer = "\n" + "  " * level
         if isinstance(o, dict):
-            yield "{" + inner
-            for key, v in sorted(o.items()) if self.sort_keys else o.items():
-                key = self.key(key)
-                if key is None:
-                    continue
-                yield from self._item(head + self.string(key) + self.key_sep, v, level + 1)
-                head = sep
-            yield self.nl[level] + "}"
+            ends, items = "{}", [(_key(k), v) for k, v in sorted(o.items())]
         else:
-            yield "[" + inner
-            for v in o:
-                yield from self._item(head, v, level + 1)
-                head = sep
-            yield self.nl[level] + "]"
-        self.unmark(o)
+            ends, items = "[]", [("", v) for v in o]
+        head = ends[0] + outer + "  "
+        for key, v in items:
+            yield head + key
+            yield from self.stream(v, level + 1)
+            head = "," + outer + "  "
+        yield outer + ends[1]
+        del self.markers[id(o)]
 
-    def _item(self, head: str, v, level: int):
-        if level < STREAM_DEPTH and isinstance(v, (list, tuple, dict)) and v:
-            yield head
-            yield from self.stream(v, level)
-        else:
-            yield head + self.value(v, level)
+
+def _key(key) -> str:
+    """A dict key and the separator after it."""
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+    return encode_basestring_ascii(key) + ": "
 
 
 def _int_pairs(lst) -> bool:

@@ -226,6 +226,11 @@ def free_tree_counts_otter(n_max: int) -> list[int]:
     return free
 
 
+def _scale(value: RVal, c: Fraction) -> RVal:
+    """``value`` times an exact scalar ``c >= 0``."""
+    return RVal(value.lo * c, value.hi * c)
+
+
 def b15b_lhs_pairwise(entries: Sequence[int], bits: int) -> RVal:
     """B15b's left side k*sum(d) - (sum sqrt(d))^2, with one interval square
     root per pair of entries: (sum sqrt(d_i))^2 = sum d_i + 2 * sum_{i<j}
@@ -235,7 +240,7 @@ def b15b_lhs_pairwise(entries: Sequence[int], bits: int) -> RVal:
     square = RVal.of(total)
     for i in range(k):
         for j in range(i + 1, k):
-            square = square + sqrt_rval(Fraction(entries[i] * entries[j]), bits).scale(Fraction(2))
+            square = square + _scale(sqrt_rval(Fraction(entries[i] * entries[j]), bits), Fraction(2))
     return RVal.of(k * total) - square
 
 
@@ -246,7 +251,7 @@ def _b14_lhs_by_complement(ctx, bits: int) -> RVal:
 def _b15b_rhs_by_intervals(ctx, bits: int) -> RVal:
     k = len(ctx.entries)
     geomean = nth_root_rval(Fraction(prod(ctx.entries)), k, bits)
-    return (RVal.of(Fraction(sum(ctx.entries), k)) - geomean).scale(Fraction(k * (k - 1)))
+    return _scale(RVal.of(Fraction(sum(ctx.entries), k)) - geomean, Fraction(k * (k - 1)))
 
 
 _REFERENCE_SIDES = {

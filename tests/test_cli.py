@@ -177,6 +177,26 @@ class TestBounds:
         )
         assert code == 1 and "exactly one input source" in err
 
+    @pytest.mark.parametrize("argv, message", [pytest.param(*case, id=" ".join(case[0])) for case in [
+        (("check", "--family", "path:5", "--row", "3", "--bound", "B8"), "--row needs --table"),
+        (("check", "--family", "path:5", "--class-mode", "max", "--bound", "B8"),
+         "--class-mode needs --class-trees"),
+        (("check", "--family", "path:5", "--irr", "7", "--bound", "B8"),
+         "--irr needs --sequence with --convention paper-table"),
+        (("check", "--sequence", "1,1,2,2", "--irr", "7", "--bound", "B8"),
+         "--irr needs --sequence with --convention paper-table"),
+        (("check", "--family", "path:5", "--convention", "paper-table", "--bound", "B8"),
+         "--convention paper-table needs --sequence"),
+        (("falsify", "--bound", "B8", "--n", "8", "--nmax", "6"),
+         "--n (random mode) and --nmax (exhaustive mode) exclude each other"),
+        (("falsify", "--bound", "B8", "--n", "8", "--nmax", "6", "--samples", "3"),
+         "--n (random mode) and --nmax (exhaustive mode) exclude each other"),
+    ]])
+    def test_unread_flags_rejected(self, capsys, argv, message):
+        # A flag the chosen input or mode would not read fails instead of being ignored.
+        code, out, err = run_cli(capsys, "bounds", *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_falsify_random_mode(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "falsify", "--bound", "B8", "--n", "8",
