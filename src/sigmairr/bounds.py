@@ -1,26 +1,30 @@
 """Catalog of published inequality/identity claims, evaluated exactly.
 
 Every catalog entry pairs formulas with a hypothesis predicate.  Evaluation
-is exact first: sixteen entries are rational formulas whose sides are plain
-``int``/``Fraction`` values compared directly.  Directed rational intervals
-(64 fractional bits, escalated once to 128) appear only where a root does:
-B6's square root and both sides of B15b.  B6 is still decided exactly, since
-sigma >= sqrt(X) + s iff sigma - s >= 0 and (sigma - s)^2 >= X; its interval
-only gives the printed right side, at 64 bits or at 128 where 64 does not
-separate the sides.  B15b is decided only when its intervals separate.  Its
-(sum sqrt(d))^2 takes D(D-1)/2 square roots over the D distinct degrees,
+is exact first: each side of the sixteen rational entries is an integer
+numerator over a positive integer denominator, read off a few integers of
+the input (n, 2m, the degree sum S, the entry count k, the first and last
+two entries, the largest adjacent sum and difference), and a relation is
+decided as ln*rd against rn*ld, so no ``Fraction`` is built until a report
+prints a side.  Directed rational intervals (64 fractional bits, escalated
+once to 128) appear only where a root does: B6's square root and both sides
+of B15b.  B6 is still decided exactly: sigma >= sqrt(S*C/k) + s iff
+sigma - s >= 0 and k*(sigma - s)^2 >= S*C; its interval only gives the
+printed right side, at 64 bits or at 128 where 64 does not separate the
+sides.  B15b is decided only when its intervals separate.  Its (sum
+sqrt(d))^2 takes D(D-1)/2 square roots over the D distinct degrees,
 accumulated as integer numerators over 2^bits, and yields the same interval
 as the sum over all k(k-1)/2 pairs of entries.  A report is always produced
 for well-formed input: hypothesis failures, including division-by-zero
 guards, gate the verdict as non-probative instead of crashing.
 
-Reports and falsification share one decision path, ``_sides`` (exact
-comparison, or intervals at 64 bits then 128).  ``evaluate_bound`` and
-``evaluate_all`` build a full ``BoundReport`` from it.  ``search.falsify``
-instead asks ``refutes`` for each (input, entry) pair: it returns False at
-once when a hypothesis fails or the entry is not computable, uses an
-entry's exact ``verdict`` where one is set (B6, no interval), and otherwise
-reads ``_sides``.  Only a refuted pair then gets its report.
+Reports and falsification share one decision path, ``_decide``.
+``evaluate_bound`` and ``evaluate_all`` build a full ``BoundReport`` from it;
+``search.falsify`` asks ``refutes``, which returns False at once when a
+hypothesis fails or the entry is not computable, uses an entry's exact
+``verdict`` where one is set (B6), and otherwise reads ``_decide``.  Only a
+refuted pair then gets its report.  Parameter defaults depend on n, m and
+the max degree alone, and are resolved once per such triple.
 
 Several claims are false on ordinary trees.  That is expected; the contract
 here is faithful evaluation and reporting, not the truth of the claims.
@@ -32,8 +36,8 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Union
 
@@ -76,9 +80,10 @@ class RVal:
         return RVal(self.lo - other.hi, self.hi - other.lo)
 
 
-# An exact side of a claim, or a side boxed because it contains a root.
+# A printed exact value; a rational side (numerator, denominator > 0); a root's box.
 Exact = Union[int, Fraction]
-Side = Union[int, Fraction, RVal]
+Ratio = tuple[int, int]
+Side = Union[Ratio, RVal]
 
 
 def _integer_nth_root(value: int, degree: int) -> int:
@@ -129,10 +134,10 @@ def nth_root_rval(x: Fraction, degree: int, bits: int) -> RVal:
     return RVal(Fraction(lo, q << bits), Fraction(hi, q << bits))
 
 
-def _at_least_root_plus(value: Exact, radicand: Exact, shift: Exact) -> bool:
-    """value >= sqrt(radicand) + shift, decided exactly (radicand >= 0)."""
+def _at_least_root_plus(value: int, num: int, den: int, shift: int) -> bool:
+    """value >= sqrt(num/den) + shift, decided exactly (num >= 0, den > 0)."""
     gap = value - shift
-    return gap >= 0 and gap * gap >= radicand
+    return gap >= 0 and den * gap * gap >= num
 
 
 _HOLDS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt, "==": operator.eq}
@@ -234,28 +239,27 @@ class BoundParams:
 _ETA1_FLOOR = Fraction(201, 100)
 
 
-def resolve_parameters(params: BoundParams, view: DegreeSequenceView) -> tuple[dict, dict[str, list[str]]]:
-    """Fill parameter defaults from the input; returns (values, notes per param)."""
-    notes: dict[str, list[str]] = {}
-    n = view.n
-    m = view.m
-    delta = view.max_entry
+def resolve_parameters(params: BoundParams, view: DegreeSequenceView) -> tuple[Mapping, Mapping]:
+    """Fill parameter defaults from the input: (values, notes per param), both
+    read-only and shared by every input with the same n, m and max degree."""
+    return _resolve(params, view.n, view.two_m, view.max_entry)
+
+
+@lru_cache(maxsize=1024)
+def _resolve(params: BoundParams, n: int, two_m: int, delta: int) -> tuple[Mapping, Mapping]:
+    notes: dict[str, tuple[str, ...]] = {}
     alpha = params.alpha if params.alpha is not None else ceil_log2(delta + 1)
     beta = params.beta if params.beta is not None else ceil_log2(delta + 1)
     if params.alpha is None:
-        notes.setdefault("alpha", []).append(
-            "alpha defaulted to ceil(log2(max_degree+1)); no published semantics"
-        )
+        notes["alpha"] = ("alpha defaulted to ceil(log2(max_degree+1)); no published semantics",)
     if params.beta is None:
-        notes.setdefault("beta", []).append(
-            "beta defaulted to ceil(log2(max_degree+1)); no published semantics"
-        )
+        notes["beta"] = ("beta defaulted to ceil(log2(max_degree+1)); no published semantics",)
     if params.eta is not None:
         eta = params.eta
-    elif m == 0:
+    elif two_m == 0:
         raise DomainError("m = 0: the default eta = ceil(2*n*max_degree/m) is undefined; give eta")
     else:
-        eta = math.ceil(Fraction(2 * n * delta) / m)
+        eta = _ceil_div(4 * n * delta, two_m)
     if params.eta1 is not None:
         eta1 = params.eta1
     else:
@@ -269,19 +273,13 @@ def resolve_parameters(params: BoundParams, view: DegreeSequenceView) -> tuple[d
             raw = Fraction(2**n, math.factorial(gap))
         if raw is None:
             eta1 = Fraction(4)
-            notes.setdefault("eta1", []).append(
-                "eta1 source expression undefined (eta > n); clamped to 4"
-            )
+            notes["eta1"] = ("eta1 source expression undefined (eta > n); clamped to 4",)
         elif raw < _ETA1_FLOOR:
             eta1 = _ETA1_FLOOR
-            notes.setdefault("eta1", []).append(
-                "eta1 clamped up to 2.01 (source expression below 2)"
-            )
+            notes["eta1"] = ("eta1 clamped up to 2.01 (source expression below 2)",)
         elif raw > 4:
             eta1 = Fraction(4)
-            notes.setdefault("eta1", []).append(
-                "eta1 clamped down to 4 (source expression above 4)"
-            )
+            notes["eta1"] = ("eta1 clamped down to 4 (source expression above 4)",)
         else:
             eta1 = raw
     values = {
@@ -292,7 +290,7 @@ def resolve_parameters(params: BoundParams, view: DegreeSequenceView) -> tuple[d
         "eta1": eta1,
         "strict_max_degree_window": params.strict_max_degree_window,
     }
-    return values, notes
+    return MappingProxyType(values), MappingProxyType(notes)
 
 
 # ---------------------------------------------------------------------------
@@ -316,16 +314,16 @@ class BoundInput:
     label: str = ""
     # Resolved once here and shared by every catalog entry evaluated on it.
     _ctx: "_Ctx" = field(init=False, compare=False, repr=False)
-    _param_notes: dict[str, list[str]] = field(init=False, compare=False, repr=False)
+    _param_notes: Mapping[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         resolved, notes = resolve_parameters(self.params, self.view)
         ctx = _Ctx(
             n=self.view.n,
-            m=self.view.m,
+            two_m=self.view.two_m,
             max_degree=self.view.max_entry,
-            mean_degree=self.view.mean_entry,
-            view=self.view,
+            k=self.view.k,
+            degree_sum=sum(self.view.entries),
             entries=self.view.entries,
             cube_sum=self.cube_sum,
             irr=self.irr_value,
@@ -339,7 +337,7 @@ class BoundInput:
     @property
     def derived(self) -> Optional[DerivedSequences]:
         """Half-difference/half-sum sequences (None for fewer than 2 entries)."""
-        return self._ctx.derived
+        return derive(self.view) if self.view.k >= 2 else None
 
     @classmethod
     def from_graph(cls, g: Graph, params: BoundParams = BoundParams(), label: str = "") -> "BoundInput":
@@ -458,7 +456,7 @@ class BoundSpec:
     relation: str
     requires: tuple[str, ...]  # input fields the entry reads, sorted
     # hypothesis -> (failed descriptions, computable); lhs/rhs take a bit
-    # precision and return an exact value, or an RVal where a root appears.
+    # precision and return a Ratio, or an RVal where a root appears.
     hypothesis: Callable[["_Ctx"], tuple[list[str], bool]]
     lhs: Callable[["_Ctx", int], Side]
     rhs: Callable[["_Ctx", int], Side]
@@ -472,13 +470,13 @@ class BoundSpec:
 
 @dataclass(frozen=True)
 class _Ctx:
-    """Resolved symbols an entry's formulas may reference."""
+    """Resolved symbols an entry's formulas may reference: integers, but for the graph and eta1."""
 
     n: int
-    m: Fraction
+    two_m: int
     max_degree: int
-    mean_degree: Fraction
-    view: DegreeSequenceView
+    k: int
+    degree_sum: int
     entries: tuple[int, ...]
     cube_sum: int
     irr: Optional[int]
@@ -491,25 +489,34 @@ class _Ctx:
     eta1: Fraction
     strict_max_degree_window: bool
 
+    # 2*maxA and 2*maxT, built on first use: only B3, B4 and B5 read them.
     @cached_property
-    def derived(self) -> Optional[DerivedSequences]:
-        # Built on first use: only the entries requiring "derived" read it.
-        return derive(self.view) if self.view.k >= 2 else None
+    def max_adjacent_sum(self) -> int:
+        d = self.entries
+        return max(map(operator.add, d[1:], d))
+
+    @cached_property
+    def max_adjacent_diff(self) -> int:
+        d = self.entries
+        return max(map(operator.sub, d[1:], d))
 
 
-def _sigma_lhs(ctx: _Ctx, bits: int) -> int:
-    return ctx.sig
+# The mean degree is S/k and m is 2m/2; the half-sums a_i and
+# half-differences t_i of adjacent entries d_i are (d_{i+1} +- d_i)/2.
+
+def _sigma_lhs(ctx: _Ctx, bits: int) -> Ratio:
+    return ctx.sig, 1
 
 
-def _irr_ratio(ctx: _Ctx, bits: int) -> Fraction:
-    return Fraction(2 * ctx.irr, ctx.max_degree * (ctx.max_degree - 1) ** 2)
+def _irr_ratio(ctx: _Ctx, bits: int) -> Ratio:
+    return 2 * ctx.irr, ctx.max_degree * (ctx.max_degree - 1) ** 2
 
 
-def _irr_lhs(ctx: _Ctx, bits: int) -> int:
-    return ctx.irr
+def _irr_lhs(ctx: _Ctx, bits: int) -> Ratio:
+    return ctx.irr, 1
 
 
-def _ceil_div(a: Exact, b: Exact) -> int:
+def _ceil_div(a: int, b: int) -> int:
     """ceil(a / b), from one floor division."""
     return -(-a // b)
 
@@ -534,29 +541,23 @@ def _hyp_b2b(ctx: _Ctx) -> tuple[list[str], bool]:
     return failed, True
 
 
-def _hyp_b3(ctx: _Ctx) -> tuple[list[str], bool]:
-    if ctx.derived.last_half_sum == ctx.derived.last_half_diff:
-        return ["last half-sum equals last half-difference (division by zero)"], False
-    return [], True
-
-
 def _hyp_b5(ctx: _Ctx) -> tuple[list[str], bool]:
-    der = ctx.derived
-    if der.last_half_sum == der.first_half_sum:
+    d = ctx.entries
+    span = d[-1] + d[-2] - d[1] - d[0]  # 2*(a_last - a_first)
+    if span == 0:
         return ["first and last half-sums coincide (division by zero)"], False
-    mid = der.max_half_sum * (der.last_half_sum - der.first_half_sum) + der.max_half_diff * (
-        der.last_half_diff - der.first_half_diff
-    )
+    # 4 * (maxA*(a_last - a_first) + maxT*(t_last - t_first))
+    mid = ctx.max_adjacent_sum * span + ctx.max_adjacent_diff * (d[-1] - d[-2] - d[1] + d[0])
     failed = []
-    if not ctx.n <= mid:
+    if not 4 * ctx.n <= mid:
         failed.append("order exceeds the half-sum/half-difference combination")
-    if not mid < ctx.irr:
+    if not mid < 4 * ctx.irr:
         failed.append("half-sum/half-difference combination not below the Albertson value")
     return failed, True
 
 
 def _hyp_b6(ctx: _Ctx) -> tuple[list[str], bool]:
-    if ctx.derived.mean_half_diff == 0:
+    if ctx.entries[-1] == ctx.entries[0]:  # the mean half-difference (d_k - d_1)/(2(k-1))
         return ["mean half-difference is zero (regular sequence; division by zero)"], False
     return [], True
 
@@ -568,7 +569,7 @@ def _hyp_b10(ctx: _Ctx) -> tuple[list[str], bool]:
     if ctx.strict_max_degree_window:
         if not 4 <= delta - 3:
             failed.append("max_degree - 3 below 4 (strict window)")
-        if not Fraction(delta - 3) <= Fraction(ctx.n, 4):
+        if not 4 * (delta - 3) <= ctx.n:
             failed.append("max_degree - 3 above n/4 (strict window)")
     else:
         if delta < 4:
@@ -590,7 +591,7 @@ def _hyp_b12(ctx: _Ctx) -> tuple[list[str], bool]:
     if ctx.eta == ctx.n:
         failed.append("eta equals n (division by zero)")
         computable = False
-    if ctx.mean_degree == ctx.n:
+    if ctx.degree_sum == ctx.n * ctx.k:
         failed.append("mean degree equals n (division by zero)")
         computable = False
     return failed, computable
@@ -602,7 +603,7 @@ def _hyp_b13(ctx: _Ctx) -> tuple[list[str], bool]:
     if ctx.eta == ctx.n:
         failed.append("eta equals n (division by zero)")
         computable = False
-    if Fraction(ctx.eta) == ctx.mean_degree:
+    if ctx.eta * ctx.k == ctx.degree_sum:
         failed.append("eta equals the mean degree (division by zero)")
         computable = False
     return failed, computable
@@ -615,95 +616,96 @@ def _hyp_sorted_desc(ctx: _Ctx) -> tuple[list[str], bool]:
     return ["entries not sorted non-increasing (stated hypothesis)"], True
 
 
-def _b2a_rhs(ctx: _Ctx, bits: int) -> int:
-    return 2 * ctx.m // ctx.n + _ceil_div(2 * ctx.n, ctx.m) + 2**ctx.alpha
+def _b2a_rhs(ctx: _Ctx, bits: int) -> Ratio:
+    return ctx.two_m // ctx.n + _ceil_div(4 * ctx.n, ctx.two_m) + 2**ctx.alpha, 1
 
 
-def _b2b_rhs(ctx: _Ctx, bits: int) -> int:
-    return _ceil_div(2 * ctx.n, ctx.m) + 2**ctx.beta
+def _b2b_rhs(ctx: _Ctx, bits: int) -> Ratio:
+    return _ceil_div(4 * ctx.n, ctx.two_m) + 2**ctx.beta, 1
 
 
-def _b3_tail(ctx: _Ctx) -> Exact:
-    der = ctx.derived
-    gap = der.last_half_sum - der.last_half_diff
-    spread = (der.max_half_sum - der.max_half_diff) ** 2
-    return (ctx.n - 2) // gap + ctx.max_degree * spread
+def _b3_tail(ctx: _Ctx) -> int:
+    """4*(floor((n-2)/(a_last-t_last)) + D*(maxA-maxT)^2); a_last-t_last = d_{k-1} >= 1."""
+    spread = ctx.max_adjacent_sum - ctx.max_adjacent_diff
+    return 4 * ((ctx.n - 2) // ctx.entries[-2]) + ctx.max_degree * spread * spread
 
 
-def _b3_rhs(ctx: _Ctx, bits: int) -> Exact:
-    return ctx.irr + _b3_tail(ctx)
+def _b3_rhs(ctx: _Ctx, bits: int) -> Ratio:
+    return 4 * ctx.irr + _b3_tail(ctx), 4
 
 
-def _b4_rhs(ctx: _Ctx, bits: int) -> Exact:
-    return ctx.cube_sum + ctx.irr + _b3_tail(ctx)
+def _b4_rhs(ctx: _Ctx, bits: int) -> Ratio:
+    return 4 * (ctx.cube_sum + ctx.irr) + _b3_tail(ctx), 4
 
 
-def _b5_rhs(ctx: _Ctx, bits: int) -> Exact:
-    der = ctx.derived
-    span = der.last_half_sum - der.first_half_sum
-    inner = 2 * ctx.n // span + _ceil_div(2 * ctx.m, ctx.n)
-    return ctx.irr + Fraction(inner, ctx.n) + 4 * ctx.n * ctx.max_degree
+def _b5_rhs(ctx: _Ctx, bits: int) -> Ratio:
+    d, n = ctx.entries, ctx.n
+    inner = 4 * n // (d[-1] + d[-2] - d[1] - d[0]) + _ceil_div(ctx.two_m, n)
+    return n * (ctx.irr + 4 * n * ctx.max_degree) + inner, n
 
 
-def _b6_terms(ctx: _Ctx) -> tuple[Fraction, int]:
-    """(X, s) such that B6's right side is sqrt(X) + s."""
-    der = ctx.derived
-    stair = 2 * ctx.n // der.mean_half_sum + _ceil_div(2 * ctx.m, der.mean_half_diff)
-    return ctx.mean_degree * ctx.cube_sum, (ctx.n - ctx.max_degree) ** 2 - stair
+def _b6_terms(ctx: _Ctx) -> tuple[int, int, int]:
+    """(X, Y, s) such that B6's right side is sqrt(X/Y) + s."""
+    d, k, total = ctx.entries, ctx.k, ctx.degree_sum
+    # 2n/meanA and 2m/meanT, with meanA = (2S-d_1-d_k)/(2(k-1)), meanT = (d_k-d_1)/(2(k-1))
+    stair = 4 * ctx.n * (k - 1) // (2 * total - d[0] - d[-1]) + _ceil_div(2 * ctx.two_m * (k - 1), d[-1] - d[0])
+    return total * ctx.cube_sum, k, (ctx.n - ctx.max_degree) ** 2 - stair
 
 
 def _b6_rhs(ctx: _Ctx, bits: int) -> RVal:
-    radicand, shift = _b6_terms(ctx)
-    return sqrt_rval(radicand, bits) + RVal.of(shift)
+    num, den, shift = _b6_terms(ctx)
+    return sqrt_rval(Fraction(num, den), bits) + RVal.of(shift)
 
 
 def _b6_holds(ctx: _Ctx) -> bool:
-    radicand, shift = _b6_terms(ctx)
-    return _at_least_root_plus(ctx.sig, radicand, shift)
+    return _at_least_root_plus(ctx.sig, *_b6_terms(ctx))
 
 
-def t1_staircase(n: int, m: Fraction, delta: int) -> int:
-    """floor((3n+1)/2) + ceil((3m+1)/2) + floor((3*delta+2n)/4)."""
-    return (3 * n + 1) // 2 + _ceil_div(3 * m + 1, 2) + (3 * delta + 2 * n) // 4
+def t1_staircase(n: int, two_m: int, delta: int) -> int:
+    """floor((3n+1)/2) + ceil((3m+1)/2) + floor((3*delta+2n)/4), given 2m."""
+    return (3 * n + 1) // 2 + _ceil_div(3 * two_m + 2, 4) + (3 * delta + 2 * n) // 4
 
 
-def _b7_rhs(ctx: _Ctx, bits: int) -> Exact:
-    t1 = t1_staircase(ctx.n, ctx.m, ctx.max_degree)
-    return ctx.mean_degree**2 * t1 / 3 - ctx.cube_sum + ctx.irr
+def _b7_rhs(ctx: _Ctx, bits: int) -> Ratio:
+    den = 3 * ctx.k**2
+    t1 = t1_staircase(ctx.n, ctx.two_m, ctx.max_degree)
+    return ctx.degree_sum**2 * t1 + den * (ctx.irr - ctx.cube_sum), den
 
 
-def _b8_rhs(ctx: _Ctx, bits: int) -> Exact:
+def _b8_rhs(ctx: _Ctx, bits: int) -> Ratio:
     body = ctx.n**3 + ctx.n + ctx.max_degree * (ctx.max_degree - 1) ** 2
-    return body / (2 * ctx.mean_degree)
+    return body * ctx.k, 2 * ctx.degree_sum
 
 
-def _b9_rhs(ctx: _Ctx, bits: int) -> Exact:
-    return 2**ctx.p * (ctx.irr + 2 * ctx.m) + ctx.max_degree * (ctx.max_degree - 1) ** 2
+def _b9_rhs(ctx: _Ctx, bits: int) -> Ratio:
+    return 2**ctx.p * (ctx.irr + ctx.two_m) + ctx.max_degree * (ctx.max_degree - 1) ** 2, 1
 
 
-def _b10_rhs(ctx: _Ctx, bits: int) -> Fraction:
+def _b10_rhs(ctx: _Ctx, bits: int) -> Ratio:
     product = (3 * ctx.n**2 // 4) * _ceil_div(ctx.n**2, 4)
-    return Fraction(product, 2 * (ctx.max_degree - 3))
+    den = 2 * (ctx.max_degree - 3)
+    return (product, den) if den > 0 else (-product, -den)
 
 
-def _b11_rhs(ctx: _Ctx, bits: int) -> Exact:
-    head = 2 * ctx.n**2 // (3 * ctx.mean_degree)
-    tail = 2**ctx.eta * (ctx.m - ctx.max_degree) ** 2 / (5 * (ctx.n - 1) ** 3)
-    return head + tail
+def _b11_rhs(ctx: _Ctx, bits: int) -> Ratio:
+    head = 2 * ctx.n**2 * ctx.k // (3 * ctx.degree_sum)
+    den = 20 * (ctx.n - 1) ** 3  # (m - D)^2 / (5(n-1)^3) = (2m - 2D)^2 / (20(n-1)^3)
+    return head * den + 2**ctx.eta * (ctx.two_m - 2 * ctx.max_degree) ** 2, den
 
 
-def _b12_rhs(ctx: _Ctx, bits: int) -> Exact:
-    n, eta, lam = ctx.n, ctx.eta, ctx.mean_degree
+def _b12_rhs(ctx: _Ctx, bits: int) -> Ratio:
+    n, eta, k, total = ctx.n, ctx.eta, ctx.k, ctx.degree_sum
     gap = n - eta
-    return 4 * n - 2 * eta * lam - gap * (n // gap) ** 2 + gap * (n // (n - lam))
+    return k * (4 * n - gap * (n // gap) ** 2 + gap * (n * k // (n * k - total))) - 2 * eta * total, k
 
 
-def _b13_rhs(ctx: _Ctx, bits: int) -> Exact:
-    n, eta, lam, eta1 = ctx.n, ctx.eta, ctx.mean_degree, ctx.eta1
-    return eta1 * (n // (n - eta)) + eta1 * _ceil_div(n, eta - lam) + ctx.cube_sum
+def _b13_rhs(ctx: _Ctx, bits: int) -> Ratio:
+    n, eta, k, eta1 = ctx.n, ctx.eta, ctx.k, ctx.eta1
+    steps = n // (n - eta) + _ceil_div(n * k, eta * k - ctx.degree_sum)
+    return eta1.numerator * steps + ctx.cube_sum * eta1.denominator, eta1.denominator
 
 
-def _b14_lhs(ctx: _Ctx, bits: int) -> int:
+def _b14_lhs(ctx: _Ctx, bits: int) -> Ratio:
     # sigma(complement(G)) summed over the non-adjacent pairs of G: the
     # complement degrees n-1-d differ pairwise as the degrees d do.
     g = ctx.graph
@@ -711,22 +713,21 @@ def _b14_lhs(ctx: _Ctx, bits: int) -> int:
     complement_sigma = sum(
         (degs[u] - degs[v]) ** 2 for u in range(n) for v in range(u + 1, n) if (u, v) not in edges
     )
-    return sigma(g) + complement_sigma
+    return sigma(g) + complement_sigma, 1
 
 
-def _b14_rhs(ctx: _Ctx, bits: int) -> int:
+def _b14_rhs(ctx: _Ctx, bits: int) -> Ratio:
     g = ctx.graph
-    return g.vertex_count * zagreb_m1(g) - 4 * g.edge_count**2
+    return g.vertex_count * zagreb_m1(g) - 4 * g.edge_count**2, 1
 
 
-def _b15a_lhs(ctx: _Ctx, bits: int) -> int:
-    s = sum(ctx.entries)
-    return s * (ctx.entries[0] + ctx.entries[-1])
+def _b15a_lhs(ctx: _Ctx, bits: int) -> Ratio:
+    return ctx.degree_sum * (ctx.entries[0] + ctx.entries[-1]), 1
 
 
-def _b15a_rhs(ctx: _Ctx, bits: int) -> int:
+def _b15a_rhs(ctx: _Ctx, bits: int) -> Ratio:
     sq = sum(d * d for d in ctx.entries)
-    return sq + len(ctx.entries) * ctx.entries[0] * ctx.entries[-1]
+    return sq + ctx.k * ctx.entries[0] * ctx.entries[-1], 1
 
 
 def _b15b_lhs(ctx: _Ctx, bits: int) -> RVal:
@@ -756,10 +757,6 @@ def _b15b_rhs(ctx: _Ctx, bits: int) -> RVal:
     return RVal(Fraction(base - weight * root_hi, 1 << bits), Fraction(base - weight * root_lo, 1 << bits))
 
 
-_SEQ = frozenset({"view"})
-_SEQ_D = frozenset({"view", "derived"})
-
-
 def _spec(bound_id, title, relation, requires, hypothesis, lhs, rhs, notes=(), params=(), verdict=None):
     return BoundSpec(
         bound_id, title, relation, tuple(sorted(requires)), hypothesis, lhs, rhs, tuple(notes), tuple(params), verdict
@@ -771,12 +768,12 @@ CATALOG: dict[str, BoundSpec] = {
     for spec in (
         _spec(
             "B1a", "irregularity ratio is positive: 2*irr/(D(D-1)^2) > 0", ">",
-            {"view", "irr"}, _hyp_b1, _irr_ratio, lambda ctx, bits: 0,
+            {"view", "irr"}, _hyp_b1, _irr_ratio, lambda ctx, bits: (0, 1),
             notes=("per-instance reading of the extremal Albertson value",),
         ),
         _spec(
             "B1b", "irregularity ratio below one: 2*irr/(D(D-1)^2) < 1", "<",
-            {"view", "irr"}, _hyp_b1, _irr_ratio, lambda ctx, bits: 1,
+            {"view", "irr"}, _hyp_b1, _irr_ratio, lambda ctx, bits: (1, 1),
             notes=("per-instance reading of the extremal Albertson value",),
         ),
         _spec(
@@ -795,11 +792,11 @@ CATALOG: dict[str, BoundSpec] = {
         ),
         _spec(
             "B3", "sigma >= irr + floor((n-2)/(a_last-t_last)) + D*(maxA-maxR)^2", ">=",
-            {"view", "derived", "irr", "sigma"}, _hyp_b3, _sigma_lhs, _b3_rhs,
+            {"view", "derived", "irr", "sigma"}, _hyp_none, _sigma_lhs, _b3_rhs,
         ),
         _spec(
             "B4", "sigma <= cube_sum + irr + floor((n-2)/(a_last-t_last)) + D*(maxA-maxR)^2", "<=",
-            {"view", "derived", "irr", "sigma"}, _hyp_b3, _sigma_lhs, _b4_rhs,
+            {"view", "derived", "irr", "sigma"}, _hyp_none, _sigma_lhs, _b4_rhs,
         ),
         _spec(
             "B5", "sigma >= irr + (floor(2n/(a_last-a_first)) + ceil(2m/n))/n + 4nD", ">=",
@@ -902,12 +899,14 @@ _NO_PARAMS: Mapping[str, object] = MappingProxyType({})
 
 
 def _boxed(side: Side) -> RVal:
-    return side if isinstance(side, RVal) else RVal.of(side)
+    return side if isinstance(side, RVal) else RVal.of(Fraction(*side))
 
 
 def _printed(side: Side) -> tuple[Exact, bool]:
     """The reported value of a side and whether it is exact."""
-    return (side.mid, side.exact) if isinstance(side, RVal) else (side, True)
+    if isinstance(side, RVal):
+        return side.mid, side.exact
+    return (side[0] if side[1] == 1 else Fraction(*side)), True
 
 
 def require_fields(bound_ids: Iterable[str], binput: BoundInput) -> None:
@@ -927,14 +926,15 @@ def evaluate_bound(bound_id: str, binput: BoundInput) -> BoundReport:
     return _evaluate(bound_id, spec, binput)
 
 
-def _sides(spec: BoundSpec, ctx: _Ctx) -> tuple[Side, Side, Optional[bool]]:
+def _decide(spec: BoundSpec, ctx: _Ctx) -> tuple[Side, Side, Optional[bool]]:
     """Both sides of a computable entry and whether its relation holds:
-    compared directly when both are exact, else as intervals at 64 bits and
-    again at 128 where 64 does not separate them (None where 128 does not)."""
+    ln/ld against rn/rd as ln*rd against rn*ld when both are rational, else
+    as intervals at 64 bits and again at 128 where 64 does not separate them
+    (None where 128 does not)."""
     lhs = spec.lhs(ctx, _BITS_FIRST)
     rhs = spec.rhs(ctx, _BITS_FIRST)
     if not (isinstance(lhs, RVal) or isinstance(rhs, RVal)):
-        return lhs, rhs, _HOLDS[spec.relation](lhs, rhs)
+        return lhs, rhs, _HOLDS[spec.relation](lhs[0] * rhs[1], rhs[0] * lhs[1])
     holds = _compare(_boxed(lhs), _boxed(rhs), spec.relation)
     if holds is None:
         lhs = spec.lhs(ctx, _BITS_ESCALATED)
@@ -953,7 +953,7 @@ def refutes(spec: BoundSpec, ctx: _Ctx) -> bool:
         return False
     if spec.verdict is not None:
         return not spec.verdict(ctx)
-    return _sides(spec, ctx)[2] is False
+    return _decide(spec, ctx)[2] is False
 
 
 def _evaluate(bound_id: str, spec: BoundSpec, binput: BoundInput) -> BoundReport:
@@ -973,7 +973,7 @@ def _evaluate(bound_id: str, spec: BoundSpec, binput: BoundInput) -> BoundReport
     if not computable:
         notes += ("not computable: " + "; ".join(failed),)
     else:
-        lhs, rhs, holds = _sides(spec, ctx)
+        lhs, rhs, holds = _decide(spec, ctx)
         if spec.verdict is not None:
             holds = spec.verdict(ctx)
         elif holds is None:

@@ -285,6 +285,8 @@ def _bound_input_from_args(args, params: bounds.BoundParams) -> bounds.BoundInpu
         raise InputError("--row needs --table")
     if args.class_mode is not None and args.class_trees is None:
         raise InputError("--class-mode needs --class-trees")
+    if args.allow_over_cap and args.class_trees is None:
+        raise InputError("--allow-over-cap needs --class-trees")
     if paper_table and not args.sequence:
         raise InputError("--convention paper-table needs --sequence")
     if args.irr is not None and not (paper_table and args.sequence):
@@ -348,13 +350,18 @@ def _cmd_bounds_falsify(args) -> int:
     if args.samples is not None:
         if args.n is None:
             raise InputError("random mode needs --n together with --samples")
+        if args.allow_over_cap:
+            raise InputError("--allow-over-cap needs exhaustive mode (--nmax)")
+        seed = 0 if args.seed is None else args.seed
         mode: search.ExhaustiveMode | search.RandomMode = search.RandomMode(
-            n=args.n, samples=args.samples, seed=args.seed
+            n=args.n, samples=args.samples, seed=seed
         )
-        mode_desc = {"mode": "random", "n": args.n, "samples": args.samples, "seed": args.seed}
+        mode_desc = {"mode": "random", "n": args.n, "samples": args.samples, "seed": seed}
     else:
         if args.nmax is None:
             raise InputError("exhaustive mode needs --nmax (or pass --samples for random mode)")
+        if args.seed is not None:
+            raise InputError("--seed needs random mode (--n with --samples)")
         mode = search.ExhaustiveMode(args.nmax)
         mode_desc = {"mode": "exhaustive", "nmax": args.nmax}
     found = search.falsify(
@@ -637,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--nmax", type=int, help="exhaustive mode: cover all trees with n <= nmax")
     pf.add_argument("--n", type=int, help="random mode: tree order")
     pf.add_argument("--samples", type=int, help="random mode: number of seeded samples")
-    pf.add_argument("--seed", type=int, default=0)
+    pf.add_argument("--seed", type=int, help="random mode: seed of the sampled trees (default 0)")
     pf.add_argument("--allow-over-cap", action="store_true")
     _add_param_flags(pf)
     _add_output_flags(pf)

@@ -490,9 +490,12 @@ def falsify(
 
     specs = [(bid, bounds.CATALOG[bid]) for bid in bound_ids]
     found: list[Counterexample] = []
+    checked = False  # every tree of a mode has the same fields
     for g in trees:
         binput = bounds.BoundInput.from_graph(g, params)
-        bounds.require_fields(bound_ids, binput)
+        if not checked:
+            bounds.require_fields(bound_ids, binput)
+            checked = True
         ctx = binput._ctx
         for bid, spec in specs:
             if bounds.refutes(spec, ctx):

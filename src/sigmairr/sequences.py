@@ -60,10 +60,15 @@ class DegreeSequenceView:
         return self.k
 
     @property
-    def m(self) -> Fraction:
+    def two_m(self) -> int:
+        """Twice the edge count m, an integer."""
         if self.convention is Convention.PAPER_TABLE:
-            return Fraction(self.n - 1)
-        return Fraction(sum(self.entries), 2)
+            return 2 * (self.n - 1)
+        return sum(self.entries)
+
+    @property
+    def m(self) -> Fraction:
+        return Fraction(self.two_m, 2)
 
     @property
     def max_entry(self) -> int:

@@ -193,9 +193,8 @@ def reproduce_table(table_id: int) -> ReproductionReport:
     if table_id == 1:
         for i, row in enumerate(TABLE1):
             n = sum(row.entries)
-            m = Fraction(n - 1)
             mean = Fraction(n, len(row.entries))
-            t1 = t1_staircase(n, m, row.entries[-1])
+            t1 = t1_staircase(n, 2 * (n - 1), row.entries[-1])
             t2 = math.floor(mean**2 * row.t1 / 3)
             sig = sigma_closed_form(DegreeSequenceView(row.entries, Convention.PAPER_TABLE))
             cells.append(CellCheck(i, "T1", str(row.t1), str(t1), t1 == row.t1, _RULE_T1))

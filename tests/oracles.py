@@ -5,18 +5,24 @@ trees are generated from Pruefer words or parent arrays, centers are found
 from the diameter (or, as their reference, by eccentricity) rather than by
 peeling, and isomorphism keys use an interned rooted encoding instead of
 level sequences.  Agreement with the package is then evidence, not
-tautology.  Six references are the exception, each kept from an earlier,
+tautology.  Seven references are the exception, each kept from an earlier,
 simpler form of a package routine it is compared with:
 
 * ``b15b_lhs_pairwise`` shares the package's interval square root and
   differs only in how the roots are summed;
-* ``evaluate_bound_by_intervals`` shares the catalog (hypotheses, notes,
-  parameters and the rational formulas), ``RVal``, the interval roots and
-  ``_compare``.  It boxes every side as an interval, compares through
-  ``_compare`` with the 64 -> 128 bit escalation and prints midpoints, and it
-  takes B14's complement from a complement ``Graph`` and B15b's sides from
-  ``RVal`` sums, where the package compares exact values directly, decides B6
-  exactly and sums integer numerators;
+* ``FRACTION_FORMULAS`` and ``fraction_decision`` are the catalog's sides
+  and Fraction hypotheses as the statements read them, over ``Fraction``
+  n, m, mean degree and half-sum/half-difference summaries, with relations
+  of their own.  They share the resolved parameters, the integer-only
+  hypotheses, ``RVal``, the interval roots and ``_compare``, where the
+  package decides every rational entry on integer numerators and
+  denominators;
+* ``evaluate_bound_by_intervals`` builds a report from those formulas,
+  the catalog's notes and parameters.  It boxes every side as an interval,
+  compares through ``_compare`` with the 64 -> 128 bit escalation and
+  prints midpoints, and it takes B14's complement from a complement
+  ``Graph`` and B15b's sides from ``RVal`` sums, where the package
+  cross-multiplies, decides B6 exactly and sums integer numerators;
 * ``free_tree_level_sequences_by_filter`` shares the package's rooted
   level-sequence walk and tests every sequence it visits, where the package
   jumps over runs that cannot be centre-rooted;
@@ -36,11 +42,13 @@ per degree multiset by construction instead of searching a stream.
 
 from __future__ import annotations
 
+import operator
 import random
 from collections import deque
 from fractions import Fraction
 from itertools import product
 from math import prod
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
 from sigmairr.bounds import (
@@ -59,7 +67,7 @@ from sigmairr.bounds import (
 )
 from sigmairr.errors import DomainError
 from sigmairr.graphs import complement
-from sigmairr.indices import albertson, sigma
+from sigmairr.indices import albertson, sigma, zagreb_m1
 from sigmairr.search import (
     Counterexample,
     ExhaustiveMode,
@@ -68,7 +76,7 @@ from sigmairr.search import (
     enumerate_free_trees,
     rooted_level_sequences,
 )
-from sigmairr.sequences import random_tree
+from sigmairr.sequences import Convention, random_tree
 
 
 def prufer_decode(word: tuple[int, ...], n: int) -> list[tuple[int, int]]:
@@ -244,36 +252,267 @@ def b15b_lhs_pairwise(entries: Sequence[int], bits: int) -> RVal:
     return RVal.of(k * total) - square
 
 
-def _b14_lhs_by_complement(ctx, bits: int) -> RVal:
-    return RVal.of(sigma(ctx.graph) + sigma(complement(ctx.graph)))
+# ---------------------------------------------------------------------------
+# The catalog over Fractions: each rational side as the published formula
+# reads, with n, m and the mean degree as Fractions and the half-sum and
+# half-difference summaries summed term by term.  Relations are this
+# reference's own, so a changed relation in the catalog shows.
+
+NON_DEFAULT_PARAMS = {
+    "strict-window": BoundParams(strict_max_degree_window=True),
+    "eta": BoundParams(eta=5),
+    "eta1": BoundParams(eta1=Fraction(3)),
+    "alpha-beta": BoundParams(alpha=0, beta=5),
+    "p13": BoundParams(p=13),
+    "all-set": BoundParams(alpha=1, beta=1, p=3, eta=9, eta1=Fraction(5, 2), strict_max_degree_window=True),
+}
+_RESOLVED = ("alpha", "beta", "p", "eta", "eta1", "strict_max_degree_window")
+_RELATIONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt, "==": operator.eq}
 
 
-def _b15b_rhs_by_intervals(ctx, bits: int) -> RVal:
-    k = len(ctx.entries)
-    geomean = nth_root_rval(Fraction(prod(ctx.entries)), k, bits)
-    return _scale(RVal.of(Fraction(sum(ctx.entries), k)) - geomean, Fraction(k * (k - 1)))
+def fraction_ctx(binput: BoundInput) -> SimpleNamespace:
+    """The symbols the Fraction formulas read; the resolved parameters are
+    the package's."""
+    entries = binput.view.entries
+    k, total = len(entries), sum(entries)
+    if binput.view.convention is Convention.PAPER_TABLE:
+        n, m = total, Fraction(total - 1)
+    else:
+        n, m = k, Fraction(total, 2)
+    derived = SimpleNamespace(**derived_summaries_by_summation(entries)) if k >= 2 else None
+    return SimpleNamespace(
+        n=n, m=m, max_degree=max(entries), mean_degree=Fraction(total, k), derived=derived, entries=entries,
+        cube_sum=binput.cube_sum, irr=binput.irr_value, sig=binput.sigma_value, graph=binput.graph,
+        **{name: getattr(binput._ctx, name) for name in _RESOLVED},
+    )
 
 
-_REFERENCE_SIDES = {
-    ("B14", "lhs"): _b14_lhs_by_complement,
-    ("B15b", "lhs"): lambda ctx, bits: b15b_lhs_pairwise(ctx.entries, bits),
-    ("B15b", "rhs"): _b15b_rhs_by_intervals,
+def _ceil_div(a, b) -> int:
+    return -(-a // b)
+
+
+def _hyp_b3(c) -> tuple[list[str], bool]:
+    if c.derived.last_half_sum == c.derived.last_half_diff:
+        return ["last half-sum equals last half-difference (division by zero)"], False
+    return [], True
+
+
+def _hyp_b5(c) -> tuple[list[str], bool]:
+    der = c.derived
+    if der.last_half_sum == der.first_half_sum:
+        return ["first and last half-sums coincide (division by zero)"], False
+    mid = der.max_half_sum * (der.last_half_sum - der.first_half_sum) + der.max_half_diff * (
+        der.last_half_diff - der.first_half_diff
+    )
+    failed = []
+    if not c.n <= mid:
+        failed.append("order exceeds the half-sum/half-difference combination")
+    if not mid < c.irr:
+        failed.append("half-sum/half-difference combination not below the Albertson value")
+    return failed, True
+
+
+def _hyp_b6(c) -> tuple[list[str], bool]:
+    if c.derived.mean_half_diff == 0:
+        return ["mean half-difference is zero (regular sequence; division by zero)"], False
+    return [], True
+
+
+def _hyp_b10(c) -> tuple[list[str], bool]:
+    delta = c.max_degree
+    failed = []
+    computable = delta != 3
+    if c.strict_max_degree_window:
+        if not 4 <= delta - 3:
+            failed.append("max_degree - 3 below 4 (strict window)")
+        if not Fraction(delta - 3) <= Fraction(c.n, 4):
+            failed.append("max_degree - 3 above n/4 (strict window)")
+    else:
+        if delta < 4:
+            failed.append("max degree below 4")
+    if not computable:
+        failed.append("max degree equals 3 (division by zero)")
+    return failed, computable
+
+
+def _hyp_b12(c) -> tuple[list[str], bool]:
+    failed = []
+    computable = True
+    if c.eta == c.n:
+        failed.append("eta equals n (division by zero)")
+        computable = False
+    if c.mean_degree == c.n:
+        failed.append("mean degree equals n (division by zero)")
+        computable = False
+    return failed, computable
+
+
+def _hyp_b13(c) -> tuple[list[str], bool]:
+    failed = []
+    computable = True
+    if c.eta == c.n:
+        failed.append("eta equals n (division by zero)")
+        computable = False
+    if Fraction(c.eta) == c.mean_degree:
+        failed.append("eta equals the mean degree (division by zero)")
+        computable = False
+    return failed, computable
+
+
+_FRACTION_HYPOTHESES = {
+    "B3": _hyp_b3, "B4": _hyp_b3, "B5": _hyp_b5, "B6": _hyp_b6, "B10": _hyp_b10,
+    "B12": _hyp_b12, "B13": _hyp_b13,
 }
 
 
+def fraction_hypothesis(bound_id: str, binput: BoundInput, c: SimpleNamespace) -> tuple[list[str], bool]:
+    """The entry's hypothesis; those that compare Fractions are this
+    reference's, the integer-only ones the catalog's."""
+    if bound_id in _FRACTION_HYPOTHESES:
+        return _FRACTION_HYPOTHESES[bound_id](c)
+    return CATALOG[bound_id].hypothesis(binput._ctx)
+
+
+def _b3_tail(c):
+    der = c.derived
+    gap = der.last_half_sum - der.last_half_diff
+    spread = (der.max_half_sum - der.max_half_diff) ** 2
+    return (c.n - 2) // gap + c.max_degree * spread
+
+
+def _b5_rhs(c, bits):
+    der = c.derived
+    span = der.last_half_sum - der.first_half_sum
+    inner = 2 * c.n // span + _ceil_div(2 * c.m, c.n)
+    return c.irr + Fraction(inner, c.n) + 4 * c.n * c.max_degree
+
+
+def _b6_terms(c) -> tuple[Fraction, int]:
+    """(X, s) such that B6's right side is sqrt(X) + s."""
+    der = c.derived
+    stair = 2 * c.n // der.mean_half_sum + _ceil_div(2 * c.m, der.mean_half_diff)
+    return c.mean_degree * c.cube_sum, (c.n - c.max_degree) ** 2 - stair
+
+
+def _b6_rhs(c, bits) -> RVal:
+    radicand, shift = _b6_terms(c)
+    return sqrt_rval(radicand, bits) + RVal.of(shift)
+
+
+def _b6_holds(c) -> bool:
+    radicand, shift = _b6_terms(c)
+    gap = c.sig - shift
+    return gap >= 0 and gap * gap >= radicand
+
+
+def _t1(n, m, delta) -> int:
+    return (3 * n + 1) // 2 + _ceil_div(3 * m + 1, 2) + (3 * delta + 2 * n) // 4
+
+
+def _b12_rhs(c, bits):
+    n, eta, lam = c.n, c.eta, c.mean_degree
+    gap = n - eta
+    return 4 * n - 2 * eta * lam - gap * (n // gap) ** 2 + gap * (n // (n - lam))
+
+
+def _b13_rhs(c, bits):
+    n, eta, lam, eta1 = c.n, c.eta, c.mean_degree, c.eta1
+    return eta1 * (n // (n - eta)) + eta1 * _ceil_div(n, eta - lam) + c.cube_sum
+
+
+def _b14_lhs_by_complement(c, bits) -> int:
+    return sigma(c.graph) + sigma(complement(c.graph))
+
+
+def _b15b_rhs_by_intervals(c, bits) -> RVal:
+    k = len(c.entries)
+    geomean = nth_root_rval(Fraction(prod(c.entries)), k, bits)
+    return _scale(RVal.of(Fraction(sum(c.entries), k)) - geomean, Fraction(k * (k - 1)))
+
+
+def _sigma(c, bits):
+    return c.sig
+
+
+def _irr_ratio(c, bits):
+    return Fraction(2 * c.irr, c.max_degree * (c.max_degree - 1) ** 2)
+
+
+# bound id -> (relation, lhs, rhs); each side takes the bit precision its
+# interval needs and returns an int, a Fraction or an RVal.
+FRACTION_FORMULAS = {
+    "B1a": (">", _irr_ratio, lambda c, bits: 0),
+    "B1b": ("<", _irr_ratio, lambda c, bits: 1),
+    "B2a": (">", lambda c, bits: c.irr,
+            lambda c, bits: 2 * c.m // c.n + _ceil_div(2 * c.n, c.m) + 2**c.alpha),
+    "B2b": ("<", lambda c, bits: c.irr, lambda c, bits: _ceil_div(2 * c.n, c.m) + 2**c.beta),
+    "B3": (">=", _sigma, lambda c, bits: c.irr + _b3_tail(c)),
+    "B4": ("<=", _sigma, lambda c, bits: c.cube_sum + c.irr + _b3_tail(c)),
+    "B5": (">=", _sigma, _b5_rhs),
+    "B6": (">=", _sigma, _b6_rhs),
+    "B7": (">=", _sigma,
+           lambda c, bits: c.mean_degree**2 * _t1(c.n, c.m, c.max_degree) / 3 - c.cube_sum + c.irr),
+    "B8": (">", _sigma,
+           lambda c, bits: (c.n**3 + c.n + c.max_degree * (c.max_degree - 1) ** 2) / (2 * c.mean_degree)),
+    "B9": ("<=", _sigma,
+           lambda c, bits: 2**c.p * (c.irr + 2 * c.m) + c.max_degree * (c.max_degree - 1) ** 2),
+    "B10": ("<=", _sigma,
+            lambda c, bits: Fraction((3 * c.n**2 // 4) * _ceil_div(c.n**2, 4), 2 * (c.max_degree - 3))),
+    "B11": ("<=", _sigma,
+            lambda c, bits: 2 * c.n**2 // (3 * c.mean_degree)
+            + 2**c.eta * (c.m - c.max_degree) ** 2 / (5 * (c.n - 1) ** 3)),
+    "B12": (">", _sigma, _b12_rhs),
+    "B13": ("<=", _sigma, _b13_rhs),
+    "B14": ("==", _b14_lhs_by_complement,
+            lambda c, bits: c.graph.vertex_count * zagreb_m1(c.graph) - 4 * c.graph.edge_count**2),
+    "B15a": (">=", lambda c, bits: sum(c.entries) * (c.entries[0] + c.entries[-1]),
+             lambda c, bits: sum(d * d for d in c.entries) + len(c.entries) * c.entries[0] * c.entries[-1]),
+    "B15b": ("<=", lambda c, bits: b15b_lhs_pairwise(c.entries, bits), _b15b_rhs_by_intervals),
+}
+
+
+def _boxed(side) -> RVal:
+    return side if isinstance(side, RVal) else RVal.of(side)
+
+
+def fraction_sides(bound_id: str, c: SimpleNamespace):
+    """(lhs, rhs, holds) of a computable entry: compared directly when both
+    sides are exact, else as intervals at 64 bits and again at 128 where 64
+    does not separate them (holds None where 128 does not)."""
+    relation, lhs_of, rhs_of = FRACTION_FORMULAS[bound_id]
+    lhs, rhs = lhs_of(c, _BITS_FIRST), rhs_of(c, _BITS_FIRST)
+    if not (isinstance(lhs, RVal) or isinstance(rhs, RVal)):
+        return lhs, rhs, _RELATIONS[relation](lhs, rhs)
+    holds = _compare(_boxed(lhs), _boxed(rhs), relation)
+    if holds is None:
+        lhs, rhs = lhs_of(c, _BITS_ESCALATED), rhs_of(c, _BITS_ESCALATED)
+        holds = _compare(_boxed(lhs), _boxed(rhs), relation)
+    return lhs, rhs, holds
+
+
+def fraction_decision(bound_id: str, binput: BoundInput) -> tuple[list[str], bool, object, bool]:
+    """(failed hypotheses, computable, holds, refuted) over Fractions; B6
+    is decided by squaring, as its exact verdict is."""
+    c = fraction_ctx(binput)
+    failed, computable = fraction_hypothesis(bound_id, binput, c)
+    holds = None
+    if computable:
+        holds = _b6_holds(c) if bound_id == "B6" else fraction_sides(bound_id, c)[2]
+    return failed, computable, holds, bool(not failed and computable and holds is False)
+
+
 def evaluate_bound_by_intervals(bound_id: str, binput: BoundInput) -> BoundReport:
-    """The report of one catalog entry with every side boxed as an interval,
-    decided by ``_compare`` alone (64 bits, then 128 when undecided)."""
+    """The report of one catalog entry from the Fraction formulas, with
+    every side boxed as an interval and decided by ``_compare`` alone (64
+    bits, then 128 when undecided)."""
     spec = CATALOG[bound_id]
-    ctx = binput._ctx
-    lhs_of = _REFERENCE_SIDES.get((bound_id, "lhs"), spec.lhs)
-    rhs_of = _REFERENCE_SIDES.get((bound_id, "rhs"), spec.rhs)
+    c = fraction_ctx(binput)
+    relation, lhs_of, rhs_of = FRACTION_FORMULAS[bound_id]
 
     def sides(bits: int) -> tuple[RVal, RVal]:
-        lhs, rhs = lhs_of(ctx, bits), rhs_of(ctx, bits)
-        return (lhs if isinstance(lhs, RVal) else RVal.of(lhs)), (rhs if isinstance(rhs, RVal) else RVal.of(rhs))
+        return _boxed(lhs_of(c, bits)), _boxed(rhs_of(c, bits))
 
-    failed, computable = spec.hypothesis(ctx)
+    failed, computable = fraction_hypothesis(bound_id, binput, c)
     notes = list(spec.extra_notes)
     for param in spec.params:
         notes.extend(binput._param_notes.get(param, []))
@@ -282,18 +521,18 @@ def evaluate_bound_by_intervals(bound_id: str, binput: BoundInput) -> BoundRepor
     indeterminate = False
     if computable:
         lhs, rhs = sides(_BITS_FIRST)
-        holds = _compare(lhs, rhs, spec.relation)
+        holds = _compare(lhs, rhs, relation)
         if holds is None and not (lhs.exact and rhs.exact):
             lhs, rhs = sides(_BITS_ESCALATED)
-            holds = _compare(lhs, rhs, spec.relation)
+            holds = _compare(lhs, rhs, relation)
             if holds is None:
                 indeterminate = True
                 notes.append("indeterminate_at_precision: sides not separated at 128 bits")
         lhs_val, rhs_val = lhs.mid, rhs.mid
         lhs_exact, rhs_exact = lhs.exact, rhs.exact
-        if spec.relation in ("<=", "<"):
+        if relation in ("<=", "<"):
             margin = rhs_val - lhs_val
-        elif spec.relation in (">=", ">"):
+        elif relation in (">=", ">"):
             margin = lhs_val - rhs_val
         else:
             margin = -abs(lhs_val - rhs_val)
@@ -304,14 +543,14 @@ def evaluate_bound_by_intervals(bound_id: str, binput: BoundInput) -> BoundRepor
         label=binput.label,
         hypotheses_met=not failed,
         failed_hypotheses=tuple(failed),
-        relation=spec.relation,
+        relation=relation,
         lhs=lhs_val,
         rhs=rhs_val,
         lhs_exact=lhs_exact,
         rhs_exact=rhs_exact,
         holds=holds,
         margin=margin,
-        params_used={k: getattr(ctx, k) for k in spec.params},
+        params_used={k: getattr(c, k) for k in spec.params},
         notes=tuple(notes),
         indeterminate=indeterminate,
     )

@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -6,7 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import b15b_lhs_pairwise, evaluate_bound_by_intervals
+
+import oracles
+from oracles import NON_DEFAULT_PARAMS, b15b_lhs_pairwise, evaluate_bound_by_intervals, fraction_decision
 
 from sigmairr import bounds
 from sigmairr.bounds import (
@@ -29,6 +32,7 @@ from sigmairr.bounds import (
 from sigmairr.cli import main
 from sigmairr.errors import InputError
 from sigmairr.graphs import cycle, path, star
+from sigmairr.indices import albertson, sigma
 from sigmairr.search import ExhaustiveMode, enumerate_free_trees, falsify
 from sigmairr.sequences import Convention, DegreeSequenceView, derive, random_tree
 from sigmairr.stats_tables import TABLE1, TABLE2
@@ -88,6 +92,36 @@ class TestParams:
         view = DegreeSequenceView((1, 1, 1, 3))
         values, _ = resolve_parameters(BoundParams(), view)
         assert values["alpha"] == values["beta"] == ceil_log2(4) == 2
+
+    @pytest.mark.parametrize("params", [BoundParams(), *NON_DEFAULT_PARAMS.values()], ids=["default", *NON_DEFAULT_PARAMS])
+    def test_equal_order_size_and_max_degree_share_a_resolution(self, params):
+        # n = 7, m = 6 and max degree 4 for both; the entries differ.
+        first = DegreeSequenceView((4, 2, 2, 1, 1, 1, 1))
+        second = DegreeSequenceView((1, 1, 3, 1, 1, 1, 4))
+        assert (first.n, first.m, first.max_entry) == (second.n, second.m, second.max_entry)
+        assert resolve_parameters(params, first) == resolve_parameters(params, second)
+        reports = [evaluate_all(BoundInput.from_view(view, irr_value=20, sigma_value=30, params=params))
+                   for view in (first, second)]
+        for one, other in zip(*reports):
+            assert (one.params_used, one.notes) == (other.params_used, other.notes), one.bound_id
+
+    def test_resolution_cannot_be_mutated_by_a_caller(self):
+        view = DegreeSequenceView((3, 6, 8, 10, 14, 16, 20), Convention.PAPER_TABLE)
+        before = [r.to_json_dict() for r in evaluate_all(BoundInput.from_table_row(1, 0))]
+        values, notes = resolve_parameters(BoundParams(), view)
+        assert notes["eta1"] and notes["alpha"]
+        with pytest.raises(TypeError):
+            values["eta"] = 1
+        with pytest.raises(TypeError):
+            notes["eta1"] = ["changed"]
+        with pytest.raises(TypeError):
+            del notes["alpha"]
+        with pytest.raises(AttributeError):
+            notes["alpha"].append("changed")
+        copied = dict(notes)
+        copied["eta1"] = ("changed",)
+        after = [r.to_json_dict() for r in evaluate_all(BoundInput.from_table_row(1, 0))]
+        assert after == before and resolve_parameters(BoundParams(), view)[1]["eta1"] != ("changed",)
 
 
 class TestCatalogArithmetic:
@@ -192,10 +226,11 @@ class TestCatalogArithmetic:
         binput = BoundInput.from_graph(random_tree(12, 3))
         needs_derived = [b for b in BOUND_IDS if "derived" in CATALOG[b].requires]
         assert needs_derived == ["B3", "B4", "B5", "B6"]
-        for i, bound_id in enumerate(BOUND_IDS):
+        for bound_id in BOUND_IDS:  # the catalog reads the summaries off integers
             evaluate_bound(bound_id, binput)
-            assert len(calls) == (i >= BOUND_IDS.index("B3")), bound_id
-        assert calls == [binput.view] and binput.derived == derive(binput.view)
+            refutes(CATALOG[bound_id], binput._ctx)
+        assert calls == []
+        assert binput.derived == derive(binput.view) and calls == [binput.view]
         single = BoundInput.from_view(DegreeSequenceView((2,)), irr_value=0, sigma_value=0)
         assert single.derived is None and missing_fields(CATALOG["B3"], single) == ["derived"]
 
@@ -361,8 +396,9 @@ class TestExactFirst:
                     value = getattr(spec, side)(ctx, 64)
                     if isinstance(value, RVal):
                         boxed.add((bound_id, side))
-                    else:
-                        assert type(value) in (int, Fraction), (bound_id, side)
+                    else:  # a numerator over a positive denominator
+                        num, den = value
+                        assert type(num) is int and type(den) is int and den > 0, (bound_id, side)
         assert boxed == {("B6", "rhs"), ("B15b", "lhs"), ("B15b", "rhs")}
 
     def test_reports_match_interval_reference_on_trees(self):
@@ -412,7 +448,7 @@ class TestExactFirst:
             )
         )
         assume(radicand >= 0)
-        exact = bounds._at_least_root_plus(shift + gap, radicand, shift)
+        exact = bounds._at_least_root_plus(shift + gap, radicand.numerator, radicand.denominator, shift)
         for bits in (64, 128):
             interval = _compare(RVal.of(shift + gap), sqrt_rval(radicand, bits) + RVal.of(shift), ">=")
             assert interval is None or interval == exact
@@ -421,13 +457,14 @@ class TestExactFirst:
         # X = g^2 + 1 and sigma - s = g: sqrt(X) - g < 1/(2g) = 2^-131
         g = 2**130
         binput = BoundInput.from_graph(path(6))
-        monkeypatch.setattr(bounds, "_b6_terms", lambda ctx: (Fraction(g * g + 1), ctx.sig - g))
+        monkeypatch.setattr(bounds, "_b6_terms", lambda ctx: (g * g + 1, 1, ctx.sig - g))
+        monkeypatch.setattr(oracles, "_b6_terms", lambda c: (Fraction(g * g + 1), c.sig - g))
         reference = evaluate_bound_by_intervals("B6", binput)
         assert reference.indeterminate and reference.holds is None
         report = evaluate_bound("B6", binput)
         assert report.holds is False and not report.indeterminate
         assert report.rhs == reference.rhs and report.notes == ()
-        monkeypatch.setattr(bounds, "_b6_terms", lambda ctx: (Fraction(g * g), ctx.sig - g))
+        monkeypatch.setattr(bounds, "_b6_terms", lambda ctx: (g * g, 1, ctx.sig - g))
         report = evaluate_bound("B6", binput)
         assert report.holds is True and report.margin == 0 and report.rhs_exact
 
@@ -497,7 +534,114 @@ class TestRefutes:
         # less than 2^-128, so only its exact verdict refutes it.
         g = 2**130
         ctx = BoundInput.from_graph(path(6))._ctx
-        monkeypatch.setattr(bounds, "_b6_terms", lambda ctx: (Fraction(g * g + 1), ctx.sig - g))
+        monkeypatch.setattr(bounds, "_b6_terms", lambda ctx: (g * g + 1, 1, ctx.sig - g))
         assert refutes(CATALOG["B6"], ctx) is True
-        monkeypatch.setattr(bounds, "_b6_terms", lambda ctx: (Fraction(g * g), ctx.sig - g))
+        monkeypatch.setattr(bounds, "_b6_terms", lambda ctx: (g * g, 1, ctx.sig - g))
         assert refutes(CATALOG["B6"], ctx) is False
+
+
+# ---------------------------------------------------------------------------
+# Integer decisions against the Fraction reference
+
+ALL_PARAMS = (BoundParams(), *NON_DEFAULT_PARAMS.values())
+PARAM_IDS = ("default", *NON_DEFAULT_PARAMS)
+
+
+def integer_decision(bound_id, binput):
+    """(failed hypotheses, computable, holds, refuted) as the package decides."""
+    spec, ctx = CATALOG[bound_id], binput._ctx
+    failed, computable = spec.hypothesis(ctx)
+    holds = None
+    if computable:
+        holds = spec.verdict(ctx) if spec.verdict is not None else bounds._decide(spec, ctx)[2]
+    return failed, computable, holds, refutes(spec, ctx)
+
+
+def _decisions_agree(binput, bound_ids=BOUND_IDS):
+    for bound_id in bound_ids:
+        if not missing_fields(CATALOG[bound_id], binput):
+            assert integer_decision(bound_id, binput) == fraction_decision(bound_id, binput), (bound_id, binput.label)
+
+
+def _near_ties(view, irr, sig, params, graph=None):
+    """(entry, input) pairs on which the entry's sides are equal or nearly so:
+    the input its left side reads (irr for B1 and B2, sigma otherwise) set to
+    the floor and ceiling of the value that balances the Fraction sides, and
+    one beyond each; so the cross products are equal or differ by little.
+    The third item says whether the Fraction sides are equal."""
+    base = BoundInput.from_view(view, irr_value=irr, sigma_value=sig, params=params, graph=graph)
+    c = oracles.fraction_ctx(base)
+    for bound_id in BOUND_IDS:
+        if bound_id in ("B14", "B15a", "B15b") or missing_fields(CATALOG[bound_id], base):
+            continue
+        if not oracles.fraction_hypothesis(bound_id, base, c)[1]:
+            continue
+        rhs = oracles.FRACTION_FORMULAS[bound_id][2](c, 64)
+        target = rhs.mid if isinstance(rhs, RVal) else Fraction(rhs)
+        if bound_id in ("B1a", "B1b"):  # lhs = 2*irr / (D(D-1)^2)
+            target *= Fraction(c.max_degree * (c.max_degree - 1) ** 2, 2)
+        low, high = math.floor(target), math.ceil(target)
+        for value in sorted({low - 1, low, high, high + 1}):
+            if bound_id[:2] in ("B1", "B2"):
+                binput = BoundInput.from_view(view, irr_value=value, sigma_value=sig, params=params, graph=graph)
+            else:
+                binput = BoundInput.from_view(view, irr_value=irr, sigma_value=value, params=params, graph=graph)
+            yield bound_id, binput, value == target
+
+
+views_st = st.tuples(
+    st.one_of(
+        st.lists(st.integers(1, 12), min_size=1, max_size=10),
+        st.lists(st.integers(1, 300), min_size=2, max_size=8),
+        st.tuples(st.integers(1, 30), st.integers(1, 8)).map(lambda t: [t[0]] * t[1]),
+    ),
+    st.sampled_from([Convention.STANDARD, Convention.PAPER_TABLE]),
+).filter(lambda t: not (t[1] is Convention.PAPER_TABLE and sum(t[0]) == 1))  # m = 0: no default eta
+
+
+class TestIntegerDecisions:
+    """Every entry's hypotheses and verdict, decided on integers, equal the
+    same decision over Fractions, on every tree with n <= 10, every table
+    row and drawn sequences (unsorted, odd degree sums), under the default
+    and six other parameter sets, and at near-ties."""
+
+    @pytest.mark.parametrize("params", ALL_PARAMS, ids=PARAM_IDS)
+    def test_trees(self, params):
+        for n in range(2, 11):
+            for g in enumerate_free_trees(n):
+                _decisions_agree(BoundInput.from_graph(g, params))
+
+    @pytest.mark.parametrize("params", ALL_PARAMS, ids=PARAM_IDS)
+    def test_table_rows(self, params):
+        for table_id, rows in ((1, TABLE1), (2, TABLE2)):
+            for row_index in range(len(rows)):
+                _decisions_agree(BoundInput.from_table_row(table_id, row_index, params))
+
+    @given(views_st, st.one_of(st.none(), st.integers(-5, 3000)), st.integers(-50, 10**5), st.sampled_from(ALL_PARAMS))
+    @settings(max_examples=300, deadline=None)
+    def test_sequences(self, view_args, irr, sig, params):
+        view = DegreeSequenceView(tuple(view_args[0]), view_args[1])
+        _decisions_agree(BoundInput.from_view(view, irr_value=irr, sigma_value=sig, params=params))
+
+    @pytest.mark.parametrize("params", ALL_PARAMS, ids=PARAM_IDS)
+    def test_near_ties_on_trees_and_table_rows(self, params):
+        ties = Counter()
+        bases = [(DegreeSequenceView.from_graph(g), albertson(g), sigma(g), g)
+                 for n in range(2, 9) for g in enumerate_free_trees(n)]
+        for table_id, rows in ((1, TABLE1), (2, TABLE2)):
+            for row_index in range(len(rows)):
+                binput = BoundInput.from_table_row(table_id, row_index)
+                bases.append((binput.view, binput.irr_value, binput.sigma_value, None))
+        for view, irr, sig, graph in bases:
+            for bound_id, binput, tie in _near_ties(view, irr, sig, params, graph):
+                _decisions_agree(binput, (bound_id,))
+                ties[bound_id] += tie
+        # exact ties happen on every entry whose sides can be equal integers
+        assert {"B1b", "B2a", "B2b", "B3", "B8", "B9", "B12"} <= {b for b, count in ties.items() if count}
+
+    @given(views_st, st.integers(0, 3000), st.sampled_from(ALL_PARAMS))
+    @settings(max_examples=150, deadline=None)
+    def test_near_ties_on_sequences(self, view_args, irr, params):
+        view = DegreeSequenceView(tuple(view_args[0]), view_args[1])
+        for bound_id, binput, _ in _near_ties(view, irr, 0, params):
+            _decisions_agree(binput, (bound_id,))

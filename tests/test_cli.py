@@ -191,11 +191,25 @@ class TestBounds:
          "--n (random mode) and --nmax (exhaustive mode) exclude each other"),
         (("falsify", "--bound", "B8", "--n", "8", "--nmax", "6", "--samples", "3"),
          "--n (random mode) and --nmax (exhaustive mode) exclude each other"),
+        (("falsify", "--bound", "B8", "--nmax", "5", "--seed", "9"), "--seed needs random mode (--n with --samples)"),
+        (("falsify", "--bound", "B8", "--nmax", "5", "--seed", "0"), "--seed needs random mode (--n with --samples)"),
+        (("falsify", "--bound", "B8", "--n", "40", "--samples", "5", "--allow-over-cap"),
+         "--allow-over-cap needs exhaustive mode (--nmax)"),
+        (("check", "--family", "path:5", "--bound", "B8", "--allow-over-cap"), "--allow-over-cap needs --class-trees"),
+        (("check", "--table", "1", "--row", "1", "--bound", "B8", "--allow-over-cap"),
+         "--allow-over-cap needs --class-trees"),
     ]])
     def test_unread_flags_rejected(self, capsys, argv, message):
         # A flag the chosen input or mode would not read fails instead of being ignored.
         code, out, err = run_cli(capsys, "bounds", *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_falsify_random_seed_defaults_to_zero(self, capsys):
+        argv = ("bounds", "falsify", "--bound", "B8", "--n", "9", "--samples", "6", "--format", "json")
+        code, implicit, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(implicit)["seed"] == 0
+        code, explicit, _ = run_cli(capsys, *argv, "--seed", "0")
+        assert code == 0 and explicit == implicit
 
     def test_falsify_random_mode(self, capsys):
         code, out, _ = run_cli(

@@ -13,6 +13,7 @@ import pytest
 
 import sigmairr
 from oracles import extremal_by_graphs, free_tree_counts_otter
+from sigmairr.cli import main
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -96,3 +97,30 @@ def test_campaign_matches_recorded_digest(tmp_path):
     counts = {claim: len(items) for claim, items in found.items() if items}
     assert counts == reference["counts"] and sum(counts.values()) == reference["total"]
     assert hashlib.sha256(target.read_bytes()).hexdigest() == reference["sha256"]
+
+
+# The benchmark's full-size outputs, so that every interpreter the test
+# suite runs under checks them: the campaign at --nmax 12, and each base
+# claim's bounds falsify JSON on 200 random trees of order 40.
+
+def test_campaign_matches_full_size_digest(tmp_path):
+    reference = json.loads(REFERENCE_PATH.read_text())["falsify-exhaustive"]["full"]
+    target = tmp_path / "campaign.json"
+    done = run_script("falsification_campaign.py", "--nmax", "12", "--json", str(target))
+    assert done.returncode == 0 and done.stderr == ""
+    found = json.loads(target.read_text(encoding="utf-8"))
+    counts = {claim: len(items) for claim, items in found.items() if items}
+    assert counts == reference["counts"] and sum(counts.values()) == reference["total"] == 3796
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == reference["sha256"]
+
+
+def test_falsify_random_matches_full_size_digests(tmp_path, capsys):
+    reference = json.loads(REFERENCE_PATH.read_text())["falsify-random"]["full"]
+    assert sorted(reference["sha256"]) == sorted(f"B{k}" for k in range(1, 16))
+    for base, digest in sorted(reference["sha256"].items()):
+        target = tmp_path / f"{base}.json"
+        argv = ["bounds", "falsify", "--bound", base, "--n", "40", "--samples", "200",
+                "--seed", str(reference["seed"]), "--format", "json", "--out", str(target)]
+        assert main(argv) == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest, base
+    assert capsys.readouterr() == ("", "")

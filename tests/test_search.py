@@ -3,13 +3,13 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import sigmairr
 from oracles import (
+    NON_DEFAULT_PARAMS,
     extremal_by_graphs,
     falsify_by_reports,
     free_tree_counts_otter,
@@ -357,18 +357,7 @@ class TestFalsify:
         found = falsify("all", mode)
         assert found and found == falsify_by_reports("all", mode)
 
-    @pytest.mark.parametrize(
-        "params",
-        [
-            BoundParams(strict_max_degree_window=True),
-            BoundParams(eta=5),
-            BoundParams(eta1=Fraction(3)),
-            BoundParams(alpha=0, beta=5),
-            BoundParams(p=13),
-            BoundParams(alpha=1, beta=1, p=3, eta=9, eta1=Fraction(5, 2), strict_max_degree_window=True),
-        ],
-        ids=["strict-window", "eta", "eta1", "alpha-beta", "p13", "all-set"],
-    )
+    @pytest.mark.parametrize("params", NON_DEFAULT_PARAMS.values(), ids=NON_DEFAULT_PARAMS.keys())
     def test_matches_reports_oracle_with_params(self, params):
         # Parameters move hypotheses (B10's window, B12/B13's eta guards), so
         # what the short-circuit skips differs per parameter set.

@@ -76,3 +76,20 @@ def test_render_layer_sees_every_output_byte(fmt):
     traced = tracer.to_json()
     assert traced["layers"]["cli.render.render"]["count"] == 1
     assert out.getvalue() and traced["counters"]["cli.render.bytes"] == len(out.getvalue().encode("utf-8"))
+
+
+def test_resolve_layer_counts_one_call_per_input():
+    # resolve_parameters is memoised beneath its module name: the tracer
+    # still sees one bounds.resolve call per BoundInput, also for inputs that
+    # share their order, size and max degree.
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer()
+    trees = [g for n in range(2, 8) for g in search.enumerate_free_trees(n)]
+    try:
+        tracer_module.install(tracer)
+        inputs = [bounds.BoundInput.from_graph(g) for g in trees * 2]
+        search.falsify("all", search.ExhaustiveMode(7))
+    finally:
+        tracer.uninstall()
+    assert len({(b.view.n, b.view.max_entry) for b in inputs}) < len(trees)
+    assert tracer.to_json()["layers"]["bounds.resolve"]["count"] == 3 * len(trees)
