@@ -39,11 +39,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, InputError
 from .graphs import Graph
-from .indices import albertson, sigma, sigma_closed_form, zagreb_m1
+from .indices import sigma_closed_form
 from .sequences import Convention, DegreeSequenceView, DerivedSequences, derive
 
 _BITS_FIRST = 64
@@ -301,8 +301,11 @@ class BoundInput:
     """Everything a catalog entry may reference, with provenance recorded.
 
     ``irr_value`` and ``sigma_value`` are required by most entries; build
-    via :meth:`from_graph` (direct computation) or :meth:`from_table_row`
-    (printed columns + closed form) or supply them explicitly.
+    via :meth:`from_edges` or :meth:`from_graph` (direct computation) or
+    :meth:`from_table_row` (printed columns + closed form) or supply them
+    explicitly.  ``vertex_degrees`` and ``edges`` describe the graph itself,
+    for the entries that read it (B14); a ``graph`` given alone supplies
+    both.
     """
 
     view: DegreeSequenceView
@@ -312,11 +315,16 @@ class BoundInput:
     params: BoundParams = field(default_factory=BoundParams)
     graph: Optional[Graph] = None
     label: str = ""
+    vertex_degrees: Optional[Sequence[int]] = field(default=None, compare=False, repr=False)
+    edges: Optional[Collection[tuple[int, int]]] = field(default=None, compare=False, repr=False)
     # Resolved once here and shared by every catalog entry evaluated on it.
     _ctx: "_Ctx" = field(init=False, compare=False, repr=False)
     _param_notes: Mapping[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if self.graph is not None and self.edges is None:
+            object.__setattr__(self, "vertex_degrees", self.graph.degrees)
+            object.__setattr__(self, "edges", self.graph.edges)
         resolved, notes = resolve_parameters(self.params, self.view)
         ctx = _Ctx(
             n=self.view.n,
@@ -328,7 +336,8 @@ class BoundInput:
             cube_sum=self.cube_sum,
             irr=self.irr_value,
             sig=self.sigma_value,
-            graph=self.graph,
+            vertex_degrees=self.vertex_degrees,
+            edges=self.edges,
             **resolved,
         )
         object.__setattr__(self, "_ctx", ctx)
@@ -341,15 +350,39 @@ class BoundInput:
 
     @classmethod
     def from_graph(cls, g: Graph, params: BoundParams = BoundParams(), label: str = "") -> "BoundInput":
-        view = DegreeSequenceView.from_graph(g, Convention.STANDARD)
+        return cls.from_edges(g.vertex_count, g.degrees, g.edges, params, label, graph=g)
+
+    @classmethod
+    def from_edges(
+        cls,
+        n: int,
+        degrees: Sequence[int],
+        edges: Collection[tuple[int, int]],
+        params: BoundParams = BoundParams(),
+        label: str = "",
+        graph: Optional[Graph] = None,
+    ) -> "BoundInput":
+        """Input of the simple graph on 0..n-1 with these per-vertex degrees
+        and edges, each listed once; Albertson and Sigma come from one pass
+        over the edges.  ``graph``, if given, is that graph."""
+        view = DegreeSequenceView.from_degrees(degrees, Convention.STANDARD)
+        irr = sig = 0
+        for u, v in edges:
+            d = degrees[u] - degrees[v]
+            if d < 0:
+                d = -d
+            irr += d
+            sig += d * d
         return cls(
             view=view,
-            irr_value=albertson(g),
-            sigma_value=sigma(g),
+            irr_value=irr,
+            sigma_value=sig,
             cube_sum=view.cube_sum,
             params=params,
-            graph=g,
-            label=label or f"graph n={g.vertex_count} m={g.edge_count}",
+            graph=graph,
+            label=label or f"graph n={n} m={len(edges)}",
+            vertex_degrees=degrees,
+            edges=edges,
         )
 
     @classmethod
@@ -470,7 +503,8 @@ class BoundSpec:
 
 @dataclass(frozen=True)
 class _Ctx:
-    """Resolved symbols an entry's formulas may reference: integers, but for the graph and eta1."""
+    """Resolved symbols an entry's formulas may reference: integers, but for
+    the graph's per-vertex degrees and edges (None without a graph) and eta1."""
 
     n: int
     two_m: int
@@ -481,7 +515,8 @@ class _Ctx:
     cube_sum: int
     irr: Optional[int]
     sig: Optional[int]
-    graph: Optional[Graph]
+    vertex_degrees: Optional[Sequence[int]]
+    edges: Optional[Collection[tuple[int, int]]]
     alpha: int
     beta: int
     p: int
@@ -531,14 +566,21 @@ def _hyp_b1(ctx: _Ctx) -> tuple[list[str], bool]:
     return [], True
 
 
+def _guard_m(ctx: _Ctx, failed: list[str]) -> tuple[list[str], bool]:
+    """B2's ceil(2n/m) needs m > 0."""
+    if ctx.two_m == 0:
+        return [*failed, "m = 0 (division by zero)"], False
+    return failed, True
+
+
 def _hyp_b2a(ctx: _Ctx) -> tuple[list[str], bool]:
     failed = [] if ctx.max_degree <= 20 else ["max degree exceeds 20"]
-    return failed, True
+    return _guard_m(ctx, failed)
 
 
 def _hyp_b2b(ctx: _Ctx) -> tuple[list[str], bool]:
     failed = [] if ctx.max_degree > 3 else ["max degree not above 3"]
-    return failed, True
+    return _guard_m(ctx, failed)
 
 
 def _hyp_b5(ctx: _Ctx) -> tuple[list[str], bool]:
@@ -706,19 +748,21 @@ def _b13_rhs(ctx: _Ctx, bits: int) -> Ratio:
 
 
 def _b14_lhs(ctx: _Ctx, bits: int) -> Ratio:
-    # sigma(complement(G)) summed over the non-adjacent pairs of G: the
-    # complement degrees n-1-d differ pairwise as the degrees d do.
-    g = ctx.graph
-    degs, edges, n = g.degrees, g.edges, g.vertex_count
-    complement_sigma = sum(
-        (degs[u] - degs[v]) ** 2 for u in range(n) for v in range(u + 1, n) if (u, v) not in edges
-    )
-    return sigma(g) + complement_sigma, 1
+    # sigma(G) + sigma(complement(G)).  The complement's edges are the pairs
+    # of G that are not edges, and its degrees n-1-d differ pairwise as the
+    # degrees d do, so its sum is the sum over all pairs less G's edge sum.
+    # The all-pairs sum takes each pair of distinct degrees a < b once,
+    # c_a*c_b times: pairs of equal degree add 0.
+    degs = ctx.vertex_degrees
+    sigma_g = sum((degs[u] - degs[v]) ** 2 for u, v in ctx.edges)
+    groups = list(Counter(degs).items())
+    all_pairs = sum(ca * cb * (a - b) ** 2 for i, (a, ca) in enumerate(groups) for b, cb in groups[i + 1:])
+    return sigma_g + (all_pairs - sigma_g), 1
 
 
 def _b14_rhs(ctx: _Ctx, bits: int) -> Ratio:
-    g = ctx.graph
-    return g.vertex_count * zagreb_m1(g) - 4 * g.edge_count**2, 1
+    degs = ctx.vertex_degrees
+    return len(degs) * sum(d * d for d in degs) - 4 * len(ctx.edges) ** 2, 1
 
 
 def _b15a_lhs(ctx: _Ctx, bits: int) -> Ratio:
@@ -886,7 +930,7 @@ _FIELD_MISSING = {
     "irr": lambda b: b.irr_value is None,
     "sigma": lambda b: b.sigma_value is None,
     "derived": lambda b: b.view.k < 2,
-    "graph": lambda b: b.graph is None,
+    "graph": lambda b: b.edges is None,
     "view": lambda b: False,
 }
 

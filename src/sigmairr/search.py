@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequen
 from .errors import DomainError, InputError, ResourceLimitError
 from .graphs import Graph, format_edge_list, is_tree
 from .indices import albertson, sigma
-from .sequences import is_tree_sequence, random_tree
+from .sequences import is_tree_sequence, prufer_degrees_and_edges, random_prufer_word
 
 if TYPE_CHECKING:  # ``bounds`` is imported where a claim is evaluated, not here
     from .bounds import BoundInput, BoundParams, BoundReport
@@ -108,7 +108,8 @@ def _advance(levels: list[int]) -> int:
 
 def levels_to_graph(levels: Sequence[int]) -> Graph:
     """Tree from a level sequence: parent of i is the last j < i one level up."""
-    return Graph(len(levels), zip(_parents_and_degrees(levels)[0], range(1, len(levels))))
+    n, _, edges = _tree_of_levels(levels)
+    return Graph(n, edges)
 
 
 def _canonical_rooted_levels(adjacency: Sequence[Sequence[int]], root: int) -> tuple[int, ...]:
@@ -456,48 +457,62 @@ def falsify(
     """Hunt for trees meeting a claim's hypotheses on which it evaluates false.
 
     ``bound_id`` may be a base id or ``"all"``: each tree builds one
-    ``BoundInput``, and every expanded entry is decided on it by
-    ``bounds.refutes``, which skips an entry whose hypotheses fail and
-    builds no report.  Only a counterexample gets its ``BoundReport``, from
-    ``evaluate_bound``.  Exhaustive mode covers every isomorphism class with
+    ``BoundInput`` from its order, degrees and edges, and every expanded
+    entry is decided on it by ``bounds.refutes``, which skips an entry whose
+    hypotheses fail and builds no report.  Only a counterexample gets its
+    ``BoundReport``, from ``evaluate_bound``, and only a tree with one gets
+    its ``Graph``.  Exhaustive mode covers every isomorphism class with
     2 <= n <= n_max, and rejects an ``n_max`` over the cap before it
-    generates any tree; random mode draws seeded labeled trees of a fixed
-    order.  ``params`` None means ``BoundParams()``.  The returned list is
-    deterministic for identical arguments.
+    generates any tree; its degrees and (parent, child) edges come from each
+    level sequence.  Random mode draws seeded labeled trees of a fixed order,
+    their degrees and edges decoded from a random Pruefer word.  ``params``
+    None means ``BoundParams()``.  The returned list is deterministic for
+    identical arguments.
     """
     from . import bounds
 
     if params is None:
         params = bounds.BoundParams()
     bound_ids = bounds.expand_bound_id(bound_id)
+    trees: Iterator[tuple[int, Sequence[int], Sequence[tuple[int, int]]]]
     if isinstance(mode, ExhaustiveMode):
         if mode.n_max < 2:
             raise DomainError("exhaustive falsification needs n_max >= 2")
         check_tree_order(mode.n_max, max_order, allow_over_cap)
-        trees: Iterator[Graph] = (
-            g
+        trees = (
+            _tree_of_levels(levels)
             for n in range(2, mode.n_max + 1)
-            for g in enumerate_free_trees(n, max_order, allow_over_cap)
+            for levels in free_tree_level_sequences(n)
         )
     else:
-        if mode.n < 2:
+        n = mode.n
+        if n < 2:
             raise DomainError("random falsification needs n >= 2")
         if mode.samples < 1:
             raise DomainError("need at least one sample")
         rng = random.Random(mode.seed)
         seeds = [rng.randrange(2**63) for _ in range(mode.samples)]
-        trees = (random_tree(mode.n, s) for s in seeds)
+        trees = ((n, *prufer_degrees_and_edges(random_prufer_word(n, s), n)) for s in seeds)
 
     specs = [(bid, bounds.CATALOG[bid]) for bid in bound_ids]
     found: list[Counterexample] = []
     checked = False  # every tree of a mode has the same fields
-    for g in trees:
-        binput = bounds.BoundInput.from_graph(g, params)
+    for order, degrees, edges in trees:
+        binput = bounds.BoundInput.from_edges(order, degrees, edges, params)
         if not checked:
             bounds.require_fields(bound_ids, binput)
             checked = True
         ctx = binput._ctx
+        g = None
         for bid, spec in specs:
             if bounds.refutes(spec, ctx):
+                if g is None:
+                    g = Graph(order, edges)
                 found.append(Counterexample(bid, g, bounds.evaluate_bound(bid, binput)))
     return found
+
+
+def _tree_of_levels(levels: Sequence[int]) -> tuple[int, list[int], list[tuple[int, int]]]:
+    """Order, degrees and (parent, child) edges of a level sequence's tree."""
+    parents, degrees = _parents_and_degrees(levels)
+    return len(levels), degrees, list(zip(parents, range(1, len(levels))))

@@ -92,11 +92,18 @@ class DegreeSequenceView:
     @classmethod
     def from_graph(cls, g: Graph, convention: Convention = Convention.STANDARD) -> "DegreeSequenceView":
         """View of a graph's degrees, sorted non-decreasing."""
-        if g.vertex_count == 0:
+        return cls.from_degrees(g.degrees, convention)
+
+    @classmethod
+    def from_degrees(
+        cls, degrees: Sequence[int], convention: Convention = Convention.STANDARD
+    ) -> "DegreeSequenceView":
+        """View of a graph's per-vertex degrees, sorted non-decreasing."""
+        if not degrees:
             raise DomainError("cannot view an empty graph as a degree sequence")
-        if min(g.degrees) < 1:
+        if min(degrees) < 1:
             raise DomainError("graph has an isolated vertex; degree entries must be >= 1")
-        return cls(tuple(sorted(g.degrees)), convention)
+        return cls(tuple(sorted(degrees)), convention)
 
 
 @dataclass(frozen=True)
@@ -270,40 +277,65 @@ def random_tree(n: int, seed: int) -> Graph:
         raise DomainError("random_tree requires n >= 1")
     if n == 1:
         return Graph(1, [])
-    if n == 2:
-        return Graph(2, [(0, 1)])
-    rng = random.Random(seed)
-    word = [rng.randrange(n) for _ in range(n - 2)]
-    return tree_from_prufer(word, n)
+    return Graph(n, prufer_degrees_and_edges(random_prufer_word(n, seed), n)[1])
 
 
 def tree_from_prufer(word: Sequence[int], n: int) -> Graph:
     """Decode a Prufer word of length n-2 over symbols 0..n-1."""
+    return Graph(n, prufer_degrees_and_edges(word, n)[1])
+
+
+def random_prufer_word(n: int, seed: int) -> list[int]:
+    """n - 2 symbols, each uniform over 0..n-1, from ``random.Random(seed)``.
+
+    Each symbol is ``getrandbits(n.bit_length())``, drawn again while it is
+    n or more: the stream ``Random(seed).randrange(n)`` reads on CPython
+    3.10 to 3.13, without its per-call dispatch.
+    """
+    getrandbits = random.Random(seed).getrandbits
+    bits = n.bit_length()
+    word = []
+    for _ in range(n - 2):
+        x = getrandbits(bits)
+        while x >= n:
+            x = getrandbits(bits)
+        word.append(x)
+    return word
+
+
+def prufer_degrees_and_edges(word: Sequence[int], n: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Vertex degrees and edges (u, v), u < v, of the tree on 0..n-1 that a
+    Prufer word of length n-2 encodes, by the linear decode.
+
+    A vertex's degree is its symbol count plus one.  The decode joins the
+    smallest leaf to each symbol in turn: a pointer scans upward for the
+    next leaf, except when the symbol just used becomes a leaf below it.
+    """
     if n < 2 or len(word) != n - 2:
         raise DomainError("Prufer word must have length n - 2 with n >= 2")
-    degree = [1] * n
+    degrees = [1] * n
     for x in word:
         if not 0 <= x < n:
             raise DomainError(f"Prufer symbol {x} out of range")
-        degree[x] += 1
+        degrees[x] += 1
+    remaining = degrees.copy()  # degree in the tree not yet decoded
     edges = []
-    # ptr/leaf scan: always joins the smallest available leaf.
     ptr = 0
-    while degree[ptr] != 1:
+    while remaining[ptr] != 1:
         ptr += 1
     leaf = ptr
     for x in word:
         edges.append((leaf, x) if leaf < x else (x, leaf))
-        degree[x] -= 1
-        if degree[x] == 1 and x < ptr:
+        remaining[x] -= 1
+        if remaining[x] == 1 and x < ptr:
             leaf = x
         else:
             ptr += 1
-            while degree[ptr] != 1:
+            while remaining[ptr] != 1:
                 ptr += 1
             leaf = ptr
     edges.append((leaf, n - 1) if leaf < n - 1 else (n - 1, leaf))
-    return Graph(n, edges)
+    return degrees, edges
 
 
 def parse_sequence_literal(text: str) -> tuple[int, ...]:

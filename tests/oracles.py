@@ -31,10 +31,13 @@ simpler form of a package routine it is compared with:
 * ``derived_summaries_by_summation`` adds the half-difference and half-sum
   ``Fraction`` sequences term by term, where the package reads the same
   summaries off integer sums of the entries;
-* ``falsify_by_reports`` shares the package's tree streams and
-  ``evaluate_bound``, builds a report for every (tree, entry) pair and keeps
-  the probative failures, where the package decides each pair first and
-  builds a report only for a counterexample.
+* ``falsify_by_reports`` shares the package's free-tree stream and
+  ``evaluate_bound``, builds a ``Graph`` and a report for every (tree,
+  entry) pair and keeps the probative failures, where the package decides
+  each pair on degrees and edges first and builds a ``Graph`` and a report
+  only for a counterexample.  Its random trees are its own: each Pruefer
+  word is ``randrange(n)`` drawn n - 2 times from the sample's
+  ``Random(seed)``, decoded by ``prufer_decode_heap``.
 
 ``greedy_min_sigma`` shares nothing with the package: it builds one tree
 per degree multiset by construction instead of searching a stream.
@@ -42,6 +45,7 @@ per degree multiset by construction instead of searching a stream.
 
 from __future__ import annotations
 
+import heapq
 import operator
 import random
 from collections import deque
@@ -66,7 +70,7 @@ from sigmairr.bounds import (
     sqrt_rval,
 )
 from sigmairr.errors import DomainError
-from sigmairr.graphs import complement
+from sigmairr.graphs import Graph, complement
 from sigmairr.indices import albertson, sigma, zagreb_m1
 from sigmairr.search import (
     Counterexample,
@@ -76,7 +80,7 @@ from sigmairr.search import (
     enumerate_free_trees,
     rooted_level_sequences,
 )
-from sigmairr.sequences import Convention, random_tree
+from sigmairr.sequences import Convention
 
 
 def prufer_decode(word: tuple[int, ...], n: int) -> list[tuple[int, int]]:
@@ -93,6 +97,27 @@ def prufer_decode(word: tuple[int, ...], n: int) -> list[tuple[int, int]]:
         degree[leaf] -= 1
         degree[x] -= 1
     u, v = [w for w in range(n) if not used[w] and degree[w] == 1]
+    edges.append((u, v))
+    return edges
+
+
+def prufer_decode_heap(word: Sequence[int], n: int) -> list[tuple[int, int]]:
+    """Decode with a min-heap of the current leaves: each symbol is joined
+    to the smallest leaf, and becomes a leaf itself once its last
+    occurrence is used."""
+    degree = [1] * n
+    for x in word:
+        degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in word:
+        leaf = heapq.heappop(leaves)
+        edges.append((min(leaf, x), max(leaf, x)))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    u, v = sorted(leaves)
     edges.append((u, v))
     return edges
 
@@ -567,7 +592,7 @@ def falsify_by_reports(
     else:
         rng = random.Random(mode.seed)
         seeds = [rng.randrange(2**63) for _ in range(mode.samples)]
-        trees = (random_tree(mode.n, s) for s in seeds)
+        trees = (Graph(mode.n, prufer_decode_heap(randrange_word(mode.n, s), mode.n)) for s in seeds)
     bound_ids = expand_bound_id(bound_id)
     found = []
     for g in trees:
@@ -577,6 +602,12 @@ def falsify_by_reports(
             if report.hypotheses_met and report.holds is False:
                 found.append(Counterexample(bid, g, report))
     return found
+
+
+def randrange_word(n: int, seed: int) -> list[int]:
+    """n - 2 Pruefer symbols, each ``randrange(n)`` of one ``Random(seed)``."""
+    rng = random.Random(seed)
+    return [rng.randrange(n) for _ in range(n - 2)]
 
 
 def free_tree_level_sequences_by_filter(n: int) -> Iterator[tuple[int, ...]]:

@@ -1,7 +1,7 @@
 import json
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -30,11 +30,25 @@ from sigmairr.bounds import (
     sqrt_rval,
 )
 from sigmairr.cli import main
-from sigmairr.errors import InputError
-from sigmairr.graphs import cycle, path, star
+from sigmairr.errors import DomainError, InputError
+from sigmairr.graphs import Graph, cycle, path, star
 from sigmairr.indices import albertson, sigma
-from sigmairr.search import ExhaustiveMode, enumerate_free_trees, falsify
-from sigmairr.sequences import Convention, DegreeSequenceView, derive, random_tree
+from sigmairr.search import (
+    ExhaustiveMode,
+    _tree_of_levels,
+    enumerate_free_trees,
+    falsify,
+    free_tree_level_sequences,
+    levels_to_graph,
+)
+from sigmairr.sequences import (
+    Convention,
+    DegreeSequenceView,
+    derive,
+    prufer_degrees_and_edges,
+    random_prufer_word,
+    random_tree,
+)
 from sigmairr.stats_tables import TABLE1, TABLE2
 
 fraction_st = st.fractions(min_value=0, max_value=10**6)
@@ -645,3 +659,60 @@ class TestIntegerDecisions:
         view = DegreeSequenceView(tuple(view_args[0]), view_args[1])
         for bound_id, binput, _ in _near_ties(view, irr, 0, params):
             _decisions_agree(binput, (bound_id,))
+
+
+def _inputs_agree(edges_input: BoundInput, graph_input: BoundInput) -> None:
+    assert edges_input.view == graph_input.view and edges_input.label == graph_input.label
+    assert (edges_input.irr_value, edges_input.sigma_value, edges_input.cube_sum) == (
+        graph_input.irr_value, graph_input.sigma_value, graph_input.cube_sum)
+    ours, theirs = edges_input._ctx, graph_input._ctx
+    for f in fields(bounds._Ctx):
+        if f.name == "edges":
+            assert sorted(ours.edges) == sorted(theirs.edges)
+        elif f.name == "vertex_degrees":
+            assert tuple(ours.vertex_degrees) == theirs.vertex_degrees
+        else:
+            assert getattr(ours, f.name) == getattr(theirs, f.name), f.name
+    assert missing_fields(CATALOG["B14"], edges_input) == []
+    for bound_id in BOUND_IDS:
+        spec = CATALOG[bound_id]
+        assert refutes(spec, ours) == refutes(spec, theirs), bound_id
+        assert evaluate_bound(bound_id, edges_input) == evaluate_bound(bound_id, graph_input), bound_id
+
+
+class TestFromEdges:
+    """``BoundInput.from_edges`` on a tree's degrees and edges, as falsify
+    builds them, is ``from_graph`` on the tree's ``Graph``."""
+
+    def test_every_free_tree_up_to_order_ten(self):
+        for n in range(2, 11):
+            for levels in free_tree_level_sequences(n):
+                order, degrees, edges = _tree_of_levels(levels)
+                _inputs_agree(BoundInput.from_edges(order, degrees, edges),
+                              BoundInput.from_graph(levels_to_graph(levels)))
+
+    def test_random_trees_of_order_forty(self):
+        for seed in range(200):
+            degrees, edges = prufer_degrees_and_edges(random_prufer_word(40, seed), 40)
+            _inputs_agree(BoundInput.from_edges(40, degrees, edges), BoundInput.from_graph(random_tree(40, seed)))
+
+    @pytest.mark.parametrize("params", NON_DEFAULT_PARAMS.values(), ids=NON_DEFAULT_PARAMS.keys())
+    def test_params_and_label_pass_through(self, params):
+        degrees, edges = prufer_degrees_and_edges(random_prufer_word(12, 5), 12)
+        _inputs_agree(BoundInput.from_edges(12, degrees, edges, params, label="tree"),
+                      BoundInput.from_graph(random_tree(12, 5), params, label="tree"))
+
+    def test_rejects_what_from_graph_rejects(self):
+        for n, degrees, edges in ((0, [], []), (1, [0], []), (3, [1, 1, 0], [(0, 1)])):
+            with pytest.raises(DomainError) as by_edges:
+                BoundInput.from_edges(n, degrees, edges)
+            with pytest.raises(DomainError) as by_graph:
+                BoundInput.from_graph(Graph(n, edges))
+            assert str(by_edges.value) == str(by_graph.value)
+
+    def test_b14_needs_the_graph(self):
+        view_only = BoundInput.from_view(DegreeSequenceView((1, 1, 2)), irr_value=2, sigma_value=2)
+        assert missing_fields(CATALOG["B14"], view_only) == ["graph"]
+        with_graph = BoundInput.from_view(DegreeSequenceView((1, 1, 2)), irr_value=2, sigma_value=2, graph=path(3))
+        assert missing_fields(CATALOG["B14"], with_graph) == []
+        assert evaluate_bound("B14", with_graph).holds is True

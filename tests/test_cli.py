@@ -171,6 +171,20 @@ class TestBounds:
         code, _, _ = run_cli(capsys, *argv, "--eta", "2")
         assert code == 0
 
+    @pytest.mark.parametrize("bound", ["B2", "all"])
+    def test_b2_not_computable_without_edges(self, capsys, bound):
+        # m = 0 with an explicit eta: B2's ceil(2n/m) gates the entry instead of raising
+        argv = ("bounds", "check", "--sequence", "1", "--convention", "paper-table", "--irr", "0", "--eta", "2",
+                "--bound", bound)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "" and "B2a" in out and "B2b" in out
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        reports = {r["bound_id"]: r for r in json.loads(out)["reports"]}
+        for bound_id in ("B2a", "B2b"):
+            report = reports[bound_id]
+            assert not report["hypotheses_met"] and report["holds"] is None and report["lhs"] is None
+            assert report["notes"][-1].startswith("not computable:") and "m = 0" in report["notes"][-1]
+
     def test_two_sources_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "bounds", "check", "--family", "path:4", "--table", "1", "--row", "1"

@@ -353,16 +353,38 @@ class TestFalsify:
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_matches_reports_oracle_random(self, seed):
-        mode = RandomMode(n=40, samples=20, seed=seed)
-        found = falsify("all", mode)
-        assert found and found == falsify_by_reports("all", mode)
+        for mode in (RandomMode(n=40, samples=20, seed=seed), RandomMode(n=20, samples=15, seed=seed)):
+            found = falsify("all", mode)
+            assert found and found == falsify_by_reports("all", mode)
+        for n in (2, 3, 4):  # no Pruefer symbol, one, and two
+            mode = RandomMode(n=n, samples=10, seed=seed)
+            assert falsify("all", mode) == falsify_by_reports("all", mode)
 
     @pytest.mark.parametrize("params", NON_DEFAULT_PARAMS.values(), ids=NON_DEFAULT_PARAMS.keys())
     def test_matches_reports_oracle_with_params(self, params):
         # Parameters move hypotheses (B10's window, B12/B13's eta guards), so
         # what the short-circuit skips differs per parameter set.
-        for mode in (ExhaustiveMode(8), RandomMode(n=20, samples=15, seed=3)):
+        modes = [ExhaustiveMode(8), RandomMode(n=20, samples=15, seed=3), RandomMode(n=40, samples=10, seed=3)]
+        modes += [RandomMode(n=n, samples=10, seed=3) for n in (2, 3, 4)]
+        for mode in modes:
             assert falsify("all", mode, params) == falsify_by_reports("all", mode, params)
+
+    def test_random_mode_builds_a_graph_only_per_counterexample_tree(self, monkeypatch):
+        inits = []
+        init = Graph.__init__
+
+        def counted(self, *args, **kwargs):
+            inits.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "__init__", counted)
+        assert falsify("B14", RandomMode(n=40, samples=30, seed=0)) == [] and inits == []
+        # B12 fails on 19 of these 30 trees, and "all" on each, several times
+        for bound_id, trees in (("B12", 19), ("all", 30)):
+            inits.clear()
+            found = falsify(bound_id, RandomMode(n=40, samples=30, seed=0))
+            witnesses = list({id(c.graph): c.graph for c in found}.values())
+            assert len(witnesses) == trees and inits == witnesses
 
     def test_reports_built_only_for_counterexamples(self, monkeypatch):
         import sigmairr.bounds as bounds_module

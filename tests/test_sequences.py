@@ -2,10 +2,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import derived_summaries_by_summation
+from oracles import derived_summaries_by_summation, prufer_decode, prufer_decode_heap, randrange_word
 from sigmairr.errors import DomainError, InputError
 from sigmairr.graphs import Graph, is_tree
 from sigmairr.sequences import (
@@ -15,6 +15,8 @@ from sigmairr.sequences import (
     is_graphical,
     is_tree_sequence,
     parse_sequence_literal,
+    prufer_degrees_and_edges,
+    random_prufer_word,
     random_tree,
     realize_graph_hakimi,
     realize_tree,
@@ -207,7 +209,42 @@ class TestRandomTree:
 
     def test_deterministic(self):
         assert random_tree(8, 42) == random_tree(8, 42)
-        assert random_tree(8, 42) != random_tree(8, 43) or True  # different seeds may rarely agree
+
+    def test_word_is_the_randrange_stream(self):
+        # every n = 2^k - 1, 2^k and 2^k + 1 up to 129, where the bit width
+        # and the rejection rate of the draw change
+        for n in range(1, 131):
+            for seed in range(50):
+                assert random_prufer_word(n, seed) == randrange_word(n, seed), (n, seed)
+
+    @given(st.integers(1, 2000), st.integers(0, 2**64 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_word_is_the_randrange_stream_at_large(self, n, seed):
+        assert random_prufer_word(n, seed) == randrange_word(n, seed)
+
+    def test_random_tree_decodes_the_randrange_word(self):
+        for n in (2, 3, 4, 5, 8, 9, 17, 40, 64, 65):
+            for seed in range(20):
+                expected = Graph(n, prufer_decode_heap(randrange_word(n, seed), n))
+                assert random_tree(n, seed) == expected, (n, seed)
+
+    def test_degrees_are_symbol_counts_plus_one(self):
+        for n in (2, 3, 7, 40):
+            for seed in range(20):
+                word = random_prufer_word(n, seed)
+                degrees, edges = prufer_degrees_and_edges(word, n)
+                g = Graph(n, edges)
+                assert len(edges) == n - 1 and all(u < v for u, v in edges)
+                assert degrees == list(g.degrees) == [1 + word.count(v) for v in range(n)]
+
+    def test_decode_validation(self):
+        for word, n in (((), 1), ((0,), 2), ((0, 1), 3), ((3,), 3), ((-1,), 3)):
+            with pytest.raises(DomainError):
+                prufer_degrees_and_edges(word, n)
+            with pytest.raises(DomainError):
+                tree_from_prufer(word, n)
+        with pytest.raises(DomainError):
+            random_tree(0, 0)
 
     def test_always_tree(self):
         for seed in range(25):
@@ -222,12 +259,11 @@ class TestRandomTree:
         assert len(seen) == 6**4  # Cayley: every labeled tree exactly once
 
     def test_prufer_decode_matches_textbook_oracle(self):
-        from oracles import prufer_decode
-
         for word in product(range(5), repeat=3):
             ours = tree_from_prufer(word, 5).sorted_edges()
             theirs = sorted(prufer_decode(word, 5))
             assert ours == theirs, word
+            assert sorted(prufer_degrees_and_edges(word, 5)[1]) == theirs == sorted(prufer_decode_heap(word, 5))
 
 
 class TestLiteral:
