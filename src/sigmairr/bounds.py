@@ -18,13 +18,17 @@ as the sum over all k(k-1)/2 pairs of entries.  A report is always produced
 for well-formed input: hypothesis failures, including division-by-zero
 guards, gate the verdict as non-probative instead of crashing.
 
-Reports and falsification share one decision path, ``_decide``.
-``evaluate_bound`` and ``evaluate_all`` build a full ``BoundReport`` from it;
-``search.falsify`` asks ``refutes``, which returns False at once when a
-hypothesis fails or the entry is not computable, uses an entry's exact
-``verdict`` where one is set (B6), and otherwise reads ``_decide``.  Only a
-refuted pair then gets its report.  Parameter defaults depend on n, m and
-the max degree alone, and are resolved once per such triple.
+Each input is one record, a ``BoundInput``: it holds every symbol an
+entry reads (n, 2m, the max degree, k, S, the entries, the cube sum,
+Albertson, Sigma and the resolved parameters), each once under one name,
+and hypotheses, sides and verdicts read it directly.  Reports and
+falsification share one decision path, ``_decide``.  ``evaluate_bound`` and
+``evaluate_all`` build a full ``BoundReport`` from it; ``search.falsify``
+asks ``refutes``, which returns False at once when a hypothesis fails or
+the entry is not computable, uses an entry's exact ``verdict`` where one is
+set (B6), and otherwise reads ``_decide``.  Only a refuted pair then gets
+its report.  Parameter defaults depend on n, m and the max degree alone,
+and are resolved once per such triple.
 
 Several claims are false on ordinary trees.  That is expected; the contract
 here is faithful evaluation and reporting, not the truth of the claims.
@@ -35,7 +39,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -43,8 +47,8 @@ from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, 
 
 from .errors import DomainError, InputError
 from .graphs import Graph
-from .indices import sigma_closed_form
-from .sequences import Convention, DegreeSequenceView, DerivedSequences, derive
+from .indices import albertson_and_sigma, sigma_closed_form
+from .sequences import Convention, DegreeSequenceView
 
 _BITS_FIRST = 64
 _BITS_ESCALATED = 128
@@ -294,63 +298,65 @@ def _resolve(params: BoundParams, n: int, two_m: int, delta: int) -> tuple[Mappi
 
 
 # ---------------------------------------------------------------------------
-# Input bundle
+# Input record
 
-@dataclass(frozen=True)
 class BoundInput:
-    """Everything a catalog entry may reference, with provenance recorded.
+    """One catalog input: every symbol a catalog entry's hypothesis, sides
+    and verdict read, each stored once under one name, with provenance.
 
-    ``irr_value`` and ``sigma_value`` are required by most entries; build
+    The entries d_1..d_k come from ``view``, which also gives n and 2m by its
+    convention; the record adds the max degree, k, the degree sum S, the
+    cube sum and the parameters resolved for (n, m, max degree), one
+    attribute each, with their notes in ``param_notes``.  ``irr_value`` and
+    ``sigma_value`` are required by most entries (None when unknown); build
     via :meth:`from_edges` or :meth:`from_graph` (direct computation) or
-    :meth:`from_table_row` (printed columns + closed form) or supply them
-    explicitly.  ``vertex_degrees`` and ``edges`` describe the graph itself,
-    for the entries that read it (B14); a ``graph`` given alone supplies
-    both.
+    :meth:`from_table_row` (printed columns + closed form) or supply them to
+    :meth:`from_view`.  ``edges`` is the graph itself, as its edge list, for
+    the entries that need a graph (B14); None without one.
     """
 
-    view: DegreeSequenceView
-    irr_value: Optional[int]
-    sigma_value: Optional[int]
-    cube_sum: int
-    params: BoundParams = field(default_factory=BoundParams)
-    graph: Optional[Graph] = None
-    label: str = ""
-    vertex_degrees: Optional[Sequence[int]] = field(default=None, compare=False, repr=False)
-    edges: Optional[Collection[tuple[int, int]]] = field(default=None, compare=False, repr=False)
-    # Resolved once here and shared by every catalog entry evaluated on it.
-    _ctx: "_Ctx" = field(init=False, compare=False, repr=False)
-    _param_notes: Mapping[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
+    def __init__(
+        self,
+        view: DegreeSequenceView,
+        irr_value: Optional[int],
+        sigma_value: Optional[int],
+        params: BoundParams = BoundParams(),
+        label: str = "",
+        edges: Optional[Collection[tuple[int, int]]] = None,
+    ) -> None:
+        entries = view.entries
+        self.view = view
+        self.irr_value = irr_value
+        self.sigma_value = sigma_value
+        self.params = params
+        self.label = label
+        self.edges = edges
+        self.entries = entries
+        self.n = view.n
+        self.two_m = view.two_m
+        self.max_degree = view.max_entry
+        self.k = len(entries)
+        self.degree_sum = view.entry_sum
+        self.cube_sum = view.cube_sum
+        # alpha, beta, p, eta, eta1 and strict_max_degree_window, resolved once
+        # here and shared by every catalog entry evaluated on this input
+        resolved, self.param_notes = resolve_parameters(params, view)
+        vars(self).update(resolved)
 
-    def __post_init__(self) -> None:
-        if self.graph is not None and self.edges is None:
-            object.__setattr__(self, "vertex_degrees", self.graph.degrees)
-            object.__setattr__(self, "edges", self.graph.edges)
-        resolved, notes = resolve_parameters(self.params, self.view)
-        ctx = _Ctx(
-            n=self.view.n,
-            two_m=self.view.two_m,
-            max_degree=self.view.max_entry,
-            k=self.view.k,
-            degree_sum=sum(self.view.entries),
-            entries=self.view.entries,
-            cube_sum=self.cube_sum,
-            irr=self.irr_value,
-            sig=self.sigma_value,
-            vertex_degrees=self.vertex_degrees,
-            edges=self.edges,
-            **resolved,
-        )
-        object.__setattr__(self, "_ctx", ctx)
-        object.__setattr__(self, "_param_notes", notes)
+    # 2*maxA and 2*maxT, built on first use: only B3, B4 and B5 read them.
+    @cached_property
+    def max_adjacent_sum(self) -> int:
+        d = self.entries
+        return max(map(operator.add, d[1:], d))
 
-    @property
-    def derived(self) -> Optional[DerivedSequences]:
-        """Half-difference/half-sum sequences (None for fewer than 2 entries)."""
-        return derive(self.view) if self.view.k >= 2 else None
+    @cached_property
+    def max_adjacent_diff(self) -> int:
+        d = self.entries
+        return max(map(operator.sub, d[1:], d))
 
     @classmethod
     def from_graph(cls, g: Graph, params: BoundParams = BoundParams(), label: str = "") -> "BoundInput":
-        return cls.from_edges(g.vertex_count, g.degrees, g.edges, params, label, graph=g)
+        return cls.from_edges(g.vertex_count, g.degrees, g.edges, params, label)
 
     @classmethod
     def from_edges(
@@ -360,30 +366,13 @@ class BoundInput:
         edges: Collection[tuple[int, int]],
         params: BoundParams = BoundParams(),
         label: str = "",
-        graph: Optional[Graph] = None,
     ) -> "BoundInput":
         """Input of the simple graph on 0..n-1 with these per-vertex degrees
         and edges, each listed once; Albertson and Sigma come from one pass
-        over the edges.  ``graph``, if given, is that graph."""
+        over the edges."""
         view = DegreeSequenceView.from_degrees(degrees, Convention.STANDARD)
-        irr = sig = 0
-        for u, v in edges:
-            d = degrees[u] - degrees[v]
-            if d < 0:
-                d = -d
-            irr += d
-            sig += d * d
-        return cls(
-            view=view,
-            irr_value=irr,
-            sigma_value=sig,
-            cube_sum=view.cube_sum,
-            params=params,
-            graph=graph,
-            label=label or f"graph n={n} m={len(edges)}",
-            vertex_degrees=degrees,
-            edges=edges,
-        )
+        irr, sig = albertson_and_sigma(degrees, edges)
+        return cls(view, irr, sig, params, label or f"graph n={n} m={len(edges)}", edges)
 
     @classmethod
     def from_view(
@@ -392,20 +381,11 @@ class BoundInput:
         irr_value: Optional[int] = None,
         sigma_value: Optional[int] = None,
         params: BoundParams = BoundParams(),
-        graph: Optional[Graph] = None,
         label: str = "",
     ) -> "BoundInput":
         if sigma_value is None and view.convention is Convention.PAPER_TABLE and view.k >= 2:
             sigma_value = sigma_closed_form(view)
-        return cls(
-            view=view,
-            irr_value=irr_value,
-            sigma_value=sigma_value,
-            cube_sum=view.cube_sum,
-            params=params,
-            graph=graph,
-            label=label or f"sequence {view.entries} ({view.convention.value})",
-        )
+        return cls(view, irr_value, sigma_value, params, label or f"sequence {view.entries} ({view.convention.value})")
 
     @classmethod
     def from_table_row(cls, table_id: int, row_index: int, params: BoundParams = BoundParams()) -> "BoundInput":
@@ -490,65 +470,30 @@ class BoundSpec:
     requires: tuple[str, ...]  # input fields the entry reads, sorted
     # hypothesis -> (failed descriptions, computable); lhs/rhs take a bit
     # precision and return a Ratio, or an RVal where a root appears.
-    hypothesis: Callable[["_Ctx"], tuple[list[str], bool]]
-    lhs: Callable[["_Ctx", int], Side]
-    rhs: Callable[["_Ctx", int], Side]
+    hypothesis: Callable[[BoundInput], tuple[list[str], bool]]
+    lhs: Callable[[BoundInput, int], Side]
+    rhs: Callable[[BoundInput, int], Side]
     extra_notes: tuple[str, ...] = ()
     # parameters the entry reads; reported as params_used with their notes
     params: tuple[str, ...] = ()
     # decides the relation exactly for an entry with an RVal side, whose
     # intervals then only give the printed values
-    verdict: Optional[Callable[["_Ctx"], bool]] = None
-
-
-@dataclass(frozen=True)
-class _Ctx:
-    """Resolved symbols an entry's formulas may reference: integers, but for
-    the graph's per-vertex degrees and edges (None without a graph) and eta1."""
-
-    n: int
-    two_m: int
-    max_degree: int
-    k: int
-    degree_sum: int
-    entries: tuple[int, ...]
-    cube_sum: int
-    irr: Optional[int]
-    sig: Optional[int]
-    vertex_degrees: Optional[Sequence[int]]
-    edges: Optional[Collection[tuple[int, int]]]
-    alpha: int
-    beta: int
-    p: int
-    eta: int
-    eta1: Fraction
-    strict_max_degree_window: bool
-
-    # 2*maxA and 2*maxT, built on first use: only B3, B4 and B5 read them.
-    @cached_property
-    def max_adjacent_sum(self) -> int:
-        d = self.entries
-        return max(map(operator.add, d[1:], d))
-
-    @cached_property
-    def max_adjacent_diff(self) -> int:
-        d = self.entries
-        return max(map(operator.sub, d[1:], d))
+    verdict: Optional[Callable[[BoundInput], bool]] = None
 
 
 # The mean degree is S/k and m is 2m/2; the half-sums a_i and
 # half-differences t_i of adjacent entries d_i are (d_{i+1} +- d_i)/2.
 
-def _sigma_lhs(ctx: _Ctx, bits: int) -> Ratio:
-    return ctx.sig, 1
+def _sigma_lhs(b: BoundInput, bits: int) -> Ratio:
+    return b.sigma_value, 1
 
 
-def _irr_ratio(ctx: _Ctx, bits: int) -> Ratio:
-    return 2 * ctx.irr, ctx.max_degree * (ctx.max_degree - 1) ** 2
+def _irr_ratio(b: BoundInput, bits: int) -> Ratio:
+    return 2 * b.irr_value, b.max_degree * (b.max_degree - 1) ** 2
 
 
-def _irr_lhs(ctx: _Ctx, bits: int) -> Ratio:
-    return ctx.irr, 1
+def _irr_lhs(b: BoundInput, bits: int) -> Ratio:
+    return b.irr_value, 1
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -556,62 +501,62 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _hyp_none(ctx: _Ctx) -> tuple[list[str], bool]:
+def _hyp_none(b: BoundInput) -> tuple[list[str], bool]:
     return [], True
 
 
-def _hyp_b1(ctx: _Ctx) -> tuple[list[str], bool]:
-    if ctx.max_degree < 2:
+def _hyp_b1(b: BoundInput) -> tuple[list[str], bool]:
+    if b.max_degree < 2:
         return ["max_degree*(max_degree-1)^2 is zero (max degree < 2)"], False
     return [], True
 
 
-def _guard_m(ctx: _Ctx, failed: list[str]) -> tuple[list[str], bool]:
+def _guard_m(b: BoundInput, failed: list[str]) -> tuple[list[str], bool]:
     """B2's ceil(2n/m) needs m > 0."""
-    if ctx.two_m == 0:
+    if b.two_m == 0:
         return [*failed, "m = 0 (division by zero)"], False
     return failed, True
 
 
-def _hyp_b2a(ctx: _Ctx) -> tuple[list[str], bool]:
-    failed = [] if ctx.max_degree <= 20 else ["max degree exceeds 20"]
-    return _guard_m(ctx, failed)
+def _hyp_b2a(b: BoundInput) -> tuple[list[str], bool]:
+    failed = [] if b.max_degree <= 20 else ["max degree exceeds 20"]
+    return _guard_m(b, failed)
 
 
-def _hyp_b2b(ctx: _Ctx) -> tuple[list[str], bool]:
-    failed = [] if ctx.max_degree > 3 else ["max degree not above 3"]
-    return _guard_m(ctx, failed)
+def _hyp_b2b(b: BoundInput) -> tuple[list[str], bool]:
+    failed = [] if b.max_degree > 3 else ["max degree not above 3"]
+    return _guard_m(b, failed)
 
 
-def _hyp_b5(ctx: _Ctx) -> tuple[list[str], bool]:
-    d = ctx.entries
+def _hyp_b5(b: BoundInput) -> tuple[list[str], bool]:
+    d = b.entries
     span = d[-1] + d[-2] - d[1] - d[0]  # 2*(a_last - a_first)
     if span == 0:
         return ["first and last half-sums coincide (division by zero)"], False
     # 4 * (maxA*(a_last - a_first) + maxT*(t_last - t_first))
-    mid = ctx.max_adjacent_sum * span + ctx.max_adjacent_diff * (d[-1] - d[-2] - d[1] + d[0])
+    mid = b.max_adjacent_sum * span + b.max_adjacent_diff * (d[-1] - d[-2] - d[1] + d[0])
     failed = []
-    if not 4 * ctx.n <= mid:
+    if not 4 * b.n <= mid:
         failed.append("order exceeds the half-sum/half-difference combination")
-    if not mid < 4 * ctx.irr:
+    if not mid < 4 * b.irr_value:
         failed.append("half-sum/half-difference combination not below the Albertson value")
     return failed, True
 
 
-def _hyp_b6(ctx: _Ctx) -> tuple[list[str], bool]:
-    if ctx.entries[-1] == ctx.entries[0]:  # the mean half-difference (d_k - d_1)/(2(k-1))
+def _hyp_b6(b: BoundInput) -> tuple[list[str], bool]:
+    if b.entries[-1] == b.entries[0]:  # the mean half-difference (d_k - d_1)/(2(k-1))
         return ["mean half-difference is zero (regular sequence; division by zero)"], False
     return [], True
 
 
-def _hyp_b10(ctx: _Ctx) -> tuple[list[str], bool]:
-    delta = ctx.max_degree
+def _hyp_b10(b: BoundInput) -> tuple[list[str], bool]:
+    delta = b.max_degree
     failed = []
     computable = delta != 3
-    if ctx.strict_max_degree_window:
+    if b.strict_max_degree_window:
         if not 4 <= delta - 3:
             failed.append("max_degree - 3 below 4 (strict window)")
-        if not 4 * (delta - 3) <= ctx.n:
+        if not 4 * (delta - 3) <= b.n:
             failed.append("max_degree - 3 above n/4 (strict window)")
     else:
         if delta < 4:
@@ -621,86 +566,86 @@ def _hyp_b10(ctx: _Ctx) -> tuple[list[str], bool]:
     return failed, computable
 
 
-def _hyp_b11(ctx: _Ctx) -> tuple[list[str], bool]:
-    if ctx.n == 1:
+def _hyp_b11(b: BoundInput) -> tuple[list[str], bool]:
+    if b.n == 1:
         return ["order 1 (division by zero)"], False
     return [], True
 
 
-def _hyp_b12(ctx: _Ctx) -> tuple[list[str], bool]:
+def _hyp_b12(b: BoundInput) -> tuple[list[str], bool]:
     failed = []
     computable = True
-    if ctx.eta == ctx.n:
+    if b.eta == b.n:
         failed.append("eta equals n (division by zero)")
         computable = False
-    if ctx.degree_sum == ctx.n * ctx.k:
+    if b.degree_sum == b.n * b.k:
         failed.append("mean degree equals n (division by zero)")
         computable = False
     return failed, computable
 
 
-def _hyp_b13(ctx: _Ctx) -> tuple[list[str], bool]:
+def _hyp_b13(b: BoundInput) -> tuple[list[str], bool]:
     failed = []
     computable = True
-    if ctx.eta == ctx.n:
+    if b.eta == b.n:
         failed.append("eta equals n (division by zero)")
         computable = False
-    if ctx.eta * ctx.k == ctx.degree_sum:
+    if b.eta * b.k == b.degree_sum:
         failed.append("eta equals the mean degree (division by zero)")
         computable = False
     return failed, computable
 
 
-def _hyp_sorted_desc(ctx: _Ctx) -> tuple[list[str], bool]:
-    entries = ctx.entries
+def _hyp_sorted_desc(b: BoundInput) -> tuple[list[str], bool]:
+    entries = b.entries
     if all(a >= b for a, b in zip(entries, entries[1:])):
         return [], True
     return ["entries not sorted non-increasing (stated hypothesis)"], True
 
 
-def _b2a_rhs(ctx: _Ctx, bits: int) -> Ratio:
-    return ctx.two_m // ctx.n + _ceil_div(4 * ctx.n, ctx.two_m) + 2**ctx.alpha, 1
+def _b2a_rhs(b: BoundInput, bits: int) -> Ratio:
+    return b.two_m // b.n + _ceil_div(4 * b.n, b.two_m) + 2**b.alpha, 1
 
 
-def _b2b_rhs(ctx: _Ctx, bits: int) -> Ratio:
-    return _ceil_div(4 * ctx.n, ctx.two_m) + 2**ctx.beta, 1
+def _b2b_rhs(b: BoundInput, bits: int) -> Ratio:
+    return _ceil_div(4 * b.n, b.two_m) + 2**b.beta, 1
 
 
-def _b3_tail(ctx: _Ctx) -> int:
+def _b3_tail(b: BoundInput) -> int:
     """4*(floor((n-2)/(a_last-t_last)) + D*(maxA-maxT)^2); a_last-t_last = d_{k-1} >= 1."""
-    spread = ctx.max_adjacent_sum - ctx.max_adjacent_diff
-    return 4 * ((ctx.n - 2) // ctx.entries[-2]) + ctx.max_degree * spread * spread
+    spread = b.max_adjacent_sum - b.max_adjacent_diff
+    return 4 * ((b.n - 2) // b.entries[-2]) + b.max_degree * spread * spread
 
 
-def _b3_rhs(ctx: _Ctx, bits: int) -> Ratio:
-    return 4 * ctx.irr + _b3_tail(ctx), 4
+def _b3_rhs(b: BoundInput, bits: int) -> Ratio:
+    return 4 * b.irr_value + _b3_tail(b), 4
 
 
-def _b4_rhs(ctx: _Ctx, bits: int) -> Ratio:
-    return 4 * (ctx.cube_sum + ctx.irr) + _b3_tail(ctx), 4
+def _b4_rhs(b: BoundInput, bits: int) -> Ratio:
+    return 4 * (b.cube_sum + b.irr_value) + _b3_tail(b), 4
 
 
-def _b5_rhs(ctx: _Ctx, bits: int) -> Ratio:
-    d, n = ctx.entries, ctx.n
-    inner = 4 * n // (d[-1] + d[-2] - d[1] - d[0]) + _ceil_div(ctx.two_m, n)
-    return n * (ctx.irr + 4 * n * ctx.max_degree) + inner, n
+def _b5_rhs(b: BoundInput, bits: int) -> Ratio:
+    d, n = b.entries, b.n
+    inner = 4 * n // (d[-1] + d[-2] - d[1] - d[0]) + _ceil_div(b.two_m, n)
+    return n * (b.irr_value + 4 * n * b.max_degree) + inner, n
 
 
-def _b6_terms(ctx: _Ctx) -> tuple[int, int, int]:
+def _b6_terms(b: BoundInput) -> tuple[int, int, int]:
     """(X, Y, s) such that B6's right side is sqrt(X/Y) + s."""
-    d, k, total = ctx.entries, ctx.k, ctx.degree_sum
+    d, k, total = b.entries, b.k, b.degree_sum
     # 2n/meanA and 2m/meanT, with meanA = (2S-d_1-d_k)/(2(k-1)), meanT = (d_k-d_1)/(2(k-1))
-    stair = 4 * ctx.n * (k - 1) // (2 * total - d[0] - d[-1]) + _ceil_div(2 * ctx.two_m * (k - 1), d[-1] - d[0])
-    return total * ctx.cube_sum, k, (ctx.n - ctx.max_degree) ** 2 - stair
+    stair = 4 * b.n * (k - 1) // (2 * total - d[0] - d[-1]) + _ceil_div(2 * b.two_m * (k - 1), d[-1] - d[0])
+    return total * b.cube_sum, k, (b.n - b.max_degree) ** 2 - stair
 
 
-def _b6_rhs(ctx: _Ctx, bits: int) -> RVal:
-    num, den, shift = _b6_terms(ctx)
+def _b6_rhs(b: BoundInput, bits: int) -> RVal:
+    num, den, shift = _b6_terms(b)
     return sqrt_rval(Fraction(num, den), bits) + RVal.of(shift)
 
 
-def _b6_holds(ctx: _Ctx) -> bool:
-    return _at_least_root_plus(ctx.sig, *_b6_terms(ctx))
+def _b6_holds(b: BoundInput) -> bool:
+    return _at_least_root_plus(b.sigma_value, *_b6_terms(b))
 
 
 def t1_staircase(n: int, two_m: int, delta: int) -> int:
@@ -708,95 +653,90 @@ def t1_staircase(n: int, two_m: int, delta: int) -> int:
     return (3 * n + 1) // 2 + _ceil_div(3 * two_m + 2, 4) + (3 * delta + 2 * n) // 4
 
 
-def _b7_rhs(ctx: _Ctx, bits: int) -> Ratio:
-    den = 3 * ctx.k**2
-    t1 = t1_staircase(ctx.n, ctx.two_m, ctx.max_degree)
-    return ctx.degree_sum**2 * t1 + den * (ctx.irr - ctx.cube_sum), den
+def _b7_rhs(b: BoundInput, bits: int) -> Ratio:
+    den = 3 * b.k**2
+    t1 = t1_staircase(b.n, b.two_m, b.max_degree)
+    return b.degree_sum**2 * t1 + den * (b.irr_value - b.cube_sum), den
 
 
-def _b8_rhs(ctx: _Ctx, bits: int) -> Ratio:
-    body = ctx.n**3 + ctx.n + ctx.max_degree * (ctx.max_degree - 1) ** 2
-    return body * ctx.k, 2 * ctx.degree_sum
+def _b8_rhs(b: BoundInput, bits: int) -> Ratio:
+    body = b.n**3 + b.n + b.max_degree * (b.max_degree - 1) ** 2
+    return body * b.k, 2 * b.degree_sum
 
 
-def _b9_rhs(ctx: _Ctx, bits: int) -> Ratio:
-    return 2**ctx.p * (ctx.irr + ctx.two_m) + ctx.max_degree * (ctx.max_degree - 1) ** 2, 1
+def _b9_rhs(b: BoundInput, bits: int) -> Ratio:
+    return 2**b.p * (b.irr_value + b.two_m) + b.max_degree * (b.max_degree - 1) ** 2, 1
 
 
-def _b10_rhs(ctx: _Ctx, bits: int) -> Ratio:
-    product = (3 * ctx.n**2 // 4) * _ceil_div(ctx.n**2, 4)
-    den = 2 * (ctx.max_degree - 3)
+def _b10_rhs(b: BoundInput, bits: int) -> Ratio:
+    product = (3 * b.n**2 // 4) * _ceil_div(b.n**2, 4)
+    den = 2 * (b.max_degree - 3)
     return (product, den) if den > 0 else (-product, -den)
 
 
-def _b11_rhs(ctx: _Ctx, bits: int) -> Ratio:
-    head = 2 * ctx.n**2 * ctx.k // (3 * ctx.degree_sum)
-    den = 20 * (ctx.n - 1) ** 3  # (m - D)^2 / (5(n-1)^3) = (2m - 2D)^2 / (20(n-1)^3)
-    return head * den + 2**ctx.eta * (ctx.two_m - 2 * ctx.max_degree) ** 2, den
+def _b11_rhs(b: BoundInput, bits: int) -> Ratio:
+    head = 2 * b.n**2 * b.k // (3 * b.degree_sum)
+    den = 20 * (b.n - 1) ** 3  # (m - D)^2 / (5(n-1)^3) = (2m - 2D)^2 / (20(n-1)^3)
+    return head * den + 2**b.eta * (b.two_m - 2 * b.max_degree) ** 2, den
 
 
-def _b12_rhs(ctx: _Ctx, bits: int) -> Ratio:
-    n, eta, k, total = ctx.n, ctx.eta, ctx.k, ctx.degree_sum
+def _b12_rhs(b: BoundInput, bits: int) -> Ratio:
+    n, eta, k, total = b.n, b.eta, b.k, b.degree_sum
     gap = n - eta
     return k * (4 * n - gap * (n // gap) ** 2 + gap * (n * k // (n * k - total))) - 2 * eta * total, k
 
 
-def _b13_rhs(ctx: _Ctx, bits: int) -> Ratio:
-    n, eta, k, eta1 = ctx.n, ctx.eta, ctx.k, ctx.eta1
-    steps = n // (n - eta) + _ceil_div(n * k, eta * k - ctx.degree_sum)
-    return eta1.numerator * steps + ctx.cube_sum * eta1.denominator, eta1.denominator
+def _b13_rhs(b: BoundInput, bits: int) -> Ratio:
+    n, eta, k, eta1 = b.n, b.eta, b.k, b.eta1
+    steps = n // (n - eta) + _ceil_div(n * k, eta * k - b.degree_sum)
+    return eta1.numerator * steps + b.cube_sum * eta1.denominator, eta1.denominator
 
 
-def _b14_lhs(ctx: _Ctx, bits: int) -> Ratio:
+def _b14_lhs(b: BoundInput, bits: int) -> Ratio:
     # sigma(G) + sigma(complement(G)).  The complement's edges are the pairs
     # of G that are not edges, and its degrees n-1-d differ pairwise as the
-    # degrees d do, so its sum is the sum over all pairs less G's edge sum.
-    # The all-pairs sum takes each pair of distinct degrees a < b once,
-    # c_a*c_b times: pairs of equal degree add 0.
-    degs = ctx.vertex_degrees
-    sigma_g = sum((degs[u] - degs[v]) ** 2 for u, v in ctx.edges)
-    groups = list(Counter(degs).items())
-    all_pairs = sum(ca * cb * (a - b) ** 2 for i, (a, ca) in enumerate(groups) for b, cb in groups[i + 1:])
-    return sigma_g + (all_pairs - sigma_g), 1
+    # degrees d do, so the two sums together run over all pairs of vertices.
+    # That sum takes each pair of distinct degrees once, c1*c2 times: pairs
+    # of equal degree add 0.
+    groups = list(Counter(b.entries).items())
+    return sum(c1 * c2 * (d1 - d2) ** 2 for i, (d1, c1) in enumerate(groups) for d2, c2 in groups[i + 1:]), 1
 
 
-def _b14_rhs(ctx: _Ctx, bits: int) -> Ratio:
-    degs = ctx.vertex_degrees
-    return len(degs) * sum(d * d for d in degs) - 4 * len(ctx.edges) ** 2, 1
+def _b14_rhs(b: BoundInput, bits: int) -> Ratio:
+    return b.k * sum(d * d for d in b.entries) - b.two_m**2, 1
 
 
-def _b15a_lhs(ctx: _Ctx, bits: int) -> Ratio:
-    return ctx.degree_sum * (ctx.entries[0] + ctx.entries[-1]), 1
+def _b15a_lhs(b: BoundInput, bits: int) -> Ratio:
+    return b.degree_sum * (b.entries[0] + b.entries[-1]), 1
 
 
-def _b15a_rhs(ctx: _Ctx, bits: int) -> Ratio:
-    sq = sum(d * d for d in ctx.entries)
-    return sq + ctx.k * ctx.entries[0] * ctx.entries[-1], 1
+def _b15a_rhs(b: BoundInput, bits: int) -> Ratio:
+    return sum(d * d for d in b.entries) + b.k * b.entries[0] * b.entries[-1], 1
 
 
-def _b15b_lhs(ctx: _Ctx, bits: int) -> RVal:
+def _b15b_lhs(b: BoundInput, bits: int) -> RVal:
     # (sum sqrt(d_i))^2 = sum d_i + 2 * sum_{i<j} sqrt(d_i d_j), summed over
-    # the D distinct degrees: the c_a(c_a-1)/2 pairs of degree a add exactly a
-    # each, and the c_a*c_b pairs of degrees a < b share one root.  Both ends
-    # are integer numerators over 2^bits, so this is the pairwise interval
-    # sum itself from D(D-1)/2 square roots instead of k(k-1)/2.
-    k = len(ctx.entries)
-    total = sum(ctx.entries)
-    groups = list(Counter(ctx.entries).items())
-    lo = hi = (k * total - total - sum(a * c * (c - 1) for a, c in groups)) << bits
-    for i, (a, ca) in enumerate(groups):
-        for b, cb in groups[i + 1:]:
-            root_lo, root_hi = _scaled_root(a * b, 2, bits)
-            lo -= 2 * ca * cb * root_hi
-            hi -= 2 * ca * cb * root_lo
+    # the D distinct degrees: the c(c-1)/2 pairs of a degree d with count c
+    # add exactly d each, and the c1*c2 pairs of degrees d1 != d2 share one
+    # root.  Both ends are integer numerators over 2^bits, so this is the
+    # pairwise interval sum itself from D(D-1)/2 square roots instead of
+    # k(k-1)/2.
+    total = b.degree_sum
+    groups = list(Counter(b.entries).items())
+    lo = hi = (b.k * total - total - sum(d * c * (c - 1) for d, c in groups)) << bits
+    for i, (d1, c1) in enumerate(groups):
+        for d2, c2 in groups[i + 1:]:
+            root_lo, root_hi = _scaled_root(d1 * d2, 2, bits)
+            lo -= 2 * c1 * c2 * root_hi
+            hi -= 2 * c1 * c2 * root_lo
     return RVal(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
 
 
-def _b15b_rhs(ctx: _Ctx, bits: int) -> RVal:
+def _b15b_rhs(b: BoundInput, bits: int) -> RVal:
     # k(k-1)(mean - geometric mean) = (k-1)*sum(d) - k(k-1)*prod(d)^(1/k)
-    k = len(ctx.entries)
-    base = ((k - 1) * sum(ctx.entries)) << bits
-    root_lo, root_hi = _scaled_root(math.prod(ctx.entries), k, bits)
+    k = b.k
+    base = ((k - 1) * b.degree_sum) << bits
+    root_lo, root_hi = _scaled_root(math.prod(b.entries), k, bits)
     weight = k * (k - 1)
     return RVal(Fraction(base - weight * root_hi, 1 << bits), Fraction(base - weight * root_lo, 1 << bits))
 
@@ -812,77 +752,77 @@ CATALOG: dict[str, BoundSpec] = {
     for spec in (
         _spec(
             "B1a", "irregularity ratio is positive: 2*irr/(D(D-1)^2) > 0", ">",
-            {"view", "irr"}, _hyp_b1, _irr_ratio, lambda ctx, bits: (0, 1),
+            {"irr"}, _hyp_b1, _irr_ratio, lambda b, bits: (0, 1),
             notes=("per-instance reading of the extremal Albertson value",),
         ),
         _spec(
             "B1b", "irregularity ratio below one: 2*irr/(D(D-1)^2) < 1", "<",
-            {"view", "irr"}, _hyp_b1, _irr_ratio, lambda ctx, bits: (1, 1),
+            {"irr"}, _hyp_b1, _irr_ratio, lambda b, bits: (1, 1),
             notes=("per-instance reading of the extremal Albertson value",),
         ),
         _spec(
             "B2a", "irr > floor(2m/n) + ceil(2n/m) + 2^alpha (max degree <= 20)", ">",
-            {"view", "irr"}, _hyp_b2a,
+            {"irr"}, _hyp_b2a,
             _irr_lhs, _b2a_rhs,
             notes=("per-instance reading of the extremal Albertson value",),
             params=("alpha",),
         ),
         _spec(
             "B2b", "irr < ceil(2n/m) + 2^beta (max degree > 3)", "<",
-            {"view", "irr"}, _hyp_b2b,
+            {"irr"}, _hyp_b2b,
             _irr_lhs, _b2b_rhs,
             notes=("per-instance reading of the extremal Albertson value",),
             params=("beta",),
         ),
         _spec(
             "B3", "sigma >= irr + floor((n-2)/(a_last-t_last)) + D*(maxA-maxR)^2", ">=",
-            {"view", "derived", "irr", "sigma"}, _hyp_none, _sigma_lhs, _b3_rhs,
+            {"derived", "irr", "sigma"}, _hyp_none, _sigma_lhs, _b3_rhs,
         ),
         _spec(
             "B4", "sigma <= cube_sum + irr + floor((n-2)/(a_last-t_last)) + D*(maxA-maxR)^2", "<=",
-            {"view", "derived", "irr", "sigma"}, _hyp_none, _sigma_lhs, _b4_rhs,
+            {"derived", "irr", "sigma"}, _hyp_none, _sigma_lhs, _b4_rhs,
         ),
         _spec(
             "B5", "sigma >= irr + (floor(2n/(a_last-a_first)) + ceil(2m/n))/n + 4nD", ">=",
-            {"view", "derived", "irr", "sigma"}, _hyp_b5, _sigma_lhs, _b5_rhs,
+            {"derived", "irr", "sigma"}, _hyp_b5, _sigma_lhs, _b5_rhs,
         ),
         _spec(
             "B6", "sigma >= sqrt(mean_degree*cube_sum) - (floor(2n/meanA) + ceil(2m/meanR)) + (n-D)^2", ">=",
-            {"view", "derived", "sigma"}, _hyp_b6, _sigma_lhs, _b6_rhs, verdict=_b6_holds,
+            {"derived", "sigma"}, _hyp_b6, _sigma_lhs, _b6_rhs, verdict=_b6_holds,
         ),
         _spec(
             "B7", "sigma >= (1/3)*mean_degree^2*T1 - cube_sum + irr", ">=",
-            {"view", "irr", "sigma"}, _hyp_none, _sigma_lhs, _b7_rhs,
+            {"irr", "sigma"}, _hyp_none, _sigma_lhs, _b7_rhs,
         ),
         _spec(
             "B8", "sigma > (n^3 + n + D(D-1)^2) / (2*mean_degree)", ">",
-            {"view", "sigma"}, _hyp_none, _sigma_lhs, _b8_rhs,
+            {"sigma"}, _hyp_none, _sigma_lhs, _b8_rhs,
             notes=("bare published average read as the mean of the degree entries",),
         ),
         _spec(
             "B9", "sigma <= 2^p(irr + 2m) + D(D-1)^2", "<=",
-            {"view", "irr", "sigma"}, _hyp_none, _sigma_lhs, _b9_rhs,
+            {"irr", "sigma"}, _hyp_none, _sigma_lhs, _b9_rhs,
             params=("p",),
         ),
         _spec(
             "B10", "sigma <= floor(3n^2/4)*ceil(n^2/4) / (2(D-3))", "<=",
-            {"view", "sigma"}, _hyp_b10, _sigma_lhs, _b10_rhs,
+            {"sigma"}, _hyp_b10, _sigma_lhs, _b10_rhs,
             notes=("per-instance reading of the class maximum",),
             params=("strict_max_degree_window",),
         ),
         _spec(
             "B11", "sigma <= floor(2n^2/(3*mean_degree)) + 2^eta(m-D)^2/(5(n-1)^3)", "<=",
-            {"view", "sigma"}, _hyp_b11, _sigma_lhs, _b11_rhs,
+            {"sigma"}, _hyp_b11, _sigma_lhs, _b11_rhs,
             params=("eta",),
         ),
         _spec(
             "B12", "sigma > 4n - 2*eta*mean - (n-eta)*floor(n/(n-eta))^2 + (n-eta)*floor(n/(n-mean))", ">",
-            {"view", "sigma"}, _hyp_b12, _sigma_lhs, _b12_rhs,
+            {"sigma"}, _hyp_b12, _sigma_lhs, _b12_rhs,
             params=("eta",),
         ),
         _spec(
             "B13", "sigma <= eta1*floor(n/(n-eta)) + eta1*ceil(n/(eta-mean)) + cube_sum", "<=",
-            {"view", "sigma"}, _hyp_b13, _sigma_lhs, _b13_rhs,
+            {"sigma"}, _hyp_b13, _sigma_lhs, _b13_rhs,
             params=("eta", "eta1"),
         ),
         _spec(
@@ -891,11 +831,11 @@ CATALOG: dict[str, BoundSpec] = {
         ),
         _spec(
             "B15a", "(sum d)(d_first + d_last) >= sum d^2 + k*d_first*d_last", ">=",
-            {"view"}, _hyp_sorted_desc, _b15a_lhs, _b15a_rhs,
+            (), _hyp_sorted_desc, _b15a_lhs, _b15a_rhs,
         ),
         _spec(
             "B15b", "k*sum(d) - (sum sqrt(d))^2 <= k(k-1)(mean - geometric mean)", "<=",
-            {"view"}, _hyp_sorted_desc, _b15b_lhs, _b15b_rhs,
+            (), _hyp_sorted_desc, _b15b_lhs, _b15b_rhs,
         ),
     )
 }
@@ -929,9 +869,8 @@ def expand_bound_id(bound_id: str) -> tuple[str, ...]:
 _FIELD_MISSING = {
     "irr": lambda b: b.irr_value is None,
     "sigma": lambda b: b.sigma_value is None,
-    "derived": lambda b: b.view.k < 2,
+    "derived": lambda b: b.k < 2,
     "graph": lambda b: b.edges is None,
-    "view": lambda b: False,
 }
 
 
@@ -970,45 +909,44 @@ def evaluate_bound(bound_id: str, binput: BoundInput) -> BoundReport:
     return _evaluate(bound_id, spec, binput)
 
 
-def _decide(spec: BoundSpec, ctx: _Ctx) -> tuple[Side, Side, Optional[bool]]:
+def _decide(spec: BoundSpec, b: BoundInput) -> tuple[Side, Side, Optional[bool]]:
     """Both sides of a computable entry and whether its relation holds:
     ln/ld against rn/rd as ln*rd against rn*ld when both are rational, else
     as intervals at 64 bits and again at 128 where 64 does not separate them
     (None where 128 does not)."""
-    lhs = spec.lhs(ctx, _BITS_FIRST)
-    rhs = spec.rhs(ctx, _BITS_FIRST)
+    lhs = spec.lhs(b, _BITS_FIRST)
+    rhs = spec.rhs(b, _BITS_FIRST)
     if not (isinstance(lhs, RVal) or isinstance(rhs, RVal)):
         return lhs, rhs, _HOLDS[spec.relation](lhs[0] * rhs[1], rhs[0] * lhs[1])
     holds = _compare(_boxed(lhs), _boxed(rhs), spec.relation)
     if holds is None:
-        lhs = spec.lhs(ctx, _BITS_ESCALATED)
-        rhs = spec.rhs(ctx, _BITS_ESCALATED)
+        lhs = spec.lhs(b, _BITS_ESCALATED)
+        rhs = spec.rhs(b, _BITS_ESCALATED)
         holds = _compare(_boxed(lhs), _boxed(rhs), spec.relation)
     return lhs, rhs, holds
 
 
-def refutes(spec: BoundSpec, ctx: _Ctx) -> bool:
-    """Whether the entry's report on ``ctx`` would be a counterexample:
+def refutes(spec: BoundSpec, b: BoundInput) -> bool:
+    """Whether the entry's report on ``b`` would be a counterexample:
     hypotheses met and the relation decided false.  Builds no report; an
     entry that fails a hypothesis is not evaluated, and one with an exact
     ``verdict`` builds no interval."""
-    failed, computable = spec.hypothesis(ctx)
+    failed, computable = spec.hypothesis(b)
     if failed or not computable:
         return False
     if spec.verdict is not None:
-        return not spec.verdict(ctx)
-    return _decide(spec, ctx)[2] is False
+        return not spec.verdict(b)
+    return _decide(spec, b)[2] is False
 
 
 def _evaluate(bound_id: str, spec: BoundSpec, binput: BoundInput) -> BoundReport:
     """The report of one catalog entry whose required fields are present."""
-    ctx = binput._ctx
-    failed, computable = spec.hypothesis(ctx)
+    failed, computable = spec.hypothesis(binput)
     notes = spec.extra_notes
     params_used = _NO_PARAMS
     if spec.params:
-        notes += tuple(note for param in spec.params for note in binput._param_notes.get(param, ()))
-        params_used = {param: getattr(ctx, param) for param in spec.params}
+        notes += tuple(note for param in spec.params for note in binput.param_notes.get(param, ()))
+        params_used = {param: getattr(binput, param) for param in spec.params}
 
     lhs = rhs = holds = margin = None
     lhs_exact = rhs_exact = True
@@ -1017,9 +955,9 @@ def _evaluate(bound_id: str, spec: BoundSpec, binput: BoundInput) -> BoundReport
     if not computable:
         notes += ("not computable: " + "; ".join(failed),)
     else:
-        lhs, rhs, holds = _decide(spec, ctx)
+        lhs, rhs, holds = _decide(spec, binput)
         if spec.verdict is not None:
-            holds = spec.verdict(ctx)
+            holds = spec.verdict(binput)
         elif holds is None:
             indeterminate = True
             notes += ("indeterminate_at_precision: sides not separated at 128 bits",)

@@ -30,6 +30,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import graphs, indices, search
@@ -600,7 +601,10 @@ def _cmd_plots_emit(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser assembly
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused: parsing
+    leaves it as it was, so every ``main`` call in a process shares it."""
     parser = _Parser(prog="sigmairr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -10,7 +10,7 @@ the claim under audit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError
 from .graphs import (
@@ -36,6 +36,19 @@ def sigma(g: Graph) -> int:
     """Sum over edges of (deg(u) - deg(v))^2."""
     degs = g.degrees
     return sum((degs[u] - degs[v]) ** 2 for u, v in g.edges)
+
+
+def albertson_and_sigma(degrees: Sequence[int], edges: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """Albertson and Sigma of the graph with these per-vertex degrees and
+    edges, each listed once, from one pass over the edges."""
+    irr = sig = 0
+    for u, v in edges:
+        d = degrees[u] - degrees[v]
+        if d < 0:
+            d = -d
+        irr += d
+        sig += d * d
+    return irr, sig
 
 
 def sigma_t(g: Graph) -> int:

@@ -57,7 +57,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequen
 
 from .errors import DomainError, InputError, ResourceLimitError
 from .graphs import Graph, format_edge_list, is_tree
-from .indices import albertson, sigma
+from .indices import albertson, albertson_and_sigma, sigma
 from .sequences import is_tree_sequence, prufer_degrees_and_edges, random_prufer_word
 
 if TYPE_CHECKING:  # ``bounds`` is imported where a claim is evaluated, not here
@@ -70,7 +70,7 @@ OBJECTIVES: dict[str, Callable[[Graph], int]] = {
     "albertson": albertson,
 }
 # The objectives in the order ``extremal_goals`` scores them per tree.
-_SCORED = ("sigma", "albertson")
+_SCORED = ("albertson", "sigma")
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +326,8 @@ def extremal_goals(
         if direction not in ("max", "min"):
             raise InputError("direction must be 'max' or 'min'")
     check_tree_order(tree_class.n, max_order, allow_over_cap)
-    # Each goal reads one of the values the edge pass scores, (sigma,
-    # albertson), times a sign that makes "better" always "larger".
+    # Each goal reads one of the values the edge pass scores, (albertson,
+    # sigma), times a sign that makes "better" always "larger".
     keys = [(_SCORED.index(objective), 1 if direction == "max" else -1) for objective, direction in goals]
     best: list[Optional[int]] = [None] * len(goals)
     best_levels: list[Optional[tuple[int, ...]]] = [None] * len(goals)
@@ -338,14 +338,7 @@ def extremal_goals(
             continue
         examined += 1
         # One pass over the edges (child, parent) scores both objectives.
-        sig = irr = 0
-        for child, parent in enumerate(parents, 1):
-            d = degrees[child] - degrees[parent]
-            if d < 0:
-                d = -d
-            sig += d * d
-            irr += d
-        values = (sig, irr)
+        values = albertson_and_sigma(degrees, enumerate(parents, 1))
         for g, (index, sign) in enumerate(keys):
             value = sign * values[index]
             if best[g] is None or value > best[g]:
@@ -502,10 +495,9 @@ def falsify(
         if not checked:
             bounds.require_fields(bound_ids, binput)
             checked = True
-        ctx = binput._ctx
         g = None
         for bid, spec in specs:
-            if bounds.refutes(spec, ctx):
+            if bounds.refutes(spec, binput):
                 if g is None:
                     g = Graph(order, edges)
                 found.append(Counterexample(bid, g, bounds.evaluate_bound(bid, binput)))

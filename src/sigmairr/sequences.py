@@ -17,7 +17,7 @@ ceilings downstream therefore never suffer float drift.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -39,6 +39,10 @@ class DegreeSequenceView:
 
     entries: tuple[int, ...]
     convention: Convention = Convention.STANDARD
+    # The sum and the largest of the entries, taken once: n, m and the
+    # catalog's inputs read them.
+    entry_sum: int = field(init=False, repr=False, compare=False)
+    max_entry: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.entries:
@@ -47,6 +51,8 @@ class DegreeSequenceView:
             if not isinstance(d, int) or d < 1:
                 raise DomainError(f"degree entries must be integers >= 1, got {d!r}")
         object.__setattr__(self, "entries", tuple(self.entries))
+        object.__setattr__(self, "entry_sum", sum(self.entries))
+        object.__setattr__(self, "max_entry", max(self.entries))
 
     @property
     def k(self) -> int:
@@ -56,23 +62,19 @@ class DegreeSequenceView:
     @property
     def n(self) -> int:
         if self.convention is Convention.PAPER_TABLE:
-            return sum(self.entries)
+            return self.entry_sum
         return self.k
 
     @property
     def two_m(self) -> int:
         """Twice the edge count m, an integer."""
         if self.convention is Convention.PAPER_TABLE:
-            return 2 * (self.n - 1)
-        return sum(self.entries)
+            return 2 * (self.entry_sum - 1)
+        return self.entry_sum
 
     @property
     def m(self) -> Fraction:
         return Fraction(self.two_m, 2)
-
-    @property
-    def max_entry(self) -> int:
-        return max(self.entries)
 
     @property
     def min_entry(self) -> int:
@@ -80,14 +82,11 @@ class DegreeSequenceView:
 
     @property
     def mean_entry(self) -> Fraction:
-        return Fraction(sum(self.entries), self.k)
+        return Fraction(self.entry_sum, self.k)
 
     @property
     def cube_sum(self) -> int:
         return sum(d**3 for d in self.entries)
-
-    def sorted_ascending(self) -> "DegreeSequenceView":
-        return DegreeSequenceView(tuple(sorted(self.entries)), self.convention)
 
     @classmethod
     def from_graph(cls, g: Graph, convention: Convention = Convention.STANDARD) -> "DegreeSequenceView":
@@ -170,14 +169,6 @@ def derive(view: DegreeSequenceView) -> DerivedSequences:
     if view.k < 2:
         raise DomainError("derived sequences need at least 2 entries")
     return DerivedSequences(view.entries)
-
-
-def reconstruct_degrees(derived: DerivedSequences) -> tuple[Fraction, ...]:
-    """Invert derive(): a_i - t_i = d_i and a_i + t_i = d_{i+1}."""
-    out = [derived.half_sums[0] - derived.half_diffs[0]]
-    for t, a in zip(derived.half_diffs, derived.half_sums):
-        out.append(a + t)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +269,6 @@ def random_tree(n: int, seed: int) -> Graph:
     if n == 1:
         return Graph(1, [])
     return Graph(n, prufer_degrees_and_edges(random_prufer_word(n, seed), n)[1])
-
-
-def tree_from_prufer(word: Sequence[int], n: int) -> Graph:
-    """Decode a Prufer word of length n-2 over symbols 0..n-1."""
-    return Graph(n, prufer_degrees_and_edges(word, n)[1])
 
 
 def random_prufer_word(n: int, seed: int) -> list[int]:

@@ -305,10 +305,11 @@ def fraction_ctx(binput: BoundInput) -> SimpleNamespace:
     else:
         n, m = k, Fraction(total, 2)
     derived = SimpleNamespace(**derived_summaries_by_summation(entries)) if k >= 2 else None
+    graph = None if binput.edges is None else Graph(k, binput.edges)
     return SimpleNamespace(
         n=n, m=m, max_degree=max(entries), mean_degree=Fraction(total, k), derived=derived, entries=entries,
-        cube_sum=binput.cube_sum, irr=binput.irr_value, sig=binput.sigma_value, graph=binput.graph,
-        **{name: getattr(binput._ctx, name) for name in _RESOLVED},
+        cube_sum=sum(d**3 for d in entries), irr=binput.irr_value, sig=binput.sigma_value, graph=graph,
+        **{name: getattr(binput, name) for name in _RESOLVED},
     )
 
 
@@ -395,7 +396,7 @@ def fraction_hypothesis(bound_id: str, binput: BoundInput, c: SimpleNamespace) -
     reference's, the integer-only ones the catalog's."""
     if bound_id in _FRACTION_HYPOTHESES:
         return _FRACTION_HYPOTHESES[bound_id](c)
-    return CATALOG[bound_id].hypothesis(binput._ctx)
+    return CATALOG[bound_id].hypothesis(binput)
 
 
 def _b3_tail(c):
@@ -540,7 +541,7 @@ def evaluate_bound_by_intervals(bound_id: str, binput: BoundInput) -> BoundRepor
     failed, computable = fraction_hypothesis(bound_id, binput, c)
     notes = list(spec.extra_notes)
     for param in spec.params:
-        notes.extend(binput._param_notes.get(param, []))
+        notes.extend(binput.param_notes.get(param, []))
     lhs_val = rhs_val = holds = margin = None
     lhs_exact = rhs_exact = True
     indeterminate = False

@@ -1,7 +1,7 @@
 import json
 import math
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import NON_DEFAULT_PARAMS, b15b_lhs_pairwise, evaluate_bound_by_intervals, fraction_decision
 
-from sigmairr import bounds
+from sigmairr import bounds, sequences
 from sigmairr.bounds import (
     BOUND_IDS,
     CATALOG,
@@ -229,32 +229,31 @@ class TestCatalogArithmetic:
             reports = evaluate_all(binput)
             assert len(reports) > 1 and calls == [binput.view]
 
-    def test_derived_sequences_built_once_and_only_when_read(self, monkeypatch):
+    def test_catalog_builds_no_derived_sequences(self, monkeypatch):
         calls = []
 
         def counting(view):
             calls.append(view)
             return derive(view)
 
-        monkeypatch.setattr(bounds, "derive", counting)
+        monkeypatch.setattr(sequences, "derive", counting)
         binput = BoundInput.from_graph(random_tree(12, 3))
         needs_derived = [b for b in BOUND_IDS if "derived" in CATALOG[b].requires]
         assert needs_derived == ["B3", "B4", "B5", "B6"]
         for bound_id in BOUND_IDS:  # the catalog reads the summaries off integers
             evaluate_bound(bound_id, binput)
-            refutes(CATALOG[bound_id], binput._ctx)
+            refutes(CATALOG[bound_id], binput)
         assert calls == []
-        assert binput.derived == derive(binput.view) and calls == [binput.view]
         single = BoundInput.from_view(DegreeSequenceView((2,)), irr_value=0, sigma_value=0)
-        assert single.derived is None and missing_fields(CATALOG["B3"], single) == ["derived"]
+        assert missing_fields(CATALOG["B3"], single) == ["derived"]
 
     def test_near_tie_stays_undecided(self, monkeypatch, capsys):
         # sqrt(2) < sqrt(2): the intervals overlap at every precision
         tie = replace(
             CATALOG["B1b"],
-            hypothesis=lambda ctx: ([], True),
-            lhs=lambda ctx, bits: sqrt_rval(Fraction(2), bits),
-            rhs=lambda ctx, bits: sqrt_rval(Fraction(2), bits),
+            hypothesis=lambda b: ([], True),
+            lhs=lambda b, bits: sqrt_rval(Fraction(2), bits),
+            rhs=lambda b, bits: sqrt_rval(Fraction(2), bits),
         )
         monkeypatch.setitem(CATALOG, "B1b", tie)
         report = evaluate_bound("B1b", BoundInput.from_graph(path(4)))
@@ -278,7 +277,7 @@ class TestB15bDegreeGrouping:
     def assert_matches_pairwise(binput):
         entries = binput.view.entries
         for bits in (64, 128):
-            assert bounds._b15b_lhs(binput._ctx, bits) == b15b_lhs_pairwise(entries, bits)
+            assert bounds._b15b_lhs(binput, bits) == b15b_lhs_pairwise(entries, bits)
 
     @given(
         st.one_of(
@@ -402,12 +401,12 @@ class TestExactFirst:
     def test_only_roots_are_boxed(self):
         boxed = set()
         for g in (path(6), star(7), random_tree(40, 1)):
-            ctx = BoundInput.from_graph(g)._ctx
+            binput = BoundInput.from_graph(g)
             for bound_id in BOUND_IDS:
                 spec = CATALOG[bound_id]
-                assert spec.hypothesis(ctx)[1], bound_id
+                assert spec.hypothesis(binput)[1], bound_id
                 for side in ("lhs", "rhs"):
-                    value = getattr(spec, side)(ctx, 64)
+                    value = getattr(spec, side)(binput, 64)
                     if isinstance(value, RVal):
                         boxed.add((bound_id, side))
                     else:  # a numerator over a positive denominator
@@ -471,14 +470,14 @@ class TestExactFirst:
         # X = g^2 + 1 and sigma - s = g: sqrt(X) - g < 1/(2g) = 2^-131
         g = 2**130
         binput = BoundInput.from_graph(path(6))
-        monkeypatch.setattr(bounds, "_b6_terms", lambda ctx: (g * g + 1, 1, ctx.sig - g))
+        monkeypatch.setattr(bounds, "_b6_terms", lambda b: (g * g + 1, 1, b.sigma_value - g))
         monkeypatch.setattr(oracles, "_b6_terms", lambda c: (Fraction(g * g + 1), c.sig - g))
         reference = evaluate_bound_by_intervals("B6", binput)
         assert reference.indeterminate and reference.holds is None
         report = evaluate_bound("B6", binput)
         assert report.holds is False and not report.indeterminate
         assert report.rhs == reference.rhs and report.notes == ()
-        monkeypatch.setattr(bounds, "_b6_terms", lambda ctx: (g * g, 1, ctx.sig - g))
+        monkeypatch.setattr(bounds, "_b6_terms", lambda b: (g * g, 1, b.sigma_value - g))
         report = evaluate_bound("B6", binput)
         assert report.holds is True and report.margin == 0 and report.rhs_exact
 
@@ -509,7 +508,7 @@ class TestRefutes:
         # entry; a non-computable result always names a failed hypothesis.
         not_computable = Counter()
         for bound_id, binput in _audit_pairs():
-            failed, computable = CATALOG[bound_id].hypothesis(binput._ctx)
+            failed, computable = CATALOG[bound_id].hypothesis(binput)
             if not computable:
                 assert failed, (bound_id, binput.label)
                 not_computable[bound_id] += 1
@@ -520,18 +519,18 @@ class TestRefutes:
         for bound_id, binput in _audit_pairs():
             report = evaluate_bound(bound_id, binput)
             expected = report.hypotheses_met and report.holds is False
-            assert refutes(CATALOG[bound_id], binput._ctx) == expected, (bound_id, binput.label)
+            assert refutes(CATALOG[bound_id], binput) == expected, (bound_id, binput.label)
             decided[expected] += 1
         assert decided[True] > 1000 and decided[False] > 4000
 
     def test_skips_sides_unless_computable_and_met(self):
-        def unreachable(ctx, bits):
+        def unreachable(b, bits):
             raise AssertionError("side evaluated")
 
-        ctx = BoundInput.from_graph(path(5))._ctx
-        for hypothesis in (lambda c: ([], False), lambda c: (["unmet"], True), lambda c: (["unmet"], False)):
+        binput = BoundInput.from_graph(path(5))
+        for hypothesis in (lambda b: ([], False), lambda b: (["unmet"], True), lambda b: (["unmet"], False)):
             spec = replace(CATALOG["B8"], hypothesis=hypothesis, lhs=unreachable, rhs=unreachable)
-            assert refutes(spec, ctx) is False
+            assert refutes(spec, binput) is False
 
     def test_exact_verdict_builds_no_interval(self, monkeypatch):
         roots = []
@@ -539,19 +538,19 @@ class TestRefutes:
         spec = CATALOG["B6"]
         for n in range(3, 9):
             for g in enumerate_free_trees(n):
-                ctx = BoundInput.from_graph(g)._ctx
-                assert refutes(spec, ctx) is (not bounds._b6_holds(ctx) and not spec.hypothesis(ctx)[0])
+                binput = BoundInput.from_graph(g)
+                assert refutes(spec, binput) is (not bounds._b6_holds(binput) and not spec.hypothesis(binput)[0])
         assert roots == []
 
     def test_decides_where_only_the_verdict_separates(self, monkeypatch):
         # As in test_b6_decided_where_intervals_cannot_separate: B6 fails by
         # less than 2^-128, so only its exact verdict refutes it.
         g = 2**130
-        ctx = BoundInput.from_graph(path(6))._ctx
-        monkeypatch.setattr(bounds, "_b6_terms", lambda ctx: (g * g + 1, 1, ctx.sig - g))
-        assert refutes(CATALOG["B6"], ctx) is True
-        monkeypatch.setattr(bounds, "_b6_terms", lambda ctx: (g * g, 1, ctx.sig - g))
-        assert refutes(CATALOG["B6"], ctx) is False
+        binput = BoundInput.from_graph(path(6))
+        monkeypatch.setattr(bounds, "_b6_terms", lambda b: (g * g + 1, 1, b.sigma_value - g))
+        assert refutes(CATALOG["B6"], binput) is True
+        monkeypatch.setattr(bounds, "_b6_terms", lambda b: (g * g, 1, b.sigma_value - g))
+        assert refutes(CATALOG["B6"], binput) is False
 
 
 # ---------------------------------------------------------------------------
@@ -563,12 +562,12 @@ PARAM_IDS = ("default", *NON_DEFAULT_PARAMS)
 
 def integer_decision(bound_id, binput):
     """(failed hypotheses, computable, holds, refuted) as the package decides."""
-    spec, ctx = CATALOG[bound_id], binput._ctx
-    failed, computable = spec.hypothesis(ctx)
+    spec = CATALOG[bound_id]
+    failed, computable = spec.hypothesis(binput)
     holds = None
     if computable:
-        holds = spec.verdict(ctx) if spec.verdict is not None else bounds._decide(spec, ctx)[2]
-    return failed, computable, holds, refutes(spec, ctx)
+        holds = spec.verdict(binput) if spec.verdict is not None else bounds._decide(spec, binput)[2]
+    return failed, computable, holds, refutes(spec, binput)
 
 
 def _decisions_agree(binput, bound_ids=BOUND_IDS):
@@ -577,13 +576,13 @@ def _decisions_agree(binput, bound_ids=BOUND_IDS):
             assert integer_decision(bound_id, binput) == fraction_decision(bound_id, binput), (bound_id, binput.label)
 
 
-def _near_ties(view, irr, sig, params, graph=None):
+def _near_ties(view, irr, sig, params):
     """(entry, input) pairs on which the entry's sides are equal or nearly so:
     the input its left side reads (irr for B1 and B2, sigma otherwise) set to
     the floor and ceiling of the value that balances the Fraction sides, and
     one beyond each; so the cross products are equal or differ by little.
     The third item says whether the Fraction sides are equal."""
-    base = BoundInput.from_view(view, irr_value=irr, sigma_value=sig, params=params, graph=graph)
+    base = BoundInput.from_view(view, irr_value=irr, sigma_value=sig, params=params)
     c = oracles.fraction_ctx(base)
     for bound_id in BOUND_IDS:
         if bound_id in ("B14", "B15a", "B15b") or missing_fields(CATALOG[bound_id], base):
@@ -597,9 +596,9 @@ def _near_ties(view, irr, sig, params, graph=None):
         low, high = math.floor(target), math.ceil(target)
         for value in sorted({low - 1, low, high, high + 1}):
             if bound_id[:2] in ("B1", "B2"):
-                binput = BoundInput.from_view(view, irr_value=value, sigma_value=sig, params=params, graph=graph)
+                binput = BoundInput.from_view(view, irr_value=value, sigma_value=sig, params=params)
             else:
-                binput = BoundInput.from_view(view, irr_value=irr, sigma_value=value, params=params, graph=graph)
+                binput = BoundInput.from_view(view, irr_value=irr, sigma_value=value, params=params)
             yield bound_id, binput, value == target
 
 
@@ -640,14 +639,14 @@ class TestIntegerDecisions:
     @pytest.mark.parametrize("params", ALL_PARAMS, ids=PARAM_IDS)
     def test_near_ties_on_trees_and_table_rows(self, params):
         ties = Counter()
-        bases = [(DegreeSequenceView.from_graph(g), albertson(g), sigma(g), g)
+        bases = [(DegreeSequenceView.from_graph(g), albertson(g), sigma(g))
                  for n in range(2, 9) for g in enumerate_free_trees(n)]
         for table_id, rows in ((1, TABLE1), (2, TABLE2)):
             for row_index in range(len(rows)):
                 binput = BoundInput.from_table_row(table_id, row_index)
-                bases.append((binput.view, binput.irr_value, binput.sigma_value, None))
-        for view, irr, sig, graph in bases:
-            for bound_id, binput, tie in _near_ties(view, irr, sig, params, graph):
+                bases.append((binput.view, binput.irr_value, binput.sigma_value))
+        for view, irr, sig in bases:
+            for bound_id, binput, tie in _near_ties(view, irr, sig, params):
                 _decisions_agree(binput, (bound_id,))
                 ties[bound_id] += tie
         # exact ties happen on every entry whose sides can be equal integers
@@ -663,21 +662,69 @@ class TestIntegerDecisions:
 
 def _inputs_agree(edges_input: BoundInput, graph_input: BoundInput) -> None:
     assert edges_input.view == graph_input.view and edges_input.label == graph_input.label
-    assert (edges_input.irr_value, edges_input.sigma_value, edges_input.cube_sum) == (
-        graph_input.irr_value, graph_input.sigma_value, graph_input.cube_sum)
-    ours, theirs = edges_input._ctx, graph_input._ctx
-    for f in fields(bounds._Ctx):
-        if f.name == "edges":
-            assert sorted(ours.edges) == sorted(theirs.edges)
-        elif f.name == "vertex_degrees":
-            assert tuple(ours.vertex_degrees) == theirs.vertex_degrees
-        else:
-            assert getattr(ours, f.name) == getattr(theirs, f.name), f.name
+    assert (edges_input.irr_value, edges_input.sigma_value) == (graph_input.irr_value, graph_input.sigma_value)
+    assert sorted(edges_input.edges) == sorted(graph_input.edges)
+    assert_record_symbols(edges_input)
+    assert_record_symbols(graph_input)
     assert missing_fields(CATALOG["B14"], edges_input) == []
     for bound_id in BOUND_IDS:
         spec = CATALOG[bound_id]
-        assert refutes(spec, ours) == refutes(spec, theirs), bound_id
+        assert refutes(spec, edges_input) == refutes(spec, graph_input), bound_id
         assert evaluate_bound(bound_id, edges_input) == evaluate_bound(bound_id, graph_input), bound_id
+
+
+# The attributes a record keeps besides the symbols below, and the two it
+# builds on first read; nothing else.
+_PROVENANCE = {"view", "irr_value", "sigma_value", "params", "label", "edges", "param_notes"}
+_ON_FIRST_READ = {"max_adjacent_sum", "max_adjacent_diff"}
+
+
+def assert_record_symbols(binput: BoundInput) -> None:
+    """Every symbol of the record equals its recomputation from the entries
+    and the convention, and the record holds no attribute beyond them."""
+    entries = binput.view.entries
+    k, total = len(entries), sum(entries)
+    paper_table = binput.view.convention is Convention.PAPER_TABLE
+    expected = {
+        "entries": entries,
+        "n": total if paper_table else k,
+        "two_m": 2 * (total - 1) if paper_table else total,
+        "max_degree": max(entries),
+        "k": k,
+        "degree_sum": total,
+        "cube_sum": sum(d**3 for d in entries),
+    }
+    resolved, notes = resolve_parameters(binput.params, binput.view)
+    expected.update(resolved)
+    assert set(vars(binput)) - _ON_FIRST_READ == _PROVENANCE | set(expected), binput.label
+    for name, value in expected.items():
+        assert getattr(binput, name) == value, (name, binput.label)
+    assert binput.param_notes == notes
+    if k >= 2:
+        assert binput.max_adjacent_sum == max(a + b for a, b in zip(entries, entries[1:]))
+        assert binput.max_adjacent_diff == max(b - a for a, b in zip(entries, entries[1:]))
+
+
+class TestRecord:
+    """Each factory's record, symbol by symbol, against the entries."""
+
+    @pytest.mark.parametrize("params", ALL_PARAMS, ids=PARAM_IDS)
+    def test_graph_factories(self, params):
+        for g in (path(2), path(6), star(7), cycle(5), random_tree(40, 3)):
+            assert_record_symbols(BoundInput.from_graph(g, params))
+            assert_record_symbols(BoundInput.from_edges(g.vertex_count, g.degrees, g.edges, params))
+
+    @pytest.mark.parametrize("params", ALL_PARAMS, ids=PARAM_IDS)
+    def test_table_rows(self, params):
+        for table_id, rows in ((1, TABLE1), (2, TABLE2)):
+            for row_index in range(len(rows)):
+                assert_record_symbols(BoundInput.from_table_row(table_id, row_index, params))
+
+    @given(views_st, st.sampled_from(ALL_PARAMS))
+    @settings(max_examples=100, deadline=None)
+    def test_views_in_both_conventions(self, view_args, params):
+        entries, convention = view_args
+        assert_record_symbols(BoundInput.from_view(DegreeSequenceView(tuple(entries), convention), params=params))
 
 
 class TestFromEdges:
@@ -712,7 +759,9 @@ class TestFromEdges:
 
     def test_b14_needs_the_graph(self):
         view_only = BoundInput.from_view(DegreeSequenceView((1, 1, 2)), irr_value=2, sigma_value=2)
-        assert missing_fields(CATALOG["B14"], view_only) == ["graph"]
-        with_graph = BoundInput.from_view(DegreeSequenceView((1, 1, 2)), irr_value=2, sigma_value=2, graph=path(3))
-        assert missing_fields(CATALOG["B14"], with_graph) == []
+        paper_table = BoundInput.from_view(DegreeSequenceView((1, 1, 2), Convention.PAPER_TABLE))
+        for binput in (view_only, paper_table, BoundInput.from_table_row(1, 0), BoundInput.from_table_row(2, 0)):
+            assert missing_fields(CATALOG["B14"], binput) == ["graph"], binput.label
+        with_graph = BoundInput.from_graph(path(3))
+        assert with_graph.view == view_only.view and missing_fields(CATALOG["B14"], with_graph) == []
         assert evaluate_bound("B14", with_graph).holds is True

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sigmairr.cli import main
+from sigmairr.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -547,3 +547,31 @@ class TestDeterminismAndRoundTrip:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RENDERED_DIGESTS[" ".join(argv)]
+
+
+# Different subcommands, argparse errors between them, and flags set in one
+# call that the next call leaves at their defaults.
+PARSER_REUSE_SEQUENCE = (
+    ("bounds", "falsify", "--bound", "B8", "--n", "12", "--samples", "5", "--seed", "3", "--format", "json"),
+    ("indices", "--family", "path:5", "--bogus"),
+    ("bounds", "falsify", "--bound", "B9", "--nmax", "5"),
+    ("bounds", "check", "--family", "path:6", "--bound", "B13", "--eta", "3", "--format", "csv"),
+    ("bounds", "falsify"),
+    ("bounds", "check", "--family", "path:6", "--bound", "B13", "--format", "csv"),
+    ("sequence", "analyze", "--sequence", "3,5,7", "--convention", "paper-table", "--format", "json"),
+    ("bounds", "check", "--table", "1", "--row", "1", "--bound", "B7"),
+    ("enumerate", "--n", "5", "--count-only", "--format", "json"),
+)
+
+
+class TestParserReuse:
+    def test_one_parser_prints_what_fresh_parsers_print(self, capsys):
+        fresh = []
+        for argv in PARSER_REUSE_SEQUENCE:
+            build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        build_parser.cache_clear()
+        reused = [run_cli(capsys, *argv) for argv in PARSER_REUSE_SEQUENCE]
+        assert build_parser.cache_info().misses == 1
+        assert reused == fresh
+        assert [code for code, _, _ in fresh] == [0, 1, 0, 0, 1, 0, 0, 0, 0]

@@ -279,7 +279,8 @@ class TestExtremal:
 
     def test_class_extremum_input(self):
         result, binput = class_extremum_input(TreeClass.all_trees(6), "albertson", "max")
-        assert result.optimum == albertson(binput.graph)
+        assert result.optimum == albertson(result.witness) == binput.irr_value
+        assert binput.edges == result.witness.edges
         assert "witness" in binput.label
 
 
