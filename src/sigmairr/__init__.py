@@ -27,13 +27,11 @@ _NAMES_BY_MODULE = {
     "errors": ("DomainError", "InputError", "ResourceLimitError"),
     "graphs": (
         "Graph",
-        "VertexDegreeProfile",
         "build_family",
         "cartesian_product",
         "complement",
         "complete_bipartite",
         "cycle",
-        "degree_profile",
         "double_star",
         "format_edge_list",
         "is_connected",

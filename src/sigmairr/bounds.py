@@ -18,10 +18,12 @@ as the sum over all k(k-1)/2 pairs of entries.  A report is always produced
 for well-formed input: hypothesis failures, including division-by-zero
 guards, gate the verdict as non-probative instead of crashing.
 
-Each input is one record, a ``BoundInput``: it holds every symbol an
-entry reads (n, 2m, the max degree, k, S, the entries, the cube sum,
-Albertson, Sigma and the resolved parameters), each once under one name,
-and hypotheses, sides and verdicts read it directly.  Reports and
+Each input is one record, a ``BoundInput``: a graph's record is built
+from its per-vertex degrees and edges, so its order is the length of its
+degree list.  The record holds every symbol an entry reads (n, 2m, the
+max degree, k, S, the entries, the cube sum, Albertson, Sigma and the
+resolved parameters), each once under one name, and hypotheses, sides and
+verdicts read it directly.  Reports and
 falsification share one decision path, ``_decide``.  ``evaluate_bound`` and
 ``evaluate_all`` build a full ``BoundReport`` from it; ``search.falsify``
 asks ``refutes``, which returns False at once when a hypothesis fails or
@@ -309,7 +311,8 @@ class BoundInput:
     cube sum and the parameters resolved for (n, m, max degree), one
     attribute each, with their notes in ``param_notes``.  ``irr_value`` and
     ``sigma_value`` are required by most entries (None when unknown); build
-    via :meth:`from_edges` or :meth:`from_graph` (direct computation) or
+    via :meth:`from_edges` or :meth:`from_graph` (direct computation, the
+    order n being the number of per-vertex degrees) or
     :meth:`from_table_row` (printed columns + closed form) or supply them to
     :meth:`from_view`.  ``edges`` is the graph itself, as its edge list, for
     the entries that need a graph (B14); None without one.
@@ -356,23 +359,22 @@ class BoundInput:
 
     @classmethod
     def from_graph(cls, g: Graph, params: BoundParams = BoundParams(), label: str = "") -> "BoundInput":
-        return cls.from_edges(g.vertex_count, g.degrees, g.edges, params, label)
+        return cls.from_edges(g.degrees, g.edges, params, label)
 
     @classmethod
     def from_edges(
         cls,
-        n: int,
         degrees: Sequence[int],
         edges: Collection[tuple[int, int]],
         params: BoundParams = BoundParams(),
         label: str = "",
     ) -> "BoundInput":
-        """Input of the simple graph on 0..n-1 with these per-vertex degrees
-        and edges, each listed once; Albertson and Sigma come from one pass
-        over the edges."""
+        """Input of the simple graph whose vertex v has degree ``degrees[v]``,
+        with these edges, each listed once; its order is ``len(degrees)``.
+        Albertson and Sigma come from one pass over the edges."""
         view = DegreeSequenceView.from_degrees(degrees, Convention.STANDARD)
         irr, sig = albertson_and_sigma(degrees, edges)
-        return cls(view, irr, sig, params, label or f"graph n={n} m={len(edges)}", edges)
+        return cls(view, irr, sig, params, label or f"graph n={len(degrees)} m={len(edges)}", edges)
 
     @classmethod
     def from_view(

@@ -27,7 +27,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -50,22 +49,9 @@ from .sequences import (
 if TYPE_CHECKING:
     from . import bounds
 
-ENV_TREE_CAP = "SIGMAIRR_TREE_CAP"
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # map argparse failures to exit code 1
         raise InputError(message)
-
-
-def _tree_cap() -> int:
-    raw = os.environ.get(ENV_TREE_CAP)
-    if raw is None:
-        return search.DEFAULT_TREE_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"{ENV_TREE_CAP} must be an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +170,11 @@ def _parse_family_spec(spec: str) -> graphs.Graph:
 
 
 def _load_graph(args) -> tuple[graphs.Graph, str]:
-    if getattr(args, "family", None):
+    if args.family and args.graph_file:
+        raise InputError("--family and --graph-file exclude each other")
+    if args.family:
         return _parse_family_spec(args.family), args.family
-    if getattr(args, "graph_file", None):
+    if args.graph_file:
         try:
             with open(args.graph_file, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -209,6 +197,8 @@ def _realize_sequence(entries: tuple[int, ...]) -> tuple[graphs.Graph, str]:
 
 def _cmd_indices(args) -> int:
     if args.sequence:
+        if args.family or args.graph_file:
+            raise InputError("--sequence excludes --family and --graph-file")
         entries = parse_sequence_literal(args.sequence)
         g, how = _realize_sequence(entries)
         label = f"sequence {args.sequence} ({how})"
@@ -311,7 +301,6 @@ def _bound_input_from_args(args, params: bounds.BoundParams) -> bounds.BoundInpu
             objective,
             args.class_mode,
             params,
-            max_order=_tree_cap(),
             allow_over_cap=args.allow_over_cap,
         )
         return binput
@@ -365,9 +354,7 @@ def _cmd_bounds_falsify(args) -> int:
             raise InputError("--seed needs random mode (--n with --samples)")
         mode = search.ExhaustiveMode(args.nmax)
         mode_desc = {"mode": "exhaustive", "nmax": args.nmax}
-    found = search.falsify(
-        args.bound, mode, params, max_order=_tree_cap(), allow_over_cap=args.allow_over_cap
-    )
+    found = search.falsify(args.bound, mode, params, allow_over_cap=args.allow_over_cap)
     payload = {
         "bound": args.bound,
         **mode_desc,
@@ -387,7 +374,7 @@ def _cmd_bounds_falsify(args) -> int:
 # Subcommand: enumerate / extremal
 
 def _cmd_enumerate(args) -> int:
-    search.check_tree_order(args.n, _tree_cap(), args.allow_over_cap)
+    search.check_tree_order(args.n, args.allow_over_cap)
     # Each streamed level sequence is already its tree's canonical form.
     stream = search.free_tree_level_sequences(args.n)
     if args.count_only:
@@ -408,6 +395,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_extremal(args) -> int:
     if args.degree_multiset:
+        if args.n is not None or args.max_degree is not None:
+            raise InputError("--degree-multiset excludes --n and --max-degree")
         entries = parse_sequence_literal(args.degree_multiset)
         tree_class = search.TreeClass.with_degree_multiset(entries)
     elif args.max_degree is not None:
@@ -418,13 +407,7 @@ def _cmd_extremal(args) -> int:
         if args.n is None:
             raise InputError("give --n, --degree-multiset, or --max-degree with --n")
         tree_class = search.TreeClass.all_trees(args.n)
-    result = search.extremal(
-        tree_class,
-        args.objective,
-        args.direction,
-        max_order=_tree_cap(),
-        allow_over_cap=args.allow_over_cap,
-    )
+    result = search.extremal(tree_class, args.objective, args.direction, allow_over_cap=args.allow_over_cap)
     payload = result.to_json_dict()
     rows = (item for item in payload.items() if item[0] != "witness_edge_list")
     _render(args.format, ["field", "value"], rows, payload, args.out)
@@ -546,7 +529,10 @@ def _cmd_stats_regress(args) -> int:
 def _cmd_plots_emit(args) -> int:
     from . import stats_tables
 
+    if args.max_n is not None and args.figure != 1:
+        raise InputError("--max-n needs --figure 1")
     if args.figure == 1:
+        max_n = 20 if args.max_n is None else args.max_n
         header = [
             "n",
             "sigma_path", "irr_path",
@@ -555,7 +541,7 @@ def _cmd_plots_emit(args) -> int:
             "sigma_monogenic", "irr_monogenic",
         ]
         rows = []
-        for n in range(3, args.max_n + 1):
+        for n in range(3, max_n + 1):
             fam = {
                 "path": graphs.path(n),
                 "cycle": graphs.cycle(n),
@@ -698,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl_sub = p.add_subparsers(dest="subcommand", required=True)
     pp = pl_sub.add_parser("emit", help="raw CSV series for one figure")
     pp.add_argument("--figure", type=int, choices=(1, 2, 3), required=True)
-    pp.add_argument("--max-n", type=int, default=20, help="figure 1: largest family order")
+    pp.add_argument("--max-n", type=int, help="figure 1: largest family order (default 20)")
     pp.add_argument("--out", metavar="PATH")
     pp.set_defaults(func=_cmd_plots_emit)
 

@@ -9,7 +9,6 @@ which makes every value safe to share across worker processes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InputError
@@ -44,9 +43,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Neighbor lists, each sorted ascending."""
         adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
@@ -68,26 +64,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({self.vertex_count}, {self.sorted_edges()})"
-
-
-@dataclass(frozen=True)
-class VertexDegreeProfile:
-    """Degree data extracted from a graph; sum(degrees) == 2 * edge_count."""
-
-    degrees: tuple[int, ...]
-    max_degree: int
-    min_degree: int
-    edge_count: int
-
-
-def degree_profile(g: Graph) -> VertexDegreeProfile:
-    degs = g.degrees
-    return VertexDegreeProfile(
-        degrees=degs,
-        max_degree=max(degs) if degs else 0,
-        min_degree=min(degs) if degs else 0,
-        edge_count=g.edge_count,
-    )
 
 
 # ---------------------------------------------------------------------------

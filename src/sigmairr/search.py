@@ -47,6 +47,11 @@ degrees once, one pass over its edges scores Sigma and Albertson together,
 and each goal keeps its own optimum and first witness in stream order.  A
 ``Graph`` is built only per distinct witness.  ``extremal`` is its
 single-goal form.
+
+Every walk of the trees of an order passes one gate, ``check_tree_order``:
+an order above the one enumeration cap, ``DEFAULT_TREE_CAP``, is refused
+unless the caller passes ``allow_over_cap=True`` (``--allow-over-cap`` on
+the command line).  A tree's order is the length of its degree list.
 """
 
 from __future__ import annotations
@@ -108,8 +113,7 @@ def _advance(levels: list[int]) -> int:
 
 def levels_to_graph(levels: Sequence[int]) -> Graph:
     """Tree from a level sequence: parent of i is the last j < i one level up."""
-    n, _, edges = _tree_of_levels(levels)
-    return Graph(n, edges)
+    return Graph(len(levels), _tree_of_levels(levels)[1])
 
 
 def _canonical_rooted_levels(adjacency: Sequence[Sequence[int]], root: int) -> tuple[int, ...]:
@@ -172,24 +176,22 @@ def free_tree_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
             levels[p + 1:] = [2] * (n - p - 1)  # no second subtree can be deep enough
 
 
-def enumerate_free_trees(
-    n: int,
-    max_order: int = DEFAULT_TREE_CAP,
-    allow_over_cap: bool = False,
-) -> Iterator[Graph]:
+def enumerate_free_trees(n: int, *, allow_over_cap: bool = False) -> Iterator[Graph]:
     """One tree per isomorphism class, in canonical order."""
-    check_tree_order(n, max_order, allow_over_cap)
+    check_tree_order(n, allow_over_cap)
     for levels in free_tree_level_sequences(n):
         yield levels_to_graph(levels)
 
 
-def check_tree_order(n: int, max_order: int, allow_over_cap: bool) -> None:
-    """Reject an order that cannot be enumerated, or exceeds the cap unless allowed."""
+def check_tree_order(n: int, allow_over_cap: bool) -> None:
+    """Reject an order that cannot be enumerated, or exceeds ``DEFAULT_TREE_CAP``
+    unless allowed.  Every walk of the trees of an order is gated here."""
     if n < 1:
         raise DomainError("enumerate_free_trees requires n >= 1")
-    if n > max_order and not allow_over_cap:
+    if n > DEFAULT_TREE_CAP and not allow_over_cap:
         raise ResourceLimitError(
-            f"n={n} exceeds the enumeration cap {max_order}; pass allow_over_cap=True to proceed"
+            f"n={n} exceeds the enumeration cap {DEFAULT_TREE_CAP}; "
+            "pass --allow-over-cap (allow_over_cap=True) to proceed"
         )
 
 
@@ -301,17 +303,17 @@ def extremal(
     tree_class: TreeClass,
     objective: str = "sigma",
     direction: str = "max",
-    max_order: int = DEFAULT_TREE_CAP,
+    *,
     allow_over_cap: bool = False,
 ) -> SearchResult:
     """Exact optimum over the class; ties keep the first tree in canonical order."""
-    return extremal_goals(tree_class, [(objective, direction)], max_order, allow_over_cap)[0]
+    return extremal_goals(tree_class, [(objective, direction)], allow_over_cap=allow_over_cap)[0]
 
 
 def extremal_goals(
     tree_class: TreeClass,
     goals: Iterable[tuple[str, str]],
-    max_order: int = DEFAULT_TREE_CAP,
+    *,
     allow_over_cap: bool = False,
 ) -> tuple[SearchResult, ...]:
     """Exact optimum over the class for each (objective, direction) goal, in
@@ -325,7 +327,7 @@ def extremal_goals(
             raise InputError(f"objective must be one of {sorted(OBJECTIVES)}")
         if direction not in ("max", "min"):
             raise InputError("direction must be 'max' or 'min'")
-    check_tree_order(tree_class.n, max_order, allow_over_cap)
+    check_tree_order(tree_class.n, allow_over_cap)
     # Each goal reads one of the values the edge pass scores, (albertson,
     # sigma), times a sign that makes "better" always "larger".
     keys = [(_SCORED.index(objective), 1 if direction == "max" else -1) for objective, direction in goals]
@@ -389,7 +391,7 @@ def class_extremum_input(
     objective: str,
     direction: str,
     params: Optional[BoundParams] = None,
-    max_order: int = DEFAULT_TREE_CAP,
+    *,
     allow_over_cap: bool = False,
 ) -> tuple[SearchResult, BoundInput]:
     """Extremal witness over a class, packaged for bound evaluation.
@@ -400,7 +402,7 @@ def class_extremum_input(
     """
     from . import bounds
 
-    result = extremal(tree_class, objective, direction, max_order, allow_over_cap)
+    result = extremal(tree_class, objective, direction, allow_over_cap=allow_over_cap)
     binput = bounds.BoundInput.from_graph(
         result.witness,
         bounds.BoundParams() if params is None else params,
@@ -444,13 +446,13 @@ def falsify(
     bound_id: str,
     mode: ExhaustiveMode | RandomMode,
     params: Optional[BoundParams] = None,
-    max_order: int = DEFAULT_TREE_CAP,
+    *,
     allow_over_cap: bool = False,
 ) -> list[Counterexample]:
     """Hunt for trees meeting a claim's hypotheses on which it evaluates false.
 
     ``bound_id`` may be a base id or ``"all"``: each tree builds one
-    ``BoundInput`` from its order, degrees and edges, and every expanded
+    ``BoundInput`` from its degrees and edges, and every expanded
     entry is decided on it by ``bounds.refutes``, which skips an entry whose
     hypotheses fail and builds no report.  Only a counterexample gets its
     ``BoundReport``, from ``evaluate_bound``, and only a tree with one gets
@@ -467,11 +469,11 @@ def falsify(
     if params is None:
         params = bounds.BoundParams()
     bound_ids = bounds.expand_bound_id(bound_id)
-    trees: Iterator[tuple[int, Sequence[int], Sequence[tuple[int, int]]]]
+    trees: Iterator[tuple[Sequence[int], Sequence[tuple[int, int]]]]
     if isinstance(mode, ExhaustiveMode):
         if mode.n_max < 2:
             raise DomainError("exhaustive falsification needs n_max >= 2")
-        check_tree_order(mode.n_max, max_order, allow_over_cap)
+        check_tree_order(mode.n_max, allow_over_cap)
         trees = (
             _tree_of_levels(levels)
             for n in range(2, mode.n_max + 1)
@@ -485,13 +487,13 @@ def falsify(
             raise DomainError("need at least one sample")
         rng = random.Random(mode.seed)
         seeds = [rng.randrange(2**63) for _ in range(mode.samples)]
-        trees = ((n, *prufer_degrees_and_edges(random_prufer_word(n, s), n)) for s in seeds)
+        trees = (prufer_degrees_and_edges(random_prufer_word(n, s), n) for s in seeds)
 
     specs = [(bid, bounds.CATALOG[bid]) for bid in bound_ids]
     found: list[Counterexample] = []
     checked = False  # every tree of a mode has the same fields
-    for order, degrees, edges in trees:
-        binput = bounds.BoundInput.from_edges(order, degrees, edges, params)
+    for degrees, edges in trees:
+        binput = bounds.BoundInput.from_edges(degrees, edges, params)
         if not checked:
             bounds.require_fields(bound_ids, binput)
             checked = True
@@ -499,12 +501,12 @@ def falsify(
         for bid, spec in specs:
             if bounds.refutes(spec, binput):
                 if g is None:
-                    g = Graph(order, edges)
+                    g = Graph(len(degrees), edges)
                 found.append(Counterexample(bid, g, bounds.evaluate_bound(bid, binput)))
     return found
 
 
-def _tree_of_levels(levels: Sequence[int]) -> tuple[int, list[int], list[tuple[int, int]]]:
-    """Order, degrees and (parent, child) edges of a level sequence's tree."""
+def _tree_of_levels(levels: Sequence[int]) -> tuple[list[int], list[tuple[int, int]]]:
+    """Degrees and (parent, child) edges of a level sequence's tree."""
     parents, degrees = _parents_and_degrees(levels)
-    return len(levels), degrees, list(zip(parents, range(1, len(levels))))
+    return degrees, list(zip(parents, range(1, len(levels))))

@@ -89,11 +89,6 @@ class DegreeSequenceView:
         return sum(d**3 for d in self.entries)
 
     @classmethod
-    def from_graph(cls, g: Graph, convention: Convention = Convention.STANDARD) -> "DegreeSequenceView":
-        """View of a graph's degrees, sorted non-decreasing."""
-        return cls.from_degrees(g.degrees, convention)
-
-    @classmethod
     def from_degrees(
         cls, degrees: Sequence[int], convention: Convention = Convention.STANDARD
     ) -> "DegreeSequenceView":
@@ -146,22 +141,6 @@ class DerivedSequences:
     def mean_half_sum(self) -> Fraction:
         d = self.entries
         return Fraction(2 * sum(d) - d[0] - d[-1], 2 * (len(d) - 1))
-
-    @cached_property
-    def first_half_diff(self) -> Fraction:
-        return Fraction(self.entries[1] - self.entries[0], 2)
-
-    @cached_property
-    def last_half_diff(self) -> Fraction:
-        return Fraction(self.entries[-1] - self.entries[-2], 2)
-
-    @cached_property
-    def first_half_sum(self) -> Fraction:
-        return Fraction(self.entries[1] + self.entries[0], 2)
-
-    @cached_property
-    def last_half_sum(self) -> Fraction:
-        return Fraction(self.entries[-1] + self.entries[-2], 2)
 
 
 def derive(view: DegreeSequenceView) -> DerivedSequences:

@@ -639,7 +639,7 @@ class TestIntegerDecisions:
     @pytest.mark.parametrize("params", ALL_PARAMS, ids=PARAM_IDS)
     def test_near_ties_on_trees_and_table_rows(self, params):
         ties = Counter()
-        bases = [(DegreeSequenceView.from_graph(g), albertson(g), sigma(g))
+        bases = [(DegreeSequenceView.from_degrees(g.degrees), albertson(g), sigma(g))
                  for n in range(2, 9) for g in enumerate_free_trees(n)]
         for table_id, rows in ((1, TABLE1), (2, TABLE2)):
             for row_index in range(len(rows)):
@@ -712,7 +712,7 @@ class TestRecord:
     def test_graph_factories(self, params):
         for g in (path(2), path(6), star(7), cycle(5), random_tree(40, 3)):
             assert_record_symbols(BoundInput.from_graph(g, params))
-            assert_record_symbols(BoundInput.from_edges(g.vertex_count, g.degrees, g.edges, params))
+            assert_record_symbols(BoundInput.from_edges(g.degrees, g.edges, params))
 
     @pytest.mark.parametrize("params", ALL_PARAMS, ids=PARAM_IDS)
     def test_table_rows(self, params):
@@ -734,28 +734,31 @@ class TestFromEdges:
     def test_every_free_tree_up_to_order_ten(self):
         for n in range(2, 11):
             for levels in free_tree_level_sequences(n):
-                order, degrees, edges = _tree_of_levels(levels)
-                _inputs_agree(BoundInput.from_edges(order, degrees, edges),
+                _inputs_agree(BoundInput.from_edges(*_tree_of_levels(levels)),
                               BoundInput.from_graph(levels_to_graph(levels)))
 
     def test_random_trees_of_order_forty(self):
         for seed in range(200):
             degrees, edges = prufer_degrees_and_edges(random_prufer_word(40, seed), 40)
-            _inputs_agree(BoundInput.from_edges(40, degrees, edges), BoundInput.from_graph(random_tree(40, seed)))
+            _inputs_agree(BoundInput.from_edges(degrees, edges), BoundInput.from_graph(random_tree(40, seed)))
 
     @pytest.mark.parametrize("params", NON_DEFAULT_PARAMS.values(), ids=NON_DEFAULT_PARAMS.keys())
     def test_params_and_label_pass_through(self, params):
         degrees, edges = prufer_degrees_and_edges(random_prufer_word(12, 5), 12)
-        _inputs_agree(BoundInput.from_edges(12, degrees, edges, params, label="tree"),
+        _inputs_agree(BoundInput.from_edges(degrees, edges, params, label="tree"),
                       BoundInput.from_graph(random_tree(12, 5), params, label="tree"))
 
     def test_rejects_what_from_graph_rejects(self):
         for n, degrees, edges in ((0, [], []), (1, [0], []), (3, [1, 1, 0], [(0, 1)])):
             with pytest.raises(DomainError) as by_edges:
-                BoundInput.from_edges(n, degrees, edges)
+                BoundInput.from_edges(degrees, edges)
             with pytest.raises(DomainError) as by_graph:
                 BoundInput.from_graph(Graph(n, edges))
             assert str(by_edges.value) == str(by_graph.value)
+
+    def test_label_names_the_order_of_the_degrees(self):
+        assert BoundInput.from_edges([1, 1], [(0, 1)]).label == "graph n=2 m=1"
+        assert BoundInput.from_edges(*_tree_of_levels((1, 2, 3, 2))).label == "graph n=4 m=3"
 
     def test_b14_needs_the_graph(self):
         view_only = BoundInput.from_view(DegreeSequenceView((1, 1, 2)), irr_value=2, sigma_value=2)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from sigmairr import search
 from sigmairr.cli import build_parser, main
 
 
@@ -64,31 +65,73 @@ class TestErrors:
 
     def test_cap_exceeded(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--n", "19", "--count-only")
-        assert code == 1 and "cap" in err
+        assert code == 1 and "cap" in err and "--allow-over-cap" in err
 
-    def test_env_cap_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("SIGMAIRR_TREE_CAP", "5")
-        code, _, err = run_cli(capsys, "enumerate", "--n", "6", "--count-only")
-        assert code == 1 and "cap" in err
-        code, out, _ = run_cli(capsys, "enumerate", "--n", "6", "--count-only", "--allow-over-cap", "--format", "json")
-        assert code == 0 and json.loads(out)["count"] == 6
-
-    def test_falsify_over_cap_fails_before_work(self, capsys, monkeypatch):
-        import sigmairr.search as search_module
-
+    # Each entry point that walks the trees of an order, with that order's flag last.
+    @pytest.mark.parametrize("argv", [
+        ("enumerate", "--count-only", "--n"),
+        ("extremal", "--n"),
+        ("bounds", "check", "--class-mode", "max", "--class-trees"),
+        ("bounds", "falsify", "--bound", "B3", "--nmax"),
+    ], ids=" ".join)
+    def test_one_cap_at_every_entry_point(self, capsys, monkeypatch, argv):
+        walk = search.free_tree_level_sequences
         calls = []
-        monkeypatch.setattr(search_module, "free_tree_level_sequences", lambda n: calls.append(n) or iter(()))
-        code, out, err = run_cli(capsys, "bounds", "falsify", "--bound", "B3", "--nmax", "19")
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and "cap" in err and err.count("\n") == 1
-        monkeypatch.setenv("SIGMAIRR_TREE_CAP", "11")
-        code, out, err = run_cli(capsys, "bounds", "falsify", "--bound", "B3", "--nmax", "12")
-        assert code == 1 and out == "" and "cap" in err and err.count("\n") == 1
+        monkeypatch.setattr(search, "free_tree_level_sequences", lambda n: calls.append(n) or iter(()))
+        for cap in (search.DEFAULT_TREE_CAP, 5):
+            monkeypatch.setattr(search, "DEFAULT_TREE_CAP", cap)
+            code, out, err = run_cli(capsys, *argv, str(cap + 1))
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and "cap" in err and err.count("\n") == 1
         assert calls == []
+        monkeypatch.setattr(search, "free_tree_level_sequences", walk)
+        code, out, _ = run_cli(capsys, *argv, "6", "--allow-over-cap")
+        assert code == 0 and out
 
     def test_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "indices", "--family", "cycle:2")
         assert code == 1 and "cycle" in err
+
+    @pytest.mark.parametrize("argv, message", [pytest.param(*case, id=" ".join(case[0])) for case in [
+        (("bounds", "check", "--family", "path:5", "--row", "3", "--bound", "B8"), "--row needs --table"),
+        (("bounds", "check", "--family", "path:5", "--class-mode", "max", "--bound", "B8"),
+         "--class-mode needs --class-trees"),
+        (("bounds", "check", "--family", "path:5", "--irr", "7", "--bound", "B8"),
+         "--irr needs --sequence with --convention paper-table"),
+        (("bounds", "check", "--sequence", "1,1,2,2", "--irr", "7", "--bound", "B8"),
+         "--irr needs --sequence with --convention paper-table"),
+        (("bounds", "check", "--family", "path:5", "--convention", "paper-table", "--bound", "B8"),
+         "--convention paper-table needs --sequence"),
+        (("bounds", "falsify", "--bound", "B8", "--n", "8", "--nmax", "6"),
+         "--n (random mode) and --nmax (exhaustive mode) exclude each other"),
+        (("bounds", "falsify", "--bound", "B8", "--n", "8", "--nmax", "6", "--samples", "3"),
+         "--n (random mode) and --nmax (exhaustive mode) exclude each other"),
+        (("bounds", "falsify", "--bound", "B8", "--nmax", "5", "--seed", "9"),
+         "--seed needs random mode (--n with --samples)"),
+        (("bounds", "falsify", "--bound", "B8", "--nmax", "5", "--seed", "0"),
+         "--seed needs random mode (--n with --samples)"),
+        (("bounds", "falsify", "--bound", "B8", "--n", "40", "--samples", "5", "--allow-over-cap"),
+         "--allow-over-cap needs exhaustive mode (--nmax)"),
+        (("bounds", "check", "--family", "path:5", "--bound", "B8", "--allow-over-cap"),
+         "--allow-over-cap needs --class-trees"),
+        (("bounds", "check", "--table", "1", "--row", "1", "--bound", "B8", "--allow-over-cap"),
+         "--allow-over-cap needs --class-trees"),
+        (("bounds", "check", "--family", "path:5", "--graph-file", "/nonexistent", "--bound", "B8"),
+         "--family and --graph-file exclude each other"),
+        (("indices", "--family", "path:4", "--sequence", "1,1", "--graph-file", "/nonexistent"),
+         "--sequence excludes --family and --graph-file"),
+        (("indices", "--family", "path:4", "--graph-file", "/nonexistent"),
+         "--family and --graph-file exclude each other"),
+        (("extremal", "--degree-multiset", "1,1,2", "--max-degree", "5", "--n", "9"),
+         "--degree-multiset excludes --n and --max-degree"),
+        (("extremal", "--degree-multiset", "1,1,2", "--n", "3"), "--degree-multiset excludes --n and --max-degree"),
+        (("plots", "emit", "--figure", "2", "--max-n", "3"), "--max-n needs --figure 1"),
+        (("plots", "emit", "--figure", "3", "--max-n", "20"), "--max-n needs --figure 1"),
+    ]])
+    def test_unread_flags_rejected(self, capsys, argv, message):
+        # A flag the chosen input or mode would not read fails instead of being ignored.
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 class TestBounds:
@@ -190,33 +233,6 @@ class TestBounds:
             capsys, "bounds", "check", "--family", "path:4", "--table", "1", "--row", "1"
         )
         assert code == 1 and "exactly one input source" in err
-
-    @pytest.mark.parametrize("argv, message", [pytest.param(*case, id=" ".join(case[0])) for case in [
-        (("check", "--family", "path:5", "--row", "3", "--bound", "B8"), "--row needs --table"),
-        (("check", "--family", "path:5", "--class-mode", "max", "--bound", "B8"),
-         "--class-mode needs --class-trees"),
-        (("check", "--family", "path:5", "--irr", "7", "--bound", "B8"),
-         "--irr needs --sequence with --convention paper-table"),
-        (("check", "--sequence", "1,1,2,2", "--irr", "7", "--bound", "B8"),
-         "--irr needs --sequence with --convention paper-table"),
-        (("check", "--family", "path:5", "--convention", "paper-table", "--bound", "B8"),
-         "--convention paper-table needs --sequence"),
-        (("falsify", "--bound", "B8", "--n", "8", "--nmax", "6"),
-         "--n (random mode) and --nmax (exhaustive mode) exclude each other"),
-        (("falsify", "--bound", "B8", "--n", "8", "--nmax", "6", "--samples", "3"),
-         "--n (random mode) and --nmax (exhaustive mode) exclude each other"),
-        (("falsify", "--bound", "B8", "--nmax", "5", "--seed", "9"), "--seed needs random mode (--n with --samples)"),
-        (("falsify", "--bound", "B8", "--nmax", "5", "--seed", "0"), "--seed needs random mode (--n with --samples)"),
-        (("falsify", "--bound", "B8", "--n", "40", "--samples", "5", "--allow-over-cap"),
-         "--allow-over-cap needs exhaustive mode (--nmax)"),
-        (("check", "--family", "path:5", "--bound", "B8", "--allow-over-cap"), "--allow-over-cap needs --class-trees"),
-        (("check", "--table", "1", "--row", "1", "--bound", "B8", "--allow-over-cap"),
-         "--allow-over-cap needs --class-trees"),
-    ]])
-    def test_unread_flags_rejected(self, capsys, argv, message):
-        # A flag the chosen input or mode would not read fails instead of being ignored.
-        code, out, err = run_cli(capsys, "bounds", *argv)
-        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_falsify_random_seed_defaults_to_zero(self, capsys):
         argv = ("bounds", "falsify", "--bound", "B8", "--n", "9", "--samples", "6", "--format", "json")
@@ -346,6 +362,10 @@ class TestPlots:
         by_n = {r[0]: r for r in rows[1:]}
         assert by_n["5"][rows[0].index("sigma_path")] == "2"
         assert by_n["6"][rows[0].index("sigma_cycle")] == "0"
+        # without --max-n, figure 1 runs up to order 20
+        assert run_cli(capsys, "plots", "emit", "--figure", "1") == run_cli(
+            capsys, "plots", "emit", "--figure", "1", "--max-n", "20"
+        )
 
     def test_figure2_and_3(self, capsys):
         code, out, _ = run_cli(capsys, "plots", "emit", "--figure", "2")

@@ -10,7 +10,6 @@ from sigmairr.graphs import (
     complement,
     complete_bipartite,
     cycle,
-    degree_profile,
     double_star,
     format_edge_list,
     is_connected,
@@ -69,8 +68,7 @@ class TestFamilies:
 
     def test_star(self):
         g = star(5)
-        profile = degree_profile(g)
-        assert profile.max_degree == 4 and profile.min_degree == 1 and profile.edge_count == 4
+        assert max(g.degrees) == 4 and min(g.degrees) == 1 and g.edge_count == 4
 
     def test_double_star(self):
         g = double_star(3, 4)
@@ -150,7 +148,7 @@ class TestCartesianProduct:
         hn = h.vertex_count
         for u in range(g.vertex_count):
             for v in range(hn):
-                assert prod.degree(u * hn + v) == g.degree(u) + h.degree(v)
+                assert prod.degrees[u * hn + v] == g.degrees[u] + h.degrees[v]
 
 
 class TestProfileAndPredicates:

@@ -24,9 +24,9 @@ PUBLIC = {
     ),
     "errors": ("DomainError", "InputError", "ResourceLimitError"),
     "graphs": (
-        "Graph", "VertexDegreeProfile", "build_family", "cartesian_product", "complement",
-        "complete_bipartite", "cycle", "degree_profile", "double_star", "format_edge_list",
-        "is_connected", "is_tree", "monogenic", "parse_edge_list", "path", "star",
+        "Graph", "build_family", "cartesian_product", "complement", "complete_bipartite", "cycle",
+        "double_star", "format_edge_list", "is_connected", "is_tree", "monogenic", "parse_edge_list",
+        "path", "star",
     ),
     "indices": (
         "albertson", "albertson_closed_form_len4", "albertson_monogenic", "compare_known_forms",
@@ -106,7 +106,7 @@ class TestPublicSurface:
 
     def test_all_and_dir(self):
         names = {n for names in PUBLIC.values() for n in names}
-        assert len(names) == 60 and set(sigmairr.__all__) == names
+        assert len(names) == 58 and set(sigmairr.__all__) == names
         assert names <= set(dir(sigmairr))
         assert sigmairr.__version__ == "0.1.0"
 

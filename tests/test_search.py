@@ -97,12 +97,15 @@ class TestFreeTreeStream:
         assert len(trees) == 2
         assert {tuple(sorted(t.degrees)) for t in trees} == {(1, 1, 2, 2), (1, 1, 1, 3)}
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        import sigmairr.search as search_module
+
         gen = enumerate_free_trees(19)
-        with pytest.raises(ResourceLimitError, match="cap"):
+        with pytest.raises(ResourceLimitError, match="cap.*--allow-over-cap"):
             next(gen)
-        assert next(enumerate_free_trees(19, max_order=20)) is not None
         assert next(enumerate_free_trees(19, allow_over_cap=True)) is not None
+        monkeypatch.setattr(search_module, "DEFAULT_TREE_CAP", 20)
+        assert next(enumerate_free_trees(19)) is not None
 
     def test_rejects_zero(self):
         with pytest.raises(DomainError):
@@ -337,8 +340,9 @@ class TestFalsify:
         monkeypatch.setattr(search_module, "free_tree_level_sequences", lambda n: calls.append(n) or iter(()))
         with pytest.raises(ResourceLimitError, match="cap"):
             falsify("B3", ExhaustiveMode(19))
+        monkeypatch.setattr(search_module, "DEFAULT_TREE_CAP", 11)
         with pytest.raises(ResourceLimitError, match="cap"):
-            falsify("B3", ExhaustiveMode(12), max_order=11)
+            falsify("B3", ExhaustiveMode(12))
         assert calls == []
 
     def test_params_flow_through(self):
