@@ -5,8 +5,8 @@ Emits one CSV row per order with the exact optima and their witnesses'
 degree multisets.  The star/path pattern (max at the star, minimum Sigma 2
 at the path) is visible directly in the output.  The four optima of an
 order come from one walk of its trees (``extremal_goals``).  Orders must
-lie in 1..18, the enumeration cap; anything else, or an --out path that
-cannot be opened, is rejected with a one-line message on stderr and exit
+lie in 1..18, the enumeration cap, with --min-n at most --max-n; anything
+else, or an --out path that cannot be opened, is rejected with a one-line message on stderr and exit
 code 1 before any output is written.
 
 Usage:
@@ -38,6 +38,8 @@ def main() -> int:
         return _fail(f"--min-n must be at least 1, got {args.min_n}")
     if args.max_n > DEFAULT_TREE_CAP:
         return _fail(f"--max-n {args.max_n} exceeds the enumeration cap {DEFAULT_TREE_CAP}")
+    if args.min_n > args.max_n:
+        return _fail(f"--min-n {args.min_n} exceeds --max-n {args.max_n}")
 
     try:
         sink = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout

@@ -5,32 +5,38 @@ is exact first: each side of the sixteen rational entries is an integer
 numerator over a positive integer denominator, read off a few integers of
 the input (n, 2m, the degree sum S, the entry count k, the first and last
 two entries, the largest adjacent sum and difference), and a relation is
-decided as ln*rd against rn*ld, so no ``Fraction`` is built until a report
-prints a side.  Directed rational intervals (64 fractional bits, escalated
-once to 128) appear only where a root does: B6's square root and both sides
-of B15b.  B6 is still decided exactly: sigma >= sqrt(S*C/k) + s iff
-sigma - s >= 0 and k*(sigma - s)^2 >= S*C; its interval only gives the
-printed right side, at 64 bits or at 128 where 64 does not separate the
-sides.  B15b is decided only when its intervals separate.  Its (sum
-sqrt(d))^2 takes D(D-1)/2 square roots over the D distinct degrees,
-accumulated as integer numerators over 2^bits, and yields the same interval
-as the sum over all k(k-1)/2 pairs of entries.  A report is always produced
-for well-formed input: hypothesis failures, including division-by-zero
-guards, gate the verdict as non-probative instead of crashing.
+decided as ln*rd against rn*ld, so deciding builds no ``Fraction``.
+Directed rational intervals (64 fractional bits, escalated once to 128)
+appear only where a root does: B6's square root and both sides of B15b.
+B6 is still decided exactly: sigma >= sqrt(S*C/k) + s iff sigma - s >= 0
+and k*(sigma - s)^2 >= S*C; its interval only gives the printed right
+side, at 64 bits or at 128 where 64 does not separate the sides.  B15b is
+decided only when its intervals separate.  Its (sum sqrt(d))^2 takes
+D(D-1)/2 square roots over the D distinct degrees, accumulated as integer
+numerators over 2^bits, and yields the same interval as the sum over all
+k(k-1)/2 pairs of entries.  A report is always produced for well-formed
+input: hypothesis failures, including division-by-zero guards, gate the
+verdict as non-probative instead of crashing.
 
 Each input is one record, a ``BoundInput``: a graph's record is built
 from its per-vertex degrees and edges, so its order is the length of its
 degree list.  The record holds every symbol an entry reads (n, 2m, the
 max degree, k, S, the entries, the cube sum, Albertson, Sigma and the
 resolved parameters), each once under one name, and hypotheses, sides and
-verdicts read it directly.  Reports and
-falsification share one decision path, ``_decide``.  ``evaluate_bound`` and
-``evaluate_all`` build a full ``BoundReport`` from it; ``search.falsify``
-asks ``refutes``, which returns False at once when a hypothesis fails or
-the entry is not computable, uses an entry's exact ``verdict`` where one is
-set (B6), and otherwise reads ``_decide``.  Only a refuted pair then gets
-its report.  Parameter defaults depend on n, m and the max degree alone,
-and are resolved once per such triple.
+verdicts read it directly.  Reports and falsification share one decision
+path, ``_decide``.  ``evaluate_bound`` and ``evaluate_all`` build a full
+``BoundReport`` from it.  ``search.falsify`` asks
+``counterexample_report``, which returns None at once when a hypothesis
+fails or the entry is not computable, uses an entry's exact ``verdict``
+where one is set (B6), and otherwise reads ``_decide``; for a refuted pair
+it writes the report's JSON form from the refuting sides themselves, with
+no second decision and no ``BoundReport``.  A rational side is printed
+from its integers (in lowest terms, and as the correctly rounded
+``num / den`` float), and its margin is cross-multiplied; only an
+interval's midpoint is a ``Fraction``.  ``_side_text`` is the one place a
+side or a margin becomes text, for both kinds of report.  Parameter
+defaults depend on n, m and the max degree alone, and are resolved once
+per such triple.
 
 Several claims are false on ordinary trees.  That is expected; the contract
 here is faithful evaluation and reporting, not the truth of the claims.
@@ -86,10 +92,12 @@ class RVal:
         return RVal(self.lo - other.hi, self.hi - other.lo)
 
 
-# A printed exact value; a rational side (numerator, denominator > 0); a root's box.
+# A printed exact value; a rational side (numerator, denominator > 0); a root's box;
+# a side as a report prints it (numerator, denominator > 0, whether it is exact).
 Exact = Union[int, Fraction]
 Ratio = tuple[int, int]
 Side = Union[Ratio, RVal]
+Printed = tuple[int, int, bool]
 
 
 def _integer_nth_root(value: int, degree: int) -> int:
@@ -422,40 +430,93 @@ class BoundReport:
     notes: tuple[str, ...] = ()
     indeterminate: bool = False
 
-    def fmt_value(self, value: Optional[Exact], exact: bool) -> str:
-        if value is None:
-            return ""
-        if exact:
-            return str(value)
-        return f"{float(value):.12g}"
-
     def to_json_dict(self) -> dict:
-        return {
-            "bound_id": self.bound_id,
-            "label": self.label,
-            "hypotheses_met": self.hypotheses_met,
-            "failed_hypotheses": list(self.failed_hypotheses),
-            "relation": self.relation,
-            "lhs": None if self.lhs is None else self.fmt_value(self.lhs, self.lhs_exact),
-            "rhs": None if self.rhs is None else self.fmt_value(self.rhs, self.rhs_exact),
-            "lhs_decimal": _decimal(self.lhs),
-            "rhs_decimal": _decimal(self.rhs),
-            "lhs_exact": self.lhs_exact,
-            "rhs_exact": self.rhs_exact,
-            "holds": self.holds,
-            "margin": None if self.margin is None else self.fmt_value(self.margin, self.lhs_exact and self.rhs_exact),
-            "params": {k: str(v) for k, v in sorted(self.params_used.items())},
-            "notes": list(self.notes),
-            "indeterminate": self.indeterminate,
-        }
+        sides = None
+        if self.lhs is not None:
+            lhs, rhs, margin = self.lhs, self.rhs, self.margin
+            sides = (
+                (lhs.numerator, lhs.denominator, self.lhs_exact),
+                (rhs.numerator, rhs.denominator, self.rhs_exact),
+                (margin.numerator, margin.denominator),
+            )
+        return _report_json(
+            self.bound_id, self.label, self.failed_hypotheses, self.relation, sides,
+            self.holds, self.params_used, self.notes, self.indeterminate,
+        )
 
 
-def _decimal(value: Optional[Exact]) -> Optional[float]:
-    """Nearest float, or None when there is no value or it is beyond float range."""
+def _report_json(
+    bound_id: str,
+    label: str,
+    failed: Sequence[str],
+    relation: str,
+    sides: Optional[tuple[Printed, Printed, Ratio]],
+    holds: Optional[bool],
+    params_used: Mapping[str, object],
+    notes: Sequence[str],
+    indeterminate: bool,
+) -> dict:
+    """A report's JSON form.  ``sides`` is None where the entry is not
+    computable, else the printed lhs and rhs and the margin, which is exact
+    when both sides are."""
+    lhs = rhs = margin = lhs_decimal = rhs_decimal = None
+    lhs_exact = rhs_exact = True
+    if sides is not None:
+        (ln, ld, lhs_exact), (rn, rd, rhs_exact), (mn, md) = sides
+        lhs, rhs = _side_text(ln, ld, lhs_exact), _side_text(rn, rd, rhs_exact)
+        lhs_decimal, rhs_decimal = _decimal(ln, ld), _decimal(rn, rd)
+        margin = _side_text(mn, md, lhs_exact and rhs_exact)
+    return {
+        "bound_id": bound_id,
+        "label": label,
+        "hypotheses_met": not failed,
+        "failed_hypotheses": list(failed),
+        "relation": relation,
+        "lhs": lhs,
+        "rhs": rhs,
+        "lhs_decimal": lhs_decimal,
+        "rhs_decimal": rhs_decimal,
+        "lhs_exact": lhs_exact,
+        "rhs_exact": rhs_exact,
+        "holds": holds,
+        "margin": margin,
+        "params": {k: str(v) for k, v in sorted(params_used.items())},
+        "notes": list(notes),
+        "indeterminate": indeterminate,
+    }
+
+
+def _side_text(num: int, den: int, exact: bool) -> str:
+    """How a report prints the value num/den (den > 0): in lowest terms,
+    ``num`` or ``num/den``, when it is exact, else to 12 significant digits
+    of the nearest float.  The one place a side or a margin becomes text;
+    it writes what ``str`` and ``float`` of ``Fraction(num, den)`` write."""
+    if not exact:
+        return f"{num / den:.12g}"
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _decimal(num: int, den: int) -> Optional[float]:
+    """The float nearest num/den (int division is correctly rounded, as
+    ``float(Fraction(num, den))`` is), or None beyond float range."""
     try:
-        return None if value is None else float(value)
+        return num / den
     except OverflowError:
         return None
+
+
+def _margin(relation: str, lhs: Ratio, rhs: Ratio) -> Ratio:
+    """How far ``relation`` holds between two sides, cross-multiplied over
+    the product of their denominators: rhs - lhs for < and <=, lhs - rhs
+    for > and >=, and -|lhs - rhs| for ==."""
+    (ln, ld), (rn, rd) = lhs, rhs
+    gap = ln * rd - rn * ld
+    if relation in ("<=", "<"):
+        gap = -gap
+    elif relation == "==":
+        gap = -abs(gap)
+    return gap, ld * rd
 
 
 CSV_HEADER = ["bound_id", "hypotheses_met", "lhs", "rhs", "relation", "holds", "margin", "params"]
@@ -887,11 +948,17 @@ def _boxed(side: Side) -> RVal:
     return side if isinstance(side, RVal) else RVal.of(Fraction(*side))
 
 
-def _printed(side: Side) -> tuple[Exact, bool]:
-    """The reported value of a side and whether it is exact."""
+def _printed(side: Side) -> Printed:
+    """The reported value of a side: a ratio as it is, an interval as its
+    midpoint, the only ``Fraction`` a report of a computable entry builds."""
     if isinstance(side, RVal):
-        return side.mid, side.exact
-    return (side[0] if side[1] == 1 else Fraction(*side)), True
+        mid = side.mid
+        return mid.numerator, mid.denominator, side.exact
+    return side[0], side[1], True
+
+
+def _exact(num: int, den: int) -> Exact:
+    return num if den == 1 else Fraction(num, den)
 
 
 def require_fields(bound_ids: Iterable[str], binput: BoundInput) -> None:
@@ -928,27 +995,44 @@ def _decide(spec: BoundSpec, b: BoundInput) -> tuple[Side, Side, Optional[bool]]
     return lhs, rhs, holds
 
 
-def refutes(spec: BoundSpec, b: BoundInput) -> bool:
-    """Whether the entry's report on ``b`` would be a counterexample:
-    hypotheses met and the relation decided false.  Builds no report; an
-    entry that fails a hypothesis is not evaluated, and one with an exact
-    ``verdict`` builds no interval."""
+def counterexample_report(bound_id: str, spec: BoundSpec, b: BoundInput) -> Optional[dict]:
+    """The JSON form of the entry's report on ``b`` if it is a
+    counterexample (hypotheses met and the relation decided false), else
+    None.  It equals ``evaluate_bound(bound_id, b).to_json_dict()``, but is
+    written from the refuting decision's own sides: no second decision, no
+    ``BoundReport``, and no ``Fraction`` for a rational side.  An entry that
+    fails a hypothesis is not evaluated, and one with an exact ``verdict``
+    builds its intervals (they only give the printed sides) where it is
+    refuted."""
     failed, computable = spec.hypothesis(b)
     if failed or not computable:
-        return False
+        return None
     if spec.verdict is not None:
-        return not spec.verdict(b)
-    return _decide(spec, b)[2] is False
+        if spec.verdict(b):
+            return None
+        lhs, rhs, _ = _decide(spec, b)
+    else:
+        lhs, rhs, holds = _decide(spec, b)
+        if holds is not False:
+            return None
+    lhs, rhs = _printed(lhs), _printed(rhs)
+    params_used, notes = _params_used(spec, b)
+    gap = _margin(spec.relation, lhs[:2], rhs[:2])
+    return _report_json(bound_id, b.label, (), spec.relation, (lhs, rhs, gap), False, params_used, notes, False)
+
+
+def _params_used(spec: BoundSpec, b: BoundInput) -> tuple[Mapping[str, object], tuple[str, ...]]:
+    """The parameters the entry reads, and its notes with theirs."""
+    if not spec.params:
+        return _NO_PARAMS, spec.extra_notes
+    notes = spec.extra_notes + tuple(note for param in spec.params for note in b.param_notes.get(param, ()))
+    return {param: getattr(b, param) for param in spec.params}, notes
 
 
 def _evaluate(bound_id: str, spec: BoundSpec, binput: BoundInput) -> BoundReport:
     """The report of one catalog entry whose required fields are present."""
     failed, computable = spec.hypothesis(binput)
-    notes = spec.extra_notes
-    params_used = _NO_PARAMS
-    if spec.params:
-        notes += tuple(note for param in spec.params for note in binput.param_notes.get(param, ()))
-        params_used = {param: getattr(binput, param) for param in spec.params}
+    params_used, notes = _params_used(spec, binput)
 
     lhs = rhs = holds = margin = None
     lhs_exact = rhs_exact = True
@@ -963,14 +1047,10 @@ def _evaluate(bound_id: str, spec: BoundSpec, binput: BoundInput) -> BoundReport
         elif holds is None:
             indeterminate = True
             notes += ("indeterminate_at_precision: sides not separated at 128 bits",)
-        lhs, lhs_exact = _printed(lhs)
-        rhs, rhs_exact = _printed(rhs)
-        if spec.relation in ("<=", "<"):
-            margin = rhs - lhs
-        elif spec.relation in (">=", ">"):
-            margin = lhs - rhs
-        else:
-            margin = -abs(lhs - rhs)
+        ln, ld, lhs_exact = _printed(lhs)
+        rn, rd, rhs_exact = _printed(rhs)
+        lhs, rhs = _exact(ln, ld), _exact(rn, rd)
+        margin = _exact(*_margin(spec.relation, (ln, ld), (rn, rd)))
 
     return BoundReport(
         bound_id=bound_id,

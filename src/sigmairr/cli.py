@@ -533,6 +533,8 @@ def _cmd_plots_emit(args) -> int:
         raise InputError("--max-n needs --figure 1")
     if args.figure == 1:
         max_n = 20 if args.max_n is None else args.max_n
+        if max_n < 3:  # the series starts where the cycle does
+            raise InputError(f"--max-n must be at least 3 for figure 1, got {max_n}")
         header = [
             "n",
             "sigma_path", "irr_path",
@@ -560,7 +562,7 @@ def _cmd_plots_emit(args) -> int:
             [str(sum(r.entries)), str(r.t1), str(r.t2), str(r.irr), str(r.sigma)]
             for r in stats_tables.TABLE1
         ]
-    elif args.figure == 3:
+    else:  # argparse admits figures 1 to 3 only
         header = ["n", "irr", "sigma", "lambda", "eta_printed", "eta_computed", "eta1_printed"]
         rows = []
         for c_eta, r in zip(
@@ -578,8 +580,6 @@ def _cmd_plots_emit(args) -> int:
                     f"{float(r.eta1):g}",
                 ]
             )
-    else:
-        raise InputError("figure must be 1, 2, or 3")
     _emit(_csv_text(header, rows), args.out)
     return 0
 

@@ -10,9 +10,11 @@ printing other bytes.
 
 The stock ``json.dump`` yields one chunk per token.  This encoder renders
 each container with one ``join``, and a list of ``[int, int]`` pairs (the
-edge lists of a counterexample dump) from one ``%d`` template.  Only the
-containers above ``STREAM_DEPTH`` stream their items, so each record is one
-chunk and ``json.dump`` never holds the whole document as one string.
+edge lists of a counterexample dump) from one ``%d`` template, once per
+pass and level: the records of one tree share its edge list, which is
+rendered for the first and reused for the rest.  Only the containers above
+``STREAM_DEPTH`` stream their items, so each record is one chunk and
+``json.dump`` never holds the whole document as one string.
 """
 
 from __future__ import annotations
@@ -56,10 +58,18 @@ _SCALAR = {str: encode_basestring_ascii, int: int.__repr__, float: _floatstr,
 
 
 class _Renderer:
-    """One encoding pass, and the containers it is inside (circular-reference check)."""
+    """One encoding pass, the containers it is inside (circular-reference
+    check), and the ``[int, int]``-pair lists it has rendered.
+
+    A pass does not mutate the document, so a pair list met again at the
+    same level renders to the same text: it is reused, keyed on the list's
+    identity and level.  The renderer holds each such list, so no other
+    list can take its id during the pass, and it is dropped with the pass.
+    """
 
     def __init__(self) -> None:
         self.markers: dict = {}
+        self.pair_lists: dict = {}
 
     def mark(self, o) -> None:
         if id(o) in self.markers:
@@ -83,22 +93,30 @@ class _Renderer:
     def array(self, lst, level: int) -> str:
         if not lst:
             return "[]"
+        seen = self.pair_lists.get((id(lst), level))
+        if seen is not None:
+            return seen[1]
         self.mark(lst)
         outer = "\n" + "  " * level
         inner = outer + "  "
         sep = "," + inner
         kinds = set(map(type, lst))
         kind = kinds.pop() if len(kinds) == 1 else None
+        pairs = False
         if kind in _SCALAR:
             body = sep.join(map(_SCALAR[kind], lst))
         elif (kind is list or kind is tuple) and _int_pairs(lst):
             # The layout strings hold no "%", so they need no escaping.
             pair = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
             body = sep.join([pair] * len(lst)) % tuple([x for p in lst for x in p])
+            pairs = True
         else:
             body = sep.join([self.value(v, level + 1) for v in lst])
         del self.markers[id(lst)]
-        return "[" + inner + body + outer + "]"
+        text = "[" + inner + body + outer + "]"
+        if pairs:
+            self.pair_lists[id(lst), level] = (lst, text)
+        return text
 
     def obj(self, dct, level: int) -> str:
         if not dct:

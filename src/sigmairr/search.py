@@ -66,7 +66,7 @@ from .indices import albertson, albertson_and_sigma, sigma
 from .sequences import is_tree_sequence, prufer_degrees_and_edges, random_prufer_word
 
 if TYPE_CHECKING:  # ``bounds`` is imported where a claim is evaluated, not here
-    from .bounds import BoundInput, BoundParams, BoundReport
+    from .bounds import BoundInput, BoundParams
 
 DEFAULT_TREE_CAP = 18
 
@@ -428,18 +428,16 @@ class RandomMode:
 
 @dataclass(frozen=True)
 class Counterexample:
+    """A tree refuting a catalog entry, with its JSON record: ``bound_id``,
+    the tree's ``n``, ``edges`` and ``edge_list``, which every record of the
+    same tree shares, and the entry's ``report``."""
+
     bound_id: str
     graph: Graph
-    report: BoundReport
+    record: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "bound_id": self.bound_id,
-            "n": self.graph.vertex_count,
-            "edges": [list(e) for e in self.graph.sorted_edges()],
-            "edge_list": format_edge_list(self.graph),
-            "report": self.report.to_json_dict(),
-        }
+        return self.record
 
 
 def falsify(
@@ -452,17 +450,18 @@ def falsify(
     """Hunt for trees meeting a claim's hypotheses on which it evaluates false.
 
     ``bound_id`` may be a base id or ``"all"``: each tree builds one
-    ``BoundInput`` from its degrees and edges, and every expanded
-    entry is decided on it by ``bounds.refutes``, which skips an entry whose
-    hypotheses fail and builds no report.  Only a counterexample gets its
-    ``BoundReport``, from ``evaluate_bound``, and only a tree with one gets
-    its ``Graph``.  Exhaustive mode covers every isomorphism class with
-    2 <= n <= n_max, and rejects an ``n_max`` over the cap before it
-    generates any tree; its degrees and (parent, child) edges come from each
-    level sequence.  Random mode draws seeded labeled trees of a fixed order,
-    their degrees and edges decoded from a random Pruefer word.  ``params``
-    None means ``BoundParams()``.  The returned list is deterministic for
-    identical arguments.
+    ``BoundInput`` from its degrees and edges, and every expanded entry is
+    decided on it once by ``bounds.counterexample_report``, which skips an
+    entry whose hypotheses fail and writes a counterexample's report from
+    the sides that refute it, with no ``BoundReport``.  Only a tree with a
+    counterexample gets its ``Graph``, its sorted edges and its edge-list
+    text, once, and all of its records share them.  Exhaustive mode covers
+    every isomorphism class with 2 <= n <= n_max, and rejects an ``n_max``
+    over the cap before it generates any tree; its degrees and (parent,
+    child) edges come from each level sequence.  Random mode draws seeded
+    labeled trees of a fixed order, their degrees and edges decoded from a
+    random Pruefer word.  ``params`` None means ``BoundParams()``.  The
+    returned list is deterministic for identical arguments.
     """
     from . import bounds
 
@@ -497,12 +496,16 @@ def falsify(
         if not checked:
             bounds.require_fields(bound_ids, binput)
             checked = True
-        g = None
+        tree = None
         for bid, spec in specs:
-            if bounds.refutes(spec, binput):
-                if g is None:
-                    g = Graph(len(degrees), edges)
-                found.append(Counterexample(bid, g, bounds.evaluate_bound(bid, binput)))
+            report = bounds.counterexample_report(bid, spec, binput)
+            if report is None:
+                continue
+            if tree is None:
+                g = Graph(len(degrees), edges)
+                tree = {"n": g.vertex_count, "edges": [list(e) for e in g.sorted_edges()],
+                        "edge_list": format_edge_list(g)}
+            found.append(Counterexample(bid, g, {"bound_id": bid, **tree, "report": report}))
     return found
 
 

@@ -31,13 +31,16 @@ simpler form of a package routine it is compared with:
 * ``derived_summaries_by_summation`` adds the half-difference and half-sum
   ``Fraction`` sequences term by term, where the package reads the same
   summaries off integer sums of the entries;
-* ``falsify_by_reports`` shares the package's free-tree stream and
-  ``evaluate_bound``, builds a ``Graph`` and a report for every (tree,
-  entry) pair and keeps the probative failures, where the package decides
-  each pair on degrees and edges first and builds a ``Graph`` and a report
-  only for a counterexample.  Its random trees are its own: each Pruefer
-  word is ``randrange(n)`` drawn n - 2 times from the sample's
-  ``Random(seed)``, decoded by ``prufer_decode_heap``.
+* ``falsify_by_reports`` shares the package's free-tree stream,
+  ``evaluate_bound``, ``BoundReport.to_json_dict`` and
+  ``format_edge_list``, builds a ``Graph`` and a report for every (tree,
+  entry) pair and keeps the probative failures, each with a record of its
+  own, where the package decides each pair once on degrees and edges,
+  writes a counterexample's report from the refuting sides with no
+  ``BoundReport``, and shares one ``Graph`` and edge list per tree.  Its
+  random trees are its own: each Pruefer word is ``randrange(n)`` drawn
+  n - 2 times from the sample's ``Random(seed)``, decoded by
+  ``prufer_decode_heap``.
 
 ``greedy_min_sigma`` shares nothing with the package: it builds one tree
 per degree multiset by construction instead of searching a stream.
@@ -70,7 +73,7 @@ from sigmairr.bounds import (
     sqrt_rval,
 )
 from sigmairr.errors import DomainError
-from sigmairr.graphs import Graph, complement
+from sigmairr.graphs import Graph, complement, format_edge_list
 from sigmairr.indices import albertson, sigma, zagreb_m1
 from sigmairr.search import (
     Counterexample,
@@ -587,7 +590,8 @@ def falsify_by_reports(
 ) -> list[Counterexample]:
     """Counterexamples by building every (tree, entry) report and keeping
     those with hypotheses met that evaluate false, over the same trees in
-    the same order as ``falsify``."""
+    the same order as ``falsify``.  Each record is written from its own
+    ``BoundReport.to_json_dict`` and the tree's ``Graph``."""
     if isinstance(mode, ExhaustiveMode):
         trees = (g for n in range(2, mode.n_max + 1) for g in enumerate_free_trees(n))
     else:
@@ -601,7 +605,14 @@ def falsify_by_reports(
         for bid in bound_ids:
             report = evaluate_bound(bid, binput)
             if report.hypotheses_met and report.holds is False:
-                found.append(Counterexample(bid, g, report))
+                record = {
+                    "bound_id": bid,
+                    "n": g.vertex_count,
+                    "edges": [list(e) for e in g.sorted_edges()],
+                    "edge_list": format_edge_list(g),
+                    "report": report.to_json_dict(),
+                }
+                found.append(Counterexample(bid, g, record))
     return found
 
 

@@ -25,7 +25,6 @@ from sigmairr.bounds import (
     expand_bound_id,
     missing_fields,
     nth_root_rval,
-    refutes,
     resolve_parameters,
     sqrt_rval,
 )
@@ -52,6 +51,11 @@ from sigmairr.sequences import (
 from sigmairr.stats_tables import TABLE1, TABLE2
 
 fraction_st = st.fractions(min_value=0, max_value=10**6)
+
+
+def refuted(bound_id: str, binput: BoundInput) -> bool:
+    """Whether ``falsify`` counts the pair as a counterexample."""
+    return bounds.counterexample_report(bound_id, CATALOG[bound_id], binput) is not None
 
 
 class TestRootIntervals:
@@ -242,7 +246,7 @@ class TestCatalogArithmetic:
         assert needs_derived == ["B3", "B4", "B5", "B6"]
         for bound_id in BOUND_IDS:  # the catalog reads the summaries off integers
             evaluate_bound(bound_id, binput)
-            refutes(CATALOG[bound_id], binput)
+            refuted(bound_id, binput)
         assert calls == []
         single = BoundInput.from_view(DegreeSequenceView((2,)), irr_value=0, sigma_value=0)
         assert missing_fields(CATALOG["B3"], single) == ["derived"]
@@ -504,8 +508,9 @@ def _audit_pairs():
 
 class TestRefutes:
     def test_not_computable_has_a_failed_hypothesis(self):
-        # refutes returns at once on a failed hypothesis or a non-computable
-        # entry; a non-computable result always names a failed hypothesis.
+        # counterexample_report returns at once on a failed hypothesis or a
+        # non-computable entry; a non-computable result always names a failed
+        # hypothesis.
         not_computable = Counter()
         for bound_id, binput in _audit_pairs():
             failed, computable = CATALOG[bound_id].hypothesis(binput)
@@ -519,7 +524,7 @@ class TestRefutes:
         for bound_id, binput in _audit_pairs():
             report = evaluate_bound(bound_id, binput)
             expected = report.hypotheses_met and report.holds is False
-            assert refutes(CATALOG[bound_id], binput) == expected, (bound_id, binput.label)
+            assert refuted(bound_id, binput) == expected, (bound_id, binput.label)
             decided[expected] += 1
         assert decided[True] > 1000 and decided[False] > 4000
 
@@ -530,7 +535,7 @@ class TestRefutes:
         binput = BoundInput.from_graph(path(5))
         for hypothesis in (lambda b: ([], False), lambda b: (["unmet"], True), lambda b: (["unmet"], False)):
             spec = replace(CATALOG["B8"], hypothesis=hypothesis, lhs=unreachable, rhs=unreachable)
-            assert refutes(spec, binput) is False
+            assert bounds.counterexample_report("B8", spec, binput) is None
 
     def test_exact_verdict_builds_no_interval(self, monkeypatch):
         roots = []
@@ -539,7 +544,7 @@ class TestRefutes:
         for n in range(3, 9):
             for g in enumerate_free_trees(n):
                 binput = BoundInput.from_graph(g)
-                assert refutes(spec, binput) is (not bounds._b6_holds(binput) and not spec.hypothesis(binput)[0])
+                assert refuted("B6", binput) is (not bounds._b6_holds(binput) and not spec.hypothesis(binput)[0])
         assert roots == []
 
     def test_decides_where_only_the_verdict_separates(self, monkeypatch):
@@ -548,9 +553,120 @@ class TestRefutes:
         g = 2**130
         binput = BoundInput.from_graph(path(6))
         monkeypatch.setattr(bounds, "_b6_terms", lambda b: (g * g + 1, 1, b.sigma_value - g))
-        assert refutes(CATALOG["B6"], binput) is True
+        assert refuted("B6", binput) is True
         monkeypatch.setattr(bounds, "_b6_terms", lambda b: (g * g, 1, b.sigma_value - g))
-        assert refutes(CATALOG["B6"], binput) is False
+        assert refuted("B6", binput) is False
+
+
+# ---------------------------------------------------------------------------
+# Printed sides and margins against Fraction formatting
+
+def fraction_printed(value: Fraction, exact: bool):
+    """(text, decimal) of a side as ``str`` and ``float`` of a Fraction
+    print it; the text is OverflowError where an inexact side has no float."""
+    try:
+        decimal = float(value)
+    except OverflowError:
+        decimal = None
+    if exact:
+        return str(value), decimal
+    return (OverflowError if decimal is None else f"{decimal:.12g}"), decimal
+
+
+def integer_printed(num: int, den: int, exact: bool):
+    """(text, decimal) of a side as the package prints num/den."""
+    try:
+        text = bounds._side_text(num, den, exact)
+    except OverflowError:
+        text = OverflowError
+    return text, bounds._decimal(num, den)
+
+
+def fraction_margin(relation: str, lhs: Fraction, rhs: Fraction) -> Fraction:
+    if relation in ("<=", "<"):
+        return rhs - lhs
+    if relation in (">=", ">"):
+        return lhs - rhs
+    return -abs(lhs - rhs)
+
+
+# Numerators and denominators with a common factor, some beyond float range:
+# 2^1024 - 2^970 is where rounding turns from the largest float to overflow,
+# and 1/2^1074 is the smallest subnormal.
+numerators_st = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.integers(-(2**1100), 2**1100),
+    st.sampled_from((0, 1, 2**1024 - 2**970, 2**1024 - 2**970 - 1, -(2**1024 - 2**970), 2**1024)),
+)
+denominators_st = st.one_of(st.integers(1, 10**6), st.integers(1, 2**1100), st.sampled_from((2**1074, 2**1075)))
+ratios_st = st.tuples(numerators_st, denominators_st, st.integers(1, 10**4)).map(lambda t: (t[0] * t[2], t[1] * t[2]))
+
+
+def _printed_inputs():
+    """Family, table and sequence inputs under every parameter set; the
+    sequences are listed non-increasing, so B15a and B15b meet their
+    hypotheses, and in both conventions."""
+    for params in ALL_PARAMS:
+        for g in (path(2), path(6), star(7), cycle(5), random_tree(12, 3), random_tree(40, 3)):
+            yield BoundInput.from_graph(g, params)
+        for table_id, rows in ((1, TABLE1), (2, TABLE2)):
+            for row_index in range(len(rows)):
+                yield BoundInput.from_table_row(table_id, row_index, params)
+        for entries in ((4, 3, 2, 1, 1, 1), (9, 7, 3, 1), (6, 6, 1, 1, 1, 1), (2, 2, 2)):
+            for convention in (Convention.STANDARD, Convention.PAPER_TABLE):
+                view = DegreeSequenceView(entries, convention)
+                yield BoundInput.from_view(view, irr_value=40, sigma_value=300, params=params)
+
+
+class TestPrintedSides:
+    @given(ratios_st, st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_side_as_fraction_prints_it(self, ratio, exact):
+        num, den = ratio
+        assert integer_printed(num, den, exact) == fraction_printed(Fraction(num, den), exact)
+
+    @given(ratios_st, ratios_st, st.sampled_from(sorted(bounds._HOLDS)))
+    @settings(max_examples=300, deadline=None)
+    def test_margin_as_fraction_subtracts(self, lhs, rhs, relation):
+        num, den = bounds._margin(relation, lhs, rhs)
+        assert den > 0 and Fraction(num, den) == fraction_margin(relation, Fraction(*lhs), Fraction(*rhs))
+
+    def test_catalog_sides(self):
+        # Every computable entry's sides, decided as reports decide them, print
+        # as their Fraction values do; a counterexample's report is its full
+        # report's JSON form, and any other pair has none.
+        inexact, relations, refuted = set(), set(), 0
+        for binput in _printed_inputs():
+            for bound_id in BOUND_IDS:
+                spec = CATALOG[bound_id]
+                if missing_fields(spec, binput):
+                    continue
+                report = evaluate_bound(bound_id, binput)
+                written = bounds.counterexample_report(bound_id, spec, binput)
+                if report.hypotheses_met and report.holds is False:
+                    assert written == report.to_json_dict(), (bound_id, binput.label)
+                    refuted += 1
+                else:
+                    assert written is None, (bound_id, binput.label)
+                if not spec.hypothesis(binput)[1]:
+                    continue
+                printed = []
+                for side in bounds._decide(spec, binput)[:2]:
+                    value, exact = (side.mid, side.exact) if isinstance(side, RVal) else (Fraction(*side), True)
+                    num, den, printed_exact = bounds._printed(side)
+                    assert (Fraction(num, den), printed_exact) == (value, exact)
+                    assert integer_printed(num, den, exact) == fraction_printed(value, exact), (bound_id, binput.label)
+                    printed.append((num, den, value, exact))
+                    if not exact:
+                        inexact.add(bound_id)
+                (ln, ld, lhs, lhs_exact), (rn, rd, rhs, rhs_exact) = printed
+                num, den = bounds._margin(spec.relation, (ln, ld), (rn, rd))
+                margin = fraction_margin(spec.relation, lhs, rhs)
+                assert Fraction(num, den) == margin == report.margin, (bound_id, binput.label)
+                exact = lhs_exact and rhs_exact
+                assert integer_printed(num, den, exact)[0] == fraction_printed(margin, exact)[0]
+                relations.add(spec.relation)
+        assert inexact == {"B6", "B15b"} and relations == set(bounds._HOLDS) and refuted > 100
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +683,7 @@ def integer_decision(bound_id, binput):
     holds = None
     if computable:
         holds = spec.verdict(binput) if spec.verdict is not None else bounds._decide(spec, binput)[2]
-    return failed, computable, holds, refutes(spec, binput)
+    return failed, computable, holds, refuted(bound_id, binput)
 
 
 def _decisions_agree(binput, bound_ids=BOUND_IDS):
@@ -669,7 +785,9 @@ def _inputs_agree(edges_input: BoundInput, graph_input: BoundInput) -> None:
     assert missing_fields(CATALOG["B14"], edges_input) == []
     for bound_id in BOUND_IDS:
         spec = CATALOG[bound_id]
-        assert refutes(spec, edges_input) == refutes(spec, graph_input), bound_id
+        assert bounds.counterexample_report(bound_id, spec, edges_input) == bounds.counterexample_report(
+            bound_id, spec, graph_input
+        ), bound_id
         assert evaluate_bound(bound_id, edges_input) == evaluate_bound(bound_id, graph_input), bound_id
 
 

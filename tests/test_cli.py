@@ -127,6 +127,8 @@ class TestErrors:
         (("extremal", "--degree-multiset", "1,1,2", "--n", "3"), "--degree-multiset excludes --n and --max-degree"),
         (("plots", "emit", "--figure", "2", "--max-n", "3"), "--max-n needs --figure 1"),
         (("plots", "emit", "--figure", "3", "--max-n", "20"), "--max-n needs --figure 1"),
+        (("plots", "emit", "--figure", "1", "--max-n", "2"), "--max-n must be at least 3 for figure 1, got 2"),
+        (("plots", "emit", "--figure", "1", "--max-n", "-5"), "--max-n must be at least 3 for figure 1, got -5"),
     ]])
     def test_unread_flags_rejected(self, capsys, argv, message):
         # A flag the chosen input or mode would not read fails instead of being ignored.
@@ -362,6 +364,9 @@ class TestPlots:
         by_n = {r[0]: r for r in rows[1:]}
         assert by_n["5"][rows[0].index("sigma_path")] == "2"
         assert by_n["6"][rows[0].index("sigma_cycle")] == "0"
+        # the series starts at order 3, where the cycle does
+        code, out, _ = run_cli(capsys, "plots", "emit", "--figure", "1", "--max-n", "3")
+        assert code == 0 and [r[0] for r in csv.reader(io.StringIO(out))] == ["n", "3"]
         # without --max-n, figure 1 runs up to order 20
         assert run_cli(capsys, "plots", "emit", "--figure", "1") == run_cli(
             capsys, "plots", "emit", "--figure", "1", "--max-n", "20"

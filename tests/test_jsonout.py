@@ -49,6 +49,14 @@ def assert_same_as_stock(obj):
     return expected
 
 
+def shared_edges(where: str):
+    """One edge list met twice in a document: twice at one level, or at two."""
+    edges = [[0, 1], [1, 2], [1, 3]]
+    if where == "same level":
+        return {"B3": [{"edges": edges, "n": 4}, {"edges": edges, "n": 4}], "B8": [{"edges": edges}]}
+    return {"B3": [{"edges": edges}], "top": edges, "deeper": [[{"e": [edges]}]], "again": edges}
+
+
 def nested(depth: int):
     value = {"leaf": [[0, 1]]}
     for level in range(depth):
@@ -96,6 +104,7 @@ class TestAgainstStock:
         [[True, 0], [1, False]], [[0, 1], [2, 3]], [(0, 1), [2, 3]], [[0, 1], [2, 3.0]], [[0, 1], [2]],
         {"edges": [[0, 1], [1, 2]], "deep": {"x": {"y": [[2**70, -1]]}}},
         math.nan, [math.inf, -math.inf], {"%d": ["%s", "100%"], "b%%": [[1, 2]]}, nested(40),
+        shared_edges("same level"), shared_edges("two levels"),
     ])
     def test_edge_cases(self, value):
         assert assert_same_as_stock(value)[0] == "ok"
@@ -128,7 +137,10 @@ class TestAgainstStock:
         looped_dict["x"] = [{"y": [looped_dict]}]
         deep: list = []
         deep.append([[[deep]]])
-        for value in (looped_list, looped_dict, {"a": deep}):
+        edges = [[0, 1], [1, 2]]
+        looped_records: list = [{"edges": edges}, {"edges": edges}]  # a reused edge list, then a loop
+        looped_records.append([looped_records])
+        for value in (looped_list, looped_dict, {"a": deep}, {"r": looped_records}):
             assert assert_same_as_stock(value) == (ValueError, "Circular reference detected")
 
 

@@ -61,6 +61,7 @@ def test_extremal_survey_matches_oracles():
     [
         ("extremal_survey.py", ("--min-n", "0")),
         ("extremal_survey.py", ("--max-n", "19")),
+        ("extremal_survey.py", ("--min-n", "9", "--max-n", "5")),
         ("falsification_campaign.py", ("--nmax", "1")),
         ("falsification_campaign.py", ("--nmax", "19")),
     ],

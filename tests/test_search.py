@@ -287,6 +287,13 @@ class TestExtremal:
         assert "witness" in binput.label
 
 
+def assert_records_match(found, reference):
+    """``falsify``'s counterexamples against ``falsify_by_reports``': every
+    record field, then the graphs."""
+    assert [c.to_json_dict() for c in found] == [c.to_json_dict() for c in reference]
+    assert found == reference
+
+
 class TestFalsify:
     def test_b8_exhaustive_contains_path6(self):
         found = falsify("B8", ExhaustiveMode(6))
@@ -297,8 +304,8 @@ class TestFalsify:
             if c.graph.vertex_count == 6 and canonical_form(c.graph) == canonical_form(path(6))
         ]
         assert len(p6) == 1
-        report = p6[0].report
-        assert report.lhs == 2 and float(report.rhs) == pytest.approx(67.2)
+        report = p6[0].to_json_dict()["report"]
+        assert report["lhs"] == "2" and report["rhs_decimal"] == pytest.approx(67.2)
 
     def test_counterexamples_replay(self):
         from sigmairr.bounds import BoundInput, evaluate_bound
@@ -306,7 +313,7 @@ class TestFalsify:
         for c in falsify("B8", ExhaustiveMode(6)):
             again = evaluate_bound(c.bound_id, BoundInput.from_graph(c.graph))
             assert again.holds is False and again.hypotheses_met
-            assert again.lhs == c.report.lhs and again.rhs == c.report.rhs
+            assert again.to_json_dict() == c.to_json_dict()["report"]
 
     def test_b14_identity_never_fails(self):
         assert falsify("B14", ExhaustiveMode(8)) == []
@@ -314,7 +321,8 @@ class TestFalsify:
     def test_counterexamples_meet_hypotheses(self):
         for bound_id in ("B3", "B9", "B11"):
             for c in falsify(bound_id, ExhaustiveMode(7)):
-                assert c.report.hypotheses_met and c.report.holds is False
+                report = c.to_json_dict()["report"]
+                assert report["hypotheses_met"] and report["holds"] is False
 
     def test_random_mode_deterministic(self):
         a = falsify("B8", RandomMode(n=9, samples=25, seed=11))
@@ -352,7 +360,7 @@ class TestFalsify:
     @pytest.mark.parametrize("bound_id", [f"B{i}" for i in range(1, 16)] + ["all"])
     def test_matches_reports_oracle_exhaustive(self, bound_id):
         found = falsify(bound_id, ExhaustiveMode(8))
-        assert found == falsify_by_reports(bound_id, ExhaustiveMode(8))
+        assert_records_match(found, falsify_by_reports(bound_id, ExhaustiveMode(8)))
         if bound_id == "all":
             assert len(found) > 100 and {c.bound_id for c in found} >= {"B3", "B5", "B8", "B10", "B12"}
 
@@ -360,10 +368,11 @@ class TestFalsify:
     def test_matches_reports_oracle_random(self, seed):
         for mode in (RandomMode(n=40, samples=20, seed=seed), RandomMode(n=20, samples=15, seed=seed)):
             found = falsify("all", mode)
-            assert found and found == falsify_by_reports("all", mode)
+            assert found
+            assert_records_match(found, falsify_by_reports("all", mode))
         for n in (2, 3, 4):  # no Pruefer symbol, one, and two
             mode = RandomMode(n=n, samples=10, seed=seed)
-            assert falsify("all", mode) == falsify_by_reports("all", mode)
+            assert_records_match(falsify("all", mode), falsify_by_reports("all", mode))
 
     @pytest.mark.parametrize("params", NON_DEFAULT_PARAMS.values(), ids=NON_DEFAULT_PARAMS.keys())
     def test_matches_reports_oracle_with_params(self, params):
@@ -372,7 +381,7 @@ class TestFalsify:
         modes = [ExhaustiveMode(8), RandomMode(n=20, samples=15, seed=3), RandomMode(n=40, samples=10, seed=3)]
         modes += [RandomMode(n=n, samples=10, seed=3) for n in (2, 3, 4)]
         for mode in modes:
-            assert falsify("all", mode, params) == falsify_by_reports("all", mode, params)
+            assert_records_match(falsify("all", mode, params), falsify_by_reports("all", mode, params))
 
     def test_random_mode_builds_a_graph_only_per_counterexample_tree(self, monkeypatch):
         inits = []
@@ -391,21 +400,26 @@ class TestFalsify:
             witnesses = list({id(c.graph): c.graph for c in found}.values())
             assert len(witnesses) == trees and inits == witnesses
 
-    def test_reports_built_only_for_counterexamples(self, monkeypatch):
+    def test_builds_no_report(self, monkeypatch):
+        # Each record is written from the decision that refuted its entry:
+        # no evaluate_bound, and no BoundReport by any other path.
         import sigmairr.bounds as bounds_module
 
         built = []
-        evaluate = bounds_module.evaluate_bound
+        for name in ("evaluate_bound", "evaluate_all", "_evaluate"):
+            monkeypatch.setattr(bounds_module, name, lambda *args, name=name: built.append(name))
+        monkeypatch.setattr(bounds_module.BoundReport, "__init__", lambda *args, **kwargs: built.append("init"))
+        found = falsify("all", ExhaustiveMode(7)) + falsify("all", RandomMode(n=40, samples=10, seed=0))
+        assert len(found) > 100 and built == []
 
-        def counted(bid, binput):
-            report = evaluate(bid, binput)
-            built.append(report)
-            return report
-
-        monkeypatch.setattr(bounds_module, "evaluate_bound", counted)
-        found = falsify("all", ExhaustiveMode(7))
-        assert [c.report for c in found] == built
-        assert all(r.hypotheses_met and r.holds is False for r in built)
+    def test_records_of_a_tree_share_its_part(self):
+        found = falsify("all", RandomMode(n=40, samples=30, seed=0))
+        for c in found:
+            record = c.to_json_dict()
+            assert record is c.record and record["bound_id"] == c.bound_id and record["n"] == 40
+            first = next(d.record for d in found if d.graph is c.graph)
+            assert all(record[key] is first[key] for key in ("edges", "edge_list"))
+        assert len({id(c.record["edges"]) for c in found}) == len({id(c.graph) for c in found}) < len(found)
 
     def test_campaign_matches_per_claim_runs(self, tmp_path):
         script = Path(__file__).resolve().parents[1] / "scripts" / "falsification_campaign.py"
