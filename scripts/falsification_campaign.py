@@ -24,6 +24,7 @@ import sys
 import time
 
 from sigmairr.bounds import BOUND_IDS, BoundInput, evaluate_bound
+from sigmairr.graphs import Graph
 from sigmairr.jsonout import StreamingEncoder
 from sigmairr.search import DEFAULT_TREE_CAP, ExhaustiveMode, falsify
 
@@ -58,26 +59,24 @@ def _campaign(nmax: int) -> dict:
     """Print the per-entry summary and return every counterexample's JSON
     form, grouped per entry.  The records come from ``falsify`` as they were
     found; only the summary line of an entry with a counterexample builds a
-    ``BoundReport``, for its smallest witness's exact sides."""
+    ``Graph`` and a ``BoundReport``, for its smallest witness's exact sides."""
     print(f"exhaustive falsification over all trees with 2 <= n <= {nmax}")
     start = time.perf_counter()
-    by_bound = {bound_id: [] for bound_id in BOUND_IDS}
+    everything = {bound_id: [] for bound_id in BOUND_IDS}
     for c in falsify("all", ExhaustiveMode(nmax)):
-        by_bound[c.bound_id].append(c)
+        everything[c.bound_id].append(c.to_json_dict())
     elapsed = time.perf_counter() - start
-    everything = {}
-    for bound_id in BOUND_IDS:
-        found = by_bound.pop(bound_id)  # freed once converted, which bounds peak memory
-        everything[bound_id] = [c.to_json_dict() for c in found]
-        if not found:
+    for bound_id, records in everything.items():
+        if not records:
             print(f"  {bound_id:5s}: no counterexamples")
             continue
-        smallest = min(found, key=lambda c: c.graph.vertex_count)
-        orders = sorted({c.graph.vertex_count for c in found})
-        report = evaluate_bound(bound_id, BoundInput.from_graph(smallest.graph))  # its exact sides
+        # The trees come by increasing order, so the first record is a smallest witness.
+        smallest, largest = records[0], records[-1]
+        witness = Graph(smallest["n"], smallest["edges"])
+        report = evaluate_bound(bound_id, BoundInput.from_graph(witness))  # its exact sides
         print(
-            f"  {bound_id:5s}: {len(found):5d} counterexamples, orders {orders[0]}..{orders[-1]}, "
-            f"smallest witness n={smallest.graph.vertex_count} "
+            f"  {bound_id:5s}: {len(records):5d} counterexamples, orders {smallest['n']}..{largest['n']}, "
+            f"smallest witness n={smallest['n']} "
             f"lhs={report.lhs} {report.relation} rhs={report.rhs}"
         )
     print(f"evaluated in {elapsed:.1f}s")

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Collection, Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, InputError
 from .graphs import Graph
@@ -961,20 +961,14 @@ def _exact(num: int, den: int) -> Exact:
     return num if den == 1 else Fraction(num, den)
 
 
-def require_fields(bound_ids: Iterable[str], binput: BoundInput) -> None:
-    """Raise InputError for the first entry whose required fields are missing."""
-    for bound_id in bound_ids:
-        missing = missing_fields(CATALOG[bound_id], binput)
-        if missing:
-            raise InputError(f"{bound_id} needs input field(s): {', '.join(missing)}")
-
-
 def evaluate_bound(bound_id: str, binput: BoundInput) -> BoundReport:
     """Evaluate one catalog entry; raises InputError on missing fields."""
     spec = CATALOG.get(bound_id)
     if spec is None:
         raise InputError(f"unknown bound id {bound_id!r}")
-    require_fields((bound_id,), binput)
+    missing = missing_fields(spec, binput)
+    if missing:
+        raise InputError(f"{bound_id} needs input field(s): {', '.join(missing)}")
     return _evaluate(bound_id, spec, binput)
 
 

@@ -294,6 +294,8 @@ def _bound_input_from_args(args, params: bounds.BoundParams) -> bounds.BoundInpu
     if args.class_trees is not None:
         if args.class_mode is None:
             raise InputError("--class-trees needs --class-mode min|max")
+        if args.class_trees < 2:  # the tree of order 1 has an isolated vertex
+            raise InputError(f"--class-trees must be at least 2, got {args.class_trees}")
         base = args.bound.rstrip("ab")
         objective = "albertson" if base in ("B1", "B2") else "sigma"
         _, binput = search.class_extremum_input(

@@ -243,7 +243,9 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(declared_n, edges)
 
 
-def format_edge_list(g: Graph) -> str:
-    lines = [f"# n={g.vertex_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
+def format_edge_list(vertex_count: int, sorted_edges: Iterable[Sequence[int]]) -> str:
+    """The edge-list text of a graph on ``vertex_count`` vertices whose
+    edges (u, v), u < v, are given in ascending order."""
+    lines = [f"# n={vertex_count}"]
+    lines.extend(f"{u} {v}" for u, v in sorted_edges)
     return "\n".join(lines) + "\n"

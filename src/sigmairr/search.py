@@ -253,7 +253,7 @@ class TreeClass:
     def with_max_degree(cls, n: int, delta: int) -> "TreeClass":
         if n < 1:
             raise DomainError("with_max_degree requires n >= 1")
-        if not 1 <= delta <= max(n - 1, 1):
+        if not 1 <= delta <= n - 1:  # the one tree of order 1 has no degree of 1 or more
             raise DomainError(f"max degree {delta} impossible for trees of order {n}")
         return cls("max_degree", n, max_degree=delta)
 
@@ -287,14 +287,15 @@ class SearchResult:
     trees_examined: int
 
     def to_json_dict(self) -> dict:
+        edges = self.witness.sorted_edges()
         return {
             "class": self.class_description,
             "objective": self.objective,
             "direction": self.direction,
             "optimum": self.optimum,
             "witness_encoding": list(self.witness_encoding),
-            "witness_edges": [list(e) for e in self.witness.sorted_edges()],
-            "witness_edge_list": format_edge_list(self.witness),
+            "witness_edges": [list(e) for e in edges],
+            "witness_edge_list": format_edge_list(self.witness.vertex_count, edges),
             "trees_examined": self.trees_examined,
         }
 
@@ -428,13 +429,16 @@ class RandomMode:
 
 @dataclass(frozen=True)
 class Counterexample:
-    """A tree refuting a catalog entry, with its JSON record: ``bound_id``,
-    the tree's ``n``, ``edges`` and ``edge_list``, which every record of the
-    same tree shares, and the entry's ``report``."""
+    """A tree refuting a catalog entry, as its JSON record: ``bound_id``,
+    the tree's ``n``, its ascending ``edges`` (u, v), u < v, and their
+    ``edge_list`` text, which every record of the same tree shares, and the
+    entry's ``report``.  The record is the only copy of the tree."""
 
-    bound_id: str
-    graph: Graph
     record: dict
+
+    @property
+    def bound_id(self) -> str:
+        return self.record["bound_id"]
 
     def to_json_dict(self) -> dict:
         return self.record
@@ -453,15 +457,17 @@ def falsify(
     ``BoundInput`` from its degrees and edges, and every expanded entry is
     decided on it once by ``bounds.counterexample_report``, which skips an
     entry whose hypotheses fail and writes a counterexample's report from
-    the sides that refute it, with no ``BoundReport``.  Only a tree with a
-    counterexample gets its ``Graph``, its sorted edges and its edge-list
-    text, once, and all of its records share them.  Exhaustive mode covers
-    every isomorphism class with 2 <= n <= n_max, and rejects an ``n_max``
-    over the cap before it generates any tree; its degrees and (parent,
-    child) edges come from each level sequence.  Random mode draws seeded
-    labeled trees of a fixed order, their degrees and edges decoded from a
-    random Pruefer word.  ``params`` None means ``BoundParams()``.  The
-    returned list is deterministic for identical arguments.
+    the sides that refute it, with no ``BoundReport``.  No ``Graph`` is
+    built: a tree with a counterexample has its decoded edges sorted once,
+    into the ``n``, ``edges`` and ``edge_list`` that all of its records
+    share.  Exhaustive mode covers every isomorphism class with
+    2 <= n <= n_max, and rejects an ``n_max`` over the cap before it
+    generates any tree; its degrees and (parent, child) edges come from
+    each level sequence.  Random mode draws seeded labeled trees of a fixed
+    order, their degrees and edges decoded from a random Pruefer word.
+    ``params`` None means ``BoundParams()``.  The returned list is
+    deterministic for identical arguments, and follows the order in which
+    the trees are generated: in exhaustive mode, by increasing order.
     """
     from . import bounds
 
@@ -490,22 +496,18 @@ def falsify(
 
     specs = [(bid, bounds.CATALOG[bid]) for bid in bound_ids]
     found: list[Counterexample] = []
-    checked = False  # every tree of a mode has the same fields
     for degrees, edges in trees:
         binput = bounds.BoundInput.from_edges(degrees, edges, params)
-        if not checked:
-            bounds.require_fields(bound_ids, binput)
-            checked = True
         tree = None
         for bid, spec in specs:
             report = bounds.counterexample_report(bid, spec, binput)
             if report is None:
                 continue
-            if tree is None:
-                g = Graph(len(degrees), edges)
-                tree = {"n": g.vertex_count, "edges": [list(e) for e in g.sorted_edges()],
-                        "edge_list": format_edge_list(g)}
-            found.append(Counterexample(bid, g, {"bound_id": bid, **tree, "report": report}))
+            if tree is None:  # both decodes give each edge as (u, v), u < v
+                ordered = sorted(edges)
+                tree = {"n": len(degrees), "edges": [list(e) for e in ordered],
+                        "edge_list": format_edge_list(len(degrees), ordered)}
+            found.append(Counterexample({"bound_id": bid, **tree, "report": report}))
     return found
 
 

@@ -35,12 +35,12 @@ simpler form of a package routine it is compared with:
   ``evaluate_bound``, ``BoundReport.to_json_dict`` and
   ``format_edge_list``, builds a ``Graph`` and a report for every (tree,
   entry) pair and keeps the probative failures, each with a record of its
-  own, where the package decides each pair once on degrees and edges,
-  writes a counterexample's report from the refuting sides with no
-  ``BoundReport``, and shares one ``Graph`` and edge list per tree.  Its
-  random trees are its own: each Pruefer word is ``randrange(n)`` drawn
-  n - 2 times from the sample's ``Random(seed)``, decoded by
-  ``prufer_decode_heap``.
+  own written from the ``Graph``'s sorted edges, where the package decides
+  each pair once on degrees and edges, builds no ``Graph``, writes a
+  counterexample's report from the refuting sides with no ``BoundReport``,
+  and shares one sorted edge list and its text per tree.  Its random trees
+  are its own: each Pruefer word is ``randrange(n)`` drawn n - 2 times
+  from the sample's ``Random(seed)``, decoded by ``prufer_decode_heap``.
 
 ``greedy_min_sigma`` shares nothing with the package: it builds one tree
 per degree multiset by construction instead of searching a stream.
@@ -605,14 +605,15 @@ def falsify_by_reports(
         for bid in bound_ids:
             report = evaluate_bound(bid, binput)
             if report.hypotheses_met and report.holds is False:
+                edges = g.sorted_edges()
                 record = {
                     "bound_id": bid,
                     "n": g.vertex_count,
-                    "edges": [list(e) for e in g.sorted_edges()],
-                    "edge_list": format_edge_list(g),
+                    "edges": [list(e) for e in edges],
+                    "edge_list": format_edge_list(g.vertex_count, edges),
                     "report": report.to_json_dict(),
                 }
-                found.append(Counterexample(bid, g, record))
+                found.append(Counterexample(record))
     return found
 
 

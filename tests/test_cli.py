@@ -11,6 +11,9 @@ from sigmairr import search
 from sigmairr.cli import build_parser, main
 
 
+ISOLATED_VERTEX = "graph has an isolated vertex; degree entries must be >= 1"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -132,6 +135,21 @@ class TestErrors:
     ]])
     def test_unread_flags_rejected(self, capsys, argv, message):
         # A flag the chosen input or mode would not read fails instead of being ignored.
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [pytest.param(*case, id=" ".join(case[0])) for case in [
+        (("bounds", "check", "--class-trees", "1", "--class-mode", "max"), "--class-trees must be at least 2, got 1"),
+        (("bounds", "check", "--class-trees", "0", "--class-mode", "min"), "--class-trees must be at least 2, got 0"),
+        (("extremal", "--n", "1", "--max-degree", "1"), "max degree 1 impossible for trees of order 1"),
+        (("bounds", "check", "--family", "path:1"), ISOLATED_VERTEX),
+        (("bounds", "check", "--graph-file", "n3-one-edge"), ISOLATED_VERTEX),
+    ]])
+    def test_rejected_before_any_walk(self, capsys, monkeypatch, tmp_path, argv, message):
+        target = tmp_path / "n3-one-edge"
+        target.write_text("# n=3\n0 1\n")
+        argv = [str(target) if a == target.name else a for a in argv]
+        monkeypatch.setattr(search, "free_tree_level_sequences", lambda n: pytest.fail(f"walked order {n}"))
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 

@@ -171,7 +171,7 @@ class TestProfileAndPredicates:
 class TestEdgeListFormat:
     def test_round_trip(self):
         g = double_star(3, 4)
-        assert parse_edge_list(format_edge_list(g)) == g
+        assert parse_edge_list(format_edge_list(g.vertex_count, g.sorted_edges())) == g
 
     def test_header_fixes_order(self):
         g = parse_edge_list("# n=5\n0 1\n")

@@ -2,9 +2,12 @@
 it runs, and the public surface is the same names, bound to the same objects,
 as when every module was imported eagerly."""
 
+import contextlib
 import importlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -126,3 +129,18 @@ class TestPublicSurface:
         with pytest.raises(AttributeError, match="no_such_name"):
             sigmairr.no_such_name
         assert not hasattr(sigmairr, "no_such_name")
+
+
+def test_readme_library_example_prints_its_comments():
+    # The README's one Python block, run as written: its two commented
+    # outputs are what it prints, and then one line per evaluated report.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"## Library example\n\n```python\n(.*?)```", readme, re.S)
+    assert "# 392, star degrees" in block and "# 24 6 36" in block
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    lines = out.getvalue().splitlines()
+    assert lines[:2] == [f"392 {[1] * 8 + [8]}", "24 6 36"]
+    reports = sigmairr.evaluate_all(sigmairr.BoundInput.from_graph(sigmairr.star(9)))
+    assert lines[2:] == [f"{r.bound_id} {r.hypotheses_met} {r.holds} {r.margin}" for r in reports]

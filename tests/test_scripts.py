@@ -101,8 +101,30 @@ def test_campaign_matches_recorded_digest(tmp_path):
 
 
 # The benchmark's full-size outputs, so that every interpreter the test
-# suite runs under checks them: the campaign at --nmax 12, and each base
-# claim's bounds falsify JSON on 200 random trees of order 40.
+# suite runs under checks them: the campaign at --nmax 12, its per-claim
+# summary lines, and each base claim's bounds falsify JSON on 200 random
+# trees of order 40.
+
+CAMPAIGN_SUMMARY_NMAX_12 = (
+    '  B1a  : no counterexamples',
+    '  B1b  :   455 counterexamples, orders 3..12, smallest witness n=3 lhs=2 < rhs=1',
+    '  B2a  :   133 counterexamples, orders 2..12, smallest witness n=2 lhs=0 > rhs=7',
+    '  B2b  :   703 counterexamples, orders 5..12, smallest witness n=5 lhs=12 < rhs=11',
+    '  B3   :   714 counterexamples, orders 2..12, smallest witness n=2 lhs=0 >= rhs=1',
+    '  B4   : no counterexamples',
+    '  B5   :   408 counterexamples, orders 5..12, smallest witness n=5 lhs=36 >= rhs=468/5',
+    '  B6   : no counterexamples',
+    '  B7   : no counterexamples',
+    '  B8   :   978 counterexamples, orders 2..12, smallest witness n=2 lhs=0 > rhs=5',
+    '  B9   : no counterexamples',
+    '  B10  :    20 counterexamples, orders 6..12, smallest witness n=6 lhs=80 <= rhs=243/4',
+    '  B11  :   367 counterexamples, orders 4..12, smallest witness n=4 lhs=12 <= rhs=7',
+    '  B12  :    18 counterexamples, orders 4..12, smallest witness n=4 lhs=2 > rhs=4',
+    '  B13  : no counterexamples',
+    '  B14  : no counterexamples',
+    '  B15a : no counterexamples',
+    '  B15b : no counterexamples',
+)
 
 def test_campaign_matches_full_size_digest(tmp_path):
     reference = json.loads(REFERENCE_PATH.read_text())["falsify-exhaustive"]["full"]
@@ -113,6 +135,10 @@ def test_campaign_matches_full_size_digest(tmp_path):
     counts = {claim: len(items) for claim, items in found.items() if items}
     assert counts == reference["counts"] and sum(counts.values()) == reference["total"] == 3796
     assert hashlib.sha256(target.read_bytes()).hexdigest() == reference["sha256"]
+    lines = done.stdout.splitlines()
+    assert lines[0] == "exhaustive falsification over all trees with 2 <= n <= 12"
+    assert tuple(lines[1:19]) == CAMPAIGN_SUMMARY_NMAX_12
+    assert lines[19].startswith("evaluated in ") and lines[20:] == [f"wrote {target}"]
 
 
 def test_falsify_random_matches_full_size_digests(tmp_path, capsys):
