@@ -44,6 +44,7 @@ here is faithful evaluation and reporting, not the truth of the claims.
 
 from __future__ import annotations
 
+import decimal
 import math
 import operator
 from collections import Counter
@@ -101,23 +102,24 @@ Printed = tuple[int, int, bool]
 
 
 def _integer_nth_root(value: int, degree: int) -> int:
-    """floor(value ** (1/degree)) for value >= 0, degree >= 1, exactly."""
+    """floor(value ** (1/degree)) for value >= 0, degree >= 1, exactly: Newton's
+    method from a float estimate over the top 64 bits of ``value``.  One step
+    lands at or above the floor (AM-GM); the steps then descend strictly to it."""
     if value < 0:
         raise DomainError("nth root of negative integer")
     if value == 0 or degree == 1:
-        return value if degree == 1 else 0
+        return value
     if degree == 2:
         return math.isqrt(value)
-    guess = 1 << -(-value.bit_length() // degree)  # >= true root
+    shift = max(value.bit_length() - 64, 0)
+    whole, part = divmod((math.log2(value >> shift) + shift) / degree, 1)
+    guess = (int(2.0 ** (part + 53)) << int(whole)) >> 53  # >= 1, as whole >= 0
+    guess = ((degree - 1) * guess + value // guess ** (degree - 1)) // degree
     while True:
         nxt = ((degree - 1) * guess + value // guess ** (degree - 1)) // degree
         if nxt >= guess:
             break
         guess = nxt
-    while guess**degree > value:
-        guess -= 1
-    while (guess + 1) ** degree <= value:
-        guess += 1
     return guess
 
 
@@ -253,17 +255,13 @@ class BoundParams:
 _ETA1_FLOOR = Fraction(201, 100)
 
 
-def resolve_parameters(params: BoundParams, view: DegreeSequenceView) -> tuple[Mapping, Mapping]:
-    """Fill parameter defaults from the input: (values, notes per param), both
-    read-only and shared by every input with the same n, m and max degree."""
-    return _resolve(params, view.n, view.two_m, view.max_entry)
-
-
 @lru_cache(maxsize=1024)
-def _resolve(params: BoundParams, n: int, two_m: int, delta: int) -> tuple[Mapping, Mapping]:
+def resolve_parameters(params: BoundParams, n: int, two_m: int, max_degree: int) -> tuple[Mapping, Mapping]:
+    """Parameter defaults for an input's n, 2m and max degree: (values, notes
+    per param), read-only and shared by every input with these three numbers."""
     notes: dict[str, tuple[str, ...]] = {}
-    alpha = params.alpha if params.alpha is not None else ceil_log2(delta + 1)
-    beta = params.beta if params.beta is not None else ceil_log2(delta + 1)
+    alpha = params.alpha if params.alpha is not None else ceil_log2(max_degree + 1)
+    beta = params.beta if params.beta is not None else ceil_log2(max_degree + 1)
     if params.alpha is None:
         notes["alpha"] = ("alpha defaulted to ceil(log2(max_degree+1)); no published semantics",)
     if params.beta is None:
@@ -273,7 +271,7 @@ def _resolve(params: BoundParams, n: int, two_m: int, delta: int) -> tuple[Mappi
     elif two_m == 0:
         raise DomainError("m = 0: the default eta = ceil(2*n*max_degree/m) is undefined; give eta")
     else:
-        eta = _ceil_div(4 * n * delta, two_m)
+        eta = _ceil_div(4 * n * max_degree, two_m)
     if params.eta1 is not None:
         eta1 = params.eta1
     else:
@@ -314,44 +312,42 @@ class BoundInput:
     """One catalog input: every symbol a catalog entry's hypothesis, sides
     and verdict read, each stored once under one name, with provenance.
 
-    The entries d_1..d_k come from ``view``, which also gives n and 2m by its
-    convention; the record adds the max degree, k, the degree sum S, the
-    cube sum and the parameters resolved for (n, m, max degree), one
-    attribute each, with their notes in ``param_notes``.  ``irr_value`` and
-    ``sigma_value`` are required by most entries (None when unknown); build
-    via :meth:`from_edges` or :meth:`from_graph` (direct computation, the
-    order n being the number of per-vertex degrees) or
-    :meth:`from_table_row` (printed columns + closed form) or supply them to
-    :meth:`from_view`.  ``edges`` is the graph itself, as its edge list, for
-    the entries that need a graph (B14); None without one.
+    The record is its entries d_1..d_k (each >= 1, in the order given), n
+    and 2m; it adds the max degree, k, the degree sum S, the cube sum and the
+    parameters resolved for (n, 2m, max degree), with their notes in
+    ``param_notes``.  ``irr_value`` and ``sigma_value`` are None when
+    unknown, and ``edges``, a graph's edge list (B14 reads it), is None
+    without a graph.  :meth:`from_edges` and :meth:`from_graph` build a
+    graph's record, :meth:`from_view` reads n and 2m off a view by its
+    convention, and :meth:`from_table_row` adds the printed columns.
     """
 
     def __init__(
         self,
-        view: DegreeSequenceView,
+        entries: tuple[int, ...],
+        n: int,
+        two_m: int,
         irr_value: Optional[int],
         sigma_value: Optional[int],
         params: BoundParams = BoundParams(),
         label: str = "",
         edges: Optional[Collection[tuple[int, int]]] = None,
     ) -> None:
-        entries = view.entries
-        self.view = view
         self.irr_value = irr_value
         self.sigma_value = sigma_value
         self.params = params
         self.label = label
         self.edges = edges
         self.entries = entries
-        self.n = view.n
-        self.two_m = view.two_m
-        self.max_degree = view.max_entry
+        self.n = n
+        self.two_m = two_m
+        self.max_degree = max(entries)
         self.k = len(entries)
-        self.degree_sum = view.entry_sum
-        self.cube_sum = view.cube_sum
+        self.degree_sum = sum(entries)
+        self.cube_sum = sum(d * d * d for d in entries)
         # alpha, beta, p, eta, eta1 and strict_max_degree_window, resolved once
         # here and shared by every catalog entry evaluated on this input
-        resolved, self.param_notes = resolve_parameters(params, view)
+        resolved, self.param_notes = resolve_parameters(params, n, two_m, self.max_degree)
         vars(self).update(resolved)
 
     # 2*maxA and 2*maxT, built on first use: only B3, B4 and B5 read them.
@@ -378,11 +374,16 @@ class BoundInput:
         label: str = "",
     ) -> "BoundInput":
         """Input of the simple graph whose vertex v has degree ``degrees[v]``,
-        with these edges, each listed once; its order is ``len(degrees)``.
-        Albertson and Sigma come from one pass over the edges."""
-        view = DegreeSequenceView.from_degrees(degrees, Convention.STANDARD)
+        with these edges, each listed once: its entries are the sorted degrees
+        and its order their count.  Albertson and Sigma take one pass."""
+        entries = tuple(sorted(degrees))
+        if not entries:
+            raise DomainError("graph has no vertices")
+        if entries[0] < 1:
+            raise DomainError(f"graph has an isolated vertex: vertex {degrees.index(entries[0])} has no edge")
         irr, sig = albertson_and_sigma(degrees, edges)
-        return cls(view, irr, sig, params, label or f"graph n={len(degrees)} m={len(edges)}", edges)
+        n = len(entries)
+        return cls(entries, n, sum(entries), irr, sig, params, label or f"graph n={n} m={len(edges)}", edges)
 
     @classmethod
     def from_view(
@@ -395,7 +396,8 @@ class BoundInput:
     ) -> "BoundInput":
         if sigma_value is None and view.convention is Convention.PAPER_TABLE and view.k >= 2:
             sigma_value = sigma_closed_form(view)
-        return cls(view, irr_value, sigma_value, params, label or f"sequence {view.entries} ({view.convention.value})")
+        label = label or f"sequence {view.entries} ({view.convention.value})"
+        return cls(view.entries, view.n, view.two_m, irr_value, sigma_value, params, label)
 
     @classmethod
     def from_table_row(cls, table_id: int, row_index: int, params: BoundParams = BoundParams()) -> "BoundInput":
@@ -490,11 +492,16 @@ def _side_text(num: int, den: int, exact: bool) -> str:
     """How a report prints the value num/den (den > 0): in lowest terms,
     ``num`` or ``num/den``, when it is exact, else to 12 significant digits
     of the nearest float.  The one place a side or a margin becomes text;
-    it writes what ``str`` and ``float`` of ``Fraction(num, den)`` write."""
+    it writes what ``str`` and ``float`` of ``Fraction(num, den)`` write,
+    also for more digits than the interpreter converts with ``str``."""
     if not exact:
         return f"{num / den:.12g}"
     g = math.gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
+    num, den = num // g, den // g
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # beyond sys.get_int_max_str_digits(), which Decimal(int) is not subject to
+        return "/".join(str(decimal.Decimal(x)) for x in ((num,) if den == 1 else (num, den)))
 
 
 def _decimal(num: int, den: int) -> Optional[float]:

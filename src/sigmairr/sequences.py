@@ -17,10 +17,11 @@ ceilings downstream therefore never suffer float drift.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from operator import add, sub
 from typing import Sequence
 
@@ -39,10 +40,6 @@ class DegreeSequenceView:
 
     entries: tuple[int, ...]
     convention: Convention = Convention.STANDARD
-    # The sum and the largest of the entries, taken once: n, m and the
-    # catalog's inputs read them.
-    entry_sum: int = field(init=False, repr=False, compare=False)
-    max_entry: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.entries:
@@ -51,8 +48,6 @@ class DegreeSequenceView:
             if not isinstance(d, int) or d < 1:
                 raise DomainError(f"degree entries must be integers >= 1, got {d!r}")
         object.__setattr__(self, "entries", tuple(self.entries))
-        object.__setattr__(self, "entry_sum", sum(self.entries))
-        object.__setattr__(self, "max_entry", max(self.entries))
 
     @property
     def k(self) -> int:
@@ -62,19 +57,23 @@ class DegreeSequenceView:
     @property
     def n(self) -> int:
         if self.convention is Convention.PAPER_TABLE:
-            return self.entry_sum
+            return sum(self.entries)
         return self.k
 
     @property
     def two_m(self) -> int:
         """Twice the edge count m, an integer."""
         if self.convention is Convention.PAPER_TABLE:
-            return 2 * (self.entry_sum - 1)
-        return self.entry_sum
+            return 2 * (sum(self.entries) - 1)
+        return sum(self.entries)
 
     @property
     def m(self) -> Fraction:
         return Fraction(self.two_m, 2)
+
+    @property
+    def max_entry(self) -> int:
+        return max(self.entries)
 
     @property
     def min_entry(self) -> int:
@@ -82,22 +81,11 @@ class DegreeSequenceView:
 
     @property
     def mean_entry(self) -> Fraction:
-        return Fraction(self.entry_sum, self.k)
+        return Fraction(sum(self.entries), self.k)
 
     @property
     def cube_sum(self) -> int:
         return sum(d**3 for d in self.entries)
-
-    @classmethod
-    def from_degrees(
-        cls, degrees: Sequence[int], convention: Convention = Convention.STANDARD
-    ) -> "DegreeSequenceView":
-        """View of a graph's per-vertex degrees, sorted non-decreasing."""
-        if not degrees:
-            raise DomainError("cannot view an empty graph as a degree sequence")
-        if min(degrees) < 1:
-            raise DomainError("graph has an isolated vertex; degree entries must be >= 1")
-        return cls(tuple(sorted(degrees)), convention)
 
 
 @dataclass(frozen=True)
@@ -154,21 +142,25 @@ def derive(view: DegreeSequenceView) -> DerivedSequences:
 # Realizability
 
 def is_graphical(entries: Sequence[int]) -> bool:
-    """Erdos-Gallai test: even sum and every prefix inequality."""
+    """Erdos-Gallai test: even sum and every prefix inequality.  With d sorted
+    non-increasing, each tail sum of min(d_i, j) is j per entry >= j plus a
+    suffix sum of the rest, read with one pointer that only moves down."""
     if not entries:
         raise InputError("empty degree sequence")
     if any(d < 0 for d in entries):
         return False
     d = sorted(entries, reverse=True)
     k = len(d)
-    if d[0] >= k:
-        return False
     if sum(d) % 2 != 0:
         return False
+    suffix = list(accumulate(reversed(d), initial=0))[::-1]  # suffix[i] = d[i] + ... + d[k-1]
     prefix = 0
+    at_least = k  # d[0..at_least-1] are the entries >= j
     for j in range(1, k + 1):
         prefix += d[j - 1]
-        tail = sum(min(d[i], j) for i in range(j, k))
+        while at_least and d[at_least - 1] < j:
+            at_least -= 1
+        tail = j * max(at_least - j, 0) + suffix[max(at_least, j)]
         if prefix > j * (j - 1) + tail:
             return False
     return True

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bounds import t1_staircase
+from .bounds import BoundParams, resolve_parameters, t1_staircase
 from .errors import DomainError, InputError
 from .indices import sigma_closed_form
 from .sequences import Convention, DegreeSequenceView
@@ -204,9 +204,8 @@ def reproduce_table(table_id: int) -> ReproductionReport:
     elif table_id == 2:
         for i, row in enumerate(TABLE2):
             n = sum(row.entries)
-            m = Fraction(n - 1)
             mean = Fraction(n, len(row.entries))
-            eta = math.ceil(Fraction(2 * n * max(row.entries)) / m)
+            eta = resolve_parameters(BoundParams(), n, 2 * (n - 1), max(row.entries))[0]["eta"]
             sig = sigma_closed_form(DegreeSequenceView(row.entries, Convention.PAPER_TABLE))
             mean_truncated = Fraction(math.floor(mean * 100), 100)
             lam_ok = abs(mean_truncated - row.lam) <= Fraction(5, 1000)

@@ -5,9 +5,14 @@ trees are generated from Pruefer words or parent arrays, centers are found
 from the diameter (or, as their reference, by eccentricity) rather than by
 peeling, and isomorphism keys use an interned rooted encoding instead of
 level sequences.  Agreement with the package is then evidence, not
-tautology.  Seven references are the exception, each kept from an earlier,
+tautology.  Nine references are the exception, each kept from an earlier,
 simpler form of a package routine it is compared with:
 
+* ``integer_nth_root_from_power_of_two`` runs Newton's method from the
+  power of two above the root, where the package starts next to the root
+  from a float estimate;
+* ``is_graphical_by_prefixes`` sums each Erdos-Gallai tail afresh, where
+  the package keeps one pointer and suffix sums;
 * ``b15b_lhs_pairwise`` shares the package's interval square root and
   differs only in how the roots are summed;
 * ``FRACTION_FORMULAS`` and ``fraction_decision`` are the catalog's sides
@@ -83,7 +88,6 @@ from sigmairr.search import (
     enumerate_free_trees,
     rooted_level_sequences,
 )
-from sigmairr.sequences import Convention
 
 
 def prufer_decode(word: tuple[int, ...], n: int) -> list[tuple[int, int]]:
@@ -262,6 +266,40 @@ def free_tree_counts_otter(n_max: int) -> list[int]:
     return free
 
 
+def integer_nth_root_from_power_of_two(value: int, degree: int) -> int:
+    """floor(value ** (1/degree)) for value >= 0, degree >= 1, by Newton's
+    method from 2^ceil(bits/degree), which is at or above the root."""
+    if value == 0 or degree == 1:
+        return value if degree == 1 else 0
+    guess = 1 << -(-value.bit_length() // degree)
+    while True:
+        nxt = ((degree - 1) * guess + value // guess ** (degree - 1)) // degree
+        if nxt >= guess:
+            break
+        guess = nxt
+    while guess**degree > value:
+        guess -= 1
+    while (guess + 1) ** degree <= value:
+        guess += 1
+    return guess
+
+
+def is_graphical_by_prefixes(entries: Sequence[int]) -> bool:
+    """Erdos-Gallai on a non-empty sequence, each prefix's tail summed afresh."""
+    if any(d < 0 for d in entries):
+        return False
+    d = sorted(entries, reverse=True)
+    k = len(d)
+    if d[0] >= k or sum(d) % 2 != 0:
+        return False
+    prefix = 0
+    for j in range(1, k + 1):
+        prefix += d[j - 1]
+        if prefix > j * (j - 1) + sum(min(d[i], j) for i in range(j, k)):
+            return False
+    return True
+
+
 def _scale(value: RVal, c: Fraction) -> RVal:
     """``value`` times an exact scalar ``c >= 0``."""
     return RVal(value.lo * c, value.hi * c)
@@ -299,14 +337,11 @@ _RELATIONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": opera
 
 
 def fraction_ctx(binput: BoundInput) -> SimpleNamespace:
-    """The symbols the Fraction formulas read; the resolved parameters are
-    the package's."""
-    entries = binput.view.entries
+    """The symbols the Fraction formulas read; n, 2m and the resolved
+    parameters are the record's."""
+    entries = binput.entries
     k, total = len(entries), sum(entries)
-    if binput.view.convention is Convention.PAPER_TABLE:
-        n, m = total, Fraction(total - 1)
-    else:
-        n, m = k, Fraction(total, 2)
+    n, m = binput.n, Fraction(binput.two_m, 2)
     derived = SimpleNamespace(**derived_summaries_by_summation(entries)) if k >= 2 else None
     graph = None if binput.edges is None else Graph(k, binput.edges)
     return SimpleNamespace(

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -34,6 +35,7 @@ from sigmairr.graphs import Graph, cycle, path, star
 from sigmairr.indices import albertson, sigma
 from sigmairr.search import (
     ExhaustiveMode,
+    RandomMode,
     _tree_of_levels,
     enumerate_free_trees,
     falsify,
@@ -48,7 +50,7 @@ from sigmairr.sequences import (
     random_prufer_word,
     random_tree,
 )
-from sigmairr.stats_tables import TABLE1, TABLE2
+from sigmairr.stats_tables import TABLE1, TABLE2, table_row_view
 
 fraction_st = st.fractions(min_value=0, max_value=10**6)
 
@@ -78,6 +80,19 @@ class TestRootIntervals:
     def test_nth_root_perfect_power(self):
         assert nth_root_rval(Fraction(32), 5, 64) == RVal.of(Fraction(2))
 
+    @given(
+        st.one_of(
+            st.integers(0, 2**70),
+            st.integers(0, 2**3000),
+            st.tuples(st.integers(1, 2**40), st.integers(2, 300), st.integers(-1, 1))
+            .map(lambda t: max(t[0] ** t[1] + t[2], 0)),
+        ),
+        st.integers(2, 300),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_integer_nth_root_matches_newton_from_a_power_of_two(self, value, degree):
+        assert bounds._integer_nth_root(value, degree) == oracles.integer_nth_root_from_power_of_two(value, degree)
+
     def test_ceil_log2(self):
         assert [ceil_log2(x) for x in (1, 2, 3, 4, 5, 8, 9)] == [0, 1, 2, 2, 3, 3, 4]
 
@@ -97,18 +112,16 @@ class TestParams:
 
     def test_eta_default_from_view(self):
         view = DegreeSequenceView((3, 6, 8, 10, 14, 16, 20), Convention.PAPER_TABLE)
-        values, _ = resolve_parameters(BoundParams(), view)
+        values, _ = resolve_parameters(BoundParams(), view.n, view.two_m, view.max_entry)
         assert values["eta"] == 41
 
     def test_eta1_clamp_note(self):
-        view = DegreeSequenceView((3, 6, 8, 10, 14, 16, 20), Convention.PAPER_TABLE)
-        values, notes = resolve_parameters(BoundParams(), view)
+        values, notes = resolve_parameters(BoundParams(), 77, 152, 20)  # table 2 row 1
         assert values["eta1"] == Fraction(201, 100)
         assert any("clamped" in n for n in notes.get("eta1", []))
 
     def test_alpha_beta_default(self):
-        view = DegreeSequenceView((1, 1, 1, 3))
-        values, _ = resolve_parameters(BoundParams(), view)
+        values, _ = resolve_parameters(BoundParams(), 4, 6, 3)  # star(4)
         assert values["alpha"] == values["beta"] == ceil_log2(4) == 2
 
     @pytest.mark.parametrize("params", [BoundParams(), *NON_DEFAULT_PARAMS.values()], ids=["default", *NON_DEFAULT_PARAMS])
@@ -116,17 +129,17 @@ class TestParams:
         # n = 7, m = 6 and max degree 4 for both; the entries differ.
         first = DegreeSequenceView((4, 2, 2, 1, 1, 1, 1))
         second = DegreeSequenceView((1, 1, 3, 1, 1, 1, 4))
-        assert (first.n, first.m, first.max_entry) == (second.n, second.m, second.max_entry)
-        assert resolve_parameters(params, first) == resolve_parameters(params, second)
-        reports = [evaluate_all(BoundInput.from_view(view, irr_value=20, sigma_value=30, params=params))
-                   for view in (first, second)]
+        records = [BoundInput.from_view(view, irr_value=20, sigma_value=30, params=params) for view in (first, second)]
+        assert [(b.n, b.two_m, b.max_degree) for b in records] == [(7, 12, 4)] * 2
+        assert records[0].param_notes is records[1].param_notes
+        reports = [evaluate_all(binput) for binput in records]
         for one, other in zip(*reports):
             assert (one.params_used, one.notes) == (other.params_used, other.notes), one.bound_id
 
     def test_resolution_cannot_be_mutated_by_a_caller(self):
-        view = DegreeSequenceView((3, 6, 8, 10, 14, 16, 20), Convention.PAPER_TABLE)
-        before = [r.to_json_dict() for r in evaluate_all(BoundInput.from_table_row(1, 0))]
-        values, notes = resolve_parameters(BoundParams(), view)
+        binput = BoundInput.from_table_row(1, 0)
+        before = [r.to_json_dict() for r in evaluate_all(binput)]
+        values, notes = resolve_parameters(BoundParams(), binput.n, binput.two_m, binput.max_degree)
         assert notes["eta1"] and notes["alpha"]
         with pytest.raises(TypeError):
             values["eta"] = 1
@@ -139,7 +152,8 @@ class TestParams:
         copied = dict(notes)
         copied["eta1"] = ("changed",)
         after = [r.to_json_dict() for r in evaluate_all(BoundInput.from_table_row(1, 0))]
-        assert after == before and resolve_parameters(BoundParams(), view)[1]["eta1"] != ("changed",)
+        resolved = resolve_parameters(BoundParams(), binput.n, binput.two_m, binput.max_degree)
+        assert after == before and resolved[1]["eta1"] != ("changed",)
 
 
 class TestCatalogArithmetic:
@@ -222,16 +236,16 @@ class TestCatalogArithmetic:
     def test_evaluate_all_resolves_parameters_once_per_input(self, monkeypatch):
         calls = []
 
-        def counting(params, view):
-            calls.append(view)
-            return resolve_parameters(params, view)
+        def counting(params, n, two_m, max_degree):
+            calls.append((n, two_m, max_degree))
+            return resolve_parameters(params, n, two_m, max_degree)
 
         monkeypatch.setattr(bounds, "resolve_parameters", counting)
         for make in (lambda: BoundInput.from_graph(path(7)), lambda: BoundInput.from_table_row(1, 0)):
             calls.clear()
             binput = make()
             reports = evaluate_all(binput)
-            assert len(reports) > 1 and calls == [binput.view]
+            assert len(reports) > 1 and calls == [(binput.n, binput.two_m, binput.max_degree)]
 
     def test_catalog_builds_no_derived_sequences(self, monkeypatch):
         calls = []
@@ -279,7 +293,7 @@ class TestCatalogArithmetic:
 class TestB15bDegreeGrouping:
     @staticmethod
     def assert_matches_pairwise(binput):
-        entries = binput.view.entries
+        entries = binput.entries
         for bits in (64, 128):
             assert bounds._b15b_lhs(binput, bits) == b15b_lhs_pairwise(entries, bits)
 
@@ -631,6 +645,19 @@ class TestPrintedSides:
         num, den = bounds._margin(relation, lhs, rhs)
         assert den > 0 and Fraction(num, den) == fraction_margin(relation, Fraction(*lhs), Fraction(*rhs))
 
+    def test_exact_digits_beyond_the_int_to_str_limit(self):
+        # 2^20000 has 6,021 digits; str() of it fails under the default limit
+        # of 4,300 digits, and under 640 so do the smaller values here.
+        cases = [(2**20000, 1), (-(3**1400), 1), (10**700 + 1, 3), (7, 10**650 * 3 + 1), (2**3000 * 6, 2**2500 * 4)]
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            expected = [str(Fraction(num, den)) for num, den in cases]
+            sys.set_int_max_str_digits(640)
+            assert [bounds._side_text(num, den, True) for num, den in cases] == expected
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_catalog_sides(self):
         # Every computable entry's sides, decided as reports decide them, print
         # as their Fraction values do; a counterexample's report is its full
@@ -755,12 +782,12 @@ class TestIntegerDecisions:
     @pytest.mark.parametrize("params", ALL_PARAMS, ids=PARAM_IDS)
     def test_near_ties_on_trees_and_table_rows(self, params):
         ties = Counter()
-        bases = [(DegreeSequenceView.from_degrees(g.degrees), albertson(g), sigma(g))
+        bases = [(DegreeSequenceView(tuple(sorted(g.degrees))), albertson(g), sigma(g))
                  for n in range(2, 9) for g in enumerate_free_trees(n)]
         for table_id, rows in ((1, TABLE1), (2, TABLE2)):
             for row_index in range(len(rows)):
                 binput = BoundInput.from_table_row(table_id, row_index)
-                bases.append((binput.view, binput.irr_value, binput.sigma_value))
+                bases.append((table_row_view(table_id, row_index)[0], binput.irr_value, binput.sigma_value))
         for view, irr, sig in bases:
             for bound_id, binput, tie in _near_ties(view, irr, sig, params):
                 _decisions_agree(binput, (bound_id,))
@@ -777,7 +804,7 @@ class TestIntegerDecisions:
 
 
 def _inputs_agree(edges_input: BoundInput, graph_input: BoundInput) -> None:
-    assert edges_input.view == graph_input.view and edges_input.label == graph_input.label
+    assert edges_input.entries == graph_input.entries and edges_input.label == graph_input.label
     assert (edges_input.irr_value, edges_input.sigma_value) == (graph_input.irr_value, graph_input.sigma_value)
     assert sorted(edges_input.edges) == sorted(graph_input.edges)
     assert_record_symbols(edges_input)
@@ -793,16 +820,17 @@ def _inputs_agree(edges_input: BoundInput, graph_input: BoundInput) -> None:
 
 # The attributes a record keeps besides the symbols below, and the two it
 # builds on first read; nothing else.
-_PROVENANCE = {"view", "irr_value", "sigma_value", "params", "label", "edges", "param_notes"}
+_PROVENANCE = {"irr_value", "sigma_value", "params", "label", "edges", "param_notes"}
 _ON_FIRST_READ = {"max_adjacent_sum", "max_adjacent_diff"}
 
 
-def assert_record_symbols(binput: BoundInput) -> None:
+def assert_record_symbols(binput: BoundInput, convention: Convention = Convention.STANDARD) -> None:
     """Every symbol of the record equals its recomputation from the entries
-    and the convention, and the record holds no attribute beyond them."""
-    entries = binput.view.entries
+    and the convention they were read by, and the record holds no attribute
+    beyond them."""
+    entries = binput.entries
     k, total = len(entries), sum(entries)
-    paper_table = binput.view.convention is Convention.PAPER_TABLE
+    paper_table = convention is Convention.PAPER_TABLE
     expected = {
         "entries": entries,
         "n": total if paper_table else k,
@@ -812,7 +840,7 @@ def assert_record_symbols(binput: BoundInput) -> None:
         "degree_sum": total,
         "cube_sum": sum(d**3 for d in entries),
     }
-    resolved, notes = resolve_parameters(binput.params, binput.view)
+    resolved, notes = resolve_parameters(binput.params, expected["n"], expected["two_m"], expected["max_degree"])
     expected.update(resolved)
     assert set(vars(binput)) - _ON_FIRST_READ == _PROVENANCE | set(expected), binput.label
     for name, value in expected.items():
@@ -836,13 +864,14 @@ class TestRecord:
     def test_table_rows(self, params):
         for table_id, rows in ((1, TABLE1), (2, TABLE2)):
             for row_index in range(len(rows)):
-                assert_record_symbols(BoundInput.from_table_row(table_id, row_index, params))
+                assert_record_symbols(BoundInput.from_table_row(table_id, row_index, params), Convention.PAPER_TABLE)
 
     @given(views_st, st.sampled_from(ALL_PARAMS))
     @settings(max_examples=100, deadline=None)
     def test_views_in_both_conventions(self, view_args, params):
         entries, convention = view_args
-        assert_record_symbols(BoundInput.from_view(DegreeSequenceView(tuple(entries), convention), params=params))
+        view = DegreeSequenceView(tuple(entries), convention)
+        assert_record_symbols(BoundInput.from_view(view, params=params), convention)
 
 
 class TestFromEdges:
@@ -867,12 +896,31 @@ class TestFromEdges:
                       BoundInput.from_graph(random_tree(12, 5), params, label="tree"))
 
     def test_rejects_what_from_graph_rejects(self):
-        for n, degrees, edges in ((0, [], []), (1, [0], []), (3, [1, 1, 0], [(0, 1)])):
+        for n, degrees, edges, message in (
+            (0, [], [], "graph has no vertices"),
+            (1, [0], [], "graph has an isolated vertex: vertex 0 has no edge"),
+            (3, [1, 1, 0], [(0, 1)], "graph has an isolated vertex: vertex 2 has no edge"),
+            (4, [0, 1, 0, 1], [(1, 3)], "graph has an isolated vertex: vertex 0 has no edge"),
+        ):
             with pytest.raises(DomainError) as by_edges:
                 BoundInput.from_edges(degrees, edges)
             with pytest.raises(DomainError) as by_graph:
                 BoundInput.from_graph(Graph(n, edges))
-            assert str(by_edges.value) == str(by_graph.value)
+            assert str(by_edges.value) == str(by_graph.value) == message
+
+    def test_entries_are_the_sorted_degrees(self):
+        binput = BoundInput.from_graph(Graph(4, [(0, 1), (0, 2), (0, 3)]))
+        assert (binput.entries, binput.n, binput.two_m) == ((1, 1, 1, 3), 4, 6)
+
+    @pytest.mark.parametrize("mode", [ExhaustiveMode(7), RandomMode(n=40, samples=30, seed=0)], ids=repr)
+    def test_falsify_builds_no_degree_sequence_view(self, monkeypatch, mode):
+        views = []
+        post_init = DegreeSequenceView.__post_init__
+        monkeypatch.setattr(DegreeSequenceView, "__post_init__", lambda view: views.append(view) or post_init(view))
+        assert falsify("all", mode)
+        assert views == []
+        BoundInput.from_table_row(1, 0)  # the counter sees the one factory that reads a view
+        assert len(views) == 1
 
     def test_label_names_the_order_of_the_degrees(self):
         assert BoundInput.from_edges([1, 1], [(0, 1)]).label == "graph n=2 m=1"
@@ -884,5 +932,5 @@ class TestFromEdges:
         for binput in (view_only, paper_table, BoundInput.from_table_row(1, 0), BoundInput.from_table_row(2, 0)):
             assert missing_fields(CATALOG["B14"], binput) == ["graph"], binput.label
         with_graph = BoundInput.from_graph(path(3))
-        assert with_graph.view == view_only.view and missing_fields(CATALOG["B14"], with_graph) == []
+        assert with_graph.entries == view_only.entries and missing_fields(CATALOG["B14"], with_graph) == []
         assert evaluate_bound("B14", with_graph).holds is True

@@ -2,6 +2,11 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,9 +14,6 @@ import pytest
 
 from sigmairr import search
 from sigmairr.cli import build_parser, main
-
-
-ISOLATED_VERTEX = "graph has an isolated vertex; degree entries must be >= 1"
 
 
 def run_cli(capsys, *argv):
@@ -142,8 +144,8 @@ class TestErrors:
         (("bounds", "check", "--class-trees", "1", "--class-mode", "max"), "--class-trees must be at least 2, got 1"),
         (("bounds", "check", "--class-trees", "0", "--class-mode", "min"), "--class-trees must be at least 2, got 0"),
         (("extremal", "--n", "1", "--max-degree", "1"), "max degree 1 impossible for trees of order 1"),
-        (("bounds", "check", "--family", "path:1"), ISOLATED_VERTEX),
-        (("bounds", "check", "--graph-file", "n3-one-edge"), ISOLATED_VERTEX),
+        (("bounds", "check", "--family", "path:1"), "graph has an isolated vertex: vertex 0 has no edge"),
+        (("bounds", "check", "--graph-file", "n3-one-edge"), "graph has an isolated vertex: vertex 2 has no edge"),
     ]])
     def test_rejected_before_any_walk(self, capsys, monkeypatch, tmp_path, argv, message):
         target = tmp_path / "n3-one-edge"
@@ -282,6 +284,37 @@ class TestBounds:
             report = json.loads(out)["reports"][0]
             assert report["rhs_decimal"] is None and report["lhs_decimal"] == 215279404.0
             assert Fraction(report["rhs"]) > 10**308
+
+    # A side with more digits than the interpreter's default limit on str(int), 4,300.
+    @pytest.mark.parametrize("argv", [
+        ("--family", "star:5", "--bound", "B2", "--alpha", "20000"),
+        ("--family", "star:5", "--bound", "B9", "--p", "65537"),
+        ("--family", "double_star:8000:8000", "--bound", "B11"),  # default eta = 16002
+    ], ids=" ".join)
+    def test_check_beyond_the_int_to_str_limit(self, capsys, argv):
+        code, out, err = run_cli(capsys, "bounds", "check", *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        reports = json.loads(out)["reports"]
+        assert max(len(report["rhs"]) for report in reports) > 4300
+        if "B2" in argv:  # B2a's rhs on star:5 is floor(8/5) + ceil(20/8) + 2^alpha
+            assert Decimal(reports[0]["rhs"]) == Decimal(4 + 2**20000)
+
+    def test_check_is_byte_identical_under_a_low_int_to_str_limit(self, capsys):
+        argv = ["bounds", "check", "--family", "star:5", "--bound", "B2", "--alpha", "20000", "--format", "json"]
+        _, expected, _ = run_cli(capsys, *argv)
+        env = {**os.environ, "PYTHONPATH": str(Path(search.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-X", "int_max_str_digits=640", "-m", "sigmairr", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, "") and done.stdout == expected
+
+    def test_b15_on_a_large_double_star_in_under_two_seconds(self, capsys):
+        # B15b's geometric mean is a 4002nd root
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "bounds", "check", "--family", "double_star:2000:2000", "--bound", "B15")
+        assert code == 0 and "B15b" in out
+        assert time.perf_counter() - start < 2.0
 
     def test_falsify_all_matches_per_claim_runs(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "falsify", "--bound", "all", "--nmax", "6", "--format", "json")

@@ -151,3 +151,56 @@ def test_falsify_random_matches_full_size_digests(tmp_path, capsys):
         assert main(argv) == 0
         assert hashlib.sha256(target.read_bytes()).hexdigest() == digest, base
     assert capsys.readouterr() == ("", "")
+
+
+# Every derivable published number, as the script prints it.
+PUBLISHED_NUMBERS = (
+    'table 1 column T1    : reproduced',
+    'table 1 column T2    : reproduced',
+    'table 1 column sigma : reproduced',
+    'table 2 column n     : reproduced',
+    'table 2 column sigma : reproduced',
+    'table 2 column lambda: reproduced',
+    'table 2 column eta   : deviates as expected (21->41, 31->55, 41->69, 51->91)',
+    'correlation matrix 1: 25 entries, 12 beyond 5e-3 of the printed matrix',
+    'correlation matrix 2: 25 entries, 8 beyond 5e-3 of the printed matrix',
+    'regression 1: printed model at (350.0, 50.0) gives -32304623.284720 (printed -32304623.284719, gap 1.04e-06)',
+    '    fit exact_mean: R^2=0.877556 cond=inf matches printed R^2 within 0.02',
+    '    fit rounded_mean: R^2=0.921583 cond=2.561e+04 deviates from printed R^2 within 0.02',
+    'regression 2: printed model at (400.0, 200.0) gives -492960.396220 (printed -492960.531704, gap 1.35e-01)',
+    'closed-form audit:',
+    '    bipartite_sigma              on K_{2,3}: claimed 3, actual 6 -> DISAGREES',
+    '    product_sigma_as_printed     on P_3 x K_2: claimed 6, actual 4 -> DISAGREES',
+    '    product_sigma_swapped        on P_3 x K_2: claimed 4, actual 4 -> agrees',
+    '    complement_zagreb_identity   on P_4: claimed 4, actual 4 -> agrees',
+    '    path_sigma_constant          on P_5: claimed 2, actual 2 -> agrees',
+    '    cycle_sigma_zero             on C_5: claimed 0, actual 0 -> agrees',
+    '    double_star_sigma            on S_{3,4}: claimed 36, actual 36 -> agrees',
+    '    monogenic_albertson          on threshold graph on 6 labels: claimed 16, actual 16 -> agrees',
+    '    albertson_len4_closed_form   on tree sequence (1, 1, 2, 2): claimed 8, actual 2 -> DISAGREES',
+)
+
+
+def test_reproduce_published_numbers_prints_every_number():
+    done = run_script("reproduce_published_numbers.py")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert tuple(done.stdout.splitlines()) == PUBLISHED_NUMBERS
+
+
+def test_reproduce_published_numbers_fails_on_a_wrong_cell():
+    # Table 1's first printed T1 cell, one off: neither the T1 column nor T2,
+    # which is recomputed from the printed T1, reproduces.
+    patch = (
+        "import dataclasses, runpy, sys; from sigmairr import stats_tables as s; "
+        "s.TABLE1 = (dataclasses.replace(s.TABLE1[0], t1=s.TABLE1[0].t1 + 1), *s.TABLE1[1:]); "
+        "sys.argv = [sys.argv[1]]; runpy.run_path(sys.argv[0], run_name='__main__')"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(sigmairr.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", patch, str(SCRIPTS / "reproduce_published_numbers.py")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (1, "")
+    lines = done.stdout.splitlines()
+    assert lines[:2] == ["table 1 column T1    : MISMATCH", "table 1 column T2    : MISMATCH"]
+    assert lines[2:] == list(PUBLISHED_NUMBERS[2:])

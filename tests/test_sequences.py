@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -5,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import derived_summaries_by_summation, prufer_decode, prufer_decode_heap, randrange_word
+from oracles import (
+    derived_summaries_by_summation,
+    is_graphical_by_prefixes,
+    prufer_decode,
+    prufer_decode_heap,
+    randrange_word,
+)
 from sigmairr.errors import DomainError, InputError
 from sigmairr.graphs import Graph, is_tree
 from sigmairr.sequences import (
@@ -75,9 +82,8 @@ class TestView:
         with pytest.raises(DomainError):
             DegreeSequenceView((1, 0, 2))
 
-    def test_from_degrees_sorted(self):
-        g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        assert DegreeSequenceView.from_degrees(g.degrees).entries == (1, 1, 1, 3)
+    def test_max_entry_in_any_order(self):
+        assert DegreeSequenceView((1, 3, 1, 1)).max_entry == 3
 
 
 # The oracle's first and last terms, as read off the derived sequences.
@@ -157,6 +163,22 @@ class TestRealizability:
             is_graphical(())
         with pytest.raises(InputError):
             is_tree_sequence(())
+
+    @given(st.one_of(
+        st.lists(st.integers(-2, 12), min_size=1, max_size=14),
+        st.lists(st.integers(0, 60), min_size=1, max_size=60),
+        st.tuples(st.integers(0, 40), st.integers(1, 40)).map(lambda t: [t[0]] * t[1]),
+    ))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_prefix_by_prefix_reference(self, entries):
+        assert is_graphical(entries) is is_graphical_by_prefixes(entries)
+
+    def test_twenty_thousand_entries_in_under_a_second(self):
+        cycle_like = [2] * 20_000
+        mixed = [1 + i % 150 for i in range(20_000)]  # even sum, max 150
+        start = time.perf_counter()
+        assert is_graphical(cycle_like) and is_graphical(mixed)
+        assert time.perf_counter() - start < 1.0
 
     def test_erdos_gallai_vs_havel_hakimi_all_partitions_to_24(self):
         for total in range(1, 25):

@@ -91,5 +91,5 @@ def test_resolve_layer_counts_one_call_per_input():
         search.falsify("all", search.ExhaustiveMode(7))
     finally:
         tracer.uninstall()
-    assert len({(b.view.n, b.view.max_entry) for b in inputs}) < len(trees)
+    assert len({(b.n, b.max_degree) for b in inputs}) < len(trees)
     assert tracer.to_json()["layers"]["bounds.resolve"]["count"] == 3 * len(trees)
