@@ -7,7 +7,8 @@ keys, fixed CSV column order), so identical invocations produce
 byte-identical output.  JSON is rendered by the shared encoder
 ``jsonout.StreamingEncoder`` in the package's one JSON format: its bytes
 equal ``json.dumps(payload, sort_keys=True, indent=2)``, and any other
-encoder option raises ``ValueError``.
+encoder option raises ``ValueError``.  It is written into stdout or the
+``--out`` file as it is rendered, one record at a time.
 
 Each command builds one JSON record; its CSV and human tables are views of
 that record, each cell written by one rule (``_cell``): null is empty, a
@@ -24,13 +25,14 @@ with ``--expect-hold`` and any probative report fails.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import sys
 from fractions import Fraction
 from functools import cache
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import graphs, indices, search
 from .errors import DomainError, InputError, ResourceLimitError
@@ -57,16 +59,18 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # Rendering helpers
 
-def _emit(text: str, out: Optional[str]) -> None:
+@contextlib.contextmanager
+def _output(out: Optional[str]) -> Iterator[TextIO]:
+    """Stdout, or the file at ``out`` opened for writing."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        yield sys.stdout
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        yield fh
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, cls=StreamingEncoder) + "\n"
+def _emit(text: str, fh: TextIO) -> None:
+    fh.write(text)
 
 
 def _cell(value) -> str:
@@ -109,13 +113,14 @@ def _render(fmt: str, header, rows, payload, out: Optional[str]) -> None:
     ``rows`` holds JSON values taken from ``payload``; it is iterated only
     for csv and human, and each value is written by ``_cell``."""
     if fmt == "json":
-        _emit(_json_text(payload), out)
+        with _output(out) as fh:  # written record by record, never held whole
+            json.dump(payload, fh, sort_keys=True, indent=2, cls=StreamingEncoder)
+            _emit("\n", fh)
         return
     cells = ([_cell(v) for v in row] for row in rows)
-    if fmt == "csv":
-        _emit(_csv_text(header, cells), out)
-    else:
-        _emit(_human_table(header, list(cells)), out)
+    text = _csv_text(header, cells) if fmt == "csv" else _human_table(header, list(cells))
+    with _output(out) as fh:
+        _emit(text, fh)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +587,9 @@ def _cmd_plots_emit(args) -> int:
                     f"{float(r.eta1):g}",
                 ]
             )
-    _emit(_csv_text(header, rows), args.out)
+    text = _csv_text(header, rows)
+    with _output(args.out) as fh:
+        _emit(text, fh)
     return 0
 
 

@@ -52,12 +52,10 @@ def albertson_and_sigma(degrees: Sequence[int], edges: Iterable[tuple[int, int]]
 
 
 def sigma_t(g: Graph) -> int:
-    """Sum over all unordered vertex pairs of (deg(u) - deg(v))^2."""
+    """Sum over all unordered vertex pairs of (deg(u) - deg(v))^2, which
+    expands to n * sum(d^2) - (sum d)^2: one pass over the degrees."""
     degs = g.degrees
-    n = g.vertex_count
-    return sum(
-        (degs[u] - degs[v]) ** 2 for u in range(n) for v in range(u + 1, n)
-    )
+    return g.vertex_count * sum(d * d for d in degs) - sum(degs) ** 2
 
 
 def zagreb_m1(g: Graph) -> int:

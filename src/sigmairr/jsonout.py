@@ -9,12 +9,17 @@ that is not a ``str`` raises ``TypeError``, so a misuse fails rather than
 printing other bytes.
 
 The stock ``json.dump`` yields one chunk per token.  This encoder renders
-each container with one ``join``, and a list of ``[int, int]`` pairs (the
-edge lists of a counterexample dump) from one ``%d`` template, once per
-pass and level: the records of one tree share its edge list, which is
-rendered for the first and reused for the rest.  Only the containers above
-``STREAM_DEPTH`` stream their items, so each record is one chunk and
-``json.dump`` never holds the whole document as one string.
+each list with one ``join``, and a list of ``[int, int]`` pairs (the edge
+lists of a counterexample dump) from one ``%d`` template, once per pass
+and level: the records of one tree share its edge list, which is rendered
+for the first and reused for the rest.  A dict is one ``%`` format of its
+converted values into its shape's template: the shape is its keys in
+insertion order and its level, and its template, built once per pass,
+holds the sorted keys and indents, with each value a ``%s``.  The values
+are read through ``values()`` (``items()`` for a subclass), never by key.
+Only the containers above ``STREAM_DEPTH`` stream their items, so each
+record is one chunk and ``json.dump`` never holds the whole document as
+one string.
 """
 
 from __future__ import annotations
@@ -59,7 +64,8 @@ _SCALAR = {str: encode_basestring_ascii, int: int.__repr__, float: _floatstr,
 
 class _Renderer:
     """One encoding pass, the containers it is inside (circular-reference
-    check), and the ``[int, int]``-pair lists it has rendered.
+    check), the ``[int, int]``-pair lists it has rendered, and the
+    templates of the dict shapes it has met.
 
     A pass does not mutate the document, so a pair list met again at the
     same level renders to the same text: it is reused, keyed on the list's
@@ -70,6 +76,7 @@ class _Renderer:
     def __init__(self) -> None:
         self.markers: dict = {}
         self.pair_lists: dict = {}
+        self.shapes: dict = {}
 
     def mark(self, o) -> None:
         if id(o) in self.markers:
@@ -122,17 +129,22 @@ class _Renderer:
         if not dct:
             return "{}"
         self.mark(dct)
-        string, scalar, value = encode_basestring_ascii, _SCALAR.get, self.value
-        parts = []
-        append = parts.append
-        for key, v in sorted(dct.items()):
+        if type(dct) is dict:
+            keys, values = tuple(dct), list(dct.values())
+        else:  # a subclass is read through items(), as the stock encoder reads it
+            keys, values = zip(*dct.items())
+        shape = self.shapes.get((keys, level))
+        if shape is None:
+            shape = self.shapes[keys, level] = _shape(keys, level)
+        order, template = shape
+        scalar, value = _SCALAR.get, self.value
+        texts = []
+        for i in order:
+            v = values[i]
             convert = scalar(type(v))
-            text = value(v, level + 1) if convert is None else convert(v)
-            append((string(key) + ": " if type(key) is str else _key(key)) + text)
+            texts.append(value(v, level + 1) if convert is None else convert(v))
         del self.markers[id(dct)]
-        outer = "\n" + "  " * level
-        inner = outer + "  "
-        return "{" + inner + ("," + inner).join(parts) + outer + "}"
+        return template % tuple(texts)
 
     def stream(self, o, level: int):
         """Yield ``o`` at ``level``: a non-empty container above ``STREAM_DEPTH``
@@ -160,6 +172,16 @@ def _key(key) -> str:
     if not isinstance(key, str):
         raise TypeError(f"keys must be str, not {key.__class__.__name__}")
     return encode_basestring_ascii(key) + ": "
+
+
+def _shape(keys: tuple, level: int) -> tuple[list[int], str]:
+    """The positions of ``keys`` in sorted order, and the text of a dict with
+    these keys at ``level``, its values left as ``%s``."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    outer = "\n" + "  " * level
+    inner = outer + "  "
+    body = ("," + inner).join([_key(keys[i]).replace("%", "%%") + "%s" for i in order])
+    return order, "{" + inner + body + outer + "}"
 
 
 def _int_pairs(lst) -> bool:

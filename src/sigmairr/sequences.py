@@ -208,25 +208,40 @@ def realize_tree(entries: Sequence[int]) -> Graph:
 
 
 def realize_graph_hakimi(entries: Sequence[int]) -> Graph:
-    """Havel-Hakimi greedy realization of a graphical sequence."""
+    """Havel-Hakimi greedy realization of a graphical sequence.
+
+    Each step joins the vertex of largest residual degree d (the lowest
+    index among ties) to the next d vertices in that order.  The vertices
+    wait in one heap of indices per residual degree, so a step costs
+    O(d log n) and never re-sorts the rest."""
+    from heapq import heappop, heappush  # here, so enumeration never loads it
+
     if not is_graphical(entries):
         raise DomainError(f"not graphical (Erdos-Gallai fails): {tuple(entries)}")
-    remaining = [(d, i) for i, d in enumerate(entries)]
+    buckets: list[list[int]] = [[] for _ in range(max(entries) + 1)]
+    for i, d in enumerate(entries):
+        buckets[d].append(i)  # ascending, so already a heap
     edges: list[tuple[int, int]] = []
+    top = len(buckets) - 1
     while True:
-        remaining.sort(key=lambda pair: (-pair[0], pair[1]))
-        d, v = remaining[0]
-        if d == 0:
+        while top and not buckets[top]:
+            top -= 1
+        if not top:
             break
-        if d > len(remaining) - 1:
-            raise DomainError("Havel-Hakimi step impossible; sequence not graphical")
-        remaining[0] = (0, v)
-        for idx in range(1, d + 1):
-            dv, w = remaining[idx]
-            if dv == 0:
+        v = heappop(buckets[top])
+        need, level, taken = top, top, []
+        while need:
+            if not level:
                 raise DomainError("Havel-Hakimi step impossible; sequence not graphical")
-            remaining[idx] = (dv - 1, w)
-            edges.append((v, w) if v < w else (w, v))
+            bucket = buckets[level]
+            joined = [heappop(bucket) for _ in range(min(need, len(bucket)))]
+            edges += [(v, w) if v < w else (w, v) for w in joined]
+            taken.append((level - 1, joined))
+            need -= len(joined)
+            level -= 1
+        for level, joined in taken:  # lowered only after the step has chosen
+            for w in joined:
+                heappush(buckets[level], w)
     return Graph(len(entries), edges)
 
 

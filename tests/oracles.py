@@ -5,7 +5,7 @@ trees are generated from Pruefer words or parent arrays, centers are found
 from the diameter (or, as their reference, by eccentricity) rather than by
 peeling, and isomorphism keys use an interned rooted encoding instead of
 level sequences.  Agreement with the package is then evidence, not
-tautology.  Nine references are the exception, each kept from an earlier,
+tautology.  Ten references are the exception, each kept from an earlier,
 simpler form of a package routine it is compared with:
 
 * ``integer_nth_root_from_power_of_two`` runs Newton's method from the
@@ -13,6 +13,9 @@ simpler form of a package routine it is compared with:
   from a float estimate;
 * ``is_graphical_by_prefixes`` sums each Erdos-Gallai tail afresh, where
   the package keeps one pointer and suffix sums;
+* ``realize_graph_hakimi_by_sorting`` re-sorts every residual degree on
+  each Havel-Hakimi step, where the package keeps a heap of vertices per
+  residual degree;
 * ``b15b_lhs_pairwise`` shares the package's interval square root and
   differs only in how the roots are summed;
 * ``FRACTION_FORMULAS`` and ``fraction_decision`` are the catalog's sides
@@ -41,9 +44,10 @@ simpler form of a package routine it is compared with:
   ``format_edge_list``, builds a ``Graph`` and a report for every (tree,
   entry) pair and keeps the probative failures, each with a record of its
   own written from the ``Graph``'s sorted edges, where the package decides
-  each pair once on degrees and edges, builds no ``Graph``, writes a
-  counterexample's report from the refuting sides with no ``BoundReport``,
-  and shares one sorted edge list and its text per tree.  Its random trees
+  each pair once per signature (sorted degrees, Albertson and Sigma) on
+  degrees and edges, builds no ``Graph``, writes a counterexample's report
+  from the refuting sides with no ``BoundReport``, and shares one sorted
+  edge list and its text per tree.  Its random trees
   are its own: each Pruefer word is ``randrange(n)`` drawn n - 2 times
   from the sample's ``Random(seed)``, decoded by ``prufer_decode_heap``.
 
@@ -298,6 +302,29 @@ def is_graphical_by_prefixes(entries: Sequence[int]) -> bool:
         if prefix > j * (j - 1) + sum(min(d[i], j) for i in range(j, k)):
             return False
     return True
+
+
+def realize_graph_hakimi_by_sorting(entries: Sequence[int]) -> Graph:
+    """Havel-Hakimi on a graphical sequence: sort the (degree, index) pairs
+    by degree descending and index ascending on every step, then join the
+    first vertex to the next d."""
+    remaining = [(d, i) for i, d in enumerate(entries)]
+    edges: list[tuple[int, int]] = []
+    while True:
+        remaining.sort(key=lambda pair: (-pair[0], pair[1]))
+        d, v = remaining[0]
+        if d == 0:
+            break
+        if d > len(remaining) - 1:
+            raise DomainError("Havel-Hakimi step impossible; sequence not graphical")
+        remaining[0] = (0, v)
+        for idx in range(1, d + 1):
+            dv, w = remaining[idx]
+            if dv == 0:
+                raise DomainError("Havel-Hakimi step impossible; sequence not graphical")
+            remaining[idx] = (dv - 1, w)
+            edges.append((v, w) if v < w else (w, v))
+    return Graph(len(entries), edges)
 
 
 def _scale(value: RVal, c: Fraction) -> RVal:

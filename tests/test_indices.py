@@ -75,6 +75,13 @@ class TestDirectIndices:
             diffs = {abs(g.degrees[u] - g.degrees[v]) for u, v in g.edges}
             assert (s == a) == diffs.issubset({0, 1})
 
+    def test_sigma_t_is_the_pairwise_sum(self):
+        rng = random.Random(11)
+        graphs = [*all_graphs(5), *(random_graph(rng) for _ in range(100))]
+        for g in graphs:
+            degs = g.degrees
+            assert sigma_t(g) == sum((a - b) ** 2 for a, b in combinations(degs, 2))
+
     def test_sigma_t_pair_identity_exhaustive(self):
         # total irregularity over pairs equals n*M1 - 4m^2 for every graph
         for g in all_graphs(4):

@@ -144,6 +144,40 @@ class TestAgainstStock:
             assert assert_same_as_stock(value) == (ValueError, "Circular reference detected")
 
 
+class TestShapes:
+    """Dicts with the same keys in the same order at the same level share one
+    template per pass; every case is compared with the stock encoder.  The
+    dicts sit at ``STREAM_DEPTH`` or deeper, where they render as one chunk."""
+
+    def test_one_key_set_in_two_orders(self):
+        first, second = {"b": 1, "a": [2], "c": {"x": 3}}, {"c": {"x": 4}, "a": [5], "b": 6}
+        assert assert_same_as_stock({"r": [first, second, first, second]})[0] == "ok"
+
+    def test_keys_with_percent_signs(self):
+        record = {"%s": 1, "100%": "%d", "%%": [[1, 2]], "a%(b)s": {"%": None}}
+        assert assert_same_as_stock({"r": [record, dict(record), {"x": record}]})[0] == "ok"
+
+    def test_one_shape_at_two_levels(self):
+        shape = {"edges": [[0, 1]], "n": 2}
+        deeper = {"edges": [[0, 1], [1, 2]], "n": 3}
+        assert assert_same_as_stock({"n": 1, "edges": [shape, [deeper, {"in": shape}]]})[0] == "ok"
+
+    def test_values_are_read_as_the_stock_encoder_reads_them(self):
+        class Skewed(dict):
+            def __getitem__(self, key):
+                return "not the value"
+
+        skewed = Skewed(b=1, a=[2, 3])
+        assert assert_same_as_stock({"r": [skewed, {"b": 1, "a": [2, 3]}, skewed, {"s": skewed}]})[0] == "ok"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.tuples(st.sampled_from(["a", "b", "%s", "c%", "é"]), st.one_of(scalars, pairs)),
+                             max_size=5), min_size=1, max_size=20))
+    def test_many_dicts_sharing_key_sets(self, items):
+        document = [dict(pairs) for pairs in items]
+        assert assert_same_as_stock({"top": document, "nested": [[d] for d in document]})[0] == "ok"
+
+
 class TestOneFormat:
     """Every option but ``sort_keys=True, indent=2``, and every key that is
     not a ``str``, raises instead of printing other bytes."""

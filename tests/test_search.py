@@ -365,8 +365,10 @@ class TestFalsify:
 
     @pytest.mark.parametrize("bound_id", [f"B{i}" for i in range(1, 16)] + ["all"])
     def test_matches_reports_oracle_exhaustive(self, bound_id):
-        found = falsify(bound_id, ExhaustiveMode(8))
-        assert_records_match(found, falsify_by_reports(bound_id, ExhaustiveMode(8)))
+        # At n_max 10, 40 of 200 trees repeat an earlier tree's signature.
+        mode = ExhaustiveMode(10 if bound_id == "all" else 8)
+        found = falsify(bound_id, mode)
+        assert_records_match(found, falsify_by_reports(bound_id, mode))
         if bound_id == "all":
             assert len(found) > 100 and {c.bound_id for c in found} >= {"B3", "B5", "B8", "B10", "B12"}
 
@@ -423,6 +425,60 @@ class TestFalsify:
         parts = {(id(c.record["edges"]), id(c.record["edge_list"])) for c in found}
         assert len(parts) == len({id(c.record["edges"]) for c in found}) == 30 < len(found)
         assert len({id(c.record["edge_list"]) for c in found}) == 30
+
+    def test_decides_each_signature_once(self, monkeypatch):
+        # 986 trees with 2 <= n <= 12 have 555 signatures (sorted degrees,
+        # Albertson, Sigma); each signature is decided on all 18 entries once.
+        import sigmairr.bounds as bounds_module
+
+        decide = bounds_module.counterexample_report
+        calls = []
+        monkeypatch.setattr(bounds_module, "counterexample_report", lambda *args: calls.append(args[0]) or decide(*args))
+        found = falsify("all", ExhaustiveMode(12))
+        assert len(calls) == 555 * 18 == 9_990 and len(found) > 1_000
+
+    def test_records_of_one_signature_share_their_reports(self):
+        from sigmairr.bounds import BoundInput
+
+        trees: dict = {}  # the records of each tree, keyed by its shared edge list
+        for c in falsify("all", ExhaustiveMode(10)):
+            trees.setdefault(id(c.record["edges"]), []).append(c.record)
+        by_signature: dict = {}
+        for records in trees.values():
+            b = BoundInput.from_graph(Graph(records[0]["n"], records[0]["edges"]))
+            by_signature.setdefault((b.entries, b.irr_value, b.sigma_value), []).append(records)
+        shared = [group for group in by_signature.values() if len(group) > 1]
+        assert len(shared) > 10
+        for first, *others in shared:
+            for records in others:
+                assert [r["bound_id"] for r in records] == [r["bound_id"] for r in first]
+                assert all(r["report"] is f["report"] and r["edges"] is not f["edges"] for r, f in zip(records, first))
+        ids = {id(r["report"]) for records in trees.values() for r in records}
+        assert len(ids) == sum(len(group[0]) for group in by_signature.values())
+
+    def test_entries_read_no_edge_beyond_presence(self):
+        # The memo is sound only if every verdict is a function of the
+        # signature: no entry may read the edges themselves.
+        from sigmairr.bounds import CATALOG, BoundInput, counterexample_report, evaluate_bound
+
+        class Untouchable:
+            def __iter__(self):
+                raise AssertionError("an entry iterated the edges")
+
+            def __len__(self):
+                raise AssertionError("an entry took the number of edges")
+
+            def __getitem__(self, index):
+                raise AssertionError("an entry indexed the edges")
+
+        for n in range(2, 10):
+            for g in enumerate_free_trees(n):
+                plain = BoundInput.from_graph(g)
+                blind = BoundInput.from_graph(g)
+                blind.edges = Untouchable()
+                for bid, spec in CATALOG.items():
+                    assert counterexample_report(bid, spec, blind) == counterexample_report(bid, spec, plain)
+                    assert evaluate_bound(bid, blind).to_json_dict() == evaluate_bound(bid, plain).to_json_dict()
 
     def test_campaign_matches_per_claim_runs(self, tmp_path):
         script = Path(__file__).resolve().parents[1] / "scripts" / "falsification_campaign.py"

@@ -12,6 +12,7 @@ from oracles import (
     prufer_decode,
     prufer_decode_heap,
     randrange_word,
+    realize_graph_hakimi_by_sorting,
 )
 from sigmairr.errors import DomainError, InputError
 from sigmairr.graphs import Graph, is_tree
@@ -192,6 +193,29 @@ class TestRealizability:
                 if is_graphical(part):
                     g = realize_graph_hakimi(part)
                     assert sorted(g.degrees) == sorted(part)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=25))
+    def test_realization_matches_sorting_reference(self, entries):
+        if not is_graphical(entries):
+            with pytest.raises(DomainError, match="not graphical"):
+                realize_graph_hakimi(entries)
+            return
+        assert realize_graph_hakimi(entries) == realize_graph_hakimi_by_sorting(entries)
+
+    def test_realization_of_all_partitions_matches_sorting_reference(self):
+        for total in range(2, 21, 2):
+            for part in partitions(total):
+                if is_graphical(part):
+                    for entries in (part, part[::-1]):
+                        assert realize_graph_hakimi(entries) == realize_graph_hakimi_by_sorting(entries), entries
+
+    def test_six_thousand_entries_in_under_a_second(self):
+        start = time.perf_counter()
+        cycle_like = realize_graph_hakimi([2] * 6_000)
+        mixed = realize_graph_hakimi([1 + i % 40 for i in range(6_000)])  # even sum, max 40
+        assert time.perf_counter() - start < 1.0
+        assert cycle_like.degrees == (2,) * 6_000 and mixed.degrees == tuple(1 + i % 40 for i in range(6_000))
 
 
 class TestRealizeTree:
