@@ -4,11 +4,10 @@
 Exhaustively evaluates every catalog entry on every isomorphism class of
 trees with 2 <= n <= --nmax, in one pass over the trees, and reports per
 entry how many probative failures exist, plus the smallest witness for
-each failing claim.  Optionally dumps the full counterexample set as JSON,
-through the package's shared encoder (``sigmairr.jsonout``), in the
-package's one JSON format: it writes one counterexample at a time, its
-bytes equal ``json.dumps(everything, sort_keys=True, indent=2)``, and any
-other encoder option raises ``ValueError``.
+each failing claim.  Optionally dumps the full counterexample set as JSON
+with ``sigmairr.jsonout.dump``, the package's one JSON writer: it writes
+one counterexample at a time, and its bytes equal
+``json.dumps(everything, sort_keys=True, indent=2)``.
 An --nmax outside 2..18 (18 is the enumeration cap), or a --json path that
 cannot be opened, is rejected with a one-line message on stderr and exit
 code 1 before any output is written.
@@ -19,13 +18,12 @@ Usage:
 
 import argparse
 import contextlib
-import json
 import sys
 import time
 
+from sigmairr import jsonout
 from sigmairr.bounds import BOUND_IDS, BoundInput, evaluate_bound
 from sigmairr.graphs import Graph
-from sigmairr.jsonout import StreamingEncoder
 from sigmairr.search import DEFAULT_TREE_CAP, ExhaustiveMode, falsify
 
 
@@ -49,7 +47,7 @@ def main() -> int:
     with sink:
         everything = _campaign(args.nmax)
         if args.json:
-            json.dump(everything, sink, sort_keys=True, indent=2, cls=StreamingEncoder)
+            jsonout.dump(everything, sink)
     if args.json:
         print(f"wrote {args.json}")
     return 0

@@ -4,10 +4,9 @@ Subcommands: indices, sequence analyze, bounds check, bounds falsify,
 enumerate, extremal, tables reproduce, tables export, stats correlate,
 stats regress, plots emit.  Machine formats are canonical (sorted JSON
 keys, fixed CSV column order), so identical invocations produce
-byte-identical output.  JSON is rendered by the shared encoder
-``jsonout.StreamingEncoder`` in the package's one JSON format: its bytes
-equal ``json.dumps(payload, sort_keys=True, indent=2)``, and any other
-encoder option raises ``ValueError``.  It is written into stdout or the
+byte-identical output.  JSON is written by ``jsonout.dump``, the
+package's one JSON writer: its bytes equal ``json.dumps(payload,
+sort_keys=True, indent=2)``, and it is written into stdout or the
 ``--out`` file as it is rendered, one record at a time.
 
 Each command builds one JSON record; its CSV and human tables are views of
@@ -34,9 +33,8 @@ from fractions import Fraction
 from functools import cache
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, TextIO
 
-from . import graphs, indices, search
+from . import graphs, indices, jsonout, search
 from .errors import DomainError, InputError, ResourceLimitError
-from .jsonout import StreamingEncoder
 from .sequences import (
     Convention,
     DegreeSequenceView,
@@ -114,7 +112,7 @@ def _render(fmt: str, header, rows, payload, out: Optional[str]) -> None:
     for csv and human, and each value is written by ``_cell``."""
     if fmt == "json":
         with _output(out) as fh:  # written record by record, never held whole
-            json.dump(payload, fh, sort_keys=True, indent=2, cls=StreamingEncoder)
+            jsonout.dump(payload, fh)
             _emit("\n", fh)
         return
     cells = ([_cell(v) for v in row] for row in rows)
@@ -226,6 +224,10 @@ def _cmd_indices(args) -> int:
 def _cmd_sequence_analyze(args) -> int:
     entries = parse_sequence_literal(args.sequence)
     view = DegreeSequenceView(entries, Convention(args.convention))
+    try:
+        mean_decimal = float(view.mean_entry)
+    except OverflowError:  # beyond float range: null, as bounds._decimal writes lhs_decimal
+        mean_decimal = None
     payload = {
         "entries": list(entries),
         "convention": view.convention.value,
@@ -235,7 +237,7 @@ def _cmd_sequence_analyze(args) -> int:
         "max_entry": view.max_entry,
         "min_entry": view.min_entry,
         "mean_entry": str(view.mean_entry),
-        "mean_entry_decimal": float(view.mean_entry),
+        "mean_entry_decimal": mean_decimal,
         "cube_sum": view.cube_sum,
         "is_graphical": is_graphical(entries),
         "is_tree_sequence": is_tree_sequence(entries),

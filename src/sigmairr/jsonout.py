@@ -1,12 +1,13 @@
-"""The JSON encoder behind every JSON document the package writes.
+"""``dump(obj, fh)``: the one way the package writes a JSON document.
 
-The package writes one JSON format, the bytes of ``json.dumps(x,
+The package writes one JSON format, the bytes of ``json.dump(obj, fh,
 sort_keys=True, indent=2)``: sorted keys, a two-space indent, ASCII-only
 text, ``","`` and ``": "`` as separators, and NaN and the infinities spelled
-``NaN``, ``Infinity`` and ``-Infinity``.  Bad input raises what the stock
-encoder raises.  Any other encoder option raises ``ValueError`` and a key
-that is not a ``str`` raises ``TypeError``, so a misuse fails rather than
-printing other bytes.
+``NaN``, ``Infinity`` and ``-Infinity``.  Its documents hold seven value
+types, each exactly: ``dict`` with ``str`` keys, ``list``, ``str``, ``int``,
+``float``, ``bool`` and ``None``.  Any other value, a subclass of one of
+these included, raises ``TypeError``, as does a key that is not a ``str``;
+a container that holds itself raises ``ValueError``.
 
 The stock ``json.dump`` yields one chunk per token.  This encoder renders
 each list with one ``join``, and a list of ``[int, int]`` pairs (the edge
@@ -15,11 +16,9 @@ and level: the records of one tree share its edge list, which is rendered
 for the first and reused for the rest.  A dict is one ``%`` format of its
 converted values into its shape's template: the shape is its keys in
 insertion order and its level, and its template, built once per pass,
-holds the sorted keys and indents, with each value a ``%s``.  The values
-are read through ``values()`` (``items()`` for a subclass), never by key.
-Only the containers above ``STREAM_DEPTH`` stream their items, so each
-record is one chunk and ``json.dump`` never holds the whole document as
-one string.
+holds the sorted keys and indents, with each value a ``%s``.  Only the
+containers above ``STREAM_DEPTH`` stream their items, so each record is
+one chunk and ``json.dump`` never holds the whole document as one string.
 """
 
 from __future__ import annotations
@@ -30,21 +29,13 @@ from json.encoder import encode_basestring_ascii
 # Containers at a depth below this stream their items; deeper ones are one chunk.
 STREAM_DEPTH = 2
 
-# The encoder attributes of ``json.dumps(x, sort_keys=True, indent=2)``.
-_FORMAT = {"skipkeys": False, "ensure_ascii": True, "check_circular": True, "allow_nan": True,
-           "sort_keys": True, "indent": 2, "item_separator": ",", "key_separator": ": "}
+
+def dump(obj, fh) -> None:
+    """Write ``obj`` into ``fh`` in the package's one JSON format."""
+    json.dump(obj, fh, cls=_Encoder, sort_keys=True, indent=2)
 
 
-class StreamingEncoder(json.JSONEncoder):
-    """The stock encoder's ``sort_keys=True, indent=2`` output, one chunk per
-    record; pass it as ``cls=`` with exactly those two options."""
-
-    def __init__(self, **options) -> None:
-        super().__init__(**options)
-        given = {name: getattr(self, name) for name in _FORMAT}
-        if given != _FORMAT or "default" in vars(self):
-            raise ValueError(f"StreamingEncoder writes only sort_keys=True, indent=2; got {options}")
-
+class _Encoder(json.JSONEncoder):
     def iterencode(self, o, _one_shot=False):
         return _Renderer().stream(o, 0)
 
@@ -57,7 +48,7 @@ def _floatstr(o) -> str:
     return _NON_FINITE.get(text, text)
 
 
-# Exact types only: a subclass takes the isinstance chain in ``_Renderer.value``.
+# The scalar types, matched exactly.
 _SCALAR = {str: encode_basestring_ascii, int: int.__repr__, float: _floatstr,
            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
 
@@ -85,19 +76,17 @@ class _Renderer:
 
     def value(self, o, level: int) -> str:
         """``o`` at ``level`` as one string."""
-        convert = _SCALAR.get(type(o))
+        kind = type(o)
+        convert = _SCALAR.get(kind)
         if convert is not None:
             return convert(o)
-        if isinstance(o, (list, tuple)):
+        if kind is list:
             return self.array(o, level)
-        if isinstance(o, dict):
+        if kind is dict:
             return self.obj(o, level)
-        for base in (str, int, float):  # a subclass encodes as its base
-            if isinstance(o, base):
-                return _SCALAR[base](o)
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
-    def array(self, lst, level: int) -> str:
+    def array(self, lst: list, level: int) -> str:
         if not lst:
             return "[]"
         seen = self.pair_lists.get((id(lst), level))
@@ -112,7 +101,7 @@ class _Renderer:
         pairs = False
         if kind in _SCALAR:
             body = sep.join(map(_SCALAR[kind], lst))
-        elif (kind is list or kind is tuple) and _int_pairs(lst):
+        elif kind is list and _int_pairs(lst):
             # The layout strings hold no "%", so they need no escaping.
             pair = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
             body = sep.join([pair] * len(lst)) % tuple([x for p in lst for x in p])
@@ -125,14 +114,11 @@ class _Renderer:
             self.pair_lists[id(lst), level] = (lst, text)
         return text
 
-    def obj(self, dct, level: int) -> str:
+    def obj(self, dct: dict, level: int) -> str:
         if not dct:
             return "{}"
         self.mark(dct)
-        if type(dct) is dict:
-            keys, values = tuple(dct), list(dct.values())
-        else:  # a subclass is read through items(), as the stock encoder reads it
-            keys, values = zip(*dct.items())
+        keys, values = tuple(dct), list(dct.values())
         shape = self.shapes.get((keys, level))
         if shape is None:
             shape = self.shapes[keys, level] = _shape(keys, level)
@@ -149,12 +135,13 @@ class _Renderer:
     def stream(self, o, level: int):
         """Yield ``o`` at ``level``: a non-empty container above ``STREAM_DEPTH``
         item by item, anything else as one chunk."""
-        if level >= STREAM_DEPTH or not isinstance(o, (list, tuple, dict)) or not o:
+        kind = type(o)
+        if level >= STREAM_DEPTH or kind not in (list, dict) or not o:
             yield self.value(o, level)
             return
         self.mark(o)
         outer = "\n" + "  " * level
-        if isinstance(o, dict):
+        if kind is dict:
             ends, items = "{}", [(_key(k), v) for k, v in sorted(o.items())]
         else:
             ends, items = "[]", [("", v) for v in o]
@@ -184,6 +171,6 @@ def _shape(keys: tuple, level: int) -> tuple[list[int], str]:
     return order, "{" + inner + body + outer + "}"
 
 
-def _int_pairs(lst) -> bool:
-    """Whether every item of ``lst`` (a list of lists or tuples) is two exact ints."""
+def _int_pairs(lst: list) -> bool:
+    """Whether every item of ``lst`` (a list of lists) is two exact ints."""
     return set(map(len, lst)) == {2} and set(map(type, [x for p in lst for x in p])) == {int}

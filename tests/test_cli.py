@@ -51,6 +51,24 @@ class TestIndices:
         assert json.loads(target.read_text())["albertson"] == 12
 
 
+class TestSequenceAnalyze:
+    @pytest.mark.parametrize("convention", ["standard", "paper-table"])
+    @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
+    def test_mean_beyond_float_range(self, capsys, fmt, convention):
+        # The mean entry (10**400 + 1) / 2 is printed exactly; its decimal is null.
+        entries = f"{10**400},1"
+        code, out, err = run_cli(capsys, "sequence", "analyze", "--sequence", entries,
+                                 "--convention", convention, "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["mean_entry_decimal"] is None
+            assert Fraction(payload["mean_entry"]) == Fraction(10**400 + 1, 2)
+        else:
+            sep = "," if fmt == "csv" else "  "
+            assert f"mean_entry_decimal{sep}null\n" in out
+
+
 class TestErrors:
     def test_unknown_flag(self, capsys):
         code, _, err = run_cli(capsys, "indices", "--family", "path:5", "--bogus")
