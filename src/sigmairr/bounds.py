@@ -103,8 +103,11 @@ Printed = tuple[int, int, bool]
 
 def _integer_nth_root(value: int, degree: int) -> int:
     """floor(value ** (1/degree)) for value >= 0, degree >= 1, exactly: Newton's
-    method from a float estimate over the top 64 bits of ``value``.  One step
-    lands at or above the floor (AM-GM); the steps then descend strictly to it."""
+    method from just above a float estimate over the top 64 bits of ``value``.
+    The estimate is within a relative (whole + 34) * 2^-52 of the root, where
+    2^whole <= root; twice that and 2 for the truncation start Newton at or
+    above the floor, from where its steps descend strictly to it (AM-GM),
+    quadratically from so near."""
     if value < 0:
         raise DomainError("nth root of negative integer")
     if value == 0 or degree == 1:
@@ -114,7 +117,7 @@ def _integer_nth_root(value: int, degree: int) -> int:
     shift = max(value.bit_length() - 64, 0)
     whole, part = divmod((math.log2(value >> shift) + shift) / degree, 1)
     guess = (int(2.0 ** (part + 53)) << int(whole)) >> 53  # >= 1, as whole >= 0
-    guess = ((degree - 1) * guess + value // guess ** (degree - 1)) // degree
+    guess += (guess * (int(whole) + 64) >> 51) + 2
     while True:
         nxt = ((degree - 1) * guess + value // guess ** (degree - 1)) // degree
         if nxt >= guess:
@@ -636,9 +639,17 @@ def _hyp_b10(b: BoundInput) -> tuple[list[str], bool]:
     return failed, computable
 
 
+# The most bits B11's 2^eta may have.  A graph's default eta is at most 4n,
+# so below order 2^15 the limit is never met; past it, the power alone
+# would take longer to build and print than any other side.
+_B11_POWER_BITS = 1 << 17
+
+
 def _hyp_b11(b: BoundInput) -> tuple[list[str], bool]:
     if b.n == 1:
         return ["order 1 (division by zero)"], False
+    if b.eta >= _B11_POWER_BITS:
+        return [f"2^eta has {b.eta + 1} bits, over the limit of {_B11_POWER_BITS}"], False
     return [], True
 
 

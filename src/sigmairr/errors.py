@@ -10,4 +10,5 @@ class InputError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration cap would be exceeded; pass the override to proceed."""
+    """An enumeration limit would be exceeded: the cap, which the override
+    lifts, or the largest order a walk holds, which nothing lifts."""

@@ -37,6 +37,37 @@ and its elements:
   second subtree deep enough, so set ``levels[p + 1:]`` to 2s and step
   again without testing.
 
+Most of the rest that the test rejects are bicentral rootings that lose to
+vertex 1's.  Write A = ``levels[2:split]`` (vertex 1's subtrees), R =
+``levels[split:]`` (the rest, L = n - split entries) and B = A - 1, each
+entry one level up, so the two center rootings are (1, 2, A, R) and
+(1, 2, R + 1, B).  When the first loses, so does every later rest X with
+land < X < R, where land = ``(B + 2s)[:L]``:
+
+* The first block stays, and a lexicographically smaller rest is never
+  higher (its first block, a deepest one, is no larger), so with X the root
+  is not a center or the tree is bicentral again.
+* X + 1 > A in tuple order, so vertex 1's rooting is the larger.  Either X
+  first exceeds land at an index inside B, where X + 1 first exceeds A; or
+  X starts with all of B and goes on with an entry of at least 2, so that
+  after their common prefix (1, 2, A) vertex 1's rooting goes on with an
+  entry of at least 3 and the root's with B's first entry, 2.
+
+(1, 2, A, B) is canonical, as B's blocks are the subtrees of vertex 1's
+children, each shallower than the first block; (1, 2, A, land) is a prefix
+of it, or it followed by leaves, so canonical too.  So set the rest to
+land.  If B has at least L entries, land may win, so test it; otherwise
+land loses as X does, so step from it without testing.  If land equals R,
+step as before.
+
+A walk holds its sequence as a ``bytearray``, one level a byte, so each
+step's scans and copies are single bytes operations: ``find`` for
+``split``, ``rstrip`` for the last entry above 2, ``rindex`` for its parent,
+one slice assignment of the repeated segment for the copy, and ``translate``
+tables for the other center rooting.  Each element of the stream is a
+tuple.  A byte holds levels up to 255, so ``MAX_TREE_ORDER`` = 255 bounds
+every walk, the cap override included.
+
 The stream is deterministic, one representative per isomorphism class, and
 counts are validated in the test suite against independent labeled-tree
 oracles.  Labeled Pruefer space (n^(n-2)) is never enumerated here.
@@ -51,7 +82,8 @@ single-goal form.
 Every walk of the trees of an order passes one gate, ``check_tree_order``:
 an order above the one enumeration cap, ``DEFAULT_TREE_CAP``, is refused
 unless the caller passes ``allow_over_cap=True`` (``--allow-over-cap`` on
-the command line).  A tree's order is the length of its degree list.
+the command line), and an order above ``MAX_TREE_ORDER`` always is.  A
+tree's order is the length of its degree list.
 """
 
 from __future__ import annotations
@@ -69,6 +101,11 @@ if TYPE_CHECKING:  # ``bounds`` is imported where a claim is evaluated, not here
     from .bounds import BoundInput, BoundParams
 
 DEFAULT_TREE_CAP = 18
+# A walk holds one level a byte, so no tree of a larger order can be walked.
+MAX_TREE_ORDER = 255
+# Byte tables that move every level of a sequence one up or one down.
+_UP = bytes(range(1, 256)) + b"\x00"
+_DOWN = b"\x00" + bytes(range(255))
 
 OBJECTIVES: dict[str, Callable[[Graph], int]] = {
     "sigma": sigma,
@@ -83,31 +120,29 @@ _SCORED = ("albertson", "sigma")
 
 def rooted_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """All canonical rooted level sequences on n vertices, reverse-lex order."""
-    if n < 1:
-        raise DomainError("need n >= 1")
-    levels = list(range(1, n + 1))
+    levels = _path_levels(n)
     while True:
         yield tuple(levels)
         if _advance(levels) < 0:
             return
 
 
-def _advance(levels: list[int]) -> int:
+def _path_levels(n: int) -> bytearray:
+    """The first sequence of every walk, the path 1, 2, ..., n, one byte a level."""
+    check_tree_order(n, allow_over_cap=True)
+    return bytearray(range(1, n + 1))
+
+
+def _advance(levels: bytearray) -> int:
     """Step ``levels`` in place to the next canonical rooted sequence in
     reverse-lex order.  Returns the first position rewritten, or -1 (and
     leaves ``levels`` as it is) after the last sequence."""
-    n = len(levels)
-    p = n - 1
-    while p >= 0 and levels[p] <= 2:
-        p -= 1
-    if p < 0:
-        return p
-    q = p - 1
-    while levels[q] != levels[p] - 1:
-        q -= 1
-    period = p - q
-    for i in range(p, n):
-        levels[i] = levels[i - period]
+    p = len(levels.rstrip(b"\x02")) - 1  # the last entry above 2; only the root is below
+    if p < 1:
+        return -1
+    q = levels.rindex(levels[p] - 1, 0, p)  # its parent
+    rest = len(levels) - p
+    levels[p:] = (levels[q:p] * (rest // (p - q) + 1))[:rest]
     return p
 
 
@@ -145,35 +180,38 @@ def _canonical_rooted_levels(adjacency: Sequence[Sequence[int]], root: int) -> t
 
 def free_tree_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """Canonical center-rooted level sequences, one per free tree."""
-    if n < 1:
-        raise DomainError("need n >= 1")
-    levels = list(range(1, n + 1))
+    levels = _path_levels(n)
     while True:
-        try:
-            split = levels.index(2, 2)
-        except ValueError:  # the root is a leaf: a center only for n <= 2
+        split = levels.find(2, 2)
+        if split < 0:  # the root is a leaf: a center only for n <= 2
             if n > 2:
                 levels[-1] = 2  # the next sequence whose root is not a leaf
                 continue
             split = n
         gap = max(levels[:split]) - max(levels[split:], default=1)
         if gap > 1:  # root is not a center while this first block stays
-            levels[split:] = [2] * (n - split)
+            levels[split:] = b"\x02" * (n - split)
         elif gap == 0:
             yield tuple(levels)
         else:
             # Bicentral: keep only the lex-larger center rooting.
-            other = (1, 2, *(x + 1 for x in levels[split:]), *(x - 1 for x in levels[2:split]))
-            current = tuple(levels)
-            if current >= other:
-                yield current
+            b = levels[2:split].translate(_DOWN)  # B, as the module docstring names it
+            if levels >= b"\x01\x02" + levels[split:].translate(_UP) + b:
+                yield tuple(levels)
+            else:
+                rest = n - split
+                land = (b + b"\x02" * rest)[:rest]
+                if land != levels[split:]:  # every rest between them loses too
+                    levels[split:] = land
+                    if len(b) >= rest:
+                        continue  # land may win: test it
         while True:
             p = _advance(levels)
             if p < 0:
                 return
-            if 2 in levels[2:p + 1] or n - p >= max(levels[1:p + 1]) - 1:
+            if levels.find(2, 2, p + 1) >= 0 or n - p >= max(levels[1:p + 1]) - 1:
                 break
-            levels[p + 1:] = [2] * (n - p - 1)  # no second subtree can be deep enough
+            levels[p + 1:] = b"\x02" * (n - p - 1)  # no second subtree can be deep enough
 
 
 def enumerate_free_trees(n: int, *, allow_over_cap: bool = False) -> Iterator[Graph]:
@@ -188,6 +226,10 @@ def check_tree_order(n: int, allow_over_cap: bool) -> None:
     unless allowed.  Every walk of the trees of an order is gated here."""
     if n < 1:
         raise DomainError("enumerate_free_trees requires n >= 1")
+    if n > MAX_TREE_ORDER:
+        raise ResourceLimitError(
+            f"n={n} exceeds {MAX_TREE_ORDER}, the largest order whose levels fit in a byte each"
+        )
     if n > DEFAULT_TREE_CAP and not allow_over_cap:
         raise ResourceLimitError(
             f"n={n} exceeds the enumeration cap {DEFAULT_TREE_CAP}; "

@@ -9,8 +9,8 @@ tautology.  Ten references are the exception, each kept from an earlier,
 simpler form of a package routine it is compared with:
 
 * ``integer_nth_root_from_power_of_two`` runs Newton's method from the
-  power of two above the root, where the package starts next to the root
-  from a float estimate;
+  power of two above the root, where the package starts just above the
+  root from a float estimate;
 * ``is_graphical_by_prefixes`` sums each Erdos-Gallai tail afresh, where
   the package keeps one pointer and suffix sums;
 * ``realize_graph_hakimi_by_sorting`` re-sorts every residual degree on
@@ -31,9 +31,11 @@ simpler form of a package routine it is compared with:
   prints midpoints, and it takes B14's complement from a complement
   ``Graph`` and B15b's sides from ``RVal`` sums, where the package
   cross-multiplies, decides B6 exactly and sums integer numerators;
-* ``free_tree_level_sequences_by_filter`` shares the package's rooted
-  level-sequence walk and tests every sequence it visits, where the package
-  jumps over runs that cannot be centre-rooted;
+* ``free_tree_level_sequences_by_filter`` walks every canonical rooted
+  level sequence with its own Beyer-Hedetniemi step on a list and tests
+  each, where the package steps a ``bytearray`` and jumps over runs that
+  cannot be centre-rooted, or whose bicentral rootings lose to the other
+  centre's;
 * ``extremal_by_graphs`` shares the package's free-tree stream and indices,
   and scores a ``Graph`` per tree, where the package scores level sequences;
 * ``derived_summaries_by_summation`` adds the half-difference and half-sum
@@ -90,7 +92,6 @@ from sigmairr.search import (
     RandomMode,
     canonical_form,
     enumerate_free_trees,
-    rooted_level_sequences,
 )
 
 
@@ -100,15 +101,13 @@ def prufer_decode(word: tuple[int, ...], n: int) -> list[tuple[int, int]]:
     for x in word:
         degree[x] += 1
     edges = []
-    used = [False] * n
     for x in word:
-        leaf = min(v for v in range(n) if degree[v] == 1 and not used[v])
+        leaf = degree.index(1)  # a joined leaf drops to degree 0
         edges.append((min(leaf, x), max(leaf, x)))
-        used[leaf] = True
         degree[leaf] -= 1
         degree[x] -= 1
-    u, v = [w for w in range(n) if not used[w] and degree[w] == 1]
-    edges.append((u, v))
+    u = degree.index(1)
+    edges.append((u, degree.index(1, u + 1)))
     return edges
 
 
@@ -145,14 +144,16 @@ def all_labeled_trees_prufer(n: int) -> Iterator[list[tuple[int, int]]]:
         yield prufer_decode(word, n)
 
 
+def parent_arrays(n: int) -> Iterator[tuple[int, ...]]:
+    """Every (parent[1], ..., parent[n-1]) with parent[i] < i: (n-1)! labeled
+    trees that cover every isomorphism class (any tree, rooted anywhere and
+    labeled in BFS order, has this form)."""
+    return product(*(range(i) for i in range(1, n)))
+
+
 def covering_labeled_trees(n: int) -> Iterator[list[tuple[int, int]]]:
-    """Parent arrays with parent[i] < i: (n-1)! labeled trees that cover
-    every isomorphism class (any tree, rooted anywhere and labeled in BFS
-    order, has this form)."""
-    if n == 1:
-        yield []
-        return
-    for parents in product(*(range(i) for i in range(1, n))):
+    """The trees of ``parent_arrays`` as edge lists."""
+    for parents in parent_arrays(n):
         yield [(p, i + 1) for i, p in enumerate(parents)]
 
 
@@ -224,12 +225,17 @@ def _rooted_id(adj: list[list[int]], root: int, n: int) -> int:
             if parent[w] < 0:
                 parent[w] = v
                 order.append(w)
-    ids = [0] * n
-    for v in reversed(order):
-        key = tuple(sorted(ids[w] for w in adj[v] if w != v and parent[w] == v))
-        code = _INTERN.setdefault(key, len(_INTERN))
-        ids[v] = code
-    return ids[root]
+    return _interned_root(order, parent)
+
+
+def _interned_root(order: Sequence[int], parent: Sequence[int]) -> int:
+    """Interned id of the tree rooted at ``order[0]``, every other vertex
+    after its parent in ``order``: one reverse pass gives each vertex the
+    sorted ids of its children, which all come after it."""
+    kids: list[list[int]] = [[] for _ in parent]
+    for v in reversed(order[1:]):
+        kids[parent[v]].append(_INTERN.setdefault(tuple(sorted(kids[v])), len(_INTERN)))
+    return _INTERN.setdefault(tuple(sorted(kids[order[0]])), len(_INTERN))
 
 
 def iso_key(edges: list[tuple[int, int]], n: int) -> tuple[int, ...]:
@@ -238,6 +244,17 @@ def iso_key(edges: list[tuple[int, int]], n: int) -> tuple[int, ...]:
         return (-1,)
     adj = _adjacency(edges, n)
     return tuple(sorted(_rooted_id(adj, c, n) for c in centers_by_diameter(adj)))
+
+
+def parent_array_keys(n: int) -> set[tuple[int, ...]]:
+    """``iso_key`` of every tree of ``parent_arrays``, called once per rooted
+    class at vertex 0: arrays of one rooted class are isomorphic."""
+    keys: dict[int, tuple[int, ...]] = {}
+    for parents in parent_arrays(n):
+        rooted = _interned_root(range(n), (0, *parents))
+        if rooted not in keys:
+            keys[rooted] = iso_key([(p, i + 1) for i, p in enumerate(parents)], n)
+    return set(keys.values())
 
 
 def count_free_trees_dedup(n: int, generator) -> int:
@@ -685,12 +702,32 @@ def randrange_word(n: int, seed: int) -> list[int]:
     return [rng.randrange(n) for _ in range(n - 2)]
 
 
+def rooted_level_sequences_by_list(n: int) -> Iterator[tuple[int, ...]]:
+    """Canonical rooted level sequences in reverse-lex order, by the
+    Beyer-Hedetniemi successor on a list: find the last entry above 2 and
+    its parent, the last earlier entry one level up, and copy the entries
+    from the parent on over it and everything after it, one by one."""
+    levels = list(range(1, n + 1))
+    while True:
+        yield tuple(levels)
+        p = n - 1
+        while p > 0 and levels[p] <= 2:
+            p -= 1
+        if p == 0:
+            return
+        q = p - 1
+        while levels[q] != levels[p] - 1:
+            q -= 1
+        for i in range(p, n):
+            levels[i] = levels[i - (p - q)]
+
+
 def free_tree_level_sequences_by_filter(n: int) -> Iterator[tuple[int, ...]]:
     """Centre-rooted canonical level sequences, by testing every canonical
     rooted sequence: the root must be a centre (its first, deepest block at
     most one level deeper than the rest), and of a bicentral tree's two
     centre rootings only the lexicographically larger is kept."""
-    for levels in rooted_level_sequences(n):
+    for levels in rooted_level_sequences_by_list(n):
         try:
             split = levels.index(2, 2)
         except ValueError:  # the root is a leaf: a center only for n <= 2

@@ -173,16 +173,19 @@ def test_criterion_07_enumeration_counts():
     with criterion(7, "free-tree classes vs labeled-dedup oracles; n=16 under 60 s"):
         # Pruefer words exhaustively for n <= 8 (8^6 = 262144 words); the
         # full word space for n = 9, 10 is 4.8M/100M, far beyond desk scale,
-        # so those orders use the parent-array generator, which provably
-        # covers every isomorphism class and agrees with Pruefer up to 8.
-        from oracles import iso_key
+        # so those orders use the parent arrays, which provably cover every
+        # isomorphism class and agree with Pruefer up to 8.  A parent array
+        # is keyed through its rooted class at vertex 0.
+        from oracles import iso_key, parent_array_keys
 
         prufer_keys = {}
         for n in range(1, 11):
             package_trees = list(enumerate_free_trees(n))
             package_keys = {iso_key(t.sorted_edges(), n) for t in package_trees}
-            generator = all_labeled_trees_prufer if n <= 8 else covering_labeled_trees
-            oracle_keys = {iso_key(edges, n) for edges in generator(n)}
+            if n <= 8:
+                oracle_keys = {iso_key(edges, n) for edges in all_labeled_trees_prufer(n)}
+            else:
+                oracle_keys = parent_array_keys(n)
             # exactly one representative per class, none missing, none extra
             assert len(package_keys) == len(package_trees)
             assert package_keys == oracle_keys, n

@@ -6,7 +6,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -89,9 +89,13 @@ class TestRootIntervals:
         ),
         st.integers(2, 300),
     )
+    @example(2**555 + 7, 280)  # a float estimate of its root, 3.96..., truncates below the root
     @settings(max_examples=200, deadline=None)
     def test_integer_nth_root_matches_newton_from_a_power_of_two(self, value, degree):
         assert bounds._integer_nth_root(value, degree) == oracles.integer_nth_root_from_power_of_two(value, degree)
+
+    def test_integer_nth_root_of_a_small_root_of_high_degree(self):
+        assert bounds._integer_nth_root(2**555 + 7, 280) == 3
 
     def test_ceil_log2(self):
         assert [ceil_log2(x) for x in (1, 2, 3, 4, 5, 8, 9)] == [0, 1, 2, 2, 3, 3, 4]

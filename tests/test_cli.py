@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from sigmairr import search
+from sigmairr import bounds, search
 from sigmairr.cli import build_parser, main
 
 
@@ -89,6 +89,11 @@ class TestErrors:
     def test_cap_exceeded(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--n", "19", "--count-only")
         assert code == 1 and "cap" in err and "--allow-over-cap" in err
+
+    def test_order_limit_holds_over_the_cap_override(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "--n", "256", "--allow-over-cap")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "255" in err and err.count("\n") == 1
 
     # Each entry point that walks the trees of an order, with that order's flag last.
     @pytest.mark.parametrize("argv", [
@@ -316,6 +321,32 @@ class TestBounds:
         assert max(len(report["rhs"]) for report in reports) > 4300
         if "B2" in argv:  # B2a's rhs on star:5 is floor(8/5) + ceil(20/8) + 2^alpha
             assert Decimal(reports[0]["rhs"]) == Decimal(4 + 2**20000)
+
+    # B11's 2^eta is built up to a bit limit, and reported not computable past it.
+    @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
+    @pytest.mark.parametrize("argv, computable", [
+        (("--family", "star:5", "--eta", str(bounds._B11_POWER_BITS - 1)), True),
+        (("--family", "star:5", "--eta", str(bounds._B11_POWER_BITS)), False),
+        # default eta = ceil(4 * n * max_degree / 2m), about 2 * 10^400
+        (("--sequence", "1" + "0" * 400 + ",3,1", "--convention", "paper-table", "--irr", "5"), False),
+    ], ids=["below", "above", "sequence"])
+    def test_check_b11_power_bit_limit(self, capsys, fmt, argv, computable):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "bounds", "check", *argv, "--bound", "B11", "--format", fmt)
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            report = json.loads(out)["reports"][0]
+            assert (report["rhs"] is not None) == computable
+            if not computable:
+                eta = int(report["params"]["eta"])
+                assert report["notes"] == [f"not computable: 2^eta has {eta + 1} bits, over the limit of 131072"]
+        elif fmt == "csv":
+            row = next(csv.DictReader(io.StringIO(out)))
+            assert (row["bound_id"], row["rhs"] != "") == ("B11", computable)
+        else:
+            row = next(line.split() for line in out.splitlines() if line.startswith("B11"))
+            assert row[1] == ("true" if computable else "false")
 
     def test_check_is_byte_identical_under_a_low_int_to_str_limit(self, capsys):
         argv = ["bounds", "check", "--family", "star:5", "--bound", "B2", "--alpha", "20000", "--format", "json"]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -15,6 +16,7 @@ from oracles import (
     free_tree_counts_otter,
     free_tree_level_sequences_by_filter,
     greedy_min_sigma,
+    rooted_level_sequences_by_list,
     tree_degree_multisets,
 )
 from sigmairr.bounds import BOUND_IDS, BoundParams
@@ -59,6 +61,10 @@ class TestRootedStream:
         assert seqs[0] == (1, 2, 3, 4, 5)  # path
         assert seqs[-1] == (1, 2, 2, 2, 2)  # star
 
+    def test_matches_list_step(self):
+        for n in range(1, 13):
+            assert list(rooted_level_sequences(n)) == list(rooted_level_sequences_by_list(n)), n
+
 
 class TestFreeTreeStream:
     def test_counts_match_arithmetic_oracle(self):
@@ -77,6 +83,26 @@ class TestFreeTreeStream:
         deep = tuple(range(1, 11))
         assert next(free_tree_level_sequences(18)) == (*deep, *range(2, 10))
         assert next(free_tree_level_sequences(19)) == (*deep, 10, *range(2, 10))
+        assert next(free_tree_level_sequences(255)) == (*range(1, 129), 128, *range(2, 128))
+
+    # Count and sha256 of the stream, each sequence one byte a level: a faster
+    # walk must keep every tree and their order.
+    @pytest.mark.parametrize("n, count, digest", [
+        (16, 19320, "a240e5316cc584ffa61227b7b96505865c680aab6c56a9dc6e2774d94f0eef52"),
+        (17, 48629, "fa14deb566d58ce1f15c833b75dba53b28ae2383492bca265ba6dfd0f2ceaa1d"),
+        (18, 123867, "86ae6e7b9733bff36afbf0394f0a8a4959740a4d84627a3047fb37752cb924eb"),
+    ], ids=["n16", "n17", "n18"])
+    def test_pinned_stream(self, n, count, digest):
+        stream = list(free_tree_level_sequences(n))
+        assert len(stream) == count
+        assert hashlib.sha256(b"".join(map(bytes, stream))).hexdigest() == digest
+
+    def test_order_limit(self):
+        for walk in (free_tree_level_sequences, rooted_level_sequences):
+            with pytest.raises(ResourceLimitError, match="255"):
+                next(walk(256))
+        with pytest.raises(ResourceLimitError, match="255"):
+            next(enumerate_free_trees(256, allow_over_cap=True))
 
     def test_all_trees_and_distinct(self):
         for n in range(1, 11):
