@@ -591,14 +591,28 @@ def _guard_m(b: BoundInput, failed: list[str]) -> tuple[list[str], bool]:
     return failed, True
 
 
+# The most bits a power 2^alpha, 2^beta, 2^p or 2^eta may have.  A graph's
+# default eta is at most 4n, so below order 2^15 the limit is never met, and
+# the default alpha, beta and p are far below it; past it, the power alone
+# would take longer to build and print than any other side.
+_POWER_BITS = 1 << 17
+
+
+def _guard_power(name: str, exponent: int, failed: list[str], computable: bool = True) -> tuple[list[str], bool]:
+    """An entry whose side holds 2^exponent is not computable past ``_POWER_BITS`` bits."""
+    if exponent >= _POWER_BITS:
+        return [*failed, f"2^{name} has {exponent + 1} bits, over the limit of {_POWER_BITS}"], False
+    return failed, computable
+
+
 def _hyp_b2a(b: BoundInput) -> tuple[list[str], bool]:
     failed = [] if b.max_degree <= 20 else ["max degree exceeds 20"]
-    return _guard_m(b, failed)
+    return _guard_power("alpha", b.alpha, *_guard_m(b, failed))
 
 
 def _hyp_b2b(b: BoundInput) -> tuple[list[str], bool]:
     failed = [] if b.max_degree > 3 else ["max degree not above 3"]
-    return _guard_m(b, failed)
+    return _guard_power("beta", b.beta, *_guard_m(b, failed))
 
 
 def _hyp_b5(b: BoundInput) -> tuple[list[str], bool]:
@@ -639,18 +653,14 @@ def _hyp_b10(b: BoundInput) -> tuple[list[str], bool]:
     return failed, computable
 
 
-# The most bits B11's 2^eta may have.  A graph's default eta is at most 4n,
-# so below order 2^15 the limit is never met; past it, the power alone
-# would take longer to build and print than any other side.
-_B11_POWER_BITS = 1 << 17
+def _hyp_b9(b: BoundInput) -> tuple[list[str], bool]:
+    return _guard_power("p", b.p, [])
 
 
 def _hyp_b11(b: BoundInput) -> tuple[list[str], bool]:
     if b.n == 1:
         return ["order 1 (division by zero)"], False
-    if b.eta >= _B11_POWER_BITS:
-        return [f"2^eta has {b.eta + 1} bits, over the limit of {_B11_POWER_BITS}"], False
-    return [], True
+    return _guard_power("eta", b.eta, [])
 
 
 def _hyp_b12(b: BoundInput) -> tuple[list[str], bool]:
@@ -882,7 +892,7 @@ CATALOG: dict[str, BoundSpec] = {
         ),
         _spec(
             "B9", "sigma <= 2^p(irr + 2m) + D(D-1)^2", "<=",
-            {"irr", "sigma"}, _hyp_none, _sigma_lhs, _b9_rhs,
+            {"irr", "sigma"}, _hyp_b9, _sigma_lhs, _b9_rhs,
             params=("p",),
         ),
         _spec(

@@ -73,10 +73,26 @@ counts are validated in the test suite against independent labeled-tree
 oracles.  Labeled Pruefer space (n^(n-2)) is never enumerated here.
 
 ``extremal_goals`` serves any number of (objective, direction) goals from
-one walk of a class: each admitted level sequence yields its parents and
-degrees once, one pass over its edges scores Sigma and Albertson together,
-and each goal keeps its own optimum and first witness in stream order.  A
-``Graph`` is built only per distinct witness.  ``extremal`` is its
+one walk of a class, and scores each tree from its root's subtrees.  In a
+canonical sequence each vertex's descendants follow it as one block, so
+``bytes(levels).split(b"\x02")[1:]`` is one piece per child of the root,
+holding that child's descendants: an empty piece is a leaf, and the
+children of any other piece's vertex are ``piece.split(piece[:1])[1:]``.
+A block's score is its vertex's degree, the Albertson and Sigma sums over
+the edges below it, and its degree counts, the sum of 256^d over its
+vertices' degrees d (a byte per degree, which never carries, as no degree
+occurs 256 times in a walk).  Both indices are sums over edges, so a
+vertex of degree k adds, for each child c, c's sums plus |k - deg c| to
+Albertson and (k - deg c)^2 to Sigma; a whole tree is scored the same way
+at its root.  A block's score depends on its bytes alone, so one table,
+``_BLOCKS``, holds it for every walk of the process: the 7,741 trees of
+order 15 have 1,229 distinct root pieces, and each is scored once.  The
+table holds at most ``_BLOCK_TABLE_SIZE`` blocks, every block of every
+order up to 19, and is cleared when full.  Class membership reads the
+degree counts, so no tree has a per-vertex pass.  Each goal keeps its own
+optimum and first witness in stream order.  A ``Graph`` is built only per
+distinct witness, and its indices and membership are computed again from
+the ``Graph``, independently of the table.  ``extremal`` is its
 single-goal form.
 
 Every walk of the trees of an order passes one gate, ``check_tree_order``:
@@ -88,13 +104,14 @@ tree's order is the length of its degree list.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError, InputError, ResourceLimitError
 from .graphs import Graph, format_edge_list, is_tree
-from .indices import albertson, albertson_and_sigma, sigma
+from .indices import albertson, sigma
 from .sequences import is_tree_sequence, prufer_degrees_and_edges, random_prufer_word
 
 if TYPE_CHECKING:  # ``bounds`` is imported where a claim is evaluated, not here
@@ -111,8 +128,12 @@ OBJECTIVES: dict[str, Callable[[Graph], int]] = {
     "sigma": sigma,
     "albertson": albertson,
 }
-# The objectives in the order ``extremal_goals`` scores them per tree.
-_SCORED = ("albertson", "sigma")
+# Scores of blocks, keyed by their level bytes: (degree, Albertson below,
+# Sigma below, degree counts).  Orders up to 19 have fewer blocks than this
+# (14,854 up to order 18), so only a walk past them clears the table, which
+# keeps its memory bounded at any order.
+_BLOCK_TABLE_SIZE = 1 << 15
+_BLOCKS: dict[bytes, tuple[int, int, int, int]] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +300,10 @@ class TreeClass:
     degree_multiset: Optional[tuple[int, ...]] = None
     max_degree: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        # Membership reads degree counts a byte per degree, which no walkable order overflows.
+        check_tree_order(self.n, allow_over_cap=True)
+
     @classmethod
     def all_trees(cls, n: int) -> "TreeClass":
         if n < 1:
@@ -307,15 +332,19 @@ class TreeClass:
         return f"trees of order {self.n} with maximum degree {self.max_degree}"
 
     def contains(self, g: Graph) -> bool:
-        return is_tree(g) and g.vertex_count == self.n and self._admits(g.degrees)
+        low, high = self._count_range()
+        return is_tree(g) and g.vertex_count == self.n and low <= _degree_counts(g.degrees) < high
 
-    def _admits(self, degrees: Sequence[int]) -> bool:
-        """The class's degree predicate, for a tree of order ``n``."""
+    def _count_range(self) -> tuple[int, int]:
+        """The class's membership predicate, for a tree of order ``n``: the
+        range of degree counts (see ``_degree_counts``) its trees have.  The
+        counts of a tree whose maximum degree is D lie in [256^D, 256^(D+1))."""
         if self.kind == "degree_multiset":
-            return tuple(sorted(degrees)) == self.degree_multiset
+            counts = _degree_counts(self.degree_multiset)
+            return counts, counts + 1
         if self.kind == "max_degree":
-            return max(degrees) == self.max_degree
-        return True
+            return 1 << (self.max_degree << 3), 1 << ((self.max_degree + 1) << 3)
+        return 0, 1 << (self.n << 3)
 
 
 @dataclass(frozen=True)
@@ -371,34 +400,44 @@ def extremal_goals(
         if direction not in ("max", "min"):
             raise InputError("direction must be 'max' or 'min'")
     check_tree_order(tree_class.n, allow_over_cap)
-    # Each goal reads one of the values the edge pass scores, (albertson,
-    # sigma), times a sign that makes "better" always "larger".
-    keys = [(_SCORED.index(objective), 1 if direction == "max" else -1) for objective, direction in goals]
-    best: list[Optional[int]] = [None] * len(goals)
-    best_levels: list[Optional[tuple[int, ...]]] = [None] * len(goals)
+    low, high = tree_class._count_range()
+    # The least and greatest Albertson and Sigma values, each with the first
+    # tree that attains it; both indices are at least 0.
+    irr_max = sig_max = -1
+    irr_min = sig_min = math.inf
     examined = 0
     for levels in free_tree_level_sequences(tree_class.n):
-        parents, degrees = _parents_and_degrees(levels)
-        if not tree_class._admits(degrees):
+        pieces = bytes(levels).split(b"\x02")  # the root, then one piece per child
+        _, irr, sig, counts = _join(len(pieces) - 1, pieces[1:])
+        if not low <= counts < high:
             continue
         examined += 1
-        # One pass over the edges (child, parent) scores both objectives.
-        values = albertson_and_sigma(degrees, enumerate(parents, 1))
-        for g, (index, sign) in enumerate(keys):
-            value = sign * values[index]
-            if best[g] is None or value > best[g]:
-                best[g] = value
-                best_levels[g] = levels
+        if irr > irr_max:
+            irr_max, irr_max_at = irr, levels
+        if irr < irr_min:
+            irr_min, irr_min_at = irr, levels
+        if sig > sig_max:
+            sig_max, sig_max_at = sig, levels
+        if sig < sig_min:
+            sig_min, sig_min_at = sig, levels
     if examined == 0:
         raise DomainError(f"empty class: {tree_class.describe()}")
+    optima = {
+        ("albertson", "max"): (irr_max, irr_max_at),
+        ("albertson", "min"): (irr_min, irr_min_at),
+        ("sigma", "max"): (sig_max, sig_max_at),
+        ("sigma", "min"): (sig_min, sig_min_at),
+    }
     witnesses: dict[tuple[int, ...], Graph] = {}
     results = []
-    for (objective, direction), (_, sign), value, levels in zip(goals, keys, best, best_levels):
+    for objective, direction in goals:
+        optimum, levels = optima[objective, direction]
         if levels not in witnesses:
             witnesses[levels] = levels_to_graph(levels)
         witness = witnesses[levels]
-        optimum = sign * value
-        assert OBJECTIVES[objective](witness) == optimum and tree_class.contains(witness)
+        # The table's scores, checked on the Graph by the indices' own pass.
+        if OBJECTIVES[objective](witness) != optimum or not tree_class.contains(witness):
+            raise AssertionError(f"scored {objective} {optimum} disagrees with witness {levels}")
         results.append(
             SearchResult(
                 class_description=tree_class.describe(),
@@ -411,6 +450,39 @@ def extremal_goals(
             )
         )
     return tuple(results)
+
+
+def _join(degree: int, pieces: list[bytes]) -> tuple[int, int, int, int]:
+    """Score of a vertex of ``degree`` whose children's blocks are ``pieces``."""
+    irr = sig = 0
+    counts = 1 << (degree << 3)
+    get = _BLOCKS.get
+    for piece in pieces:
+        child_degree, child_irr, child_sig, child_counts = get(piece) or _block(piece)
+        step = child_degree - degree
+        irr += child_irr + abs(step)
+        sig += child_sig + step * step
+        counts += child_counts
+    return degree, irr, sig, counts
+
+
+def _block(piece: bytes) -> tuple[int, int, int, int]:
+    """Score of the vertex whose descendants' levels are ``piece``, built
+    from its children's and kept in ``_BLOCKS``."""
+    if piece:
+        children = piece.split(piece[:1])[1:]  # after b"", one piece per child
+        score = _join(len(children) + 1, children)  # its children and its parent
+    else:
+        score = (1, 0, 0, 1 << 8)  # a leaf
+    if len(_BLOCKS) >= _BLOCK_TABLE_SIZE:
+        _BLOCKS.clear()
+    _BLOCKS[piece] = score
+    return score
+
+
+def _degree_counts(degrees: Iterable[int]) -> int:
+    """The sum of 256^d over ``degrees``: a byte per degree d, its count."""
+    return sum(1 << (d << 3) for d in degrees)
 
 
 def _parents_and_degrees(levels: Sequence[int]) -> tuple[list[int], list[int]]:

@@ -59,6 +59,7 @@ per degree multiset by construction instead of searching a stream.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import operator
 import random
@@ -749,15 +750,13 @@ def extremal_by_graphs(n: int, degrees_admitted, goals: Sequence[tuple[str, str]
     canonical form, trees examined) over the trees of order n whose degree
     list ``degrees_admitted`` accepts, scoring a ``Graph`` per tree; ties
     keep the first tree."""
-    score = {"sigma": sigma, "albertson": albertson}
     best: list = [None] * len(goals)
     witness: list = [None] * len(goals)
     examined = 0
-    for g in enumerate_free_trees(n):
+    for g, values in _scored_free_trees(n):
         if not degrees_admitted(g.degrees):
             continue
         examined += 1
-        values = {objective: score[objective](g) for objective in score}
         for i, (objective, direction) in enumerate(goals):
             value = values[objective]
             if best[i] is None or (value > best[i] if direction == "max" else value < best[i]):
@@ -765,6 +764,13 @@ def extremal_by_graphs(n: int, degrees_admitted, goals: Sequence[tuple[str, str]
     if examined == 0:
         raise DomainError("empty class")
     return [(value, w.sorted_edges(), canonical_form(w), examined) for value, w in zip(best, witness)]
+
+
+@functools.lru_cache(maxsize=None)
+def _scored_free_trees(n: int) -> tuple[tuple[Graph, dict[str, int]], ...]:
+    """Each free tree of order n as a ``Graph``, with its Sigma and Albertson
+    scored on it, built once for every class of the order."""
+    return tuple((g, {"sigma": sigma(g), "albertson": albertson(g)}) for g in enumerate_free_trees(n))
 
 
 def derived_summaries_by_summation(entries: Sequence[int]) -> dict[str, object]:

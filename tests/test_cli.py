@@ -325,8 +325,8 @@ class TestBounds:
     # B11's 2^eta is built up to a bit limit, and reported not computable past it.
     @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
     @pytest.mark.parametrize("argv, computable", [
-        (("--family", "star:5", "--eta", str(bounds._B11_POWER_BITS - 1)), True),
-        (("--family", "star:5", "--eta", str(bounds._B11_POWER_BITS)), False),
+        (("--family", "star:5", "--eta", str(bounds._POWER_BITS - 1)), True),
+        (("--family", "star:5", "--eta", str(bounds._POWER_BITS)), False),
         # default eta = ceil(4 * n * max_degree / 2m), about 2 * 10^400
         (("--sequence", "1" + "0" * 400 + ",3,1", "--convention", "paper-table", "--irr", "5"), False),
     ], ids=["below", "above", "sequence"])
@@ -346,6 +346,40 @@ class TestBounds:
             assert (row["bound_id"], row["rhs"] != "") == ("B11", computable)
         else:
             row = next(line.split() for line in out.splitlines() if line.startswith("B11"))
+            assert row[1] == ("true" if computable else "false")
+
+    # B2a's 2^alpha, B2b's 2^beta and B9's 2^p are built up to the same bit
+    # limit as B11's 2^eta, and reported not computable past it.
+    @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
+    @pytest.mark.parametrize("bound_id, option, exponent", [
+        ("B2a", "--alpha", bounds._POWER_BITS - 1),
+        ("B2a", "--alpha", bounds._POWER_BITS),
+        ("B2a", "--alpha", 100_000_000),
+        ("B2b", "--beta", bounds._POWER_BITS - 1),
+        ("B2b", "--beta", bounds._POWER_BITS),
+        ("B9", "--p", 131_071),  # 2^17 - 1, the largest prime below the limit
+        ("B9", "--p", 131_101),  # the smallest prime above it
+        ("B9", "--p", 100_000_007),
+    ], ids=lambda value: str(value))
+    def test_check_power_bit_limit(self, capsys, fmt, bound_id, option, exponent):
+        computable = exponent < bounds._POWER_BITS
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "bounds", "check", "--family", "star:5", "--bound", bound_id[:2], option, str(exponent),
+            "--format", fmt,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            report = next(r for r in json.loads(out)["reports"] if r["bound_id"] == bound_id)
+            assert (report["rhs"] is not None, report["hypotheses_met"]) == (computable, computable)
+            note = f"not computable: 2^{option[2:]} has {exponent + 1} bits, over the limit of 131072"
+            assert (note in report["notes"]) == (not computable)
+        elif fmt == "csv":
+            row = next(row for row in csv.DictReader(io.StringIO(out)) if row["bound_id"] == bound_id)
+            assert (row["rhs"] != "") == computable
+        else:
+            row = next(line.split() for line in out.splitlines() if line.startswith(bound_id + " "))
             assert row[1] == ("true" if computable else "false")
 
     def test_check_is_byte_identical_under_a_low_int_to_str_limit(self, capsys):

@@ -56,6 +56,19 @@ def test_extremal_survey_matches_oracles():
         float(row[8])  # seconds
 
 
+# sha256 of the survey's CSV for n = 1..16 without its ``seconds`` column:
+# it pins each order's optima and witness degree multisets past n = 12,
+# where the oracles above stop.
+SURVEY_DIGEST = "a53819da6c080df56b6dead4fa4c81fb13d8aea5eec2f954ccb96cfc72b79f45"
+
+
+def test_extremal_survey_is_pinned_to_order_16():
+    done = run_script("extremal_survey.py", "--min-n", "1", "--max-n", "16")
+    assert done.returncode == 0 and done.stderr == ""
+    kept = "".join(line.rsplit(",", 1)[0] + "\n" for line in done.stdout.splitlines())
+    assert hashlib.sha256(kept.encode("utf-8")).hexdigest() == SURVEY_DIGEST
+
+
 @pytest.mark.parametrize(
     "script,args",
     [

@@ -22,7 +22,7 @@ from oracles import (
 from sigmairr.bounds import BOUND_IDS, BoundParams
 from sigmairr.errors import DomainError, InputError, ResourceLimitError
 from sigmairr.graphs import Graph, cycle, is_tree, path, star
-from sigmairr.indices import albertson, sigma
+from sigmairr.indices import albertson, albertson_and_sigma, sigma
 from sigmairr.search import (
     ExhaustiveMode,
     RandomMode,
@@ -37,7 +37,11 @@ from sigmairr.search import (
     levels_to_graph,
     rooted_level_sequences,
     tree_centers,
+    _block,
     _canonical_rooted_levels,
+    _degree_counts,
+    _join,
+    _tree_of_levels,
 )
 from sigmairr.sequences import random_tree
 
@@ -253,7 +257,7 @@ class TestExtremal:
         # give the same result as the first goal.
         first = ALL_GOALS.index((objective, direction))
         goals = ALL_GOALS[first:] + ALL_GOALS[:first]
-        for n in range(1, 12):
+        for n in range(1, 13):
             for tree_class, admitted in _classes_of_order(n):
                 try:
                     expected = extremal_by_graphs(n, admitted, goals)
@@ -313,11 +317,100 @@ class TestExtremal:
                 checked += 1
         assert checked == 271
 
+    def test_witness_rescore_catches_a_wrong_table_score(self, monkeypatch):
+        # A leaf scored with a Sigma of 1 below it makes the star's Sigma 40,
+        # not 36; the re-score on the witness Graph must refuse it.
+        import sigmairr.search as search_module
+
+        monkeypatch.setattr(search_module, "_BLOCKS", {b"": (1, 0, 1, 256)})
+        with pytest.raises(AssertionError, match="sigma 40"):
+            extremal(TreeClass.all_trees(5), "sigma", "max")
+
+    def test_witness_rescore_survives_optimisation(self):
+        # The same check under ``python -O``, which strips assert statements.
+        code = (
+            "import sigmairr.search as s\n"
+            "s._BLOCKS[b''] = (1, 0, 1, 256)\n"
+            "try:\n"
+            "    s.extremal(s.TreeClass.all_trees(5), 'sigma', 'max')\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(sigmairr.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("scored sigma 40 disagrees")
+
     def test_class_extremum_input(self):
         result, binput = class_extremum_input(TreeClass.all_trees(6), "albertson", "max")
         assert result.optimum == albertson(result.witness) == binput.irr_value
         assert binput.edges == result.witness.edges
         assert "witness" in binput.label
+
+
+def _sorted_degrees(counts: int, n: int) -> list[int]:
+    """The degrees that degree counts hold, a byte per degree, ascending."""
+    return [d for d, c in enumerate(counts.to_bytes(n + 1, "little")) for _ in range(c)]
+
+
+def _tree_score(levels) -> tuple[int, int, int, int]:
+    """A tree's score as ``extremal_goals`` takes it, from its root's pieces."""
+    pieces = bytes(levels).split(b"\x02")
+    return _join(len(pieces) - 1, pieces[1:])
+
+
+class TestBlockScores:
+    def assert_scored(self, levels):
+        degrees, edges = _tree_of_levels(levels)
+        root, irr, sig, counts = _tree_score(levels)
+        assert (root, irr, sig) == (degrees[0], *albertson_and_sigma(degrees, edges)), levels
+        assert _sorted_degrees(counts, len(levels)) == sorted(degrees), levels
+        assert counts == _degree_counts(degrees)
+        return root, irr, sig, counts
+
+    def test_free_trees_match_the_edge_pass(self):
+        for n in range(1, 15):
+            for levels in free_tree_level_sequences(n):
+                self.assert_scored(levels)
+
+    def test_rooted_trees_and_their_blocks_match_the_edge_pass(self):
+        # Each rooted tree, and the same tree planted below a new root, where
+        # it is the one block: its score leaves out the new root's edge.
+        for n in range(1, 11):
+            for levels in rooted_level_sequences(n):
+                self.assert_scored(levels)
+                planted = (1, *(x + 1 for x in levels))
+                degrees, edges = _tree_of_levels(planted)
+                irr, sig = albertson_and_sigma(degrees, edges)
+                top = degrees[1] - degrees[0]
+                expected = (degrees[1], irr - abs(top), sig - top * top, _degree_counts(degrees[1:]))
+                assert _block(bytes(planted[2:])) == expected, levels
+
+    def test_a_table_that_fills_and_clears_gives_the_same_results(self, monkeypatch):
+        import sigmairr.search as search_module
+
+        classes = [tree_class for tree_class, _ in _classes_of_order(12)]
+        expected = []
+        for tree_class in classes:
+            try:
+                expected.append(extremal_goals(tree_class, ALL_GOALS))
+            except DomainError as exc:
+                expected.append(str(exc))
+        monkeypatch.setattr(search_module, "_BLOCKS", {})
+        monkeypatch.setattr(search_module, "_BLOCK_TABLE_SIZE", 7)  # order 12 has 216 blocks
+        for tree_class, results in zip(classes, expected):
+            try:
+                assert extremal_goals(tree_class, ALL_GOALS) == results, tree_class
+            except DomainError as exc:
+                assert str(exc) == results
+            assert len(search_module._BLOCKS) <= 7
+
+    def test_the_table_holds_every_block_of_order_15(self, monkeypatch):
+        import sigmairr.search as search_module
+
+        monkeypatch.setattr(search_module, "_BLOCKS", {})
+        extremal_goals(TreeClass.all_trees(15), ALL_GOALS)
+        assert len(search_module._BLOCKS) == 1642 < search_module._BLOCK_TABLE_SIZE
 
 
 def assert_records_match(found, reference):
