@@ -932,12 +932,7 @@ CATALOG: dict[str, BoundSpec] = {
 }
 
 
-def _catalog_sort_key(bound_id: str) -> tuple[int, str]:
-    digits = "".join(ch for ch in bound_id if ch.isdigit())
-    return (int(digits), bound_id)
-
-
-BOUND_IDS: tuple[str, ...] = tuple(sorted(CATALOG, key=_catalog_sort_key))
+BOUND_IDS: tuple[str, ...] = tuple(CATALOG)  # the literal is in catalog order
 
 
 def expand_bound_id(bound_id: str) -> tuple[str, ...]:

@@ -393,7 +393,7 @@ def _cmd_enumerate(args) -> int:
     items = [
         {
             "encoding": list(enc),
-            "edges": sorted([p, c] for c, p in enumerate(search._parents_and_degrees(enc)[0], 1)),
+            "edges": sorted([p, c] for p, c in search._tree_of_levels(enc)[1]),
         }
         for enc in stream
     ]

@@ -72,28 +72,32 @@ The stream is deterministic, one representative per isomorphism class, and
 counts are validated in the test suite against independent labeled-tree
 oracles.  Labeled Pruefer space (n^(n-2)) is never enumerated here.
 
-``extremal_goals`` serves any number of (objective, direction) goals from
-one walk of a class, and scores each tree from its root's subtrees.  In a
-canonical sequence each vertex's descendants follow it as one block, so
-``bytes(levels).split(b"\x02")[1:]`` is one piece per child of the root,
-holding that child's descendants: an empty piece is a leaf, and the
-children of any other piece's vertex are ``piece.split(piece[:1])[1:]``.
-A block's score is its vertex's degree, the Albertson and Sigma sums over
-the edges below it, and its degree counts, the sum of 256^d over its
-vertices' degrees d (a byte per degree, which never carries, as no degree
-occurs 256 times in a walk).  Both indices are sums over edges, so a
-vertex of degree k adds, for each child c, c's sums plus |k - deg c| to
-Albertson and (k - deg c)^2 to Sigma; a whole tree is scored the same way
-at its root.  A block's score depends on its bytes alone, so one table,
-``_BLOCKS``, holds it for every walk of the process: the 7,741 trees of
-order 15 have 1,229 distinct root pieces, and each is scored once.  The
-table holds at most ``_BLOCK_TABLE_SIZE`` blocks, every block of every
-order up to 19, and is cleared when full.  Class membership reads the
-degree counts, so no tree has a per-vertex pass.  Each goal keeps its own
-optimum and first witness in stream order.  A ``Graph`` is built only per
-distinct witness, and its indices and membership are computed again from
-the ``Graph``, independently of the table.  ``extremal`` is its
-single-goal form.
+One scorer, ``_score``, reads a walked tree's degree counts, Albertson and
+Sigma from its root's subtrees, for ``extremal_goals`` and exhaustive
+``falsify``.  In a canonical sequence each vertex's descendants follow it
+as one block, so ``bytes(levels).split(b"\x02")[1:]`` is one piece per
+child of the root, holding that child's descendants: an empty piece is a
+leaf, and the children of any other piece's vertex are
+``piece.split(piece[:1])[1:]``.  A block's score is its vertex's degree,
+the Albertson and Sigma sums over the edges below it, and its degree
+counts, the sum of 256^d over its vertices' degrees d (a byte per degree,
+which never carries, as no degree occurs 256 times in a walk).  Both
+indices are sums over edges, so a vertex of degree k adds, for each child
+c, c's sums plus |k - deg c| to Albertson and (k - deg c)^2 to Sigma; a
+whole tree is scored the same way at its root.  A block's score depends on
+its bytes alone, so one table, ``_BLOCKS``, holds it for every walk of the
+process: the 7,741 trees of order 15 have 1,229 distinct root pieces, and
+each is scored once.  The table holds at most ``_BLOCK_TABLE_SIZE``
+blocks, every block of every order up to 19, and is cleared when full.
+Class membership reads the degree counts, so no tree has a per-vertex
+pass.  ``extremal_goals`` serves any number of (objective, direction)
+goals from one walk of a class, each with its own optimum and first
+witness in stream order; ``extremal`` is its single-goal form.  A
+``Graph`` is built only per distinct witness, and its indices and
+membership are computed again from the ``Graph``, independently of the
+table.  One decoder, ``_tree_of_levels``, turns levels into degrees and
+(parent, child) edges, for ``levels_to_graph``, ``falsify`` and CLI
+``enumerate``.
 
 Every walk of the trees of an order passes one gate, ``check_tree_order``:
 an order above the one enumeration cap, ``DEFAULT_TREE_CAP``, is refused
@@ -407,8 +411,7 @@ def extremal_goals(
     irr_min = sig_min = math.inf
     examined = 0
     for levels in free_tree_level_sequences(tree_class.n):
-        pieces = bytes(levels).split(b"\x02")  # the root, then one piece per child
-        _, irr, sig, counts = _join(len(pieces) - 1, pieces[1:])
+        counts, irr, sig = _score(levels)
         if not low <= counts < high:
             continue
         examined += 1
@@ -452,6 +455,14 @@ def extremal_goals(
     return tuple(results)
 
 
+def _score(levels: Sequence[int]) -> tuple[int, int, int]:
+    """Degree counts, Albertson and Sigma of a walked tree, from its root's
+    pieces: the one place where a level sequence becomes numbers."""
+    pieces = bytes(levels).split(b"\x02")  # the root, then one piece per child
+    _, irr, sig, counts = _join(len(pieces) - 1, pieces[1:])
+    return counts, irr, sig
+
+
 def _join(degree: int, pieces: list[bytes]) -> tuple[int, int, int, int]:
     """Score of a vertex of ``degree`` whose children's blocks are ``pieces``."""
     irr = sig = 0
@@ -483,22 +494,6 @@ def _block(piece: bytes) -> tuple[int, int, int, int]:
 def _degree_counts(degrees: Iterable[int]) -> int:
     """The sum of 256^d over ``degrees``: a byte per degree d, its count."""
     return sum(1 << (d << 3) for d in degrees)
-
-
-def _parents_and_degrees(levels: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Parent of each vertex 1..n-1 and every vertex degree, in one pass:
-    the parent of i is the latest vertex one level up."""
-    parents = []
-    degrees = [1] * len(levels)
-    degrees[0] = 0
-    latest = [0] * (len(levels) + 1)  # latest[l] = last vertex seen at level l
-    for i, lvl in enumerate(levels):
-        latest[lvl] = i
-        if i:
-            p = latest[lvl - 1]
-            parents.append(p)
-            degrees[p] += 1
-    return parents, degrees
 
 
 def class_extremum_input(
@@ -569,78 +564,88 @@ def falsify(
 ) -> list[Counterexample]:
     """Hunt for trees meeting a claim's hypotheses on which it evaluates false.
 
-    ``bound_id`` may be a base id or ``"all"``: each tree builds one
-    ``BoundInput`` from its degrees and edges, and every expanded entry is
-    decided on it by ``bounds.counterexample_report``, which skips an
-    entry whose hypotheses fail and writes a counterexample's report from
-    the sides that refute it, with no ``BoundReport``.  No ``Graph`` is
-    built: a tree with a counterexample has its decoded edges sorted once,
-    into the ``n``, ``edges`` and ``edge_list`` that all of its records
-    share.  Exhaustive mode covers every isomorphism class with
-    2 <= n <= n_max, and rejects an ``n_max`` over the cap before it
-    generates any tree; its degrees and (parent, child) edges come from
-    each level sequence.  Every entry reads only the degrees, Albertson and
-    Sigma (B14 asks only that edges are present), so a tree's verdicts are
-    fixed by its signature, its sorted degrees with its Albertson and Sigma
-    indices: exhaustive mode decides each signature once, on its first
-    tree, and the records of later trees with that signature share that
-    tree's report dicts (986 trees with n <= 12 have 555 signatures).
-    Random mode draws seeded labeled trees of a fixed order, their degrees
-    and edges decoded from a random Pruefer word, and decides each one.
-    ``params`` None means ``BoundParams()``.  The returned list is
-    deterministic for identical arguments, and follows the order in which
-    the trees are generated: in exhaustive mode, by increasing order.
+    ``bound_id`` may be a base id or ``"all"``: every expanded entry is
+    decided on a tree's ``BoundInput``, built from its degrees and edges, by
+    ``bounds.counterexample_report``, which skips an entry whose hypotheses
+    fail and writes a counterexample's report from the sides that refute
+    it, with no ``BoundReport``.  No ``Graph`` is built: a tree with a
+    counterexample has its decoded edges sorted once, into the ``n``,
+    ``edges`` and ``edge_list`` that all of its records share.  Every entry
+    reads only the degrees, Albertson and Sigma (B14 asks only that edges
+    are present), so a tree's verdicts are fixed by its signature, which
+    ``_score`` reads off its level sequence: its degree counts, Albertson
+    and Sigma.  Exhaustive mode covers every isomorphism class with
+    2 <= n <= n_max, rejects an ``n_max`` over the cap before it generates
+    any tree, and decides each signature once, on its first tree, whose
+    input must agree with ``_score`` (else ``AssertionError``); later trees
+    share that tree's report dicts.  A tree is decoded at most once, and
+    only if its signature is new or it refutes an entry, so 986 trees with
+    n <= 12 build 555 inputs.  Random mode decodes seeded labeled trees of
+    a fixed order from random Pruefer words and decides each on its own
+    input, with no memo: samples seldom repeat a signature (3 to 7 of 200
+    at order 40).  ``params`` None means ``BoundParams()``.  The returned
+    list is deterministic for identical arguments, and follows the order in
+    which the trees are generated: in exhaustive mode, by increasing order.
     """
     from . import bounds
 
     if params is None:
         params = bounds.BoundParams()
     bound_ids = bounds.expand_bound_id(bound_id)
-    trees: Iterator[tuple[Sequence[int], Sequence[tuple[int, int]]]]
+    specs = [(bid, bounds.CATALOG[bid]) for bid in bound_ids]
+    found: list[Counterexample] = []
+
+    def decide(binput: BoundInput) -> list[tuple[str, dict]]:  # the entries it refutes
+        return [(bid, report) for bid, spec in specs
+                if (report := bounds.counterexample_report(bid, spec, binput)) is not None]
+
+    def record(degrees: Sequence[int], edges: Sequence[tuple[int, int]], reports: list[tuple[str, dict]]) -> None:
+        ordered = sorted(edges)  # both decodes give each edge as (u, v), u < v
+        tree = {"n": len(degrees), "edges": [list(e) for e in ordered],
+                "edge_list": format_edge_list(len(degrees), ordered)}
+        found.extend(Counterexample({"bound_id": bid, **tree, "report": report}) for bid, report in reports)
+
     if isinstance(mode, ExhaustiveMode):
         if mode.n_max < 2:
             raise DomainError("exhaustive falsification needs n_max >= 2")
         check_tree_order(mode.n_max, allow_over_cap)
-        trees = (
-            _tree_of_levels(levels)
-            for n in range(2, mode.n_max + 1)
-            for levels in free_tree_level_sequences(n)
-        )
-    else:
-        n = mode.n
-        if n < 2:
-            raise DomainError("random falsification needs n >= 2")
-        if mode.samples < 1:
-            raise DomainError("need at least one sample")
-        rng = random.Random(mode.seed)
-        seeds = [rng.randrange(2**63) for _ in range(mode.samples)]
-        trees = (prufer_degrees_and_edges(random_prufer_word(n, s), n) for s in seeds)
+        decided: dict[tuple[int, int, int], list[tuple[str, dict]]] = {}  # by signature
+        for n in range(2, mode.n_max + 1):
+            for levels in free_tree_level_sequences(n):
+                signature, tree = _score(levels), None
+                if (reports := decided.get(signature)) is None:
+                    degrees, edges = tree = _tree_of_levels(levels)
+                    binput = bounds.BoundInput.from_edges(degrees, edges, params)
+                    # The memo key, checked on the decoded tree by the edge pass.
+                    if (_degree_counts(binput.entries), binput.irr_value, binput.sigma_value) != signature:
+                        raise AssertionError(f"scored signature {signature} disagrees with tree {levels}")
+                    reports = decided[signature] = decide(binput)
+                if reports:
+                    record(*(tree or _tree_of_levels(levels)), reports)
+        return found
 
-    specs = [(bid, bounds.CATALOG[bid]) for bid in bound_ids]
-    # The (bound id, report) pairs found per signature, kept in exhaustive
-    # mode only: random samples seldom repeat a signature (3 to 7 of 200 at
-    # order 40), and keeping each would grow with the sample count.
-    decided: dict[tuple, list[tuple[str, dict]]] = {}
-    keep = isinstance(mode, ExhaustiveMode)
-    found: list[Counterexample] = []
-    for degrees, edges in trees:
-        binput = bounds.BoundInput.from_edges(degrees, edges, params)
-        signature = (binput.entries, binput.irr_value, binput.sigma_value)
-        reports = decided.get(signature)
-        if reports is None:
-            reports = [(bid, report) for bid, spec in specs
-                       if (report := bounds.counterexample_report(bid, spec, binput)) is not None]
-            if keep:
-                decided[signature] = reports
-        if reports:  # both decodes give each edge as (u, v), u < v
-            ordered = sorted(edges)
-            tree = {"n": len(degrees), "edges": [list(e) for e in ordered],
-                    "edge_list": format_edge_list(len(degrees), ordered)}
-            found += [Counterexample({"bound_id": bid, **tree, "report": report}) for bid, report in reports]
+    if mode.n < 2:
+        raise DomainError("random falsification needs n >= 2")
+    if mode.samples < 1:
+        raise DomainError("need at least one sample")
+    rng = random.Random(mode.seed)
+    for seed in [rng.randrange(2**63) for _ in range(mode.samples)]:
+        degrees, edges = prufer_degrees_and_edges(random_prufer_word(mode.n, seed), mode.n)
+        if reports := decide(bounds.BoundInput.from_edges(degrees, edges, params)):
+            record(degrees, edges, reports)
     return found
 
 
 def _tree_of_levels(levels: Sequence[int]) -> tuple[list[int], list[tuple[int, int]]]:
-    """Degrees and (parent, child) edges of a level sequence's tree."""
-    parents, degrees = _parents_and_degrees(levels)
-    return degrees, list(zip(parents, range(1, len(levels))))
+    """Degrees and (parent, child) edges of a level sequence's tree, in one
+    pass: the parent of i is the latest vertex one level up."""
+    degrees = [0] + [1] * (len(levels) - 1)
+    edges = []
+    latest = [0] * (len(levels) + 1)  # latest[l] = last vertex seen at level l
+    for i, lvl in enumerate(levels):
+        latest[lvl] = i
+        if i:
+            p = latest[lvl - 1]
+            edges.append((p, i))
+            degrees[p] += 1
+    return degrees, edges

@@ -31,7 +31,7 @@ from sigmairr.bounds import (
 )
 from sigmairr.cli import main
 from sigmairr.errors import DomainError, InputError
-from sigmairr.graphs import Graph, cycle, path, star
+from sigmairr.graphs import Graph, complete_bipartite, cycle, double_star, path, star
 from sigmairr.indices import albertson, sigma
 from sigmairr.search import (
     ExhaustiveMode,
@@ -167,6 +167,21 @@ class TestCatalogArithmetic:
         assert report.rhs == Fraction(2824, 147)
         assert report.lhs == 2248 and report.holds is True
 
+    def test_b4_is_a_theorem(self):
+        # sigma = sum d^3 - 2*M2 <= cube_sum, and B4's right side only adds
+        # nonnegative terms to cube_sum, so B4 holds on every graph it reads.
+        graphs = [g for n in range(2, 11) for g in enumerate_free_trees(n)]
+        graphs += [path(n) for n in (2, 3, 7)] + [star(n) for n in (3, 8)] + [cycle(n) for n in (3, 6)]
+        graphs += [double_star(2, 3), double_star(4, 4)]
+        graphs += [complete_bipartite(a, b) for a, b in ((1, 1), (2, 5), (3, 3))]
+        for g in graphs:
+            degrees = g.degrees
+            m2 = sum(degrees[u] * degrees[v] for u, v in g.edges)
+            binput = BoundInput.from_graph(g)
+            assert sigma(g) == sum(d**3 for d in degrees) - 2 * m2 == binput.cube_sum - 2 * m2, g.edges
+            assert evaluate_bound("B4", binput).holds is True, g.edges
+        assert len(graphs) == 200 + 12  # 200 free trees with 2 <= n <= 10
+
     def test_b8_path6(self):
         report = evaluate_bound("B8", BoundInput.from_graph(path(6)))
         assert report.lhs == 2 and report.rhs == Fraction(336, 5)
@@ -233,7 +248,10 @@ class TestCatalogArithmetic:
         assert expand_bound_id("B1") == ("B1a", "B1b")
         assert expand_bound_id("B15") == ("B15a", "B15b")
         assert expand_bound_id("B7") == ("B7",)
-        assert expand_bound_id("all") == BOUND_IDS
+        assert expand_bound_id("all") == BOUND_IDS == (
+            "B1a", "B1b", "B2a", "B2b", "B3", "B4", "B5", "B6", "B7",
+            "B8", "B9", "B10", "B11", "B12", "B13", "B14", "B15a", "B15b",
+        )
         with pytest.raises(InputError):
             expand_bound_id("B99")
 

@@ -40,7 +40,7 @@ from sigmairr.search import (
     _block,
     _canonical_rooted_levels,
     _degree_counts,
-    _join,
+    _score,
     _tree_of_levels,
 )
 from sigmairr.sequences import random_tree
@@ -327,19 +327,24 @@ class TestExtremal:
             extremal(TreeClass.all_trees(5), "sigma", "max")
 
     def test_witness_rescore_survives_optimisation(self):
-        # The same check under ``python -O``, which strips assert statements.
+        # The same check, and falsify's check of its memo key, under
+        # ``python -O``, which strips assert statements.
         code = (
             "import sigmairr.search as s\n"
             "s._BLOCKS[b''] = (1, 0, 1, 256)\n"
-            "try:\n"
-            "    s.extremal(s.TreeClass.all_trees(5), 'sigma', 'max')\n"
-            "except AssertionError as exc:\n"
-            "    print(exc)\n"
+            "for run in (lambda: s.extremal(s.TreeClass.all_trees(5), 'sigma', 'max'),\n"
+            "            lambda: s.falsify('all', s.ExhaustiveMode(6))):\n"
+            "    try:\n"
+            "        run()\n"
+            "    except AssertionError as exc:\n"
+            "        print(exc)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(sigmairr.__file__).resolve().parents[1])}
         done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
         assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout.startswith("scored sigma 40 disagrees")
+        first, second = done.stdout.splitlines()
+        assert first.startswith("scored sigma 40 disagrees")
+        assert second == "scored signature (512, 0, 1) disagrees with tree (1, 2)"
 
     def test_class_extremum_input(self):
         result, binput = class_extremum_input(TreeClass.all_trees(6), "albertson", "max")
@@ -353,20 +358,13 @@ def _sorted_degrees(counts: int, n: int) -> list[int]:
     return [d for d, c in enumerate(counts.to_bytes(n + 1, "little")) for _ in range(c)]
 
 
-def _tree_score(levels) -> tuple[int, int, int, int]:
-    """A tree's score as ``extremal_goals`` takes it, from its root's pieces."""
-    pieces = bytes(levels).split(b"\x02")
-    return _join(len(pieces) - 1, pieces[1:])
-
-
 class TestBlockScores:
     def assert_scored(self, levels):
         degrees, edges = _tree_of_levels(levels)
-        root, irr, sig, counts = _tree_score(levels)
-        assert (root, irr, sig) == (degrees[0], *albertson_and_sigma(degrees, edges)), levels
+        counts, irr, sig = _score(levels)
+        assert (irr, sig) == albertson_and_sigma(degrees, edges), levels
         assert _sorted_degrees(counts, len(levels)) == sorted(degrees), levels
         assert counts == _degree_counts(degrees)
-        return root, irr, sig, counts
 
     def test_free_trees_match_the_edge_pass(self):
         for n in range(1, 15):
@@ -484,7 +482,8 @@ class TestFalsify:
 
     @pytest.mark.parametrize("bound_id", [f"B{i}" for i in range(1, 16)] + ["all"])
     def test_matches_reports_oracle_exhaustive(self, bound_id):
-        # At n_max 10, 40 of 200 trees repeat an earlier tree's signature.
+        # At n_max 10, 40 of 200 trees repeat an earlier tree's signature
+        # (degree counts, Albertson, Sigma).
         mode = ExhaustiveMode(10 if bound_id == "all" else 8)
         found = falsify(bound_id, mode)
         assert_records_match(found, falsify_by_reports(bound_id, mode))
@@ -546,15 +545,38 @@ class TestFalsify:
         assert len({id(c.record["edge_list"]) for c in found}) == 30
 
     def test_decides_each_signature_once(self, monkeypatch):
-        # 986 trees with 2 <= n <= 12 have 555 signatures (sorted degrees,
-        # Albertson, Sigma); each signature is decided on all 18 entries once.
+        # 986 trees with 2 <= n <= 12 have 555 signatures (degree counts,
+        # Albertson, Sigma, as ``_score`` gives them): each signature builds
+        # one input and is decided on all 18 entries once, and each tree is
+        # decoded at most once.
         import sigmairr.bounds as bounds_module
+        import sigmairr.search as search_module
 
-        decide = bounds_module.counterexample_report
-        calls = []
-        monkeypatch.setattr(bounds_module, "counterexample_report", lambda *args: calls.append(args[0]) or decide(*args))
+        def counted(owner, name):
+            calls[name] = []
+            inner = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args: calls[name].append(args[0]) or inner(*args))
+
+        calls: dict = {}
+        counted(bounds_module, "counterexample_report")
+        counted(bounds_module.BoundInput, "from_edges")
+        counted(search_module, "_score")
+        counted(search_module, "_tree_of_levels")
         found = falsify("all", ExhaustiveMode(12))
-        assert len(calls) == 555 * 18 == 9_990 and len(found) > 1_000
+        assert len(calls["counterexample_report"]) == 555 * 18 == 9_990 and len(found) > 1_000
+        assert len(calls["from_edges"]) == 555 and len(calls["_score"]) == 986
+        # Every one of the 986 trees is new or refutes an entry, and none is decoded twice.
+        assert len(calls["_tree_of_levels"]) == len(set(calls["_tree_of_levels"])) == 986
+
+    def test_memo_key_check_catches_a_wrong_table_score(self, monkeypatch):
+        # A leaf scored with a Sigma of 1 below it gives K2 the signature of
+        # no tree; without the check, a wrong key would hand one tree another
+        # tree's reports.
+        import sigmairr.search as search_module
+
+        monkeypatch.setattr(search_module, "_BLOCKS", {b"": (1, 0, 1, 256)})
+        with pytest.raises(AssertionError, match=r"scored signature \(512, 0, 1\) disagrees with tree \(1, 2\)"):
+            falsify("all", ExhaustiveMode(6))
 
     def test_records_of_one_signature_share_their_reports(self):
         from sigmairr.bounds import BoundInput
