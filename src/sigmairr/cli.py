@@ -29,9 +29,10 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from functools import cache
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, TextIO
 
 from . import graphs, indices, jsonout, search
 from .errors import DomainError, InputError, ResourceLimitError
@@ -85,14 +86,6 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _human_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     widths = [len(h) for h in header]
     for row in rows:
@@ -108,15 +101,23 @@ def _human_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 def _render(fmt: str, header, rows, payload, out: Optional[str]) -> None:
     """Emit ``payload`` as JSON, or ``rows`` as a CSV or human table.
 
-    ``rows`` holds JSON values taken from ``payload``; it is iterated only
-    for csv and human, and each value is written by ``_cell``."""
+    ``rows`` holds JSON values taken from ``payload`` (``plots emit``, CSV
+    only, passes none); it is iterated only for csv and human, and each
+    value is written by ``_cell``."""
     if fmt == "json":
         with _output(out) as fh:  # written record by record, never held whole
             jsonout.dump(payload, fh)
             _emit("\n", fh)
         return
     cells = ([_cell(v) for v in row] for row in rows)
-    text = _csv_text(header, cells) if fmt == "csv" else _human_table(header, list(cells))
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(cells)
+        text = buf.getvalue()
+    else:
+        text = _human_table(header, list(cells))
     with _output(out) as fh:
         _emit(text, fh)
 
@@ -289,12 +290,14 @@ def _bound_input_from_args(args, params: bounds.BoundParams) -> bounds.BoundInpu
         raise InputError("--convention paper-table needs --sequence")
     if args.irr is not None and not (paper_table and args.sequence):
         raise InputError("--irr needs --sequence with --convention paper-table")
+    if args.irr is not None and args.irr < 0:  # an Albertson value is a sum of absolute values
+        raise InputError(f"--irr must be at least 0, got {args.irr}")
     if args.table is not None:
-        from .stats_tables import TABLE1, TABLE2
+        from .stats_tables import _table
 
         if args.row is None:
             raise InputError("--table needs --row (1-based)")
-        size = len(TABLE1 if args.table == 1 else TABLE2)
+        size = len(_table(args.table))
         if not 1 <= args.row <= size:
             raise InputError(f"--row must be in 1..{size}, got {args.row}")
         return bounds.BoundInput.from_table_row(args.table, args.row - 1, params)
@@ -432,8 +435,8 @@ def _cmd_tables_reproduce(args) -> int:
     report = stats_tables.reproduce_table(args.table)
     payload = {
         "table": report.table_id,
-        "cells": [c.to_json_dict() for c in report.cells],
-        "mismatched_cells": [c.to_json_dict() for c in report.mismatches()],
+        "cells": [asdict(c) for c in report.cells],
+        "mismatched_cells": [asdict(c) for c in report.mismatches()],
     }
     header = ["row", "column", "printed", "recomputed", "match", "rule"]
     rows = ([c["row"] + 1, *list(c.values())[1:]] for c in payload["cells"])
@@ -512,11 +515,12 @@ def _cmd_stats_regress(args) -> int:
             point = tuple(float(x) for x in args.predict.split(","))
         except ValueError:
             raise InputError(f"--predict expects comma-separated numbers, got {args.predict!r}") from None
-        predictions = {"printed_model": f"{stats_tables.printed_model_value(args.table, point):.12g}"}
+        values = {"printed_model": stats_tables.printed_model_value(args.table, point)}
         for name, fit in repro.fits.items():
-            predictions[name] = f"{stats_tables.predict(fit, point):.12g}"
+            values[name] = stats_tables.predict(fit, point)
         payload["predictions_at"] = list(point)
-        payload["predictions"] = predictions
+        # null beyond float range, as lhs_decimal is written
+        payload["predictions"] = {k: None if v is None else f"{v:.12g}" for k, v in values.items()}
 
     def rows():
         for k in ("printed_model_at_point", "printed_predicted", "abs_prediction_gap"):
@@ -553,45 +557,20 @@ def _cmd_plots_emit(args) -> int:
         ]
         rows = []
         for n in range(3, max_n + 1):
-            fam = {
-                "path": graphs.path(n),
-                "cycle": graphs.cycle(n),
-                "star": graphs.star(n),
-                "monogenic": graphs.monogenic(n),
-            }
-            row = [str(n)]
-            for name in ("path", "cycle", "star", "monogenic"):
-                row.append(str(indices.sigma(fam[name])))
-                row.append(str(indices.albertson(fam[name])))
-            # column order is sigma then irr per family, matching the header
+            row = [n]
+            for g in (graphs.path(n), graphs.cycle(n), graphs.star(n), graphs.monogenic(n)):
+                row += [indices.sigma(g), indices.albertson(g)]  # sigma then irr, as in the header
             rows.append(row)
     elif args.figure == 2:
         header = ["n", "T1", "T2", "irr", "sigma"]
-        rows = [
-            [str(sum(r.entries)), str(r.t1), str(r.t2), str(r.irr), str(r.sigma)]
-            for r in stats_tables.TABLE1
-        ]
+        rows = [[sum(r.entries), r.t1, r.t2, r.irr, r.sigma] for r in stats_tables.TABLE1]
     else:  # argparse admits figures 1 to 3 only
         header = ["n", "irr", "sigma", "lambda", "eta_printed", "eta_computed", "eta1_printed"]
-        rows = []
-        for c_eta, r in zip(
-            (c for c in stats_tables.reproduce_table(2).column("eta")),
-            stats_tables.TABLE2,
-        ):
-            rows.append(
-                [
-                    str(r.n),
-                    str(r.irr),
-                    str(r.sigma),
-                    f"{float(r.lam):g}",
-                    str(r.eta),
-                    c_eta.recomputed or "",
-                    f"{float(r.eta1):g}",
-                ]
-            )
-    text = _csv_text(header, rows)
-    with _output(args.out) as fh:
-        _emit(text, fh)
+        rows = [
+            [r.n, r.irr, r.sigma, f"{float(r.lam):g}", r.eta, c_eta.recomputed, f"{float(r.eta1):g}"]
+            for c_eta, r in zip(stats_tables.reproduce_table(2).column("eta"), stats_tables.TABLE2)
+        ]
+    _render("csv", header, rows, None, args.out)
     return 0
 
 

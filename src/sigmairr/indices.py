@@ -138,16 +138,6 @@ class FormCheck:
     def agree(self) -> bool:
         return self.claimed == self.actual
 
-    def to_json_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "instance": self.instance,
-            "claimed": self.claimed,
-            "actual": self.actual,
-            "agree": self.agree,
-            "note": self.note,
-        }
-
 
 def check_bipartite_sigma_form(a: int, b: int) -> FormCheck:
     """Published complete-bipartite form b(b-a)^2 vs. direct a*b*(a-b)^2."""
@@ -192,32 +182,6 @@ def check_complement_identity(g: Graph, label: str = "") -> FormCheck:
     )
 
 
-def check_path_sigma(n: int) -> FormCheck:
-    return FormCheck("path_sigma_constant", f"P_{n}", 2, sigma(path(n)))
-
-
-def check_cycle_sigma(n: int) -> FormCheck:
-    return FormCheck("cycle_sigma_zero", f"C_{n}", 0, sigma(cycle(n)))
-
-
-def check_double_star_form(r: int, k: int) -> FormCheck:
-    return FormCheck(
-        "double_star_sigma",
-        f"S_{{{r},{k}}}",
-        sigma_double_star(r, k),
-        sigma(build_double_star(r, k)),
-    )
-
-
-def check_monogenic_form(n: int) -> FormCheck:
-    return FormCheck(
-        "monogenic_albertson",
-        f"threshold graph on {n} labels",
-        albertson_monogenic(n),
-        albertson(build_monogenic(n)),
-    )
-
-
 def check_albertson_len4_form(entries: Sequence[int]) -> FormCheck:
     """Four-entry closed form vs. the caterpillar realization (when one exists)."""
     from .sequences import is_tree_sequence, realize_tree
@@ -236,15 +200,18 @@ def check_albertson_len4_form(entries: Sequence[int]) -> FormCheck:
 
 def compare_known_forms() -> list[FormCheck]:
     """Audit battery on canonical witnesses; order is stable for reporting."""
-    p3k2_printed, p3k2_swapped = check_product_sigma_forms(path(3), path(2), "P_3 x K_2")
     return [
         check_bipartite_sigma_form(2, 3),
-        p3k2_printed,
-        p3k2_swapped,
+        *check_product_sigma_forms(path(3), path(2), "P_3 x K_2"),
         check_complement_identity(path(4), "P_4"),
-        check_path_sigma(5),
-        check_cycle_sigma(5),
-        check_double_star_form(3, 4),
-        check_monogenic_form(6),
+        FormCheck("path_sigma_constant", "P_5", 2, sigma(path(5))),
+        FormCheck("cycle_sigma_zero", "C_5", 0, sigma(cycle(5))),
+        FormCheck("double_star_sigma", "S_{3,4}", sigma_double_star(3, 4), sigma(build_double_star(3, 4))),
+        FormCheck(
+            "monogenic_albertson",
+            "threshold graph on 6 labels",
+            albertson_monogenic(6),
+            albertson(build_monogenic(6)),
+        ),
         check_albertson_len4_form((1, 1, 2, 2)),
     ]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bounds import BoundParams, resolve_parameters, t1_staircase
+from .bounds import BoundParams, _decimal, resolve_parameters, t1_staircase
 from .errors import DomainError, InputError
 from .indices import sigma_closed_form
 from .sequences import Convention, DegreeSequenceView
@@ -118,11 +118,10 @@ PRINTED_REGRESSION_2 = PrintedRegression(
 
 
 def _table(table_id: int):
-    if table_id == 1:
-        return TABLE1
-    if table_id == 2:
-        return TABLE2
-    raise InputError(f"table_id must be 1 or 2, got {table_id}")
+    """Table 1's or 2's rows, read at call time: the one check of a table id."""
+    if table_id not in (1, 2):
+        raise InputError(f"table_id must be 1 or 2, got {table_id}")
+    return TABLE1 if table_id == 1 else TABLE2
 
 
 def table_row_view(table_id: int, row_index: int) -> tuple[DegreeSequenceView, int]:
@@ -145,16 +144,6 @@ class CellCheck:
     recomputed: Optional[str]
     match: Optional[bool]  # None: no generator exists for this column
     rule: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "row": self.row,
-            "column": self.column,
-            "printed": self.printed,
-            "recomputed": self.recomputed,
-            "match": self.match,
-            "rule": self.rule,
-        }
 
 
 @dataclass(frozen=True)
@@ -190,35 +179,29 @@ _RULE_NONE = "no generator; stored as printed"
 
 def reproduce_table(table_id: int) -> ReproductionReport:
     cells: list[CellCheck] = []
-    if table_id == 1:
-        for i, row in enumerate(TABLE1):
-            n = sum(row.entries)
-            mean = Fraction(n, len(row.entries))
+    for i, row in enumerate(_table(table_id)):
+        n = sum(row.entries)
+        mean = Fraction(n, len(row.entries))
+        sig = sigma_closed_form(DegreeSequenceView(row.entries, Convention.PAPER_TABLE))
+        sigma_cell = CellCheck(i, "sigma", str(row.sigma), str(sig), sig == row.sigma, _RULE_SIGMA)
+        irr_cell = CellCheck(i, "irr", str(row.irr), None, None, _RULE_NONE)
+        if table_id == 1:
             t1 = t1_staircase(n, 2 * (n - 1), row.entries[-1])
             t2 = math.floor(mean**2 * row.t1 / 3)
-            sig = sigma_closed_form(DegreeSequenceView(row.entries, Convention.PAPER_TABLE))
             cells.append(CellCheck(i, "T1", str(row.t1), str(t1), t1 == row.t1, _RULE_T1))
             cells.append(CellCheck(i, "T2", str(row.t2), str(t2), t2 == row.t2, _RULE_T2))
-            cells.append(CellCheck(i, "sigma", str(row.sigma), str(sig), sig == row.sigma, _RULE_SIGMA))
-            cells.append(CellCheck(i, "irr", str(row.irr), None, None, _RULE_NONE))
-    elif table_id == 2:
-        for i, row in enumerate(TABLE2):
-            n = sum(row.entries)
-            mean = Fraction(n, len(row.entries))
+            cells.extend((sigma_cell, irr_cell))
+        else:
             eta = resolve_parameters(BoundParams(), n, 2 * (n - 1), max(row.entries))[0]["eta"]
-            sig = sigma_closed_form(DegreeSequenceView(row.entries, Convention.PAPER_TABLE))
             mean_truncated = Fraction(math.floor(mean * 100), 100)
             lam_ok = abs(mean_truncated - row.lam) <= Fraction(5, 1000)
             cells.append(CellCheck(i, "n", str(row.n), str(n), n == row.n, _RULE_N))
-            cells.append(CellCheck(i, "irr", str(row.irr), None, None, _RULE_NONE))
-            cells.append(CellCheck(i, "sigma", str(row.sigma), str(sig), sig == row.sigma, _RULE_SIGMA))
+            cells.extend((irr_cell, sigma_cell))
             cells.append(
                 CellCheck(i, "lambda", f"{float(row.lam):g}", f"{float(mean_truncated):g}", lam_ok, _RULE_LAM)
             )
             cells.append(CellCheck(i, "eta", str(row.eta), str(eta), eta == row.eta, _RULE_ETA))
             cells.append(CellCheck(i, "eta1", f"{float(row.eta1):g}", None, None, _RULE_NONE))
-    else:
-        raise InputError(f"table_id must be 1 or 2, got {table_id}")
     return ReproductionReport(table_id, tuple(cells))
 
 
@@ -285,10 +268,12 @@ class MatrixEntryComparison:
     within_tolerance: bool
 
 
+_MATRIX_TOLERANCE = 5e-3
+
+
 def compare_matrix(
     report: CorrelationReport,
     printed: Sequence[Sequence[float]],
-    tolerance: float = 5e-3,
 ) -> tuple[MatrixEntryComparison, ...]:
     """Per-entry deviation records against a printed matrix."""
     out = []
@@ -297,45 +282,21 @@ def compare_matrix(
             target = printed[i][j]
             diff = None if value is None else abs(value - target)
             out.append(
-                MatrixEntryComparison(i, j, value, target, diff, diff is not None and diff <= tolerance)
+                MatrixEntryComparison(i, j, value, target, diff, diff is not None and diff <= _MATRIX_TOLERANCE)
             )
     return tuple(out)
 
 
-def table1_columns() -> tuple[tuple[str, ...], list[list[Fraction]]]:
-    """Correlation variables for the first table; n is derived as sum(entries)."""
-    cols = [
-        [Fraction(sum(r.entries)) for r in TABLE1],
-        [Fraction(r.sigma) for r in TABLE1],
-        [Fraction(r.irr) for r in TABLE1],
-        [Fraction(r.t1) for r in TABLE1],
-        [Fraction(r.t2) for r in TABLE1],
-    ]
-    return MATRIX1_VARIABLES, cols
-
-
-def table2_columns() -> tuple[tuple[str, ...], list[list[Fraction]]]:
-    """Correlation variables for the second table; all columns as printed."""
-    cols = [
-        [Fraction(r.n) for r in TABLE2],
-        [Fraction(r.eta) for r in TABLE2],
-        [r.eta1 for r in TABLE2],
-        [Fraction(r.sigma) for r in TABLE2],
-        [Fraction(r.irr) for r in TABLE2],
-    ]
-    return MATRIX2_VARIABLES, cols
-
-
 def table_correlation(table_id: int) -> tuple[CorrelationReport, tuple[MatrixEntryComparison, ...]]:
+    """The published matrix's variables, read off the rows; table 1's n is sum(entries)."""
+    rows = _table(table_id)
     if table_id == 1:
-        names, cols = table1_columns()
-        printed = PRINTED_MATRIX_1
-    elif table_id == 2:
-        names, cols = table2_columns()
-        printed = PRINTED_MATRIX_2
+        names, printed = MATRIX1_VARIABLES, PRINTED_MATRIX_1
+        values = [(sum(r.entries), r.sigma, r.irr, r.t1, r.t2) for r in rows]
     else:
-        raise InputError(f"table_id must be 1 or 2, got {table_id}")
-    report = correlation_matrix(names, cols)
+        names, printed = MATRIX2_VARIABLES, PRINTED_MATRIX_2
+        values = [(r.n, r.eta, r.eta1, r.sigma, r.irr) for r in rows]
+    report = correlation_matrix(names, list(zip(*values)))
     return report, compare_matrix(report, printed)
 
 
@@ -514,18 +475,26 @@ def _prediction_point(point: Sequence[float], dimension: int) -> tuple[float, ..
     return pt
 
 
-def predict(report: OlsReport, point: Sequence[float]) -> float:
+def predict(report: OlsReport, point: Sequence[float]) -> Optional[float]:
+    """The fit's value at ``point``, or None beyond float range."""
     pt = _prediction_point(point, len(report.coefficients))
-    exact = sum(c * Fraction(str(v)) for c, v in zip(report.coefficients_exact, pt))
-    return float(exact + report.intercept_exact)
+    exact = sum(c * Fraction(str(v)) for c, v in zip(report.coefficients_exact, pt)) + report.intercept_exact
+    return _decimal(exact.numerator, exact.denominator)
 
 
-def printed_model_value(table_id: int, point: Optional[Sequence[float]] = None) -> float:
+def printed_model_value(table_id: int, point: Optional[Sequence[float]] = None) -> Optional[float]:
+    """The printed model's float dot product at ``point`` (its own point by
+    default); if that sum is not finite, its exact value, or None beyond
+    float range."""
+    _table(table_id)
     printed = PRINTED_REGRESSION_1 if table_id == 1 else PRINTED_REGRESSION_2
-    if table_id not in (1, 2):
-        raise InputError(f"table_id must be 1 or 2, got {table_id}")
     pt = printed.prediction_point if point is None else _prediction_point(point, len(printed.coefficients))
-    return sum(c * v for c, v in zip(printed.coefficients, pt)) + printed.intercept
+    value = sum(c * v for c, v in zip(printed.coefficients, pt)) + printed.intercept
+    if math.isfinite(value):
+        return value
+    products = (Fraction(c) * Fraction(v) for c, v in zip(printed.coefficients, pt))
+    exact = sum(products, Fraction(printed.intercept))
+    return _decimal(exact.numerator, exact.denominator)
 
 
 @dataclass(frozen=True)
@@ -560,6 +529,7 @@ _R2_MATCH_TOLERANCE = 0.02
 def regression_reproduction(table_id: int) -> RegressionReproduction:
     """Check the printed model's dot product and, for the first table, fit
     the identified features both ways (exact mean, 2-decimal mean)."""
+    rows = _table(table_id)
     printed = PRINTED_REGRESSION_1 if table_id == 1 else PRINTED_REGRESSION_2
     value = printed_model_value(table_id)
     gap = abs(value - printed.predicted)
@@ -567,8 +537,8 @@ def regression_reproduction(table_id: int) -> RegressionReproduction:
     flags: dict[str, bool] = {}
     notes: list[str] = []
     if table_id == 1:
-        ns = [Fraction(sum(r.entries)) for r in TABLE1]
-        target = [Fraction(r.sigma) for r in TABLE1]
+        ns = [Fraction(sum(r.entries)) for r in rows]
+        target = [Fraction(r.sigma) for r in rows]
         exact_rows = [[n, n / 7] for n in ns]
         rounded_rows = [[n, Fraction(round(n * 100 / 7), 100)] for n in ns]
         fits["exact_mean"] = ols_fit(exact_rows, target)
@@ -582,13 +552,11 @@ def regression_reproduction(table_id: int) -> RegressionReproduction:
             "features identified as (n, mean degree); the exact-mean design is "
             "perfectly collinear (mean = n/7) and reported via minimum norm"
         )
-    elif table_id == 2:
+    else:
         notes.append(
             "second regression feature not identifiable from the printed data; "
             "only the printed-model dot product is checked"
         )
-    else:
-        raise InputError(f"table_id must be 1 or 2, got {table_id}")
     return RegressionReproduction(
         table_id=table_id,
         printed=printed,

@@ -38,6 +38,8 @@ simpler form of a package routine it is compared with:
   centre's;
 * ``extremal_by_graphs`` shares the package's free-tree stream and indices,
   and scores a ``Graph`` per tree, where the package scores level sequences;
+  it writes each witness's level sequence with ``canonical_levels``, its
+  own, from the centres ``centers_by_diameter`` finds;
 * ``derived_summaries_by_summation`` adds the half-difference and half-sum
   ``Fraction`` sequences term by term, where the package reads the same
   summaries off integer sums of the entries;
@@ -91,7 +93,6 @@ from sigmairr.search import (
     Counterexample,
     ExhaustiveMode,
     RandomMode,
-    canonical_form,
     enumerate_free_trees,
 )
 
@@ -211,6 +212,18 @@ def centers_by_diameter(adj: list[list[int]]) -> list[int]:
         longest.append(parent[longest[-1]])
     d = len(longest) - 1
     return sorted(longest[d // 2: d // 2 + 1 + d % 2])
+
+
+def canonical_levels(adj: list[list[int]]) -> tuple[int, ...]:
+    """The tree's lexicographically largest centre-rooted level sequence: a
+    rooting lists the root's depth, then its children's blocks, largest
+    first, and of two centre rootings the larger is kept."""
+
+    def block(v: int, parent: int, depth: int) -> tuple[int, ...]:
+        children = sorted((block(w, v, depth + 1) for w in adj[v] if w != parent), reverse=True)
+        return (depth, *(level for child in children for level in child))
+
+    return max(block(c, -1, 1) for c in centers_by_diameter(adj))
 
 
 _INTERN: dict[tuple, int] = {}
@@ -763,7 +776,10 @@ def extremal_by_graphs(n: int, degrees_admitted, goals: Sequence[tuple[str, str]
                 best[i], witness[i] = value, g
     if examined == 0:
         raise DomainError("empty class")
-    return [(value, w.sorted_edges(), canonical_form(w), examined) for value, w in zip(best, witness)]
+    return [
+        (value, w.sorted_edges(), canonical_levels(_adjacency(w.sorted_edges(), n)), examined)
+        for value, w in zip(best, witness)
+    ]
 
 
 @functools.lru_cache(maxsize=None)

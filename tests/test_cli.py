@@ -169,6 +169,8 @@ class TestErrors:
         (("extremal", "--n", "1", "--max-degree", "1"), "max degree 1 impossible for trees of order 1"),
         (("bounds", "check", "--family", "path:1"), "graph has an isolated vertex: vertex 0 has no edge"),
         (("bounds", "check", "--graph-file", "n3-one-edge"), "graph has an isolated vertex: vertex 2 has no edge"),
+        (("bounds", "check", "--sequence", "3,3,3,3", "--convention", "paper-table", "--irr", "-5"),
+         "--irr must be at least 0, got -5"),
     ]])
     def test_rejected_before_any_walk(self, capsys, monkeypatch, tmp_path, argv, message):
         target = tmp_path / "n3-one-edge"
@@ -489,6 +491,22 @@ class TestTablesStats:
         assert code == 1 and out == ""
         assert err.startswith("error:") and message in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "table,point,predictions",
+        [
+            # the printed model's float sum is inf - inf; its exact value is finite
+            ("1", "1e305,3.46e305",
+             {"exact_mean": None, "printed_model": "-2.1773378584e+305", "rounded_mean": None}),
+            ("2", "1e306,1e306", {"printed_model": None}),
+        ],
+    )
+    def test_regress_predicts_beyond_float_range(self, capsys, table, point, predictions):
+        # A finite point whose prediction leaves float range is written null.
+        for fmt in ("human", "csv", "json"):
+            code, out, err = run_cli(capsys, "stats", "regress", "--table", table, "--predict", point, "--format", fmt)
+            assert (code, err) == (0, "")
+        assert json.loads(out)["predictions"] == predictions
+
 
 class TestPlots:
     def test_figure1(self, capsys):
@@ -540,6 +558,10 @@ RENDERED_INVOCATIONS = [a[:-2] if "--format" in a else a for a in DETERMINISTIC_
     ("enumerate", "--n", "1"),
     ("bounds", "check", "--family", "path:6", "--bound", "all", "--eta1", "5/2", "--alpha", "3"),
     ("stats", "regress", "--table", "2", "--predict", "350,50"),
+    ("tables", "reproduce", "--table", "1"),
+    ("stats", "correlate", "--table", "1"),
+    ("plots", "emit", "--figure", "2"),
+    ("plots", "emit", "--figure", "3"),
 ]
 
 RENDERED_DIGESTS = {
@@ -653,6 +675,22 @@ RENDERED_DIGESTS = {
         "cc8714f6fe9bc19bbc6f7144be7b475d7e85355d7687c2c269325db38a905004",
     "stats regress --table 2 --predict 350,50 --format json":
         "36a88c14c36cee4f750078f7ac389672ae99fa7016bef38b75229e7f7083bbb4",
+    "tables reproduce --table 1 --format human":
+        "aff19585f45d80e802065409ff28d23e69e89f613c8ecbcddc09231220a25c63",
+    "tables reproduce --table 1 --format csv":
+        "2669db1e968766fffec3d4ec4c1d3e431f8dc240d52e8804e15017861ad29201",
+    "tables reproduce --table 1 --format json":
+        "f9ecf1d1df8843c4c3f48bb20ab8509f70bf06f78f3707d5fcd3858c3ea2794d",
+    "stats correlate --table 1 --format human":
+        "cba7619b83c39556c6218f68160d0921d4ba170c4a6a789044476245ed743398",
+    "stats correlate --table 1 --format csv":
+        "30c3498946471b80c7baeefeb06bdd3291c0ed107a37813a25801bc7afe2f66f",
+    "stats correlate --table 1 --format json":
+        "79247ebbaab3ea146a90b15a2a06d0e07e3a3ed7c89e268ac9cc2c6b417281e2",
+    "plots emit --figure 2":
+        "5c44974d98c98b368f22d4e904d9b959d5e2d8839c54426b0d4b4a267cb85e15",
+    "plots emit --figure 3":
+        "971f9f6af31ef1bcef2c66edd0a958513bb0a30a1d6453b541d78dc423dd0d81",
 }
 
 

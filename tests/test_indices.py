@@ -194,8 +194,3 @@ class TestKnownFormBattery:
         assert by_id["cycle_sigma_zero"].agree
         assert by_id["double_star_sigma"].agree
         assert by_id["monogenic_albertson"].agree
-
-    def test_json_round_trip(self):
-        for check in compare_known_forms():
-            d = check.to_json_dict()
-            assert d["agree"] == (d["claimed"] == d["actual"])
