@@ -212,8 +212,7 @@ class BoundParams:
     to ceil(log2(max_degree + 1)) of the evaluated input.  ``eta`` defaults
     to ceil(2*n*max_degree/m).  ``eta1`` must lie in (2, 4]; when unset it
     is 2^n/(n-eta)! clamped into [2.01, 4] (clamping is recorded on the
-    report).  ``t`` is exposed for exploration only; no catalog entry
-    consumes it.  ``strict_max_degree_window`` switches the B10 gate from
+    report).  ``strict_max_degree_window`` switches the B10 gate from
     the statement form (max_degree >= 4) to the stricter proof window
     4 <= max_degree - 3 <= n/4.
     """
@@ -223,7 +222,6 @@ class BoundParams:
     p: int = 2
     eta: Optional[int] = None
     eta1: Optional[Fraction] = None
-    t: int = 3
     strict_max_degree_window: bool = False
 
     def __post_init__(self) -> None:
@@ -240,8 +238,6 @@ class BoundParams:
             if not (2 < e1 <= 4):
                 raise InputError("eta1 must lie in (2, 4]")
             object.__setattr__(self, "eta1", e1)
-        if self.t <= 2:
-            raise InputError("t must be an integer > 2")
 
     def to_json_dict(self) -> dict:
         return {
@@ -250,7 +246,7 @@ class BoundParams:
             "p": self.p,
             "eta": self.eta,
             "eta1": None if self.eta1 is None else str(self.eta1),
-            "t": self.t,
+            "t": 3,  # a former parameter that no entry read; pinned output keeps its key
             "strict_max_degree_window": self.strict_max_degree_window,
         }
 

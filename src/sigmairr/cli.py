@@ -174,6 +174,15 @@ def _parse_family_spec(spec: str) -> graphs.Graph:
 
 
 def _load_graph(args) -> tuple[graphs.Graph, str]:
+    if args.sequence:
+        if args.family or args.graph_file:
+            raise InputError("--sequence excludes --family and --graph-file")
+        entries = parse_sequence_literal(args.sequence)
+        if is_tree_sequence(entries):
+            return realize_tree(entries), f"sequence {args.sequence} (caterpillar realization)"
+        if is_graphical(entries):
+            return realize_graph_hakimi(entries), f"sequence {args.sequence} (Havel-Hakimi realization)"
+        raise InputError(f"sequence {entries} is neither a tree sequence nor graphical")
     if args.family and args.graph_file:
         raise InputError("--family and --graph-file exclude each other")
     if args.family:
@@ -188,26 +197,11 @@ def _load_graph(args) -> tuple[graphs.Graph, str]:
     raise InputError("no graph input given (use --family or --graph-file)")
 
 
-def _realize_sequence(entries: tuple[int, ...]) -> tuple[graphs.Graph, str]:
-    if is_tree_sequence(entries):
-        return realize_tree(entries), "caterpillar realization"
-    if is_graphical(entries):
-        return realize_graph_hakimi(entries), "Havel-Hakimi realization"
-    raise InputError(f"sequence {entries} is neither a tree sequence nor graphical")
-
-
 # ---------------------------------------------------------------------------
 # Subcommand: indices
 
 def _cmd_indices(args) -> int:
-    if args.sequence:
-        if args.family or args.graph_file:
-            raise InputError("--sequence excludes --family and --graph-file")
-        entries = parse_sequence_literal(args.sequence)
-        g, how = _realize_sequence(entries)
-        label = f"sequence {args.sequence} ({how})"
-    else:
-        g, label = _load_graph(args)
+    g, label = _load_graph(args)
     values = {
         "albertson": indices.albertson(g),
         "sigma": indices.sigma(g),
@@ -308,21 +302,12 @@ def _bound_input_from_args(args, params: bounds.BoundParams) -> bounds.BoundInpu
             raise InputError(f"--class-trees must be at least 2, got {args.class_trees}")
         base = args.bound.rstrip("ab")
         objective = "albertson" if base in ("B1", "B2") else "sigma"
-        _, binput = search.class_extremum_input(
-            search.TreeClass.all_trees(args.class_trees),
-            objective,
-            args.class_mode,
-            params,
-            allow_over_cap=args.allow_over_cap,
-        )
-        return binput
-    if args.sequence:
-        entries = parse_sequence_literal(args.sequence)
-        convention = Convention(args.convention)
-        if convention is Convention.STANDARD:
-            g, how = _realize_sequence(entries)
-            return bounds.BoundInput.from_graph(g, params, label=f"sequence {args.sequence} ({how})")
-        view = DegreeSequenceView(entries, convention)
+        tree_class = search.TreeClass.all_trees(args.class_trees)
+        result = search.extremal(tree_class, objective, args.class_mode, allow_over_cap=args.allow_over_cap)
+        label = f"{args.class_mode} {objective} witness over {tree_class.description}"
+        return bounds.BoundInput.from_graph(result.witness, params, label=label)
+    if paper_table:
+        view = DegreeSequenceView(parse_sequence_literal(args.sequence), Convention.PAPER_TABLE)
         return bounds.BoundInput.from_view(view, irr_value=args.irr, params=params)
     g, label = _load_graph(args)
     return bounds.BoundInput.from_graph(g, params, label=label)
@@ -539,6 +524,10 @@ def _cmd_stats_regress(args) -> int:
 # ---------------------------------------------------------------------------
 # Subcommand: plots emit (raw CSV series only)
 
+# The largest order figure 1 plots: its series to 200 takes about a second.
+_FIGURE1_MAX_N = 200
+
+
 def _cmd_plots_emit(args) -> int:
     from . import stats_tables
 
@@ -548,6 +537,8 @@ def _cmd_plots_emit(args) -> int:
         max_n = 20 if args.max_n is None else args.max_n
         if max_n < 3:  # the series starts where the cycle does
             raise InputError(f"--max-n must be at least 3 for figure 1, got {max_n}")
+        if max_n > _FIGURE1_MAX_N:  # the monogenic graph of order n has about n^2/4 edges
+            raise InputError(f"--max-n must be at most {_FIGURE1_MAX_N} for figure 1, got {max_n}")
         header = [
             "n",
             "sigma_path", "irr_path",
@@ -674,7 +665,9 @@ def build_parser() -> argparse.ArgumentParser:
     pl_sub = p.add_subparsers(dest="subcommand", required=True)
     pp = pl_sub.add_parser("emit", help="raw CSV series for one figure")
     pp.add_argument("--figure", type=int, choices=(1, 2, 3), required=True)
-    pp.add_argument("--max-n", type=int, help="figure 1: largest family order (default 20)")
+    pp.add_argument(
+        "--max-n", type=int, help=f"figure 1: largest family order, 3 to {_FIGURE1_MAX_N} (default 20)"
+    )
     pp.add_argument("--out", metavar="PATH")
     pp.set_defaults(func=_cmd_plots_emit)
 

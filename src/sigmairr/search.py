@@ -297,28 +297,31 @@ def canonical_form(g: Graph) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class TreeClass:
-    """A finite, enumerable family of trees."""
+    """A finite, enumerable family of trees: those of order ``n`` whose
+    degree counts (see ``_degree_counts``) lie in [``low``, ``high``).  The
+    counts of a tree whose maximum degree is D lie in [256^D, 256^(D+1))."""
 
-    kind: str
     n: int
-    degree_multiset: Optional[tuple[int, ...]] = None
-    max_degree: Optional[int] = None
+    low: int
+    high: int
+    description: str
 
-    def __post_init__(self) -> None:
-        # Membership reads degree counts a byte per degree, which no walkable order overflows.
-        check_tree_order(self.n, allow_over_cap=True)
-
+    # Each constructor checks the order first: no count may carry out of its
+    # byte, and no 256^n is built for an order that is refused.
     @classmethod
     def all_trees(cls, n: int) -> "TreeClass":
         if n < 1:
             raise DomainError("all_trees requires n >= 1")
-        return cls("all_trees", n)
+        check_tree_order(n, allow_over_cap=True)
+        return cls(n, 0, 1 << (n << 3), f"all trees of order {n}")
 
     @classmethod
     def with_degree_multiset(cls, entries: Sequence[int]) -> "TreeClass":
         if not is_tree_sequence(entries):
             raise DomainError(f"{tuple(entries)} is not a tree sequence")
-        return cls("degree_multiset", len(entries), degree_multiset=tuple(sorted(entries)))
+        check_tree_order(len(entries), allow_over_cap=True)
+        counts = _degree_counts(entries)
+        return cls(len(entries), counts, counts + 1, f"trees with degree multiset {tuple(sorted(entries))}")
 
     @classmethod
     def with_max_degree(cls, n: int, delta: int) -> "TreeClass":
@@ -326,29 +329,12 @@ class TreeClass:
             raise DomainError("with_max_degree requires n >= 1")
         if not 1 <= delta <= n - 1:  # the one tree of order 1 has no degree of 1 or more
             raise DomainError(f"max degree {delta} impossible for trees of order {n}")
-        return cls("max_degree", n, max_degree=delta)
-
-    def describe(self) -> str:
-        if self.kind == "all_trees":
-            return f"all trees of order {self.n}"
-        if self.kind == "degree_multiset":
-            return f"trees with degree multiset {self.degree_multiset}"
-        return f"trees of order {self.n} with maximum degree {self.max_degree}"
+        check_tree_order(n, allow_over_cap=True)
+        description = f"trees of order {n} with maximum degree {delta}"
+        return cls(n, 1 << (delta << 3), 1 << ((delta + 1) << 3), description)
 
     def contains(self, g: Graph) -> bool:
-        low, high = self._count_range()
-        return is_tree(g) and g.vertex_count == self.n and low <= _degree_counts(g.degrees) < high
-
-    def _count_range(self) -> tuple[int, int]:
-        """The class's membership predicate, for a tree of order ``n``: the
-        range of degree counts (see ``_degree_counts``) its trees have.  The
-        counts of a tree whose maximum degree is D lie in [256^D, 256^(D+1))."""
-        if self.kind == "degree_multiset":
-            counts = _degree_counts(self.degree_multiset)
-            return counts, counts + 1
-        if self.kind == "max_degree":
-            return 1 << (self.max_degree << 3), 1 << ((self.max_degree + 1) << 3)
-        return 0, 1 << (self.n << 3)
+        return is_tree(g) and g.vertex_count == self.n and self.low <= _degree_counts(g.degrees) < self.high
 
 
 @dataclass(frozen=True)
@@ -404,7 +390,7 @@ def extremal_goals(
         if direction not in ("max", "min"):
             raise InputError("direction must be 'max' or 'min'")
     check_tree_order(tree_class.n, allow_over_cap)
-    low, high = tree_class._count_range()
+    low, high = tree_class.low, tree_class.high
     # The least and greatest Albertson and Sigma values, each with the first
     # tree that attains it; both indices are at least 0.
     irr_max = sig_max = -1
@@ -424,7 +410,7 @@ def extremal_goals(
         if sig < sig_min:
             sig_min, sig_min_at = sig, levels
     if examined == 0:
-        raise DomainError(f"empty class: {tree_class.describe()}")
+        raise DomainError(f"empty class: {tree_class.description}")
     optima = {
         ("albertson", "max"): (irr_max, irr_max_at),
         ("albertson", "min"): (irr_min, irr_min_at),
@@ -443,7 +429,7 @@ def extremal_goals(
             raise AssertionError(f"scored {objective} {optimum} disagrees with witness {levels}")
         results.append(
             SearchResult(
-                class_description=tree_class.describe(),
+                class_description=tree_class.description,
                 objective=objective,
                 direction=direction,
                 optimum=optimum,
@@ -494,31 +480,6 @@ def _block(piece: bytes) -> tuple[int, int, int, int]:
 def _degree_counts(degrees: Iterable[int]) -> int:
     """The sum of 256^d over ``degrees``: a byte per degree d, its count."""
     return sum(1 << (d << 3) for d in degrees)
-
-
-def class_extremum_input(
-    tree_class: TreeClass,
-    objective: str,
-    direction: str,
-    params: Optional[BoundParams] = None,
-    *,
-    allow_over_cap: bool = False,
-) -> tuple[SearchResult, BoundInput]:
-    """Extremal witness over a class, packaged for bound evaluation.
-
-    This is the class-mode reading of the extremal-value claims: the claim
-    is evaluated on the tree attaining the class extremum of the objective.
-    ``params`` None means ``BoundParams()``.
-    """
-    from . import bounds
-
-    result = extremal(tree_class, objective, direction, allow_over_cap=allow_over_cap)
-    binput = bounds.BoundInput.from_graph(
-        result.witness,
-        bounds.BoundParams() if params is None else params,
-        label=f"{direction} {objective} witness over {tree_class.describe()}",
-    )
-    return result, binput
 
 
 # ---------------------------------------------------------------------------

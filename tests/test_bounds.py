@@ -110,8 +110,6 @@ class TestParams:
         with pytest.raises(InputError):
             BoundParams(eta1=Fraction(2))
         with pytest.raises(InputError):
-            BoundParams(t=2)
-        with pytest.raises(InputError):
             BoundParams(alpha=-1)
 
     def test_eta_default_from_view(self):

@@ -157,6 +157,7 @@ class TestErrors:
         (("plots", "emit", "--figure", "3", "--max-n", "20"), "--max-n needs --figure 1"),
         (("plots", "emit", "--figure", "1", "--max-n", "2"), "--max-n must be at least 3 for figure 1, got 2"),
         (("plots", "emit", "--figure", "1", "--max-n", "-5"), "--max-n must be at least 3 for figure 1, got -5"),
+        (("plots", "emit", "--figure", "1", "--max-n", "1000"), "--max-n must be at most 200 for figure 1, got 1000"),
     ]])
     def test_unread_flags_rejected(self, capsys, argv, message):
         # A flag the chosen input or mode would not read fails instead of being ignored.
@@ -562,6 +563,11 @@ RENDERED_INVOCATIONS = [a[:-2] if "--format" in a else a for a in DETERMINISTIC_
     ("stats", "correlate", "--table", "1"),
     ("plots", "emit", "--figure", "2"),
     ("plots", "emit", "--figure", "3"),
+    ("bounds", "check", "--class-trees", "7", "--class-mode", "max", "--bound", "all"),
+    ("bounds", "check", "--class-trees", "8", "--class-mode", "min", "--bound", "B1"),
+    ("indices", "--sequence", "1,1,2,2"),
+    ("indices", "--sequence", "2,2,2"),
+    ("bounds", "check", "--sequence", "1,1,1,3", "--bound", "all"),
 ]
 
 RENDERED_DIGESTS = {
@@ -691,6 +697,36 @@ RENDERED_DIGESTS = {
         "5c44974d98c98b368f22d4e904d9b959d5e2d8839c54426b0d4b4a267cb85e15",
     "plots emit --figure 3":
         "971f9f6af31ef1bcef2c66edd0a958513bb0a30a1d6453b541d78dc423dd0d81",
+    "bounds check --class-trees 7 --class-mode max --bound all --format human":
+        "639cbc343b3bb735af7fc8a6d2613153d8a52d8188b6583d4d2bf3614a43051c",
+    "bounds check --class-trees 7 --class-mode max --bound all --format csv":
+        "b6b0698928bd291f65ad943d1832535a6501c3eb515d07ea1480f796572443d7",
+    "bounds check --class-trees 7 --class-mode max --bound all --format json":
+        "9faf5898b670858f75235c6e68a41a946ff51b42d193396453a934f35d040312",
+    "bounds check --class-trees 8 --class-mode min --bound B1 --format human":
+        "50d4f3af8684eae33d4885d479f7b89136967f54eed71ac3fb5259734aed650d",
+    "bounds check --class-trees 8 --class-mode min --bound B1 --format csv":
+        "7fba5be61c6163fa824d33cc2b441668bc121cd915dba64734cd03385bf5acc1",
+    "bounds check --class-trees 8 --class-mode min --bound B1 --format json":
+        "93764af6d6dc0f48af43d52614d9d9474c316029af13b196bf2761728eb7c152",
+    "indices --sequence 1,1,2,2 --format human":
+        "4c1ba567795203c7e0ea804a8ec227a42116979e82351666a82483a15d876beb",
+    "indices --sequence 1,1,2,2 --format csv":
+        "299c95619b1e1c0568fd102089ce6abd2040def436f035eda061e6ed1dda7669",
+    "indices --sequence 1,1,2,2 --format json":
+        "4ae48b7dace987adebb2658b23b307252fc4e0a39b73202df39bf43eb75f8b31",
+    "indices --sequence 2,2,2 --format human":
+        "93449b9ab843af1dca5a86ffcf1dfba7c5a51344e1407a531e26b15859e039f7",
+    "indices --sequence 2,2,2 --format csv":
+        "d29bcaed31f8c6fbf563bbdc86d2fd0676b375468af10281051630dda7b54359",
+    "indices --sequence 2,2,2 --format json":
+        "f0ee2597d167dc8b34a3e0d868fe83d4a84428d91091823ac8017049937d1304",
+    "bounds check --sequence 1,1,1,3 --bound all --format human":
+        "e82fad8a66277eaa651cd10dd0d0c11d2e8487257bf64bb7ef7050326373d5f6",
+    "bounds check --sequence 1,1,1,3 --bound all --format csv":
+        "18710dd717bc9f328971771c3877cf2246dd160a3239fa7199650585d60ac217",
+    "bounds check --sequence 1,1,1,3 --bound all --format json":
+        "09a12b869ef0911a72faf3c9562349f3cbf7e764969cd68fc5c217ed931b557c",
 }
 
 

@@ -28,7 +28,6 @@ from sigmairr.search import (
     RandomMode,
     TreeClass,
     canonical_form,
-    class_extremum_input,
     enumerate_free_trees,
     extremal,
     extremal_goals,
@@ -107,6 +106,14 @@ class TestFreeTreeStream:
                 next(walk(256))
         with pytest.raises(ResourceLimitError, match="255"):
             next(enumerate_free_trees(256, allow_over_cap=True))
+        # A class checks its order before it builds its count range, here a
+        # 256^(10^30) that Python would refuse with an OverflowError.
+        huge = 10**30
+        for make in (TreeClass.all_trees, lambda n: TreeClass.with_max_degree(n, 3)):
+            with pytest.raises(ResourceLimitError, match="255"):
+                make(huge)
+        with pytest.raises(ResourceLimitError, match="255"):
+            TreeClass.with_degree_multiset([1] * 255 + [255])
 
     def test_all_trees_and_distinct(self):
         for n in range(1, 11):
@@ -239,7 +246,7 @@ class TestExtremal:
         for delta in (0, 1, 2):
             with pytest.raises(DomainError, match=f"max degree {delta} impossible for trees of order 1"):
                 TreeClass.with_max_degree(1, delta)
-        assert TreeClass.with_max_degree(2, 1).max_degree == 1
+        assert TreeClass.with_max_degree(2, 1).low == 1 << 8
 
     def test_invalid_arguments(self):
         with pytest.raises(InputError):
@@ -345,12 +352,6 @@ class TestExtremal:
         first, second = done.stdout.splitlines()
         assert first.startswith("scored sigma 40 disagrees")
         assert second == "scored signature (512, 0, 1) disagrees with tree (1, 2)"
-
-    def test_class_extremum_input(self):
-        result, binput = class_extremum_input(TreeClass.all_trees(6), "albertson", "max")
-        assert result.optimum == albertson(result.witness) == binput.irr_value
-        assert binput.edges == result.witness.edges
-        assert "witness" in binput.label
 
 
 def _sorted_degrees(counts: int, n: int) -> list[int]:
