@@ -6,14 +6,16 @@ numerator over a positive integer denominator, read off a few integers of
 the input (n, 2m, the degree sum S, the entry count k, the first and last
 two entries, the largest adjacent sum and difference), and a relation is
 decided as ln*rd against rn*ld, so deciding builds no ``Fraction``.
-Directed rational intervals (64 fractional bits, escalated once to 128)
-appear only where a root does: B6's square root and both sides of B15b.
-B6 is still decided exactly: sigma >= sqrt(S*C/k) + s iff sigma - s >= 0
-and k*(sigma - s)^2 >= S*C; its interval only gives the printed right
-side, at 64 bits or at 128 where 64 does not separate the sides.  B15b is
-decided only when its intervals separate.  Its (sum sqrt(d))^2 takes
+Only where a root appears, B6's square root and both sides of B15b, is a
+side a box: three integers (lo, hi, den) with lo/den <= value <= hi/den,
+at 64 fractional bits and again at 128 where 64 does not decide.  One
+integer rule decides a relation with a box: it holds if it holds at the
+worst pair of ends and fails if it fails at the best pair.  B6 is still
+decided exactly: sigma >= sqrt(S*C/k) + s iff sigma - s >= 0 and
+k*(sigma - s)^2 >= S*C; its box only gives the printed right side.  B15b
+is decided only when its boxes separate.  Its (sum sqrt(d))^2 takes
 D(D-1)/2 square roots over the D distinct degrees, accumulated as integer
-numerators over 2^bits, and yields the same interval as the sum over all
+numerators over 2^bits, and yields the same box as the sum over all
 k(k-1)/2 pairs of entries.  A report is always produced for well-formed
 input: hypothesis failures, including division-by-zero guards, gate the
 verdict as non-probative instead of crashing.
@@ -32,11 +34,11 @@ where one is set (B6), and otherwise reads ``_decide``; for a refuted pair
 it writes the report's JSON form from the refuting sides themselves, with
 no second decision and no ``BoundReport``.  A rational side is printed
 from its integers (in lowest terms, and as the correctly rounded
-``num / den`` float), and its margin is cross-multiplied; only an
-interval's midpoint is a ``Fraction``.  ``_side_text`` is the one place a
-side or a margin becomes text, for both kinds of report.  Parameter
-defaults depend on n, m and the max degree alone, and are resolved once
-per such triple.
+``num / den`` float), a box from the integers of its midpoint
+(lo + hi) / (2 den), and a margin is cross-multiplied.  ``_side_text`` is
+the one place a side or a margin becomes text, for both kinds of report.
+Parameter defaults depend on n, m and the max degree alone, and are
+resolved once per such triple.
 
 Several claims are false on ordinary trees.  That is expected; the contract
 here is faithful evaluation and reporting, not the truth of the claims.
@@ -63,41 +65,14 @@ _BITS_FIRST = 64
 _BITS_ESCALATED = 128
 
 
-# ---------------------------------------------------------------------------
-# Directed rational intervals (for square/geometric roots)
-
-@dataclass(frozen=True)
-class RVal:
-    """A real value boxed between two rationals; lo == hi means exact."""
-
-    lo: Fraction
-    hi: Fraction
-
-    @property
-    def exact(self) -> bool:
-        return self.lo == self.hi
-
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    @staticmethod
-    def of(x) -> "RVal":
-        f = Fraction(x)
-        return RVal(f, f)
-
-    def __add__(self, other: "RVal") -> "RVal":
-        return RVal(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "RVal") -> "RVal":
-        return RVal(self.lo - other.hi, self.hi - other.lo)
-
-
-# A printed exact value; a rational side (numerator, denominator > 0); a root's box;
-# a side as a report prints it (numerator, denominator > 0, whether it is exact).
+# A printed exact value; a rational side (numerator, denominator > 0); a root's
+# box (lo, hi, den > 0), lo <= hi, with lo/den <= value <= hi/den and exact iff
+# lo == hi; a side as a report prints it (numerator, denominator > 0, whether it
+# is exact).
 Exact = Union[int, Fraction]
 Ratio = tuple[int, int]
-Side = Union[Ratio, RVal]
+Box = tuple[int, int, int]
+Side = Union[Ratio, Box]
 Printed = tuple[int, int, bool]
 
 
@@ -134,23 +109,21 @@ def _scaled_root(value: int, degree: int, bits: int) -> tuple[int, int]:
     return lo, lo if exact else lo + 1
 
 
-def sqrt_rval(x: Fraction, bits: int) -> RVal:
+def sqrt_rval(x: Fraction, bits: int) -> Box:
     """sqrt(x) boxed to 2^-bits, exact when x is a perfect rational square."""
     if x < 0:
         raise DomainError("sqrt of negative value")
     q = x.denominator
-    lo, hi = _scaled_root(x.numerator * q, 2, bits)  # sqrt(p/q) == sqrt(p*q) / q
-    return RVal(Fraction(lo, q << bits), Fraction(hi, q << bits))
+    return (*_scaled_root(x.numerator * q, 2, bits), q << bits)  # sqrt(p/q) == sqrt(p*q) / q
 
 
-def nth_root_rval(x: Fraction, degree: int, bits: int) -> RVal:
+def nth_root_rval(x: Fraction, degree: int, bits: int) -> Box:
     """x ** (1/degree) boxed to 2^-bits, exact on perfect powers."""
     if x < 0:
         raise DomainError("root of negative value")
     q = x.denominator
     # x^(1/deg) == (p * q^(deg-1))^(1/deg) / q
-    lo, hi = _scaled_root(x.numerator * q ** (degree - 1), degree, bits)
-    return RVal(Fraction(lo, q << bits), Fraction(hi, q << bits))
+    return (*_scaled_root(x.numerator * q ** (degree - 1), degree, bits), q << bits)
 
 
 def _at_least_root_plus(value: int, num: int, den: int, shift: int) -> bool:
@@ -160,24 +133,6 @@ def _at_least_root_plus(value: int, num: int, den: int, shift: int) -> bool:
 
 
 _HOLDS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt, "==": operator.eq}
-
-
-def _compare(lhs: RVal, rhs: RVal, relation: str) -> Optional[bool]:
-    """Decide relation(lhs, rhs); None when the intervals do not separate."""
-    if lhs.exact and rhs.exact:
-        return _HOLDS[relation](lhs.lo, rhs.lo)
-    if relation in ("<=", "<"):
-        if lhs.hi < rhs.lo or (relation == "<=" and lhs.hi <= rhs.lo):
-            return True
-        if lhs.lo > rhs.hi or (relation == "<" and lhs.lo >= rhs.hi):
-            return False
-        return None
-    if relation in (">=", ">"):
-        flipped = _compare(rhs, lhs, "<=" if relation == ">=" else "<")
-        return flipped
-    # Equality between an exact and a strictly-boxed value cannot be decided
-    # by intervals alone; the catalog only uses '==' on exact entries.
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +445,17 @@ def _report_json(
 def _side_text(num: int, den: int, exact: bool) -> str:
     """How a report prints the value num/den (den > 0): in lowest terms,
     ``num`` or ``num/den``, when it is exact, else to 12 significant digits
-    of the nearest float.  The one place a side or a margin becomes text;
-    it writes what ``str`` and ``float`` of ``Fraction(num, den)`` write,
-    also for more digits than the interpreter converts with ``str``."""
+    of the nearest float, or of the value itself beyond float range.  The
+    one place a side or a margin becomes text; it writes what ``str`` and
+    ``float`` of ``Fraction(num, den)`` write, also for more digits than the
+    interpreter converts with ``str``, and ``.12g`` with an unbounded
+    exponent where there is no float."""
     if not exact:
-        return f"{num / den:.12g}"
+        try:
+            return f"{num / den:.12g}"
+        except OverflowError:
+            digits = decimal.Context(prec=12, Emax=decimal.MAX_EMAX)
+            return f"{digits.divide(decimal.Decimal(num), decimal.Decimal(den)).normalize(digits):g}"
     g = math.gcd(num, den)
     num, den = num // g, den // g
     try:
@@ -538,15 +499,15 @@ class BoundSpec:
     relation: str
     requires: tuple[str, ...]  # input fields the entry reads, sorted
     # hypothesis -> (failed descriptions, computable); lhs/rhs take a bit
-    # precision and return a Ratio, or an RVal where a root appears.
+    # precision and return a Ratio, or a Box where a root appears.
     hypothesis: Callable[[BoundInput], tuple[list[str], bool]]
     lhs: Callable[[BoundInput, int], Side]
     rhs: Callable[[BoundInput, int], Side]
     extra_notes: tuple[str, ...] = ()
     # parameters the entry reads; reported as params_used with their notes
     params: tuple[str, ...] = ()
-    # decides the relation exactly for an entry with an RVal side, whose
-    # intervals then only give the printed values
+    # decides the relation exactly for an entry with a Box side, whose
+    # box then only gives the printed value
     verdict: Optional[Callable[[BoundInput], bool]] = None
 
 
@@ -726,9 +687,10 @@ def _b6_terms(b: BoundInput) -> tuple[int, int, int]:
     return total * b.cube_sum, k, (b.n - b.max_degree) ** 2 - stair
 
 
-def _b6_rhs(b: BoundInput, bits: int) -> RVal:
+def _b6_rhs(b: BoundInput, bits: int) -> Box:
     num, den, shift = _b6_terms(b)
-    return sqrt_rval(Fraction(num, den), bits) + RVal.of(shift)
+    lo, hi, scale = sqrt_rval(Fraction(num, den), bits)
+    return lo + shift * scale, hi + shift * scale, scale
 
 
 def _b6_holds(b: BoundInput) -> bool:
@@ -801,7 +763,7 @@ def _b15a_rhs(b: BoundInput, bits: int) -> Ratio:
     return sum(d * d for d in b.entries) + b.k * b.entries[0] * b.entries[-1], 1
 
 
-def _b15b_lhs(b: BoundInput, bits: int) -> RVal:
+def _b15b_lhs(b: BoundInput, bits: int) -> Box:
     # (sum sqrt(d_i))^2 = sum d_i + 2 * sum_{i<j} sqrt(d_i d_j), summed over
     # the D distinct degrees: the c(c-1)/2 pairs of a degree d with count c
     # add exactly d each, and the c1*c2 pairs of degrees d1 != d2 share one
@@ -816,111 +778,105 @@ def _b15b_lhs(b: BoundInput, bits: int) -> RVal:
             root_lo, root_hi = _scaled_root(d1 * d2, 2, bits)
             lo -= 2 * c1 * c2 * root_hi
             hi -= 2 * c1 * c2 * root_lo
-    return RVal(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
+    return lo, hi, 1 << bits
 
 
-def _b15b_rhs(b: BoundInput, bits: int) -> RVal:
+def _b15b_rhs(b: BoundInput, bits: int) -> Box:
     # k(k-1)(mean - geometric mean) = (k-1)*sum(d) - k(k-1)*prod(d)^(1/k)
     k = b.k
     base = ((k - 1) * b.degree_sum) << bits
     root_lo, root_hi = _scaled_root(math.prod(b.entries), k, bits)
     weight = k * (k - 1)
-    return RVal(Fraction(base - weight * root_hi, 1 << bits), Fraction(base - weight * root_lo, 1 << bits))
-
-
-def _spec(bound_id, title, relation, requires, hypothesis, lhs, rhs, notes=(), params=(), verdict=None):
-    return BoundSpec(
-        bound_id, title, relation, tuple(sorted(requires)), hypothesis, lhs, rhs, tuple(notes), tuple(params), verdict
-    )
+    return base - weight * root_hi, base - weight * root_lo, 1 << bits
 
 
 CATALOG: dict[str, BoundSpec] = {
     spec.bound_id: spec
     for spec in (
-        _spec(
+        BoundSpec(
             "B1a", "irregularity ratio is positive: 2*irr/(D(D-1)^2) > 0", ">",
-            {"irr"}, _hyp_b1, _irr_ratio, lambda b, bits: (0, 1),
-            notes=("per-instance reading of the extremal Albertson value",),
+            ("irr",), _hyp_b1, _irr_ratio, lambda b, bits: (0, 1),
+            extra_notes=("per-instance reading of the extremal Albertson value",),
         ),
-        _spec(
+        BoundSpec(
             "B1b", "irregularity ratio below one: 2*irr/(D(D-1)^2) < 1", "<",
-            {"irr"}, _hyp_b1, _irr_ratio, lambda b, bits: (1, 1),
-            notes=("per-instance reading of the extremal Albertson value",),
+            ("irr",), _hyp_b1, _irr_ratio, lambda b, bits: (1, 1),
+            extra_notes=("per-instance reading of the extremal Albertson value",),
         ),
-        _spec(
+        BoundSpec(
             "B2a", "irr > floor(2m/n) + ceil(2n/m) + 2^alpha (max degree <= 20)", ">",
-            {"irr"}, _hyp_b2a,
+            ("irr",), _hyp_b2a,
             _irr_lhs, _b2a_rhs,
-            notes=("per-instance reading of the extremal Albertson value",),
+            extra_notes=("per-instance reading of the extremal Albertson value",),
             params=("alpha",),
         ),
-        _spec(
+        BoundSpec(
             "B2b", "irr < ceil(2n/m) + 2^beta (max degree > 3)", "<",
-            {"irr"}, _hyp_b2b,
+            ("irr",), _hyp_b2b,
             _irr_lhs, _b2b_rhs,
-            notes=("per-instance reading of the extremal Albertson value",),
+            extra_notes=("per-instance reading of the extremal Albertson value",),
             params=("beta",),
         ),
-        _spec(
+        BoundSpec(
             "B3", "sigma >= irr + floor((n-2)/(a_last-t_last)) + D*(maxA-maxR)^2", ">=",
-            {"derived", "irr", "sigma"}, _hyp_none, _sigma_lhs, _b3_rhs,
+            ("derived", "irr", "sigma"), _hyp_none, _sigma_lhs, _b3_rhs,
         ),
-        _spec(
+        BoundSpec(
             "B4", "sigma <= cube_sum + irr + floor((n-2)/(a_last-t_last)) + D*(maxA-maxR)^2", "<=",
-            {"derived", "irr", "sigma"}, _hyp_none, _sigma_lhs, _b4_rhs,
+            ("derived", "irr", "sigma"), _hyp_none, _sigma_lhs, _b4_rhs,
         ),
-        _spec(
+        BoundSpec(
             "B5", "sigma >= irr + (floor(2n/(a_last-a_first)) + ceil(2m/n))/n + 4nD", ">=",
-            {"derived", "irr", "sigma"}, _hyp_b5, _sigma_lhs, _b5_rhs,
+            ("derived", "irr", "sigma"), _hyp_b5, _sigma_lhs, _b5_rhs,
         ),
-        _spec(
+        BoundSpec(
             "B6", "sigma >= sqrt(mean_degree*cube_sum) - (floor(2n/meanA) + ceil(2m/meanR)) + (n-D)^2", ">=",
-            {"derived", "sigma"}, _hyp_b6, _sigma_lhs, _b6_rhs, verdict=_b6_holds,
+            ("derived", "sigma"), _hyp_b6, _sigma_lhs, _b6_rhs, verdict=_b6_holds,
         ),
-        _spec(
+        BoundSpec(
             "B7", "sigma >= (1/3)*mean_degree^2*T1 - cube_sum + irr", ">=",
-            {"irr", "sigma"}, _hyp_none, _sigma_lhs, _b7_rhs,
+            ("irr", "sigma"), _hyp_none, _sigma_lhs, _b7_rhs,
         ),
-        _spec(
+        BoundSpec(
             "B8", "sigma > (n^3 + n + D(D-1)^2) / (2*mean_degree)", ">",
-            {"sigma"}, _hyp_none, _sigma_lhs, _b8_rhs,
-            notes=("bare published average read as the mean of the degree entries",),
+            ("sigma",), _hyp_none, _sigma_lhs, _b8_rhs,
+            extra_notes=("bare published average read as the mean of the degree entries",),
         ),
-        _spec(
+        BoundSpec(
             "B9", "sigma <= 2^p(irr + 2m) + D(D-1)^2", "<=",
-            {"irr", "sigma"}, _hyp_b9, _sigma_lhs, _b9_rhs,
+            ("irr", "sigma"), _hyp_b9, _sigma_lhs, _b9_rhs,
             params=("p",),
         ),
-        _spec(
+        BoundSpec(
             "B10", "sigma <= floor(3n^2/4)*ceil(n^2/4) / (2(D-3))", "<=",
-            {"sigma"}, _hyp_b10, _sigma_lhs, _b10_rhs,
-            notes=("per-instance reading of the class maximum",),
+            ("sigma",), _hyp_b10, _sigma_lhs, _b10_rhs,
+            extra_notes=("per-instance reading of the class maximum",),
             params=("strict_max_degree_window",),
         ),
-        _spec(
+        BoundSpec(
             "B11", "sigma <= floor(2n^2/(3*mean_degree)) + 2^eta(m-D)^2/(5(n-1)^3)", "<=",
-            {"sigma"}, _hyp_b11, _sigma_lhs, _b11_rhs,
+            ("sigma",), _hyp_b11, _sigma_lhs, _b11_rhs,
             params=("eta",),
         ),
-        _spec(
+        BoundSpec(
             "B12", "sigma > 4n - 2*eta*mean - (n-eta)*floor(n/(n-eta))^2 + (n-eta)*floor(n/(n-mean))", ">",
-            {"sigma"}, _hyp_b12, _sigma_lhs, _b12_rhs,
+            ("sigma",), _hyp_b12, _sigma_lhs, _b12_rhs,
             params=("eta",),
         ),
-        _spec(
+        BoundSpec(
             "B13", "sigma <= eta1*floor(n/(n-eta)) + eta1*ceil(n/(eta-mean)) + cube_sum", "<=",
-            {"sigma"}, _hyp_b13, _sigma_lhs, _b13_rhs,
+            ("sigma",), _hyp_b13, _sigma_lhs, _b13_rhs,
             params=("eta", "eta1"),
         ),
-        _spec(
+        BoundSpec(
             "B14", "sigma(G) + sigma(complement(G)) == n*M1 - 4m^2", "==",
-            {"graph"}, _hyp_none, _b14_lhs, _b14_rhs,
+            ("graph",), _hyp_none, _b14_lhs, _b14_rhs,
         ),
-        _spec(
+        BoundSpec(
             "B15a", "(sum d)(d_first + d_last) >= sum d^2 + k*d_first*d_last", ">=",
             (), _hyp_sorted_desc, _b15a_lhs, _b15a_rhs,
         ),
-        _spec(
+        BoundSpec(
             "B15b", "k*sum(d) - (sum sqrt(d))^2 <= k(k-1)(mean - geometric mean)", "<=",
             (), _hyp_sorted_desc, _b15b_lhs, _b15b_rhs,
         ),
@@ -963,17 +919,13 @@ def missing_fields(spec: BoundSpec, binput: BoundInput) -> list[str]:
 _NO_PARAMS: Mapping[str, object] = MappingProxyType({})
 
 
-def _boxed(side: Side) -> RVal:
-    return side if isinstance(side, RVal) else RVal.of(Fraction(*side))
-
-
 def _printed(side: Side) -> Printed:
-    """The reported value of a side: a ratio as it is, an interval as its
-    midpoint, the only ``Fraction`` a report of a computable entry builds."""
-    if isinstance(side, RVal):
-        mid = side.mid
-        return mid.numerator, mid.denominator, side.exact
-    return side[0], side[1], True
+    """The reported value of a side: a ratio as it is, a box (lo, hi, den)
+    as its midpoint (lo + hi) / (2 den), exact when lo == hi."""
+    if len(side) == 2:
+        return side[0], side[1], True
+    lo, hi, den = side
+    return lo + hi, 2 * den, lo == hi
 
 
 def _exact(num: int, den: int) -> Exact:
@@ -992,20 +944,25 @@ def evaluate_bound(bound_id: str, binput: BoundInput) -> BoundReport:
 
 
 def _decide(spec: BoundSpec, b: BoundInput) -> tuple[Side, Side, Optional[bool]]:
-    """Both sides of a computable entry and whether its relation holds:
-    ln/ld against rn/rd as ln*rd against rn*ld when both are rational, else
-    as intervals at 64 bits and again at 128 where 64 does not separate them
-    (None where 128 does not)."""
-    lhs = spec.lhs(b, _BITS_FIRST)
-    rhs = spec.rhs(b, _BITS_FIRST)
-    if not (isinstance(lhs, RVal) or isinstance(rhs, RVal)):
-        return lhs, rhs, _HOLDS[spec.relation](lhs[0] * rhs[1], rhs[0] * lhs[1])
-    holds = _compare(_boxed(lhs), _boxed(rhs), spec.relation)
-    if holds is None:
-        lhs = spec.lhs(b, _BITS_ESCALATED)
-        rhs = spec.rhs(b, _BITS_ESCALATED)
-        holds = _compare(_boxed(lhs), _boxed(rhs), spec.relation)
-    return lhs, rhs, holds
+    """Both sides of a computable entry and whether its relation holds.
+    side[0] and side[-2] are the low and high numerators over side[-1], of
+    a ratio (num, den) and a box (lo, hi, den) alike.  Two ratios are
+    decided as ln*rd against rn*ld.  Where a side is a box the relation
+    holds if it holds at the worst pair of ends and fails if it fails at
+    the best pair, with == only between exact sides; at 64 bits, then at
+    128, and None where neither decides."""
+    relation = spec.relation
+    holds = _HOLDS[relation]
+    for bits in (_BITS_FIRST, _BITS_ESCALATED):
+        lhs, rhs = spec.lhs(b, bits), spec.rhs(b, bits)
+        low = holds(lhs[0] * rhs[-1], rhs[-2] * lhs[-1])  # lhs at its low end, rhs at its high end
+        if len(lhs) == len(rhs) == 2:
+            return lhs, rhs, low
+        high = holds(lhs[-2] * rhs[-1], rhs[0] * lhs[-1])  # lhs at its high end, rhs at its low end
+        worst, best = (high, low) if relation in ("<=", "<") else (low, high)
+        if (worst or not best) and (relation != "==" or lhs[0] == lhs[-2] and rhs[0] == rhs[-2]):
+            return lhs, rhs, worst
+    return lhs, rhs, None
 
 
 def counterexample_report(bound_id: str, spec: BoundSpec, b: BoundInput) -> Optional[dict]:

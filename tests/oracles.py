@@ -5,7 +5,7 @@ trees are generated from Pruefer words or parent arrays, centers are found
 from the diameter (or, as their reference, by eccentricity) rather than by
 peeling, and isomorphism keys use an interned rooted encoding instead of
 level sequences.  Agreement with the package is then evidence, not
-tautology.  Ten references are the exception, each kept from an earlier,
+tautology.  Eleven references are the exception, each kept from an earlier,
 simpler form of a package routine it is compared with:
 
 * ``integer_nth_root_from_power_of_two`` runs Newton's method from the
@@ -16,17 +16,23 @@ simpler form of a package routine it is compared with:
 * ``realize_graph_hakimi_by_sorting`` re-sorts every residual degree on
   each Havel-Hakimi step, where the package keeps a heap of vertices per
   residual degree;
-* ``b15b_lhs_pairwise`` shares the package's interval square root and
-  differs only in how the roots are summed;
+* ``RVal``, ``_compare``, ``sqrt_rval`` and ``nth_root_rval`` are this
+  module's own: a value boxed between two ``Fraction`` ends, decided by
+  comparing ends recursively, with each root's ends over q * 2^bits taken
+  from ``math.isqrt`` or ``integer_nth_root_from_power_of_two``, where the
+  package keeps a box as three integers (lo, hi, den), decides every
+  relation by one rule on cross-multiplied ends and roots from a float
+  estimate.  A floor root is unique, so both boxes have the same ends;
+* ``b15b_lhs_pairwise`` takes one of those square roots per pair of
+  entries, where the package takes one per pair of distinct degrees;
 * ``FRACTION_FORMULAS`` and ``fraction_decision`` are the catalog's sides
   and Fraction hypotheses as the statements read them, over ``Fraction``
   n, m, mean degree and half-sum/half-difference summaries, with relations
-  of their own.  They share the resolved parameters, the integer-only
-  hypotheses, ``RVal``, the interval roots and ``_compare``, where the
-  package decides every rational entry on integer numerators and
-  denominators;
+  of their own.  They share only the resolved parameters and the
+  integer-only hypotheses, where the package decides every rational entry
+  on integer numerators and denominators;
 * ``evaluate_bound_by_intervals`` builds a report from those formulas,
-  the catalog's notes and parameters.  It boxes every side as an interval,
+  the catalog's notes and parameters.  It boxes every side as an ``RVal``,
   compares through ``_compare`` with the 64 -> 128 bit escalation and
   prints midpoints, and it takes B14's complement from a complement
   ``Graph`` and B15b's sides from ``RVal`` sums, where the package
@@ -66,9 +72,10 @@ import heapq
 import operator
 import random
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import isqrt, prod
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
@@ -79,12 +86,8 @@ from sigmairr.bounds import (
     BoundInput,
     BoundParams,
     BoundReport,
-    RVal,
-    _compare,
     evaluate_bound,
     expand_bound_id,
-    nth_root_rval,
-    sqrt_rval,
 )
 from sigmairr.errors import DomainError
 from sigmairr.graphs import Graph, complement, format_edge_list
@@ -356,6 +359,64 @@ def realize_graph_hakimi_by_sorting(entries: Sequence[int]) -> Graph:
             remaining[idx] = (dv - 1, w)
             edges.append((v, w) if v < w else (w, v))
     return Graph(len(entries), edges)
+
+
+@dataclass(frozen=True)
+class RVal:
+    """A real value boxed between two Fractions; lo == hi means exact."""
+
+    lo: Fraction
+    hi: Fraction
+
+    @property
+    def exact(self) -> bool:
+        return self.lo == self.hi
+
+    @property
+    def mid(self) -> Fraction:
+        return (self.lo + self.hi) / 2
+
+    @staticmethod
+    def of(x) -> "RVal":
+        f = Fraction(x)
+        return RVal(f, f)
+
+    def __add__(self, other: "RVal") -> "RVal":
+        return RVal(self.lo + other.lo, self.hi + other.hi)
+
+    def __sub__(self, other: "RVal") -> "RVal":
+        return RVal(self.lo - other.hi, self.hi - other.lo)
+
+
+def _compare(lhs: RVal, rhs: RVal, relation: str):
+    """relation(lhs, rhs) if the boxes decide it, else None; == is decided
+    only between exact values."""
+    if lhs.exact and rhs.exact:
+        return _RELATIONS[relation](lhs.lo, rhs.lo)
+    if relation in (">=", ">"):
+        return _compare(rhs, lhs, "<=" if relation == ">=" else "<")
+    if relation in ("<=", "<"):
+        if lhs.hi < rhs.lo or (relation == "<=" and lhs.hi <= rhs.lo):
+            return True
+        if lhs.lo > rhs.hi or (relation == "<" and lhs.lo >= rhs.hi):
+            return False
+    return None
+
+
+def nth_root_rval(x: Fraction, degree: int, bits: int) -> RVal:
+    """x ** (1/degree) for x = p/q >= 0 boxed to the multiples of 1/(q 2^bits)
+    around it, exact on perfect powers: x^(1/degree) = (p q^(degree-1))^(1/degree) / q,
+    and the floor root of p q^(degree-1) 2^(bits degree) is ``math.isqrt``'s
+    or ``integer_nth_root_from_power_of_two``'s."""
+    q = x.denominator
+    scaled = (x.numerator * q ** (degree - 1)) << (bits * degree)
+    lo = isqrt(scaled) if degree == 2 else integer_nth_root_from_power_of_two(scaled, degree)
+    hi = lo if lo**degree == scaled else lo + 1
+    return RVal(Fraction(lo, q << bits), Fraction(hi, q << bits))
+
+
+def sqrt_rval(x: Fraction, bits: int) -> RVal:
+    return nth_root_rval(x, 2, bits)
 
 
 def _scale(value: RVal, c: Fraction) -> RVal:

@@ -10,7 +10,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import NON_DEFAULT_PARAMS, b15b_lhs_pairwise, evaluate_bound_by_intervals, fraction_decision
+from oracles import (
+    NON_DEFAULT_PARAMS,
+    RVal,
+    _compare,
+    b15b_lhs_pairwise,
+    evaluate_bound_by_intervals,
+    fraction_decision,
+    sqrt_rval,
+)
 
 from sigmairr import bounds, sequences
 from sigmairr.bounds import (
@@ -18,16 +26,12 @@ from sigmairr.bounds import (
     CATALOG,
     BoundInput,
     BoundParams,
-    RVal,
-    _compare,
     ceil_log2,
     evaluate_all,
     evaluate_bound,
     expand_bound_id,
     missing_fields,
-    nth_root_rval,
     resolve_parameters,
-    sqrt_rval,
 )
 from sigmairr.cli import main
 from sigmairr.errors import DomainError, InputError
@@ -63,22 +67,25 @@ def refuted(bound_id: str, binput: BoundInput) -> bool:
 class TestRootIntervals:
     @given(fraction_st, st.sampled_from([16, 64, 128]))
     def test_sqrt_brackets(self, x, bits):
-        box = sqrt_rval(x, bits)
-        assert box.lo * box.lo <= x <= box.hi * box.hi
-        assert box.hi - box.lo <= Fraction(1, 2**bits) * (1 if x.denominator == 1 else x.denominator) or box.exact
+        lo, hi, den = bounds.sqrt_rval(x, bits)
+        assert den == x.denominator << bits
+        assert lo * lo <= x * den * den <= hi * hi
+        assert hi - lo == (lo * lo != x * den * den)  # one step wide, or exact
 
     def test_sqrt_perfect_square_exact(self):
-        assert sqrt_rval(Fraction(49, 4), 64) == RVal.of(Fraction(7, 2))
-        assert sqrt_rval(Fraction(0), 64).exact
+        lo, hi, den = bounds.sqrt_rval(Fraction(49, 4), 64)
+        assert lo == hi and Fraction(lo, den) == Fraction(7, 2)
+        assert bounds.sqrt_rval(Fraction(0), 64)[:2] == (0, 0)
 
     @given(st.integers(0, 10**9), st.integers(2, 5))
     def test_nth_root_brackets(self, value, degree):
-        box = nth_root_rval(Fraction(value), degree, 64)
-        assert box.lo**degree <= value
-        assert value <= box.hi**degree
+        lo, hi, den = bounds.nth_root_rval(Fraction(value), degree, 64)
+        assert lo**degree <= value * den**degree
+        assert value * den**degree <= hi**degree
 
     def test_nth_root_perfect_power(self):
-        assert nth_root_rval(Fraction(32), 5, 64) == RVal.of(Fraction(2))
+        lo, hi, den = bounds.nth_root_rval(Fraction(32), 5, 64)
+        assert lo == hi and Fraction(lo, den) == 2
 
     @given(
         st.one_of(
@@ -290,8 +297,8 @@ class TestCatalogArithmetic:
         tie = replace(
             CATALOG["B1b"],
             hypothesis=lambda b: ([], True),
-            lhs=lambda b, bits: sqrt_rval(Fraction(2), bits),
-            rhs=lambda b, bits: sqrt_rval(Fraction(2), bits),
+            lhs=lambda b, bits: bounds.sqrt_rval(Fraction(2), bits),
+            rhs=lambda b, bits: bounds.sqrt_rval(Fraction(2), bits),
         )
         monkeypatch.setitem(CATALOG, "B1b", tie)
         report = evaluate_bound("B1b", BoundInput.from_graph(path(4)))
@@ -315,7 +322,8 @@ class TestB15bDegreeGrouping:
     def assert_matches_pairwise(binput):
         entries = binput.entries
         for bits in (64, 128):
-            assert bounds._b15b_lhs(binput, bits) == b15b_lhs_pairwise(entries, bits)
+            lo, hi, den = bounds._b15b_lhs(binput, bits)
+            assert RVal(Fraction(lo, den), Fraction(hi, den)) == b15b_lhs_pairwise(entries, bits)
 
     @given(
         st.one_of(
@@ -435,7 +443,36 @@ def _reference_inputs_match(binput):
         assert ours.to_json_dict() == reference.to_json_dict(), bound_id
 
 
+@st.composite
+def side_pairs(draw):
+    """Two sides, each a ratio (num, den), an exact box (lo, lo, den) or a box
+    (lo, hi, den), with ends a few steps of one grid 1/unit apart or one
+    numerator step off it: so they touch, nest, overlap and separate, over
+    shared and different denominators."""
+    unit = draw(st.sampled_from((1, 3, 2**64, 2**128 + 7)))
+
+    def side():
+        scale = draw(st.sampled_from((1, 2, 5, 2**64 + 1)))
+        lo, hi = sorted(draw(st.integers(-3, 3)) * scale + draw(st.integers(-1, 1)) for _ in range(2))
+        kind = draw(st.sampled_from(("ratio", "exact", "box")))
+        return (lo, unit * scale) if kind == "ratio" else (lo, lo if kind == "exact" else hi, unit * scale)
+
+    return side(), side()
+
+
 class TestExactFirst:
+    @given(side_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_boxes_decide_as_the_fraction_reference(self, sides):
+        # _decide's one rule on integer ends against the reference's Fraction
+        # boxes and _compare, under each of the five relations
+        lhs, rhs = sides
+        binput = BoundInput.from_graph(path(4))
+        boxed = [RVal(Fraction(side[0], side[-1]), Fraction(side[-2], side[-1])) for side in sides]
+        for relation in bounds._HOLDS:
+            spec = replace(CATALOG["B1b"], relation=relation, lhs=lambda b, bits: lhs, rhs=lambda b, bits: rhs)
+            assert bounds._decide(spec, binput) == (lhs, rhs, _compare(*boxed, relation)), relation
+
     def test_only_roots_are_boxed(self):
         boxed = set()
         for g in (path(6), star(7), random_tree(40, 1)):
@@ -445,11 +482,11 @@ class TestExactFirst:
                 assert spec.hypothesis(binput)[1], bound_id
                 for side in ("lhs", "rhs"):
                     value = getattr(spec, side)(binput, 64)
-                    if isinstance(value, RVal):
+                    if len(value) == 3:  # a box: lo <= hi over a positive denominator
                         boxed.add((bound_id, side))
-                    else:  # a numerator over a positive denominator
-                        num, den = value
-                        assert type(num) is int and type(den) is int and den > 0, (bound_id, side)
+                        assert value[0] <= value[1], (bound_id, side)
+                    # each end a numerator over a positive denominator
+                    assert all(type(x) is int for x in value) and value[-1] > 0, (bound_id, side)
         assert boxed == {("B6", "rhs"), ("B15b", "lhs"), ("B15b", "rhs")}
 
     def test_reports_match_interval_reference_on_trees(self):
@@ -597,23 +634,32 @@ class TestRefutes:
 
 def fraction_printed(value: Fraction, exact: bool):
     """(text, decimal) of a side as ``str`` and ``float`` of a Fraction
-    print it; the text is OverflowError where an inexact side has no float."""
+    print it; where an inexact side has no float, the text is its value's
+    12 significant digits, as ``.12g`` writes them."""
     try:
         decimal = float(value)
     except OverflowError:
         decimal = None
     if exact:
         return str(value), decimal
-    return (OverflowError if decimal is None else f"{decimal:.12g}"), decimal
+    return (f"{decimal:.12g}" if decimal is not None else twelve_digits(value)), decimal
+
+
+def twelve_digits(value: Fraction) -> str:
+    """A value of magnitude 10^12 or more to 12 significant digits, rounded
+    half to even from the value itself, with no trailing zeros: d.ddde+N."""
+    size = abs(value)
+    exponent = len(str(size.numerator // size.denominator)) - 1
+    digits = round(size / 10 ** (exponent - 11))
+    if digits == 10**12:
+        digits, exponent = digits // 10, exponent + 1
+    head, tail = str(digits)[0], str(digits)[1:].rstrip("0")
+    return f"{'-' if value < 0 else ''}{head}{'.' if tail else ''}{tail}e+{exponent}"
 
 
 def integer_printed(num: int, den: int, exact: bool):
     """(text, decimal) of a side as the package prints num/den."""
-    try:
-        text = bounds._side_text(num, den, exact)
-    except OverflowError:
-        text = OverflowError
-    return text, bounds._decimal(num, den)
+    return bounds._side_text(num, den, exact), bounds._decimal(num, den)
 
 
 def fraction_margin(relation: str, lhs: Fraction, rhs: Fraction) -> Fraction:
@@ -699,7 +745,8 @@ class TestPrintedSides:
                     continue
                 printed = []
                 for side in bounds._decide(spec, binput)[:2]:
-                    value, exact = (side.mid, side.exact) if isinstance(side, RVal) else (Fraction(*side), True)
+                    lo, hi, den = side if len(side) == 3 else (side[0], *side)
+                    value, exact = Fraction(lo + hi, 2 * den), lo == hi
                     num, den, printed_exact = bounds._printed(side)
                     assert (Fraction(num, den), printed_exact) == (value, exact)
                     assert integer_printed(num, den, exact) == fraction_printed(value, exact), (bound_id, binput.label)

@@ -310,6 +310,17 @@ class TestBounds:
             report = json.loads(out)["reports"][0]
             assert report["rhs_decimal"] is None and report["lhs_decimal"] == 215279404.0
             assert Fraction(report["rhs"]) > 10**308
+        # B6's inexact rhs is about sqrt(56)*10^400 + 10^400 here: printed to
+        # 12 significant digits from its box, with no float
+        sequence = f"{10**200},{3 * 10**200}"
+        code, out, err = run_cli(
+            capsys, "bounds", "check", "--sequence", sequence, "--convention", "paper-table", "--bound", "all",
+            "--format", fmt,
+        )
+        assert (code, err) == (0, "") and "8.48331477355e+400" in out
+        if fmt == "json":
+            report = next(r for r in json.loads(out)["reports"] if r["bound_id"] == "B6")
+            assert report["rhs_decimal"] is None and report["rhs"] == "8.48331477355e+400"
 
     # A side with more digits than the interpreter's default limit on str(int), 4,300.
     @pytest.mark.parametrize("argv", [
