@@ -298,7 +298,7 @@ class BoundInput:
         self.max_degree = max(entries)
         self.k = len(entries)
         self.degree_sum = sum(entries)
-        self.cube_sum = sum(d * d * d for d in entries)
+        self.cube_sum = sum(map(operator.mul, entries, map(operator.mul, entries, entries)))
         # alpha, beta, p, eta, eta1 and strict_max_degree_window, resolved once
         # here and shared by every catalog entry evaluated on this input
         resolved, self.param_notes = resolve_parameters(params, n, two_m, self.max_degree)
@@ -486,7 +486,7 @@ def _margin(relation: str, lhs: Ratio, rhs: Ratio) -> Ratio:
     return gap, ld * rd
 
 
-CSV_HEADER = ["bound_id", "hypotheses_met", "lhs", "rhs", "relation", "holds", "margin", "params"]
+CSV_HEADER = ["bound_id", "label", "hypotheses_met", "lhs", "rhs", "relation", "holds", "margin", "params"]
 
 
 # ---------------------------------------------------------------------------

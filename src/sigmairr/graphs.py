@@ -9,6 +9,7 @@ which makes every value safe to share across worker processes.
 from __future__ import annotations
 
 import re
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InputError
@@ -246,6 +247,5 @@ def parse_edge_list(text: str) -> Graph:
 def format_edge_list(vertex_count: int, sorted_edges: Iterable[Sequence[int]]) -> str:
     """The edge-list text of a graph on ``vertex_count`` vertices whose
     edges (u, v), u < v, are given in ascending order."""
-    lines = [f"# n={vertex_count}"]
-    lines.extend(f"{u} {v}" for u, v in sorted_edges)
-    return "\n".join(lines) + "\n"
+    flat = list(chain.from_iterable(sorted_edges))
+    return f"# n={vertex_count}\n" + "%d %d\n" * (len(flat) // 2) % tuple(flat)

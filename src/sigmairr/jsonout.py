@@ -11,9 +11,10 @@ a container that holds itself raises ``ValueError``.
 
 The stock ``json.dump`` yields one chunk per token.  This encoder renders
 each list with one ``join``, and a list of ``[int, int]`` pairs (the edge
-lists of a counterexample dump) from one ``%d`` template, once per pass
-and level: the records of one tree share its edge list, which is rendered
-for the first and reused for the rest.  A dict is one ``%`` format of its
+lists of a counterexample dump) as one ``%d`` format of its flattened
+items, into a template built once per pass for its length and level: the
+records of one tree share its edge list, which is rendered for the first
+and reused for the rest.  A dict is one ``%`` format of its
 converted values into its shape's template: the shape is its keys in
 insertion order and its level, and its template, built once per pass,
 holds the sorted keys and indents, with each value a ``%s``.  Only the
@@ -24,6 +25,7 @@ one chunk and ``json.dump`` never holds the whole document as one string.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 # Containers at a depth below this stream their items; deeper ones are one chunk.
@@ -56,7 +58,7 @@ _SCALAR = {str: encode_basestring_ascii, int: int.__repr__, float: _floatstr,
 class _Renderer:
     """One encoding pass, the containers it is inside (circular-reference
     check), the ``[int, int]``-pair lists it has rendered, and the
-    templates of the dict shapes it has met.
+    templates of the dict shapes and pair-list lengths it has met.
 
     A pass does not mutate the document, so a pair list met again at the
     same level renders to the same text: it is reused, keyed on the list's
@@ -98,14 +100,17 @@ class _Renderer:
         sep = "," + inner
         kinds = set(map(type, lst))
         kind = kinds.pop() if len(kinds) == 1 else None
-        pairs = False
+        flat = list(chain.from_iterable(lst)) if kind is list and set(map(len, lst)) == {2} else ()
+        pairs = bool(flat) and set(map(type, flat)) == {int}
         if kind in _SCALAR:
             body = sep.join(map(_SCALAR[kind], lst))
-        elif kind is list and _int_pairs(lst):
-            # The layout strings hold no "%", so they need no escaping.
-            pair = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
-            body = sep.join([pair] * len(lst)) % tuple([x for p in lst for x in p])
-            pairs = True
+        elif pairs:
+            template = self.shapes.get((len(lst), level))
+            if template is None:
+                # The layout strings hold no "%", so they need no escaping.
+                pair = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
+                template = self.shapes[len(lst), level] = sep.join([pair] * len(lst))
+            body = template % tuple(flat)
         else:
             body = sep.join([self.value(v, level + 1) for v in lst])
         del self.markers[id(lst)]
@@ -170,7 +175,3 @@ def _shape(keys: tuple, level: int) -> tuple[list[int], str]:
     body = ("," + inner).join([_key(keys[i]).replace("%", "%%") + "%s" for i in order])
     return order, "{" + inner + body + outer + "}"
 
-
-def _int_pairs(lst: list) -> bool:
-    """Whether every item of ``lst`` (a list of lists) is two exact ints."""
-    return set(map(len, lst)) == {2} and set(map(type, [x for p in lst for x in p])) == {int}

@@ -544,9 +544,12 @@ def falsify(
     n <= 12 build 555 inputs.  Random mode decodes seeded labeled trees of
     a fixed order from random Pruefer words and decides each on its own
     input, with no memo: samples seldom repeat a signature (3 to 7 of 200
-    at order 40).  ``params`` None means ``BoundParams()``.  The returned
-    list is deterministic for identical arguments, and follows the order in
-    which the trees are generated: in exhaustive mode, by increasing order.
+    at order 40).  A sample is scored in its one decode, which gives its
+    degrees, edges, Albertson and Sigma, and its input is built from those
+    numbers; each sample's seed is drawn only when it is decided.
+    ``params`` None means ``BoundParams()``.  The returned list is
+    deterministic for identical arguments, and follows the order in which
+    the trees are generated: in exhaustive mode, by increasing order.
     """
     from . import bounds
 
@@ -562,7 +565,7 @@ def falsify(
 
     def record(degrees: Sequence[int], edges: Sequence[tuple[int, int]], reports: list[tuple[str, dict]]) -> None:
         ordered = sorted(edges)  # both decodes give each edge as (u, v), u < v
-        tree = {"n": len(degrees), "edges": [list(e) for e in ordered],
+        tree = {"n": len(degrees), "edges": list(map(list, ordered)),
                 "edge_list": format_edge_list(len(degrees), ordered)}
         found.extend(Counterexample({"bound_id": bid, **tree, "report": report}) for bid, report in reports)
 
@@ -589,10 +592,13 @@ def falsify(
         raise DomainError("random falsification needs n >= 2")
     if mode.samples < 1:
         raise DomainError("need at least one sample")
+    n = mode.n
+    label = f"graph n={n} m={n - 1}"  # from_edges' label for a tree of order n
     rng = random.Random(mode.seed)
-    for seed in [rng.randrange(2**63) for _ in range(mode.samples)]:
-        degrees, edges = prufer_degrees_and_edges(random_prufer_word(mode.n, seed), mode.n)
-        if reports := decide(bounds.BoundInput.from_edges(degrees, edges, params)):
+    for _ in range(mode.samples):
+        degrees, edges, irr, sig = prufer_degrees_and_edges(random_prufer_word(n, rng.randrange(2**63)), n)
+        binput = bounds.BoundInput(tuple(sorted(degrees)), n, 2 * n - 2, irr, sig, params, label, edges)
+        if reports := decide(binput):
             record(degrees, edges, reports)
     return found
 

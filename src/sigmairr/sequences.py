@@ -12,6 +12,10 @@ interpretation conventions exist:
 
 All derived arithmetic is exact (``fractions.Fraction``); floors and
 ceilings downstream therefore never suffer float drift.
+
+Random labeled trees come from seeded Prufer words.  One decode gives a
+word's degrees, edges, Albertson and Sigma together, so ``bounds falsify``
+scores each random sample in that one pass.
 """
 
 from __future__ import annotations
@@ -275,13 +279,17 @@ def random_prufer_word(n: int, seed: int) -> list[int]:
     return word
 
 
-def prufer_degrees_and_edges(word: Sequence[int], n: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """Vertex degrees and edges (u, v), u < v, of the tree on 0..n-1 that a
-    Prufer word of length n-2 encodes, by the linear decode.
+def prufer_degrees_and_edges(
+    word: Sequence[int], n: int
+) -> tuple[list[int], list[tuple[int, int]], int, int]:
+    """Vertex degrees, edges (u, v), u < v, Albertson and Sigma of the tree
+    on 0..n-1 that a Prufer word of length n-2 encodes, by the linear decode.
 
-    A vertex's degree is its symbol count plus one.  The decode joins the
-    smallest leaf to each symbol in turn: a pointer scans upward for the
-    next leaf, except when the symbol just used becomes a leaf below it.
+    A vertex's degree is its symbol count plus one, so every degree is known
+    before the first join, and each edge adds |d_u - d_v| and its square as
+    it is appended.  The decode joins the smallest leaf to each symbol in
+    turn: a pointer scans upward for the next leaf, except when the symbol
+    just used becomes a leaf below it.
     """
     if n < 2 or len(word) != n - 2:
         raise DomainError("Prufer word must have length n - 2 with n >= 2")
@@ -292,12 +300,16 @@ def prufer_degrees_and_edges(word: Sequence[int], n: int) -> tuple[list[int], li
         degrees[x] += 1
     remaining = degrees.copy()  # degree in the tree not yet decoded
     edges = []
+    irr = sigma = 0
     ptr = 0
     while remaining[ptr] != 1:
         ptr += 1
     leaf = ptr
     for x in word:
         edges.append((leaf, x) if leaf < x else (x, leaf))
+        gap = abs(degrees[leaf] - degrees[x])
+        irr += gap
+        sigma += gap * gap
         remaining[x] -= 1
         if remaining[x] == 1 and x < ptr:
             leaf = x
@@ -307,7 +319,8 @@ def prufer_degrees_and_edges(word: Sequence[int], n: int) -> tuple[list[int], li
                 ptr += 1
             leaf = ptr
     edges.append((leaf, n - 1) if leaf < n - 1 else (n - 1, leaf))
-    return degrees, edges
+    gap = abs(degrees[leaf] - degrees[n - 1])
+    return degrees, edges, irr + gap, sigma + gap * gap
 
 
 def parse_sequence_literal(text: str) -> tuple[int, ...]:

@@ -953,14 +953,34 @@ class TestFromEdges:
 
     def test_random_trees_of_order_forty(self):
         for seed in range(200):
-            degrees, edges = prufer_degrees_and_edges(random_prufer_word(40, seed), 40)
+            degrees, edges, _, _ = prufer_degrees_and_edges(random_prufer_word(40, seed), 40)
             _inputs_agree(BoundInput.from_edges(degrees, edges), BoundInput.from_graph(random_tree(40, seed)))
 
     @pytest.mark.parametrize("params", NON_DEFAULT_PARAMS.values(), ids=NON_DEFAULT_PARAMS.keys())
     def test_params_and_label_pass_through(self, params):
-        degrees, edges = prufer_degrees_and_edges(random_prufer_word(12, 5), 12)
+        degrees, edges, _, _ = prufer_degrees_and_edges(random_prufer_word(12, 5), 12)
         _inputs_agree(BoundInput.from_edges(degrees, edges, params, label="tree"),
                       BoundInput.from_graph(random_tree(12, 5), params, label="tree"))
+
+    @pytest.mark.parametrize("params", ALL_PARAMS, ids=PARAM_IDS)
+    def test_random_falsify_builds_the_from_edges_input(self, monkeypatch, params):
+        # Random mode builds each input from its decode's numbers: no
+        # from_edges, no albertson_and_sigma, and one decode per sample.
+        from sigmairr import search
+
+        decoded, decided, calls = [], {}, []
+        decode, report = search.prufer_degrees_and_edges, bounds.counterexample_report
+        monkeypatch.setattr(search, "prufer_degrees_and_edges", lambda *args: decoded.append(decode(*args)) or decoded[-1])
+        monkeypatch.setattr(bounds, "counterexample_report",
+                            lambda bid, spec, b: decided.setdefault(id(b), b) and report(bid, spec, b))
+        monkeypatch.setattr(BoundInput, "from_edges", lambda *args: calls.append("from_edges"))
+        monkeypatch.setattr(bounds, "albertson_and_sigma", lambda *args: calls.append("albertson_and_sigma"))
+        falsify("all", RandomMode(n=40, samples=30, seed=0), params)
+        monkeypatch.undo()
+        assert calls == [] and len(decoded) == len(decided) == 30
+        for (degrees, edges, _, _), binput in zip(decoded, decided.values()):
+            assert binput.params is params and binput.edges is edges
+            _inputs_agree(binput, BoundInput.from_edges(degrees, edges, params))
 
     def test_rejects_what_from_graph_rejects(self):
         for n, degrees, edges, message in (

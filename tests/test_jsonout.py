@@ -148,6 +148,34 @@ class TestShapes:
         assert assert_same_as_stock({"top": document, "nested": [[d] for d in document]})[0] == "ok"
 
 
+class TestPairLists:
+    """A list of ``[int, int]`` pairs renders from a template kept per
+    (length, level) for the pass; each case puts lists that share or miss
+    that key into one document, below ``STREAM_DEPTH``, and compares the
+    whole document with the stock encoder."""
+
+    def test_one_length_at_two_levels(self):
+        document = {"r": [[[0, 1], [2, 3]], {"x": [[4, 5], [6, 7]]}, [[8, 9], [10, 11]], [[[12, 13], [14, 15]]]]}
+        assert assert_same_as_stock(document)[0] == "ok"
+
+    def test_two_lengths_at_one_level(self):
+        document = {"r": [[[0, 1]], [[2, 3], [4, 5]], [[6, 7]], [[8, 9], [10, 11], [12, 13]]]}
+        assert assert_same_as_stock(document)[0] == "ok"
+
+    @pytest.mark.parametrize("odd", [True, 2.0], ids=["bool", "float"])
+    def test_a_pair_holding_a_bool_or_float(self, odd):
+        document = {"r": [[[0, 1], [2, 3]], [[odd, 1], [2, 3]], [[0, 1], [2, odd]], [[0, 1], [2, 3]]]}
+        assert assert_same_as_stock(document)[0] == "ok"
+
+    def test_a_three_item_inner_list(self):
+        document = {"r": [[[0, 1], [2, 3]], [[0, 1], [2, 3, 4]], [[0, 1, 2], [3, 4, 5]], [[0, 1], [2, 3]]]}
+        assert assert_same_as_stock(document)[0] == "ok"
+
+    def test_an_empty_inner_list(self):
+        document = {"r": [[[0, 1], [2, 3]], [[0, 1], []], [[], []], [[]], [[0, 1], [2, 3]]]}
+        assert assert_same_as_stock(document)[0] == "ok"
+
+
 class TestOneFormat:
     """Only the seven types, matched exactly, are written: any other value,
     a subclass of one of them included, and every key that is not a

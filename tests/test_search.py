@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -452,6 +453,24 @@ class TestFalsify:
         a = falsify("B8", RandomMode(n=9, samples=25, seed=11))
         b = falsify("B8", RandomMode(n=9, samples=25, seed=11))
         assert [c.to_json_dict() for c in a] == [c.to_json_dict() for c in b]
+
+    def test_random_mode_draws_each_seed_as_it_decodes(self, monkeypatch):
+        # The k-th decode follows exactly k seed draws, so a large --samples
+        # holds no list of seeds.
+        import sigmairr.search as search_module
+
+        draws, seen = [], []
+
+        class CountingRandom(random.Random):
+            def randrange(self, *args):
+                draws.append(args)
+                return super().randrange(*args)
+
+        decode = search_module.prufer_degrees_and_edges
+        monkeypatch.setattr(search_module, "random", SimpleNamespace(Random=CountingRandom))
+        monkeypatch.setattr(search_module, "prufer_degrees_and_edges", lambda *args: seen.append(len(draws)) or decode(*args))
+        falsify("B8", RandomMode(n=9, samples=25, seed=11))
+        assert seen == list(range(1, 26))
 
     def test_base_id_expansion(self):
         found = falsify("B1", ExhaustiveMode(5))

@@ -279,10 +279,27 @@ class TestRandomTree:
         for n in (2, 3, 7, 40):
             for seed in range(20):
                 word = random_prufer_word(n, seed)
-                degrees, edges = prufer_degrees_and_edges(word, n)
+                degrees, edges, _, _ = prufer_degrees_and_edges(word, n)
                 g = Graph(n, edges)
                 assert len(edges) == n - 1 and all(u < v for u, v in edges)
                 assert degrees == list(g.degrees) == [1 + word.count(v) for v in range(n)]
+
+    def test_decode_scores_match_the_textbook_oracle(self):
+        # every word for n <= 7, then 200 random words each for n = 8, 40 and 200;
+        # irr and sigma are summed here over the oracle's edges and degree counts
+        words = [(word, n) for n in range(2, 8) for word in product(range(n), repeat=n - 2)]
+        assert len(words) == 1 + 3 + 16 + 125 + 1296 + 16807
+        words += [(random_prufer_word(n, seed), n) for n in (8, 40, 200) for seed in range(200)]
+        for word, n in words:
+            expected = prufer_decode(tuple(word), n)
+            counts = [0] * n
+            for u, v in expected:
+                counts[u] += 1
+                counts[v] += 1
+            gaps = [abs(counts[u] - counts[v]) for u, v in expected]
+            degrees, edges, irr, sig = prufer_degrees_and_edges(word, n)
+            assert degrees == counts and sorted(edges) == sorted(expected), (word, n)
+            assert (irr, sig) == (sum(gaps), sum(g * g for g in gaps)), (word, n)
 
     def test_decode_validation(self):
         for word, n in (((), 1), ((0,), 2), ((0, 1), 3), ((3,), 3), ((-1,), 3)):
