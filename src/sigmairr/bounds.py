@@ -138,18 +138,30 @@ _HOLDS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.
 # ---------------------------------------------------------------------------
 # Parameters
 
+# The strong probable-prime test to the 13 prime bases 2..41 is exact below
+# PRIME_LIMIT (J. Sorenson and J. Webster, Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(x: int) -> bool:
+    """Whether x is prime, decided exactly for every x < PRIME_LIMIT."""
+    for q in _PRIME_BASES:
+        if x % q == 0:
+            return x == q
     if x < 2:
         return False
-    if x < 4:
-        return True
-    if x % 2 == 0:
-        return False
-    f = 3
-    while f * f <= x:
-        if x % f == 0:
+    s = ((x - 1) & (1 - x)).bit_length() - 1  # x - 1 = d * 2^s, d odd
+    for a in _PRIME_BASES:
+        y = pow(a, (x - 1) >> s, x)
+        if y == 1:
+            continue
+        for _ in range(s):
+            if y == x - 1:
+                break
+            y = y * y % x
+        else:
             return False
-        f += 2
     return True
 
 
@@ -184,6 +196,8 @@ class BoundParams:
             raise InputError("alpha must be >= 0")
         if self.beta is not None and self.beta < 0:
             raise InputError("beta must be >= 0")
+        if self.p >= PRIME_LIMIT:
+            raise InputError(f"p must be below {PRIME_LIMIT}, the range of the exact primality test")
         if not _is_prime(self.p):
             raise InputError(f"p must be prime, got {self.p}")
         if self.eta is not None and self.eta < 1:

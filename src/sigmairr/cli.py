@@ -223,34 +223,39 @@ def _cmd_sequence_analyze(args) -> int:
         mean_decimal = float(view.mean_entry)
     except OverflowError:  # beyond float range: null, as bounds._decimal writes lhs_decimal
         mean_decimal = None
-    payload = {
-        "entries": list(entries),
-        "convention": view.convention.value,
-        "k": view.k,
-        "n": view.n,
-        "m": str(view.m),
-        "max_entry": view.max_entry,
-        "min_entry": view.min_entry,
-        "mean_entry": str(view.mean_entry),
-        "mean_entry_decimal": mean_decimal,
-        "cube_sum": view.cube_sum,
-        "is_graphical": is_graphical(entries),
-        "is_tree_sequence": is_tree_sequence(entries),
-    }
-    if view.k >= 2:
-        der = derive(view)
-        payload.update(
-            {
-                "half_diffs": [str(t) for t in der.half_diffs],
-                "half_sums": [str(a) for a in der.half_sums],
-                "max_half_diff": str(der.max_half_diff),
-                "max_half_sum": str(der.max_half_sum),
-                "mean_half_diff": str(der.mean_half_diff),
-                "mean_half_sum": str(der.mean_half_sum),
-            }
-        )
-    header = ["property", "value"]
-    rows = [[k, v if isinstance(v, str) else json.dumps(v)] for k, v in payload.items()]
+    # str() and json.dumps refuse an int past the interpreter's int-to-str digit
+    # limit, and so would json.loads: refuse the sequence before writing a byte.
+    try:
+        payload = {
+            "entries": list(entries),
+            "convention": view.convention.value,
+            "k": view.k,
+            "n": view.n,
+            "m": str(view.m),
+            "max_entry": view.max_entry,
+            "min_entry": view.min_entry,
+            "mean_entry": str(view.mean_entry),
+            "mean_entry_decimal": mean_decimal,
+            "cube_sum": view.cube_sum,
+            "is_graphical": is_graphical(entries),
+            "is_tree_sequence": is_tree_sequence(entries),
+        }
+        if view.k >= 2:
+            der = derive(view)
+            payload.update(
+                {
+                    "half_diffs": [str(t) for t in der.half_diffs],
+                    "half_sums": [str(a) for a in der.half_sums],
+                    "max_half_diff": str(der.max_half_diff),
+                    "max_half_sum": str(der.max_half_sum),
+                    "mean_half_diff": str(der.mean_half_diff),
+                    "mean_half_sum": str(der.mean_half_sum),
+                }
+            )
+        header = ["property", "value"]
+        rows = [[k, v if isinstance(v, str) else json.dumps(v)] for k, v in payload.items()]
+    except ValueError as exc:
+        raise InputError(f"a value of this sequence cannot be written: {exc}") from None
     _render(args.format, header, rows, payload, args.out)
     return 0
 

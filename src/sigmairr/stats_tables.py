@@ -15,9 +15,10 @@ Cells are stored exactly as printed.  Recomputation notes:
 * The irr and eta1 columns have no derivable generator and are consumed
   as given data.
 
-Correlation uses exact integer accumulation with a single final rounding;
-least squares solves the normal equations in exact rationals, including the
-minimum-norm solution for rank-deficient designs.
+Correlation uses exact integer accumulation with a single final rounding,
+the diagonal included.  Least squares solves one exact rational system for
+every design rank, whose solution is the minimum-norm one, and the condition
+number is read from that system's exact Gram matrix.
 """
 
 from __future__ import annotations
@@ -245,17 +246,8 @@ def correlation_matrix(variables: Sequence[str], columns: Sequence[Sequence]) ->
     if width < 3 or any(len(col) != width for col in columns):
         raise InputError("columns must share one length >= 3")
     cols = [[Fraction(v) for v in col] for col in columns]
-    size = len(cols)
-    matrix = []
-    for i in range(size):
-        row: list[Optional[float]] = []
-        for j in range(size):
-            if i == j:
-                row.append(1.0 if _pearson(cols[i], cols[i]) is not None else None)
-            else:
-                row.append(_pearson(cols[i], cols[j]))
-        matrix.append(tuple(row))
-    return CorrelationReport(tuple(variables), tuple(matrix))
+    matrix = tuple(tuple(_pearson(a, b) for b in cols) for a in cols)
+    return CorrelationReport(tuple(variables), matrix)
 
 
 @dataclass(frozen=True)
@@ -271,22 +263,6 @@ class MatrixEntryComparison:
 _MATRIX_TOLERANCE = 5e-3
 
 
-def compare_matrix(
-    report: CorrelationReport,
-    printed: Sequence[Sequence[float]],
-) -> tuple[MatrixEntryComparison, ...]:
-    """Per-entry deviation records against a printed matrix."""
-    out = []
-    for i, row in enumerate(report.matrix):
-        for j, value in enumerate(row):
-            target = printed[i][j]
-            diff = None if value is None else abs(value - target)
-            out.append(
-                MatrixEntryComparison(i, j, value, target, diff, diff is not None and diff <= _MATRIX_TOLERANCE)
-            )
-    return tuple(out)
-
-
 def table_correlation(table_id: int) -> tuple[CorrelationReport, tuple[MatrixEntryComparison, ...]]:
     """The published matrix's variables, read off the rows; table 1's n is sum(entries)."""
     rows = _table(table_id)
@@ -297,7 +273,13 @@ def table_correlation(table_id: int) -> tuple[CorrelationReport, tuple[MatrixEnt
         names, printed = MATRIX2_VARIABLES, PRINTED_MATRIX_2
         values = [(r.n, r.eta, r.eta1, r.sigma, r.irr) for r in rows]
     report = correlation_matrix(names, list(zip(*values)))
-    return report, compare_matrix(report, printed)
+    checks = []
+    for i, row in enumerate(report.matrix):
+        for j, value in enumerate(row):
+            diff = None if value is None else abs(value - printed[i][j])
+            ok = diff is not None and diff <= _MATRIX_TOLERANCE
+            checks.append(MatrixEntryComparison(i, j, value, printed[i][j], diff, ok))
+    return report, tuple(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -327,52 +309,24 @@ def _rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]
     return matrix, pivots
 
 
-def _solve_unique(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Solve a full-rank square system exactly."""
-    size = len(a)
-    aug = [row[:] + [bv] for row, bv in zip(a, b)]
-    aug, pivots = _rref(aug)
-    if len(pivots) != size or pivots != list(range(size)):
-        raise DomainError("system is singular")
-    return [aug[i][size] for i in range(size)]
+def _lstsq_exact(x: list[list[Fraction]], y: list[Fraction]) -> tuple[list[Fraction], int, list[list[Fraction]]]:
+    """Minimum-norm exact least squares: (beta, rank, Gram matrix G = X^T X).
 
-
-def _lstsq_exact(x: list[list[Fraction]], y: list[Fraction]) -> tuple[list[Fraction], int]:
-    """Minimum-norm exact least squares via normal equations.
-
-    Returns (beta, rank of the design).  For rank-deficient designs the
-    particular solution of the (always consistent) normal equations is
-    projected onto the row space, which is the minimum-norm solution.
+    One system for every rank: G^2 w = X^T y is consistent, because X^T y
+    lies in range(G) = range(G^2), and beta = G w is the one solution of
+    the normal equations G beta = X^T y in the row space of X, which is the
+    minimum-norm one.
     """
     p = len(x[0])
     gram = [[sum(row[i] * row[j] for row in x) for j in range(p)] for i in range(p)]
     rhs = [sum(row[i] * yi for row, yi in zip(x, y)) for i in range(p)]
-    aug = [gram[i][:] + [rhs[i]] for i in range(p)]
-    reduced, pivots = _rref(aug)
-    rank = len(pivots)
-    beta0 = [Fraction(0)] * p
+    square = [[sum(gi[t] * gram[t][j] for t in range(p)) for j in range(p)] + [ci] for gi, ci in zip(gram, rhs)]
+    reduced, pivots = _rref(square)
+    w = [Fraction(0)] * p
     for r, c in enumerate(pivots):
-        beta0[c] = reduced[r][p]
-    if rank == p:
-        return beta0, rank
-    # Nullspace basis of the Gram matrix (free columns).
-    free = [c for c in range(p) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * p
-        vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -reduced[r][f]
-        basis.append(vec)
-    # Project beta0 off the nullspace: solve (N^T N) gamma = N^T beta0.
-    ntn = [[sum(bi[t] * bj[t] for t in range(p)) for bj in basis] for bi in basis]
-    ntb = [sum(bi[t] * beta0[t] for t in range(p)) for bi in basis]
-    gamma = _solve_unique(ntn, ntb)
-    beta = [
-        beta0[t] - sum(gamma[s] * basis[s][t] for s in range(len(basis)))
-        for t in range(p)
-    ]
-    return beta, rank
+        w[c] = reduced[r][p]
+    beta = [sum(gi[t] * w[t] for t in range(p)) for gi in gram]
+    return beta, len(pivots), gram
 
 
 @dataclass(frozen=True)
@@ -401,8 +355,8 @@ class OlsReport:
 
 
 def ols_fit(features: Sequence[Sequence], target: Sequence) -> OlsReport:
-    """Least squares with column centering, exact normal-equation solve,
-    and minimum-norm handling of rank-deficient designs."""
+    """Least squares with column centering and one exact minimum-norm solve
+    for every design rank."""
     if not features or not target:
         raise DomainError("empty regression input")
     rows = [[Fraction(v) for v in row] for row in features]
@@ -418,7 +372,7 @@ def ols_fit(features: Sequence[Sequence], target: Sequence) -> OlsReport:
     xc = [[r[j] - means[j] for j in range(p)] for r in rows]
     yc = [v - ybar for v in y]
 
-    beta, rank = _lstsq_exact(xc, yc)
+    beta, rank, gram = _lstsq_exact(xc, yc)
     intercept = ybar - sum(means[j] * beta[j] for j in range(p))
     sse = sum((yv - sum(row[j] * beta[j] for j in range(p))) ** 2 for row, yv in zip(xc, yc))
     sst = sum(v * v for v in yc)
@@ -432,37 +386,35 @@ def ols_fit(features: Sequence[Sequence], target: Sequence) -> OlsReport:
     deficient = rank < p
     if deficient:
         notes.append("rank-deficient design; minimum-norm solution reported")
-    cond = _condition_number(xc, p, deficient)
     return OlsReport(
         coefficients=tuple(float(b) for b in beta),
         intercept=float(intercept),
         r_squared=r2,
         rank=rank,
         rank_deficient=deficient,
-        condition_number=cond,
+        condition_number=_condition_number(gram, deficient),
         coefficients_exact=tuple(beta),
         intercept_exact=intercept,
         notes=tuple(notes),
     )
 
 
-def _condition_number(xc: list[list[Fraction]], p: int, deficient: bool) -> Optional[float]:
-    """2-norm condition of the centered design (exact Gram, float eigenvalues)."""
+def _condition_number(gram: list[list[Fraction]], deficient: bool) -> Optional[float]:
+    """2-norm condition of the centered design from its exact Gram matrix.
+
+    For two features the Gram eigenvalues are hi = (a + d + sqrt((a-d)^2 +
+    4b^2))/2 and det/hi with det = ad - b^2 exact, so the condition
+    sqrt(hi/lo) is hi/sqrt(det) and no nearly equal floats are subtracted.
+    """
     if deficient:
         return math.inf
-    if p == 1:
+    if len(gram) == 1:
         return 1.0
-    if p != 2:
+    if len(gram) != 2:
         return None
-    a = float(sum(r[0] * r[0] for r in xc))
-    b = float(sum(r[0] * r[1] for r in xc))
-    d = float(sum(r[1] * r[1] for r in xc))
-    disc = math.sqrt(max((a - d) ** 2 + 4 * b * b, 0.0))
-    hi = (a + d + disc) / 2
-    lo = (a + d - disc) / 2
-    if lo <= 0:
-        return math.inf
-    return math.sqrt(hi / lo)
+    (a, b), (_, d) = gram
+    hi = (float(a + d) + math.sqrt(float((a - d) ** 2 + 4 * b * b))) / 2
+    return hi / math.sqrt(float(a * d - b * b))
 
 
 def _prediction_point(point: Sequence[float], dimension: int) -> tuple[float, ...]:

@@ -5,7 +5,7 @@ trees are generated from Pruefer words or parent arrays, centers are found
 from the diameter (or, as their reference, by eccentricity) rather than by
 peeling, and isomorphism keys use an interned rooted encoding instead of
 level sequences.  Agreement with the package is then evidence, not
-tautology.  Eleven references are the exception, each kept from an earlier,
+tautology.  Twelve references are the exception, each kept from an earlier,
 simpler form of a package routine it is compared with:
 
 * ``integer_nth_root_from_power_of_two`` runs Newton's method from the
@@ -59,10 +59,16 @@ simpler form of a package routine it is compared with:
   from the refuting sides with no ``BoundReport``, and shares one sorted
   edge list and its text per tree.  Its random trees
   are its own: each Pruefer word is ``randrange(n)`` drawn n - 2 times
-  from the sample's ``Random(seed)``, decoded by ``prufer_decode_heap``.
+  from the sample's ``Random(seed)``, decoded by ``prufer_decode_heap``;
+* ``is_prime_by_trial_division`` divides by every integer up to the square
+  root, where the package runs the strong probable-prime test to the 13
+  prime bases 2..41.
 
 ``greedy_min_sigma`` shares nothing with the package: it builds one tree
 per degree multiset by construction instead of searching a stream.
+``greville_pinv`` builds an exact pseudo-inverse one column at a time and
+imports nothing from ``stats_tables``, whose least squares solves one
+system in the squared Gram matrix.
 """
 
 from __future__ import annotations
@@ -917,3 +923,35 @@ def greedy_min_sigma(multiset: Sequence[int]) -> int:
             next_vertex += 1
     assert next_vertex == n and len(edges) == n - 1
     return sum((degrees[u] - degrees[v]) ** 2 for u, v in edges)
+
+
+def is_prime_by_trial_division(x: int) -> bool:
+    if x < 2:
+        return False
+    f = 2
+    while f * f <= x:
+        if x % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def greville_pinv(columns: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Exact Moore-Penrose pseudo-inverse of the matrix with these columns,
+    built one column at a time (T. N. E. Greville, SIAM Review 2, 1960).
+    Row j of the result pairs with column j."""
+    pinv: list[list[Fraction]] = []  # rows of the pseudo-inverse of the columns so far
+    seen: list[list[Fraction]] = []
+    for col in columns:
+        a = [Fraction(v) for v in col]
+        d = [sum(r * v for r, v in zip(row, a)) for row in pinv]
+        c = [a[t] - sum(s[t] * dj for s, dj in zip(seen, d)) for t in range(len(a))]
+        cc = sum(v * v for v in c)
+        if cc:
+            b = [v / cc for v in c]
+        else:
+            scale = Fraction(1) + sum(v * v for v in d)
+            b = [sum(dj * row[t] for dj, row in zip(d, pinv)) / scale for t in range(len(a))]
+        pinv = [[v - dj * bt for v, bt in zip(row, b)] for row, dj in zip(pinv, d)] + [b]
+        seen.append(a)
+    return pinv

@@ -17,6 +17,7 @@ from oracles import (
     b15b_lhs_pairwise,
     evaluate_bound_by_intervals,
     fraction_decision,
+    is_prime_by_trial_division,
     sqrt_rval,
 )
 
@@ -118,6 +119,17 @@ class TestParams:
             BoundParams(eta1=Fraction(2))
         with pytest.raises(InputError):
             BoundParams(alpha=-1)
+
+    def test_primality_matches_trial_division(self):
+        assert all(bounds._is_prime(x) == is_prime_by_trial_division(x) for x in range(300_000))
+
+    # strong pseudoprimes to the bases 2; 2..7; 2..23; 2..37, a Carmichael number, and 3 * 768614336404564651
+    @pytest.mark.parametrize("x", [2047, 3_215_031_751, 3_825_123_056_546_413_051,
+                                   318_665_857_834_031_151_167_461, 561, 2**61 + 1])
+    def test_pseudoprimes_rejected(self, x):
+        assert not bounds._is_prime(x)
+        with pytest.raises(InputError, match="must be prime"):
+            BoundParams(p=x)
 
     def test_eta_default_from_view(self):
         view = DegreeSequenceView((3, 6, 8, 10, 14, 16, 20), Convention.PAPER_TABLE)

@@ -68,6 +68,18 @@ class TestSequenceAnalyze:
             sep = "," if fmt == "csv" else "  "
             assert f"mean_entry_decimal{sep}null\n" in out
 
+    # The cube sum of 10^300 - 1 has 900 digits, past a limit of 640 on str(int).
+    @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
+    def test_value_beyond_the_int_to_str_limit_refused(self, fmt):
+        env = {**os.environ, "PYTHONPATH": str(Path(search.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-X", "int_max_str_digits=640", "-m", "sigmairr", "sequence", "analyze",
+             "--sequence", "9" * 300 + ",1", "--format", fmt],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
 
 class TestErrors:
     def test_unknown_flag(self, capsys):
@@ -429,6 +441,22 @@ class TestBounds:
             )
             assert [c for c in found if c["bound_id"] == bound_id] == json.loads(single)["counterexamples"]
 
+    def test_large_prime_p_checked_quickly(self):
+        # 2^61 - 1 is prime; trial division up to its square root never finished.
+        env = {**os.environ, "PYTHONPATH": str(Path(search.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "sigmairr", "bounds", "check", "--family", "path:5", "--bound", "B1",
+             "--p", str(2**61 - 1)],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+
+    # PRIME_LIMIT is the least composite that passes the test to every base 2..41.
+    def test_p_beyond_the_exact_test_range(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "check", "--family", "path:5", "--bound", "B1",
+                                 "--p", str(bounds.PRIME_LIMIT))
+        assert (code, out) == (1, "") and err.startswith("error: p must be below") and err.count("\n") == 1
+
     def test_falsify_bad_prime(self, capsys):
         code, _, err = run_cli(
             capsys, "bounds", "falsify", "--bound", "B9", "--nmax", "5", "--p", "6"
@@ -649,11 +677,11 @@ RENDERED_DIGESTS = {
     "stats correlate --table 2 --format json":
         "967f16c5739ef41f97a6d1d3aea73976aaed0ed3edf96af00c8a56843e2bed8a",
     "stats regress --table 1 --format human":
-        "d4e36edb6369c178e4c088f3ab140c29fe483341a90154b5bc9c4dda3c28feca",
+        "6f54a2a308e3e0c7f98746ad47cb2c6e8fabef46ad724cada86a426517c386be",
     "stats regress --table 1 --format csv":
-        "f8cb54176add6ae2d297972b11a37eeb3f9682ae04720c9cd4e78709800859ad",
+        "5c660ba39034031a4098b761686f80b38be87cddef40729a4a85ad575f0c01e4",
     "stats regress --table 1 --format json":
-        "b14fb0bf0013d528dc695693aea9d201295e71e9b5889839baf8d9275f0d68e3",
+        "ba6675637e618fe8f13707961d48f267eb91e0661abf5aad48677f12214b7194",
     "plots emit --figure 1 --max-n 10":
         "9e47bd45f0abf0648942b674f9c1cc038620c5e6c8bb9a74215d28a3864999f4",
     "tables export --table 1 --format human":

@@ -1,10 +1,12 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import greville_pinv
 from sigmairr.errors import DomainError, InputError
 from sigmairr.stats_tables import (
     MATRIX1_VARIABLES,
@@ -13,7 +15,6 @@ from sigmairr.stats_tables import (
     PRINTED_REGRESSION_2,
     TABLE1,
     TABLE2,
-    compare_matrix,
     correlation_matrix,
     ols_fit,
     predict,
@@ -111,6 +112,13 @@ class TestCorrelation:
         assert report.matrix[0][1] is None and report.matrix[0][0] is None
         assert report.matrix[1][1] == 1.0
 
+    @given(st.lists(st.lists(st.integers(-5, 5), min_size=5, max_size=5), min_size=2, max_size=5))
+    @settings(max_examples=60)
+    def test_diagonal_is_one_or_none(self, columns):
+        report = correlation_matrix([f"c{i}" for i in range(len(columns))], columns)
+        for i, col in enumerate(columns):
+            assert report.matrix[i][i] == (None if len(set(col)) == 1 else 1.0)
+
     def test_input_validation(self):
         with pytest.raises(InputError):
             correlation_matrix(("a",), [[1, 2, 3]])
@@ -169,6 +177,52 @@ class TestOls:
     def test_condition_number_orthogonal(self):
         fit = ols_fit([[1, 1], [-1, 1], [1, -1], [-1, -1]], [1, 2, 3, 4])
         assert fit.condition_number == pytest.approx(1.0)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_greville_pseudo_inverse(self, data):
+        # Full-rank and rank-deficient designs: a column may copy a multiple
+        # of another, or be all zero.
+        p = data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(p + 1, 7))
+        rows = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=p, max_size=p), min_size=k, max_size=k))
+        for j in range(p):
+            kind = data.draw(st.sampled_from(("free", "free", "multiple", "zero")))
+            if kind == "zero":
+                for row in rows:
+                    row[j] = 0
+            elif kind == "multiple" and j > 0:
+                src, factor = data.draw(st.integers(0, j - 1)), Fraction(data.draw(st.integers(-3, 3)), 2)
+                for row in rows:
+                    row[j] = factor * row[src]
+        target = data.draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k))
+        means = [sum(Fraction(row[j]) for row in rows) / k for j in range(p)]
+        ybar = Fraction(sum(target), k)
+        pinv = greville_pinv([[row[j] - means[j] for row in rows] for j in range(p)])
+        beta = tuple(sum(w * (y - ybar) for w, y in zip(prow, target)) for prow in pinv)
+        fit = ols_fit(rows, target)
+        assert fit.coefficients_exact == beta
+        assert fit.intercept_exact == ybar - sum(m * b for m, b in zip(means, beta))
+
+    @given(
+        st.lists(st.integers(-10**4, 10**4), min_size=3, max_size=8, unique=True),
+        st.integers(2, 50),
+        st.lists(st.integers(-1, 1), min_size=8, max_size=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_condition_number_of_nearly_collinear_designs(self, xs, slope, noise):
+        rows = [[x, slope * x + e] for x, e in zip(xs, noise)]
+        k = len(rows)
+        centered = [[Fraction(row[j]) - Fraction(sum(r[j] for r in rows), k) for j in range(2)] for row in rows]
+        a, b, d = (sum(r[i] * r[j] for r in centered) for i, j in ((0, 0), (0, 1), (1, 1)))
+        if a * d == b * b:
+            return  # rank-deficient: the condition number is inf
+        with localcontext() as ctx:
+            ctx.prec = 50
+            a, b, d = (Decimal(v.numerator) / v.denominator for v in (a, b, d))
+            disc = ((a - d) ** 2 + 4 * b * b).sqrt()
+            reference = ((a + d + disc) / (a + d - disc)).sqrt()
+        assert ols_fit(rows, [1] * k).condition_number == pytest.approx(float(reference), rel=1e-13)
 
     def test_validation(self):
         with pytest.raises(DomainError):
