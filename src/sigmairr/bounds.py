@@ -50,11 +50,10 @@ import decimal
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Callable, Collection, Mapping, Optional, Sequence, Union
+from typing import Callable, Collection, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import DomainError, InputError
 from .graphs import Graph
@@ -171,8 +170,16 @@ def ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
-@dataclass(frozen=True)
-class BoundParams:
+class _BoundParamsFields(NamedTuple):
+    alpha: Optional[int]
+    beta: Optional[int]
+    p: int
+    eta: Optional[int]
+    eta1: Optional[Fraction]
+    strict_max_degree_window: bool
+
+
+class BoundParams(_BoundParamsFields):
     """Free parameters of the catalog.
 
     ``alpha``/``beta`` have no published semantics; when unset they default
@@ -184,29 +191,37 @@ class BoundParams:
     4 <= max_degree - 3 <= n/4.
     """
 
-    alpha: Optional[int] = None
-    beta: Optional[int] = None
-    p: int = 2
-    eta: Optional[int] = None
-    eta1: Optional[Fraction] = None
-    strict_max_degree_window: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.alpha is not None and self.alpha < 0:
+    def __new__(
+        cls,
+        alpha: Optional[int] = None,
+        beta: Optional[int] = None,
+        p: int = 2,
+        eta: Optional[int] = None,
+        eta1: Optional[Fraction] = None,
+        strict_max_degree_window: bool = False,
+    ) -> BoundParams:
+        if alpha is not None and alpha < 0:
             raise InputError("alpha must be >= 0")
-        if self.beta is not None and self.beta < 0:
+        if beta is not None and beta < 0:
             raise InputError("beta must be >= 0")
-        if self.p >= PRIME_LIMIT:
+        if p >= PRIME_LIMIT:
             raise InputError(f"p must be below {PRIME_LIMIT}, the range of the exact primality test")
-        if not _is_prime(self.p):
-            raise InputError(f"p must be prime, got {self.p}")
-        if self.eta is not None and self.eta < 1:
+        if not _is_prime(p):
+            raise InputError(f"p must be prime, got {p}")
+        if eta is not None and eta < 1:
             raise InputError("eta must be a positive integer")
-        if self.eta1 is not None:
-            e1 = Fraction(self.eta1)
-            if not (2 < e1 <= 4):
+        if eta1 is not None:
+            eta1 = Fraction(eta1)
+            if not (2 < eta1 <= 4):
                 raise InputError("eta1 must lie in (2, 4]")
-            object.__setattr__(self, "eta1", e1)
+        return super().__new__(cls, alpha, beta, p, eta, eta1, strict_max_degree_window)
+
+    @classmethod
+    def _make(cls, iterable) -> BoundParams:
+        # ``_replace`` builds through here, so it validates too
+        return cls(*iterable)
 
     def to_json_dict(self) -> dict:
         return {
@@ -383,8 +398,7 @@ class BoundInput:
 # ---------------------------------------------------------------------------
 # Reports
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     bound_id: str
     label: str
     hypotheses_met: bool
@@ -506,8 +520,7 @@ CSV_HEADER = ["bound_id", "label", "hypotheses_met", "lhs", "rhs", "relation", "
 # ---------------------------------------------------------------------------
 # Catalog
 
-@dataclass(frozen=True)
-class BoundSpec:
+class BoundSpec(NamedTuple):
     bound_id: str
     title: str
     relation: str

@@ -29,7 +29,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from functools import cache
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence, TextIO
@@ -425,8 +424,8 @@ def _cmd_tables_reproduce(args) -> int:
     report = stats_tables.reproduce_table(args.table)
     payload = {
         "table": report.table_id,
-        "cells": [asdict(c) for c in report.cells],
-        "mismatched_cells": [asdict(c) for c in report.mismatches()],
+        "cells": [c._asdict() for c in report.cells],
+        "mismatched_cells": [c._asdict() for c in report.mismatches()],
     }
     header = ["row", "column", "printed", "recomputed", "match", "rule"]
     rows = ([c["row"] + 1, *list(c.values())[1:]] for c in payload["cells"])

@@ -9,8 +9,7 @@ the claim under audit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError
 from .graphs import (
@@ -126,8 +125,7 @@ def sigma_double_star(r: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 # Published-formula audit: claimed value vs. direct computation.
 
-@dataclass(frozen=True)
-class FormCheck:
+class FormCheck(NamedTuple):
     claim_id: str
     instance: str
     claimed: int

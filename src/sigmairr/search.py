@@ -110,8 +110,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, InputError, ResourceLimitError
 from .graphs import Graph, format_edge_list, is_tree
@@ -295,8 +294,7 @@ def canonical_form(g: Graph) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Classes of trees and extremal search
 
-@dataclass(frozen=True)
-class TreeClass:
+class TreeClass(NamedTuple):
     """A finite, enumerable family of trees: those of order ``n`` whose
     degree counts (see ``_degree_counts``) lie in [``low``, ``high``).  The
     counts of a tree whose maximum degree is D lie in [256^D, 256^(D+1))."""
@@ -337,8 +335,7 @@ class TreeClass:
         return is_tree(g) and g.vertex_count == self.n and self.low <= _degree_counts(g.degrees) < self.high
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     class_description: str
     objective: str
     direction: str
@@ -485,20 +482,17 @@ def _degree_counts(degrees: Iterable[int]) -> int:
 # ---------------------------------------------------------------------------
 # Falsification
 
-@dataclass(frozen=True)
-class ExhaustiveMode:
+class ExhaustiveMode(NamedTuple):
     n_max: int
 
 
-@dataclass(frozen=True)
-class RandomMode:
+class RandomMode(NamedTuple):
     n: int
     samples: int
     seed: int
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     """A tree refuting a catalog entry, as its JSON record: ``bound_id``,
     the tree's ``n``, its ascending ``edges`` (u, v), u < v, and their
     ``edge_list`` text, which every record of the same tree shares, and the

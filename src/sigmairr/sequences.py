@@ -21,13 +21,12 @@ scores each random sample in that one pass.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from operator import add, sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, InputError
 from .graphs import Graph
@@ -38,20 +37,29 @@ class Convention(str, Enum):
     PAPER_TABLE = "paper-table"
 
 
-@dataclass(frozen=True)
-class DegreeSequenceView:
+class _ViewFields(NamedTuple):
+    entries: tuple[int, ...]
+    convention: Convention
+
+
+class DegreeSequenceView(_ViewFields):
     """A degree sequence plus the convention used to read n and m off it."""
 
-    entries: tuple[int, ...]
-    convention: Convention = Convention.STANDARD
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.entries:
+    def __new__(cls, entries: Sequence[int], convention: Convention = Convention.STANDARD) -> DegreeSequenceView:
+        entries = tuple(entries)
+        if not entries:
             raise DomainError("degree sequence must be non-empty")
-        for d in self.entries:
+        for d in entries:
             if not isinstance(d, int) or d < 1:
                 raise DomainError(f"degree entries must be integers >= 1, got {d!r}")
-        object.__setattr__(self, "entries", tuple(self.entries))
+        return super().__new__(cls, entries, convention)
+
+    @classmethod
+    def _make(cls, iterable) -> DegreeSequenceView:
+        # ``_replace`` builds through here, so it validates too
+        return cls(*iterable)
 
     @property
     def k(self) -> int:
@@ -92,17 +100,22 @@ class DegreeSequenceView:
         return sum(d**3 for d in self.entries)
 
 
-@dataclass(frozen=True)
-class DerivedSequences:
+class _DerivedFields(NamedTuple):
+    entries: tuple[int, ...]
+
+
+class DerivedSequences(_DerivedFields):
     """Half-differences t_i = (d_{i+1}-d_i)/2 and half-sums a_i = (d_{i+1}+d_i)/2
     of consecutive entries d_1..d_k (k >= 2).
 
-    Every value is built on first read.  The summaries come from integer
+    Every value is built on first read and cached on the instance, to which
+    nothing else may be assigned.  The summaries come from integer
     sums and differences of the entries, halved once: the half-differences
     telescope to (d_k - d_1)/2, and the half-sums add to (2*sum(d) - d_1 - d_k)/2.
     """
 
-    entries: tuple[int, ...]
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: DerivedSequences is immutable")
 
     @cached_property
     def half_diffs(self) -> tuple[Fraction, ...]:
@@ -329,9 +342,11 @@ def parse_sequence_literal(text: str) -> tuple[int, ...]:
     if not parts or parts == [""]:
         raise InputError(f"empty sequence literal {text!r}")
     out = []
-    for p in parts:
+    for i, p in enumerate(parts, 1):
         try:
             out.append(int(p))
         except ValueError:
-            raise InputError(f"bad integer {p!r} in sequence literal {text!r}") from None
+            # an excerpt, not the item: an item past the int-to-str digit limit is thousands of characters
+            shown = repr(p) if len(p) <= 20 else f"{p[:20]!r}... ({len(p)} characters)"
+            raise InputError(f"bad integer {shown} at item {i} of the sequence literal") from None
     return tuple(out)

@@ -24,9 +24,8 @@ number is read from that system's exact Gram matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .bounds import BoundParams, _decimal, resolve_parameters, t1_staircase
 from .errors import DomainError, InputError
@@ -34,8 +33,7 @@ from .indices import sigma_closed_form
 from .sequences import Convention, DegreeSequenceView
 
 
-@dataclass(frozen=True)
-class Table1Row:
+class Table1Row(NamedTuple):
     entries: tuple[int, ...]
     t1: int
     t2: int
@@ -43,8 +41,7 @@ class Table1Row:
     sigma: int
 
 
-@dataclass(frozen=True)
-class Table2Row:
+class Table2Row(NamedTuple):
     entries: tuple[int, ...]
     n: int
     irr: int
@@ -92,8 +89,7 @@ PRINTED_MATRIX_2 = (
 )
 
 
-@dataclass(frozen=True)
-class PrintedRegression:
+class PrintedRegression(NamedTuple):
     coefficients: tuple[float, ...]
     intercept: float
     r_squared: float
@@ -137,8 +133,7 @@ def table_row_view(table_id: int, row_index: int) -> tuple[DegreeSequenceView, i
 # ---------------------------------------------------------------------------
 # Column reproduction
 
-@dataclass(frozen=True)
-class CellCheck:
+class CellCheck(NamedTuple):
     row: int
     column: str
     printed: str
@@ -147,8 +142,7 @@ class CellCheck:
     rule: str
 
 
-@dataclass(frozen=True)
-class ReproductionReport:
+class ReproductionReport(NamedTuple):
     table_id: int
     cells: tuple[CellCheck, ...]
 
@@ -209,8 +203,7 @@ def reproduce_table(table_id: int) -> ReproductionReport:
 # ---------------------------------------------------------------------------
 # Correlation
 
-@dataclass(frozen=True)
-class CorrelationReport:
+class CorrelationReport(NamedTuple):
     variables: tuple[str, ...]
     matrix: tuple[tuple[Optional[float], ...], ...]
 
@@ -250,8 +243,7 @@ def correlation_matrix(variables: Sequence[str], columns: Sequence[Sequence]) ->
     return CorrelationReport(tuple(variables), matrix)
 
 
-@dataclass(frozen=True)
-class MatrixEntryComparison:
+class MatrixEntryComparison(NamedTuple):
     row: int
     col: int
     computed: Optional[float]
@@ -329,8 +321,7 @@ def _lstsq_exact(x: list[list[Fraction]], y: list[Fraction]) -> tuple[list[Fract
     return beta, len(pivots), gram
 
 
-@dataclass(frozen=True)
-class OlsReport:
+class OlsReport(NamedTuple):
     coefficients: tuple[float, ...]
     intercept: float
     r_squared: Optional[float]
@@ -449,8 +440,7 @@ def printed_model_value(table_id: int, point: Optional[Sequence[float]] = None) 
     return _decimal(exact.numerator, exact.denominator)
 
 
-@dataclass(frozen=True)
-class RegressionReproduction:
+class RegressionReproduction(NamedTuple):
     table_id: int
     printed: PrintedRegression
     printed_model_at_point: float

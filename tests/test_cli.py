@@ -94,6 +94,14 @@ class TestErrors:
         code, _, err = run_cli(capsys, "sequence", "analyze", "--sequence", "1,x")
         assert code == 1 and "bad integer" in err
 
+    @pytest.mark.parametrize("literal", ["9" * 5000 + ",1", "1," + "x" * 5000], ids=["digit-limit", "non-digits"])
+    def test_long_bad_item_gets_a_short_error_line(self, capsys, literal):
+        # 5,000 digits pass the interpreter's int-to-str limit; the line names the item and shows an excerpt
+        code, out, err = run_cli(capsys, "sequence", "analyze", "--sequence", literal)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad integer ") and err.count("\n") == 1 and len(err.encode()) < 200
+        assert "at item" in err and "(5000 characters)" in err
+
     def test_unreadable_file(self, capsys):
         code, _, err = run_cli(capsys, "indices", "--graph-file", "/nonexistent/g.edges")
         assert code == 1 and "cannot read" in err

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -51,8 +52,12 @@ PUBLIC = {
 
 
 def _loaded_after(code: str) -> set[str]:
-    """The sigmairr submodules loaded once ``code`` has run in a fresh interpreter."""
-    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('sigmairr.'))))"
+    """The modules, sigmairr's and the standard library's, that ``code``
+    loads when it runs in a fresh interpreter."""
+    probe = (
+        "import sys\n_before = set(sys.modules)\n" + code
+        + "\n_loaded = sorted(set(sys.modules) - _before)\nimport json\nprint(json.dumps(_loaded))"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe],
         check=True, capture_output=True, text=True, cwd=ROOT, env=ENV,
@@ -60,9 +65,25 @@ def _loaded_after(code: str) -> set[str]:
     return set(json.loads(done.stdout.splitlines()[-1]))
 
 
+SURVEY = ROOT / "scripts" / "extremal_survey.py"
+RUN_SURVEY = (
+    "import runpy, sys\n"
+    f"sys.argv = [{str(SURVEY)!r}, '--min-n', '4', '--max-n', '6']\n"
+    "try:\n"
+    f"    runpy.run_path({str(SURVEY)!r}, run_name='__main__')\n"
+    "except SystemExit as exc:\n"
+    "    assert not exc.code, exc.code\n"
+)
+RUN_FALSIFY = (
+    "import contextlib, io, sigmairr.cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    assert sigmairr.cli.main(['bounds', 'falsify', '--bound', 'all', '--nmax', '6']) == 0\n"
+)
+
+
 class TestImportFootprint:
     def test_bare_package_loads_no_submodule(self):
-        assert _loaded_after("import sigmairr") == set()
+        assert not any(m.startswith("sigmairr.") for m in _loaded_after("import sigmairr"))
 
     def test_search_loads_neither_bounds_nor_tables(self):
         loaded = _loaded_after("import sigmairr.search")
@@ -89,17 +110,24 @@ class TestImportFootprint:
         assert module in loaded and "sigmairr.stats_tables" not in loaded
 
     def test_survey_loads_neither_bounds_nor_tables(self):
-        script = ROOT / "scripts" / "extremal_survey.py"
-        loaded = _loaded_after(
-            "import runpy, sys\n"
-            f"sys.argv = [{str(script)!r}, '--min-n', '4', '--max-n', '6']\n"
-            "try:\n"
-            f"    runpy.run_path({str(script)!r}, run_name='__main__')\n"
-            "except SystemExit as exc:\n"
-            "    assert not exc.code, exc.code\n"
-        )
+        loaded = _loaded_after(RUN_SURVEY)
         assert "sigmairr.search" in loaded
         assert not loaded & {"sigmairr.bounds", "sigmairr.stats_tables"}
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            *(f"import sigmairr.{m}" for m in ("search", "cli", "bounds", "stats_tables")),
+            RUN_SURVEY,
+            RUN_FALSIFY,
+        ],
+        ids=["search", "cli", "bounds", "stats_tables", "survey", "falsify"],
+    )
+    def test_no_entry_point_loads_dataclasses(self, code):
+        # the records are NamedTuples; ``dataclasses`` would pull in ``inspect``, ``ast`` and ``dis``
+        loaded = _loaded_after(code)
+        assert any(m.startswith("sigmairr.") for m in loaded)
+        assert not loaded & {"dataclasses", "inspect"}
 
 
 class TestPublicSurface:
@@ -129,6 +157,63 @@ class TestPublicSurface:
         with pytest.raises(AttributeError, match="no_such_name"):
             sigmairr.no_such_name
         assert not hasattr(sigmairr, "no_such_name")
+
+
+# Each public record, with a factory of fresh field values: two records built
+# from two calls are equal fields in distinct objects.
+RECORDS = {
+    "BoundParams": lambda: (1, None, 3, None, Fraction(3), False),
+    "BoundReport": lambda: (
+        "B9", "graph n=5 m=4", True, (), "<=", 2, 42, True, True, True, 40, {"p": 2}, (), False,
+    ),
+    "TreeClass": lambda: (5, 0, 1 << 40, "all trees of order 5"),
+    "SearchResult": lambda: ("all trees of order 3", "sigma", "max", 2, sigmairr.path(3), (1, 2, 2), 1),
+    "ExhaustiveMode": lambda: (7,),
+    "RandomMode": lambda: (40, 30, 0),
+    "Counterexample": lambda: ({"bound_id": "B8", "n": 2},),
+    "DegreeSequenceView": lambda: ((3, 1, 1, 1), sigmairr.Convention.STANDARD),
+    "DerivedSequences": lambda: ((1, 2, 2, 1),),
+}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_immutable_and_compared_by_fields(self, name):
+        cls, values = getattr(sigmairr, name), RECORDS[name]
+        a, b = cls(*values()), cls(*values())
+        assert a is not b and a == b and tuple(a) == values()
+        for field in a._fields:
+            with pytest.raises(AttributeError):
+                setattr(a, field, getattr(a, field))
+        with pytest.raises(AttributeError):
+            a.not_a_field = 0
+        try:
+            hash(values())
+        except TypeError:  # a dict field: neither has a hash
+            with pytest.raises(TypeError):
+                hash(a)
+        else:
+            assert hash(a) == hash(b)
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: sigmairr.BoundParams(p=4), "p must be prime, got 4"),
+        (lambda: sigmairr.BoundParams(eta1=2), "eta1 must lie in (2, 4]"),
+        (lambda: sigmairr.BoundParams(eta1=Fraction(401, 100)), "eta1 must lie in (2, 4]"),
+        (lambda: sigmairr.BoundParams()._replace(p=4), "p must be prime, got 4"),
+        (lambda: sigmairr.DegreeSequenceView(()), "degree sequence must be non-empty"),
+        (lambda: sigmairr.DegreeSequenceView([0]), "degree entries must be integers >= 1, got 0"),
+        (lambda: sigmairr.DegreeSequenceView([1])._replace(entries=[0]), "degree entries must be integers >= 1, got 0"),
+    ])
+    def test_validation_messages(self, build, message):
+        with pytest.raises((sigmairr.InputError, sigmairr.DomainError)) as raised:
+            build()
+        assert str(raised.value) == message
+
+    def test_normalised_on_every_construction(self):
+        view = sigmairr.DegreeSequenceView([1, 2, 1])
+        assert view.entries == (1, 2, 1) and view._replace(entries=[2, 2])[0] == (2, 2)
+        params = sigmairr.BoundParams(eta1="5/2")
+        assert params.eta1 == Fraction(5, 2) and type(params._replace(eta1=3).eta1) is Fraction
 
 
 def test_readme_library_example_prints_its_comments():

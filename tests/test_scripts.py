@@ -204,8 +204,8 @@ def test_reproduce_published_numbers_fails_on_a_wrong_cell():
     # Table 1's first printed T1 cell, one off: neither the T1 column nor T2,
     # which is recomputed from the printed T1, reproduces.
     patch = (
-        "import dataclasses, runpy, sys; from sigmairr import stats_tables as s; "
-        "s.TABLE1 = (dataclasses.replace(s.TABLE1[0], t1=s.TABLE1[0].t1 + 1), *s.TABLE1[1:]); "
+        "import runpy, sys; from sigmairr import stats_tables as s; "
+        "s.TABLE1 = (s.TABLE1[0]._replace(t1=s.TABLE1[0].t1 + 1), *s.TABLE1[1:]); "
         "sys.argv = [sys.argv[1]]; runpy.run_path(sys.argv[0], run_name='__main__')"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(sigmairr.__file__).resolve().parents[1])}
