@@ -217,7 +217,7 @@ def _cmd_indices(args) -> int:
 
 def _cmd_sequence_analyze(args) -> int:
     entries = parse_sequence_literal(args.sequence)
-    view = DegreeSequenceView(entries, Convention(args.convention))
+    view = DegreeSequenceView(entries, args.convention)
     try:
         mean_decimal = float(view.mean_entry)
     except OverflowError:  # beyond float range: null, as bounds._decimal writes lhs_decimal
@@ -240,17 +240,8 @@ def _cmd_sequence_analyze(args) -> int:
             "is_tree_sequence": is_tree_sequence(entries),
         }
         if view.k >= 2:
-            der = derive(view)
-            payload.update(
-                {
-                    "half_diffs": [str(t) for t in der.half_diffs],
-                    "half_sums": [str(a) for a in der.half_sums],
-                    "max_half_diff": str(der.max_half_diff),
-                    "max_half_sum": str(der.max_half_sum),
-                    "mean_half_diff": str(der.mean_half_diff),
-                    "mean_half_sum": str(der.mean_half_sum),
-                }
-            )
+            for name, value in derive(view)._asdict().items():
+                payload[name] = list(map(str, value)) if isinstance(value, tuple) else str(value)
         header = ["property", "value"]
         rows = [[k, v if isinstance(v, str) else json.dumps(v)] for k, v in payload.items()]
     except ValueError as exc:
@@ -578,10 +569,15 @@ def build_parser() -> argparse.ArgumentParser:
     leaves it as it was, so every ``main`` call in a process shares it."""
     parser = _Parser(prog="sigmairr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    family_help = (
+        f"family spec like path:5 or double_star:3:4, of at most {graphs.MAX_VERTICES} vertices "
+        f"and {graphs.MAX_FAMILY_EDGES} edges"
+    )
+    graph_file_help = f"edge-list file ('# n=<int>' header, 'u v' lines), of at most {graphs.MAX_VERTICES} vertices"
 
     p = sub.add_parser("indices", help="compute albertson/sigma/sigma_t/zagreb_m1")
-    p.add_argument("--family", help="family spec like path:5 or double_star:3:4")
-    p.add_argument("--graph-file", help="edge-list file ('# n=<int>' header, 'u v' lines)")
+    p.add_argument("--family", help=family_help)
+    p.add_argument("--graph-file", help=graph_file_help)
     p.add_argument("--sequence", help="degree sequence literal; realized before computing")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_indices)
@@ -602,8 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--sequence")
     pc.add_argument("--convention", choices=("standard", "paper-table"), default="standard")
     pc.add_argument("--irr", type=int, help="Albertson value for summary-convention input")
-    pc.add_argument("--family")
-    pc.add_argument("--graph-file")
+    pc.add_argument("--family", help=family_help)
+    pc.add_argument("--graph-file", help=graph_file_help)
     pc.add_argument("--table", type=int, choices=(1, 2))
     pc.add_argument("--row", type=int, help="1-based row of the embedded table")
     pc.add_argument("--class-trees", type=int, help="evaluate on a class extremum witness: order")
@@ -617,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf = b_sub.add_parser("falsify", help="search trees for counterexamples")
     pf.add_argument("--bound", required=True)
     pf.add_argument("--nmax", type=int, help="exhaustive mode: cover all trees with n <= nmax")
-    pf.add_argument("--n", type=int, help="random mode: tree order")
+    pf.add_argument("--n", type=int, help=f"random mode: tree order, at most {graphs.MAX_VERTICES}")
     pf.add_argument("--samples", type=int, help="random mode: number of seeded samples")
     pf.add_argument("--seed", type=int, help="random mode: seed of the sampled trees (default 0)")
     pf.add_argument("--allow-over-cap", action="store_true")

@@ -10,5 +10,6 @@ class InputError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration limit would be exceeded: the cap, which the override
-    lifts, or the largest order a walk holds, which nothing lifts."""
+    """A size limit would be exceeded: the enumeration cap, which the
+    override lifts, or a limit nothing lifts (the largest order a walk
+    holds, the graph vertex limit, the family edge limit)."""

@@ -12,7 +12,18 @@ import re
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, ResourceLimitError
+
+# The largest order of a graph read or built, and the most edges a family
+# spec may ask for: larger inputs would exhaust memory or run for minutes.
+MAX_VERTICES = 100_000
+MAX_FAMILY_EDGES = 1_000_000
+
+
+def check_vertex_count(n: int) -> None:
+    """Refuse an order above ``MAX_VERTICES`` before anything is built."""
+    if n > MAX_VERTICES:
+        raise ResourceLimitError(f"n={n} exceeds the vertex limit {MAX_VERTICES}")
 
 
 class Graph:
@@ -128,24 +139,30 @@ def monogenic(n: int) -> Graph:
     return Graph(n, edges)
 
 
+# Each family's builder, arity and edge count; its order is the sum of its parameters.
 FAMILY_BUILDERS = {
-    "path": (path, 1),
-    "cycle": (cycle, 1),
-    "star": (star, 1),
-    "double_star": (double_star, 2),
-    "complete_bipartite": (complete_bipartite, 2),
-    "monogenic": (monogenic, 1),
+    "path": (path, 1, lambda n: n - 1),
+    "cycle": (cycle, 1, lambda n: n),
+    "star": (star, 1, lambda n: n - 1),
+    "double_star": (double_star, 2, lambda r, k: r + k - 1),
+    "complete_bipartite": (complete_bipartite, 2, lambda a, b: a * b),
+    "monogenic": (monogenic, 1, lambda n: (n * (n - 1) // 2 + n // 2) // 2),
 }
 
 
 def build_family(family: str, *params: int) -> Graph:
-    """Dispatch on a family name; see FAMILY_BUILDERS for arities."""
+    """Dispatch on a family name; see FAMILY_BUILDERS for arities.  The
+    order and edge count are checked against the limits before building."""
     if family not in FAMILY_BUILDERS:
         known = ", ".join(sorted(FAMILY_BUILDERS))
         raise InputError(f"unknown family '{family}' (known: {known})")
-    builder, arity = FAMILY_BUILDERS[family]
+    builder, arity, edge_count = FAMILY_BUILDERS[family]
     if len(params) != arity:
         raise InputError(f"family '{family}' takes {arity} parameter(s), got {len(params)}")
+    if min(params) >= 1:  # else the builder names the parameter outside its domain
+        check_vertex_count(sum(params))
+        if (m := edge_count(*params)) > MAX_FAMILY_EDGES:
+            raise ResourceLimitError(f"family spec has {m} edges, over the family edge limit {MAX_FAMILY_EDGES}")
     return builder(*params)
 
 
@@ -238,6 +255,7 @@ def parse_edge_list(text: str) -> Graph:
         edges.append(e)
     if declared_n is None:
         declared_n = 1 + max((max(e) for e in edges), default=-1)
+    check_vertex_count(declared_n)
     for u, v in edges:
         if v >= declared_n:
             raise InputError(f"edge ({u}, {v}) exceeds declared n={declared_n}")

@@ -113,7 +113,7 @@ import random
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, InputError, ResourceLimitError
-from .graphs import Graph, format_edge_list, is_tree
+from .graphs import Graph, check_vertex_count, format_edge_list, is_tree
 from .indices import albertson, sigma
 from .sequences import is_tree_sequence, prufer_degrees_and_edges, random_prufer_word
 
@@ -587,6 +587,7 @@ def falsify(
     if mode.samples < 1:
         raise DomainError("need at least one sample")
     n = mode.n
+    check_vertex_count(n)
     label = f"graph n={n} m={n - 1}"  # from_edges' label for a tree of order n
     rng = random.Random(mode.seed)
     for _ in range(mode.samples):

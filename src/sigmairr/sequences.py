@@ -23,7 +23,6 @@ from __future__ import annotations
 import random
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 from operator import add, sub
 from typing import NamedTuple, Sequence
@@ -47,14 +46,17 @@ class DegreeSequenceView(_ViewFields):
 
     __slots__ = ()
 
-    def __new__(cls, entries: Sequence[int], convention: Convention = Convention.STANDARD) -> DegreeSequenceView:
+    def __new__(cls, entries: Sequence[int], convention: Convention | str = Convention.STANDARD) -> DegreeSequenceView:
         entries = tuple(entries)
         if not entries:
             raise DomainError("degree sequence must be non-empty")
         for d in entries:
             if not isinstance(d, int) or d < 1:
                 raise DomainError(f"degree entries must be integers >= 1, got {d!r}")
-        return super().__new__(cls, entries, convention)
+        allowed = [c.value for c in Convention]
+        if convention not in allowed:
+            raise DomainError(f"convention must be one of {allowed}, got {convention!r}")
+        return super().__new__(cls, entries, Convention(convention))
 
     @classmethod
     def _make(cls, iterable) -> DegreeSequenceView:
@@ -100,59 +102,35 @@ class DegreeSequenceView(_ViewFields):
         return sum(d**3 for d in self.entries)
 
 
-class _DerivedFields(NamedTuple):
-    entries: tuple[int, ...]
-
-
-class DerivedSequences(_DerivedFields):
+class DerivedSequences(NamedTuple):
     """Half-differences t_i = (d_{i+1}-d_i)/2 and half-sums a_i = (d_{i+1}+d_i)/2
-    of consecutive entries d_1..d_k (k >= 2).
+    of consecutive entries d_1..d_k (k >= 2), with their maxima and means."""
 
-    Every value is built on first read and cached on the instance, to which
-    nothing else may be assigned.  The summaries come from integer
-    sums and differences of the entries, halved once: the half-differences
-    telescope to (d_k - d_1)/2, and the half-sums add to (2*sum(d) - d_1 - d_k)/2.
-    """
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: DerivedSequences is immutable")
-
-    @cached_property
-    def half_diffs(self) -> tuple[Fraction, ...]:
-        d = self.entries
-        return tuple(Fraction(b - a, 2) for a, b in zip(d, d[1:]))
-
-    @cached_property
-    def half_sums(self) -> tuple[Fraction, ...]:
-        d = self.entries
-        return tuple(Fraction(b + a, 2) for a, b in zip(d, d[1:]))
-
-    @cached_property
-    def max_half_diff(self) -> Fraction:
-        d = self.entries
-        return Fraction(max(map(sub, d[1:], d)), 2)
-
-    @cached_property
-    def max_half_sum(self) -> Fraction:
-        d = self.entries
-        return Fraction(max(map(add, d[1:], d)), 2)
-
-    @cached_property
-    def mean_half_diff(self) -> Fraction:
-        d = self.entries
-        return Fraction(d[-1] - d[0], 2 * (len(d) - 1))
-
-    @cached_property
-    def mean_half_sum(self) -> Fraction:
-        d = self.entries
-        return Fraction(2 * sum(d) - d[0] - d[-1], 2 * (len(d) - 1))
+    half_diffs: tuple[Fraction, ...]
+    half_sums: tuple[Fraction, ...]
+    max_half_diff: Fraction
+    max_half_sum: Fraction
+    mean_half_diff: Fraction
+    mean_half_sum: Fraction
 
 
 def derive(view: DegreeSequenceView) -> DerivedSequences:
-    """Exact half-difference/half-sum sequences of consecutive entries."""
-    if view.k < 2:
+    """Exact half-difference/half-sum sequences of consecutive entries, each
+    value from the integer differences and sums of adjacent entries."""
+    d = view.entries
+    if len(d) < 2:
         raise DomainError("derived sequences need at least 2 entries")
-    return DerivedSequences(view.entries)
+    diffs = list(map(sub, d[1:], d))
+    sums = list(map(add, d[1:], d))
+    steps = 2 * (len(d) - 1)
+    return DerivedSequences(
+        tuple(Fraction(x, 2) for x in diffs),
+        tuple(Fraction(x, 2) for x in sums),
+        Fraction(max(diffs), 2),
+        Fraction(max(sums), 2),
+        Fraction(sum(diffs), steps),
+        Fraction(sum(sums), steps),
+    )
 
 
 # ---------------------------------------------------------------------------

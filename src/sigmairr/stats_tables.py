@@ -322,8 +322,6 @@ def _lstsq_exact(x: list[list[Fraction]], y: list[Fraction]) -> tuple[list[Fract
 
 
 class OlsReport(NamedTuple):
-    coefficients: tuple[float, ...]
-    intercept: float
     r_squared: Optional[float]
     rank: int
     rank_deficient: bool
@@ -335,8 +333,8 @@ class OlsReport(NamedTuple):
     def to_json_dict(self) -> dict:
         cond = self.condition_number
         return {
-            "coefficients": [f"{c:.12g}" for c in self.coefficients],
-            "intercept": f"{self.intercept:.12g}",
+            "coefficients": [f"{float(c):.12g}" for c in self.coefficients_exact],
+            "intercept": f"{float(self.intercept_exact):.12g}",
             "r_squared": None if self.r_squared is None else f"{self.r_squared:.12g}",
             "rank": self.rank,
             "rank_deficient": self.rank_deficient,
@@ -378,8 +376,6 @@ def ols_fit(features: Sequence[Sequence], target: Sequence) -> OlsReport:
     if deficient:
         notes.append("rank-deficient design; minimum-norm solution reported")
     return OlsReport(
-        coefficients=tuple(float(b) for b in beta),
-        intercept=float(intercept),
         r_squared=r2,
         rank=rank,
         rank_deficient=deficient,
@@ -420,7 +416,7 @@ def _prediction_point(point: Sequence[float], dimension: int) -> tuple[float, ..
 
 def predict(report: OlsReport, point: Sequence[float]) -> Optional[float]:
     """The fit's value at ``point``, or None beyond float range."""
-    pt = _prediction_point(point, len(report.coefficients))
+    pt = _prediction_point(point, len(report.coefficients_exact))
     exact = sum(c * Fraction(str(v)) for c, v in zip(report.coefficients_exact, pt)) + report.intercept_exact
     return _decimal(exact.numerator, exact.denominator)
 

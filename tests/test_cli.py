@@ -136,6 +136,26 @@ class TestErrors:
         code, out, _ = run_cli(capsys, *argv, "6", "--allow-over-cap")
         assert code == 0 and out
 
+    @pytest.mark.parametrize("argv, message", [pytest.param(*case, id=" ".join(case[0])) for case in [
+        (("indices", "--graph-file", "header"), "n=100000000000 exceeds the vertex limit 100000"),
+        (("indices", "--graph-file", "no-header"), "n=100000000001 exceeds the vertex limit 100000"),
+        (("indices", "--family", "star:100000000000"), "n=100000000000 exceeds the vertex limit 100000"),
+        (("bounds", "falsify", "--bound", "B1", "--n", "300000000", "--samples", "1"),
+         "n=300000000 exceeds the vertex limit 100000"),
+        (("bounds", "check", "--family", "path:1000000", "--bound", "all"),
+         "n=1000000 exceeds the vertex limit 100000"),
+        (("indices", "--family", "monogenic:3000"),
+         "family spec has 2250000 edges, over the family edge limit 1000000"),
+    ]])
+    def test_size_limits_refuse_at_once(self, capsys, tmp_path, argv, message):
+        (tmp_path / "header").write_text("# n=100000000000\n0 1\n")
+        (tmp_path / "no-header").write_text("0 100000000000\n")
+        argv = [str(tmp_path / a) if a in ("header", "no-header") else a for a in argv]
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "indices", "--family", "cycle:2")
         assert code == 1 and "cycle" in err
@@ -621,6 +641,7 @@ RENDERED_INVOCATIONS = [a[:-2] if "--format" in a else a for a in DETERMINISTIC_
     ("indices", "--sequence", "1,1,2,2"),
     ("indices", "--sequence", "2,2,2"),
     ("bounds", "check", "--sequence", "1,1,1,3", "--bound", "all"),
+    ("sequence", "analyze", "--sequence", "5,1,3"),
 ]
 
 RENDERED_DIGESTS = {
@@ -780,6 +801,12 @@ RENDERED_DIGESTS = {
         "4275cabd9044db2d37b781b9d1fd44bcabb1317db5beee26ad180451fad6f97e",
     "bounds check --sequence 1,1,1,3 --bound all --format json":
         "09a12b869ef0911a72faf3c9562349f3cbf7e764969cd68fc5c217ed931b557c",
+    "sequence analyze --sequence 5,1,3 --format human":
+        "ccb6270c962b33a4e550ad93908d7932a600833d11f4eb19284fb9ae14bbde47",
+    "sequence analyze --sequence 5,1,3 --format csv":
+        "0b64af951e7b64a6ffefc05926351a8ae1d1f8d61eb56f19a54a8857c78218d1",
+    "sequence analyze --sequence 5,1,3 --format json":
+        "02eb7e25c3727954460b00422b9c4e7649d1ee8409bb4f9dfa3ee2bf6ffb1dce",
 }
 
 

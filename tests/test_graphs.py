@@ -1,9 +1,14 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmairr.errors import DomainError, InputError
+from sigmairr.errors import DomainError, InputError, ResourceLimitError
 from sigmairr.graphs import (
+    FAMILY_BUILDERS,
+    MAX_FAMILY_EDGES,
+    MAX_VERTICES,
     Graph,
     build_family,
     cartesian_product,
@@ -104,6 +109,25 @@ class TestFamilies:
         with pytest.raises(InputError, match="parameter"):
             build_family("path", 3, 4)
 
+    @pytest.mark.parametrize("name", FAMILY_BUILDERS)
+    def test_size_read_off_the_parameters(self, name):
+        # the order and edge count the limits are checked on are the built graph's
+        _, arity, edge_count = FAMILY_BUILDERS[name]
+        for params in product(range(3, 10), repeat=arity):
+            g = build_family(name, *params)
+            assert (g.vertex_count, g.edge_count) == (sum(params), edge_count(*params))
+
+    def test_size_limits(self):
+        assert build_family("star", MAX_VERTICES).vertex_count == MAX_VERTICES
+        assert FAMILY_BUILDERS["monogenic"][2](2000) == MAX_FAMILY_EDGES
+        with pytest.raises(ResourceLimitError, match=f"n={MAX_VERTICES + 1} exceeds the vertex limit {MAX_VERTICES}"):
+            build_family("double_star", MAX_VERTICES, 1)
+        for name, params in (("monogenic", (2001,)), ("complete_bipartite", (1001, 1000))):
+            with pytest.raises(ResourceLimitError, match=f"over the family edge limit {MAX_FAMILY_EDGES}"):
+                build_family(name, *params)
+        with pytest.raises(DomainError, match="a >= 1"):  # the domain, not a limit, is what is wrong
+            build_family("complete_bipartite", -1, -10**12)
+
 
 class TestComplement:
     def test_complete_graph(self):
@@ -194,6 +218,12 @@ class TestEdgeListFormat:
             parse_edge_list("0 1 2\n")
         with pytest.raises(InputError, match="non-integer"):
             parse_edge_list("a b\n")
+
+    def test_vertex_limit(self):
+        assert parse_edge_list(f"# n={MAX_VERTICES}\n0 1\n").vertex_count == MAX_VERTICES
+        for text in (f"# n={MAX_VERTICES + 1}\n0 1\n", f"0 {MAX_VERTICES}\n"):
+            with pytest.raises(ResourceLimitError, match=f"n={MAX_VERTICES + 1} exceeds the vertex limit"):
+                parse_edge_list(text)
 
     def test_edge_beyond_declared_order(self):
         with pytest.raises(InputError, match="exceeds declared"):

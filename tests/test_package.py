@@ -91,7 +91,7 @@ class TestImportFootprint:
         assert not loaded & {"sigmairr.bounds", "sigmairr.stats_tables"}
 
     def test_cli_loads_neither_bounds_nor_tables(self):
-        # Only the bounds subcommands import bounds, when they run.
+        # A subcommand imports bounds or stats_tables when it runs.
         loaded = _loaded_after("import sigmairr.cli")
         assert "sigmairr.cli" in loaded
         assert not loaded & {"sigmairr.bounds", "sigmairr.stats_tables"}
@@ -103,6 +103,15 @@ class TestImportFootprint:
             "    assert sigmairr.cli.main(['bounds', 'check', '--family', 'path:4']) == 0\n"
         )
         assert "sigmairr.bounds" in loaded and "sigmairr.stats_tables" not in loaded
+
+    def test_tables_subcommand_loads_tables_and_bounds(self):
+        # stats_tables imports bounds at its top, so tables, stats and plots load both
+        loaded = _loaded_after(
+            "import contextlib, io, sigmairr.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert sigmairr.cli.main(['tables', 'export', '--table', '1']) == 0\n"
+        )
+        assert {"sigmairr.stats_tables", "sigmairr.bounds"} <= loaded
 
     @pytest.mark.parametrize("module", ["sigmairr.cli", "sigmairr.bounds"])
     def test_cli_and_bounds_load_no_tables(self, module):
@@ -172,7 +181,10 @@ RECORDS = {
     "RandomMode": lambda: (40, 30, 0),
     "Counterexample": lambda: ({"bound_id": "B8", "n": 2},),
     "DegreeSequenceView": lambda: ((3, 1, 1, 1), sigmairr.Convention.STANDARD),
-    "DerivedSequences": lambda: ((1, 2, 2, 1),),
+    "DerivedSequences": lambda: (
+        (Fraction(1, 2), Fraction(0), Fraction(-1, 2)), (Fraction(3, 2), Fraction(2), Fraction(3, 2)),
+        Fraction(1, 2), Fraction(2), Fraction(0), Fraction(5, 2),
+    ),
 }
 
 

@@ -77,6 +77,20 @@ class TestView:
         v = DegreeSequenceView((3, 1, 2))
         assert v.entries == (3, 1, 2)
 
+    @pytest.mark.parametrize("build", [
+        lambda: DegreeSequenceView((3, 5, 7), "paper-table"),
+        lambda: DegreeSequenceView((3, 5, 7))._replace(convention="paper-table"),
+    ])
+    def test_convention_string_is_read_as_its_member(self, build):
+        v = build()
+        assert v.n == 15 and v.two_m == 28 and v.convention is Convention.PAPER_TABLE
+
+    def test_rejects_unknown_convention(self):
+        for build in (lambda: DegreeSequenceView((1, 1), "nonsense"),
+                      lambda: DegreeSequenceView((1, 1))._replace(convention="nonsense")):
+            with pytest.raises(DomainError, match="'standard', 'paper-table'"):
+                build()
+
     def test_rejects_bad_entries(self):
         with pytest.raises(DomainError):
             DegreeSequenceView(())
@@ -136,11 +150,12 @@ class TestDerived:
             values = got if isinstance(got, tuple) else (got,)
             assert all(type(v) is Fraction for v in values), name
 
-    def test_summaries_kept_after_first_read(self):
-        d = derive(DegreeSequenceView((1, 2, 2, 5, 9)))
-        names = ("max_half_diff", "max_half_sum", "mean_half_diff", "mean_half_sum")
-        assert [getattr(d, name) for name in names] == [2, 7, 1, Fraction(7, 2)]
-        assert all(name in vars(d) for name in names)
+    def test_record_holds_six_plain_fields(self):
+        d = derive(DegreeSequenceView((5, 1, 3)))
+        assert d._fields == (
+            "half_diffs", "half_sums", "max_half_diff", "max_half_sum", "mean_half_diff", "mean_half_sum",
+        )
+        assert d == ((-2, 1), (3, 2), 1, 3, Fraction(-1, 2), Fraction(5, 2))
 
 
 class TestRealizability:
