@@ -301,8 +301,8 @@ class BoundInput:
     ``param_notes``.  ``irr_value`` and ``sigma_value`` are None when
     unknown, and ``edges``, a graph's edge list (B14 reads it), is None
     without a graph.  :meth:`from_edges` and :meth:`from_graph` build a
-    graph's record, :meth:`from_view` reads n and 2m off a view by its
-    convention, and :meth:`from_table_row` adds the printed columns.
+    graph's record, and :meth:`from_view` reads n and 2m off a view by its
+    convention; ``table_input`` builds a printed table row's record.
     """
 
     def __init__(
@@ -381,18 +381,6 @@ class BoundInput:
             sigma_value = sigma_closed_form(view)
         label = label or f"sequence {view.entries} ({view.convention.value})"
         return cls(view.entries, view.n, view.two_m, irr_value, sigma_value, params, label)
-
-    @classmethod
-    def from_table_row(cls, table_id: int, row_index: int, params: BoundParams = BoundParams()) -> "BoundInput":
-        from .stats_tables import table_row_view  # local import: stats embeds the data
-
-        view, irr_value = table_row_view(table_id, row_index)
-        return cls.from_view(
-            view,
-            irr_value=irr_value,
-            params=params,
-            label=f"table {table_id} row {row_index + 1}",
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +800,7 @@ def _b15b_rhs(b: BoundInput, bits: int) -> Box:
     # k(k-1)(mean - geometric mean) = (k-1)*sum(d) - k(k-1)*prod(d)^(1/k)
     k = b.k
     base = ((k - 1) * b.degree_sum) << bits
-    root_lo, root_hi = _scaled_root(math.prod(b.entries), k, bits)
+    root_lo, root_hi = _scaled_root(math.prod(d**c for d, c in Counter(b.entries).items()), k, bits)
     weight = k * (k - 1)
     return base - weight * root_hi, base - weight * root_lo, 1 << bits
 

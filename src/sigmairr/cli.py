@@ -201,9 +201,10 @@ def _load_graph(args) -> tuple[graphs.Graph, str]:
 
 def _cmd_indices(args) -> int:
     g, label = _load_graph(args)
+    irr, sig = indices.albertson_and_sigma(g.degrees, g.edges)
     values = {
-        "albertson": indices.albertson(g),
-        "sigma": indices.sigma(g),
+        "albertson": irr,
+        "sigma": sig,
         "sigma_t": indices.sigma_t(g),
         "zagreb_m1": indices.zagreb_m1(g),
     }
@@ -282,14 +283,14 @@ def _bound_input_from_args(args, params: bounds.BoundParams) -> bounds.BoundInpu
     if args.irr is not None and args.irr < 0:  # an Albertson value is a sum of absolute values
         raise InputError(f"--irr must be at least 0, got {args.irr}")
     if args.table is not None:
-        from .stats_tables import _table
+        from .stats_tables import _table, table_input
 
         if args.row is None:
             raise InputError("--table needs --row (1-based)")
         size = len(_table(args.table))
         if not 1 <= args.row <= size:
             raise InputError(f"--row must be in 1..{size}, got {args.row}")
-        return bounds.BoundInput.from_table_row(args.table, args.row - 1, params)
+        return table_input(args.table, args.row - 1, params)
     if args.class_trees is not None:
         if args.class_mode is None:
             raise InputError("--class-trees needs --class-mode min|max")
@@ -545,7 +546,8 @@ def _cmd_plots_emit(args) -> int:
         for n in range(3, max_n + 1):
             row = [n]
             for g in (graphs.path(n), graphs.cycle(n), graphs.star(n), graphs.monogenic(n)):
-                row += [indices.sigma(g), indices.albertson(g)]  # sigma then irr, as in the header
+                irr, sig = indices.albertson_and_sigma(g.degrees, g.edges)
+                row += [sig, irr]  # sigma then irr, as in the header
             rows.append(row)
     elif args.figure == 2:
         header = ["n", "T1", "T2", "irr", "sigma"]

@@ -22,19 +22,17 @@ from .graphs import (
     monogenic as build_monogenic,
     path,
 )
-from .sequences import DegreeSequenceView
+from .sequences import DegreeSequenceView, is_tree_sequence, realize_tree
 
 
 def albertson(g: Graph) -> int:
     """Sum over edges of |deg(u) - deg(v)|."""
-    degs = g.degrees
-    return sum(abs(degs[u] - degs[v]) for u, v in g.edges)
+    return albertson_and_sigma(g.degrees, g.edges)[0]
 
 
 def sigma(g: Graph) -> int:
     """Sum over edges of (deg(u) - deg(v))^2."""
-    degs = g.degrees
-    return sum((degs[u] - degs[v]) ** 2 for u, v in g.edges)
+    return albertson_and_sigma(g.degrees, g.edges)[1]
 
 
 def albertson_and_sigma(degrees: Sequence[int], edges: Iterable[tuple[int, int]]) -> tuple[int, int]:
@@ -182,8 +180,6 @@ def check_complement_identity(g: Graph, label: str = "") -> FormCheck:
 
 def check_albertson_len4_form(entries: Sequence[int]) -> FormCheck:
     """Four-entry closed form vs. the caterpillar realization (when one exists)."""
-    from .sequences import is_tree_sequence, realize_tree
-
     if not is_tree_sequence(entries):
         raise DomainError(f"{tuple(entries)} is not a tree sequence")
     tree = realize_tree(entries)

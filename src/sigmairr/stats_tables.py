@@ -1,5 +1,6 @@
-"""Embedded published tables and reproduction of everything derivable from
-them: recomputed columns, correlation matrices, and regression checks.
+"""Embedded published tables, each row's catalog input (``table_input``), and
+reproduction of everything derivable from them: recomputed columns (n, Sigma
+and eta read off that input), correlation matrices, and regression checks.
 
 Cells are stored exactly as printed.  Recomputation notes:
 
@@ -27,9 +28,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .bounds import BoundParams, _decimal, resolve_parameters, t1_staircase
+from .bounds import BoundInput, BoundParams, _decimal, t1_staircase
 from .errors import DomainError, InputError
-from .indices import sigma_closed_form
 from .sequences import Convention, DegreeSequenceView
 
 
@@ -121,13 +121,16 @@ def _table(table_id: int):
     return TABLE1 if table_id == 1 else TABLE2
 
 
-def table_row_view(table_id: int, row_index: int) -> tuple[DegreeSequenceView, int]:
-    """Sequence view (summary convention) and printed irr for one row."""
+def table_input(table_id: int, row_index: int, params: BoundParams = BoundParams()) -> BoundInput:
+    """The catalog input of one printed row (0-based): its entries in the
+    paper-table convention (n = sum of the entries, m = n - 1), its printed
+    irr, and Sigma from the closed form."""
     rows = _table(table_id)
     if not 0 <= row_index < len(rows):
         raise InputError(f"table {table_id} has rows 0..{len(rows) - 1}, got {row_index}")
     row = rows[row_index]
-    return DegreeSequenceView(row.entries, Convention.PAPER_TABLE), row.irr
+    view = DegreeSequenceView(row.entries, Convention.PAPER_TABLE)
+    return BoundInput.from_view(view, irr_value=row.irr, params=params, label=f"table {table_id} row {row_index + 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +178,18 @@ _RULE_NONE = "no generator; stored as printed"
 def reproduce_table(table_id: int) -> ReproductionReport:
     cells: list[CellCheck] = []
     for i, row in enumerate(_table(table_id)):
-        n = sum(row.entries)
-        mean = Fraction(n, len(row.entries))
-        sig = sigma_closed_form(DegreeSequenceView(row.entries, Convention.PAPER_TABLE))
+        binput = table_input(table_id, i)
+        n, sig, eta = binput.n, binput.sigma_value, binput.eta
+        mean = Fraction(n, binput.k)
         sigma_cell = CellCheck(i, "sigma", str(row.sigma), str(sig), sig == row.sigma, _RULE_SIGMA)
         irr_cell = CellCheck(i, "irr", str(row.irr), None, None, _RULE_NONE)
         if table_id == 1:
-            t1 = t1_staircase(n, 2 * (n - 1), row.entries[-1])
+            t1 = t1_staircase(n, binput.two_m, row.entries[-1])
             t2 = math.floor(mean**2 * row.t1 / 3)
             cells.append(CellCheck(i, "T1", str(row.t1), str(t1), t1 == row.t1, _RULE_T1))
             cells.append(CellCheck(i, "T2", str(row.t2), str(t2), t2 == row.t2, _RULE_T2))
             cells.extend((sigma_cell, irr_cell))
         else:
-            eta = resolve_parameters(BoundParams(), n, 2 * (n - 1), max(row.entries))[0]["eta"]
             mean_truncated = Fraction(math.floor(mean * 100), 100)
             lam_ok = abs(mean_truncated - row.lam) <= Fraction(5, 1000)
             cells.append(CellCheck(i, "n", str(row.n), str(n), n == row.n, _RULE_N))

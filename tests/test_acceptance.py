@@ -45,6 +45,7 @@ from sigmairr.stats_tables import (
     regression_reproduction,
     reproduce_table,
     table_correlation,
+    table_input,
 )
 
 
@@ -236,7 +237,7 @@ def test_criterion_09_falsification_harness(capsys):
 
 def test_criterion_10_bound_evaluator_arithmetic():
     with criterion(10, "B7 exact rational on table row 1; full catalog gates cleanly"):
-        report = evaluate_bound("B7", BoundInput.from_table_row(1, 0))
+        report = evaluate_bound("B7", table_input(1, 0))
         # exact rational from the defining expression (1/3)*(1936/49)*160 - 2348 + 260
         expected = Fraction(1, 3) * Fraction(1936, 49) * 160 - 2348 + 260
         assert report.rhs == expected == Fraction(2824, 147)

@@ -54,7 +54,7 @@ from sigmairr.sequences import (
     random_prufer_word,
     random_tree,
 )
-from sigmairr.stats_tables import TABLE1, TABLE2, table_row_view
+from sigmairr.stats_tables import TABLE1, TABLE2, table_input
 
 fraction_st = st.fractions(min_value=0, max_value=10**6)
 
@@ -157,7 +157,7 @@ class TestParams:
             assert (one.params_used, one.notes) == (other.params_used, other.notes), one.bound_id
 
     def test_resolution_cannot_be_mutated_by_a_caller(self):
-        binput = BoundInput.from_table_row(1, 0)
+        binput = table_input(1, 0)
         before = [r.to_json_dict() for r in evaluate_all(binput)]
         values, notes = resolve_parameters(BoundParams(), binput.n, binput.two_m, binput.max_degree)
         assert notes["eta1"] and notes["alpha"]
@@ -171,14 +171,14 @@ class TestParams:
             notes["alpha"].append("changed")
         copied = dict(notes)
         copied["eta1"] = ("changed",)
-        after = [r.to_json_dict() for r in evaluate_all(BoundInput.from_table_row(1, 0))]
+        after = [r.to_json_dict() for r in evaluate_all(table_input(1, 0))]
         resolved = resolve_parameters(BoundParams(), binput.n, binput.two_m, binput.max_degree)
         assert after == before and resolved[1]["eta1"] != ("changed",)
 
 
 class TestCatalogArithmetic:
     def test_b7_table1_row1_exact(self):
-        report = evaluate_bound("B7", BoundInput.from_table_row(1, 0))
+        report = evaluate_bound("B7", table_input(1, 0))
         assert report.rhs == Fraction(1, 3) * Fraction(1936, 49) * 160 - 2348 + 260
         assert report.rhs == Fraction(2824, 147)
         assert report.lhs == 2248 and report.holds is True
@@ -279,7 +279,7 @@ class TestCatalogArithmetic:
             return resolve_parameters(params, n, two_m, max_degree)
 
         monkeypatch.setattr(bounds, "resolve_parameters", counting)
-        for make in (lambda: BoundInput.from_graph(path(7)), lambda: BoundInput.from_table_row(1, 0)):
+        for make in (lambda: BoundInput.from_graph(path(7)), lambda: table_input(1, 0)):
             calls.clear()
             binput = make()
             reports = evaluate_all(binput)
@@ -330,10 +330,18 @@ class TestCatalogArithmetic:
 class TestB15bDegreeGrouping:
     @staticmethod
     def assert_matches_pairwise(binput):
-        entries = binput.entries
+        # the left side against one root per pair of entries, the right side
+        # (k-1)*S - k(k-1)*prod(d)^(1/k) against one root of the full product
+        entries, k = binput.entries, binput.k
         for bits in (64, 128):
             lo, hi, den = bounds._b15b_lhs(binput, bits)
             assert RVal(Fraction(lo, den), Fraction(hi, den)) == b15b_lhs_pairwise(entries, bits)
+            root = oracles.nth_root_rval(Fraction(math.prod(entries)), k, bits)
+            base = (k - 1) * sum(entries)
+            lo, hi, den = bounds._b15b_rhs(binput, bits)
+            assert RVal(Fraction(lo, den), Fraction(hi, den)) == RVal(
+                base - k * (k - 1) * root.hi, base - k * (k - 1) * root.lo
+            )
 
     @given(
         st.one_of(
@@ -370,7 +378,7 @@ class TestB15bDegreeGrouping:
 
 class TestReportContracts:
     def test_deterministic_reports(self):
-        binput = BoundInput.from_table_row(2, 2)
+        binput = table_input(2, 2)
         first = [r.to_json_dict() for r in evaluate_all(binput)]
         second = [r.to_json_dict() for r in evaluate_all(binput)]
         assert first == second
@@ -511,7 +519,7 @@ class TestExactFirst:
         for table_id, rows in ((1, TABLE1), (2, TABLE2)):
             for row_index in range(len(rows)):
                 for params in variants:
-                    _reference_inputs_match(BoundInput.from_table_row(table_id, row_index, params))
+                    _reference_inputs_match(table_input(table_id, row_index, params))
 
     @given(
         st.one_of(
@@ -580,7 +588,7 @@ def _audit_pairs():
     for params in variants:
         inputs = [BoundInput.from_graph(g, params) for n in range(2, 10) for g in enumerate_free_trees(n)]
         for table_id, rows in ((1, TABLE1), (2, TABLE2)):
-            inputs += [BoundInput.from_table_row(table_id, row_index, params) for row_index in range(len(rows))]
+            inputs += [table_input(table_id, row_index, params) for row_index in range(len(rows))]
         for binput in inputs:
             for bound_id in BOUND_IDS:
                 if not missing_fields(CATALOG[bound_id], binput):
@@ -701,7 +709,7 @@ def _printed_inputs():
             yield BoundInput.from_graph(g, params)
         for table_id, rows in ((1, TABLE1), (2, TABLE2)):
             for row_index in range(len(rows)):
-                yield BoundInput.from_table_row(table_id, row_index, params)
+                yield table_input(table_id, row_index, params)
         for entries in ((4, 3, 2, 1, 1, 1), (9, 7, 3, 1), (6, 6, 1, 1, 1, 1), (2, 2, 2)):
             for convention in (Convention.STANDARD, Convention.PAPER_TABLE):
                 view = DegreeSequenceView(entries, convention)
@@ -848,7 +856,7 @@ class TestIntegerDecisions:
     def test_table_rows(self, params):
         for table_id, rows in ((1, TABLE1), (2, TABLE2)):
             for row_index in range(len(rows)):
-                _decisions_agree(BoundInput.from_table_row(table_id, row_index, params))
+                _decisions_agree(table_input(table_id, row_index, params))
 
     @given(views_st, st.one_of(st.none(), st.integers(-5, 3000)), st.integers(-50, 10**5), st.sampled_from(ALL_PARAMS))
     @settings(max_examples=300, deadline=None)
@@ -863,8 +871,9 @@ class TestIntegerDecisions:
                  for n in range(2, 9) for g in enumerate_free_trees(n)]
         for table_id, rows in ((1, TABLE1), (2, TABLE2)):
             for row_index in range(len(rows)):
-                binput = BoundInput.from_table_row(table_id, row_index)
-                bases.append((table_row_view(table_id, row_index)[0], binput.irr_value, binput.sigma_value))
+                binput = table_input(table_id, row_index)
+                view = DegreeSequenceView(rows[row_index].entries, Convention.PAPER_TABLE)
+                bases.append((view, binput.irr_value, binput.sigma_value))
         for view, irr, sig in bases:
             for bound_id, binput, tie in _near_ties(view, irr, sig, params):
                 _decisions_agree(binput, (bound_id,))
@@ -941,7 +950,7 @@ class TestRecord:
     def test_table_rows(self, params):
         for table_id, rows in ((1, TABLE1), (2, TABLE2)):
             for row_index in range(len(rows)):
-                assert_record_symbols(BoundInput.from_table_row(table_id, row_index, params), Convention.PAPER_TABLE)
+                assert_record_symbols(table_input(table_id, row_index, params), Convention.PAPER_TABLE)
 
     @given(views_st, st.sampled_from(ALL_PARAMS))
     @settings(max_examples=100, deadline=None)
@@ -1016,7 +1025,7 @@ class TestFromEdges:
         monkeypatch.setattr(DegreeSequenceView, "__new__", lambda cls, *a, **kw: views.append(a) or new(cls, *a, **kw))
         assert falsify("all", mode)
         assert views == []
-        BoundInput.from_table_row(1, 0)  # the counter sees the one factory that reads a view
+        table_input(1, 0)  # the counter sees the one factory that reads a view
         assert len(views) == 1
 
     def test_label_names_the_order_of_the_degrees(self):
@@ -1026,7 +1035,7 @@ class TestFromEdges:
     def test_b14_needs_the_graph(self):
         view_only = BoundInput.from_view(DegreeSequenceView((1, 1, 2)), irr_value=2, sigma_value=2)
         paper_table = BoundInput.from_view(DegreeSequenceView((1, 1, 2), Convention.PAPER_TABLE))
-        for binput in (view_only, paper_table, BoundInput.from_table_row(1, 0), BoundInput.from_table_row(2, 0)):
+        for binput in (view_only, paper_table, table_input(1, 0), table_input(2, 0)):
             assert missing_fields(CATALOG["B14"], binput) == ["graph"], binput.label
         with_graph = BoundInput.from_graph(path(3))
         assert with_graph.entries == view_only.entries and missing_fields(CATALOG["B14"], with_graph) == []

@@ -642,6 +642,8 @@ RENDERED_INVOCATIONS = [a[:-2] if "--format" in a else a for a in DETERMINISTIC_
     ("indices", "--sequence", "2,2,2"),
     ("bounds", "check", "--sequence", "1,1,1,3", "--bound", "all"),
     ("sequence", "analyze", "--sequence", "5,1,3"),
+    # unsorted, and its last entry is not its maximum
+    ("bounds", "check", "--table", "1", "--row", "8", "--bound", "all"),
 ]
 
 RENDERED_DIGESTS = {
@@ -807,6 +809,12 @@ RENDERED_DIGESTS = {
         "0b64af951e7b64a6ffefc05926351a8ae1d1f8d61eb56f19a54a8857c78218d1",
     "sequence analyze --sequence 5,1,3 --format json":
         "02eb7e25c3727954460b00422b9c4e7649d1ee8409bb4f9dfa3ee2bf6ffb1dce",
+    "bounds check --table 1 --row 8 --bound all --format human":
+        "93ad570c582b7637f4c05a2fa1d45c0d350162f538410aba589206333e8b200e",
+    "bounds check --table 1 --row 8 --bound all --format csv":
+        "6ad03c62cb531db52545cf46f47ce79c3b022bb43137eeebc9b21e2191c92aa1",
+    "bounds check --table 1 --row 8 --bound all --format json":
+        "51755935c154c592218b156fd854da0962834865546e820ab64a8afe168dde82",
 }
 
 

@@ -2,7 +2,9 @@
 it runs, and the public surface is the same names, bound to the same objects,
 as when every module was imported eagerly."""
 
+import ast
 import contextlib
+import graphlib
 import importlib
 import io
 import json
@@ -137,6 +139,25 @@ class TestImportFootprint:
         loaded = _loaded_after(code)
         assert any(m.startswith("sigmairr.") for m in loaded)
         assert not loaded & {"dataclasses", "inspect"}
+
+
+def _relative_imports() -> dict[str, set[str]]:
+    """Each module of the package, mapped to the modules it imports relatively:
+    at module level, inside a function or under ``TYPE_CHECKING``."""
+    graph = {}
+    for path in sorted((ROOT / "src" / "sigmairr").glob("*.py")):
+        graph[path.stem] = targets = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                targets.update([node.module.split(".")[0]] if node.module else (a.name for a in node.names))
+    return graph
+
+
+def test_import_graph_has_no_cycle():
+    graph = _relative_imports()
+    # the walk sees the imports inside functions and under TYPE_CHECKING
+    assert {"bounds", "stats_tables"} <= graph["cli"] and "bounds" in graph["search"]
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError naming a cycle
 
 
 class TestPublicSurface:

@@ -22,7 +22,7 @@ from sigmairr.stats_tables import (
     regression_reproduction,
     reproduce_table,
     table_correlation,
-    table_row_view,
+    table_input,
 )
 
 T1_PRINTED = (160, 280, 399, 519, 637, 757, 876, 996)
@@ -44,13 +44,13 @@ class TestEmbeddedData:
         assert tuple(r.sigma for r in TABLE2) == SIGMA2_PRINTED
         assert tuple(r.eta for r in TABLE2) == (21, 31, 41, 51)
 
-    def test_table_row_view(self):
-        view, irr = table_row_view(1, 0)
-        assert view.n == 44 and irr == 260
+    def test_table_input(self):
+        binput = table_input(1, 0)
+        assert binput.n == 44 and binput.irr_value == 260 and binput.label == "table 1 row 1"
         with pytest.raises(InputError):
-            table_row_view(1, 8)
+            table_input(1, 8)
         with pytest.raises(InputError):
-            table_row_view(3, 0)
+            table_input(3, 0)
 
 
 class TestReproduction:
