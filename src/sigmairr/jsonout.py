@@ -12,14 +12,17 @@ a container that holds itself raises ``ValueError``.
 The stock ``json.dump`` yields one chunk per token.  This encoder renders
 each list with one ``join``, and a list of ``[int, int]`` pairs (the edge
 lists of a counterexample dump) as one ``%d`` format of its flattened
-items, into a template built once per pass for its length and level: the
-records of one tree share its edge list, which is rendered for the first
-and reused for the rest.  A dict is one ``%`` format of its
-converted values into its shape's template: the shape is its keys in
-insertion order and its level, and its template, built once per pass,
-holds the sorted keys and indents, with each value a ``%s``.  Only the
-containers above ``STREAM_DEPTH`` stream their items, so each record is
-one chunk and ``json.dump`` never holds the whole document as one string.
+items, into a template built once per pass for its length and level.  A
+dict is one ``%`` format of its converted values into its shape's
+template: the shape is its keys in insertion order and its level, and its
+template, built once per pass, holds the sorted keys and indents, with
+each value a ``%s``.  Deeper than ``STREAM_DEPTH``, a dict or pair list
+met again at the same level reuses the text of its first rendering: the
+records of one tree share its edge list, and records with equal reports
+share one report dict, so each is rendered once.  Only the containers
+above ``STREAM_DEPTH`` stream their items, so each record is one chunk,
+its text is never kept, and ``json.dump`` never holds the whole document
+as one string.
 """
 
 from __future__ import annotations
@@ -57,18 +60,20 @@ _SCALAR = {str: encode_basestring_ascii, int: int.__repr__, float: _floatstr,
 
 class _Renderer:
     """One encoding pass, the containers it is inside (circular-reference
-    check), the ``[int, int]``-pair lists it has rendered, and the
-    templates of the dict shapes and pair-list lengths it has met.
+    check), the dicts and ``[int, int]``-pair lists it has rendered deeper
+    than ``STREAM_DEPTH``, and the templates of the dict shapes and pair-list
+    lengths it has met.
 
-    A pass does not mutate the document, so a pair list met again at the
-    same level renders to the same text: it is reused, keyed on the list's
-    identity and level.  The renderer holds each such list, so no other
-    list can take its id during the pass, and it is dropped with the pass.
+    A pass does not mutate the document, so such a container met again at
+    the same level renders to the same text: it is reused, keyed on the
+    container's identity and level.  The renderer holds each such
+    container, so no other can take its id during the pass, and it is
+    dropped with the pass.  A record, at ``STREAM_DEPTH``, is never held.
     """
 
     def __init__(self) -> None:
         self.markers: dict = {}
-        self.pair_lists: dict = {}
+        self.rendered: dict = {}  # (id, level) -> (container, text)
         self.shapes: dict = {}
 
     def mark(self, o) -> None:
@@ -82,18 +87,16 @@ class _Renderer:
         convert = _SCALAR.get(kind)
         if convert is not None:
             return convert(o)
-        if kind is list:
-            return self.array(o, level)
-        if kind is dict:
-            return self.obj(o, level)
+        if kind is list or kind is dict:
+            seen = self.rendered.get((id(o), level))
+            if seen is not None:
+                return seen[1]
+            return self.array(o, level) if kind is list else self.obj(o, level)
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
     def array(self, lst: list, level: int) -> str:
         if not lst:
             return "[]"
-        seen = self.pair_lists.get((id(lst), level))
-        if seen is not None:
-            return seen[1]
         self.mark(lst)
         outer = "\n" + "  " * level
         inner = outer + "  "
@@ -115,8 +118,8 @@ class _Renderer:
             body = sep.join([self.value(v, level + 1) for v in lst])
         del self.markers[id(lst)]
         text = "[" + inner + body + outer + "]"
-        if pairs:
-            self.pair_lists[id(lst), level] = (lst, text)
+        if pairs and level > STREAM_DEPTH:
+            self.rendered[id(lst), level] = (lst, text)
         return text
 
     def obj(self, dct: dict, level: int) -> str:
@@ -135,7 +138,10 @@ class _Renderer:
             convert = scalar(type(v))
             texts.append(value(v, level + 1) if convert is None else convert(v))
         del self.markers[id(dct)]
-        return template % tuple(texts)
+        text = template % tuple(texts)
+        if level > STREAM_DEPTH:
+            self.rendered[id(dct), level] = (dct, text)
+        return text
 
     def stream(self, o, level: int):
         """Yield ``o`` at ``level``: a non-empty container above ``STREAM_DEPTH``

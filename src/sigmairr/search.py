@@ -496,9 +496,9 @@ class Counterexample(NamedTuple):
     """A tree refuting a catalog entry, as its JSON record: ``bound_id``,
     the tree's ``n``, its ascending ``edges`` (u, v), u < v, and their
     ``edge_list`` text, which every record of the same tree shares, and the
-    entry's ``report``, which the records of an entry on trees of one
-    signature (see ``falsify``) share.  The record is the only copy of the
-    tree."""
+    entry's ``report``, one dict per distinct report in a ``falsify`` call,
+    which every record with an equal report shares.  The record is the only
+    copy of the tree."""
 
     record: dict
 
@@ -533,9 +533,12 @@ def falsify(
     2 <= n <= n_max, rejects an ``n_max`` over the cap before it generates
     any tree, and decides each signature once, on its first tree, whose
     input must agree with ``_score`` (else ``AssertionError``); later trees
-    share that tree's report dicts.  A tree is decoded at most once, and
-    only if its signature is new or it refutes an entry, so 986 trees with
-    n <= 12 build 555 inputs.  Random mode decodes seeded labeled trees of
+    share that tree's reports.  In both modes a report equal in every field
+    to an earlier one of the call (the float decimals and exactness flags
+    included) is that earlier dict, so records share one dict per distinct
+    report.  A tree is decoded at most once, and only if its signature is
+    new or it refutes an entry, so 986 trees with n <= 12 build 555
+    inputs.  Random mode decodes seeded labeled trees of
     a fixed order from random Pruefer words and decides each on its own
     input, with no memo: samples seldom repeat a signature (3 to 7 of 200
     at order 40).  A sample is scored in its one decode, which gives its
@@ -552,10 +555,17 @@ def falsify(
     bound_ids = bounds.expand_bound_id(bound_id)
     specs = [(bid, bounds.CATALOG[bid]) for bid in bound_ids]
     found: list[Counterexample] = []
+    distinct: dict[tuple, dict] = {}  # each distinct report of the call, keyed on all its fields
 
     def decide(binput: BoundInput) -> list[tuple[str, dict]]:  # the entries it refutes
-        return [(bid, report) for bid, spec in specs
-                if (report := bounds.counterexample_report(bid, spec, binput)) is not None]
+        refuted = []
+        for bid, spec in specs:
+            if (report := bounds.counterexample_report(bid, spec, binput)) is not None:
+                # Every field; a zero decimal's sign shows in its printed side.
+                key = tuple([tuple(v.items()) if type(v) is dict else tuple(v) if type(v) is list else v
+                             for v in report.values()])
+                refuted.append((bid, distinct.setdefault(key, report)))
+        return refuted
 
     def record(degrees: Sequence[int], edges: Sequence[tuple[int, int]], reports: list[tuple[str, dict]]) -> None:
         ordered = sorted(edges)  # both decodes give each edge as (u, v), u < v

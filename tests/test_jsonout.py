@@ -55,6 +55,21 @@ def shared_edges(where: str):
     return {"B3": [{"edges": edges}], "top": edges, "deeper": [[{"e": [edges]}]], "again": edges}
 
 
+def shared_report(where: str):
+    """One report dict met several times in a document: twice at one level,
+    at two levels, or inside a shared dict."""
+    report = {"lhs": "3/2", "lhs_decimal": 1.5, "notes": ["a"], "params": {"k": "1"}}
+    if where == "same level":
+        return {"B3": [{"report": report, "n": 4}, {"report": report, "n": 4}], "B8": [{"report": report}]}
+    if where == "two levels":
+        return {"B3": [{"report": report}], "top": report, "deeper": [[{"r": [report]}]], "again": report}
+    holder = {"report": report, "n": 4}
+    return {"B3": [{"x": holder}, {"x": holder}], "B8": [{"report": report}, [holder]]}
+
+
+SHARED_REPORTS = ("same level", "two levels", "inside a shared dict")
+
+
 def nested(depth: int):
     value = {"leaf": [[0, 1]]}
     for level in range(depth):
@@ -98,7 +113,7 @@ class TestAgainstStock:
         [[True, 0], [1, False]], [[0, 1], [2, 3]], [[0, 1], [2, 3.0]], [[0, 1], [2]],
         {"edges": [[0, 1], [1, 2]], "deep": {"x": {"y": [[2**70, -1]]}}},
         math.nan, [math.inf, -math.inf], {"%d": ["%s", "100%"], "b%%": [[1, 2]]}, nested(40),
-        shared_edges("same level"), shared_edges("two levels"),
+        shared_edges("same level"), shared_edges("two levels"), *map(shared_report, SHARED_REPORTS),
     ])
     def test_edge_cases(self, value):
         assert assert_same_as_stock(value)[0] == "ok"
@@ -146,6 +161,25 @@ class TestShapes:
     def test_many_dicts_sharing_key_sets(self, items):
         document = [dict(pairs) for pairs in items]
         assert assert_same_as_stock({"top": document, "nested": [[d] for d in document]})[0] == "ok"
+
+
+class TestSharedDicts:
+    """A dict met again at the same level, deeper than ``STREAM_DEPTH``,
+    reuses the text of its first rendering."""
+
+    @pytest.mark.parametrize("where", SHARED_REPORTS)
+    def test_rendered_once_per_level(self, monkeypatch, where):
+        calls: dict = {}
+        obj = jsonout._Renderer.obj
+
+        def counted(self, dct, level):
+            calls[id(dct), level] = calls.get((id(dct), level), 0) + 1
+            return obj(self, dct, level)
+
+        monkeypatch.setattr(jsonout._Renderer, "obj", counted)
+        assert_same_as_stock(shared_report(where))
+        deep = [count for (_, level), count in calls.items() if level > jsonout.STREAM_DEPTH]
+        assert deep and set(deep) == {1}
 
 
 class TestPairLists:

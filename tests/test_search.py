@@ -614,8 +614,18 @@ class TestFalsify:
             for records in others:
                 assert [r["bound_id"] for r in records] == [r["bound_id"] for r in first]
                 assert all(r["report"] is f["report"] and r["edges"] is not f["edges"] for r, f in zip(records, first))
-        ids = {id(r["report"]) for records in trees.values() for r in records}
-        assert len(ids) == sum(len(group[0]) for group in by_signature.values())
+        # Reports are shared by content too: two records of one call hold the
+        # same report object if and only if their reports are equal.
+        calls = [("all", ExhaustiveMode(10), 791, 474), ("B1", RandomMode(40, 200, 0), 186, 36),
+                 ("B8", RandomMode(40, 200, 0), 200, 98)]
+        for bound_id, mode, records, objects in calls:
+            found = falsify(bound_id, mode)
+            ids_by_text: dict = {}
+            for c in found:
+                report = c.record["report"]
+                ids_by_text.setdefault(json.dumps(report, sort_keys=True), set()).add(id(report))
+            assert all(len(ids) == 1 for ids in ids_by_text.values())
+            assert len(found) == records and len(ids_by_text) == len({id(c.record["report"]) for c in found}) == objects
 
     def test_entries_read_no_edge_beyond_presence(self):
         # The memo is sound only if every verdict is a function of the
