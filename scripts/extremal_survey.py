@@ -15,6 +15,7 @@ Usage:
 
 import argparse
 import csv
+import os
 import sys
 import time
 
@@ -72,4 +73,10 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a reader that left early fails this flush, not the one at exit
+    except BrokenPipeError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the flush at exit has nowhere to fail
+        code = _fail(str(exc))
+    sys.exit(code)

@@ -18,6 +18,7 @@ Usage:
 
 import argparse
 import contextlib
+import os
 import sys
 import time
 
@@ -82,4 +83,10 @@ def _campaign(nmax: int) -> dict:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a reader that left early fails this flush, not the one at exit
+    except BrokenPipeError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the flush at exit has nowhere to fail
+        code = _fail(str(exc))
+    sys.exit(code)

@@ -12,6 +12,7 @@ Usage:
 """
 
 import argparse
+import os
 import sys
 
 from sigmairr.indices import compare_known_forms
@@ -89,4 +90,11 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a reader that left early fails this flush, not the one at exit
+    except BrokenPipeError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the flush at exit has nowhere to fail
+        print(f"error: {exc}", file=sys.stderr)
+        code = 1
+    sys.exit(code)

@@ -379,7 +379,7 @@ def _cmd_enumerate(args) -> int:
             "encoding": list(enc),
             "edges": sorted([p, c] for p, c in search._tree_of_levels(enc)[1]),
         }
-        for enc in stream
+        for enc, _ in stream
     ]
     payload = {"n": args.n, "count": len(items), "trees": items}
     _render(args.format, ["encoding", "edges"], (t.values() for t in items), payload, args.out)

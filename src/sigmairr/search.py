@@ -12,6 +12,16 @@ level sequence alone:
   deeper canonical block is lexicographically larger, so the first block
   (up to ``split``, the second entry equal to 2) is a deepest one.  The root
   is a center iff that block is at most one level deeper than the rest.
+  The first block's depth, ``top``, is the deepest level of the whole
+  sequence, and as every vertex's first child is its deepest, the sequence
+  starts 1, 2, ..., top.  So ``levels.find(top, split)`` and
+  ``levels.find(top - 1, split)`` tell a rest of depth top (gap 0), top - 1
+  (gap 1) or less, with no slice.  The walk keeps ``top`` as it goes: a
+  step at position p < top cuts that run at p and sets every later entry to
+  p, and every other write leaves the run and the deepest level as they
+  are, except that the path's leaf root moves its last entry to 2.  At
+  n <= 2 the rest is empty and reads as depth 1: n = 1 is kept, and K2 is
+  bicentral with two equal center rootings.
 * When it is exactly one level deeper the tree is bicentral and the other
   center is vertex 1.  Its canonical rooting is the old root's side first,
   ``(1, 2, *(x + 1 for x in levels[split:]))``, then vertex 1's own
@@ -64,39 +74,41 @@ A walk holds its sequence as a ``bytearray``, one level a byte, so each
 step's scans and copies are single bytes operations: ``find`` for
 ``split``, ``rstrip`` for the last entry above 2, ``rindex`` for its parent,
 one slice assignment of the repeated segment for the copy, and ``translate``
-tables for the other center rooting.  Each element of the stream is a
-tuple.  A byte holds levels up to 255, so ``MAX_TREE_ORDER`` = 255 bounds
-every walk, the cap override included.
+tables for the other center rooting.  Each element of the stream is a pair:
+the sequence's ``bytes`` snapshot, one byte a level, and the tree's
+signature, (degree counts, Albertson, Sigma).  A byte holds levels up to
+255, so ``MAX_TREE_ORDER`` = 255 bounds every walk, the cap override
+included.
 
 The stream is deterministic, one representative per isomorphism class, and
 counts are validated in the test suite against independent labeled-tree
 oracles.  Labeled Pruefer space (n^(n-2)) is never enumerated here.
 
-One scorer, ``_score``, reads a walked tree's degree counts, Albertson and
-Sigma from its root's subtrees, for ``extremal_goals`` and exhaustive
-``falsify``.  In a canonical sequence each vertex's descendants follow it
-as one block, so ``bytes(levels).split(b"\x02")[1:]`` is one piece per
-child of the root, holding that child's descendants: an empty piece is a
-leaf, and the children of any other piece's vertex are
-``piece.split(piece[:1])[1:]``.  A block's score is its vertex's degree,
-the Albertson and Sigma sums over the edges below it, and its degree
-counts, the sum of 256^d over its vertices' degrees d (a byte per degree,
-which never carries, as no degree occurs 256 times in a walk).  Both
-indices are sums over edges, so a vertex of degree k adds, for each child
-c, c's sums plus |k - deg c| to Albertson and (k - deg c)^2 to Sigma; a
-whole tree is scored the same way at its root.  A block's score depends on
-its bytes alone, so one table, ``_BLOCKS``, holds it for every walk of the
-process: the 7,741 trees of order 15 have 1,229 distinct root pieces, and
-each is scored once.  The table holds at most ``_BLOCK_TABLE_SIZE``
-blocks, every block of every order up to 19, and is cleared when full.
-Class membership reads the degree counts, so no tree has a per-vertex
-pass.  ``extremal_goals`` serves any number of (objective, direction)
-goals from one walk of a class, each with its own optimum and first
-witness in stream order; ``extremal`` is its single-goal form.  A
-``Graph`` is built only per distinct witness, and its indices and
-membership are computed again from the ``Graph``, independently of the
-table.  One decoder, ``_tree_of_levels``, turns levels into degrees and
-(parent, child) edges, for ``levels_to_graph``, ``falsify`` and CLI
+The walk is the one scorer: it reads each tree's signature from its root's
+subtrees as it yields the tree, and ``extremal_goals`` and exhaustive
+``falsify`` take it from there.  In a canonical sequence each vertex's
+descendants follow it as one block, so the snapshot's
+``split(b"\x02")[1:]`` is one piece per child of the root, holding that
+child's descendants: an empty piece is a leaf, and the children of any
+other piece's vertex are ``piece.split(piece[:1])[1:]``.  A block's score
+is its vertex's degree, the Albertson and Sigma sums over the edges below
+it, and its degree counts, the sum of 256^d over its vertices' degrees d (a
+byte per degree, which never carries, as no degree occurs 256 times in a
+walk).  Both indices are sums over edges, so a vertex of degree k adds, for
+each child c, c's sums plus |k - deg c| to Albertson and (k - deg c)^2 to
+Sigma; a whole tree is scored the same way at its root, by the same
+``_join``.  A block's score depends on its bytes alone, so one table,
+``_BLOCKS``, holds it for every walk of the process: the 7,741 trees of
+order 15 have 1,229 distinct root pieces, and each is scored once.  The
+table holds at most ``_BLOCK_TABLE_SIZE`` blocks, every block of every
+order up to 19, and is cleared when full.  Class membership reads the
+degree counts, so no tree has a per-vertex pass.  ``extremal_goals`` serves
+any number of (objective, direction) goals from one walk of a class, each
+with its own optimum and first witness in stream order; ``extremal`` is its
+single-goal form.  A ``Graph`` is built only per distinct witness, and its
+indices and membership are computed again from the ``Graph``, independently
+of the table.  One decoder, ``_tree_of_levels``, turns levels into degrees
+and (parent, child) edges, for ``levels_to_graph``, ``falsify`` and CLI
 ``enumerate``.
 
 Every walk of the trees of an order passes one gate, ``check_tree_order``:
@@ -202,38 +214,46 @@ def _canonical_rooted_levels(adjacency: Sequence[Sequence[int]], root: int) -> t
     return blocks[root]
 
 
-def free_tree_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
-    """Canonical center-rooted level sequences, one per free tree."""
+def free_tree_level_sequences(n: int) -> Iterator[tuple[bytes, tuple[int, int, int]]]:
+    """Canonical center-rooted level sequences, one per free tree, each as
+    its level bytes and its signature: degree counts, Albertson, Sigma."""
     levels = _path_levels(n)
+    top = n  # the first block's depth: levels[:top] is 1, 2, ..., top
     while True:
         split = levels.find(2, 2)
         if split < 0:  # the root is a leaf: a center only for n <= 2
             if n > 2:
                 levels[-1] = 2  # the next sequence whose root is not a leaf
+                top = min(top, n - 1)  # cuts only the path's run
                 continue
-            split = n
-        gap = max(levels[:split]) - max(levels[split:], default=1)
+            split, gap = n, n - 1  # an empty rest reads as depth 1: K2 is bicentral
+        else:
+            gap = 0 if levels.find(top, split) >= 0 else 1 if levels.find(top - 1, split) >= 0 else 2
         if gap > 1:  # root is not a center while this first block stays
             levels[split:] = b"\x02" * (n - split)
-        elif gap == 0:
-            yield tuple(levels)
+        # Bicentral (gap 1): keep only the lex-larger center rooting, with B
+        # as the module docstring names it.
+        elif gap == 0 or levels >= b"\x01\x02" + levels[split:].translate(_UP) + (
+            b := levels[2:split].translate(_DOWN)
+        ):
+            tree = bytes(levels)
+            pieces = tree.split(b"\x02")  # the root, then one piece per child
+            _, irr, sig, counts = _join(len(pieces) - 1, pieces[1:])
+            yield tree, (counts, irr, sig)
         else:
-            # Bicentral: keep only the lex-larger center rooting.
-            b = levels[2:split].translate(_DOWN)  # B, as the module docstring names it
-            if levels >= b"\x01\x02" + levels[split:].translate(_UP) + b:
-                yield tuple(levels)
-            else:
-                rest = n - split
-                land = (b + b"\x02" * rest)[:rest]
-                if land != levels[split:]:  # every rest between them loses too
-                    levels[split:] = land
-                    if len(b) >= rest:
-                        continue  # land may win: test it
+            rest = n - split
+            land = (b + b"\x02" * rest)[:rest]
+            if land != levels[split:]:  # every rest between them loses too
+                levels[split:] = land
+                if len(b) >= rest:
+                    continue  # land may win: test it
         while True:
             p = _advance(levels)
             if p < 0:
                 return
-            if levels.find(2, 2, p + 1) >= 0 or n - p >= max(levels[1:p + 1]) - 1:
+            if p < top:  # the step cut the run at p: levels[p:] are all p now
+                top = p
+            if levels.find(2, 2, p + 1) >= 0 or n - p >= top - 1:
                 break
             levels[p + 1:] = b"\x02" * (n - p - 1)  # no second subtree can be deep enough
 
@@ -241,7 +261,7 @@ def free_tree_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
 def enumerate_free_trees(n: int, *, allow_over_cap: bool = False) -> Iterator[Graph]:
     """One tree per isomorphism class, in canonical order."""
     check_tree_order(n, allow_over_cap)
-    for levels in free_tree_level_sequences(n):
+    for levels, _ in free_tree_level_sequences(n):
         yield levels_to_graph(levels)
 
 
@@ -249,7 +269,7 @@ def check_tree_order(n: int, allow_over_cap: bool) -> None:
     """Reject an order that cannot be enumerated, or exceeds ``DEFAULT_TREE_CAP``
     unless allowed.  Every walk of the trees of an order is gated here."""
     if n < 1:
-        raise DomainError("enumerate_free_trees requires n >= 1")
+        raise DomainError(f"n={n} is below 1: a tree has at least one vertex")
     if n > MAX_TREE_ORDER:
         raise ResourceLimitError(
             f"n={n} exceeds {MAX_TREE_ORDER}, the largest order whose levels fit in a byte each"
@@ -308,8 +328,6 @@ class TreeClass(NamedTuple):
     # byte, and no 256^n is built for an order that is refused.
     @classmethod
     def all_trees(cls, n: int) -> "TreeClass":
-        if n < 1:
-            raise DomainError("all_trees requires n >= 1")
         check_tree_order(n, allow_over_cap=True)
         return cls(n, 0, 1 << (n << 3), f"all trees of order {n}")
 
@@ -323,11 +341,9 @@ class TreeClass(NamedTuple):
 
     @classmethod
     def with_max_degree(cls, n: int, delta: int) -> "TreeClass":
-        if n < 1:
-            raise DomainError("with_max_degree requires n >= 1")
+        check_tree_order(n, allow_over_cap=True)
         if not 1 <= delta <= n - 1:  # the one tree of order 1 has no degree of 1 or more
             raise DomainError(f"max degree {delta} impossible for trees of order {n}")
-        check_tree_order(n, allow_over_cap=True)
         description = f"trees of order {n} with maximum degree {delta}"
         return cls(n, 1 << (delta << 3), 1 << ((delta + 1) << 3), description)
 
@@ -393,8 +409,7 @@ def extremal_goals(
     irr_max = sig_max = -1
     irr_min = sig_min = math.inf
     examined = 0
-    for levels in free_tree_level_sequences(tree_class.n):
-        counts, irr, sig = _score(levels)
+    for levels, (counts, irr, sig) in free_tree_level_sequences(tree_class.n):
         if not low <= counts < high:
             continue
         examined += 1
@@ -414,16 +429,16 @@ def extremal_goals(
         ("sigma", "max"): (sig_max, sig_max_at),
         ("sigma", "min"): (sig_min, sig_min_at),
     }
-    witnesses: dict[tuple[int, ...], Graph] = {}
+    witnesses: dict[bytes, Graph] = {}
     results = []
     for objective, direction in goals:
         optimum, levels = optima[objective, direction]
         if levels not in witnesses:
             witnesses[levels] = levels_to_graph(levels)
         witness = witnesses[levels]
-        # The table's scores, checked on the Graph by the indices' own pass.
+        # The walk's scores, checked on the Graph by the indices' own pass.
         if OBJECTIVES[objective](witness) != optimum or not tree_class.contains(witness):
-            raise AssertionError(f"scored {objective} {optimum} disagrees with witness {levels}")
+            raise AssertionError(f"scored {objective} {optimum} disagrees with witness {tuple(levels)}")
         results.append(
             SearchResult(
                 class_description=tree_class.description,
@@ -431,19 +446,11 @@ def extremal_goals(
                 direction=direction,
                 optimum=optimum,
                 witness=witness,
-                witness_encoding=levels,
+                witness_encoding=tuple(levels),
                 trees_examined=examined,
             )
         )
     return tuple(results)
-
-
-def _score(levels: Sequence[int]) -> tuple[int, int, int]:
-    """Degree counts, Albertson and Sigma of a walked tree, from its root's
-    pieces: the one place where a level sequence becomes numbers."""
-    pieces = bytes(levels).split(b"\x02")  # the root, then one piece per child
-    _, irr, sig, counts = _join(len(pieces) - 1, pieces[1:])
-    return counts, irr, sig
 
 
 def _join(degree: int, pieces: list[bytes]) -> tuple[int, int, int, int]:
@@ -528,12 +535,12 @@ def falsify(
     ``edges`` and ``edge_list`` that all of its records share.  Every entry
     reads only the degrees, Albertson and Sigma (B14 asks only that edges
     are present), so a tree's verdicts are fixed by its signature, which
-    ``_score`` reads off its level sequence: its degree counts, Albertson
+    the walk yields with its level sequence: its degree counts, Albertson
     and Sigma.  Exhaustive mode covers every isomorphism class with
     2 <= n <= n_max, rejects an ``n_max`` over the cap before it generates
     any tree, and decides each signature once, on its first tree, whose
-    input must agree with ``_score`` (else ``AssertionError``); later trees
-    share that tree's reports.  In both modes a report equal in every field
+    input must agree with that signature (else ``AssertionError``); later
+    trees share that tree's reports.  In both modes a report equal in every field
     to an earlier one of the call (the float decimals and exactness flags
     included) is that earlier dict, so records share one dict per distinct
     report.  A tree is decoded at most once, and only if its signature is
@@ -579,14 +586,14 @@ def falsify(
         check_tree_order(mode.n_max, allow_over_cap)
         decided: dict[tuple[int, int, int], list[tuple[str, dict]]] = {}  # by signature
         for n in range(2, mode.n_max + 1):
-            for levels in free_tree_level_sequences(n):
-                signature, tree = _score(levels), None
+            for levels, signature in free_tree_level_sequences(n):
+                tree = None
                 if (reports := decided.get(signature)) is None:
                     degrees, edges = tree = _tree_of_levels(levels)
                     binput = bounds.BoundInput.from_edges(degrees, edges, params)
                     # The memo key, checked on the decoded tree by the edge pass.
                     if (_degree_counts(binput.entries), binput.irr_value, binput.sigma_value) != signature:
-                        raise AssertionError(f"scored signature {signature} disagrees with tree {levels}")
+                        raise AssertionError(f"scored signature {signature} disagrees with tree {tuple(levels)}")
                     reports = decided[signature] = decide(binput)
                 if reports:
                     record(*(tree or _tree_of_levels(levels)), reports)

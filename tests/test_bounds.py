@@ -966,7 +966,7 @@ class TestFromEdges:
 
     def test_every_free_tree_up_to_order_ten(self):
         for n in range(2, 11):
-            for levels in free_tree_level_sequences(n):
+            for levels, _ in free_tree_level_sequences(n):
                 _inputs_agree(BoundInput.from_edges(*_tree_of_levels(levels)),
                               BoundInput.from_graph(levels_to_graph(levels)))
 

@@ -208,6 +208,8 @@ class TestErrors:
         (("bounds", "check", "--class-trees", "1", "--class-mode", "max"), "--class-trees must be at least 2, got 1"),
         (("bounds", "check", "--class-trees", "0", "--class-mode", "min"), "--class-trees must be at least 2, got 0"),
         (("extremal", "--n", "1", "--max-degree", "1"), "max degree 1 impossible for trees of order 1"),
+        (("enumerate", "--n", "0"), "n=0 is below 1: a tree has at least one vertex"),
+        (("extremal", "--n", "0"), "n=0 is below 1: a tree has at least one vertex"),
         (("bounds", "check", "--family", "path:1"), "graph has an isolated vertex: vertex 0 has no edge"),
         (("bounds", "check", "--graph-file", "n3-one-edge"), "graph has an isolated vertex: vertex 2 has no edge"),
         (("bounds", "check", "--sequence", "3,3,3,3", "--convention", "paper-table", "--irr", "-5"),

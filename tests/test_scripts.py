@@ -100,6 +100,25 @@ def test_campaign_rejects_an_unwritable_json_path(tmp_path):
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
 
 
+@pytest.mark.parametrize("script,args", [
+    ("extremal_survey.py", ("--max-n", "12")),
+    ("falsification_campaign.py", ("--nmax", "8")),
+    ("reproduce_published_numbers.py", ()),
+])
+def test_scripts_exit_cleanly_when_stdout_is_closed(script, args):
+    # As `script | head -1` once head has exited: the pipe's read end is
+    # closed before the script starts, so its first write to stdout fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(sigmairr.__file__).resolve().parents[1])}
+    try:
+        done = subprocess.run([sys.executable, str(SCRIPTS / script), *args], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "error: [Errno 32] Broken pipe\n")
+
+
 def test_campaign_matches_recorded_digest(tmp_path):
     # The benchmark's recorded campaign at --nmax 6: any byte change to the
     # counterexample JSON, or to a claim's count, fails here too.

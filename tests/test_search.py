@@ -40,7 +40,7 @@ from sigmairr.search import (
     _block,
     _canonical_rooted_levels,
     _degree_counts,
-    _score,
+    _join,
     _tree_of_levels,
 )
 from sigmairr.sequences import random_tree
@@ -81,13 +81,23 @@ class TestFreeTreeStream:
         # the skips over runs that cannot be centre-rooted keep every
         # sequence of the filtered rooted walk, in the same order
         for n in range(1, 16):
-            assert list(free_tree_level_sequences(n)) == list(free_tree_level_sequences_by_filter(n)), n
+            stream = [tuple(levels) for levels, _ in free_tree_level_sequences(n)]
+            assert stream == list(free_tree_level_sequences_by_filter(n)), n
 
     def test_first_sequences_over_the_default_cap(self):
         deep = tuple(range(1, 11))
-        assert next(free_tree_level_sequences(18)) == (*deep, *range(2, 10))
-        assert next(free_tree_level_sequences(19)) == (*deep, 10, *range(2, 10))
-        assert next(free_tree_level_sequences(255)) == (*range(1, 129), 128, *range(2, 128))
+        assert next(free_tree_level_sequences(18))[0] == bytes((*deep, *range(2, 10)))
+        assert next(free_tree_level_sequences(19))[0] == bytes((*deep, 10, *range(2, 10)))
+        assert next(free_tree_level_sequences(255))[0] == bytes((*range(1, 129), 128, *range(2, 128)))
+
+    def test_center_test_at_the_smallest_orders(self):
+        # n = 1 is kept; K2's empty rest reads as depth 1, so it is bicentral
+        # and its two center rootings are the same; P3's root has a leaf on
+        # each side (gap 0).  Each element is (level bytes, (degree counts,
+        # Albertson, Sigma)), the counts a byte per degree.
+        assert list(free_tree_level_sequences(1)) == [(b"\x01", (1, 0, 0))]
+        assert list(free_tree_level_sequences(2)) == [(b"\x01\x02", (2 << 8, 0, 0))]
+        assert list(free_tree_level_sequences(3)) == [(b"\x01\x02\x02", ((1 << 16) + (2 << 8), 2, 2))]
 
     # Count and sha256 of the stream, each sequence one byte a level: a faster
     # walk must keep every tree and their order.
@@ -97,9 +107,23 @@ class TestFreeTreeStream:
         (18, 123867, "86ae6e7b9733bff36afbf0394f0a8a4959740a4d84627a3047fb37752cb924eb"),
     ], ids=["n16", "n17", "n18"])
     def test_pinned_stream(self, n, count, digest):
-        stream = list(free_tree_level_sequences(n))
+        stream = [levels for levels, _ in free_tree_level_sequences(n)]
         assert len(stream) == count
-        assert hashlib.sha256(b"".join(map(bytes, stream))).hexdigest() == digest
+        assert hashlib.sha256(b"".join(stream)).hexdigest() == digest
+
+    # Count and sha256 of the scored stream: each tree's level bytes, then
+    # its degree counts, Albertson and Sigma as b"%d %d %d\n".
+    @pytest.mark.parametrize("n, count, digest", [
+        (15, 7741, "f605af4868c4694311ac49c5ad2ed17987077ec83616c2e9432e0f7692796cf1"),
+        (16, 19320, "74ddbc151b4717aee9b05be7007e4a599c4c3f45869847a221af71dadac19620"),
+    ], ids=["n15", "n16"])
+    def test_pinned_scored_stream(self, n, count, digest):
+        h = hashlib.sha256()
+        for levels, signature in free_tree_level_sequences(n):
+            assert type(levels) is bytes
+            h.update(levels + b"%d %d %d\n" % signature)
+            count -= 1
+        assert (count, h.hexdigest()) == (0, digest)
 
     def test_order_limit(self):
         for walk in (free_tree_level_sequences, rooted_level_sequences):
@@ -127,8 +151,8 @@ class TestFreeTreeStream:
 
     def test_stream_elements_are_canonical_forms(self):
         for n in range(2, 14):
-            for levels in free_tree_level_sequences(n):
-                assert canonical_form(levels_to_graph(levels)) == levels
+            for levels, _ in free_tree_level_sequences(n):
+                assert canonical_form(levels_to_graph(levels)) == tuple(levels)
 
     def test_n4(self):
         trees = list(enumerate_free_trees(4))
@@ -361,24 +385,29 @@ def _sorted_degrees(counts: int, n: int) -> list[int]:
 
 
 class TestBlockScores:
-    def assert_scored(self, levels):
+    def assert_scored(self, levels, signature):
         degrees, edges = _tree_of_levels(levels)
-        counts, irr, sig = _score(levels)
+        counts, irr, sig = signature
         assert (irr, sig) == albertson_and_sigma(degrees, edges), levels
         assert _sorted_degrees(counts, len(levels)) == sorted(degrees), levels
         assert counts == _degree_counts(degrees)
 
     def test_free_trees_match_the_edge_pass(self):
+        # The signature the walk reads at each tree's root.
         for n in range(1, 15):
-            for levels in free_tree_level_sequences(n):
-                self.assert_scored(levels)
+            for levels, signature in free_tree_level_sequences(n):
+                self.assert_scored(levels, signature)
 
     def test_rooted_trees_and_their_blocks_match_the_edge_pass(self):
-        # Each rooted tree, and the same tree planted below a new root, where
-        # it is the one block: its score leaves out the new root's edge.
+        # Each rooted tree, joined at its root from its children's pieces as
+        # the walk joins a free tree, and the same tree planted below a new
+        # root, where it is the one block: its score leaves out the new
+        # root's edge.
         for n in range(1, 11):
             for levels in rooted_level_sequences(n):
-                self.assert_scored(levels)
+                pieces = bytes(levels).split(b"\x02")
+                _, irr, sig, counts = _join(len(pieces) - 1, pieces[1:])
+                self.assert_scored(levels, (counts, irr, sig))
                 planted = (1, *(x + 1 for x in levels))
                 degrees, edges = _tree_of_levels(planted)
                 irr, sig = albertson_and_sigma(degrees, edges)
@@ -566,7 +595,7 @@ class TestFalsify:
 
     def test_decides_each_signature_once(self, monkeypatch):
         # 986 trees with 2 <= n <= 12 have 555 signatures (degree counts,
-        # Albertson, Sigma, as ``_score`` gives them): each signature builds
+        # Albertson, Sigma, as the walk yields them): each signature builds
         # one input and is decided on all 18 entries once, and each tree is
         # decoded at most once.
         import sigmairr.bounds as bounds_module
@@ -580,11 +609,13 @@ class TestFalsify:
         calls: dict = {}
         counted(bounds_module, "counterexample_report")
         counted(bounds_module.BoundInput, "from_edges")
-        counted(search_module, "_score")
         counted(search_module, "_tree_of_levels")
+        walk, yields = search_module.free_tree_level_sequences, []
+        monkeypatch.setattr(search_module, "free_tree_level_sequences",
+                            lambda n: (yields.append(item) or item for item in walk(n)))
         found = falsify("all", ExhaustiveMode(12))
         assert len(calls["counterexample_report"]) == 555 * 18 == 9_990 and len(found) > 1_000
-        assert len(calls["from_edges"]) == 555 and len(calls["_score"]) == 986
+        assert len(calls["from_edges"]) == 555 and len(yields) == 986
         # Every one of the 986 trees is new or refutes an entry, and none is decoded twice.
         assert len(calls["_tree_of_levels"]) == len(set(calls["_tree_of_levels"])) == 986
 

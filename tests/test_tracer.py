@@ -93,3 +93,20 @@ def test_resolve_layer_counts_one_call_per_input():
         tracer.uninstall()
     assert len({(b.n, b.max_degree) for b in inputs}) < len(trees)
     assert tracer.to_json()["layers"]["bounds.resolve"]["count"] == 3 * len(trees)
+
+
+def test_walk_layer_counts_one_yield_per_tree():
+    # extremal_goals and exhaustive falsify read each tree and its signature
+    # from the walk, so the traced search.select layer sees every tree they
+    # walk: the 106 trees of order 10, then the 47 of orders 2 to 8.
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer()
+    try:
+        tracer_module.install(tracer)
+        (result,) = search.extremal_goals(search.TreeClass.all_trees(10), [("sigma", "max")])
+        after_extremal = tracer.counters["search.select.yields"]
+        search.falsify("all", search.ExhaustiveMode(8))
+    finally:
+        tracer.uninstall()
+    assert result.trees_examined == after_extremal == 106
+    assert tracer.to_json()["counters"]["search.select.yields"] == 106 + 47
