@@ -8,44 +8,32 @@ each failing claim.  Optionally dumps the full counterexample set as JSON
 with ``sigmairr.jsonout.dump``, the package's one JSON writer: it writes
 one counterexample at a time, and its bytes equal
 ``json.dumps(everything, sort_keys=True, indent=2)``.
-An --nmax outside 2..18 (18 is the enumeration cap), or a --json path that
-cannot be opened, is rejected with a one-line message on stderr and exit
-code 1 before any output is written.
+Any failure gives one ``error:`` line on stderr and exit code 1: a bad
+argument, an --nmax outside 2..18 (18 is the enumeration cap) or a --json
+path that cannot be opened, before any output is written; an output that
+cannot be written (a full device, a reader that left early) when it fails.
 
 Usage:
     python scripts/falsification_campaign.py [--nmax 9] [--json PATH]
 """
 
-import argparse
 import contextlib
-import os
-import sys
 import time
 
 from sigmairr import jsonout
-from sigmairr.bounds import BOUND_IDS, BoundInput, evaluate_bound
-from sigmairr.graphs import Graph
+from sigmairr.bounds import BOUND_IDS
+from sigmairr.errors import ArgumentParser, InputError, exit_process
 from sigmairr.search import DEFAULT_TREE_CAP, ExhaustiveMode, falsify
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 1
-
-
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = ArgumentParser(description=__doc__)
     parser.add_argument("--nmax", type=int, default=9)
     parser.add_argument("--json", metavar="PATH", help="write all counterexamples as JSON")
     args = parser.parse_args()
     if not 2 <= args.nmax <= DEFAULT_TREE_CAP:
-        return _fail(f"--nmax must lie in 2..{DEFAULT_TREE_CAP}, got {args.nmax}")
-    try:
-        sink = open(args.json, "w", encoding="utf-8") if args.json else contextlib.nullcontext()
-    except OSError as exc:
-        return _fail(str(exc))
-
-    with sink:
+        raise InputError(f"--nmax must lie in 2..{DEFAULT_TREE_CAP}, got {args.nmax}")
+    with open(args.json, "w", encoding="utf-8") if args.json else contextlib.nullcontext() as sink:
         everything = _campaign(args.nmax)
         if args.json:
             jsonout.dump(everything, sink)
@@ -57,8 +45,8 @@ def main() -> int:
 def _campaign(nmax: int) -> dict:
     """Print the per-entry summary and return every counterexample's JSON
     form, grouped per entry.  The records come from ``falsify`` as they were
-    found; only the summary line of an entry with a counterexample builds a
-    ``Graph`` and a ``BoundReport``, for its smallest witness's exact sides."""
+    found, and an entry's summary line prints the sides of its smallest
+    witness as that record's report holds them."""
     print(f"exhaustive falsification over all trees with 2 <= n <= {nmax}")
     start = time.perf_counter()
     everything = {bound_id: [] for bound_id in BOUND_IDS}
@@ -71,22 +59,15 @@ def _campaign(nmax: int) -> dict:
             continue
         # The trees come by increasing order, so the first record is a smallest witness.
         smallest, largest = records[0], records[-1]
-        witness = Graph(smallest["n"], smallest["edges"])
-        report = evaluate_bound(bound_id, BoundInput.from_graph(witness))  # its exact sides
+        report = smallest["report"]
         print(
             f"  {bound_id:5s}: {len(records):5d} counterexamples, orders {smallest['n']}..{largest['n']}, "
             f"smallest witness n={smallest['n']} "
-            f"lhs={report.lhs} {report.relation} rhs={report.rhs}"
+            f"lhs={report['lhs']} {report['relation']} rhs={report['rhs']}"
         )
     print(f"evaluated in {elapsed:.1f}s")
     return everything
 
 
 if __name__ == "__main__":
-    try:
-        code = main()
-        sys.stdout.flush()  # a reader that left early fails this flush, not the one at exit
-    except BrokenPipeError as exc:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the flush at exit has nowhere to fail
-        code = _fail(str(exc))
-    sys.exit(code)
+    exit_process(main)

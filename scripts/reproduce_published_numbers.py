@@ -5,16 +5,15 @@ Recomputes both embedded tables, compares correlation matrices entry by
 entry, checks the printed regression models at their prediction points, and
 runs the closed-form audit battery.  Exits 1 if any column that is supposed
 to reproduce exactly fails to do so (known deviations such as the eta
-column are reported, not failed).
+column are reported, not failed).  Any other failure, a bad argument or an
+output that cannot be written (a full device, a reader that left early),
+gives one ``error:`` line on stderr and exit code 1.
 
 Usage:
     python scripts/reproduce_published_numbers.py [--verbose]
 """
 
-import argparse
-import os
-import sys
-
+from sigmairr.errors import ArgumentParser, exit_process
 from sigmairr.indices import compare_known_forms
 from sigmairr.stats_tables import (
     regression_reproduction,
@@ -79,7 +78,7 @@ def report_known_forms() -> None:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = ArgumentParser(description=__doc__)
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args()
     ok = report_tables(args.verbose)
@@ -90,11 +89,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    try:
-        code = main()
-        sys.stdout.flush()  # a reader that left early fails this flush, not the one at exit
-    except BrokenPipeError as exc:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the flush at exit has nowhere to fail
-        print(f"error: {exc}", file=sys.stderr)
-        code = 1
-    sys.exit(code)
+    exit_process(main)

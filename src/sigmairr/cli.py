@@ -17,8 +17,9 @@ is its ``str``.  Two tables print something other than the JSON value:
 ``tables export --table 2`` prints lambda and eta1 as ``%g`` floats, and
 ``sequence analyze`` prints its non-string cells as JSON.
 
-Exit codes: 0 success; 1 domain/input error; 2 when ``bounds check`` runs
-with ``--expect-hold`` and any probative report fails.
+Exit codes: 0 success; 1, with one ``error:`` line, for any error that
+``errors.exit_code`` maps; 2 when ``bounds check`` runs with
+``--expect-hold`` and any probative report fails.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from fractions import Fraction
 from functools import cache
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence, TextIO
 
-from . import graphs, indices, jsonout, search
-from .errors import DomainError, InputError, ResourceLimitError
+from . import errors, graphs, indices, jsonout, search
+from .errors import InputError
 from .sequences import (
     Convention,
     DegreeSequenceView,
@@ -48,10 +49,6 @@ from .sequences import (
 
 if TYPE_CHECKING:
     from . import bounds
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # map argparse failures to exit code 1
-        raise InputError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +566,7 @@ def _cmd_plots_emit(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and reused: parsing
     leaves it as it was, so every ``main`` call in a process shares it."""
-    parser = _Parser(prog="sigmairr", description=__doc__)
+    parser = errors.ArgumentParser(prog="sigmairr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     family_help = (
         f"family spec like path:5 or double_star:3:4, of at most {graphs.MAX_VERTICES} vertices "
@@ -676,18 +673,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(argv: Optional[Sequence[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except (DomainError, InputError, ResourceLimitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return errors.exit_code(_run, argv)
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    errors.exit_process(_run)
 
 
 if __name__ == "__main__":

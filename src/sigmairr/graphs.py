@@ -84,20 +84,20 @@ class Graph:
 def path(n: int) -> Graph:
     """Path on n vertices, ids in spine order."""
     if n < 1:
-        raise DomainError("path requires n >= 1")
+        raise DomainError(f"path requires n >= 1, got n={n}")
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
-        raise DomainError("cycle requires n >= 3")
+        raise DomainError(f"cycle requires n >= 3, got n={n}")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def star(n: int) -> Graph:
     """Star on n vertices: center 0, leaves 1..n-1."""
     if n < 1:
-        raise DomainError("star requires n >= 1")
+        raise DomainError(f"star requires n >= 1, got n={n}")
     return Graph(n, [(0, i) for i in range(1, n)])
 
 
@@ -108,7 +108,7 @@ def double_star(r: int, k: int) -> Graph:
     (ids r+1..r+k-1); total order r+k.
     """
     if r < 1 or k < 1:
-        raise DomainError("double_star requires r >= 1 and k >= 1")
+        raise DomainError(f"double_star requires r >= 1 and k >= 1, got r={r}, k={k}")
     edges = [(0, 1)]
     edges.extend((0, i) for i in range(2, r + 1))
     edges.extend((1, i) for i in range(r + 1, r + k))
@@ -118,7 +118,7 @@ def double_star(r: int, k: int) -> Graph:
 def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b}: side ids 0..a-1 and a..a+b-1."""
     if a < 1 or b < 1:
-        raise DomainError("complete_bipartite requires a >= 1 and b >= 1")
+        raise DomainError(f"complete_bipartite requires a >= 1 and b >= 1, got a={a}, b={b}")
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
@@ -129,7 +129,7 @@ def monogenic(n: int) -> Graph:
     {1, 2, ..., n-1} with floor(n/2) appearing twice.
     """
     if n < 1:
-        raise DomainError("monogenic requires n >= 1")
+        raise DomainError(f"monogenic requires n >= 1, got n={n}")
     edges = [
         (i, j)
         for i in range(n)

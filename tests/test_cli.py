@@ -160,6 +160,17 @@ class TestErrors:
         code, _, err = run_cli(capsys, "indices", "--family", "cycle:2")
         assert code == 1 and "cycle" in err
 
+    @pytest.mark.parametrize("spec, message", [
+        ("path:0", "path requires n >= 1, got n=0"),
+        ("cycle:2", "cycle requires n >= 3, got n=2"),
+        ("star:0", "star requires n >= 1, got n=0"),
+        ("double_star:0:3", "double_star requires r >= 1 and k >= 1, got r=0, k=3"),
+        ("complete_bipartite:2:0", "complete_bipartite requires a >= 1 and b >= 1, got a=2, b=0"),
+        ("monogenic:0", "monogenic requires n >= 1, got n=0"),
+    ])
+    def test_family_domain_error_names_the_value_given(self, capsys, spec, message):
+        assert run_cli(capsys, "indices", "--family", spec) == (1, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("argv, message", [pytest.param(*case, id=" ".join(case[0])) for case in [
         (("bounds", "check", "--family", "path:5", "--row", "3", "--bound", "B8"), "--row needs --table"),
         (("bounds", "check", "--family", "path:5", "--class-mode", "max", "--bound", "B8"),

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 
 import sigmairr
 from oracles import extremal_by_graphs, free_tree_counts_otter
+from sigmairr import bounds
 from sigmairr.cli import main
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -117,6 +119,95 @@ def test_scripts_exit_cleanly_when_stdout_is_closed(script, args):
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (1, "error: [Errno 32] Broken pipe\n")
+
+
+# Each entry point: its command, a run that succeeds, an argument with a bad
+# value, and its output-file option (the reproduction script has none).
+ENTRY_POINTS = {
+    "extremal_survey": ([str(SCRIPTS / "extremal_survey.py")], ["--max-n", "5"], ["--max-n", "x"], "--out"),
+    "falsification_campaign": (
+        [str(SCRIPTS / "falsification_campaign.py")], ["--nmax", "5"], ["--nmax", "x"], "--json"
+    ),
+    "reproduce_published_numbers": ([str(SCRIPTS / "reproduce_published_numbers.py")], [], ["--verbose=x"], None),
+    "sigmairr": (["-m", "sigmairr"], ["indices", "--family", "path:5"], ["enumerate", "--n", "x"], "--out"),
+}
+
+
+def _failures():
+    for name, (command, good, bad, out_option) in ENTRY_POINTS.items():
+        yield pytest.param(command, bad, None, id=f"{name}-bad-value")
+        yield pytest.param(command, [*good, "--bogus"], None, id=f"{name}-unknown-option")
+        yield pytest.param(command, good, "/dev/full", id=f"{name}-stdout-full")
+        yield pytest.param(command, ["--help"], "/dev/full", id=f"{name}-help-stdout-full")
+        if out_option:
+            yield pytest.param(command, [*good, out_option, "/dev/full"], None, id=f"{name}-out-full")
+
+
+def run_entry_point(command, args, stdout) -> subprocess.CompletedProcess:
+    """Run ``command`` as a user does, with warnings as errors and stdout
+    buffered (the default outside this suite's environment)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(sigmairr.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-X", "dev", "-W", "error", *command, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("command, args, stdout", list(_failures()))
+def test_every_entry_point_fails_in_one_line(command, args, stdout):
+    if "/dev/full" in (stdout, *args) and not os.path.exists("/dev/full"):
+        pytest.skip("this system has no /dev/full")
+    with open(stdout or os.devnull, "w") as sink:
+        done = run_entry_point(command, args, sink)
+    assert done.returncode == 1, done.stderr
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: "), done.stderr
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_every_entry_point_prints_help(name):
+    done = run_entry_point(ENTRY_POINTS[name][0], ["--help"], subprocess.PIPE)
+    assert (done.returncode, done.stderr) == (0, "") and done.stdout.startswith("usage: ")
+
+
+# The campaign's first 19 lines at --nmax 8.
+CAMPAIGN_SUMMARY_NMAX_8 = (
+    'exhaustive falsification over all trees with 2 <= n <= 8',
+    '  B1a  : no counterexamples',
+    '  B1b  :    27 counterexamples, orders 3..8, smallest witness n=3 lhs=2 < rhs=1',
+    '  B2a  :    30 counterexamples, orders 2..8, smallest witness n=2 lhs=0 > rhs=7',
+    '  B2b  :    20 counterexamples, orders 5..8, smallest witness n=5 lhs=12 < rhs=11',
+    '  B3   :    33 counterexamples, orders 2..8, smallest witness n=2 lhs=0 >= rhs=1',
+    '  B4   : no counterexamples',
+    '  B5   :    18 counterexamples, orders 5..8, smallest witness n=5 lhs=36 >= rhs=468/5',
+    '  B6   : no counterexamples',
+    '  B7   : no counterexamples',
+    '  B8   :    45 counterexamples, orders 2..8, smallest witness n=2 lhs=0 > rhs=5',
+    '  B9   : no counterexamples',
+    '  B10  :     4 counterexamples, orders 6..8, smallest witness n=6 lhs=80 <= rhs=243/4',
+    '  B11  :    20 counterexamples, orders 4..8, smallest witness n=4 lhs=12 <= rhs=7',
+    '  B12  :     5 counterexamples, orders 4..8, smallest witness n=4 lhs=2 > rhs=4',
+    '  B13  : no counterexamples',
+    '  B14  : no counterexamples',
+    '  B15a : no counterexamples',
+    '  B15b : no counterexamples',
+)
+
+
+def test_campaign_summary_reads_the_records(monkeypatch, capsys):
+    # Each summary line prints its smallest witness's sides from that record's
+    # report: no claim is decided a second time.
+    def refuse(*args):
+        raise AssertionError("evaluate_bound called")
+
+    monkeypatch.setattr(bounds, "evaluate_bound", refuse)
+    spec = importlib.util.spec_from_file_location("falsification_campaign", SCRIPTS / "falsification_campaign.py")
+    campaign = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(campaign)
+    monkeypatch.setattr(sys, "argv", ["falsification_campaign.py", "--nmax", "8"])
+    assert campaign.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert tuple(lines[:19]) == CAMPAIGN_SUMMARY_NMAX_8
+    assert len(lines) == 20 and lines[19].startswith("evaluated in ")
 
 
 def test_campaign_matches_recorded_digest(tmp_path):
