@@ -374,7 +374,7 @@ def _cmd_enumerate(args) -> int:
     items = [
         {
             "encoding": list(enc),
-            "edges": sorted([p, c] for p, c in search._tree_of_levels(enc)[1]),
+            "edges": [[p, c] for p, c in sorted(search._tree_of_levels(enc)[1])],
         }
         for enc, _ in stream
     ]

@@ -2,10 +2,12 @@
 
 The CLI and the scripts parse with ``ArgumentParser`` and run through
 ``exit_code``: these errors, and an ``OSError`` (a file that cannot be
-opened, a closed pipe, a full device), print one ``error:`` line, never a
-traceback."""
+opened, a closed pipe, a full device, a closed stdout), print one
+``error:`` line, never a traceback."""
 
 import argparse
+import errno
+import io
 import os
 import sys
 from typing import Callable, NoReturn
@@ -39,10 +41,35 @@ def exit_code(main: Callable[..., int], *args) -> int:
         return 1
 
 
+class _ClosedStdout(io.TextIOBase):
+    """``sys.stdout`` of a process started with fd 1 closed, which Python
+    sets to None: it takes writes as a buffered stream does, and the flush
+    that would send them fails as a write to a closed descriptor does."""
+
+    def __init__(self) -> None:
+        self._held = False
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, text: str) -> int:
+        self._held = self._held or bool(text)
+        return len(text)
+
+    def flush(self) -> None:
+        if self._held:
+            self._held = False  # dropped, so the flush at exit has nothing left to fail on
+            raise OSError(errno.EBADF, "stdout is closed")
+
+
 def exit_process(main: Callable[[], int]) -> NoReturn:
     """End the process with ``exit_code(main)``, stdout flushed inside it:
-    a reader that left early or a full device fails that flush, not the one
-    at exit, and so is reported like any other error."""
+    a reader that left early, a full device or a closed stdout fails that
+    flush, not the one at exit, and so is reported like any other error.
+    An entry point whose output goes to a file succeeds with stdout closed."""
+    stdout_closed = sys.stdout is None
+    if stdout_closed:
+        sys.stdout = _ClosedStdout()
 
     def flushed() -> int:
         try:
@@ -51,7 +78,7 @@ def exit_process(main: Callable[[], int]) -> NoReturn:
             sys.stdout.flush()
 
     code = exit_code(flushed)
-    if code:  # stdout may still hold what it failed to write: the flush at exit drops it
+    if code and not stdout_closed:  # stdout may still hold what it failed to write: the flush at exit drops it
         with open(os.devnull, "w") as null:
             os.dup2(null.fileno(), sys.stdout.fileno())
     sys.exit(code)

@@ -6,8 +6,10 @@ import importlib.util
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ import sigmairr
 from oracles import extremal_by_graphs, free_tree_counts_otter
 from sigmairr import bounds
 from sigmairr.cli import main
+from sigmairr.errors import InputError, exit_code
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -69,6 +72,111 @@ def test_extremal_survey_is_pinned_to_order_16():
     assert done.returncode == 0 and done.stderr == ""
     kept = "".join(line.rsplit(",", 1)[0] + "\n" for line in done.stdout.splitlines())
     assert hashlib.sha256(kept.encode("utf-8")).hexdigest() == SURVEY_DIGEST
+
+
+def _load_survey():
+    spec = importlib.util.spec_from_file_location("extremal_survey", SCRIPTS / "extremal_survey.py")
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    return survey
+
+
+def _allow_cpus(monkeypatch, count: int) -> None:
+    """Let the survey see ``count`` CPUs, which decides whether it forks."""
+    cpus = set(range(count))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="this system has no os.fork")
+
+
+@needs_fork
+def test_survey_rows_are_the_same_forked_and_in_process(monkeypatch, capsys):
+    survey = _load_survey()
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(sys, "argv", ["extremal_survey.py", "--min-n", "1", "--max-n", "12"])
+    rows = {}
+    for cpus in (1, 2):
+        _allow_cpus(monkeypatch, cpus)
+        assert survey.main() == 0
+        out, err = capsys.readouterr()
+        assert err == "" and len(forks) == cpus - 1
+        rows[cpus] = [line.rsplit(",", 1)[0] for line in out.splitlines()]
+    assert rows[1] == rows[2] and [row.split(",")[0] for row in rows[2][1:]] == [str(n) for n in range(1, 13)]
+    _assert_no_child_left()
+
+
+def _fork_survey(survey, monkeypatch, main_walk, worker_walk) -> None:
+    """Make the survey fork at --max-n 9, this process walking with
+    ``main_walk`` and the worker with ``worker_walk``."""
+    parent = os.getpid()
+    monkeypatch.setattr(survey, "extremal_goals",
+                        lambda *args: (main_walk if os.getpid() == parent else worker_walk)(*args))
+    monkeypatch.setattr(sys, "argv", ["extremal_survey.py", "--max-n", "9"])
+    _allow_cpus(monkeypatch, 2)
+
+
+def _raise(*args):
+    raise InputError("no walk here")
+
+
+def _kill_self(*args):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _interrupt(*args):
+    raise KeyboardInterrupt
+
+
+@needs_fork
+@pytest.mark.parametrize("worker_walk, message", [
+    (_raise, "error: the worker for n = 4..8 failed: InputError('no walk here')\n"),
+    (_kill_self, "error: the worker for n = 4..8 ended by signal 9\n"),
+])
+def test_survey_reports_a_failed_worker_in_one_line(monkeypatch, capsys, worker_walk, message):
+    survey = _load_survey()
+    _fork_survey(survey, monkeypatch, survey.extremal_goals, worker_walk)
+    assert exit_code(survey.main) == 1
+    assert capsys.readouterr().err == message
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_survey_kills_its_worker_when_the_main_walk_is_interrupted(monkeypatch):
+    # The worker sleeps for a minute: only the kill lets the reaping wait return sooner.
+    survey = _load_survey()
+    _fork_survey(survey, monkeypatch, _interrupt, lambda *args: time.sleep(60))
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        survey.main()
+    assert time.monotonic() - started < 30
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_survey_reaps_its_worker_when_a_write_fails(monkeypatch, capsys):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("this system has no /dev/full")
+    survey = _load_survey()
+    _allow_cpus(monkeypatch, 2)
+    monkeypatch.setattr(sys, "argv", ["extremal_survey.py", "--max-n", "9", "--out", "/dev/full"])
+    assert exit_code(survey.main) == 1
+    assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize(
@@ -133,11 +241,16 @@ ENTRY_POINTS = {
 }
 
 
+CLOSED = "fd 1 closed"
+CLOSE_STDOUT_AND_EXEC = "import os, sys; os.close(1); os.execv(sys.argv[1], sys.argv[1:])"
+
+
 def _failures():
     for name, (command, good, bad, out_option) in ENTRY_POINTS.items():
         yield pytest.param(command, bad, None, id=f"{name}-bad-value")
         yield pytest.param(command, [*good, "--bogus"], None, id=f"{name}-unknown-option")
         yield pytest.param(command, good, "/dev/full", id=f"{name}-stdout-full")
+        yield pytest.param(command, good, CLOSED, id=f"{name}-stdout-closed")
         yield pytest.param(command, ["--help"], "/dev/full", id=f"{name}-help-stdout-full")
         if out_option:
             yield pytest.param(command, [*good, out_option, "/dev/full"], None, id=f"{name}-out-full")
@@ -145,22 +258,41 @@ def _failures():
 
 def run_entry_point(command, args, stdout) -> subprocess.CompletedProcess:
     """Run ``command`` as a user does, with warnings as errors and stdout
-    buffered (the default outside this suite's environment)."""
+    buffered (the default outside this suite's environment).  ``CLOSED``
+    as ``stdout`` starts it with fd 1 closed, as ``command >&-`` does."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(sigmairr.__file__).resolve().parents[1])
-    return subprocess.run([sys.executable, "-X", "dev", "-W", "error", *command, *args], stdout=stdout,
-                          stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    argv = [sys.executable, "-X", "dev", "-W", "error", *command, *args]
+    if stdout is CLOSED:
+        argv = [sys.executable, "-c", CLOSE_STDOUT_AND_EXEC, *argv]
+        stdout = None
+    return subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
 
 
 @pytest.mark.parametrize("command, args, stdout", list(_failures()))
 def test_every_entry_point_fails_in_one_line(command, args, stdout):
     if "/dev/full" in (stdout, *args) and not os.path.exists("/dev/full"):
         pytest.skip("this system has no /dev/full")
-    with open(stdout or os.devnull, "w") as sink:
-        done = run_entry_point(command, args, sink)
+    if stdout is CLOSED:
+        done = run_entry_point(command, args, CLOSED)
+    else:
+        with open(stdout or os.devnull, "w") as sink:
+            done = run_entry_point(command, args, sink)
     assert done.returncode == 1, done.stderr
     assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: "), done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("name", ["extremal_survey", "sigmairr"])
+def test_an_entry_point_writing_to_its_out_file_needs_no_stdout(name, tmp_path):
+    command, good, _, out_option = ENTRY_POINTS[name]
+    target = tmp_path / "out"
+    done = run_entry_point(command, [*good, out_option, str(target)], CLOSED)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert target.read_text(encoding="utf-8").splitlines()[0] == (
+        "n,trees,sigma_max,sigma_max_degrees,sigma_min,sigma_min_degrees,albertson_max,albertson_min,seconds"
+        if name == "extremal_survey" else "index      value"
+    )
 
 
 @pytest.mark.parametrize("name", ENTRY_POINTS)
