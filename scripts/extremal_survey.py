@@ -14,11 +14,11 @@ reader that left early) when it fails.
 The orders' walks are independent.  When the run covers at least two
 orders, ``os.fork`` exists and the process may run on at least two CPUs,
 one forked worker walks every order but the largest while this process
-walks the largest; otherwise every order is walked in this process.  The
-output is the same either way, apart from the ``seconds`` column, which
-times each order's own walk.  The largest order holds most of the trees
-(7,741 of 13,185 at n = 4..15), so its walk bounds the survey's time on
-any number of CPUs.
+walks the largest (``sigmairr.errors.fork_orders``); otherwise every order
+is walked in this process.  The output is the same either way, apart from
+the ``seconds`` column, which times each order's own walk.  The largest
+order holds most of the trees (7,741 of 13,185 at n = 4..15), so its walk
+bounds the survey's time on any number of CPUs.
 
 Usage:
     python scripts/extremal_survey.py [--min-n 4] [--max-n 14] [--out PATH]
@@ -27,11 +27,10 @@ Usage:
 import contextlib
 import csv
 import io
-import os
 import sys
 import time
 
-from sigmairr.errors import ArgumentParser, InputError, exit_process
+from sigmairr.errors import ArgumentParser, InputError, exit_process, fork_orders
 from sigmairr.search import DEFAULT_TREE_CAP, TreeClass, extremal_goals
 
 GOALS = (("sigma", "max"), ("sigma", "min"), ("albertson", "max"), ("albertson", "min"))
@@ -58,10 +57,12 @@ def main() -> int:
             ["n", "trees", "sigma_max", "sigma_max_degrees", "sigma_min", "sigma_min_degrees",
              "albertson_max", "albertson_min", "seconds"]
         )
-        if len(orders) > 1 and hasattr(os, "fork") and _cpus() > 1:
-            fh.write(_forked_rows(orders))
-        else:
+        split = fork_orders(orders, lambda part: _rows_text(part).encode("utf-8"), _rows_text)
+        if split is None:
             _write_rows(writer, orders)
+        else:
+            sent, own = split
+            fh.write(sent.decode("utf-8") + own)
     return 0
 
 
@@ -85,68 +86,11 @@ def _write_rows(writer, orders) -> None:
         )
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _rows_text(orders) -> str:
     """The rows of ``orders`` as CSV text."""
     rows = io.StringIO()
     _write_rows(csv.writer(rows, lineterminator="\n"), orders)
     return rows.getvalue()
-
-
-def _forked_rows(orders: range) -> str:
-    """The rows of ``orders``: a forked worker writes those of all but the
-    last into a pipe while this process walks the last.  The worker is
-    reaped on every path out, killed first unless it has closed the pipe."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        _worker(read_end, write_end, orders[:-1])
-    os.close(write_end)
-    finished = False
-    try:
-        with open(read_end, "rb") as pipe:
-            own = _rows_text(orders[-1:])
-            sent = pipe.read()
-        finished = True
-    finally:
-        if not finished:  # 9 is SIGKILL: importing the signal module that names it adds 0.1 MB of peak RSS
-            os.kill(pid, 9)
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code == 0:
-        return sent.decode("utf-8") + own
-    why = f"ended by signal {-code}" if code < 0 else f"failed: {sent.decode('utf-8', 'replace')}"
-    raise ChildProcessError(f"the worker for n = {orders[0]}..{orders[-2]} {why}")
-
-
-def _worker(read_end: int, write_end: int, orders: range):
-    """The forked worker: writes the rows of ``orders`` as UTF-8 to
-    ``write_end`` and exits 0, or writes what it raised and exits 1.  It
-    never returns, and it leaves stdout, stderr and the buffers it
-    inherited untouched: ``os._exit`` flushes nothing and runs no exit
-    handler."""
-    code = 1
-    try:
-        os.close(read_end)
-        try:
-            sent, walked = _rows_text(orders).encode("utf-8"), True
-        except BaseException as exc:  # reported through the pipe, as the worker then exits
-            sent, walked = repr(exc).encode("utf-8", "replace"), False
-        while sent:
-            sent = sent[os.write(write_end, sent):]
-        code = 0 if walked else 1
-    finally:
-        os._exit(code)
 
 
 if __name__ == "__main__":

@@ -13,16 +13,27 @@ argument, an --nmax outside 2..18 (18 is the enumeration cap) or a --json
 path that cannot be opened, before any output is written; an output that
 cannot be written (a full device, a reader that left early) when it fails.
 
+The orders are independent: a tree's signature holds its order, and each
+report's label holds n, so no decision is shared across orders.  When
+--nmax is at least 3, ``os.fork`` exists and the process may run on at
+least two CPUs, one forked worker decides every order but the largest and
+sends its records back as one ``marshal`` blob while this process decides
+the largest (``sigmairr.errors.fork_orders``); otherwise every order is
+decided in this process.  The summary and the JSON are the same either
+way, apart from the time on the ``evaluated in`` line.  The largest order
+holds most of the work (551 of 986 trees at --nmax 12).
+
 Usage:
     python scripts/falsification_campaign.py [--nmax 9] [--json PATH]
 """
 
 import contextlib
+import marshal
 import time
 
 from sigmairr import jsonout
 from sigmairr.bounds import BOUND_IDS
-from sigmairr.errors import ArgumentParser, InputError, exit_process
+from sigmairr.errors import ArgumentParser, InputError, exit_process, fork_orders
 from sigmairr.search import DEFAULT_TREE_CAP, ExhaustiveMode, falsify
 
 
@@ -49,9 +60,15 @@ def _campaign(nmax: int) -> dict:
     witness as that record's report holds them."""
     print(f"exhaustive falsification over all trees with 2 <= n <= {nmax}")
     start = time.perf_counter()
-    everything = {bound_id: [] for bound_id in BOUND_IDS}
-    for c in falsify("all", ExhaustiveMode(nmax)):
-        everything[c.bound_id].append(c.to_json_dict())
+    orders = range(2, nmax + 1)
+    split = fork_orders(orders, lambda part: marshal.dumps(_records(part)), _records)
+    if split is None:
+        everything = _records(orders)
+    else:
+        everything, own = marshal.loads(split[0]), split[1]
+        del split  # the blob, before the document is rendered
+        for bound_id, records in own.items():  # the worker's orders come first
+            everything[bound_id] += records
     elapsed = time.perf_counter() - start
     for bound_id, records in everything.items():
         if not records:
@@ -66,6 +83,15 @@ def _campaign(nmax: int) -> dict:
             f"lhs={report['lhs']} {report['relation']} rhs={report['rhs']}"
         )
     print(f"evaluated in {elapsed:.1f}s")
+    return everything
+
+
+def _records(orders: range) -> dict:
+    """Every counterexample's JSON form over the trees of ``orders``, grouped
+    per entry as ``falsify`` found them."""
+    everything = {bound_id: [] for bound_id in BOUND_IDS}
+    for c in falsify("all", ExhaustiveMode(orders[-1], orders[0])):
+        everything[c.bound_id].append(c.to_json_dict())
     return everything
 
 

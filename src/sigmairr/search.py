@@ -491,6 +491,7 @@ def _degree_counts(degrees: Iterable[int]) -> int:
 
 class ExhaustiveMode(NamedTuple):
     n_max: int
+    n_min: int = 2
 
 
 class RandomMode(NamedTuple):
@@ -537,10 +538,11 @@ def falsify(
     are present), so a tree's verdicts are fixed by its signature, which
     the walk yields with its level sequence: its degree counts, Albertson
     and Sigma.  Exhaustive mode covers every isomorphism class with
-    2 <= n <= n_max, rejects an ``n_max`` over the cap before it generates
-    any tree, and decides each signature once, on its first tree, whose
-    input must agree with that signature (else ``AssertionError``); later
-    trees share that tree's reports.  In both modes a report equal in every field
+    n_min <= n <= n_max (n_min is 2 unless given), rejects an ``n_max`` over
+    the cap or an ``n_min`` outside 2..n_max before it generates any tree,
+    and decides each signature once, on its first tree, whose input must
+    agree with that signature (else ``AssertionError``); later trees share
+    that tree's reports.  In both modes a report equal in every field
     to an earlier one of the call (the float decimals and exactness flags
     included) is that earlier dict, so records share one dict per distinct
     report.  A tree is decoded at most once, and only if its signature is
@@ -583,9 +585,12 @@ def falsify(
     if isinstance(mode, ExhaustiveMode):
         if mode.n_max < 2:
             raise DomainError("exhaustive falsification needs n_max >= 2")
+        if not 2 <= mode.n_min <= mode.n_max:
+            raise DomainError(f"exhaustive falsification needs 2 <= n_min <= n_max, got n_min={mode.n_min}, "
+                              f"n_max={mode.n_max}")
         check_tree_order(mode.n_max, allow_over_cap)
         decided: dict[tuple[int, int, int], list[tuple[str, dict]]] = {}  # by signature
-        for n in range(2, mode.n_max + 1):
+        for n in range(mode.n_min, mode.n_max + 1):
             for levels, signature in free_tree_level_sequences(n):
                 tree = None
                 if (reports := decided.get(signature)) is None:

@@ -198,7 +198,7 @@ RECORDS = {
     ),
     "TreeClass": lambda: (5, 0, 1 << 40, "all trees of order 5"),
     "SearchResult": lambda: ("all trees of order 3", "sigma", "max", 2, sigmairr.path(3), (1, 2, 2), 1),
-    "ExhaustiveMode": lambda: (7,),
+    "ExhaustiveMode": lambda: (7, 3),
     "RandomMode": lambda: (40, 30, 0),
     "Counterexample": lambda: ({"bound_id": "B8", "n": 2},),
     "DegreeSequenceView": lambda: ((3, 1, 1, 1), sigmairr.Convention.STANDARD),

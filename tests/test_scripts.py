@@ -18,7 +18,7 @@ import sigmairr
 from oracles import extremal_by_graphs, free_tree_counts_otter
 from sigmairr import bounds
 from sigmairr.cli import main
-from sigmairr.errors import InputError, exit_code
+from sigmairr.errors import InputError, exit_code, fork_orders
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -74,15 +74,15 @@ def test_extremal_survey_is_pinned_to_order_16():
     assert hashlib.sha256(kept.encode("utf-8")).hexdigest() == SURVEY_DIGEST
 
 
-def _load_survey():
-    spec = importlib.util.spec_from_file_location("extremal_survey", SCRIPTS / "extremal_survey.py")
-    survey = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(survey)
-    return survey
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def _allow_cpus(monkeypatch, count: int) -> None:
-    """Let the survey see ``count`` CPUs, which decides whether it forks."""
+    """Let ``fork_orders`` see ``count`` CPUs, which decides whether it forks."""
     cpus = set(range(count))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
 
@@ -95,9 +95,8 @@ def _assert_no_child_left() -> None:
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="this system has no os.fork")
 
 
-@needs_fork
-def test_survey_rows_are_the_same_forked_and_in_process(monkeypatch, capsys):
-    survey = _load_survey()
+def _count_forks(monkeypatch) -> list:
+    """The pid of each worker forked from now on."""
     forks = []
     fork = os.fork
 
@@ -108,6 +107,25 @@ def test_survey_rows_are_the_same_forked_and_in_process(monkeypatch, capsys):
         return pid
 
     monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+@needs_fork
+def test_fork_orders_splits_off_the_largest_order(monkeypatch):
+    forks = _count_forks(monkeypatch)
+    _allow_cpus(monkeypatch, 2)
+    assert fork_orders(range(3, 7), lambda part: repr(list(part)).encode(), list) == (b"[3, 4, 5]", [6])
+    assert fork_orders(range(6, 7), _raise, _raise) is None
+    _allow_cpus(monkeypatch, 1)
+    assert fork_orders(range(3, 7), _raise, _raise) is None
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_survey_rows_are_the_same_forked_and_in_process(monkeypatch, capsys):
+    survey = _load_script("extremal_survey")
+    forks = _count_forks(monkeypatch)
     monkeypatch.setattr(sys, "argv", ["extremal_survey.py", "--min-n", "1", "--max-n", "12"])
     rows = {}
     for cpus in (1, 2):
@@ -120,13 +138,12 @@ def test_survey_rows_are_the_same_forked_and_in_process(monkeypatch, capsys):
     _assert_no_child_left()
 
 
-def _fork_survey(survey, monkeypatch, main_walk, worker_walk) -> None:
-    """Make the survey fork at --max-n 9, this process walking with
-    ``main_walk`` and the worker with ``worker_walk``."""
+def _fork_script(script, name: str, args: list, monkeypatch, main_call, worker_call) -> None:
+    """Make ``script`` fork when run with ``args``, this process calling
+    ``main_call`` and the worker ``worker_call`` in place of ``name``."""
     parent = os.getpid()
-    monkeypatch.setattr(survey, "extremal_goals",
-                        lambda *args: (main_walk if os.getpid() == parent else worker_walk)(*args))
-    monkeypatch.setattr(sys, "argv", ["extremal_survey.py", "--max-n", "9"])
+    monkeypatch.setattr(script, name, lambda *a: (main_call if os.getpid() == parent else worker_call)(*a))
+    monkeypatch.setattr(sys, "argv", [f"{script.__name__}.py", *args])
     _allow_cpus(monkeypatch, 2)
 
 
@@ -148,8 +165,8 @@ def _interrupt(*args):
     (_kill_self, "error: the worker for n = 4..8 ended by signal 9\n"),
 ])
 def test_survey_reports_a_failed_worker_in_one_line(monkeypatch, capsys, worker_walk, message):
-    survey = _load_survey()
-    _fork_survey(survey, monkeypatch, survey.extremal_goals, worker_walk)
+    survey = _load_script("extremal_survey")
+    _fork_script(survey, "extremal_goals", ["--max-n", "9"], monkeypatch, survey.extremal_goals, worker_walk)
     assert exit_code(survey.main) == 1
     assert capsys.readouterr().err == message
     _assert_no_child_left()
@@ -158,8 +175,8 @@ def test_survey_reports_a_failed_worker_in_one_line(monkeypatch, capsys, worker_
 @needs_fork
 def test_survey_kills_its_worker_when_the_main_walk_is_interrupted(monkeypatch):
     # The worker sleeps for a minute: only the kill lets the reaping wait return sooner.
-    survey = _load_survey()
-    _fork_survey(survey, monkeypatch, _interrupt, lambda *args: time.sleep(60))
+    survey = _load_script("extremal_survey")
+    _fork_script(survey, "extremal_goals", ["--max-n", "9"], monkeypatch, _interrupt, lambda *args: time.sleep(60))
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         survey.main()
@@ -171,11 +188,74 @@ def test_survey_kills_its_worker_when_the_main_walk_is_interrupted(monkeypatch):
 def test_survey_reaps_its_worker_when_a_write_fails(monkeypatch, capsys):
     if not os.path.exists("/dev/full"):
         pytest.skip("this system has no /dev/full")
-    survey = _load_survey()
+    survey = _load_script("extremal_survey")
     _allow_cpus(monkeypatch, 2)
     monkeypatch.setattr(sys, "argv", ["extremal_survey.py", "--max-n", "9", "--out", "/dev/full"])
     assert exit_code(survey.main) == 1
     assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+    _assert_no_child_left()
+
+
+def _campaign_lines(out: str) -> list:
+    """The campaign's stdout lines without the time on ``evaluated in``."""
+    return [line for line in out.splitlines() if not line.startswith("evaluated in ")]
+
+
+@needs_fork
+def test_campaign_output_is_the_same_forked_and_in_process(monkeypatch, capsys, tmp_path):
+    campaign = _load_script("falsification_campaign")
+    forks = _count_forks(monkeypatch)
+    target = tmp_path / "campaign.json"
+    for nmax in range(2, 11):
+        monkeypatch.setattr(sys, "argv", ["falsification_campaign.py", "--nmax", str(nmax), "--json", str(target)])
+        outputs = {}
+        for cpus in (1, 2):
+            _allow_cpus(monkeypatch, cpus)
+            del forks[:]
+            assert campaign.main() == 0
+            out, err = capsys.readouterr()
+            assert err == "" and len(forks) == (cpus - 1 if nmax > 2 else 0), (nmax, cpus)
+            outputs[cpus] = (target.read_bytes(), _campaign_lines(out))
+        assert outputs[1] == outputs[2], nmax
+        assert len(outputs[2][1]) == 20 and outputs[2][1][-1] == f"wrote {target}"
+    _assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("worker_falsify, message", [
+    (_raise, "error: the worker for n = 2..8 failed: InputError('no walk here')\n"),
+    (_kill_self, "error: the worker for n = 2..8 ended by signal 9\n"),
+])
+def test_campaign_reports_a_failed_worker_in_one_line(monkeypatch, capsys, worker_falsify, message):
+    campaign = _load_script("falsification_campaign")
+    _fork_script(campaign, "falsify", ["--nmax", "9"], monkeypatch, campaign.falsify, worker_falsify)
+    assert exit_code(campaign.main) == 1
+    assert capsys.readouterr().err == message
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_campaign_kills_its_worker_when_the_main_order_is_interrupted(monkeypatch):
+    # The worker sleeps for a minute: only the kill lets the reaping wait return sooner.
+    campaign = _load_script("falsification_campaign")
+    _fork_script(campaign, "falsify", ["--nmax", "9"], monkeypatch, _interrupt, lambda *args: time.sleep(60))
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        campaign.main()
+    assert time.monotonic() - started < 30
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_campaign_reaps_its_worker_when_a_write_fails(monkeypatch, capsys):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("this system has no /dev/full")
+    campaign = _load_script("falsification_campaign")
+    forks = _count_forks(monkeypatch)
+    _allow_cpus(monkeypatch, 2)
+    monkeypatch.setattr(sys, "argv", ["falsification_campaign.py", "--nmax", "9", "--json", "/dev/full"])
+    assert exit_code(campaign.main) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n" and len(forks) == 1
     _assert_no_child_left()
 
 
@@ -332,9 +412,7 @@ def test_campaign_summary_reads_the_records(monkeypatch, capsys):
         raise AssertionError("evaluate_bound called")
 
     monkeypatch.setattr(bounds, "evaluate_bound", refuse)
-    spec = importlib.util.spec_from_file_location("falsification_campaign", SCRIPTS / "falsification_campaign.py")
-    campaign = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(campaign)
+    campaign = _load_script("falsification_campaign")
     monkeypatch.setattr(sys, "argv", ["falsification_campaign.py", "--nmax", "8"])
     assert campaign.main() == 0
     lines = capsys.readouterr().out.splitlines()

@@ -513,6 +513,28 @@ class TestFalsify:
         with pytest.raises(InputError):
             falsify("B99", ExhaustiveMode(4))
 
+    def test_lowest_order_validation(self, monkeypatch):
+        import sigmairr.search as search_module
+
+        calls = []
+        monkeypatch.setattr(search_module, "free_tree_level_sequences", lambda n: calls.append(n) or iter(()))
+        for n_max, n_min in ((6, 1), (6, 0), (6, 7), (2, 3)):
+            with pytest.raises(DomainError, match=f"got n_min={n_min}, n_max={n_max}"):
+                falsify("all", ExhaustiveMode(n_max, n_min))
+        assert calls == []
+        assert ExhaustiveMode(6) == ExhaustiveMode(6, 2) and ExhaustiveMode(6).n_min == 2
+
+    def test_split_ranges_give_the_full_range_records(self):
+        # No decision is shared across orders: the records of 2..k followed
+        # by those of k+1..n_max are the full range's, record by record.
+        for n_max in range(2, 11):
+            full = [c.to_json_dict() for c in falsify("all", ExhaustiveMode(n_max))]
+            for k in range(2, n_max):
+                low = falsify("all", ExhaustiveMode(k))
+                high = falsify("all", ExhaustiveMode(n_max, k + 1))
+                assert [c.to_json_dict() for c in low + high] == full, (n_max, k)
+                assert all(c.record["n"] > k for c in high)
+
     def test_over_cap_rejected_before_any_tree(self, monkeypatch):
         import sigmairr.search as search_module
 
