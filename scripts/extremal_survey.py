@@ -57,12 +57,9 @@ def main() -> int:
             ["n", "trees", "sigma_max", "sigma_max_degrees", "sigma_min", "sigma_min_degrees",
              "albertson_max", "albertson_min", "seconds"]
         )
-        split = fork_orders(orders, lambda part: _rows_text(part).encode("utf-8"), _rows_text)
-        if split is None:
+        if not fork_orders(orders, lambda part: [_rows_text(part).encode("utf-8")], _rows_text,
+                           lambda sent, own: fh.write(sent.read().decode("utf-8") + own)):
             _write_rows(writer, orders)
-        else:
-            sent, own = split
-            fh.write(sent.decode("utf-8") + own)
     return 0
 
 

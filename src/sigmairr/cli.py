@@ -4,8 +4,8 @@ Subcommands: indices, sequence analyze, bounds check, bounds falsify,
 enumerate, extremal, tables reproduce, tables export, stats correlate,
 stats regress, plots emit.  Machine formats are canonical (sorted JSON
 keys, fixed CSV column order), so identical invocations produce
-byte-identical output.  JSON is written by ``jsonout.dump``, the
-package's one JSON writer: its bytes equal ``json.dumps(payload,
+byte-identical output.  JSON is written by ``jsonout.dump``, in the
+package's one JSON format: its bytes equal ``json.dumps(payload,
 sort_keys=True, indent=2)``, and it is written into stdout or the
 ``--out`` file as it is rendered, one record at a time.
 

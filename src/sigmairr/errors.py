@@ -10,7 +10,7 @@ import errno
 import io
 import os
 import sys
-from typing import Callable, NoReturn, Optional, TypeVar
+from typing import BinaryIO, Callable, Iterable, NoReturn, TypeVar
 
 T = TypeVar("T")
 
@@ -87,17 +87,22 @@ def exit_process(main: Callable[[], int]) -> NoReturn:
 
 
 def fork_orders(
-    orders: range, send: Callable[[range], bytes], run: Callable[[range], T]
-) -> Optional[tuple[bytes, T]]:
-    """``(send(orders[:-1]), run(orders[-1:]))``, the first from a forked
-    worker through a pipe while this process computes the second, when
+    orders: range,
+    send: Callable[[range], Iterable[bytes]],
+    run: Callable[[range], T],
+    receive: Callable[["Received", T], object],
+) -> bool:
+    """``receive(sent, run(orders[-1:]))``, where ``sent`` reads the bytes
+    of ``send(orders[:-1])`` as a forked worker writes them into a pipe,
+    while this process computes ``run``: True once that has returned, when
     ``orders`` holds at least two orders, ``os.fork`` exists and this
-    process may run on at least two CPUs; otherwise None, with nothing run.
-    The worker is reaped on every path out, killed first unless it has
-    closed the pipe; a worker that fails raises ``ChildProcessError``
+    process may run on at least two CPUs; otherwise False, with nothing
+    run.  The worker is reaped on every path out, killed first unless it
+    has ended its output; a worker that fails, or whose output ends before
+    ``receive`` has read what it asks for, raises ``ChildProcessError``
     naming its orders."""
     if len(orders) < 2 or not hasattr(os, "fork") or _cpus() < 2:
-        return None
+        return False
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -108,20 +113,67 @@ def fork_orders(
     if pid == 0:
         _worker(read_end, write_end, send, orders[:-1])
     os.close(write_end)
-    finished = False
+    ended = False
     try:
         with open(read_end, "rb") as pipe:
-            own = run(orders[-1:])
-            sent = pipe.read()
-        finished = True
+            sent = Received(pipe)
+            try:
+                receive(sent, run(orders[-1:]))
+                sent.read()  # the end of the output, which holds nothing more but a failure
+            except _Ended as end:
+                failure = str(end)
+            else:
+                failure = None
+        ended = True
     finally:
-        if not finished:  # 9 is SIGKILL: importing the signal module that names it adds 0.1 MB of peak RSS
+        if not ended:  # 9 is SIGKILL: importing the signal module that names it adds 0.1 MB of peak RSS
             os.kill(pid, 9)
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code == 0:
-        return sent, own
-    why = f"ended by signal {-code}" if code < 0 else f"failed: {sent.decode('utf-8', 'replace')}"
+    if code == 0 and failure is None:
+        return True
+    why = f"ended by signal {-code}" if code < 0 else f"failed: {failure}"
     raise ChildProcessError(f"the worker for n = {orders[0]}..{orders[-2]} {why}")
+
+
+# The header of a frame the worker writes: its length, or this header, after
+# which its failure runs to the end of the pipe.
+_FAILED = b"\xff" * 8
+
+
+class _Ended(Exception):
+    """The worker's output ended before it was read; the message says why."""
+
+
+class Received:
+    """The output of a ``fork_orders`` worker, read out of its frames as the
+    worker writes them."""
+
+    def __init__(self, pipe: BinaryIO) -> None:
+        self._pipe = pipe
+        self._left = 0  # of the current frame
+
+    def read(self, size: int = -1) -> bytes:
+        """The next ``size`` bytes, or every byte left if ``size`` is
+        negative."""
+        pieces = []
+        while size:
+            if not self._left:
+                header = self._pipe.read(8)
+                if header == _FAILED:
+                    raise _Ended(self._pipe.read().decode("utf-8", "replace"))
+                if not header and size < 0:
+                    break
+                if len(header) < 8:
+                    raise _Ended("its output ended early")
+                self._left = int.from_bytes(header, "little")
+            want = self._left if size < 0 else min(size, self._left)
+            piece = self._pipe.read(want)
+            if len(piece) < want:
+                raise _Ended("its output ended early")
+            self._left -= want
+            size -= want if size > 0 else 0
+            pieces.append(piece)
+        return b"".join(pieces)
 
 
 def _cpus() -> int:
@@ -131,20 +183,30 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _worker(read_end: int, write_end: int, send: Callable[[range], bytes], orders: range) -> NoReturn:
-    """The forked worker: writes ``send(orders)`` to ``write_end`` and exits
-    0, or writes the UTF-8 ``repr`` of what it raised and exits 1.  It never
-    returns, and it leaves stdout, stderr and the buffers it inherited
-    untouched: ``os._exit`` flushes nothing and runs no exit handler."""
+def _worker(read_end: int, write_end: int, send: Callable[[range], Iterable[bytes]], orders: range) -> NoReturn:
+    """The forked worker: writes each chunk of ``send(orders)`` to
+    ``write_end`` as one frame, its length first, and exits 0, or ends with
+    a ``_FAILED`` frame of the UTF-8 ``repr`` of what it raised and exits 1.
+    It never returns, and it leaves stdout, stderr and the buffers it
+    inherited untouched: ``os._exit`` flushes nothing and runs no exit
+    handler."""
     code = 1
     try:
         os.close(read_end)
         try:
-            sent, done = send(orders), True
+            for chunk in send(orders):
+                if chunk:
+                    _write(write_end, len(chunk).to_bytes(8, "little"))
+                    _write(write_end, chunk)
+            code = 0
         except BaseException as exc:  # reported through the pipe, as the worker then exits
-            sent, done = repr(exc).encode("utf-8", "replace"), False
-        while sent:
-            sent = sent[os.write(write_end, sent):]
-        code = 0 if done else 1
+            _write(write_end, _FAILED + repr(exc).encode("utf-8", "replace"))
     finally:
         os._exit(code)
+
+
+def _write(fd: int, data: bytes) -> None:
+    """Write all of ``data`` to ``fd``, which takes part of it at a time."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]

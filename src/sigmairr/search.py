@@ -525,7 +525,19 @@ def falsify(
     *,
     allow_over_cap: bool = False,
 ) -> list[Counterexample]:
-    """Hunt for trees meeting a claim's hypotheses on which it evaluates false.
+    """Every record that ``counterexamples`` yields, as one list."""
+    return list(counterexamples(bound_id, mode, params, allow_over_cap=allow_over_cap))
+
+
+def counterexamples(
+    bound_id: str,
+    mode: ExhaustiveMode | RandomMode,
+    params: Optional[BoundParams] = None,
+    *,
+    allow_over_cap: bool = False,
+) -> Iterator[Counterexample]:
+    """Hunt for trees meeting a claim's hypotheses on which it evaluates
+    false, and yield each counterexample's record as it is found.
 
     ``bound_id`` may be a base id or ``"all"``: every expanded entry is
     decided on a tree's ``BoundInput``, built from its degrees and edges, by
@@ -553,9 +565,11 @@ def falsify(
     at order 40).  A sample is scored in its one decode, which gives its
     degrees, edges, Albertson and Sigma, and its input is built from those
     numbers; each sample's seed is drawn only when it is decided.
-    ``params`` None means ``BoundParams()``.  The returned list is
-    deterministic for identical arguments, and follows the order in which
-    the trees are generated: in exhaustive mode, by increasing order.
+    ``params`` None means ``BoundParams()``.  The records are deterministic
+    for identical arguments, and follow the order in which the trees are
+    generated: in exhaustive mode, by increasing order.  The records of one
+    tree come one after another, and nothing keeps a record once it is
+    yielded.  Arguments are checked when the first record is asked for.
     """
     from . import bounds
 
@@ -563,7 +577,6 @@ def falsify(
         params = bounds.BoundParams()
     bound_ids = bounds.expand_bound_id(bound_id)
     specs = [(bid, bounds.CATALOG[bid]) for bid in bound_ids]
-    found: list[Counterexample] = []
     distinct: dict[tuple, dict] = {}  # each distinct report of the call, keyed on all its fields
 
     def decide(binput: BoundInput) -> list[tuple[str, dict]]:  # the entries it refutes
@@ -576,11 +589,12 @@ def falsify(
                 refuted.append((bid, distinct.setdefault(key, report)))
         return refuted
 
-    def record(degrees: Sequence[int], edges: Sequence[tuple[int, int]], reports: list[tuple[str, dict]]) -> None:
+    def records(degrees: Sequence[int], edges: Sequence[tuple[int, int]],
+                reports: list[tuple[str, dict]]) -> Iterator[Counterexample]:
         ordered = sorted(edges)  # both decodes give each edge as (u, v), u < v
         tree = {"n": len(degrees), "edges": list(map(list, ordered)),
                 "edge_list": format_edge_list(len(degrees), ordered)}
-        found.extend(Counterexample({"bound_id": bid, **tree, "report": report}) for bid, report in reports)
+        return (Counterexample({"bound_id": bid, **tree, "report": report}) for bid, report in reports)
 
     if isinstance(mode, ExhaustiveMode):
         if mode.n_max < 2:
@@ -601,8 +615,8 @@ def falsify(
                         raise AssertionError(f"scored signature {signature} disagrees with tree {tuple(levels)}")
                     reports = decided[signature] = decide(binput)
                 if reports:
-                    record(*(tree or _tree_of_levels(levels)), reports)
-        return found
+                    yield from records(*(tree or _tree_of_levels(levels)), reports)
+        return
 
     if mode.n < 2:
         raise DomainError("random falsification needs n >= 2")
@@ -616,8 +630,7 @@ def falsify(
         degrees, edges, irr, sig = prufer_degrees_and_edges(random_prufer_word(n, rng.randrange(2**63)), n)
         binput = bounds.BoundInput(tuple(sorted(degrees)), n, 2 * n - 2, irr, sig, params, label, edges)
         if reports := decide(binput):
-            record(degrees, edges, reports)
-    return found
+            yield from records(degrees, edges, reports)
 
 
 def _tree_of_levels(levels: Sequence[int]) -> tuple[list[int], list[tuple[int, int]]]:

@@ -1,7 +1,8 @@
 """``jsonout.dump`` writes exactly the stock encoder's ``sort_keys=True,
 indent=2`` bytes for documents of the seven value types the package writes,
 streams them one record at a time, and refuses every other type and every
-key that is not a ``str``.
+key that is not a ``str``; ``jsonout.dump_lists`` writes the same bytes for
+a dict of lists from its items' pre-rendered text.
 
 The reference is the standard library's own ``json`` output; the real
 documents are checked against a re-encoding of their parsed form, which
@@ -15,6 +16,7 @@ import os
 import subprocess
 import sys
 from collections import OrderedDict, namedtuple
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -247,6 +249,88 @@ class TestOneFormat:
         # The sort meets the int key before the key check does.
         with pytest.raises(TypeError):
             jsonout.dump({"a": 1, 2: "b"}, io.StringIO())
+
+
+class TestKeptTexts:
+    """A pass keeps the text of each dict it renders deeper than
+    ``STREAM_DEPTH``, and of the last such pair list only."""
+
+    def test_only_the_last_pair_list_is_kept(self, monkeypatch):
+        renderers = []
+
+        class Kept(jsonout._Renderer):
+            def __init__(self):
+                super().__init__()
+                renderers.append(self)
+
+        monkeypatch.setattr(jsonout, "_Renderer", Kept)
+        trees = [{"edges": [[0, k], [k, k + 1]], "n": k + 2} for k in range(1, 40)]
+        assert assert_same_as_stock({"count": len(trees), "trees": trees})[0] == "ok"
+        (renderer,) = renderers
+        assert renderer.rendered == {} and renderer.pairs[0] is trees[-1]["edges"]
+
+
+# -- documents written from pre-rendered items --------------------------------
+
+
+def pieces_of(texts: list, cuts: list) -> list:
+    """The concatenation of ``texts`` cut at ``cuts``, as a pipe's reads might give it."""
+    whole = "".join(texts)
+    ends = sorted({cut % (len(whole) + 1) for cut in cuts} | {0, len(whole)})
+    return [whole[a:b] for a, b in zip(ends, ends[1:])]
+
+
+record_lists = st.dictionaries(
+    st.one_of(texts, st.sampled_from(["B1a", "B10", "%s", "100%", "a\"b", "\u00e9", ""])),
+    # each list, the index where it is split, and where its first part's text is cut
+    st.tuples(st.lists(st.one_of(scalars, pairs, st.dictionaries(texts, values, max_size=3)), max_size=4),
+              st.integers(0, 4), st.lists(st.integers(0, 10**6), max_size=3)),
+    max_size=4,
+)
+
+
+class TestPreRenderedLists:
+    """``dump_lists`` writes a dict of lists from its items' texts, which
+    ``item_renderer`` made, as the stock encoder writes the dict itself."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(record_lists)
+    def test_two_parts_split_anywhere(self, drawn):
+        # Each list is split between two parts, each rendered by its own
+        # renderer (two processes); the first part's text then comes in
+        # pieces cut anywhere, as it comes out of a pipe.
+        first, second = jsonout.item_renderer(), jsonout.item_renderer()
+        lists = {}
+        for key, (items, split, cuts) in drawn.items():
+            head = [piece for item in items[:split] for piece in first(item)]
+            tail = [piece for item in items[split:] for piece in second(item)]
+            lists[key] = chain(pieces_of(head, cuts), tail)
+        buf = io.StringIO()
+        jsonout.dump_lists(lists, buf)
+        document = {key: items for key, (items, _, _) in drawn.items()}
+        assert buf.getvalue() == json.dumps(document, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("document", [
+        {}, {"a": []}, {"b": [], "a": [1]}, {"%d": [{"%s": [[0, 1]]}], "\n": [[], {}]},
+        {"r": [{"edges": [[0, 1]], "report": {"x": 1.5, "notes": []}}] * 3, "e": []},
+    ])
+    def test_edge_cases(self, document):
+        item = jsonout.item_renderer()
+        buf = io.StringIO()
+        jsonout.dump_lists({key: [piece for v in items for piece in item(v)] for key, items in document.items()}, buf)
+        assert buf.getvalue() == json.dumps(document, sort_keys=True, indent=2)
+
+    def test_shared_values_are_rendered_once(self):
+        # The records of one tree share its edge list, and records with one
+        # report share it: each item's pieces hold the same text object.
+        edges, report = [[0, 1], [1, 2]], {"lhs": "3/2", "notes": ["a"]}
+        item = jsonout.item_renderer()
+        first, second = item({"edges": edges, "report": report}), item({"edges": edges, "report": report})
+        assert first[1] is second[1] and first[3] is second[3]
+
+    def test_a_key_that_is_not_a_str_raises(self):
+        with pytest.raises(TypeError, match="keys must be str, not int"):
+            jsonout.dump_lists({1: []}, io.StringIO())
 
 
 class Chunks(list):

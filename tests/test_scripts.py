@@ -16,7 +16,7 @@ import pytest
 
 import sigmairr
 from oracles import extremal_by_graphs, free_tree_counts_otter
-from sigmairr import bounds
+from sigmairr import bounds, errors, jsonout
 from sigmairr.cli import main
 from sigmairr.errors import InputError, exit_code, fork_orders
 
@@ -114,11 +114,38 @@ def _count_forks(monkeypatch) -> list:
 def test_fork_orders_splits_off_the_largest_order(monkeypatch):
     forks = _count_forks(monkeypatch)
     _allow_cpus(monkeypatch, 2)
-    assert fork_orders(range(3, 7), lambda part: repr(list(part)).encode(), list) == (b"[3, 4, 5]", [6])
-    assert fork_orders(range(6, 7), _raise, _raise) is None
+    received = []
+    assert fork_orders(range(3, 7), lambda part: [repr(list(part)).encode()], list,
+                       lambda sent, own: received.append((sent.read(), own)))
+    assert received == [(b"[3, 4, 5]", [6])]
+    assert not fork_orders(range(6, 7), _raise, _raise, _raise)
     _allow_cpus(monkeypatch, 1)
-    assert fork_orders(range(3, 7), _raise, _raise) is None
+    assert not fork_orders(range(3, 7), _raise, _raise, _raise)
     assert len(forks) == 1
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_fork_orders_reads_across_the_workers_chunks(monkeypatch):
+    # Each chunk the worker sends is one frame; a read takes exactly the bytes
+    # it asks for, from several frames or part of one, and an empty chunk
+    # sends nothing.
+    _allow_cpus(monkeypatch, 2)
+    received = []
+
+    def receive(sent, own):
+        received.extend([sent.read(1), sent.read(4), sent.read(0), sent.read(), own])
+
+    assert fork_orders(range(2, 4), lambda part: [b"ab", b"", b"cde", b"f" * 70000], len, receive)
+    assert received == [b"a", b"bcde", b"", b"f" * 70000, 1]
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_fork_orders_reports_output_that_ends_early(monkeypatch):
+    _allow_cpus(monkeypatch, 2)
+    with pytest.raises(ChildProcessError, match=r"^the worker for n = 2\.\.2 failed: its output ended early$"):
+        fork_orders(range(2, 4), lambda part: [b"abc"], len, lambda sent, own: sent.read(4))
     _assert_no_child_left()
 
 
@@ -226,11 +253,41 @@ def test_campaign_output_is_the_same_forked_and_in_process(monkeypatch, capsys, 
     (_raise, "error: the worker for n = 2..8 failed: InputError('no walk here')\n"),
     (_kill_self, "error: the worker for n = 2..8 ended by signal 9\n"),
 ])
-def test_campaign_reports_a_failed_worker_in_one_line(monkeypatch, capsys, worker_falsify, message):
+def test_campaign_reports_a_failed_worker_in_one_line(monkeypatch, capsys, tmp_path, worker_falsify, message):
+    # The worker fails before it sends anything, so no byte of the document is written.
     campaign = _load_script("falsification_campaign")
-    _fork_script(campaign, "falsify", ["--nmax", "9"], monkeypatch, campaign.falsify, worker_falsify)
+    target = tmp_path / "campaign.json"
+    _fork_script(campaign, "counterexamples", ["--nmax", "9", "--json", str(target)], monkeypatch,
+                 campaign.counterexamples, worker_falsify)
     assert exit_code(campaign.main) == 1
     assert capsys.readouterr().err == message
+    assert target.read_bytes() == b""
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_campaign_reports_a_worker_killed_while_sending(monkeypatch, capsys, tmp_path):
+    # The worker sends its summaries as one frame, then dies before the first
+    # entry's text; the main process has begun the document by then.
+    campaign = _load_script("falsification_campaign")
+    target = tmp_path / "campaign.json"
+    parent, write, writes = os.getpid(), errors._write, []
+
+    def dying_write(fd, data):
+        if os.getpid() != parent:
+            writes.append(data)
+            if len(writes) == 3:  # the length of the second frame
+                _kill_self()
+        write(fd, data)
+
+    monkeypatch.setattr(errors, "_write", dying_write)
+    _fork_script(campaign, "counterexamples", ["--nmax", "9", "--json", str(target)], monkeypatch,
+                 campaign.counterexamples, campaign.counterexamples)
+    assert exit_code(campaign.main) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: the worker for n = 2..8 ended by signal 9\n"
+    assert out.splitlines()[-1].startswith("evaluated in ")
+    assert target.read_text(encoding="utf-8").startswith('{\n  "B10": ')
     _assert_no_child_left()
 
 
@@ -238,7 +295,7 @@ def test_campaign_reports_a_failed_worker_in_one_line(monkeypatch, capsys, worke
 def test_campaign_kills_its_worker_when_the_main_order_is_interrupted(monkeypatch):
     # The worker sleeps for a minute: only the kill lets the reaping wait return sooner.
     campaign = _load_script("falsification_campaign")
-    _fork_script(campaign, "falsify", ["--nmax", "9"], monkeypatch, _interrupt, lambda *args: time.sleep(60))
+    _fork_script(campaign, "counterexamples", ["--nmax", "9"], monkeypatch, _interrupt, lambda *args: time.sleep(60))
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         campaign.main()
@@ -407,11 +464,13 @@ CAMPAIGN_SUMMARY_NMAX_8 = (
 
 def test_campaign_summary_reads_the_records(monkeypatch, capsys):
     # Each summary line prints its smallest witness's sides from that record's
-    # report: no claim is decided a second time.
+    # report: no claim is decided a second time, and with no --json no record
+    # is rendered.
     def refuse(*args):
-        raise AssertionError("evaluate_bound called")
+        raise AssertionError("evaluate_bound or item_renderer called")
 
     monkeypatch.setattr(bounds, "evaluate_bound", refuse)
+    monkeypatch.setattr(jsonout, "item_renderer", refuse)
     campaign = _load_script("falsification_campaign")
     monkeypatch.setattr(sys, "argv", ["falsification_campaign.py", "--nmax", "8"])
     assert campaign.main() == 0

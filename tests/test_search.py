@@ -524,6 +524,18 @@ class TestFalsify:
         assert calls == []
         assert ExhaustiveMode(6) == ExhaustiveMode(6, 2) and ExhaustiveMode(6).n_min == 2
 
+    def test_records_come_as_they_are_found(self, monkeypatch):
+        # The first record, of order 2, comes before any larger order is
+        # walked; the rest are falsify's list, in its order.
+        import sigmairr.search as search_module
+
+        walk, walked = search_module.free_tree_level_sequences, []
+        monkeypatch.setattr(search_module, "free_tree_level_sequences", lambda n: walked.append(n) or walk(n))
+        found = search_module.counterexamples("all", ExhaustiveMode(8))
+        first = next(found)
+        assert walked == [2] and first.record["n"] == 2
+        assert [c.record for c in [first, *found]] == [c.record for c in falsify("all", ExhaustiveMode(8))]
+
     def test_split_ranges_give_the_full_range_records(self):
         # No decision is shared across orders: the records of 2..k followed
         # by those of k+1..n_max are the full range's, record by record.
