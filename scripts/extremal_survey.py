@@ -9,7 +9,8 @@ lie in 1..18, the enumeration cap, with --min-n at most --max-n.  Any
 failure gives one ``error:`` line on stderr and exit code 1: a bad
 argument or order, or an --out path that cannot be opened, before any
 output is written; an output that cannot be written (a full device, a
-reader that left early) when it fails.
+reader that left early) when it fails.  The --out file is written whole or
+not at all (``sigmairr.errors.output_file``).
 
 The orders' walks are independent.  When the run covers at least two
 orders, ``os.fork`` exists and the process may run on at least two CPUs,
@@ -30,7 +31,7 @@ import io
 import sys
 import time
 
-from sigmairr.errors import ArgumentParser, InputError, exit_process, fork_orders
+from sigmairr.errors import ArgumentParser, InputError, exit_process, fork_orders, output_file
 from sigmairr.search import DEFAULT_TREE_CAP, TreeClass, extremal_goals
 
 GOALS = (("sigma", "max"), ("sigma", "min"), ("albertson", "max"), ("albertson", "min"))
@@ -50,7 +51,7 @@ def main() -> int:
         raise InputError(f"--min-n {args.min_n} exceeds --max-n {args.max_n}")
 
     orders = range(args.min_n, args.max_n + 1)
-    sink = open(args.out, "w", encoding="utf-8", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+    sink = output_file(args.out, newline="") if args.out else contextlib.nullcontext(sys.stdout)
     with sink as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(

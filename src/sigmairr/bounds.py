@@ -108,6 +108,30 @@ def _scaled_root(value: int, degree: int, bits: int) -> tuple[int, int]:
     return lo, lo if exact else lo + 1
 
 
+def _scaled_product_root(groups: Sequence[tuple[int, int]], degree: int, bits: int) -> tuple[int, int]:
+    """``_scaled_root`` of the product of d^c over ``groups``.  Where every
+    d >= 1, root * 2^bits = exp(t), t = bits ln 2 + sum(c ln d) / degree, is
+    bracketed in decimal at P digits first: every term of t is at least 0
+    and passes at most len(groups) + 4 correctly rounded steps, as exp does,
+    each within a relative 10^(1-P) / 2, so the root lies in exp(t) +-
+    (len(groups) + 4)(t + 1) 10^(3-P) exp(t), over forty times the rounding
+    error.  Only where that holds an integer is the root taken exactly."""
+    if all(d >= 1 for d, _ in groups):
+        digits = int((bits * math.log(2) + sum(c * math.log(d) for d, c in groups) / degree) / math.log(10)) + 30
+        context = decimal.Context(prec=digits)
+        total = decimal.Decimal(0)
+        for d, c in groups:
+            total = context.add(total, context.multiply(c, context.ln(d)))
+        t = context.add(context.divide(total, degree), context.multiply(bits, context.ln(2)))
+        root = context.exp(t)
+        margin = decimal.Decimal(f"{len(groups) + 4}e{3 - digits}")
+        width = context.multiply(root, context.multiply(context.add(t, 1), margin))
+        low, high = context.subtract(root, width), context.add(root, width)
+        if math.floor(low) < low and math.floor(high) == math.floor(low):
+            return math.floor(low), math.floor(low) + 1
+    return _scaled_root(math.prod(d**c for d, c in groups), degree, bits)
+
+
 def sqrt_rval(x: Fraction, bits: int) -> Box:
     """sqrt(x) boxed to 2^-bits, exact when x is a perfect rational square."""
     if x < 0:
@@ -800,7 +824,7 @@ def _b15b_rhs(b: BoundInput, bits: int) -> Box:
     # k(k-1)(mean - geometric mean) = (k-1)*sum(d) - k(k-1)*prod(d)^(1/k)
     k = b.k
     base = ((k - 1) * b.degree_sum) << bits
-    root_lo, root_hi = _scaled_root(math.prod(d**c for d, c in Counter(b.entries).items()), k, bits)
+    root_lo, root_hi = _scaled_product_root(list(Counter(b.entries).items()), k, bits)
     weight = k * (k - 1)
     return base - weight * root_hi, base - weight * root_lo, 1 << bits
 

@@ -32,7 +32,8 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence, TextIO
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import errors, graphs, indices, jsonout, search
 from .errors import InputError
@@ -54,14 +55,9 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 # Rendering helpers
 
-@contextlib.contextmanager
-def _output(out: Optional[str]) -> Iterator[TextIO]:
-    """Stdout, or the file at ``out`` opened for writing."""
-    if out is None:
-        yield sys.stdout
-        return
-    with open(out, "w", encoding="utf-8") as fh:
-        yield fh
+def _output(out) -> contextlib.AbstractContextManager[TextIO]:
+    """Stdout for None, the file ``out``, or the file at the path ``out``."""
+    return errors.output_file(out) if isinstance(out, str) else contextlib.nullcontext(out or sys.stdout)
 
 
 def _emit(text: str, fh: TextIO) -> None:
@@ -94,28 +90,29 @@ def _human_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render(fmt: str, header, rows, payload, out: Optional[str]) -> None:
-    """Emit ``payload`` as JSON, or ``rows`` as a CSV or human table.
+def _render(fmt: str, header, rows, payload, out, text: Optional[Iterable[str]] = None) -> None:
+    """Emit ``payload`` as JSON, or ``rows`` as a CSV or human table, into
+    ``out`` as ``_output`` opens it.
 
     ``rows`` holds JSON values taken from ``payload`` (``plots emit``, CSV
     only, passes none); it is iterated only for csv and human, and each
-    value is written by ``_cell``."""
-    if fmt == "json":
-        with _output(out) as fh:  # written record by record, never held whole
+    value is written by ``_cell``; or ``text`` gives the rows' CSV text."""
+    with _output(out) as fh:
+        if fmt == "json":  # written record by record, never held whole
             jsonout.dump(payload, fh)
             _emit("\n", fh)
-        return
-    cells = ([_cell(v) for v in row] for row in rows)
-    if fmt == "csv":
+            return
+        if fmt == "human":  # the table needs every row's widths first
+            rows = rows if text is None else csv.reader(io.StringIO("".join(text)))
+            _emit(_human_table(header, [[_cell(v) for v in row] for row in rows]), fh)
+            return
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(cells)
-        text = buf.getvalue()
-    else:
-        text = _human_table(header, list(cells))
-    with _output(out) as fh:
-        _emit(text, fh)
+        writer.writerows([_cell(v) for v in row] for row in rows)  # none where ``text`` is given
+        _emit(buf.getvalue(), fh)
+        for chunk in jsonout.chunks(text or ()):
+            _emit(chunk, fh)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +321,8 @@ def _cmd_bounds_check(args) -> int:
 
 
 def _cmd_bounds_falsify(args) -> int:
+    from . import records
+
     params = _params_from_args(args)
     if args.n is not None and args.nmax is not None:
         raise InputError("--n (random mode) and --nmax (exhaustive mode) exclude each other")
@@ -344,19 +343,30 @@ def _cmd_bounds_falsify(args) -> int:
             raise InputError("--seed needs random mode (--n with --samples)")
         mode = search.ExhaustiveMode(args.nmax)
         mode_desc = {"mode": "exhaustive", "nmax": args.nmax}
-    found = search.falsify(args.bound, mode, params, allow_over_cap=args.allow_over_cap)
-    payload = {
-        "bound": args.bound,
-        **mode_desc,
-        "params": params.to_json_dict(),
-        "counterexamples": [c.to_json_dict() for c in found],
-    }
-    header = ["bound_id", "n", "edges", "lhs", "rhs", "relation", "margin"]
-    rows = (
-        [c["bound_id"], c["n"], c["edges"], *(c["report"][k] for k in header[3:])]
-        for c in payload["counterexamples"]
-    )
-    _render(args.format, header, rows, payload, args.out)
+    fmt = "json" if args.format == "json" else "csv"  # the human table is laid out from the CSV rows
+
+    def texts(mode) -> Iterator[str]:  # its records' pieces; the arguments are checked at the call
+        found = records.counterexample_texts(args.bound, mode, params, fmt, allow_over_cap=args.allow_over_cap)
+        return (piece for _, _, _, pieces in found for piece in pieces)
+
+    def part(orders: range) -> list[str]:
+        return list(texts(search.ExhaustiveMode(orders[-1], orders[0])))
+
+    def write(pieces: Iterable[str], fh: TextIO) -> None:
+        payload = {"bound": args.bound, **mode_desc, "params": params.to_json_dict(),
+                   "counterexamples": jsonout.Items(pieces)}  # read only by json
+        _render(args.format, records.COUNTEREXAMPLE_HEADER, (), payload, fh, None if fmt == "json" else pieces)
+
+    found = texts(mode)
+    with _output(args.out) as fh:
+        # A forked worker decides orders 2..nmax-1 while this process decides nmax; its text goes first.
+        if isinstance(mode, search.RandomMode) or not errors.fork_orders(
+            range(2, mode.n_max + 1),
+            lambda orders: errors.sized(part(orders)),
+            part,
+            lambda sent, own: write(chain(sent.text(), own), fh),
+        ):
+            write(found, fh)
     return 0
 
 

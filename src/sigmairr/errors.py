@@ -6,11 +6,12 @@ opened, a closed pipe, a full device, a closed stdout, a failed
 ``fork_orders`` worker), print one ``error:`` line, never a traceback."""
 
 import argparse
+import contextlib
 import errno
 import io
 import os
 import sys
-from typing import BinaryIO, Callable, Iterable, NoReturn, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, Optional, TextIO, TypeVar
 
 T = TypeVar("T")
 
@@ -84,6 +85,30 @@ def exit_process(main: Callable[[], int]) -> NoReturn:
         with open(os.devnull, "w") as null:
             os.dup2(null.fileno(), sys.stdout.fileno())
     sys.exit(code)
+
+
+@contextlib.contextmanager
+def output_file(path: str, newline: Optional[str] = None) -> Iterator[TextIO]:
+    """The file at ``path`` for UTF-8 text, written whole or not at all: as a
+    new file beside it, opened at once, renamed over ``path`` once the block
+    succeeds and removed if it fails.  A symbolic link, or a path that is no
+    regular file (``/dev/stdout``, a device), is written directly."""
+    if os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        return
+    partial = f"{path}.{os.getpid()}.partial"
+    try:
+        fh = open(partial, "x", encoding="utf-8", newline=newline)
+    except OSError as exc:  # named by the path asked for
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        os.unlink(partial)
+        raise
 
 
 def fork_orders(
@@ -174,6 +199,19 @@ class Received:
             size -= want if size > 0 else 0
             pieces.append(piece)
         return b"".join(pieces)
+
+    def text(self) -> Iterator[str]:
+        """The next ASCII text that ``sized`` sent, 64 KiB at a time."""
+        size = int.from_bytes(self.read(8), "little")
+        for start in range(0, size, 1 << 16):
+            yield self.read(min(size - start, 1 << 16)).decode("ascii")
+
+
+def sized(pieces: list[str]) -> Iterator[bytes]:
+    """The ASCII text of ``pieces`` as a worker sends it for ``Received.text``."""
+    yield sum(map(len, pieces)).to_bytes(8, "little")
+    for start in range(0, len(pieces), 1024):
+        yield "".join(pieces[start:start + 1024]).encode("ascii")
 
 
 def _cpus() -> int:

@@ -525,51 +525,39 @@ def falsify(
     *,
     allow_over_cap: bool = False,
 ) -> list[Counterexample]:
-    """Every record that ``counterexamples`` yields, as one list."""
-    return list(counterexamples(bound_id, mode, params, allow_over_cap=allow_over_cap))
+    """The record of each entry each tree of ``refuting_trees`` refutes, in
+    order; the records of a tree share its ``n``, ``edges`` and ``edge_list``."""
+    found = []
+    for n, edges, refuted in refuting_trees(bound_id, mode, params, allow_over_cap=allow_over_cap):
+        tree = {"n": n, "edges": list(map(list, edges)), "edge_list": format_edge_list(n, edges)}
+        found += [Counterexample({"bound_id": bid, **tree, "report": report}) for bid, report in refuted]
+    return found
 
 
-def counterexamples(
+def refuting_trees(
     bound_id: str,
     mode: ExhaustiveMode | RandomMode,
     params: Optional[BoundParams] = None,
     *,
     allow_over_cap: bool = False,
-) -> Iterator[Counterexample]:
+) -> Iterator[tuple[int, list[tuple[int, int]], list[tuple[str, dict]]]]:
     """Hunt for trees meeting a claim's hypotheses on which it evaluates
-    false, and yield each counterexample's record as it is found.
+    false, and yield each such tree as it is found: its order, its edges
+    (u, v), u < v, ascending, and the (entry, report) pairs of the entries
+    it refutes, in catalog order.  The arguments are checked at the call.
 
-    ``bound_id`` may be a base id or ``"all"``: every expanded entry is
-    decided on a tree's ``BoundInput``, built from its degrees and edges, by
-    ``bounds.counterexample_report``, which skips an entry whose hypotheses
-    fail and writes a counterexample's report from the sides that refute
-    it, with no ``BoundReport``.  No ``Graph`` is built: a tree with a
-    counterexample has its decoded edges sorted once, into the ``n``,
-    ``edges`` and ``edge_list`` that all of its records share.  Every entry
-    reads only the degrees, Albertson and Sigma (B14 asks only that edges
-    are present), so a tree's verdicts are fixed by its signature, which
-    the walk yields with its level sequence: its degree counts, Albertson
-    and Sigma.  Exhaustive mode covers every isomorphism class with
-    n_min <= n <= n_max (n_min is 2 unless given), rejects an ``n_max`` over
-    the cap or an ``n_min`` outside 2..n_max before it generates any tree,
-    and decides each signature once, on its first tree, whose input must
-    agree with that signature (else ``AssertionError``); later trees share
-    that tree's reports.  In both modes a report equal in every field
-    to an earlier one of the call (the float decimals and exactness flags
-    included) is that earlier dict, so records share one dict per distinct
-    report.  A tree is decoded at most once, and only if its signature is
-    new or it refutes an entry, so 986 trees with n <= 12 build 555
-    inputs.  Random mode decodes seeded labeled trees of
-    a fixed order from random Pruefer words and decides each on its own
-    input, with no memo: samples seldom repeat a signature (3 to 7 of 200
-    at order 40).  A sample is scored in its one decode, which gives its
-    degrees, edges, Albertson and Sigma, and its input is built from those
-    numbers; each sample's seed is drawn only when it is decided.
-    ``params`` None means ``BoundParams()``.  The records are deterministic
-    for identical arguments, and follow the order in which the trees are
-    generated: in exhaustive mode, by increasing order.  The records of one
-    tree come one after another, and nothing keeps a record once it is
-    yielded.  Arguments are checked when the first record is asked for.
+    ``bound_id`` may be a base id or ``"all"``.  Each entry is decided on a
+    tree's ``BoundInput``, from its degrees and edges, by
+    ``bounds.counterexample_report``; no ``Graph`` is built.  Every entry
+    reads only the degrees, Albertson and Sigma, so exhaustive mode (every
+    isomorphism class with n_min <= n <= n_max, by increasing order)
+    decides each signature the walk yields once, on its first tree, whose
+    input must agree with it (else ``AssertionError``), and decodes a tree
+    only if its signature is new or it refutes an entry.  Random mode
+    decides each seeded labeled tree of order n, from a random Pruefer
+    word, on its own input: samples seldom repeat a signature.  A report
+    equal in every field to an earlier one of the call is that earlier
+    dict.  ``params`` None means ``BoundParams()``.
     """
     from . import bounds
 
@@ -589,20 +577,7 @@ def counterexamples(
                 refuted.append((bid, distinct.setdefault(key, report)))
         return refuted
 
-    def records(degrees: Sequence[int], edges: Sequence[tuple[int, int]],
-                reports: list[tuple[str, dict]]) -> Iterator[Counterexample]:
-        ordered = sorted(edges)  # both decodes give each edge as (u, v), u < v
-        tree = {"n": len(degrees), "edges": list(map(list, ordered)),
-                "edge_list": format_edge_list(len(degrees), ordered)}
-        return (Counterexample({"bound_id": bid, **tree, "report": report}) for bid, report in reports)
-
-    if isinstance(mode, ExhaustiveMode):
-        if mode.n_max < 2:
-            raise DomainError("exhaustive falsification needs n_max >= 2")
-        if not 2 <= mode.n_min <= mode.n_max:
-            raise DomainError(f"exhaustive falsification needs 2 <= n_min <= n_max, got n_min={mode.n_min}, "
-                              f"n_max={mode.n_max}")
-        check_tree_order(mode.n_max, allow_over_cap)
+    def exhaustive():
         decided: dict[tuple[int, int, int], list[tuple[str, dict]]] = {}  # by signature
         for n in range(mode.n_min, mode.n_max + 1):
             for levels, signature in free_tree_level_sequences(n):
@@ -615,22 +590,32 @@ def counterexamples(
                         raise AssertionError(f"scored signature {signature} disagrees with tree {tuple(levels)}")
                     reports = decided[signature] = decide(binput)
                 if reports:
-                    yield from records(*(tree or _tree_of_levels(levels)), reports)
-        return
+                    yield n, sorted((tree or _tree_of_levels(levels))[1]), reports
 
+    def sampled():
+        label = f"graph n={n} m={n - 1}"  # from_edges' label for a tree of order n
+        rng = random.Random(mode.seed)
+        for _ in range(mode.samples):
+            degrees, edges, irr, sig = prufer_degrees_and_edges(random_prufer_word(n, rng.randrange(2**63)), n)
+            binput = bounds.BoundInput(tuple(sorted(degrees)), n, 2 * n - 2, irr, sig, params, label, edges)
+            if reports := decide(binput):
+                yield n, sorted(edges), reports  # the decode gives each edge as (u, v), u < v
+
+    if isinstance(mode, ExhaustiveMode):
+        if mode.n_max < 2:
+            raise DomainError("exhaustive falsification needs n_max >= 2")
+        if not 2 <= mode.n_min <= mode.n_max:
+            raise DomainError(f"exhaustive falsification needs 2 <= n_min <= n_max, got n_min={mode.n_min}, "
+                              f"n_max={mode.n_max}")
+        check_tree_order(mode.n_max, allow_over_cap)
+        return exhaustive()
     if mode.n < 2:
         raise DomainError("random falsification needs n >= 2")
     if mode.samples < 1:
         raise DomainError("need at least one sample")
     n = mode.n
     check_vertex_count(n)
-    label = f"graph n={n} m={n - 1}"  # from_edges' label for a tree of order n
-    rng = random.Random(mode.seed)
-    for _ in range(mode.samples):
-        degrees, edges, irr, sig = prufer_degrees_and_edges(random_prufer_word(n, rng.randrange(2**63)), n)
-        binput = bounds.BoundInput(tuple(sorted(degrees)), n, 2 * n - 2, irr, sig, params, label, edges)
-        if reports := decide(binput):
-            yield from records(degrees, edges, reports)
+    return sampled()
 
 
 def _tree_of_levels(levels: Sequence[int]) -> tuple[list[int], list[tuple[int, int]]]:

@@ -108,6 +108,42 @@ class TestRootIntervals:
         assert [ceil_log2(x) for x in (1, 2, 3, 4, 5, 8, 9)] == [0, 1, 2, 2, 3, 3, 4]
 
 
+def exact_product_root(groups, degree, bits):
+    return bounds._scaled_root(math.prod(d**c for d, c in groups), degree, bits)
+
+
+class TestScaledProductRoot:
+    """The root of a degree product, bracketed from decimal logarithms, is
+    the exact root's floor and step, and the exact root is taken only where
+    the bracket holds an integer."""
+
+    @given(st.dictionaries(st.integers(1, 1000), st.integers(1, 300), min_size=1, max_size=5),
+           st.integers(1, 1500), st.sampled_from([64, 128]))
+    @settings(max_examples=100, deadline=None)
+    def test_random_degree_products(self, counts, degree, bits):
+        groups = list(counts.items())
+        assert bounds._scaled_product_root(groups, degree, bits) == exact_product_root(groups, degree, bits)
+
+    @pytest.mark.parametrize("degree", [2, 3, 7, 40, 512, 1499])
+    @pytest.mark.parametrize("root", [1, 2, 3, 10, 997])
+    def test_perfect_powers_and_the_values_next_to_them(self, root, degree):
+        for bits in (64, 128):
+            assert bounds._scaled_product_root([(root, degree)], degree, bits) == (root << bits, root << bits)
+            for groups in ([(root**degree - 1, 1)], [(root**degree + 1, 1)], [(root, degree - 1), (root + 1, 1)],
+                           [(root + 1, 1), (root, degree - 2), (root + 2, 1)]):
+                assert bounds._scaled_product_root(groups, degree, bits) == exact_product_root(groups, degree, bits)
+
+    def test_a_path_like_product_takes_no_exact_root(self, monkeypatch):
+        groups, degree = [(1, 2), (2, 1998)], 2000
+        expected = [exact_product_root(groups, degree, bits) for bits in (64, 128)]
+
+        def refuse(*args):
+            raise AssertionError("the exact root was taken")
+
+        monkeypatch.setattr(bounds, "_integer_nth_root", refuse)
+        assert [bounds._scaled_product_root(groups, degree, bits) for bits in (64, 128)] == expected
+
+
 class TestParams:
     def test_validation(self):
         with pytest.raises(InputError):

@@ -1,8 +1,8 @@
 """``jsonout.dump`` writes exactly the stock encoder's ``sort_keys=True,
 indent=2`` bytes for documents of the seven value types the package writes,
 streams them one record at a time, and refuses every other type and every
-key that is not a ``str``; ``jsonout.dump_lists`` writes the same bytes for
-a dict of lists from its items' pre-rendered text.
+key that is not a ``str``; it writes the same bytes for a list given as
+``jsonout.Items``, its items' text pre-rendered by ``fields_renderer``.
 
 The reference is the standard library's own ``json`` output; the real
 documents are checked against a re-encoding of their parsed form, which
@@ -165,25 +165,6 @@ class TestShapes:
         assert assert_same_as_stock({"top": document, "nested": [[d] for d in document]})[0] == "ok"
 
 
-class TestSharedDicts:
-    """A dict met again at the same level, deeper than ``STREAM_DEPTH``,
-    reuses the text of its first rendering."""
-
-    @pytest.mark.parametrize("where", SHARED_REPORTS)
-    def test_rendered_once_per_level(self, monkeypatch, where):
-        calls: dict = {}
-        obj = jsonout._Renderer.obj
-
-        def counted(self, dct, level):
-            calls[id(dct), level] = calls.get((id(dct), level), 0) + 1
-            return obj(self, dct, level)
-
-        monkeypatch.setattr(jsonout._Renderer, "obj", counted)
-        assert_same_as_stock(shared_report(where))
-        deep = [count for (_, level), count in calls.items() if level > jsonout.STREAM_DEPTH]
-        assert deep and set(deep) == {1}
-
-
 class TestPairLists:
     """A list of ``[int, int]`` pairs renders from a template kept per
     (length, level) for the pass; each case puts lists that share or miss
@@ -251,25 +232,6 @@ class TestOneFormat:
             jsonout.dump({"a": 1, 2: "b"}, io.StringIO())
 
 
-class TestKeptTexts:
-    """A pass keeps the text of each dict it renders deeper than
-    ``STREAM_DEPTH``, and of the last such pair list only."""
-
-    def test_only_the_last_pair_list_is_kept(self, monkeypatch):
-        renderers = []
-
-        class Kept(jsonout._Renderer):
-            def __init__(self):
-                super().__init__()
-                renderers.append(self)
-
-        monkeypatch.setattr(jsonout, "_Renderer", Kept)
-        trees = [{"edges": [[0, k], [k, k + 1]], "n": k + 2} for k in range(1, 40)]
-        assert assert_same_as_stock({"count": len(trees), "trees": trees})[0] == "ok"
-        (renderer,) = renderers
-        assert renderer.rendered == {} and renderer.pairs[0] is trees[-1]["edges"]
-
-
 # -- documents written from pre-rendered items --------------------------------
 
 
@@ -280,18 +242,28 @@ def pieces_of(texts: list, cuts: list) -> list:
     return [whole[a:b] for a, b in zip(ends, ends[1:])]
 
 
+def item_texts(fields, item: dict, cut: int) -> list:
+    """``item``'s text from ``fields``: its sorted keys in two runs, split at
+    ``cut``, or in one run when that leaves a run empty."""
+    keys = sorted(item)
+    runs = [keys[:cut], keys[cut:]] if 0 < cut < len(keys) else [keys]
+    return [fields({k: item[k] for k in run}, i == 0, i == len(runs) - 1) for i, run in enumerate(runs)]
+
+
 record_lists = st.dictionaries(
     st.one_of(texts, st.sampled_from(["B1a", "B10", "%s", "100%", "a\"b", "\u00e9", ""])),
-    # each list, the index where it is split, and where its first part's text is cut
-    st.tuples(st.lists(st.one_of(scalars, pairs, st.dictionaries(texts, values, max_size=3)), max_size=4),
+    # each list of items and where each item's keys are split, the index where
+    # the list is split, and where its first part's text is cut
+    st.tuples(st.lists(st.tuples(st.dictionaries(texts, values, min_size=1, max_size=3), st.integers(0, 3)),
+                       max_size=4),
               st.integers(0, 4), st.lists(st.integers(0, 10**6), max_size=3)),
     max_size=4,
 )
 
 
 class TestPreRenderedLists:
-    """``dump_lists`` writes a dict of lists from its items' texts, which
-    ``item_renderer`` made, as the stock encoder writes the dict itself."""
+    """A top-level list given as ``Items``, its items' texts from
+    ``fields_renderer``, is written as the stock encoder writes the list."""
 
     @settings(max_examples=150, deadline=None)
     @given(record_lists)
@@ -299,38 +271,42 @@ class TestPreRenderedLists:
         # Each list is split between two parts, each rendered by its own
         # renderer (two processes); the first part's text then comes in
         # pieces cut anywhere, as it comes out of a pipe.
-        first, second = jsonout.item_renderer(), jsonout.item_renderer()
+        first, second = jsonout.fields_renderer(), jsonout.fields_renderer()
         lists = {}
         for key, (items, split, cuts) in drawn.items():
-            head = [piece for item in items[:split] for piece in first(item)]
-            tail = [piece for item in items[split:] for piece in second(item)]
-            lists[key] = chain(pieces_of(head, cuts), tail)
+            head = [text for item, cut in items[:split] for text in item_texts(first, item, cut)]
+            tail = [text for item, cut in items[split:] for text in item_texts(second, item, cut)]
+            lists[key] = jsonout.Items(chain(pieces_of(head, cuts), tail))
         buf = io.StringIO()
-        jsonout.dump_lists(lists, buf)
-        document = {key: items for key, (items, _, _) in drawn.items()}
+        jsonout.dump(lists, buf)
+        document = {key: [item for item, _ in items] for key, (items, _, _) in drawn.items()}
         assert buf.getvalue() == json.dumps(document, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("document", [
-        {}, {"a": []}, {"b": [], "a": [1]}, {"%d": [{"%s": [[0, 1]]}], "\n": [[], {}]},
+        {}, {"a": []}, {"b": [], "a": [{"x": 1}]}, {"%d": [{"%s": [[0, 1]]}], "\n": [{"": {}}, {"a": []}]},
         {"r": [{"edges": [[0, 1]], "report": {"x": 1.5, "notes": []}}] * 3, "e": []},
     ])
     def test_edge_cases(self, document):
-        item = jsonout.item_renderer()
+        fields = jsonout.fields_renderer()
         buf = io.StringIO()
-        jsonout.dump_lists({key: [piece for v in items for piece in item(v)] for key, items in document.items()}, buf)
-        assert buf.getvalue() == json.dumps(document, sort_keys=True, indent=2)
+        jsonout.dump({"n": 1, **{key: jsonout.Items([text for item in items for text in item_texts(fields, item, 1)])
+                                 for key, items in document.items()}}, buf)
+        assert buf.getvalue() == json.dumps({"n": 1, **document}, sort_keys=True, indent=2)
 
-    def test_shared_values_are_rendered_once(self):
-        # The records of one tree share its edge list, and records with one
-        # report share it: each item's pieces hold the same text object.
+    def test_runs_of_a_record(self):
+        # A record's entry, tree and report, rendered as three runs, make the
+        # record's text; a run met again is rendered again to the same text.
         edges, report = [[0, 1], [1, 2]], {"lhs": "3/2", "notes": ["a"]}
-        item = jsonout.item_renderer()
-        first, second = item({"edges": edges, "report": report}), item({"edges": edges, "report": report})
-        assert first[1] is second[1] and first[3] is second[3]
+        fields = jsonout.fields_renderer()
+        texts = [fields({"bound_id": "B3"}, True, False), fields({"edges": edges, "n": 3}, False, False),
+                 fields({"report": report}, False, True)]
+        record = {"bound_id": "B3", "edges": edges, "n": 3, "report": report}
+        assert "".join(texts) == ",\n    " + json.dumps(record, sort_keys=True, indent=2).replace("\n", "\n    ")
+        assert fields({"report": report}, False, True) == texts[2]
 
-    def test_a_key_that_is_not_a_str_raises(self):
-        with pytest.raises(TypeError, match="keys must be str, not int"):
-            jsonout.dump_lists({1: []}, io.StringIO())
+    def test_items_deeper_than_the_top_level_dict_raise(self):
+        with pytest.raises(TypeError, match="Items"):
+            jsonout.dump({"a": {"b": jsonout.Items([])}}, io.StringIO())
 
 
 class Chunks(list):

@@ -16,7 +16,7 @@ import pytest
 
 import sigmairr
 from oracles import extremal_by_graphs, free_tree_counts_otter
-from sigmairr import bounds, errors, jsonout
+from sigmairr import bounds, errors, jsonout, records
 from sigmairr.cli import main
 from sigmairr.errors import InputError, exit_code, fork_orders
 
@@ -169,20 +169,20 @@ def _fork_script(script, name: str, args: list, monkeypatch, main_call, worker_c
     """Make ``script`` fork when run with ``args``, this process calling
     ``main_call`` and the worker ``worker_call`` in place of ``name``."""
     parent = os.getpid()
-    monkeypatch.setattr(script, name, lambda *a: (main_call if os.getpid() == parent else worker_call)(*a))
+    monkeypatch.setattr(script, name, lambda *a, **k: (main_call if os.getpid() == parent else worker_call)(*a, **k))
     monkeypatch.setattr(sys, "argv", [f"{script.__name__}.py", *args])
     _allow_cpus(monkeypatch, 2)
 
 
-def _raise(*args):
+def _raise(*args, **kwargs):
     raise InputError("no walk here")
 
 
-def _kill_self(*args):
+def _kill_self(*args, **kwargs):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _interrupt(*args):
+def _interrupt(*args, **kwargs):
     raise KeyboardInterrupt
 
 
@@ -191,11 +191,15 @@ def _interrupt(*args):
     (_raise, "error: the worker for n = 4..8 failed: InputError('no walk here')\n"),
     (_kill_self, "error: the worker for n = 4..8 ended by signal 9\n"),
 ])
-def test_survey_reports_a_failed_worker_in_one_line(monkeypatch, capsys, worker_walk, message):
+def test_survey_reports_a_failed_worker_in_one_line(monkeypatch, capsys, tmp_path, worker_walk, message):
+    # The header row is written before the worker fails: the --out file is
+    # written whole or not at all, so nothing is left at its path.
     survey = _load_script("extremal_survey")
-    _fork_script(survey, "extremal_goals", ["--max-n", "9"], monkeypatch, survey.extremal_goals, worker_walk)
+    _fork_script(survey, "extremal_goals", ["--max-n", "9", "--out", str(tmp_path / "survey.csv")], monkeypatch,
+                 survey.extremal_goals, worker_walk)
     assert exit_code(survey.main) == 1
-    assert capsys.readouterr().err == message
+    assert capsys.readouterr() == ("", message)
+    assert list(tmp_path.iterdir()) == []
     _assert_no_child_left()
 
 
@@ -254,21 +258,23 @@ def test_campaign_output_is_the_same_forked_and_in_process(monkeypatch, capsys, 
     (_kill_self, "error: the worker for n = 2..8 ended by signal 9\n"),
 ])
 def test_campaign_reports_a_failed_worker_in_one_line(monkeypatch, capsys, tmp_path, worker_falsify, message):
-    # The worker fails before it sends anything, so no byte of the document is written.
+    # The worker fails before it sends anything; the document is written whole
+    # or not at all, so no file is left at its path, nor any part of one.
     campaign = _load_script("falsification_campaign")
     target = tmp_path / "campaign.json"
-    _fork_script(campaign, "counterexamples", ["--nmax", "9", "--json", str(target)], monkeypatch,
-                 campaign.counterexamples, worker_falsify)
+    _fork_script(campaign, "tally_counterexamples", ["--nmax", "9", "--json", str(target)], monkeypatch,
+                 campaign.tally_counterexamples, worker_falsify)
     assert exit_code(campaign.main) == 1
     assert capsys.readouterr().err == message
-    assert target.read_bytes() == b""
+    assert list(tmp_path.iterdir()) == []
     _assert_no_child_left()
 
 
 @needs_fork
 def test_campaign_reports_a_worker_killed_while_sending(monkeypatch, capsys, tmp_path):
-    # The worker sends its summaries as one frame, then dies before the first
-    # entry's text; the main process has begun the document by then.
+    # The worker sends its tallies as one frame, then dies before the first
+    # entry's text; the main process has begun the document by then, and
+    # removes it.
     campaign = _load_script("falsification_campaign")
     target = tmp_path / "campaign.json"
     parent, write, writes = os.getpid(), errors._write, []
@@ -281,13 +287,86 @@ def test_campaign_reports_a_worker_killed_while_sending(monkeypatch, capsys, tmp
         write(fd, data)
 
     monkeypatch.setattr(errors, "_write", dying_write)
-    _fork_script(campaign, "counterexamples", ["--nmax", "9", "--json", str(target)], monkeypatch,
-                 campaign.counterexamples, campaign.counterexamples)
+    _fork_script(campaign, "tally_counterexamples", ["--nmax", "9", "--json", str(target)], monkeypatch,
+                 campaign.tally_counterexamples, campaign.tally_counterexamples)
     assert exit_code(campaign.main) == 1
     out, err = capsys.readouterr()
     assert err == "error: the worker for n = 2..8 ended by signal 9\n"
     assert out.splitlines()[-1].startswith("evaluated in ")
-    assert target.read_text(encoding="utf-8").startswith('{\n  "B10": ')
+    assert list(tmp_path.iterdir()) == []
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_cli_falsify_is_the_same_forked_and_in_process(monkeypatch, capsys):
+    # The worker decides orders 2..8 and its text goes ahead of this
+    # process's order 9, so the records stay in stream order.
+    forks = _count_forks(monkeypatch)
+    for fmt in ("json", "csv", "human"):
+        outputs = []
+        for cpus in (1, 2):
+            _allow_cpus(monkeypatch, cpus)
+            assert main(["bounds", "falsify", "--bound", "all", "--nmax", "9", "--format", fmt]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].err == "" and len(outputs[0].out) > 10000, fmt
+    assert len(forks) == 3
+    _assert_no_child_left()
+
+
+def _cli_falsify_forked(monkeypatch, tmp_path, worker_texts) -> int:
+    """``bounds falsify --nmax 10`` into a file in ``tmp_path``, forked, its
+    worker calling ``worker_texts`` in place of ``counterexample_texts``."""
+    parent, texts = os.getpid(), records.counterexample_texts
+    monkeypatch.setattr(records, "counterexample_texts",
+                        lambda *a, **k: (texts if os.getpid() == parent else worker_texts)(*a, **k))
+    _allow_cpus(monkeypatch, 2)
+    return main(["bounds", "falsify", "--bound", "all", "--nmax", "10", "--format", "json",
+                 "--out", str(tmp_path / "falsify.json")])
+
+
+@needs_fork
+@pytest.mark.parametrize("worker_texts, message", [
+    (_raise, "error: the worker for n = 2..9 failed: InputError('no walk here')\n"),
+    (_kill_self, "error: the worker for n = 2..9 ended by signal 9\n"),
+])
+def test_cli_falsify_reports_a_failed_worker_in_one_line(monkeypatch, capsys, tmp_path, worker_texts, message):
+    # The --out file that was there before is left as it was, and nothing else.
+    (tmp_path / "falsify.json").write_text("before\n")
+    assert _cli_falsify_forked(monkeypatch, tmp_path, worker_texts) == 1
+    assert capsys.readouterr() == ("", message)
+    assert [(p.name, p.read_text()) for p in tmp_path.iterdir()] == [("falsify.json", "before\n")]
+    _assert_no_child_left()
+
+
+def test_out_through_a_symbolic_link_is_written_into_its_target(tmp_path):
+    # Only a regular file is replaced whole; a link (``/dev/stdout`` is one)
+    # is written through, so it stays a link, and nothing is left beside it.
+    (tmp_path / "target.json").write_text("before\n")
+    (tmp_path / "link.json").symlink_to(tmp_path / "target.json")
+    assert main(["indices", "--family", "path:4", "--format", "json", "--out", str(tmp_path / "link.json")]) == 0
+    assert (tmp_path / "link.json").is_symlink() and sorted(p.name for p in tmp_path.iterdir()) == [
+        "link.json", "target.json"]
+    assert json.loads((tmp_path / "target.json").read_text())["n"] == 4
+
+
+@needs_fork
+def test_cli_falsify_reports_a_worker_killed_after_its_first_chunk(monkeypatch, capsys, tmp_path):
+    # The worker sends the length of its text and its first chunk, then dies
+    # before the second of its two; this process has written the first into
+    # the --out file by then, and removes it.
+    parent, write, writes = os.getpid(), errors._write, []
+
+    def dying_write(fd, data):
+        if os.getpid() != parent:
+            writes.append(data)
+            if len(writes) == 5:  # the length of the third frame
+                _kill_self()
+        write(fd, data)
+
+    monkeypatch.setattr(errors, "_write", dying_write)
+    assert _cli_falsify_forked(monkeypatch, tmp_path, records.counterexample_texts) == 1
+    assert capsys.readouterr() == ("", "error: the worker for n = 2..9 ended by signal 9\n")
+    assert list(tmp_path.iterdir()) == []
     _assert_no_child_left()
 
 
@@ -295,7 +374,8 @@ def test_campaign_reports_a_worker_killed_while_sending(monkeypatch, capsys, tmp
 def test_campaign_kills_its_worker_when_the_main_order_is_interrupted(monkeypatch):
     # The worker sleeps for a minute: only the kill lets the reaping wait return sooner.
     campaign = _load_script("falsification_campaign")
-    _fork_script(campaign, "counterexamples", ["--nmax", "9"], monkeypatch, _interrupt, lambda *args: time.sleep(60))
+    _fork_script(campaign, "tally_counterexamples", ["--nmax", "9"], monkeypatch, _interrupt,
+                 lambda *args, **kwargs: time.sleep(60))
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         campaign.main()
@@ -337,14 +417,14 @@ def test_survey_rejects_an_unwritable_out_path(tmp_path):
     target = tmp_path / "missing" / "survey.csv"
     done = run_script("extremal_survey.py", "--max-n", "5", "--out", str(target))
     assert done.returncode == 1 and done.stdout == "" and not target.exists()
-    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert done.stderr == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
 
 
 def test_campaign_rejects_an_unwritable_json_path(tmp_path):
     target = tmp_path / "missing" / "campaign.json"
     done = run_script("falsification_campaign.py", "--nmax", "3", "--json", str(target))
     assert done.returncode == 1 and done.stdout == "" and not target.exists()
-    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert done.stderr == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
 
 
 @pytest.mark.parametrize("script,args", [
@@ -467,10 +547,10 @@ def test_campaign_summary_reads_the_records(monkeypatch, capsys):
     # report: no claim is decided a second time, and with no --json no record
     # is rendered.
     def refuse(*args):
-        raise AssertionError("evaluate_bound or item_renderer called")
+        raise AssertionError("evaluate_bound or fields_renderer called")
 
     monkeypatch.setattr(bounds, "evaluate_bound", refuse)
-    monkeypatch.setattr(jsonout, "item_renderer", refuse)
+    monkeypatch.setattr(jsonout, "fields_renderer", refuse)
     campaign = _load_script("falsification_campaign")
     monkeypatch.setattr(sys, "argv", ["falsification_campaign.py", "--nmax", "8"])
     assert campaign.main() == 0

@@ -20,6 +20,7 @@ from oracles import (
     rooted_level_sequences_by_list,
     tree_degree_multisets,
 )
+from sigmairr import records
 from sigmairr.bounds import BOUND_IDS, BoundParams
 from sigmairr.errors import DomainError, InputError, ResourceLimitError
 from sigmairr.graphs import Graph, cycle, is_tree, path, star
@@ -525,16 +526,22 @@ class TestFalsify:
         assert ExhaustiveMode(6) == ExhaustiveMode(6, 2) and ExhaustiveMode(6).n_min == 2
 
     def test_records_come_as_they_are_found(self, monkeypatch):
-        # The first record, of order 2, comes before any larger order is
-        # walked; the rest are falsify's list, in its order.
+        # The first refuting tree, of order 2, comes before any larger order
+        # is walked; the texts of the records of the trees, in their order,
+        # are falsify's list, record by record.
         import sigmairr.search as search_module
 
         walk, walked = search_module.free_tree_level_sequences, []
         monkeypatch.setattr(search_module, "free_tree_level_sequences", lambda n: walked.append(n) or walk(n))
-        found = search_module.counterexamples("all", ExhaustiveMode(8))
-        first = next(found)
-        assert walked == [2] and first.record["n"] == 2
-        assert [c.record for c in [first, *found]] == [c.record for c in falsify("all", ExhaustiveMode(8))]
+        trees = search_module.refuting_trees("all", ExhaustiveMode(8))
+        first = next(trees)
+        assert walked == [2] and first[0] == 2
+        found = falsify("all", ExhaustiveMode(8))
+        assert [(bid, n) for n, _, refuted in [first, *trees] for bid, _ in refuted] == [
+            (c.bound_id, c.record["n"]) for c in found]
+        texts = records.counterexample_texts("all", ExhaustiveMode(8))
+        assert ["".join(pieces) for *_, pieces in texts] == [
+            ",\n    " + json.dumps(c.record, sort_keys=True, indent=2).replace("\n", "\n    ") for c in found]
 
     def test_split_ranges_give_the_full_range_records(self):
         # No decision is shared across orders: the records of 2..k followed
