@@ -10,12 +10,12 @@ failure gives one ``error:`` line on stderr and exit code 1: a bad
 argument or order, or an --out path that cannot be opened, before any
 output is written; an output that cannot be written (a full device, a
 reader that left early) when it fails.  The --out file is written whole or
-not at all (``sigmairr.errors.output_file``).
+not at all (``sigmairr.streams.output_file``).
 
 The orders' walks are independent.  When the run covers at least two
 orders, ``os.fork`` exists and the process may run on at least two CPUs,
 one forked worker walks every order but the largest while this process
-walks the largest (``sigmairr.errors.fork_orders``); otherwise every order
+walks the largest (``sigmairr.streams.fork_orders``); otherwise every order
 is walked in this process.  The output is the same either way, apart from
 the ``seconds`` column, which times each order's own walk.  The largest
 order holds most of the trees (7,741 of 13,185 at n = 4..15), so its walk
@@ -31,8 +31,9 @@ import io
 import sys
 import time
 
-from sigmairr.errors import ArgumentParser, InputError, exit_process, fork_orders, output_file
+from sigmairr.errors import ArgumentParser, InputError, exit_process
 from sigmairr.search import DEFAULT_TREE_CAP, TreeClass, extremal_goals
+from sigmairr.streams import fork_orders, output_file
 
 GOALS = (("sigma", "max"), ("sigma", "min"), ("albertson", "max"), ("albertson", "min"))
 

@@ -13,7 +13,7 @@ output that cannot be written when it fails.
 
 The records are tallied per entry (``sigmairr.records.tally_counterexamples``),
 rendered only with --json.  As in the survey, one forked worker decides
-every order but the largest (``sigmairr.errors.fork_orders``) and sends
+every order but the largest (``sigmairr.streams.fork_orders``) and sends
 each entry's tally and text, which goes ahead of this process's own.  The
 output is the same either way, apart from the ``evaluated in`` time, which
 covers deciding and rendering, not writing the JSON.
@@ -29,9 +29,10 @@ from functools import partial
 from itertools import chain
 
 from sigmairr import jsonout
-from sigmairr.errors import ArgumentParser, InputError, exit_process, fork_orders, output_file, sized
+from sigmairr.errors import ArgumentParser, InputError, exit_process
 from sigmairr.records import tally_counterexamples  # which loads sigmairr.bounds here, not after the fork
 from sigmairr.search import DEFAULT_TREE_CAP
+from sigmairr.streams import fork_orders, output_file, sized
 
 
 def main() -> int:

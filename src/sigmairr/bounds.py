@@ -62,6 +62,7 @@ from .sequences import Convention, DegreeSequenceView
 
 _BITS_FIRST = 64
 _BITS_ESCALATED = 128
+_BRACKET_BITS = 1 << 15  # about where Newton's divisions cost what the decimal bracket costs, 0.3 ms
 
 
 # A printed exact value; a rational side (numerator, denominator > 0); a root's
@@ -111,12 +112,13 @@ def _scaled_root(value: int, degree: int, bits: int) -> tuple[int, int]:
 def _scaled_product_root(groups: Sequence[tuple[int, int]], degree: int, bits: int) -> tuple[int, int]:
     """``_scaled_root`` of the product of d^c over ``groups``.  Where every
     d >= 1, root * 2^bits = exp(t), t = bits ln 2 + sum(c ln d) / degree, is
-    bracketed in decimal at P digits first: every term of t is at least 0
-    and passes at most len(groups) + 4 correctly rounded steps, as exp does,
+    bracketed in decimal at P digits first once root^degree * 2^(bits *
+    degree) passes ``_BRACKET_BITS`` bits: every term of t is at least 0 and
+    passes at most len(groups) + 4 correctly rounded steps, as exp does,
     each within a relative 10^(1-P) / 2, so the root lies in exp(t) +-
     (len(groups) + 4)(t + 1) 10^(3-P) exp(t), over forty times the rounding
     error.  Only where that holds an integer is the root taken exactly."""
-    if all(d >= 1 for d, _ in groups):
+    if sum(c * d.bit_length() for d, c in groups) + bits * degree > _BRACKET_BITS and all(d >= 1 for d, _ in groups):
         digits = int((bits * math.log(2) + sum(c * math.log(d) for d, c in groups) / degree) / math.log(10)) + 30
         context = decimal.Context(prec=digits)
         total = decimal.Decimal(0)

@@ -35,7 +35,7 @@ from functools import cache
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, TextIO
 
-from . import errors, graphs, indices, jsonout, search
+from . import errors, graphs, indices, jsonout, search, streams
 from .errors import InputError
 from .sequences import (
     Convention,
@@ -57,7 +57,7 @@ if TYPE_CHECKING:
 
 def _output(out) -> contextlib.AbstractContextManager[TextIO]:
     """Stdout for None, the file ``out``, or the file at the path ``out``."""
-    return errors.output_file(out) if isinstance(out, str) else contextlib.nullcontext(out or sys.stdout)
+    return streams.output_file(out) if isinstance(out, str) else contextlib.nullcontext(out or sys.stdout)
 
 
 def _emit(text: str, fh: TextIO) -> None:
@@ -90,29 +90,29 @@ def _human_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render(fmt: str, header, rows, payload, out, text: Optional[Iterable[str]] = None) -> None:
+def _render(fmt: str, header, rows, payload, out) -> None:
     """Emit ``payload`` as JSON, or ``rows`` as a CSV or human table, into
     ``out`` as ``_output`` opens it.
 
     ``rows`` holds JSON values taken from ``payload`` (``plots emit``, CSV
     only, passes none); it is iterated only for csv and human, and each
-    value is written by ``_cell``; or ``text`` gives the rows' CSV text."""
-    with _output(out) as fh:
-        if fmt == "json":  # written record by record, never held whole
+    value is written by ``_cell``."""
+    if fmt == "json":
+        with _output(out) as fh:  # written record by record, never held whole
             jsonout.dump(payload, fh)
             _emit("\n", fh)
-            return
-        if fmt == "human":  # the table needs every row's widths first
-            rows = rows if text is None else csv.reader(io.StringIO("".join(text)))
-            _emit(_human_table(header, [[_cell(v) for v in row] for row in rows]), fh)
-            return
+        return
+    cells = ([_cell(v) for v in row] for row in rows)
+    if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_cell(v) for v in row] for row in rows)  # none where ``text`` is given
-        _emit(buf.getvalue(), fh)
-        for chunk in jsonout.chunks(text or ()):
-            _emit(chunk, fh)
+        writer.writerows(cells)
+        text = buf.getvalue()
+    else:
+        text = _human_table(header, list(cells))
+    with _output(out) as fh:
+        _emit(text, fh)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +343,7 @@ def _cmd_bounds_falsify(args) -> int:
             raise InputError("--seed needs random mode (--n with --samples)")
         mode = search.ExhaustiveMode(args.nmax)
         mode_desc = {"mode": "exhaustive", "nmax": args.nmax}
-    fmt = "json" if args.format == "json" else "csv"  # the human table is laid out from the CSV rows
+    fmt = "json" if args.format == "json" else "csv"  # the human table is laid out from the CSV text
 
     def texts(mode) -> Iterator[str]:  # its records' pieces; the arguments are checked at the call
         found = records.counterexample_texts(args.bound, mode, params, fmt, allow_over_cap=args.allow_over_cap)
@@ -353,19 +353,22 @@ def _cmd_bounds_falsify(args) -> int:
         return list(texts(search.ExhaustiveMode(orders[-1], orders[0])))
 
     def write(pieces: Iterable[str], fh: TextIO) -> None:
+        if args.format == "csv":  # the header as every table writes it, then the records' text
+            _render("csv", records.COUNTEREXAMPLE_HEADER, (), None, fh)
+            for chunk in jsonout.chunks(pieces):
+                _emit(chunk, fh)
+            return
         payload = {"bound": args.bound, **mode_desc, "params": params.to_json_dict(),
                    "counterexamples": jsonout.Items(pieces)}  # read only by json
-        _render(args.format, records.COUNTEREXAMPLE_HEADER, (), payload, fh, None if fmt == "json" else pieces)
+        rows = csv.reader(io.StringIO("".join(pieces))) if args.format == "human" else ()
+        _render(args.format, records.COUNTEREXAMPLE_HEADER, rows, payload, fh)
 
     found = texts(mode)
     with _output(args.out) as fh:
         # A forked worker decides orders 2..nmax-1 while this process decides nmax; its text goes first.
-        if isinstance(mode, search.RandomMode) or not errors.fork_orders(
-            range(2, mode.n_max + 1),
-            lambda orders: errors.sized(part(orders)),
-            part,
-            lambda sent, own: write(chain(sent.text(), own), fh),
-        ):
+        if isinstance(mode, search.RandomMode) or not streams.fork_orders(
+                range(2, mode.n_max + 1), lambda orders: streams.sized(part(orders)), part,
+                lambda sent, own: write(chain(sent.text(), own), fh)):
             write(found, fh)
     return 0
 

@@ -3,17 +3,14 @@
 The CLI and the scripts parse with ``ArgumentParser`` and run through
 ``exit_code``: these errors, and an ``OSError`` (a file that cannot be
 opened, a closed pipe, a full device, a closed stdout, a failed
-``fork_orders`` worker), print one ``error:`` line, never a traceback."""
+``streams.fork_orders`` worker), print one ``error:`` line, never a traceback."""
 
 import argparse
-import contextlib
 import errno
 import io
 import os
 import sys
-from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, Optional, TextIO, TypeVar
-
-T = TypeVar("T")
+from typing import Callable, NoReturn
 
 
 class DomainError(ValueError):
@@ -85,166 +82,3 @@ def exit_process(main: Callable[[], int]) -> NoReturn:
         with open(os.devnull, "w") as null:
             os.dup2(null.fileno(), sys.stdout.fileno())
     sys.exit(code)
-
-
-@contextlib.contextmanager
-def output_file(path: str, newline: Optional[str] = None) -> Iterator[TextIO]:
-    """The file at ``path`` for UTF-8 text, written whole or not at all: as a
-    new file beside it, opened at once, renamed over ``path`` once the block
-    succeeds and removed if it fails.  A symbolic link, or a path that is no
-    regular file (``/dev/stdout``, a device), is written directly."""
-    if os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8", newline=newline) as fh:
-            yield fh
-        return
-    partial = f"{path}.{os.getpid()}.partial"
-    try:
-        fh = open(partial, "x", encoding="utf-8", newline=newline)
-    except OSError as exc:  # named by the path asked for
-        raise type(exc)(exc.errno, exc.strerror, path) from None
-    try:
-        with fh:
-            yield fh
-        os.replace(partial, path)
-    except BaseException:
-        os.unlink(partial)
-        raise
-
-
-def fork_orders(
-    orders: range,
-    send: Callable[[range], Iterable[bytes]],
-    run: Callable[[range], T],
-    receive: Callable[["Received", T], object],
-) -> bool:
-    """``receive(sent, run(orders[-1:]))``, where ``sent`` reads the bytes
-    of ``send(orders[:-1])`` as a forked worker writes them into a pipe,
-    while this process computes ``run``: True once that has returned, when
-    ``orders`` holds at least two orders, ``os.fork`` exists and this
-    process may run on at least two CPUs; otherwise False, with nothing
-    run.  The worker is reaped on every path out, killed first unless it
-    has ended its output; a worker that fails, or whose output ends before
-    ``receive`` has read what it asks for, raises ``ChildProcessError``
-    naming its orders."""
-    if len(orders) < 2 or not hasattr(os, "fork") or _cpus() < 2:
-        return False
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        _worker(read_end, write_end, send, orders[:-1])
-    os.close(write_end)
-    ended = False
-    try:
-        with open(read_end, "rb") as pipe:
-            sent = Received(pipe)
-            try:
-                receive(sent, run(orders[-1:]))
-                sent.read()  # the end of the output, which holds nothing more but a failure
-            except _Ended as end:
-                failure = str(end)
-            else:
-                failure = None
-        ended = True
-    finally:
-        if not ended:  # 9 is SIGKILL: importing the signal module that names it adds 0.1 MB of peak RSS
-            os.kill(pid, 9)
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code == 0 and failure is None:
-        return True
-    why = f"ended by signal {-code}" if code < 0 else f"failed: {failure}"
-    raise ChildProcessError(f"the worker for n = {orders[0]}..{orders[-2]} {why}")
-
-
-# The header of a frame the worker writes: its length, or this header, after
-# which its failure runs to the end of the pipe.
-_FAILED = b"\xff" * 8
-
-
-class _Ended(Exception):
-    """The worker's output ended before it was read; the message says why."""
-
-
-class Received:
-    """The output of a ``fork_orders`` worker, read out of its frames as the
-    worker writes them."""
-
-    def __init__(self, pipe: BinaryIO) -> None:
-        self._pipe = pipe
-        self._left = 0  # of the current frame
-
-    def read(self, size: int = -1) -> bytes:
-        """The next ``size`` bytes, or every byte left if ``size`` is
-        negative."""
-        pieces = []
-        while size:
-            if not self._left:
-                header = self._pipe.read(8)
-                if header == _FAILED:
-                    raise _Ended(self._pipe.read().decode("utf-8", "replace"))
-                if not header and size < 0:
-                    break
-                if len(header) < 8:
-                    raise _Ended("its output ended early")
-                self._left = int.from_bytes(header, "little")
-            want = self._left if size < 0 else min(size, self._left)
-            piece = self._pipe.read(want)
-            if len(piece) < want:
-                raise _Ended("its output ended early")
-            self._left -= want
-            size -= want if size > 0 else 0
-            pieces.append(piece)
-        return b"".join(pieces)
-
-    def text(self) -> Iterator[str]:
-        """The next ASCII text that ``sized`` sent, 64 KiB at a time."""
-        size = int.from_bytes(self.read(8), "little")
-        for start in range(0, size, 1 << 16):
-            yield self.read(min(size - start, 1 << 16)).decode("ascii")
-
-
-def sized(pieces: list[str]) -> Iterator[bytes]:
-    """The ASCII text of ``pieces`` as a worker sends it for ``Received.text``."""
-    yield sum(map(len, pieces)).to_bytes(8, "little")
-    for start in range(0, len(pieces), 1024):
-        yield "".join(pieces[start:start + 1024]).encode("ascii")
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _worker(read_end: int, write_end: int, send: Callable[[range], Iterable[bytes]], orders: range) -> NoReturn:
-    """The forked worker: writes each chunk of ``send(orders)`` to
-    ``write_end`` as one frame, its length first, and exits 0, or ends with
-    a ``_FAILED`` frame of the UTF-8 ``repr`` of what it raised and exits 1.
-    It never returns, and it leaves stdout, stderr and the buffers it
-    inherited untouched: ``os._exit`` flushes nothing and runs no exit
-    handler."""
-    code = 1
-    try:
-        os.close(read_end)
-        try:
-            for chunk in send(orders):
-                if chunk:
-                    _write(write_end, len(chunk).to_bytes(8, "little"))
-                    _write(write_end, chunk)
-            code = 0
-        except BaseException as exc:  # reported through the pipe, as the worker then exits
-            _write(write_end, _FAILED + repr(exc).encode("utf-8", "replace"))
-    finally:
-        os._exit(code)
-
-
-def _write(fd: int, data: bytes) -> None:
-    """Write all of ``data`` to ``fd``, which takes part of it at a time."""
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]

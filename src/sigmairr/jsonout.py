@@ -10,15 +10,10 @@ these included, raises ``TypeError``, as does a key that is not a ``str``;
 a container that holds itself raises ``ValueError``.
 
 The stock ``json.dump`` yields one chunk per token.  This encoder renders
-each list with one ``join``, and a list of ``[int, int]`` pairs (an edge
-list) as one ``%d`` format of its flattened items, into a template built
-once per pass for its length and level.  A dict is one ``%`` format of its
-converted values into its shape's template: the shape is its keys in
-insertion order and its level, and its template, built once per pass,
-holds the sorted keys and indents, with each value a ``%s``.  Only the
-containers above ``STREAM_DEPTH`` stream their items, so each record is one
-chunk, its text is never kept, and ``json.dump`` never holds the whole
-document as one string.
+each list with one ``join`` (an edge list with one ``%d`` format) and each
+dict with one ``%`` format into the template of its keys and level, built
+once per pass.  Only the containers above ``STREAM_DEPTH`` stream their
+items, so each record is one chunk, and the document is never one string.
 
 A list of records may also be written from text: a value of the
 top-level dict may be ``Items(pieces)``, the records' text from

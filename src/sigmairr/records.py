@@ -16,14 +16,9 @@ from .search import ExhaustiveMode, RandomMode, refuting_trees
 COUNTEREXAMPLE_HEADER = ["bound_id", "n", "edges", "lhs", "rhs", "relation", "margin"]
 
 
-def counterexample_texts(
-    bound_id: str,
-    mode: ExhaustiveMode | RandomMode,
-    params: Optional[BoundParams] = None,
-    fmt: Optional[str] = "json",
-    *,
-    allow_over_cap: bool = False,
-) -> Iterator[tuple[str, int, dict, tuple[str, ...]]]:
+def counterexample_texts(bound_id: str, mode: ExhaustiveMode | RandomMode, params: Optional[BoundParams] = None,
+                         fmt: Optional[str] = "json", *, allow_over_cap: bool = False
+                         ) -> Iterator[tuple[str, int, dict, tuple[str, ...]]]:
     """Each record of ``search.falsify`` as it is found: (entry, order, report,
     text), the text in three pieces made once each, the entry's, the tree's
     and the report's: a ``jsonout.Items`` item ("json"), a row of

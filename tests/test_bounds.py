@@ -3,6 +3,7 @@ import math
 import sys
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -115,18 +116,21 @@ def exact_product_root(groups, degree, bits):
 class TestScaledProductRoot:
     """The root of a degree product, bracketed from decimal logarithms, is
     the exact root's floor and step, and the exact root is taken only where
-    the bracket holds an integer."""
+    the bracket holds an integer.  The first two tests bracket every
+    product, however small."""
 
     @given(st.dictionaries(st.integers(1, 1000), st.integers(1, 300), min_size=1, max_size=5),
            st.integers(1, 1500), st.sampled_from([64, 128]))
     @settings(max_examples=100, deadline=None)
     def test_random_degree_products(self, counts, degree, bits):
         groups = list(counts.items())
-        assert bounds._scaled_product_root(groups, degree, bits) == exact_product_root(groups, degree, bits)
+        with mock.patch.object(bounds, "_BRACKET_BITS", 0):
+            assert bounds._scaled_product_root(groups, degree, bits) == exact_product_root(groups, degree, bits)
 
     @pytest.mark.parametrize("degree", [2, 3, 7, 40, 512, 1499])
     @pytest.mark.parametrize("root", [1, 2, 3, 10, 997])
-    def test_perfect_powers_and_the_values_next_to_them(self, root, degree):
+    def test_perfect_powers_and_the_values_next_to_them(self, root, degree, monkeypatch):
+        monkeypatch.setattr(bounds, "_BRACKET_BITS", 0)
         for bits in (64, 128):
             assert bounds._scaled_product_root([(root, degree)], degree, bits) == (root << bits, root << bits)
             for groups in ([(root**degree - 1, 1)], [(root**degree + 1, 1)], [(root, degree - 1), (root + 1, 1)],
@@ -142,6 +146,18 @@ class TestScaledProductRoot:
 
         monkeypatch.setattr(bounds, "_integer_nth_root", refuse)
         assert [bounds._scaled_product_root(groups, degree, bits) for bits in (64, 128)] == expected
+
+    def test_a_small_product_takes_the_exact_root_alone(self, monkeypatch):
+        # at k = 40, as in a random tree of order 40, Newton's steps cost a
+        # tenth of the bracket's logarithms
+        groups = [(1, 19), (2, 12), (3, 5), (4, 2), (5, 1), (7, 1)]
+        expected = [exact_product_root(groups, 40, bits) for bits in (64, 128)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the root was bracketed")
+
+        monkeypatch.setattr(bounds.decimal, "Context", refuse)
+        assert [bounds._scaled_product_root(groups, 40, bits) for bits in (64, 128)] == expected
 
 
 class TestParams:

@@ -16,9 +16,10 @@ import pytest
 
 import sigmairr
 from oracles import extremal_by_graphs, free_tree_counts_otter
-from sigmairr import bounds, errors, jsonout, records
+from sigmairr import bounds, jsonout, records, streams
 from sigmairr.cli import main
-from sigmairr.errors import InputError, exit_code, fork_orders
+from sigmairr.errors import InputError, exit_code
+from sigmairr.streams import fork_orders
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -277,7 +278,7 @@ def test_campaign_reports_a_worker_killed_while_sending(monkeypatch, capsys, tmp
     # removes it.
     campaign = _load_script("falsification_campaign")
     target = tmp_path / "campaign.json"
-    parent, write, writes = os.getpid(), errors._write, []
+    parent, write, writes = os.getpid(), streams._write, []
 
     def dying_write(fd, data):
         if os.getpid() != parent:
@@ -286,7 +287,7 @@ def test_campaign_reports_a_worker_killed_while_sending(monkeypatch, capsys, tmp
                 _kill_self()
         write(fd, data)
 
-    monkeypatch.setattr(errors, "_write", dying_write)
+    monkeypatch.setattr(streams, "_write", dying_write)
     _fork_script(campaign, "tally_counterexamples", ["--nmax", "9", "--json", str(target)], monkeypatch,
                  campaign.tally_counterexamples, campaign.tally_counterexamples)
     assert exit_code(campaign.main) == 1
@@ -349,12 +350,52 @@ def test_out_through_a_symbolic_link_is_written_into_its_target(tmp_path):
     assert json.loads((tmp_path / "target.json").read_text())["n"] == 4
 
 
+def test_out_keeps_the_mode_of_the_file_it_replaces(tmp_path):
+    target = tmp_path / "out.json"
+    target.write_text("before\n")
+    target.chmod(0o640)
+    assert main(["indices", "--family", "path:4", "--format", "json", "--out", str(target)]) == 0
+    assert target.stat().st_mode & 0o777 == 0o640 and json.loads(target.read_text())["n"] == 4
+
+
+@pytest.mark.parametrize("case", ["hard link", "name too long", "directory takes no new file"])
+def test_out_is_written_directly_where_no_file_can_replace_it(monkeypatch, tmp_path, case):
+    # A file with a second link is written in place, so both links read the
+    # new text; a name with no room for the suffix, or a directory this
+    # process may not write into (simulated: root writes into any), takes
+    # no file beside it.
+    target = tmp_path / ("a" * 245 + ".json" if case == "name too long" else "out.json")
+    target.write_text("before\n")
+    if case == "hard link":
+        os.link(target, tmp_path / "other.json")
+    if case == "directory takes no new file":
+        def refuse_new(path, mode="r", **kwargs):
+            if "x" in mode:
+                raise PermissionError(13, "Permission denied", path)
+            return open(path, mode, **kwargs)
+
+        monkeypatch.setattr(streams, "open", refuse_new, raising=False)
+    inode = target.stat().st_ino
+    assert main(["indices", "--family", "path:4", "--format", "json", "--out", str(target)]) == 0
+    assert target.stat().st_ino == inode and json.loads(target.read_text())["n"] == 4
+    assert {p.read_text() for p in tmp_path.iterdir()} == {target.read_text()}
+
+
+def test_an_empty_out_path_fails_before_any_tree(monkeypatch, capsys):
+    import sigmairr.search as search_module
+
+    walked = []
+    monkeypatch.setattr(search_module, "free_tree_level_sequences", lambda n: walked.append(n) or iter(()))
+    assert main(["bounds", "falsify", "--bound", "all", "--nmax", "12", "--out", ""]) == 1
+    assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: ''\n") and walked == []
+
+
 @needs_fork
 def test_cli_falsify_reports_a_worker_killed_after_its_first_chunk(monkeypatch, capsys, tmp_path):
     # The worker sends the length of its text and its first chunk, then dies
     # before the second of its two; this process has written the first into
     # the --out file by then, and removes it.
-    parent, write, writes = os.getpid(), errors._write, []
+    parent, write, writes = os.getpid(), streams._write, []
 
     def dying_write(fd, data):
         if os.getpid() != parent:
@@ -363,7 +404,7 @@ def test_cli_falsify_reports_a_worker_killed_after_its_first_chunk(monkeypatch, 
                 _kill_self()
         write(fd, data)
 
-    monkeypatch.setattr(errors, "_write", dying_write)
+    monkeypatch.setattr(streams, "_write", dying_write)
     assert _cli_falsify_forked(monkeypatch, tmp_path, records.counterexample_texts) == 1
     assert capsys.readouterr() == ("", "error: the worker for n = 2..9 ended by signal 9\n")
     assert list(tmp_path.iterdir()) == []

@@ -543,6 +543,36 @@ class TestFalsify:
         assert ["".join(pieces) for *_, pieces in texts] == [
             ",\n    " + json.dumps(c.record, sort_keys=True, indent=2).replace("\n", "\n    ") for c in found]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_each_tree_and_report_text_is_made_once(self, fmt, monkeypatch):
+        # A record is three pieces, its entry's, its tree's and its report's,
+        # each made once: every record of a tree holds that tree's piece
+        # itself, and every record with the same report dict (an equal
+        # report is that dict) holds that report's piece itself.
+        made, renderers = [0, 0, 0], records._record_renderers
+
+        def counted(render, kind):
+            return lambda *args: made.__setitem__(kind, made[kind] + 1) or render(*args)
+
+        monkeypatch.setattr(records, "_record_renderers",
+                            lambda fmt: tuple(map(counted, renderers(fmt), range(3))))
+        import sigmairr.search as search_module
+
+        trees = [refuted for _, _, refuted in search_module.refuting_trees("all", ExhaustiveMode(8))]
+        found = list(records.counterexample_texts("all", ExhaustiveMode(8), fmt=fmt))
+        assert [bid for refuted in trees for bid, _ in refuted] == [bid for bid, *_ in found]
+        start = 0
+        for refuted in trees:
+            tree_pieces = {id(pieces[1]) for *_, pieces in found[start:start + len(refuted)]}
+            assert len(tree_pieces) == 1
+            start += len(refuted)
+        by_report = {}
+        for bid, _, report, pieces in found:
+            assert by_report.setdefault(id(report), pieces[2]) is pieces[2]
+        distinct = [len({id(pieces[k]) for *_, pieces in found}) for k in range(3)]
+        assert distinct == made == [len({bid for bid, *_ in found}), len(trees), len(by_report)]
+        assert len(trees) < len(by_report) < len(found)
+
     def test_split_ranges_give_the_full_range_records(self):
         # No decision is shared across orders: the records of 2..k followed
         # by those of k+1..n_max are the full range's, record by record.
