@@ -12,28 +12,30 @@ output is written; an output that cannot be written (a full device, a
 reader that left early) when it fails.  The --out file is written whole or
 not at all (``sigmairr.streams.output_file``).
 
-The orders' walks are independent.  When the run covers at least two
-orders, ``os.fork`` exists and the process may run on at least two CPUs,
-one forked worker walks every order but the largest while this process
-walks the largest (``sigmairr.streams.fork_orders``); otherwise every order
-is walked in this process.  The output is the same either way, apart from
-the ``seconds`` column, which times each order's own walk.  The largest
-order holds most of the trees (7,741 of 13,185 at n = 4..15), so its walk
-bounds the survey's time on any number of CPUs.
+The orders' walks are independent, and their rows take one path
+(``sigmairr.streams.split_orders``): every order but the largest, then the
+largest.  When the run covers at least two orders, ``os.fork`` exists and
+the process may run on at least two CPUs, one forked worker walks the
+first part while this process walks the largest order; otherwise both
+parts are walked here, each row written as its walk ends.  The output is
+the same either way, apart from the ``seconds`` column, which times each
+order's own walk.  The largest order holds most of the trees (7,741 of
+13,185 at n = 4..15), so its walk bounds the survey's time on any number
+of CPUs.
 
 Usage:
     python scripts/extremal_survey.py [--min-n 4] [--max-n 14] [--out PATH]
 """
 
 import contextlib
-import csv
-import io
 import sys
 import time
+from itertools import chain
+from typing import Iterator
 
 from sigmairr.errors import ArgumentParser, InputError, exit_process
 from sigmairr.search import DEFAULT_TREE_CAP, TreeClass, extremal_goals
-from sigmairr.streams import fork_orders, output_file
+from sigmairr.streams import output_file, split_orders
 
 GOALS = (("sigma", "max"), ("sigma", "min"), ("albertson", "max"), ("albertson", "min"))
 
@@ -51,45 +53,23 @@ def main() -> int:
     if args.min_n > args.max_n:
         raise InputError(f"--min-n {args.min_n} exceeds --max-n {args.max_n}")
 
-    orders = range(args.min_n, args.max_n + 1)
     sink = output_file(args.out, newline="") if args.out else contextlib.nullcontext(sys.stdout)
     with sink as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["n", "trees", "sigma_max", "sigma_max_degrees", "sigma_min", "sigma_min_degrees",
-             "albertson_max", "albertson_min", "seconds"]
-        )
-        if not fork_orders(orders, lambda part: [_rows_text(part).encode("utf-8")], _rows_text,
-                           lambda sent, own: fh.write(sent.read().decode("utf-8") + own)):
-            _write_rows(writer, orders)
+        fh.write("n,trees,sigma_max,sigma_max_degrees,sigma_min,sigma_min_degrees,albertson_max,albertson_min,"
+                 "seconds\n")
+        split_orders(range(args.min_n, args.max_n + 1), lambda part: [_rows(part)],
+                     lambda first, last: fh.writelines(chain.from_iterable(chain(first, last))))
     return 0
 
 
-def _write_rows(writer, orders) -> None:
-    """Write the row of each order in ``orders``; ``seconds`` times that order's walk."""
+def _rows(orders: range) -> Iterator[str]:
+    """The CSV row of each order in ``orders``; ``seconds`` times that order's walk."""
     for n in orders:
         start = time.perf_counter()
         smax, smin, amax, amin = extremal_goals(TreeClass.all_trees(n), GOALS)
-        writer.writerow(
-            [
-                n,
-                smax.trees_examined,
-                smax.optimum,
-                " ".join(map(str, sorted(smax.witness.degrees))),
-                smin.optimum,
-                " ".join(map(str, sorted(smin.witness.degrees))),
-                amax.optimum,
-                amin.optimum,
-                f"{time.perf_counter() - start:.2f}",
-            ]
-        )
-
-
-def _rows_text(orders) -> str:
-    """The rows of ``orders`` as CSV text."""
-    rows = io.StringIO()
-    _write_rows(csv.writer(rows, lineterminator="\n"), orders)
-    return rows.getvalue()
+        yield (f"{n},{smax.trees_examined},{smax.optimum},{' '.join(map(str, sorted(smax.witness.degrees)))},"
+               f"{smin.optimum},{' '.join(map(str, sorted(smin.witness.degrees)))},{amax.optimum},{amin.optimum},"
+               f"{time.perf_counter() - start:.2f}\n")
 
 
 if __name__ == "__main__":

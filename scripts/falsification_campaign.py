@@ -12,27 +12,28 @@ a --json path that cannot be opened, before any output is written; an
 output that cannot be written when it fails.
 
 The records are tallied per entry (``sigmairr.records.tally_counterexamples``),
-rendered only with --json.  As in the survey, one forked worker decides
-every order but the largest (``sigmairr.streams.fork_orders``) and sends
-each entry's tally and text, which goes ahead of this process's own.  The
-output is the same either way, apart from the ``evaluated in`` time, which
-covers deciding and rendering, not writing the JSON.
+rendered only with --json.  As in the survey, the orders take one path
+(``sigmairr.streams.split_orders``): every order but the largest, decided
+in one forked worker where one may run, and the largest.  Each part gives
+the JSON of its entries' tallies, then each entry's text in the document's
+key order, and the first part's goes ahead of the last's.  The output is
+the same either way, apart from the ``evaluated in`` time, which covers
+deciding and rendering, not writing the JSON.
 
 Usage:
     python scripts/falsification_campaign.py [--nmax 9] [--json PATH]
 """
 
 import contextlib
-import marshal
+import json
 import time
-from functools import partial
-from itertools import chain
+from itertools import chain, islice
 
 from sigmairr import jsonout
 from sigmairr.errors import ArgumentParser, InputError, exit_process
 from sigmairr.records import tally_counterexamples  # which loads sigmairr.bounds here, not after the fork
 from sigmairr.search import DEFAULT_TREE_CAP
-from sigmairr.streams import fork_orders, output_file, sized
+from sigmairr.streams import output_file, split_orders
 
 
 def main() -> int:
@@ -56,14 +57,24 @@ def _campaign(nmax: int, sink) -> None:
     holds them."""
     print(f"exhaustive falsification over all trees with 2 <= n <= {nmax}")
     start = time.perf_counter()
-    orders = range(2, nmax + 1)
 
-    def finish(*parts: dict) -> None:  # the worker's orders come first
+    def texts(orders: range) -> list:
+        """The JSON of each entry's tally (count, smallest order, its first
+        report, largest order), then each entry's records' text, in the
+        document's key order."""
+        entries = tally_counterexamples(orders, render=sink is not None)
+        return [[json.dumps({bound_id: entry[:4] for bound_id, entry in entries.items()})],
+                *(entries[bound_id][4] for bound_id in sorted(entries))]
+
+    def finish(*parts) -> None:  # every order but the largest, then the largest
+        parts = [iter(part) for part in parts]
+        tallies = [(json.loads("".join(text)), part) for part in parts for text in islice(part, 1)]
         elapsed = time.perf_counter() - start
         lists = {}
-        for bound_id in parts[-1]:
-            found = [part[bound_id] for part in parts if part[bound_id][0]]
-            lists[bound_id] = jsonout.Items(chain.from_iterable([part[bound_id][4] for part in parts]))
+        for bound_id in tallies[-1][0]:
+            found = [tally[bound_id] for tally, _ in tallies if tally[bound_id][0]]
+            # each part's next text, taken as the document reaches this entry; none from a worker that died
+            lists[bound_id] = jsonout.Items(chain.from_iterable(next(part, ()) for _, part in tallies))
             if not found:
                 print(f"  {bound_id:5s}: no counterexamples")
                 continue
@@ -75,26 +86,7 @@ def _campaign(nmax: int, sink) -> None:
         if sink is not None:
             jsonout.dump(lists, sink)
 
-    entries = partial(tally_counterexamples, render=sink is not None)
-    if not fork_orders(orders, lambda part: _sent(entries(part)), entries,
-                       lambda sent, own: finish(_worker_entries(sent), own)):
-        finish(entries(orders))
-
-
-def _sent(entries: dict):
-    """What the worker sends of ``entries``: the ``marshal`` blob of their
-    tallies, then each one's text, in the document's key order."""
-    head = marshal.dumps({bound_id: entry[:4] for bound_id, entry in entries.items()})
-    yield len(head).to_bytes(8, "little") + head
-    for bound_id in sorted(entries):
-        yield from sized(entries.pop(bound_id)[4])
-
-
-def _worker_entries(sent) -> dict:
-    """``entries`` as ``_sent`` sent them, each entry's text read from the
-    pipe as it is taken, in key order."""
-    head = marshal.loads(sent.read(int.from_bytes(sent.read(8), "little")))
-    return {bound_id: (*tally, sent.text()) for bound_id, tally in head.items()}
+    split_orders(range(2, nmax + 1), texts, finish)
 
 
 if __name__ == "__main__":

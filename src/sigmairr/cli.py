@@ -349,27 +349,27 @@ def _cmd_bounds_falsify(args) -> int:
         found = records.counterexample_texts(args.bound, mode, params, fmt, allow_over_cap=args.allow_over_cap)
         return (piece for _, _, _, pieces in found for piece in pieces)
 
-    def part(orders: range) -> list[str]:
-        return list(texts(search.ExhaustiveMode(orders[-1], orders[0])))
-
     def write(pieces: Iterable[str], fh: TextIO) -> None:
-        if args.format == "csv":  # the header as every table writes it, then the records' text
-            _render("csv", records.COUNTEREXAMPLE_HEADER, (), None, fh)
-            for chunk in jsonout.chunks(pieces):
+        header = records.COUNTEREXAMPLE_HEADER
+        if args.format == "json":
+            payload = {"bound": args.bound, **mode_desc, "params": params.to_json_dict(),
+                       "counterexamples": jsonout.Items(pieces)}
+            _render("json", header, (), payload, fh)
+        elif args.format == "csv":  # the header as every table writes it, then the records' text
+            _render("csv", header, (), None, fh)
+            for chunk in streams.chunks(pieces):
                 _emit(chunk, fh)
-            return
-        payload = {"bound": args.bound, **mode_desc, "params": params.to_json_dict(),
-                   "counterexamples": jsonout.Items(pieces)}  # read only by json
-        rows = csv.reader(io.StringIO("".join(pieces))) if args.format == "human" else ()
-        _render(args.format, records.COUNTEREXAMPLE_HEADER, rows, payload, fh)
+        else:
+            _render("human", header, csv.reader(io.StringIO("".join(pieces))), None, fh)
 
-    found = texts(mode)
+    found = texts(mode)  # which checks the arguments before --out is opened
     with _output(args.out) as fh:
-        # A forked worker decides orders 2..nmax-1 while this process decides nmax; its text goes first.
-        if isinstance(mode, search.RandomMode) or not streams.fork_orders(
-                range(2, mode.n_max + 1), lambda orders: streams.sized(part(orders)), part,
-                lambda sent, own: write(chain(sent.text(), own), fh)):
+        if isinstance(mode, search.RandomMode):
             write(found, fh)
+        else:  # a forked worker may decide orders 2..nmax-1 while this process decides nmax; its text goes first
+            streams.split_orders(range(2, mode.n_max + 1),
+                                 lambda orders: [texts(search.ExhaustiveMode(orders[-1], orders[0]))],
+                                 lambda first, last: write(chain.from_iterable(chain(first, last)), fh))
     return 0
 
 

@@ -3,7 +3,7 @@
 The CLI and the scripts parse with ``ArgumentParser`` and run through
 ``exit_code``: these errors, and an ``OSError`` (a file that cannot be
 opened, a closed pipe, a full device, a closed stdout, a failed
-``streams.fork_orders`` worker), print one ``error:`` line, never a traceback."""
+``streams.split_orders`` worker), print one ``error:`` line, never a traceback."""
 
 import argparse
 import errno

@@ -28,6 +28,8 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, NamedTuple, Optional
 
+from .streams import chunks
+
 # Containers at a depth below this stream their items; deeper ones are one chunk.
 STREAM_DEPTH = 2
 
@@ -58,19 +60,6 @@ class Items(NamedTuple):
 class _Encoder(json.JSONEncoder):
     def iterencode(self, o, _one_shot=False):
         return _Renderer().stream(o, 0)
-
-
-def chunks(pieces):
-    """``pieces`` joined in order into strings of about 64 KiB, for fewer writes."""
-    batch, size = [], 0
-    for piece in pieces:
-        batch.append(piece)
-        size += len(piece)
-        if size >= 1 << 16:
-            yield "".join(batch)
-            batch, size = [], 0
-    if size:
-        yield "".join(batch)
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

@@ -1,6 +1,7 @@
 """The text of falsification records, each made as it is found, for the
-CLI's ``bounds falsify`` and the campaign; the extremal search never loads
-this module, nor ``bounds``."""
+CLI's ``bounds falsify`` and the campaign, which split their orders
+through ``streams.split_orders``; the extremal search never loads this
+module, nor ``bounds``."""
 
 from __future__ import annotations
 

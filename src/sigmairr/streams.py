@@ -1,5 +1,6 @@
 """The I/O the CLI and the scripts share: output written whole or not at
-all, and the text of orders decided in a forked worker."""
+all, the text of orders split between this process and a forked worker,
+and the batching of text pieces into fewer writes."""
 
 import contextlib
 import os
@@ -40,19 +41,22 @@ def output_file(path: str, newline: Optional[str] = None) -> Iterator[TextIO]:
         raise
 
 
-def fork_orders(orders: range, send: Callable[[range], Iterable[bytes]], run: Callable[[range], object],
-                receive: Callable[["Received", object], object]) -> bool:
-    """``receive(sent, run(orders[-1:]))``, where ``sent`` reads the bytes
-    of ``send(orders[:-1])`` as a forked worker writes them into a pipe,
-    while this process computes ``run``: True once that has returned, when
-    ``orders`` holds at least two orders, ``os.fork`` exists and this
-    process may run on at least two CPUs; otherwise False, with nothing
-    run.  The worker is reaped on every path out, killed first unless it
-    has ended its output; a worker that fails, or whose output ends before
-    ``receive`` has read what it asks for, raises ``ChildProcessError``
-    naming its orders."""
+def split_orders(orders: range, texts: Callable[[range], list], receive: Callable[[Iterable, list], object]) -> None:
+    """``receive(first, last)``, the texts of ``orders[:-1]`` and of
+    ``orders[-1:]``: each part's ``texts(part)``, a list of ASCII texts,
+    each an iterable of str pieces, which ``receive`` takes in turn, each
+    text's pieces before the next text.  ``first`` holds no text if
+    ``orders`` holds one order.  When it holds two or more, ``os.fork``
+    exists and this process may run on at least two CPUs, a forked worker
+    makes the first part while this process makes the last, each making
+    every text whole (a list) before this process reads ``first`` from a
+    pipe, 64 KiB at a time.  Otherwise both parts are made here, and a lazy
+    text stays lazy.  The worker is reaped on every path out, killed first
+    unless it has ended its output; a worker that fails raises
+    ``ChildProcessError`` naming its orders."""
     if len(orders) < 2 or not hasattr(os, "fork") or _cpus() < 2:
-        return False
+        receive(texts(orders[:-1]) if len(orders) > 1 else [], texts(orders[-1:]))
+        return
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -61,15 +65,16 @@ def fork_orders(orders: range, send: Callable[[range], Iterable[bytes]], run: Ca
         os.close(write_end)
         raise
     if pid == 0:
-        _worker(read_end, write_end, send, orders[:-1])
+        _worker(read_end, write_end, texts, orders[:-1])
     os.close(write_end)
     ended = False
     try:
         with open(read_end, "rb") as pipe:
-            sent = Received(pipe)
+            first = _received(pipe)
             try:
-                receive(sent, run(orders[-1:]))
-                sent.read()  # the end of the output, which holds nothing more but a failure
+                receive(first, _whole(texts(orders[-1:])))
+                for _ in first:  # the end of the output, which holds nothing more but a failure
+                    pass
             except _Ended as end:
                 failure = str(end)
             else:
@@ -80,13 +85,26 @@ def fork_orders(orders: range, send: Callable[[range], Iterable[bytes]], run: Ca
             os.kill(pid, 9)
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if code == 0 and failure is None:
-        return True
+        return
     why = f"ended by signal {-code}" if code < 0 else f"failed: {failure}"
     raise ChildProcessError(f"the worker for n = {orders[0]}..{orders[-2]} {why}")
 
 
-# The header of a frame the worker writes: its length, or this header, after
-# which its failure runs to the end of the pipe.
+def chunks(pieces: Iterable[str]) -> Iterator[str]:
+    """``pieces`` joined in order into strings of about 64 KiB, for fewer writes."""
+    batch, size = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= 1 << 16:
+            yield "".join(batch)
+            batch, size = [], 0
+    if size:
+        yield "".join(batch)
+
+
+# What the worker writes where its first text's length would be when making
+# its texts fails, followed by its failure, which runs to the end of the pipe.
 _FAILED = b"\xff" * 8
 
 
@@ -94,48 +112,33 @@ class _Ended(Exception):
     """The worker's output ended before it was read; the message says why."""
 
 
-class Received:
-    """The output of a ``fork_orders`` worker, read out of its frames as the
-    worker writes them."""
-
-    def __init__(self, pipe: BinaryIO) -> None:
-        self._pipe = pipe
-        self._left = 0  # of the current frame
-
-    def read(self, size: int = -1) -> bytes:
-        """The next ``size`` bytes, or every byte left if ``size`` is negative."""
-        pieces = []
-        while size:
-            if not self._left:
-                header = self._pipe.read(8)
-                if header == _FAILED:
-                    raise _Ended(self._pipe.read().decode("utf-8", "replace"))
-                if not header and size < 0:
-                    break
-                if len(header) < 8:
-                    raise _Ended("its output ended early")
-                self._left = int.from_bytes(header, "little")
-            want = self._left if size < 0 else min(size, self._left)
-            piece = self._pipe.read(want)
-            if len(piece) < want:
-                raise _Ended("its output ended early")
-            self._left -= want
-            size -= want if size > 0 else 0
-            pieces.append(piece)
-        return b"".join(pieces)
-
-    def text(self) -> Iterator[str]:
-        """The next ASCII text that ``sized`` sent, 64 KiB at a time."""
-        size = int.from_bytes(self.read(8), "little")
-        for start in range(0, size, 1 << 16):
-            yield self.read(min(size - start, 1 << 16)).decode("ascii")
+def _whole(texts: list) -> list:
+    """``texts`` with each that is no list made one."""
+    return [text if isinstance(text, list) else list(text) for text in texts]
 
 
-def sized(pieces: list[str]) -> Iterator[bytes]:
-    """The ASCII text of ``pieces`` as a worker sends it for ``Received.text``."""
-    yield sum(map(len, pieces)).to_bytes(8, "little")
-    for start in range(0, len(pieces), 1024):
-        yield "".join(pieces[start:start + 1024]).encode("ascii")
+def _received(pipe: BinaryIO) -> Iterator[Iterator[str]]:
+    """The texts the worker writes into ``pipe``, each read 64 KiB at a time
+    as it is taken; taking the next skips what is left of the one before."""
+    while header := pipe.read(8):
+        if header == _FAILED:
+            raise _Ended(pipe.read().decode("utf-8", "replace"))
+        if len(header) < 8:
+            raise _Ended("its output ended early")
+        text = _text(pipe, int.from_bytes(header, "little"))
+        yield text
+        for _ in text:
+            pass
+
+
+def _text(pipe: BinaryIO, size: int) -> Iterator[str]:
+    """The next ``size`` bytes of ``pipe``, as ASCII text 64 KiB at a time."""
+    for start in range(0, size, 1 << 16):
+        want = min(size - start, 1 << 16)
+        piece = pipe.read(want)
+        if len(piece) < want:
+            raise _Ended("its output ended early")
+        yield piece.decode("ascii")
 
 
 def _cpus() -> int:
@@ -143,24 +146,26 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _worker(read_end: int, write_end: int, send: Callable[[range], Iterable[bytes]], orders: range) -> NoReturn:
-    """The forked worker: writes each chunk of ``send(orders)`` to
-    ``write_end`` as one frame, its length first, and exits 0, or ends with
-    a ``_FAILED`` frame of the UTF-8 ``repr`` of what it raised and exits 1.
-    It never returns, and it leaves stdout, stderr and the buffers it
-    inherited untouched: ``os._exit`` flushes nothing and runs no exit
-    handler."""
+def _worker(read_end: int, write_end: int, texts: Callable[[range], list], orders: range) -> NoReturn:
+    """The forked worker: makes every text of ``texts(orders)`` whole, then
+    writes each to ``write_end``, its length and then its ASCII bytes, and
+    exits 0; or, if making them raises, writes ``_FAILED`` and the UTF-8
+    ``repr`` of what it raised and exits 1.  It never returns, and it
+    leaves stdout, stderr and the buffers it inherited untouched:
+    ``os._exit`` flushes nothing and runs no exit handler."""
     code = 1
     try:
         os.close(read_end)
         try:
-            for chunk in send(orders):
-                if chunk:
-                    _write(write_end, len(chunk).to_bytes(8, "little"))
-                    _write(write_end, chunk)
-            code = 0
+            whole = _whole(texts(orders))
         except BaseException as exc:  # reported through the pipe, as the worker then exits
             _write(write_end, _FAILED + repr(exc).encode("utf-8", "replace"))
+        else:
+            for text in whole:
+                _write(write_end, sum(map(len, text)).to_bytes(8, "little"))
+                for chunk in chunks(text):
+                    _write(write_end, chunk.encode("ascii"))
+            code = 0
     finally:
         os._exit(code)
 

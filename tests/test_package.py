@@ -90,7 +90,7 @@ class TestImportFootprint:
     def test_search_loads_neither_bounds_nor_tables(self):
         loaded = _loaded_after("import sigmairr.search")
         assert "sigmairr.search" in loaded
-        assert not loaded & {"sigmairr.bounds", "sigmairr.stats_tables"}
+        assert not loaded & {"sigmairr.bounds", "sigmairr.stats_tables", "sigmairr.jsonout", "json"}
 
     def test_cli_loads_neither_bounds_nor_tables(self):
         # A subcommand imports bounds or stats_tables when it runs.

@@ -19,7 +19,7 @@ from oracles import extremal_by_graphs, free_tree_counts_otter
 from sigmairr import bounds, jsonout, records, streams
 from sigmairr.cli import main
 from sigmairr.errors import InputError, exit_code
-from sigmairr.streams import fork_orders
+from sigmairr.streams import split_orders
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -83,7 +83,7 @@ def _load_script(name: str):
 
 
 def _allow_cpus(monkeypatch, count: int) -> None:
-    """Let ``fork_orders`` see ``count`` CPUs, which decides whether it forks."""
+    """Let ``split_orders`` see ``count`` CPUs, which decides whether it forks."""
     cpus = set(range(count))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
 
@@ -112,41 +112,121 @@ def _count_forks(monkeypatch) -> list:
 
 
 @needs_fork
-def test_fork_orders_splits_off_the_largest_order(monkeypatch):
+def test_split_orders_hands_receive_the_same_texts_forked_and_in_process(monkeypatch):
+    # A lazy text, a whole one, an empty one and one longer than a 64 KiB
+    # read, for each part; the worker's part is read back from the pipe.
     forks = _count_forks(monkeypatch)
-    _allow_cpus(monkeypatch, 2)
+
+    def texts(part):
+        return [(str(n) for n in part), ["a", "bc"], [], iter(["x" * 70000, "y"])]
+
     received = []
-    assert fork_orders(range(3, 7), lambda part: [repr(list(part)).encode()], list,
-                       lambda sent, own: received.append((sent.read(), own)))
-    assert received == [(b"[3, 4, 5]", [6])]
-    assert not fork_orders(range(6, 7), _raise, _raise, _raise)
-    _allow_cpus(monkeypatch, 1)
-    assert not fork_orders(range(3, 7), _raise, _raise, _raise)
+    for cpus in (1, 2):
+        _allow_cpus(monkeypatch, cpus)
+        split_orders(range(3, 7), texts,
+                     lambda first, last: received.append([["".join(text) for text in part] for part in (first, last)]))
+    long = "x" * 70000 + "y"
+    assert received == [[["345", "abc", "", long], ["6", "abc", "", long]]] * 2
     assert len(forks) == 1
     _assert_no_child_left()
 
 
 @needs_fork
-def test_fork_orders_reads_across_the_workers_chunks(monkeypatch):
-    # Each chunk the worker sends is one frame; a read takes exactly the bytes
-    # it asks for, from several frames or part of one, and an empty chunk
-    # sends nothing.
+def test_split_orders_runs_one_order_and_one_cpu_here(monkeypatch):
+    # Neither forks; one order gives an empty first part, and each text
+    # reaches ``receive`` as the very iterator ``texts`` made, unread.
+    forks = _count_forks(monkeypatch)
+    made = {}
+
+    def texts(part):
+        made[part] = text = iter(part)
+        return [text]
+
+    received = []
+
+    def receive(first, last):
+        received.append(([made[range(3, 6)]] if first else []) == first and [made[range(6, 7)]] == last)
+        received.append([list(text) for part in (first, last) for text in part])
+
+    _allow_cpus(monkeypatch, 2)
+    split_orders(range(6, 7), texts, receive)
+    _allow_cpus(monkeypatch, 1)
+    split_orders(range(3, 7), texts, receive)
+    assert received == [True, [[6]], True, [[3, 4, 5], [6]]]
+    assert forks == []
+
+
+@needs_fork
+def test_split_orders_reads_what_receive_leaves(monkeypatch):
+    # ``receive`` takes the first 64 KiB of the worker's first text and then
+    # its second text, and leaves its third, larger than a pipe holds: the
+    # rest of the first is skipped, and the third is read out, so the
+    # worker can end and be reaped.
     _allow_cpus(monkeypatch, 2)
     received = []
 
-    def receive(sent, own):
-        received.extend([sent.read(1), sent.read(4), sent.read(0), sent.read(), own])
+    def receive(first, last):
+        received.append(next(next(first)))
+        received.append("".join(next(first)))
 
-    assert fork_orders(range(2, 4), lambda part: [b"ab", b"", b"cde", b"f" * 70000], len, receive)
-    assert received == [b"a", b"bcde", b"", b"f" * 70000, 1]
+    split_orders(range(2, 4), lambda part: [["x" * 70000], ["y"], ["z" * 70000]], receive)
+    assert received == ["x" * 65536, "y"]
+    _assert_no_child_left()
+
+
+def _killed_inside_a_text(monkeypatch):
+    """A worker's texts: one, whose length it writes before it is killed at
+    the text's first bytes."""
+    parent, write = os.getpid(), streams._write
+
+    def dying_write(fd, data):
+        if os.getpid() != parent and data == b"text":
+            _kill_self()
+        write(fd, data)
+
+    monkeypatch.setattr(streams, "_write", dying_write)
+    return lambda part: [["te", "xt"]]
+
+
+@needs_fork
+@pytest.mark.parametrize("worker_texts, message", [
+    (lambda monkeypatch: _raise, r"failed: InputError\('no walk here'\)"),
+    (_killed_inside_a_text, "ended by signal 9"),
+], ids=["raises", "killed inside a text"])
+def test_split_orders_reports_a_failed_worker(monkeypatch, worker_texts, message):
+    _allow_cpus(monkeypatch, 2)
+    parent, worker = os.getpid(), worker_texts(monkeypatch)
+
+    def texts(part):
+        return [["own"]] if os.getpid() == parent else worker(part)
+
+    with pytest.raises(ChildProcessError, match=rf"^the worker for n = 2\.\.3 {message}$"):
+        split_orders(range(2, 5), texts, lambda first, last: [list(text) for text in first])
     _assert_no_child_left()
 
 
 @needs_fork
-def test_fork_orders_reports_output_that_ends_early(monkeypatch):
+def test_the_worker_makes_every_text_before_its_first_write(monkeypatch):
+    # The worker makes its texts while this process makes its own, not as
+    # this process reads them: a write before the last piece is made kills it.
     _allow_cpus(monkeypatch, 2)
-    with pytest.raises(ChildProcessError, match=r"^the worker for n = 2\.\.2 failed: its output ended early$"):
-        fork_orders(range(2, 4), lambda part: [b"abc"], len, lambda sent, own: sent.read(4))
+    parent, write, made = os.getpid(), streams._write, []
+
+    def text(name):
+        for piece in (name, "-", name):
+            made.append(piece)
+            yield piece
+
+    def checked_write(fd, data):
+        if os.getpid() != parent and len(made) < 6:
+            _kill_self()
+        write(fd, data)
+
+    monkeypatch.setattr(streams, "_write", checked_write)
+    received = []
+    split_orders(range(2, 4), lambda part: [text("a"), text("b")],
+                 lambda first, last: received.extend("".join(text) for text in first))
+    assert received == ["a-a", "b-b"]
     _assert_no_child_left()
 
 
@@ -239,17 +319,20 @@ def test_campaign_output_is_the_same_forked_and_in_process(monkeypatch, capsys, 
     forks = _count_forks(monkeypatch)
     target = tmp_path / "campaign.json"
     for nmax in range(2, 11):
-        monkeypatch.setattr(sys, "argv", ["falsification_campaign.py", "--nmax", str(nmax), "--json", str(target)])
-        outputs = {}
-        for cpus in (1, 2):
-            _allow_cpus(monkeypatch, cpus)
-            del forks[:]
-            assert campaign.main() == 0
-            out, err = capsys.readouterr()
-            assert err == "" and len(forks) == (cpus - 1 if nmax > 2 else 0), (nmax, cpus)
-            outputs[cpus] = (target.read_bytes(), _campaign_lines(out))
-        assert outputs[1] == outputs[2], nmax
-        assert len(outputs[2][1]) == 20 and outputs[2][1][-1] == f"wrote {target}"
+        # Without --json every entry's text is empty: the worker sends texts of no bytes.
+        for sink in (["--json", str(target)], []):
+            monkeypatch.setattr(sys, "argv", ["falsification_campaign.py", "--nmax", str(nmax), *sink])
+            outputs = {}
+            for cpus in (1, 2):
+                _allow_cpus(monkeypatch, cpus)
+                del forks[:]
+                assert campaign.main() == 0
+                out, err = capsys.readouterr()
+                assert err == "" and len(forks) == (cpus - 1 if nmax > 2 else 0), (nmax, cpus)
+                outputs[cpus] = (target.read_bytes() if sink else None, _campaign_lines(out))
+            assert outputs[1] == outputs[2], (nmax, sink)
+            lines = outputs[2][1]
+            assert len(lines) == 19 + bool(sink) and (lines[-1] == f"wrote {target}") == bool(sink)
     _assert_no_child_left()
 
 
@@ -273,7 +356,7 @@ def test_campaign_reports_a_failed_worker_in_one_line(monkeypatch, capsys, tmp_p
 
 @needs_fork
 def test_campaign_reports_a_worker_killed_while_sending(monkeypatch, capsys, tmp_path):
-    # The worker sends its tallies as one frame, then dies before the first
+    # The worker sends its tallies' text, then dies before the first
     # entry's text; the main process has begun the document by then, and
     # removes it.
     campaign = _load_script("falsification_campaign")
@@ -283,7 +366,7 @@ def test_campaign_reports_a_worker_killed_while_sending(monkeypatch, capsys, tmp
     def dying_write(fd, data):
         if os.getpid() != parent:
             writes.append(data)
-            if len(writes) == 3:  # the length of the second frame
+            if len(writes) == 3:  # the length of the second text
                 _kill_self()
         write(fd, data)
 
@@ -392,15 +475,15 @@ def test_an_empty_out_path_fails_before_any_tree(monkeypatch, capsys):
 
 @needs_fork
 def test_cli_falsify_reports_a_worker_killed_after_its_first_chunk(monkeypatch, capsys, tmp_path):
-    # The worker sends the length of its text and its first chunk, then dies
-    # before the second of its two; this process has written the first into
-    # the --out file by then, and removes it.
+    # The worker sends the length of its one text (390 KB) and its first
+    # 64 KiB chunk, then dies before the second; this process has written
+    # the first into the --out file by then, and removes it.
     parent, write, writes = os.getpid(), streams._write, []
 
     def dying_write(fd, data):
         if os.getpid() != parent:
             writes.append(data)
-            if len(writes) == 5:  # the length of the third frame
+            if len(writes) == 3:  # the second chunk
                 _kill_self()
         write(fd, data)
 
