@@ -54,14 +54,14 @@ def _campaign(nmax: int, sink) -> None:
     """Print the per-entry summary, and write every counterexample's record,
     grouped per entry, into ``sink`` unless it is None.  An entry's summary
     line prints the sides of its smallest witness as that record's report
-    holds them."""
+    prints them."""
     print(f"exhaustive falsification over all trees with 2 <= n <= {nmax}")
     start = time.perf_counter()
 
     def texts(orders: range) -> list:
         """The JSON of each entry's tally (count, smallest order, its first
-        report, largest order), then each entry's records' text, in the
-        document's key order."""
+        record's printed sides, largest order), then each entry's records'
+        text, in the document's key order."""
         entries = tally_counterexamples(orders, render=sink is not None)
         return [[json.dumps({bound_id: entry[:4] for bound_id, entry in entries.items()})],
                 *(entries[bound_id][4] for bound_id in sorted(entries))]
@@ -78,10 +78,9 @@ def _campaign(nmax: int, sink) -> None:
             if not found:
                 print(f"  {bound_id:5s}: no counterexamples")
                 continue
-            first, report = found[0][1:3]
+            first, (lhs, relation, rhs) = found[0][1:3]
             print(f"  {bound_id:5s}: {sum(entry[0] for entry in found):5d} counterexamples, orders {first}.."
-                  f"{found[-1][3]}, smallest witness n={first} lhs={report['lhs']} {report['relation']} "
-                  f"rhs={report['rhs']}")
+                  f"{found[-1][3]}, smallest witness n={first} lhs={lhs} {relation} rhs={rhs}")
         print(f"evaluated in {elapsed:.1f}s")
         if sink is not None:
             jsonout.dump(lists, sink)

@@ -27,16 +27,17 @@ max degree, k, S, the entries, the cube sum, Albertson, Sigma and the
 resolved parameters), each once under one name, and hypotheses, sides and
 verdicts read it directly.  Reports and falsification share one decision
 path, ``_decide``.  ``evaluate_bound`` and ``evaluate_all`` build a full
-``BoundReport`` from it.  ``search.falsify`` asks
-``counterexample_report``, which returns None at once when a hypothesis
-fails or the entry is not computable, uses an entry's exact ``verdict``
-where one is set (B6), and otherwise reads ``_decide``; for a refuted pair
-it writes the report's JSON form from the refuting sides themselves, with
-no second decision and no ``BoundReport``.  A rational side is printed
-from its integers (in lowest terms, and as the correctly rounded
-``num / den`` float), a box from the integers of its midpoint
-(lo + hi) / (2 den), and a margin is cross-multiplied.  ``_side_text`` is
-the one place a side or a margin becomes text, for both kinds of report.
+``BoundReport`` from it.  ``search.falsify`` asks ``refutation``, which
+returns None at once when a hypothesis fails or the entry is not
+computable, uses an entry's exact ``verdict`` where one is set (B6), and
+otherwise reads ``_decide``; for a refuted pair it returns a
+``Refutation``, the numbers its report prints, taken from the refuting
+sides themselves, with no second decision and no ``BoundReport``.  A
+rational side is printed from its integers (in lowest terms, and as the
+correctly rounded ``num / den`` float), a box from the integers of its
+midpoint (lo + hi) / (2 den), and a margin is cross-multiplied.
+``_side_text`` is the one place a side or a margin becomes text, for both
+kinds of report and for ``records``' templates.
 Parameter defaults depend on n, m and the max degree alone, and are
 resolved once per such triple.
 
@@ -441,6 +442,31 @@ class BoundReport(NamedTuple):
             self.bound_id, self.label, self.failed_hypotheses, self.relation, sides,
             self.holds, self.params_used, self.notes, self.indeterminate,
         )
+
+
+class Refutation(NamedTuple):
+    """What the report of a counterexample prints, as numbers: the entry, the
+    input's label, the relation, the printed lhs and rhs, each
+    (num, den, exact), the margin (num, den), every pair in lowest terms,
+    the entry's parameters as sorted (name, text) pairs, and its notes.
+    Hashable; two are equal exactly when their fields' values are, and then
+    print the same report.  An exact side prints its reduced pair, so exact
+    sides print alike only when equal; an inexact one is its box's midpoint
+    at the precision that decided it, printed to 12 digits.  Its report,
+    hypotheses met and relation false, is ``to_json_dict()``."""
+
+    bound_id: str
+    label: str
+    relation: str
+    lhs: Printed
+    rhs: Printed
+    margin: Ratio
+    params: tuple[tuple[str, str], ...]
+    notes: tuple[str, ...]
+
+    def to_json_dict(self) -> dict:
+        return _report_json(self.bound_id, self.label, (), self.relation, (self.lhs, self.rhs, self.margin),
+                            False, dict(self.params), self.notes, False)
 
 
 def _report_json(
@@ -961,12 +987,15 @@ _NO_PARAMS: Mapping[str, object] = MappingProxyType({})
 
 
 def _printed(side: Side) -> Printed:
-    """The reported value of a side: a ratio as it is, a box (lo, hi, den)
-    as its midpoint (lo + hi) / (2 den), exact when lo == hi."""
+    """The reported value of a side, in lowest terms: a ratio as it is, a
+    box (lo, hi, den) as its midpoint (lo + hi) / (2 den), exact when lo == hi."""
     if len(side) == 2:
-        return side[0], side[1], True
-    lo, hi, den = side
-    return lo + hi, 2 * den, lo == hi
+        num, den, exact = side[0], side[1], True
+    else:
+        lo, hi, den = side
+        num, den, exact = lo + hi, 2 * den, lo == hi
+    g = math.gcd(num, den)
+    return num // g, den // g, exact
 
 
 def _exact(num: int, den: int) -> Exact:
@@ -1006,15 +1035,15 @@ def _decide(spec: BoundSpec, b: BoundInput) -> tuple[Side, Side, Optional[bool]]
     return lhs, rhs, None
 
 
-def counterexample_report(bound_id: str, spec: BoundSpec, b: BoundInput) -> Optional[dict]:
-    """The JSON form of the entry's report on ``b`` if it is a
-    counterexample (hypotheses met and the relation decided false), else
-    None.  It equals ``evaluate_bound(bound_id, b).to_json_dict()``, but is
-    written from the refuting decision's own sides: no second decision, no
-    ``BoundReport``, and no ``Fraction`` for a rational side.  An entry that
-    fails a hypothesis is not evaluated, and one with an exact ``verdict``
-    builds its intervals (they only give the printed sides) where it is
-    refuted."""
+def refutation(bound_id: str, spec: BoundSpec, b: BoundInput) -> Optional[Refutation]:
+    """The ``Refutation`` of the entry on ``b`` if it is a counterexample
+    (hypotheses met and the relation decided false), else None.  Its
+    ``to_json_dict()`` equals ``evaluate_bound(bound_id, b).to_json_dict()``,
+    but it is read off the refuting decision's own sides: no second
+    decision, no ``BoundReport``, and no ``Fraction`` for a rational side.
+    An entry that fails a hypothesis is not evaluated, and one with an
+    exact ``verdict`` builds its intervals (they only give the printed
+    sides) where it is refuted."""
     failed, computable = spec.hypothesis(b)
     if failed or not computable:
         return None
@@ -1027,9 +1056,11 @@ def counterexample_report(bound_id: str, spec: BoundSpec, b: BoundInput) -> Opti
         if holds is not False:
             return None
     lhs, rhs = _printed(lhs), _printed(rhs)
+    num, den = _margin(spec.relation, lhs[:2], rhs[:2])
+    g = math.gcd(num, den)
     params_used, notes = _params_used(spec, b)
-    gap = _margin(spec.relation, lhs[:2], rhs[:2])
-    return _report_json(bound_id, b.label, (), spec.relation, (lhs, rhs, gap), False, params_used, notes, False)
+    params = tuple([(name, str(value)) for name, value in sorted(params_used.items())])
+    return Refutation(bound_id, b.label, spec.relation, lhs, rhs, (num // g, den // g), params, notes)
 
 
 def _params_used(spec: BoundSpec, b: BoundInput) -> tuple[Mapping[str, object], tuple[str, ...]]:

@@ -16,9 +16,9 @@ once per pass.  Only the containers above ``STREAM_DEPTH`` stream their
 items, so each record is one chunk, and the document is never one string.
 
 A list of records may also be written from text: a value of the
-top-level dict may be ``Items(pieces)``, the records' text from
-``fields_renderer``, a run of a record's fields at a time, so that the
-text of fields that many records share is made once.
+top-level dict may be ``Items(pieces)``, its items' text as this module
+writes them (``sigmairr.records`` makes it from templates, so that the text
+that many records share is made once), in pieces cut anywhere.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 from .streams import chunks
 
@@ -39,20 +39,11 @@ def dump(obj, fh) -> None:
     json.dump(obj, fh, cls=_Encoder, sort_keys=True, indent=2)
 
 
-def fields_renderer() -> Callable[[dict, bool, bool], str]:
-    """A function ``fields(dct, opens, closes)``: the fields of a non-empty
-    ``dct`` as they stand in a dict that is an item of an ``Items`` list,
-    after the item's separator and opening brace if ``opens``, else after a
-    comma, and before its closing brace if ``closes``.  Runs whose keys
-    ascend from run to run concatenate to the item's text."""
-    renderer = _Renderer()
-    return lambda dct, opens, closes: renderer.obj(dct, 2, (",\n    {" if opens else ",", "\n    }" if closes else ""))
-
-
 class Items(NamedTuple):
     """A list, a value of the top-level dict, as ``pieces`` whose
-    concatenation is its items' ``fields_renderer`` text, split anywhere;
-    ``dump`` takes them only when it writes the list."""
+    concatenation is its items' text, split anywhere: each item as ``,``,
+    a line break and four spaces, then the item as ``dump`` writes it at
+    that level.  ``dump`` takes the pieces only when it writes the list."""
 
     pieces: Iterable[str]
 
@@ -125,15 +116,14 @@ class _Renderer:
         del self.markers[id(lst)]
         return "[" + inner + body + outer + "]"
 
-    def obj(self, dct: dict, level: int, ends: Optional[tuple[str, str]] = None) -> str:
-        """``dct`` at ``level``, or its fields between ``ends`` in place of its braces."""
+    def obj(self, dct: dict, level: int) -> str:
         if not dct:
             return "{}"
         self.mark(dct)
         keys = tuple(dct)
-        shape = self.shapes.get((keys, level, ends))
+        shape = self.shapes.get((keys, level))
         if shape is None:
-            shape = self.shapes[keys, level, ends] = _shape(keys, level, ends)
+            shape = self.shapes[keys, level] = _shape(keys, level)
         order, template = shape
         values = list(dct.values())
         scalar, value = _SCALAR.get, self.value
@@ -181,12 +171,10 @@ def _key(key) -> str:
     return encode_basestring_ascii(key) + ": "
 
 
-def _shape(keys: tuple, level: int, ends: Optional[tuple[str, str]]) -> tuple[list[int], str]:
+def _shape(keys: tuple, level: int) -> tuple[list[int], str]:
     """The positions of ``keys`` in sorted order, and the text of a dict
-    with these keys at ``level``, its values left as ``%s``, between
-    ``ends`` in place of its braces if given."""
+    with these keys at ``level``, its values left as ``%s``."""
     order = sorted(range(len(keys)), key=keys.__getitem__)
     outer = "\n" + "  " * level
-    opening, closing = ends or ("{", outer + "}")
-    around = [("," if k else opening) + outer + "  " + _key(keys[i]) for k, i in enumerate(order)] + [closing]
+    around = [("," if k else "{") + outer + "  " + _key(keys[i]) for k, i in enumerate(order)] + [outer + "}"]
     return order, "%s".join([text.replace("%", "%%") for text in around])

@@ -130,7 +130,7 @@ from .indices import albertson, sigma
 from .sequences import is_tree_sequence, prufer_degrees_and_edges, random_prufer_word
 
 if TYPE_CHECKING:  # ``bounds`` is imported where a claim is evaluated, not here
-    from .bounds import BoundInput, BoundParams
+    from .bounds import BoundInput, BoundParams, Refutation
 
 DEFAULT_TREE_CAP = 18
 # A walk holds one level a byte, so no tree of a larger order can be walked.
@@ -526,11 +526,15 @@ def falsify(
     allow_over_cap: bool = False,
 ) -> list[Counterexample]:
     """The record of each entry each tree of ``refuting_trees`` refutes, in
-    order; the records of a tree share its ``n``, ``edges`` and ``edge_list``."""
-    found = []
+    order; the records of a tree share its ``n``, ``edges`` and ``edge_list``,
+    and those of one refutation its report dict."""
+    found, reports = [], {}  # each refutation's report, by its id: ``refuting_trees`` keeps every refutation
     for n, edges, refuted in refuting_trees(bound_id, mode, params, allow_over_cap=allow_over_cap):
         tree = {"n": n, "edges": list(map(list, edges)), "edge_list": format_edge_list(n, edges)}
-        found += [Counterexample({"bound_id": bid, **tree, "report": report}) for bid, report in refuted]
+        for bid, refutation in refuted:
+            if id(refutation) not in reports:
+                reports[id(refutation)] = refutation.to_json_dict()
+            found.append(Counterexample({"bound_id": bid, **tree, "report": reports[id(refutation)]}))
     return found
 
 
@@ -540,24 +544,26 @@ def refuting_trees(
     params: Optional[BoundParams] = None,
     *,
     allow_over_cap: bool = False,
-) -> Iterator[tuple[int, list[tuple[int, int]], list[tuple[str, dict]]]]:
+) -> Iterator[tuple[int, list[tuple[int, int]], list[tuple[str, Refutation]]]]:
     """Hunt for trees meeting a claim's hypotheses on which it evaluates
     false, and yield each such tree as it is found: its order, its edges
-    (u, v), u < v, ascending, and the (entry, report) pairs of the entries
-    it refutes, in catalog order.  The arguments are checked at the call.
+    (u, v), u < v, ascending, and the (entry, ``bounds.Refutation``) pairs
+    of the entries it refutes, in catalog order.  The arguments are checked
+    at the call.
 
     ``bound_id`` may be a base id or ``"all"``.  Each entry is decided on a
     tree's ``BoundInput``, from its degrees and edges, by
-    ``bounds.counterexample_report``; no ``Graph`` is built.  Every entry
+    ``bounds.refutation``; no ``Graph`` is built.  Every entry
     reads only the degrees, Albertson and Sigma, so exhaustive mode (every
     isomorphism class with n_min <= n <= n_max, by increasing order)
     decides each signature the walk yields once, on its first tree, whose
     input must agree with it (else ``AssertionError``), and decodes a tree
     only if its signature is new or it refutes an entry.  Random mode
     decides each seeded labeled tree of order n, from a random Pruefer
-    word, on its own input: samples seldom repeat a signature.  A report
-    equal in every field to an earlier one of the call is that earlier
-    dict.  ``params`` None means ``BoundParams()``.
+    word, on its own input: samples seldom repeat a signature.  A
+    refutation equal to an earlier one of the call (the same entry, label
+    and printed values) is that earlier record, so a caller may key what it
+    makes of one by its id.  ``params`` None means ``BoundParams()``.
     """
     from . import bounds
 
@@ -565,20 +571,17 @@ def refuting_trees(
         params = bounds.BoundParams()
     bound_ids = bounds.expand_bound_id(bound_id)
     specs = [(bid, bounds.CATALOG[bid]) for bid in bound_ids]
-    distinct: dict[tuple, dict] = {}  # each distinct report of the call, keyed on all its fields
+    distinct: dict[Refutation, Refutation] = {}  # each distinct refutation of the call
 
-    def decide(binput: BoundInput) -> list[tuple[str, dict]]:  # the entries it refutes
+    def decide(binput: BoundInput) -> list[tuple[str, Refutation]]:  # the entries it refutes
         refuted = []
         for bid, spec in specs:
-            if (report := bounds.counterexample_report(bid, spec, binput)) is not None:
-                # Every field; a zero decimal's sign shows in its printed side.
-                key = tuple([tuple(v.items()) if type(v) is dict else tuple(v) if type(v) is list else v
-                             for v in report.values()])
-                refuted.append((bid, distinct.setdefault(key, report)))
+            if (found := bounds.refutation(bid, spec, binput)) is not None:
+                refuted.append((bid, distinct.setdefault(found, found)))
         return refuted
 
     def exhaustive():
-        decided: dict[tuple[int, int, int], list[tuple[str, dict]]] = {}  # by signature
+        decided: dict[tuple[int, int, int], list[tuple[str, Refutation]]] = {}  # by signature
         for n in range(mode.n_min, mode.n_max + 1):
             for levels, signature in free_tree_level_sequences(n):
                 tree = None

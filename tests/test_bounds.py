@@ -62,7 +62,7 @@ fraction_st = st.fractions(min_value=0, max_value=10**6)
 
 def refuted(bound_id: str, binput: BoundInput) -> bool:
     """Whether ``falsify`` counts the pair as a counterexample."""
-    return bounds.counterexample_report(bound_id, CATALOG[bound_id], binput) is not None
+    return bounds.refutation(bound_id, CATALOG[bound_id], binput) is not None
 
 
 class TestRootIntervals:
@@ -649,7 +649,7 @@ def _audit_pairs():
 
 class TestRefutes:
     def test_not_computable_has_a_failed_hypothesis(self):
-        # counterexample_report returns at once on a failed hypothesis or a
+        # refutation returns at once on a failed hypothesis or a
         # non-computable entry; a non-computable result always names a failed
         # hypothesis.
         not_computable = Counter()
@@ -676,7 +676,7 @@ class TestRefutes:
         binput = BoundInput.from_graph(path(5))
         for hypothesis in (lambda b: ([], False), lambda b: (["unmet"], True), lambda b: (["unmet"], False)):
             spec = CATALOG["B8"]._replace(hypothesis=hypothesis, lhs=unreachable, rhs=unreachable)
-            assert bounds.counterexample_report("B8", spec, binput) is None
+            assert bounds.refutation("B8", spec, binput) is None
 
     def test_exact_verdict_builds_no_interval(self, monkeypatch):
         roots = []
@@ -805,9 +805,9 @@ class TestPrintedSides:
                 if missing_fields(spec, binput):
                     continue
                 report = evaluate_bound(bound_id, binput)
-                written = bounds.counterexample_report(bound_id, spec, binput)
+                written = bounds.refutation(bound_id, spec, binput)
                 if report.hypotheses_met and report.holds is False:
-                    assert written == report.to_json_dict(), (bound_id, binput.label)
+                    assert written.to_json_dict() == report.to_json_dict(), (bound_id, binput.label)
                     refuted += 1
                 else:
                     assert written is None, (bound_id, binput.label)
@@ -950,7 +950,7 @@ def _inputs_agree(edges_input: BoundInput, graph_input: BoundInput) -> None:
     assert missing_fields(CATALOG["B14"], edges_input) == []
     for bound_id in BOUND_IDS:
         spec = CATALOG[bound_id]
-        assert bounds.counterexample_report(bound_id, spec, edges_input) == bounds.counterexample_report(
+        assert bounds.refutation(bound_id, spec, edges_input) == bounds.refutation(
             bound_id, spec, graph_input
         ), bound_id
         assert evaluate_bound(bound_id, edges_input) == evaluate_bound(bound_id, graph_input), bound_id
@@ -1040,9 +1040,9 @@ class TestFromEdges:
         from sigmairr import search
 
         decoded, decided, calls = [], {}, []
-        decode, report = search.prufer_degrees_and_edges, bounds.counterexample_report
+        decode, report = search.prufer_degrees_and_edges, bounds.refutation
         monkeypatch.setattr(search, "prufer_degrees_and_edges", lambda *args: decoded.append(decode(*args)) or decoded[-1])
-        monkeypatch.setattr(bounds, "counterexample_report",
+        monkeypatch.setattr(bounds, "refutation",
                             lambda bid, spec, b: decided.setdefault(id(b), b) and report(bid, spec, b))
         monkeypatch.setattr(BoundInput, "from_edges", lambda *args: calls.append("from_edges"))
         monkeypatch.setattr(bounds, "albertson_and_sigma", lambda *args: calls.append("albertson_and_sigma"))

@@ -2,13 +2,15 @@
 indent=2`` bytes for documents of the seven value types the package writes,
 streams them one record at a time, and refuses every other type and every
 key that is not a ``str``; it writes the same bytes for a list given as
-``jsonout.Items``, its items' text pre-rendered by ``fields_renderer``.
+``jsonout.Items``, its items' text pre-rendered, as ``sigmairr.records``
+renders it from its templates.
 
 The reference is the standard library's own ``json`` output; the real
 documents are checked against a re-encoding of their parsed form, which
 needs nothing from the package."""
 
 import enum
+import functools
 import io
 import json
 import math
@@ -23,8 +25,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmairr import jsonout
+from sigmairr import jsonout, records
 from sigmairr.cli import main
+from sigmairr.search import ExhaustiveMode, falsify
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -242,67 +245,67 @@ def pieces_of(texts: list, cuts: list) -> list:
     return [whole[a:b] for a, b in zip(ends, ends[1:])]
 
 
-def item_texts(fields, item: dict, cut: int) -> list:
-    """``item``'s text from ``fields``: its sorted keys in two runs, split at
-    ``cut``, or in one run when that leaves a run empty."""
-    keys = sorted(item)
-    runs = [keys[:cut], keys[cut:]] if 0 < cut < len(keys) else [keys]
-    return [fields({k: item[k] for k in run}, i == 0, i == len(runs) - 1) for i, run in enumerate(runs)]
+def item_text(item: dict) -> str:
+    """An ``Items`` item's text: a comma, a line break and four spaces, then
+    the item as the stock encoder writes it in a list in the top-level dict."""
+    return ",\n    " + json.dumps(item, sort_keys=True, indent=2).replace("\n", "\n    ")
 
 
 record_lists = st.dictionaries(
     st.one_of(texts, st.sampled_from(["B1a", "B10", "%s", "100%", "a\"b", "\u00e9", ""])),
-    # each list of items and where each item's keys are split, the index where
-    # the list is split, and where its first part's text is cut
-    st.tuples(st.lists(st.tuples(st.dictionaries(texts, values, min_size=1, max_size=3), st.integers(0, 3)),
-                       max_size=4),
+    # each list of items, the index where the list is split, and where its
+    # first part's text is cut
+    st.tuples(st.lists(st.dictionaries(texts, values, min_size=1, max_size=3), max_size=4),
               st.integers(0, 4), st.lists(st.integers(0, 10**6), max_size=3)),
     max_size=4,
 )
 
 
+@functools.cache
+def falsify_records() -> tuple[list, list]:
+    """The records of ``bounds falsify --bound all --nmax 7``: their text
+    as ``records`` writes it from its templates, and their dicts."""
+    texts = ["".join(pieces) for *_, pieces in records.counterexample_texts("all", ExhaustiveMode(7))]
+    return texts, [c.record for c in falsify("all", ExhaustiveMode(7))]
+
+
 class TestPreRenderedLists:
-    """A top-level list given as ``Items``, its items' texts from
-    ``fields_renderer``, is written as the stock encoder writes the list."""
+    """A top-level list given as ``Items``, its items' text cut anywhere, is
+    written as the stock encoder writes the list."""
 
     @settings(max_examples=150, deadline=None)
     @given(record_lists)
     def test_two_parts_split_anywhere(self, drawn):
-        # Each list is split between two parts, each rendered by its own
-        # renderer (two processes); the first part's text then comes in
-        # pieces cut anywhere, as it comes out of a pipe.
-        first, second = jsonout.fields_renderer(), jsonout.fields_renderer()
+        # Each list is split between two parts (two processes); the first
+        # part's text then comes in pieces cut anywhere, as it comes out of
+        # a pipe, and the second part's item by item.
         lists = {}
         for key, (items, split, cuts) in drawn.items():
-            head = [text for item, cut in items[:split] for text in item_texts(first, item, cut)]
-            tail = [text for item, cut in items[split:] for text in item_texts(second, item, cut)]
+            head, tail = [item_text(item) for item in items[:split]], [item_text(item) for item in items[split:]]
             lists[key] = jsonout.Items(chain(pieces_of(head, cuts), tail))
         buf = io.StringIO()
         jsonout.dump(lists, buf)
-        document = {key: [item for item, _ in items] for key, (items, _, _) in drawn.items()}
+        document = {key: items for key, (items, _, _) in drawn.items()}
         assert buf.getvalue() == json.dumps(document, sort_keys=True, indent=2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**4), st.lists(st.integers(0, 10**7), max_size=4))
+    def test_record_templates_split_anywhere(self, split, cuts):
+        # The records' template text, split and cut as in a forked campaign.
+        texts, dicts = falsify_records()
+        split %= len(texts) + 1
+        buf = io.StringIO()
+        jsonout.dump({"n": 7, "records": jsonout.Items(chain(pieces_of(texts[:split], cuts), texts[split:]))}, buf)
+        assert buf.getvalue() == json.dumps({"n": 7, "records": dicts}, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("document", [
         {}, {"a": []}, {"b": [], "a": [{"x": 1}]}, {"%d": [{"%s": [[0, 1]]}], "\n": [{"": {}}, {"a": []}]},
         {"r": [{"edges": [[0, 1]], "report": {"x": 1.5, "notes": []}}] * 3, "e": []},
     ])
     def test_edge_cases(self, document):
-        fields = jsonout.fields_renderer()
         buf = io.StringIO()
-        jsonout.dump({"n": 1, **{key: jsonout.Items([text for item in items for text in item_texts(fields, item, 1)])
-                                 for key, items in document.items()}}, buf)
+        jsonout.dump({"n": 1, **{key: jsonout.Items(map(item_text, items)) for key, items in document.items()}}, buf)
         assert buf.getvalue() == json.dumps({"n": 1, **document}, sort_keys=True, indent=2)
-
-    def test_runs_of_a_record(self):
-        # A record's entry, tree and report, rendered as three runs, make the
-        # record's text; a run met again is rendered again to the same text.
-        edges, report = [[0, 1], [1, 2]], {"lhs": "3/2", "notes": ["a"]}
-        fields = jsonout.fields_renderer()
-        texts = [fields({"bound_id": "B3"}, True, False), fields({"edges": edges, "n": 3}, False, False),
-                 fields({"report": report}, False, True)]
-        record = {"bound_id": "B3", "edges": edges, "n": 3, "report": report}
-        assert "".join(texts) == ",\n    " + json.dumps(record, sort_keys=True, indent=2).replace("\n", "\n    ")
-        assert fields({"report": report}, False, True) == texts[2]
 
     def test_items_deeper_than_the_top_level_dict_raise(self):
         with pytest.raises(TypeError, match="Items"):

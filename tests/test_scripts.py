@@ -16,7 +16,7 @@ import pytest
 
 import sigmairr
 from oracles import extremal_by_graphs, free_tree_counts_otter
-from sigmairr import bounds, jsonout, records, streams
+from sigmairr import bounds, records, streams
 from sigmairr.cli import main
 from sigmairr.errors import InputError, exit_code
 from sigmairr.streams import split_orders
@@ -671,10 +671,10 @@ def test_campaign_summary_reads_the_records(monkeypatch, capsys):
     # report: no claim is decided a second time, and with no --json no record
     # is rendered.
     def refuse(*args):
-        raise AssertionError("evaluate_bound or fields_renderer called")
+        raise AssertionError("evaluate_bound or a record renderer called")
 
     monkeypatch.setattr(bounds, "evaluate_bound", refuse)
-    monkeypatch.setattr(jsonout, "fields_renderer", refuse)
+    monkeypatch.setattr(records, "_record_renderers", refuse)
     campaign = _load_script("falsification_campaign")
     monkeypatch.setattr(sys, "argv", ["falsification_campaign.py", "--nmax", "8"])
     assert campaign.main() == 0

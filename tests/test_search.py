@@ -1,9 +1,12 @@
 import hashlib
+import io
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,7 +24,7 @@ from oracles import (
     tree_degree_multisets,
 )
 from sigmairr import records
-from sigmairr.bounds import BOUND_IDS, BoundParams
+from sigmairr.bounds import BOUND_IDS, BoundParams, Refutation
 from sigmairr.errors import DomainError, InputError, ResourceLimitError
 from sigmairr.graphs import Graph, cycle, is_tree, path, star
 from sigmairr.indices import albertson, albertson_and_sigma, sigma
@@ -453,6 +456,27 @@ def witness_graph(c) -> Graph:
     return Graph(c.record["n"], c.record["edges"])
 
 
+def assert_texts_are_records(bound_id: str, mode, params=None) -> list:
+    """Check that the template text of each record of the call is what the
+    stock encoder writes for ``falsify``'s record, that its CSV row is what
+    the CLI's table writer writes for that record's cells, and that each
+    refutation holds its sides and margin in lowest terms; return the
+    records' report dicts."""
+    from sigmairr.cli import _render
+
+    found = falsify(bound_id, mode, params)
+    texts = list(records.counterexample_texts(bound_id, mode, params))
+    assert ["".join(pieces) for *_, pieces in texts] == [
+        ",\n    " + json.dumps(c.record, sort_keys=True, indent=2).replace("\n", "\n    ") for c in found]
+    assert all(math.gcd(*pair[:2]) == 1 for _, _, r, _ in texts for pair in (r.lhs, r.rhs, r.margin))
+    header = records.COUNTEREXAMPLE_HEADER
+    table = io.StringIO()
+    _render("csv", header, [[{**c.record, **c.record["report"]}[k] for k in header] for c in found], None, table)
+    texts = records.counterexample_texts(bound_id, mode, params, "csv")
+    assert ["".join(pieces) for *_, pieces in texts] == table.getvalue().splitlines(keepends=True)[1:]
+    return [c.record["report"] for c in found]
+
+
 class TestFalsify:
     def test_b8_exhaustive_contains_path6(self):
         found = falsify("B8", ExhaustiveMode(6))
@@ -528,7 +552,7 @@ class TestFalsify:
     def test_records_come_as_they_are_found(self, monkeypatch):
         # The first refuting tree, of order 2, comes before any larger order
         # is walked; the texts of the records of the trees, in their order,
-        # are falsify's list, record by record.
+        # are falsify's list, record by record, in JSON and in CSV.
         import sigmairr.search as search_module
 
         walk, walked = search_module.free_tree_level_sequences, []
@@ -539,9 +563,63 @@ class TestFalsify:
         found = falsify("all", ExhaustiveMode(8))
         assert [(bid, n) for n, _, refuted in [first, *trees] for bid, _ in refuted] == [
             (c.bound_id, c.record["n"]) for c in found]
-        texts = records.counterexample_texts("all", ExhaustiveMode(8))
-        assert ["".join(pieces) for *_, pieces in texts] == [
-            ",\n    " + json.dumps(c.record, sort_keys=True, indent=2).replace("\n", "\n    ") for c in found]
+        assert len(assert_texts_are_records("all", ExhaustiveMode(8))) == len(found)
+
+    # Calls whose records reach each kind of field, with what their reports
+    # must show: random mode; a right side of 2^1100, past float range;
+    # eta = 3, whose notes and B13 refutation start at n = 2; the strict B10
+    # window, which B10's records at these orders all miss; eta1 a
+    # fraction, two parameters in one report; and every parameter set.
+    TEMPLATE_CALLS = {
+        "random": ("all", RandomMode(40, 30, 0), None, lambda rs: any(r["bound_id"] == "B2b" for r in rs)),
+        "alpha-1100": ("B2", ExhaustiveMode(3), BoundParams(alpha=1100),
+                       lambda rs: any(r["rhs_decimal"] is None for r in rs)),
+        "eta-3": ("all", ExhaustiveMode(6), BoundParams(eta=3),
+                  lambda rs: any(r["bound_id"] == "B13" and r["label"] == "graph n=2 m=1" and r["notes"] for r in rs)),
+        "strict-window": ("all", ExhaustiveMode(8), BoundParams(strict_max_degree_window=True),
+                          lambda rs: rs and not any(r["bound_id"] == "B10" for r in rs)),
+        "eta1-fraction": ("all", ExhaustiveMode(6), BoundParams(eta=3, eta1=Fraction(5, 2)),
+                          lambda rs: any(r["params"] == {"eta": "3", "eta1": "5/2"} for r in rs)),
+        "all-set": ("all", RandomMode(20, 15, 3), NON_DEFAULT_PARAMS["all-set"],
+                    lambda rs: any(r["params"] == {"eta": "9"} for r in rs)),
+    }
+
+    @pytest.mark.parametrize("call", TEMPLATE_CALLS.values(), ids=TEMPLATE_CALLS.keys())
+    def test_record_texts_are_falsifys_records(self, call):
+        bound_id, mode, params, reaches = call
+        assert reaches(assert_texts_are_records(bound_id, mode, params))
+
+    def test_inexact_sides_print_to_twelve_digits(self):
+        # No tree refutes B6 or B15b, the entries with a root's box, so these
+        # refutations are built by hand: box midpoints over 2^65, one of them
+        # past float range.  Their report text and row are the dict's.
+        from sigmairr.cli import _render
+
+        def refuted(bound_id, relation, lhs, rhs):
+            margin = Fraction(*rhs[:2]) - Fraction(*lhs[:2])
+            margin = -margin if relation == ">=" else margin
+            return Refutation(bound_id, "graph n=9 m=8", relation, lhs, rhs,
+                              (margin.numerator, margin.denominator), (), ())
+
+        cases = [refuted("B6", ">=", (20, 1, True), (2 * 3**42 + 1, 2**65, False)),
+                 refuted("B15b", "<=", (3**41, 2**65, False), (3**40 + 2, 2**65, False)),
+                 refuted("B15b", "<=", (10**400 + 1, 2**65, False), (7, 1, True))]
+        _, _, json_report = records._record_renderers("json")
+        _, _, csv_report = records._record_renderers("csv")
+        for case in cases:
+            report = case.to_json_dict()
+            assert not report["lhs_exact"] or not report["rhs_exact"]
+            assert json_report(case) == ',\n      "report": ' + json.dumps(
+                report, sort_keys=True, indent=2).replace("\n", "\n      ") + "\n    }"
+            table = io.StringIO()
+            header = records.COUNTEREXAMPLE_HEADER[3:]
+            _render("csv", header, [[report[k] for k in header]], None, table)
+            assert csv_report(case) == table.getvalue().splitlines(keepends=True)[1]
+        reports = [case.to_json_dict() for case in cases]
+        assert [(r["lhs"], r["rhs"], r["margin"]) for r in reports] == [
+            ("20", "5.93161528638", "14.0683847136"), ("0.98860254773", "0.329534182577", "-0.659068365153"),
+            ("2.71050543121e+380", "7", "-2.71050543121e+380")]
+        assert reports[2]["lhs_decimal"] is None
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_each_tree_and_report_text_is_made_once(self, fmt, monkeypatch):
@@ -678,14 +756,14 @@ class TestFalsify:
             monkeypatch.setattr(owner, name, lambda *args: calls[name].append(args[0]) or inner(*args))
 
         calls: dict = {}
-        counted(bounds_module, "counterexample_report")
+        counted(bounds_module, "refutation")
         counted(bounds_module.BoundInput, "from_edges")
         counted(search_module, "_tree_of_levels")
         walk, yields = search_module.free_tree_level_sequences, []
         monkeypatch.setattr(search_module, "free_tree_level_sequences",
                             lambda n: (yields.append(item) or item for item in walk(n)))
         found = falsify("all", ExhaustiveMode(12))
-        assert len(calls["counterexample_report"]) == 555 * 18 == 9_990 and len(found) > 1_000
+        assert len(calls["refutation"]) == 555 * 18 == 9_990 and len(found) > 1_000
         assert len(calls["from_edges"]) == 555 and len(yields) == 986
         # Every one of the 986 trees is new or refutes an entry, and none is decoded twice.
         assert len(calls["_tree_of_levels"]) == len(set(calls["_tree_of_levels"])) == 986
@@ -732,7 +810,7 @@ class TestFalsify:
     def test_entries_read_no_edge_beyond_presence(self):
         # The memo is sound only if every verdict is a function of the
         # signature: no entry may read the edges themselves.
-        from sigmairr.bounds import CATALOG, BoundInput, counterexample_report, evaluate_bound
+        from sigmairr.bounds import CATALOG, BoundInput, evaluate_bound, refutation
 
         class Untouchable:
             def __iter__(self):
@@ -750,7 +828,7 @@ class TestFalsify:
                 blind = BoundInput.from_graph(g)
                 blind.edges = Untouchable()
                 for bid, spec in CATALOG.items():
-                    assert counterexample_report(bid, spec, blind) == counterexample_report(bid, spec, plain)
+                    assert refutation(bid, spec, blind) == refutation(bid, spec, plain)
                     assert evaluate_bound(bid, blind).to_json_dict() == evaluate_bound(bid, plain).to_json_dict()
 
     def test_campaign_matches_per_claim_runs(self, tmp_path):
