@@ -6,16 +6,19 @@ stats regress, plots emit.  Machine formats are canonical (sorted JSON
 keys, fixed CSV column order), so identical invocations produce
 byte-identical output.  JSON is written by ``jsonout.dump``, in the
 package's one JSON format: its bytes equal ``json.dumps(payload,
-sort_keys=True, indent=2)``, and it is written into stdout or the
-``--out`` file as it is rendered, one record at a time.
+sort_keys=True, indent=2)``.  The long lists, ``bounds falsify``'s records
+and ``enumerate``'s trees, are ``jsonout.Items`` text made from templates,
+written into stdout or the ``--out`` file one record at a time.
 
 Each command builds one JSON record; its CSV and human tables are views of
-that record, each cell written by one rule (``_cell``): null is empty, a
-bool is ``true``/``false``, a list of lists is ``u-v;...``, any other list
-is ``a,b,...``, an object is ``k=v;...`` in key order, and anything else
-is its ``str``.  Two tables print something other than the JSON value:
-``tables export --table 2`` prints lambda and eta1 as ``%g`` floats, and
-``sequence analyze`` prints its non-string cells as JSON.
+that record (``bounds falsify`` and ``enumerate`` make their rows from the
+numbers their JSON text is made from), each cell written by one rule
+(``_cell``): null is empty, a bool is ``true``/``false``, a list of lists
+is ``u-v;...``, any other list is ``a,b,...``, an object is ``k=v;...`` in
+key order, and anything else is its ``str``.  Two tables print something
+other than the JSON value: ``tables export --table 2`` prints lambda and
+eta1 as ``%g`` floats, and ``sequence analyze`` prints its non-string cells
+as JSON.
 
 Exit codes: 0 success; 1, with one ``error:`` line, for any error that
 ``errors.exit_code`` maps; 2 when ``bounds check`` runs with
@@ -94,11 +97,12 @@ def _render(fmt: str, header, rows, payload, out) -> None:
     """Emit ``payload`` as JSON, or ``rows`` as a CSV or human table, into
     ``out`` as ``_output`` opens it.
 
-    ``rows`` holds JSON values taken from ``payload`` (``plots emit``, CSV
-    only, passes none); it is iterated only for csv and human, and each
-    value is written by ``_cell``."""
+    ``rows`` holds the cells' JSON values, most of them taken from
+    ``payload`` (``plots emit``, CSV only, passes none; ``enumerate``
+    passes its cells' text); it is iterated only for csv and human, and
+    each value is written by ``_cell``."""
     if fmt == "json":
-        with _output(out) as fh:  # written record by record, never held whole
+        with _output(out) as fh:  # an Items list is written record by record, never held whole
             jsonout.dump(payload, fh)
             _emit("\n", fh)
         return
@@ -384,15 +388,18 @@ def _cmd_enumerate(args) -> int:
         payload = {"n": args.n, "count": sum(1 for _ in stream)}
         _render(args.format, ["n", "count"], [payload.values()], payload, args.out)
         return 0
-    items = [
-        {
-            "encoding": list(enc),
-            "edges": [[p, c] for p, c in sorted(search._tree_of_levels(enc)[1])],
-        }
-        for enc, _ in stream
-    ]
-    payload = {"n": args.n, "count": len(items), "trees": items}
-    _render(args.format, ["encoding", "edges"], (t.values() for t in items), payload, args.out)
+    n, levels = args.n, [enc for enc, _ in stream]
+    # each tree's sorted edges, flat, and its levels, made as it is written
+    trees = ((tuple(chain.from_iterable(sorted(search._tree_of_levels(enc)[1]))), enc) for enc in levels)
+    if args.format == "json":  # each tree as one % format into a template made once for the order
+        template = (',\n    {\n      "edges": ' + jsonout._pair_list(n - 1) + ',\n      "encoding": ['
+                    + ",".join(["\n        %d"] * n) + "\n      ]\n    }")
+        items = jsonout.Items(template % (*edges, *enc) for edges, enc in trees)
+        _render("json", [], (), {"n": n, "count": len(levels), "trees": items}, args.out)
+    else:
+        cell = ";".join(["%d-%d"] * (n - 1))
+        rows = ((",".join(map(str, enc)), cell % edges) for edges, enc in trees)
+        _render(args.format, ["encoding", "edges"], rows, None, args.out)
     return 0
 
 

@@ -17,6 +17,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, Optional
 
 from .bounds import BOUND_IDS, BoundParams, Refutation, _decimal, _side_text
+from .jsonout import _pair_list
 from .search import ExhaustiveMode, RandomMode, refuting_trees
 
 COUNTEREXAMPLE_HEADER = ["bound_id", "n", "edges", "lhs", "rhs", "relation", "margin"]
@@ -93,9 +94,8 @@ _JSON_BOOL = {True: "true", False: "false"}
 def _json_tree(n: int) -> str:
     """The ``edge_list``, ``edges`` and ``n`` fields of a tree of order n,
     its n - 1 edges' ends left as ``%d``, each twice."""
-    pair = "\n        [\n          %d,\n          %d\n        ]"
-    return (',\n      "edge_list": "# n=' + str(n) + "\\n" + "%d %d\\n" * (n - 1) + '",\n      "edges": ['
-            + ",".join([pair] * (n - 1)) + '\n      ],\n      "n": ' + str(n))
+    return (',\n      "edge_list": "# n=' + str(n) + "\\n" + "%d %d\\n" * (n - 1) + '",\n      "edges": '
+            + _pair_list(n - 1) + ',\n      "n": ' + str(n))
 
 
 def _json_report(r: Refutation) -> str:

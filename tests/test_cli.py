@@ -643,6 +643,7 @@ RENDERED_INVOCATIONS = [a[:-2] if "--format" in a else a for a in DETERMINISTIC_
     ("extremal", "--degree-multiset", "1,1,1,3"),
     ("extremal", "--n", "9", "--max-degree", "3", "--direction", "min"),
     ("enumerate", "--n", "1"),
+    ("enumerate", "--n", "2"),  # the first order with a pair list
     ("bounds", "check", "--family", "path:6", "--bound", "all", "--eta1", "5/2", "--alpha", "3"),
     ("stats", "regress", "--table", "2", "--predict", "350,50"),
     ("tables", "reproduce", "--table", "1"),
@@ -696,6 +697,12 @@ RENDERED_DIGESTS = {
         "372949686e8bf534b4eaf01d9d388fa35c3e4d20fb5e9be3980d95e0619457f7",
     "bounds falsify --bound B12 --n 7 --samples 12 --seed 5 --format json":
         "31d5ea6dcd0a48334b64d76283c0d789e01bc6939188dd9f55eac6bd14dd0300",
+    "enumerate --n 2 --format human":
+        "a2ca54ed8f333c575af76e56f0b183a79d80af095580ea520ae141b0a5d96466",
+    "enumerate --n 2 --format csv":
+        "ffb350e7a7d142615f17359e197d83a816ded32803b792aead5add788a8daa91",
+    "enumerate --n 2 --format json":
+        "2e0f00e2b326118901efa5e144569eac4881df808a762a824d24ccb131856e2d",
     "enumerate --n 7 --format human":
         "c3a6cc27ca216e68925f6120cb96cc8015dfd6ae27c660008f0c0064e0a7dbfb",
     "enumerate --n 7 --format csv":

@@ -1,9 +1,10 @@
 """``jsonout.dump`` writes exactly the stock encoder's ``sort_keys=True,
 indent=2`` bytes for documents of the seven value types the package writes,
-streams them one record at a time, and refuses every other type and every
-key that is not a ``str``; it writes the same bytes for a list given as
+and refuses every other type and every key that is not a ``str`` before it
+writes a byte; it writes the same bytes for a list given as
 ``jsonout.Items``, its items' text pre-rendered, as ``sigmairr.records``
-renders it from its templates.
+renders it from its templates, and writes that list as its pieces are
+drawn.
 
 The reference is the standard library's own ``json`` output; the real
 documents are checked against a re-encoding of their parsed form, which
@@ -143,9 +144,8 @@ class TestAgainstStock:
 
 
 class TestShapes:
-    """Dicts with the same keys in the same order at the same level share one
-    template per pass; every case is compared with the stock encoder.  The
-    dicts sit at ``STREAM_DEPTH`` or deeper, where they render as one chunk."""
+    """Dicts that share their keys, in one order or two, at one level or two,
+    below the top-level dict; every case is compared with the stock encoder."""
 
     def test_one_key_set_in_two_orders(self):
         first, second = {"b": 1, "a": [2], "c": {"x": 3}}, {"c": {"x": 4}, "a": [5], "b": 6}
@@ -169,10 +169,10 @@ class TestShapes:
 
 
 class TestPairLists:
-    """A list of ``[int, int]`` pairs renders from a template kept per
-    (length, level) for the pass; each case puts lists that share or miss
-    that key into one document, below ``STREAM_DEPTH``, and compares the
-    whole document with the stock encoder."""
+    """Lists of ``[int, int]`` pairs, of one length or two, at one level or
+    two, beside pairs that hold a bool, a float, a third item or none, below
+    the top-level dict; each whole document is compared with the stock
+    encoder."""
 
     def test_one_length_at_two_levels(self):
         document = {"r": [[[0, 1], [2, 3]], {"x": [[4, 5], [6, 7]]}, [[8, 9], [10, 11]], [[[12, 13], [14, 15]]]]}
@@ -312,22 +312,31 @@ class TestPreRenderedLists:
             jsonout.dump({"a": {"b": jsonout.Items([])}}, io.StringIO())
 
 
-class Chunks(list):
-    """A file that keeps each chunk ``json.dump`` writes."""
-
-    write = list.append
-
-
 class TestStreaming:
-    def test_one_chunk_per_record(self):
-        record = {"edges": [[0, 1], [1, 2]], "report": {"lhs": "3/2", "notes": ["a"]}}
-        document = {"B1": [record] * 50, "B2": [], "B3": [record] * 30}
-        chunks = Chunks()
-        jsonout.dump(document, chunks)
-        whole = json.dumps(record, sort_keys=True, indent=2).replace("\n", "\n    ")
-        assert "".join(chunks) == json.dumps(document, sort_keys=True, indent=2)
-        assert sum(whole in chunk for chunk in chunks) == 80
-        assert max(map(len, chunks)) < len(whole) + 16
+    def test_items_are_written_as_they_are_drawn(self):
+        # Each item's text is over 64 KiB, so ``streams.chunks`` passes it on
+        # alone: when the last piece is drawn, the file already holds the
+        # document's head and every piece before it.
+        items = [{"i": i, "s": "x" * (1 << 16)} for i in range(3)]
+        texts = [item_text(item) for item in items]
+        buf, written = io.StringIO(), []
+
+        def pieces():
+            yield from texts[:-1]
+            written.append(buf.getvalue())
+            yield texts[-1]
+
+        jsonout.dump({"n": 3, "trees": jsonout.Items(pieces())}, buf)
+        whole = json.dumps({"n": 3, "trees": items}, sort_keys=True, indent=2)
+        assert buf.getvalue() == whole
+        assert whole.startswith(written[0]) and written[0].endswith(texts[-2])
+
+    @pytest.mark.parametrize("refused", [object(), {1: 2}], ids=["value", "key"])
+    def test_nothing_is_written_before_a_refusal(self, refused):
+        buf = io.StringIO()
+        with pytest.raises(TypeError):
+            jsonout.dump({"a": 1, "b": jsonout.Items(["x"]), "z": [refused]}, buf)
+        assert buf.getvalue() == ""
 
 
 # -- the real documents -------------------------------------------------------

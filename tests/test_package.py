@@ -106,6 +106,15 @@ class TestImportFootprint:
         )
         assert "sigmairr.bounds" in loaded and "sigmairr.stats_tables" not in loaded
 
+    def test_enumerate_subcommand_loads_neither_bounds_nor_records(self):
+        loaded = _loaded_after(
+            "import contextlib, io, sigmairr.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert sigmairr.cli.main(['enumerate', '--n', '5', '--format', 'json']) == 0\n"
+        )
+        assert "sigmairr.jsonout" in loaded
+        assert not loaded & {"sigmairr.bounds", "sigmairr.records", "sigmairr.stats_tables"}
+
     def test_tables_subcommand_loads_tables_and_bounds(self):
         # stats_tables imports bounds at its top, so tables, stats and plots load both
         loaded = _loaded_after(
