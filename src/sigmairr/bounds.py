@@ -26,18 +26,17 @@ degree list.  The record holds every symbol an entry reads (n, 2m, the
 max degree, k, S, the entries, the cube sum, Albertson, Sigma and the
 resolved parameters), each once under one name, and hypotheses, sides and
 verdicts read it directly.  Reports and falsification share one decision
-path, ``_decide``.  ``evaluate_bound`` and ``evaluate_all`` build a full
-``BoundReport`` from it.  ``search.falsify`` asks ``refutation``, which
-returns None at once when a hypothesis fails or the entry is not
-computable, uses an entry's exact ``verdict`` where one is set (B6), and
-otherwise reads ``_decide``; for a refuted pair it returns a
-``Refutation``, the numbers its report prints, taken from the refuting
-sides themselves, with no second decision and no ``BoundReport``.  A
-rational side is printed from its integers (in lowest terms, and as the
-correctly rounded ``num / den`` float), a box from the integers of its
-midpoint (lo + hi) / (2 den), and a margin is cross-multiplied.
-``_side_text`` is the one place a side or a margin becomes text, for both
-kinds of report and for ``records``' templates.
+path, ``_decide``, and one report record, ``BoundReport``, built by
+``_report``.  ``evaluate_bound`` and ``evaluate_all`` report every entry.
+``search.falsify`` asks ``refutation``, which returns None at once when a
+hypothesis fails or the entry is not computable, uses an entry's exact
+``verdict`` where one is set (B6), and otherwise reads ``_decide``; for a
+refuted pair it returns the report from the refuting sides themselves,
+with no second decision.  A report holds the integers it prints: a
+rational side in lowest terms, a box as the integers of its midpoint
+(lo + hi) / (2 den), and a cross-multiplied margin, so no path builds a
+``Fraction`` for them.  ``_side_text`` is the one place a side or a
+margin becomes text, for ``to_json_dict`` and for ``records``' templates.
 Parameter defaults depend on n, m and the max degree alone, and are
 resolved once per such triple.
 
@@ -66,11 +65,9 @@ _BITS_ESCALATED = 128
 _BRACKET_BITS = 1 << 15  # about where Newton's divisions cost what the decimal bracket costs, 0.3 ms
 
 
-# A printed exact value; a rational side (numerator, denominator > 0); a root's
-# box (lo, hi, den > 0), lo <= hi, with lo/den <= value <= hi/den and exact iff
-# lo == hi; a side as a report prints it (numerator, denominator > 0, whether it
-# is exact).
-Exact = Union[int, Fraction]
+# A rational side (numerator, denominator > 0); a root's box (lo, hi, den > 0),
+# lo <= hi, with lo/den <= value <= hi/den and exact iff lo == hi; a side as a
+# report prints it (numerator, denominator > 0, whether it is exact).
 Ratio = tuple[int, int]
 Box = tuple[int, int, int]
 Side = Union[Ratio, Box]
@@ -414,100 +411,59 @@ class BoundInput:
 # Reports
 
 class BoundReport(NamedTuple):
+    """One catalog entry's report on one input, as the numbers it prints:
+    the sides ``lhs`` and ``rhs``, each (num, den, exact), and the
+    ``margin`` (num, den), every pair in lowest terms and all three None
+    where the entry is not computable; ``holds`` None where it is not
+    computable or its sides did not separate (``indeterminate``); the
+    parameters the entry reads as sorted (name, text) pairs; and its
+    notes.  An exact side is its value, an inexact one its box's midpoint
+    at the precision that decided it, printed to 12 digits.  Hashable; two
+    are equal exactly when their fields' values are, and then print the
+    same report, ``to_json_dict()``."""
+
     bound_id: str
     label: str
-    hypotheses_met: bool
     failed_hypotheses: tuple[str, ...]
     relation: str
-    lhs: Optional[Exact]
-    rhs: Optional[Exact]
-    lhs_exact: bool
-    rhs_exact: bool
+    lhs: Optional[Printed]
+    rhs: Optional[Printed]
+    margin: Optional[Ratio]
     holds: Optional[bool]
-    margin: Optional[Exact]
-    params_used: Mapping[str, object]
-    notes: tuple[str, ...] = ()
-    indeterminate: bool = False
-
-    def to_json_dict(self) -> dict:
-        sides = None
-        if self.lhs is not None:
-            lhs, rhs, margin = self.lhs, self.rhs, self.margin
-            sides = (
-                (lhs.numerator, lhs.denominator, self.lhs_exact),
-                (rhs.numerator, rhs.denominator, self.rhs_exact),
-                (margin.numerator, margin.denominator),
-            )
-        return _report_json(
-            self.bound_id, self.label, self.failed_hypotheses, self.relation, sides,
-            self.holds, self.params_used, self.notes, self.indeterminate,
-        )
-
-
-class Refutation(NamedTuple):
-    """What the report of a counterexample prints, as numbers: the entry, the
-    input's label, the relation, the printed lhs and rhs, each
-    (num, den, exact), the margin (num, den), every pair in lowest terms,
-    the entry's parameters as sorted (name, text) pairs, and its notes.
-    Hashable; two are equal exactly when their fields' values are, and then
-    print the same report.  An exact side prints its reduced pair, so exact
-    sides print alike only when equal; an inexact one is its box's midpoint
-    at the precision that decided it, printed to 12 digits.  Its report,
-    hypotheses met and relation false, is ``to_json_dict()``."""
-
-    bound_id: str
-    label: str
-    relation: str
-    lhs: Printed
-    rhs: Printed
-    margin: Ratio
     params: tuple[tuple[str, str], ...]
     notes: tuple[str, ...]
+    indeterminate: bool
+
+    @property
+    def hypotheses_met(self) -> bool:
+        return not self.failed_hypotheses
 
     def to_json_dict(self) -> dict:
-        return _report_json(self.bound_id, self.label, (), self.relation, (self.lhs, self.rhs, self.margin),
-                            False, dict(self.params), self.notes, False)
-
-
-def _report_json(
-    bound_id: str,
-    label: str,
-    failed: Sequence[str],
-    relation: str,
-    sides: Optional[tuple[Printed, Printed, Ratio]],
-    holds: Optional[bool],
-    params_used: Mapping[str, object],
-    notes: Sequence[str],
-    indeterminate: bool,
-) -> dict:
-    """A report's JSON form.  ``sides`` is None where the entry is not
-    computable, else the printed lhs and rhs and the margin, which is exact
-    when both sides are."""
-    lhs = rhs = margin = lhs_decimal = rhs_decimal = None
-    lhs_exact = rhs_exact = True
-    if sides is not None:
-        (ln, ld, lhs_exact), (rn, rd, rhs_exact), (mn, md) = sides
-        lhs, rhs = _side_text(ln, ld, lhs_exact), _side_text(rn, rd, rhs_exact)
-        lhs_decimal, rhs_decimal = _decimal(ln, ld), _decimal(rn, rd)
-        margin = _side_text(mn, md, lhs_exact and rhs_exact)
-    return {
-        "bound_id": bound_id,
-        "label": label,
-        "hypotheses_met": not failed,
-        "failed_hypotheses": list(failed),
-        "relation": relation,
-        "lhs": lhs,
-        "rhs": rhs,
-        "lhs_decimal": lhs_decimal,
-        "rhs_decimal": rhs_decimal,
-        "lhs_exact": lhs_exact,
-        "rhs_exact": rhs_exact,
-        "holds": holds,
-        "margin": margin,
-        "params": {k: str(v) for k, v in sorted(params_used.items())},
-        "notes": list(notes),
-        "indeterminate": indeterminate,
-    }
+        lhs = rhs = margin = lhs_decimal = rhs_decimal = None
+        lhs_exact = rhs_exact = True
+        if self.lhs is not None:
+            (ln, ld, lhs_exact), (rn, rd, rhs_exact) = self.lhs, self.rhs
+            lhs, rhs = _side_text(ln, ld, lhs_exact), _side_text(rn, rd, rhs_exact)
+            lhs_decimal, rhs_decimal = _decimal(ln, ld), _decimal(rn, rd)
+            margin = _side_text(*self.margin, lhs_exact and rhs_exact)
+        return {
+            "bound_id": self.bound_id,
+            "label": self.label,
+            "hypotheses_met": not self.failed_hypotheses,
+            "failed_hypotheses": list(self.failed_hypotheses),
+            "relation": self.relation,
+            "lhs": lhs,
+            "rhs": rhs,
+            "lhs_decimal": lhs_decimal,
+            "rhs_decimal": rhs_decimal,
+            "lhs_exact": lhs_exact,
+            "rhs_exact": rhs_exact,
+            "holds": self.holds,
+            "margin": margin,
+            "params": dict(self.params),
+            "notes": list(self.notes),
+            "indeterminate": self.indeterminate,
+        }
 
 
 def _side_text(num: int, den: int, exact: bool) -> str:
@@ -571,7 +527,7 @@ class BoundSpec(NamedTuple):
     lhs: Callable[[BoundInput, int], Side]
     rhs: Callable[[BoundInput, int], Side]
     extra_notes: tuple[str, ...] = ()
-    # parameters the entry reads; reported as params_used with their notes
+    # parameters the entry reads; a report prints their values and notes
     params: tuple[str, ...] = ()
     # decides the relation exactly for an entry with a Box side, whose
     # box then only gives the printed value
@@ -983,9 +939,6 @@ def missing_fields(spec: BoundSpec, binput: BoundInput) -> list[str]:
     return [f for f in spec.requires if _FIELD_MISSING[f](binput)]
 
 
-_NO_PARAMS: Mapping[str, object] = MappingProxyType({})
-
-
 def _printed(side: Side) -> Printed:
     """The reported value of a side, in lowest terms: a ratio as it is, a
     box (lo, hi, den) as its midpoint (lo + hi) / (2 den), exact when lo == hi."""
@@ -996,10 +949,6 @@ def _printed(side: Side) -> Printed:
         num, den, exact = lo + hi, 2 * den, lo == hi
     g = math.gcd(num, den)
     return num // g, den // g, exact
-
-
-def _exact(num: int, den: int) -> Exact:
-    return num if den == 1 else Fraction(num, den)
 
 
 def evaluate_bound(bound_id: str, binput: BoundInput) -> BoundReport:
@@ -1035,81 +984,61 @@ def _decide(spec: BoundSpec, b: BoundInput) -> tuple[Side, Side, Optional[bool]]
     return lhs, rhs, None
 
 
-def refutation(bound_id: str, spec: BoundSpec, b: BoundInput) -> Optional[Refutation]:
-    """The ``Refutation`` of the entry on ``b`` if it is a counterexample
-    (hypotheses met and the relation decided false), else None.  Its
-    ``to_json_dict()`` equals ``evaluate_bound(bound_id, b).to_json_dict()``,
-    but it is read off the refuting decision's own sides: no second
-    decision, no ``BoundReport``, and no ``Fraction`` for a rational side.
-    An entry that fails a hypothesis is not evaluated, and one with an
-    exact ``verdict`` builds its intervals (they only give the printed
-    sides) where it is refuted."""
+def refutation(bound_id: str, spec: BoundSpec, b: BoundInput) -> Optional[BoundReport]:
+    """The report of the entry on ``b`` if it is a counterexample
+    (hypotheses met and the relation decided false), else None: equal to
+    ``evaluate_bound(bound_id, b)``, but read off the refuting decision's
+    own sides.  An entry that fails a hypothesis is not evaluated, and one
+    with an exact ``verdict`` builds its intervals (they only give the
+    printed sides) where it is refuted."""
     failed, computable = spec.hypothesis(b)
     if failed or not computable:
         return None
-    if spec.verdict is not None:
-        if spec.verdict(b):
-            return None
-        lhs, rhs, _ = _decide(spec, b)
-    else:
-        lhs, rhs, holds = _decide(spec, b)
-        if holds is not False:
-            return None
-    lhs, rhs = _printed(lhs), _printed(rhs)
-    num, den = _margin(spec.relation, lhs[:2], rhs[:2])
-    g = math.gcd(num, den)
-    params_used, notes = _params_used(spec, b)
-    params = tuple([(name, str(value)) for name, value in sorted(params_used.items())])
-    return Refutation(bound_id, b.label, spec.relation, lhs, rhs, (num // g, den // g), params, notes)
-
-
-def _params_used(spec: BoundSpec, b: BoundInput) -> tuple[Mapping[str, object], tuple[str, ...]]:
-    """The parameters the entry reads, and its notes with theirs."""
-    if not spec.params:
-        return _NO_PARAMS, spec.extra_notes
-    notes = spec.extra_notes + tuple(note for param in spec.params for note in b.param_notes.get(param, ()))
-    return {param: getattr(b, param) for param in spec.params}, notes
+    if spec.verdict is not None and spec.verdict(b):
+        return None
+    lhs, rhs, holds = _decide(spec, b)
+    if spec.verdict is None and holds is not False:
+        return None
+    return _report(bound_id, spec, b, failed, (lhs, rhs), False)
 
 
 def _evaluate(bound_id: str, spec: BoundSpec, binput: BoundInput) -> BoundReport:
     """The report of one catalog entry whose required fields are present."""
     failed, computable = spec.hypothesis(binput)
-    params_used, notes = _params_used(spec, binput)
-
-    lhs = rhs = holds = margin = None
-    lhs_exact = rhs_exact = True
-    indeterminate = False
-
     if not computable:
+        return _report(bound_id, spec, binput, failed, None, None)
+    lhs, rhs, holds = _decide(spec, binput)
+    if spec.verdict is not None:
+        holds = spec.verdict(binput)
+    return _report(bound_id, spec, binput, failed, (lhs, rhs), holds)
+
+
+def _report(bound_id: str, spec: BoundSpec, b: BoundInput, failed: Sequence[str],
+            sides: Optional[tuple[Side, Side]], holds: Optional[bool]) -> BoundReport:
+    """The report of the entry on ``b``, given its failed hypotheses, the
+    sides it was decided on (None where it is not computable) and whether
+    its relation holds (None where the sides did not separate).  The
+    printed sides are ``_printed``'s, the margin ``_margin``'s in lowest
+    terms, and the notes the entry's, its parameters' and the reason it
+    has no verdict."""
+    notes = spec.extra_notes
+    params = ()
+    if spec.params:
+        notes += tuple(note for param in spec.params for note in b.param_notes.get(param, ()))
+        params = tuple([(param, str(getattr(b, param))) for param in sorted(spec.params)])
+    lhs = rhs = margin = None
+    if sides is None:
         notes += ("not computable: " + "; ".join(failed),)
     else:
-        lhs, rhs, holds = _decide(spec, binput)
-        if spec.verdict is not None:
-            holds = spec.verdict(binput)
-        elif holds is None:
-            indeterminate = True
+        lhs, rhs = _printed(sides[0]), _printed(sides[1])
+        num, den = _margin(spec.relation, lhs[:2], rhs[:2])
+        g = math.gcd(num, den)
+        margin = num // g, den // g
+        if holds is None:
             notes += ("indeterminate_at_precision: sides not separated at 128 bits",)
-        ln, ld, lhs_exact = _printed(lhs)
-        rn, rd, rhs_exact = _printed(rhs)
-        lhs, rhs = _exact(ln, ld), _exact(rn, rd)
-        margin = _exact(*_margin(spec.relation, (ln, ld), (rn, rd)))
-
-    return BoundReport(
-        bound_id=bound_id,
-        label=binput.label,
-        hypotheses_met=not failed,
-        failed_hypotheses=tuple(failed),
-        relation=spec.relation,
-        lhs=lhs,
-        rhs=rhs,
-        lhs_exact=lhs_exact,
-        rhs_exact=rhs_exact,
-        holds=holds,
-        margin=margin,
-        params_used=params_used,
-        notes=notes,
-        indeterminate=indeterminate,
-    )
+    indeterminate = sides is not None and holds is None
+    return BoundReport(bound_id, b.label, tuple(failed), spec.relation, lhs, rhs, margin, holds, params, notes,
+                       indeterminate)
 
 
 def evaluate_all(binput: BoundInput) -> list[BoundReport]:

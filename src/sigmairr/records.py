@@ -4,7 +4,7 @@ through ``streams.split_orders``; the extremal search never loads this
 module, nor ``bounds``.
 
 A record is written from its numbers: the tree's order and flat edge
-tuple go into a template made once per order, and a ``bounds.Refutation``
+tuple go into a template made once per order, and a ``bounds.BoundReport``
 into a template made once per entry, which holds the fields every
 refutation of that entry prints alike.  The JSON text is what
 ``jsonout.dump`` writes for the record's dict (``search.falsify``'s form)
@@ -16,7 +16,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, Optional
 
-from .bounds import BOUND_IDS, BoundParams, Refutation, _decimal, _side_text
+from .bounds import BOUND_IDS, BoundParams, BoundReport, _decimal, _side_text
 from .jsonout import _pair_list
 from .search import ExhaustiveMode, RandomMode, refuting_trees
 
@@ -25,7 +25,7 @@ COUNTEREXAMPLE_HEADER = ["bound_id", "n", "edges", "lhs", "rhs", "relation", "ma
 
 def counterexample_texts(bound_id: str, mode: ExhaustiveMode | RandomMode, params: Optional[BoundParams] = None,
                          fmt: Optional[str] = "json", *, allow_over_cap: bool = False
-                         ) -> Iterator[tuple[str, int, Refutation, tuple[str, ...]]]:
+                         ) -> Iterator[tuple[str, int, BoundReport, tuple[str, ...]]]:
     """Each record of ``search.falsify`` as it is found: (entry, order,
     refutation, text), the text in three pieces made once each, the
     entry's, the tree's and the report's: a ``jsonout.Items`` item ("json"),
@@ -50,7 +50,7 @@ def counterexample_texts(bound_id: str, mode: ExhaustiveMode | RandomMode, param
 
 def _record_renderers(fmt: str) -> tuple[Callable, Callable, Callable]:
     """The text of a record's entry, of its tree (order and ascending edges)
-    and of its report (a ``Refutation``), in ``fmt``: a tree's from a
+    and of its report (a ``BoundReport``), in ``fmt``: a tree's from a
     template made once per order, a report's from one made once per entry."""
     trees: dict[int, str] = {}  # by order
 
@@ -61,7 +61,7 @@ def _record_renderers(fmt: str) -> tuple[Callable, Callable, Callable]:
             flat = tuple(chain.from_iterable(edges))
             return (trees.get(n) or trees.setdefault(n, _json_tree(n))) % (flat + flat)
 
-        def report(r: Refutation) -> str:
+        def report(r: BoundReport) -> str:
             (ln, ld, lhs_exact), (rn, rd, rhs_exact) = r.lhs, r.rhs
             template = reports.get(r.bound_id) or reports.setdefault(r.bound_id, _json_report(r))
             return template % (
@@ -78,7 +78,7 @@ def _record_renderers(fmt: str) -> tuple[Callable, Callable, Callable]:
         template = trees.get(n) or trees.setdefault(n, str(n) + "," + ";".join(["%d-%d"] * (n - 1)) + ",")
         return template % tuple(chain.from_iterable(edges))
 
-    def row_report(r: Refutation) -> str:
+    def row_report(r: BoundReport) -> str:
         (ln, ld, lhs_exact), (rn, rd, rhs_exact) = r.lhs, r.rhs
         return ",".join([_side_text(ln, ld, lhs_exact), _side_text(rn, rd, rhs_exact), r.relation,
                          _side_text(*r.margin, lhs_exact and rhs_exact)]) + "\n"
@@ -98,7 +98,7 @@ def _json_tree(n: int) -> str:
             + _pair_list(n - 1) + ',\n      "n": ' + str(n))
 
 
-def _json_report(r: Refutation) -> str:
+def _json_report(r: BoundReport) -> str:
     """The ``report`` field of a refutation of ``r``'s entry, closing its
     record, with a ``%s`` for each field that varies from one to the next."""
     slot = "\0"  # where a varying field goes; any "%" elsewhere is escaped

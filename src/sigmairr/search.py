@@ -130,7 +130,7 @@ from .indices import albertson, sigma
 from .sequences import is_tree_sequence, prufer_degrees_and_edges, random_prufer_word
 
 if TYPE_CHECKING:  # ``bounds`` is imported where a claim is evaluated, not here
-    from .bounds import BoundInput, BoundParams, Refutation
+    from .bounds import BoundInput, BoundParams, BoundReport
 
 DEFAULT_TREE_CAP = 18
 # A walk holds one level a byte, so no tree of a larger order can be walked.
@@ -544,10 +544,10 @@ def refuting_trees(
     params: Optional[BoundParams] = None,
     *,
     allow_over_cap: bool = False,
-) -> Iterator[tuple[int, list[tuple[int, int]], list[tuple[str, Refutation]]]]:
+) -> Iterator[tuple[int, list[tuple[int, int]], list[tuple[str, BoundReport]]]]:
     """Hunt for trees meeting a claim's hypotheses on which it evaluates
     false, and yield each such tree as it is found: its order, its edges
-    (u, v), u < v, ascending, and the (entry, ``bounds.Refutation``) pairs
+    (u, v), u < v, ascending, and the (entry, ``bounds.BoundReport``) pairs
     of the entries it refutes, in catalog order.  The arguments are checked
     at the call.
 
@@ -571,9 +571,9 @@ def refuting_trees(
         params = bounds.BoundParams()
     bound_ids = bounds.expand_bound_id(bound_id)
     specs = [(bid, bounds.CATALOG[bid]) for bid in bound_ids]
-    distinct: dict[Refutation, Refutation] = {}  # each distinct refutation of the call
+    distinct: dict[BoundReport, BoundReport] = {}  # each distinct refutation of the call
 
-    def decide(binput: BoundInput) -> list[tuple[str, Refutation]]:  # the entries it refutes
+    def decide(binput: BoundInput) -> list[tuple[str, BoundReport]]:  # the entries it refutes
         refuted = []
         for bid, spec in specs:
             if (found := bounds.refutation(bid, spec, binput)) is not None:
@@ -581,7 +581,7 @@ def refuting_trees(
         return refuted
 
     def exhaustive():
-        decided: dict[tuple[int, int, int], list[tuple[str, Refutation]]] = {}  # by signature
+        decided: dict[tuple[int, int, int], list[tuple[str, BoundReport]]] = {}  # by signature
         for n in range(mode.n_min, mode.n_max + 1):
             for levels, signature in free_tree_level_sequences(n):
                 tree = None

@@ -55,8 +55,8 @@ simpler form of a package routine it is compared with:
   entry) pair and keeps the probative failures, each with a record of its
   own written from the ``Graph``'s sorted edges, where the package decides
   each pair once per signature (sorted degrees, Albertson and Sigma) on
-  degrees and edges, builds no ``Graph``, writes a counterexample's report
-  from the refuting sides with no ``BoundReport``, and shares one sorted
+  degrees and edges, builds no ``Graph``, builds a counterexample's report
+  from the refuting sides with no second decision, and shares one sorted
   edge list and its text per tree.  Its random trees
   are its own: each Pruefer word is ``randrange(n)`` drawn n - 2 times
   from the sample's ``Random(seed)``, decoded by ``prufer_decode_heap``;
@@ -693,7 +693,8 @@ def fraction_decision(bound_id: str, binput: BoundInput) -> tuple[list[str], boo
 def evaluate_bound_by_intervals(bound_id: str, binput: BoundInput) -> BoundReport:
     """The report of one catalog entry from the Fraction formulas, with
     every side boxed as an interval and decided by ``_compare`` alone (64
-    bits, then 128 when undecided)."""
+    bits, then 128 when undecided); each printed side is its interval's
+    ``Fraction`` midpoint and the margin their difference."""
     spec = CATALOG[bound_id]
     c = fraction_ctx(binput)
     relation, lhs_of, rhs_of = FRACTION_FORMULAS[bound_id]
@@ -706,7 +707,6 @@ def evaluate_bound_by_intervals(bound_id: str, binput: BoundInput) -> BoundRepor
     for param in spec.params:
         notes.extend(binput.param_notes.get(param, []))
     lhs_val = rhs_val = holds = margin = None
-    lhs_exact = rhs_exact = True
     indeterminate = False
     if computable:
         lhs, rhs = sides(_BITS_FIRST)
@@ -717,29 +717,27 @@ def evaluate_bound_by_intervals(bound_id: str, binput: BoundInput) -> BoundRepor
             if holds is None:
                 indeterminate = True
                 notes.append("indeterminate_at_precision: sides not separated at 128 bits")
-        lhs_val, rhs_val = lhs.mid, rhs.mid
-        lhs_exact, rhs_exact = lhs.exact, rhs.exact
         if relation in ("<=", "<"):
-            margin = rhs_val - lhs_val
+            gap = rhs.mid - lhs.mid
         elif relation in (">=", ">"):
-            margin = lhs_val - rhs_val
+            gap = lhs.mid - rhs.mid
         else:
-            margin = -abs(lhs_val - rhs_val)
+            gap = -abs(lhs.mid - rhs.mid)
+        lhs_val = (lhs.mid.numerator, lhs.mid.denominator, lhs.exact)
+        rhs_val = (rhs.mid.numerator, rhs.mid.denominator, rhs.exact)
+        margin = (gap.numerator, gap.denominator)
     else:
         notes.append("not computable: " + "; ".join(failed))
     return BoundReport(
         bound_id=bound_id,
         label=binput.label,
-        hypotheses_met=not failed,
         failed_hypotheses=tuple(failed),
         relation=relation,
         lhs=lhs_val,
         rhs=rhs_val,
-        lhs_exact=lhs_exact,
-        rhs_exact=rhs_exact,
-        holds=holds,
         margin=margin,
-        params_used={k: getattr(c, k) for k in spec.params},
+        holds=holds,
+        params=tuple(sorted((k, str(getattr(c, k))) for k in spec.params)),
         notes=tuple(notes),
         indeterminate=indeterminate,
     )

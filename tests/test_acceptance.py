@@ -240,8 +240,8 @@ def test_criterion_10_bound_evaluator_arithmetic():
         report = evaluate_bound("B7", table_input(1, 0))
         # exact rational from the defining expression (1/3)*(1936/49)*160 - 2348 + 260
         expected = Fraction(1, 3) * Fraction(1936, 49) * 160 - 2348 + 260
-        assert report.rhs == expected == Fraction(2824, 147)
-        assert abs(float(report.rhs) - 19.2108843537) < 1e-9
+        assert report.rhs == (2824, 147, True) and Fraction(*report.rhs[:2]) == expected
+        assert abs(report.rhs[0] / report.rhs[1] - 19.2108843537) < 1e-9
         assert report.holds is True
         regular = BoundInput.from_graph(cycle(4))
         reports = evaluate_all(regular)

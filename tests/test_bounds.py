@@ -206,7 +206,7 @@ class TestParams:
         assert records[0].param_notes is records[1].param_notes
         reports = [evaluate_all(binput) for binput in records]
         for one, other in zip(*reports):
-            assert (one.params_used, one.notes) == (other.params_used, other.notes), one.bound_id
+            assert (one.params, one.notes) == (other.params, other.notes), one.bound_id
 
     def test_resolution_cannot_be_mutated_by_a_caller(self):
         binput = table_input(1, 0)
@@ -231,9 +231,9 @@ class TestParams:
 class TestCatalogArithmetic:
     def test_b7_table1_row1_exact(self):
         report = evaluate_bound("B7", table_input(1, 0))
-        assert report.rhs == Fraction(1, 3) * Fraction(1936, 49) * 160 - 2348 + 260
-        assert report.rhs == Fraction(2824, 147)
-        assert report.lhs == 2248 and report.holds is True
+        assert Fraction(*report.rhs[:2]) == Fraction(1, 3) * Fraction(1936, 49) * 160 - 2348 + 260
+        assert report.rhs == (2824, 147, True)
+        assert report.lhs == (2248, 1, True) and report.holds is True
 
     def test_b4_is_a_theorem(self):
         # sigma = sum d^3 - 2*M2 <= cube_sum, and B4's right side only adds
@@ -252,13 +252,13 @@ class TestCatalogArithmetic:
 
     def test_b8_path6(self):
         report = evaluate_bound("B8", BoundInput.from_graph(path(6)))
-        assert report.lhs == 2 and report.rhs == Fraction(336, 5)
+        assert report.lhs == (2, 1, True) and report.rhs == (336, 5, True)
         assert report.holds is False and report.hypotheses_met
 
     def test_b14_small_trees(self):
         for seed in range(10):
             report = evaluate_bound("B14", BoundInput.from_graph(random_tree(7, seed)))
-            assert report.holds is True and report.margin == 0
+            assert report.holds is True and report.margin == (0, 1)
 
     def test_b9_monotone_in_p(self):
         binput = BoundInput.from_graph(star(6))
@@ -271,9 +271,9 @@ class TestCatalogArithmetic:
 
     def test_b2_params_recorded(self):
         report = evaluate_bound("B2a", BoundInput.from_graph(star(6), BoundParams(alpha=3)))
-        assert report.params_used["alpha"] == 3
+        assert dict(report.params)["alpha"] == "3"
         report = evaluate_bound("B2b", BoundInput.from_graph(star(6)))
-        assert report.params_used["beta"] == ceil_log2(6)
+        assert dict(report.params)["beta"] == str(ceil_log2(6))
 
     def test_b10_statement_vs_strict_gate(self):
         g = star(8)  # max degree 7; n = 8
@@ -297,7 +297,7 @@ class TestCatalogArithmetic:
         assert not reports["B6"].hypotheses_met  # mean half-difference zero
         assert not reports["B12"].hypotheses_met  # eta == n
         assert reports["B3"].holds is not None  # a_last != t_last on regular sequences
-        assert reports["B15b"].holds is True and reports["B15b"].lhs == 0
+        assert reports["B15b"].holds is True and reports["B15b"].lhs == (0, 1, True)
 
     def test_missing_irr_is_input_error(self):
         view = DegreeSequenceView((3, 5, 7, 5, 6, 8, 10), Convention.PAPER_TABLE)
@@ -456,8 +456,8 @@ class TestReportContracts:
         for report in evaluate_all(binput):
             assert report.bound_id in CATALOG
             json.dumps(report.to_json_dict())
-            if report.holds is not None and report.lhs_exact and report.rhs_exact and not report.indeterminate:
-                lhs, rhs, rel = report.lhs, report.rhs, report.relation
+            if report.holds is not None and report.lhs[2] and report.rhs[2] and not report.indeterminate:
+                lhs, rhs, rel = Fraction(*report.lhs[:2]), Fraction(*report.rhs[:2]), report.relation
                 expected = {
                     "<=": lhs <= rhs,
                     "<": lhs < rhs,
@@ -467,18 +467,18 @@ class TestReportContracts:
                 }[rel]
                 assert report.holds == expected
                 if rel in ("<=", "<"):
-                    assert report.margin == rhs - lhs
+                    assert Fraction(*report.margin) == rhs - lhs
                 elif rel in (">=", ">"):
-                    assert report.margin == lhs - rhs
+                    assert Fraction(*report.margin) == lhs - rhs
 
     def test_margin_sign_agrees_with_holds(self):
         for report in evaluate_all(BoundInput.from_graph(path(7))):
             if report.holds is None or report.margin is None:
                 continue
             if report.relation in ("<=", ">=", "=="):
-                assert report.holds == (report.margin >= 0)
+                assert report.holds == (Fraction(*report.margin) >= 0)
             else:
-                assert report.holds == (report.margin > 0)
+                assert report.holds == (Fraction(*report.margin) > 0)
 
     def test_missing_fields_helper(self):
         view = DegreeSequenceView((2, 3, 4))
@@ -624,7 +624,7 @@ class TestExactFirst:
         assert report.rhs == reference.rhs and report.notes == ()
         monkeypatch.setattr(bounds, "_b6_terms", lambda b: (g * g, 1, b.sigma_value - g))
         report = evaluate_bound("B6", binput)
-        assert report.holds is True and report.margin == 0 and report.rhs_exact
+        assert report.holds is True and report.margin == (0, 1) and report.rhs[2]
 
 
 def _audit_pairs():
@@ -797,7 +797,7 @@ class TestPrintedSides:
     def test_catalog_sides(self):
         # Every computable entry's sides, decided as reports decide them, print
         # as their Fraction values do; a counterexample's report is its full
-        # report's JSON form, and any other pair has none.
+        # report, hash included, and any other pair has none.
         inexact, relations, refuted = set(), set(), 0
         for binput in _printed_inputs():
             for bound_id in BOUND_IDS:
@@ -807,7 +807,7 @@ class TestPrintedSides:
                 report = evaluate_bound(bound_id, binput)
                 written = bounds.refutation(bound_id, spec, binput)
                 if report.hypotheses_met and report.holds is False:
-                    assert written.to_json_dict() == report.to_json_dict(), (bound_id, binput.label)
+                    assert written == report and hash(written) == hash(report), (bound_id, binput.label)
                     refuted += 1
                 else:
                     assert written is None, (bound_id, binput.label)
@@ -826,7 +826,7 @@ class TestPrintedSides:
                 (ln, ld, lhs, lhs_exact), (rn, rd, rhs, rhs_exact) = printed
                 num, den = bounds._margin(spec.relation, (ln, ld), (rn, rd))
                 margin = fraction_margin(spec.relation, lhs, rhs)
-                assert Fraction(num, den) == margin == report.margin, (bound_id, binput.label)
+                assert Fraction(num, den) == margin == Fraction(*report.margin), (bound_id, binput.label)
                 exact = lhs_exact and rhs_exact
                 assert integer_printed(num, den, exact)[0] == fraction_printed(margin, exact)[0]
                 relations.add(spec.relation)

@@ -203,7 +203,7 @@ class TestPublicSurface:
 RECORDS = {
     "BoundParams": lambda: (1, None, 3, None, Fraction(3), False),
     "BoundReport": lambda: (
-        "B9", "graph n=5 m=4", True, (), "<=", 2, 42, True, True, True, 40, {"p": 2}, (), False,
+        "B9", "graph n=5 m=4", (), "<=", (2, 1, True), (42, 1, True), (40, 1), True, (("p", "2"),), (), False,
     ),
     "TreeClass": lambda: (5, 0, 1 << 40, "all trees of order 5"),
     "SearchResult": lambda: ("all trees of order 3", "sigma", "max", 2, sigmairr.path(3), (1, 2, 2), 1),
@@ -270,4 +270,4 @@ def test_readme_library_example_prints_its_comments():
     lines = out.getvalue().splitlines()
     assert lines[:2] == [f"392 {[1] * 8 + [8]}", "24 6 36"]
     reports = sigmairr.evaluate_all(sigmairr.BoundInput.from_graph(sigmairr.star(9)))
-    assert lines[2:] == [f"{r.bound_id} {r.hypotheses_met} {r.holds} {r.margin}" for r in reports]
+    assert lines[2:] == [f"{r.bound_id} {r.hypotheses_met} {r.holds} {r.to_json_dict()['margin']}" for r in reports]

@@ -24,7 +24,7 @@ from oracles import (
     tree_degree_multisets,
 )
 from sigmairr import records
-from sigmairr.bounds import BOUND_IDS, BoundParams, Refutation
+from sigmairr.bounds import BOUND_IDS, BoundParams, BoundReport
 from sigmairr.errors import DomainError, InputError, ResourceLimitError
 from sigmairr.graphs import Graph, cycle, is_tree, path, star
 from sigmairr.indices import albertson, albertson_and_sigma, sigma
@@ -598,8 +598,8 @@ class TestFalsify:
         def refuted(bound_id, relation, lhs, rhs):
             margin = Fraction(*rhs[:2]) - Fraction(*lhs[:2])
             margin = -margin if relation == ">=" else margin
-            return Refutation(bound_id, "graph n=9 m=8", relation, lhs, rhs,
-                              (margin.numerator, margin.denominator), (), ())
+            return BoundReport(bound_id, "graph n=9 m=8", (), relation, lhs, rhs,
+                               (margin.numerator, margin.denominator), False, (), (), False)
 
         cases = [refuted("B6", ">=", (20, 1, True), (2 * 3**42 + 1, 2**65, False)),
                  refuted("B15b", "<=", (3**41, 2**65, False), (3**40 + 2, 2**65, False)),
@@ -722,13 +722,12 @@ class TestFalsify:
 
     def test_builds_no_report(self, monkeypatch):
         # Each record is written from the decision that refuted its entry:
-        # no evaluate_bound, and no BoundReport by any other path.
+        # no evaluate_bound, and no second decision by any other path.
         import sigmairr.bounds as bounds_module
 
         built = []
         for name in ("evaluate_bound", "evaluate_all", "_evaluate"):
             monkeypatch.setattr(bounds_module, name, lambda *args, name=name: built.append(name))
-        monkeypatch.setattr(bounds_module.BoundReport, "__init__", lambda *args, **kwargs: built.append("init"))
         found = falsify("all", ExhaustiveMode(7)) + falsify("all", RandomMode(n=40, samples=10, seed=0))
         assert len(found) > 100 and built == []
 
