@@ -89,27 +89,38 @@ subtrees as it yields the tree, and ``extremal_goals`` and exhaustive
 ``falsify`` take it from there.  In a canonical sequence each vertex's
 descendants follow it as one block, so the snapshot's
 ``split(b"\x02")[1:]`` is one piece per child of the root, holding that
-child's descendants: an empty piece is a leaf, and the children of any
-other piece's vertex are ``piece.split(piece[:1])[1:]``.  A block's score
-is its vertex's degree, the Albertson and Sigma sums over the edges below
-it, and its degree counts, the sum of 256^d over its vertices' degrees d (a
-byte per degree, which never carries, as no degree occurs 256 times in a
-walk).  Both indices are sums over edges, so a vertex of degree k adds, for
-each child c, c's sums plus |k - deg c| to Albertson and (k - deg c)^2 to
-Sigma; a whole tree is scored the same way at its root, by the same
-``_join``.  A block's score depends on its bytes alone, so one table,
-``_BLOCKS``, holds it for every walk of the process: the 7,741 trees of
-order 15 have 1,229 distinct root pieces, and each is scored once.  The
-table holds at most ``_BLOCK_TABLE_SIZE`` blocks, every block of every
-order up to 19, and is cleared when full.  Class membership reads the
-degree counts, so no tree has a per-vertex pass.  ``extremal_goals`` serves
-any number of (objective, direction) goals from one walk of a class, each
-with its own optimum and first witness in stream order; ``extremal`` is its
-single-goal form.  A ``Graph`` is built only per distinct witness, and its
-indices and membership are computed again from the ``Graph``, independently
-of the table.  One decoder, ``_tree_of_levels``, turns levels into degrees
-and (parent, child) edges, for ``levels_to_graph``, ``falsify`` and CLI
+child's descendants from level 3 on: an empty piece is a leaf, and the
+children of any other piece's vertex are
+``piece.translate(_DOWN).split(b"\x02")[1:]``, each moved up a level so that
+it starts at level 3 too.  A block's score is its vertex's degree, the
+Albertson and Sigma sums over the edges below it, and its degree counts,
+the sum of 256^d over its vertices' degrees d (a byte per degree, which
+never carries, as no degree occurs 256 times in a walk).  Both indices are
+sums over edges, so a vertex of degree k adds, for each child c, c's sums
+plus |k - deg c| to Albertson and (k - deg c)^2 to Sigma; a whole tree is
+scored the same way at its root, by the same ``_join``.  A block's score
+depends on its shape alone, and every key starts at level 3, so one table,
+``_BLOCKS``, holds each shape once for every walk of the process: the 7,741
+trees of order 15 have 1,229 distinct root pieces, which hold every shape
+below them, and each is scored once.  The table holds at most
+``_BLOCK_TABLE_SIZE`` blocks, every block of every order up to 19, and is
+cleared when full.  Class membership reads the degree counts, so no tree
+has a per-vertex pass.  ``extremal_goals`` serves any number of
+(objective, direction) goals from one walk of a class, each with its own
+optimum and first witness in stream order; ``extremal`` is its single-goal
+form.  A ``Graph`` is built only per distinct witness, and its indices and
+membership are computed again from the ``Graph``, independently of the
+table.  One decoder, ``_tree_of_levels``, turns levels into degrees and
+(parent, child) edges, for ``levels_to_graph``, ``falsify`` and CLI
 ``enumerate``.
+
+Exhaustive ``falsify`` decides each catalog entry once per distinct part
+of the signature it reads, as its ``requires`` names it: the degree counts
+alone (B14, B15a, B15b), with Albertson (B1a..B2b), with Sigma (B6, B8,
+B10..B13), or the whole signature (B3, B4, B5, B7, B9).  One memo, keyed
+by the entry and that part, holds each decision.  Over 2 <= n <= 12 that
+is 7,016 decisions for the 986 trees' 555 signatures, where one per
+signature and entry would be 9,990.
 
 Every walk of the trees of an order passes one gate, ``check_tree_order``:
 an order above the one enumeration cap, ``DEFAULT_TREE_CAP``, is refused
@@ -143,10 +154,11 @@ OBJECTIVES: dict[str, Callable[[Graph], int]] = {
     "sigma": sigma,
     "albertson": albertson,
 }
-# Scores of blocks, keyed by their level bytes: (degree, Albertson below,
-# Sigma below, degree counts).  Orders up to 19 have fewer blocks than this
-# (14,854 up to order 18), so only a walk past them clears the table, which
-# keeps its memory bounded at any order.
+# Scores of blocks, keyed by their level bytes starting at level 3, so one
+# key per shape: (degree, Albertson below, Sigma below, degree counts).
+# Orders up to 19 have fewer blocks than this (11,487 up to order 18, 24,880
+# up to 19), so only a walk past them clears the table, which keeps its
+# memory bounded at any order.
 _BLOCK_TABLE_SIZE = 1 << 15
 _BLOCKS: dict[bytes, tuple[int, int, int, int]] = {}
 
@@ -469,9 +481,11 @@ def _join(degree: int, pieces: list[bytes]) -> tuple[int, int, int, int]:
 
 def _block(piece: bytes) -> tuple[int, int, int, int]:
     """Score of the vertex whose descendants' levels are ``piece``, built
-    from its children's and kept in ``_BLOCKS``."""
+    from its children's and kept in ``_BLOCKS``.  A piece starts at level 3,
+    as a root's children's do; each child's piece is moved up to level 3 too,
+    so one shape has one key at every depth."""
     if piece:
-        children = piece.split(piece[:1])[1:]  # after b"", one piece per child
+        children = piece.translate(_DOWN).split(b"\x02")[1:]  # after b"", one piece per child
         score = _join(len(children) + 1, children)  # its children and its parent
     else:
         score = (1, 0, 0, 1 << 8)  # a leaf
@@ -553,12 +567,14 @@ def refuting_trees(
 
     ``bound_id`` may be a base id or ``"all"``.  Each entry is decided on a
     tree's ``BoundInput``, from its degrees and edges, by
-    ``bounds.refutation``; no ``Graph`` is built.  Every entry
-    reads only the degrees, Albertson and Sigma, so exhaustive mode (every
-    isomorphism class with n_min <= n <= n_max, by increasing order)
-    decides each signature the walk yields once, on its first tree, whose
-    input must agree with it (else ``AssertionError``), and decodes a tree
-    only if its signature is new or it refutes an entry.  Random mode
+    ``bounds.refutation``; no ``Graph`` is built.  Every entry reads only
+    the degree counts and whichever of Albertson and Sigma its
+    ``requires`` names, so exhaustive mode (every isomorphism class with
+    n_min <= n <= n_max, by increasing order) builds one input per
+    signature the walk yields, on its first tree, which must agree with it
+    (else ``AssertionError``); it decides each entry on the first input of
+    each distinct part of the signature that the entry reads, and decodes a
+    tree only if its signature is new or it refutes an entry.  Random mode
     decides each seeded labeled tree of order n, from a random Pruefer
     word, on its own input: samples seldom repeat a signature.  A
     refutation equal to an earlier one of the call (the same entry, label
@@ -581,6 +597,10 @@ def refuting_trees(
         return refuted
 
     def exhaustive():
+        # Each entry's refutation, keyed by the entry and the part of the
+        # signature its ``requires`` names: False for a value it does not read.
+        reads = [(bid, spec, "irr" in spec.requires, "sigma" in spec.requires) for bid, spec in specs]
+        memo: dict[tuple[str, int, int, int], Optional[BoundReport]] = {}
         decided: dict[tuple[int, int, int], list[tuple[str, BoundReport]]] = {}  # by signature
         for n in range(mode.n_min, mode.n_max + 1):
             for levels, signature in free_tree_level_sequences(n):
@@ -591,7 +611,16 @@ def refuting_trees(
                     # The memo key, checked on the decoded tree by the edge pass.
                     if (_degree_counts(binput.entries), binput.irr_value, binput.sigma_value) != signature:
                         raise AssertionError(f"scored signature {signature} disagrees with tree {tuple(levels)}")
-                    reports = decided[signature] = decide(binput)
+                    counts, irr, sig = signature
+                    reports = decided[signature] = []
+                    for bid, spec, reads_irr, reads_sigma in reads:
+                        key = bid, counts, reads_irr and irr, reads_sigma and sig
+                        if key in memo:
+                            found = memo[key]
+                        else:
+                            found = memo[key] = bounds.refutation(bid, spec, binput)
+                        if found is not None:
+                            reports.append((bid, distinct.setdefault(found, found)))
                 if reports:
                     yield n, sorted((tree or _tree_of_levels(levels))[1]), reports
 

@@ -430,7 +430,7 @@ class TestBlockScores:
             except DomainError as exc:
                 expected.append(str(exc))
         monkeypatch.setattr(search_module, "_BLOCKS", {})
-        monkeypatch.setattr(search_module, "_BLOCK_TABLE_SIZE", 7)  # order 12 has 216 blocks
+        monkeypatch.setattr(search_module, "_BLOCK_TABLE_SIZE", 7)  # order 12 has 155 blocks
         for tree_class, results in zip(classes, expected):
             try:
                 assert extremal_goals(tree_class, ALL_GOALS) == results, tree_class
@@ -443,7 +443,7 @@ class TestBlockScores:
 
         monkeypatch.setattr(search_module, "_BLOCKS", {})
         extremal_goals(TreeClass.all_trees(15), ALL_GOALS)
-        assert len(search_module._BLOCKS) == 1642 < search_module._BLOCK_TABLE_SIZE
+        assert len(search_module._BLOCKS) == 1229 < search_module._BLOCK_TABLE_SIZE
 
 
 def assert_records_match(found, reference):
@@ -743,9 +743,12 @@ class TestFalsify:
 
     def test_decides_each_signature_once(self, monkeypatch):
         # 986 trees with 2 <= n <= 12 have 555 signatures (degree counts,
-        # Albertson, Sigma, as the walk yields them): each signature builds
-        # one input and is decided on all 18 entries once, and each tree is
-        # decoded at most once.
+        # Albertson, Sigma, as the walk yields them), and each builds one
+        # input.  Each entry is decided once per distinct part of the
+        # signature it reads: B14, B15a and B15b once per degree counts
+        # (139), B1a..B2b per counts and Albertson (206), B6, B8 and
+        # B10..B13 per counts and Sigma (500), and the other five per
+        # signature.  Each tree is decoded at most once.
         import sigmairr.bounds as bounds_module
         import sigmairr.search as search_module
 
@@ -762,10 +765,34 @@ class TestFalsify:
         monkeypatch.setattr(search_module, "free_tree_level_sequences",
                             lambda n: (yields.append(item) or item for item in walk(n)))
         found = falsify("all", ExhaustiveMode(12))
-        assert len(calls["refutation"]) == 555 * 18 == 9_990 and len(found) > 1_000
+        assert len(calls["refutation"]) == 3 * 139 + 4 * 206 + 6 * 500 + 5 * 555 == 7_016 and len(found) > 1_000
         assert len(calls["from_edges"]) == 555 and len(yields) == 986
         # Every one of the 986 trees is new or refutes an entry, and none is decoded twice.
         assert len(calls["_tree_of_levels"]) == len(set(calls["_tree_of_levels"])) == 986
+
+    def test_entries_decide_without_the_values_they_do_not_require(self):
+        # The memo shares an entry's decision among signatures that differ
+        # only in a value its ``requires`` does not name: on every tree with
+        # n <= 12, that value None must give the same refutation.
+        from sigmairr import bounds
+
+        unread = []
+        for bid, spec in bounds.CATALOG.items():
+            fields = tuple(f for f in ("irr", "sigma") if f not in spec.requires)
+            if fields:
+                unread.append((bid, spec, fields))
+        assert len(unread) == 13
+        refuted = 0
+        for n in range(2, 13):
+            for levels, _ in free_tree_level_sequences(n):
+                b = bounds.BoundInput.from_edges(*_tree_of_levels(levels))
+                for bid, spec, fields in unread:
+                    blind = bounds.BoundInput(b.entries, b.n, b.two_m, None if "irr" in fields else b.irr_value,
+                                              None if "sigma" in fields else b.sigma_value, b.params, b.label, b.edges)
+                    found = bounds.refutation(bid, spec, b)
+                    assert bounds.refutation(bid, spec, blind) == found, (bid, levels)
+                    refuted += found is not None
+        assert refuted > 1_000
 
     def test_memo_key_check_catches_a_wrong_table_score(self, monkeypatch):
         # A leaf scored with a Sigma of 1 below it gives K2 the signature of
